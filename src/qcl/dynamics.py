@@ -29,6 +29,7 @@ solution.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -36,20 +37,6 @@ import numpy as np
 
 from .graphs import GraphSchedule, WeightedDigraph, laplacian
 from .quantizers import InputError, Quantizer
-
-try:  # pragma: no cover - exercised implicitly
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
-
 
 # Feasibility slack for hold coefficients: absorbs elimination round-off
 # without admitting genuinely infeasible holds.
@@ -888,77 +875,50 @@ def simulate(
 # Regularized oracle
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _interp_scalar(v, xp, fp):  # pragma: no cover - jitted
-    if v <= xp[0]:
-        return fp[0]
-    if v >= xp[-1]:
-        return fp[-1]
-    lo = 0
-    hi = xp.shape[0] - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if xp[mid] <= v:
-            lo = mid
-        else:
-            hi = mid
-    x0 = xp[lo]
-    x1 = xp[lo + 1]
-    if x1 == x0:
-        return fp[lo]
-    return fp[lo] + (fp[lo + 1] - fp[lo]) * (v - x0) / (x1 - x0)
+def _rk4_chunk(x: list[float], rows: list[list[tuple[int, float]]], xp: list[float],
+               fp: list[float], h: float, steps: int) -> list[float]:
+    """``steps`` classical RK4 steps of ``x' = -L q(x)`` on Python floats.
 
+    ``q`` interpolates the knots ``(xp, fp)`` linearly and clamps outside
+    them; ``rows[i]`` holds the nonzero ``(j, l_ij)`` of Laplacian row ``i``
+    in increasing ``j``.  The arithmetic of every element is spelled out in
+    a fixed order, so results do not depend on vector widths or alignment.
+    """
+    last = len(xp) - 1
+    x_first, x_last, f_first, f_last = xp[0], xp[last], fp[0], fp[last]
 
-@njit(cache=True)
-def _rk4_chunk(x, lap, xp, fp, h, steps):  # pragma: no cover - jitted
-    n = x.shape[0]
-    q = np.empty(n)
-    k1 = np.empty(n)
-    k2 = np.empty(n)
-    k3 = np.empty(n)
-    k4 = np.empty(n)
-    tmp = np.empty(n)
+    def deriv(s: list[float]) -> list[float]:
+        q = []
+        for v in s:
+            if v <= x_first:
+                q.append(f_first)
+            elif v >= x_last:
+                q.append(f_last)
+            else:
+                lo = bisect_right(xp, v, 1, last) - 1
+                x0 = xp[lo]
+                q.append(fp[lo] + (fp[lo + 1] - fp[lo]) * (v - x0) / (xp[lo + 1] - x0))
+        out = []
+        for row in rows:
+            acc = 0.0
+            for j, l in row:
+                acc -= l * q[j]
+            out.append(acc)
+        return out
+
+    half = 0.5 * h
+    sixth = h / 6.0
     for _ in range(steps):
-        for i in range(n):
-            q[i] = _interp_scalar(x[i], xp, fp)
-        for i in range(n):
-            acc = 0.0
-            for j in range(n):
-                acc -= lap[i, j] * q[j]
-            k1[i] = acc
-        for i in range(n):
-            tmp[i] = x[i] + 0.5 * h * k1[i]
-        for i in range(n):
-            q[i] = _interp_scalar(tmp[i], xp, fp)
-        for i in range(n):
-            acc = 0.0
-            for j in range(n):
-                acc -= lap[i, j] * q[j]
-            k2[i] = acc
-        for i in range(n):
-            tmp[i] = x[i] + 0.5 * h * k2[i]
-        for i in range(n):
-            q[i] = _interp_scalar(tmp[i], xp, fp)
-        for i in range(n):
-            acc = 0.0
-            for j in range(n):
-                acc -= lap[i, j] * q[j]
-            k3[i] = acc
-        for i in range(n):
-            tmp[i] = x[i] + h * k3[i]
-        for i in range(n):
-            q[i] = _interp_scalar(tmp[i], xp, fp)
-        for i in range(n):
-            acc = 0.0
-            for j in range(n):
-                acc -= lap[i, j] * q[j]
-            k4[i] = acc
-        for i in range(n):
-            x[i] += (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+        k1 = deriv(x)
+        k2 = deriv([a + half * b for a, b in zip(x, k1)])
+        k3 = deriv([a + half * b for a, b in zip(x, k2)])
+        k4 = deriv([a + h * b for a, b in zip(x, k3)])
+        x = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
     return x
 
 
-def _ramp_knots(quantizer: Quantizer, x0, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _ramp_knots(quantizer: Quantizer, x0, eps: float) -> tuple[list[float], list[float]]:
     """Breakpoints of the continuous piecewise-linear quantizer surrogate."""
     from .quantizers import GeneralQuantizer, UniformQuantizer
 
@@ -981,7 +941,7 @@ def _ramp_knots(quantizer: Quantizer, x0, eps: float) -> tuple[np.ndarray, np.nd
     for th, s_lo, s_hi in zip(thresholds, below, above):
         xp.extend((th - eps, th + eps))
         fp.extend((s_lo, s_hi))
-    return np.array(xp), np.array(fp)
+    return xp, fp
 
 
 @dataclass(frozen=True)
@@ -990,10 +950,6 @@ class RegularizedRun:
 
     times: np.ndarray
     states: np.ndarray
-
-    def state_at(self, t: float) -> np.ndarray:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        return self.states[idx]
 
 
 def simulate_regularized(
@@ -1024,25 +980,26 @@ def simulate_regularized(
         t_end = config.horizon
 
     xp, fp = _ramp_knots(quantizer, x0, eps)
-    blow_up = 10.0 * (max(abs(fp.max()), abs(fp.min())) + 1.0)
-    x = np.array(x0, dtype=float)
+    blow_up = 10.0 * (max(map(abs, fp)) + 1.0)
+    x = [float(v) for v in x0]
     n_samples = int(math.floor(t_end / stride + 1e-9))
     times = [0.0]
-    states = [x.copy()]
+    states = [x]
     t = 0.0
     for k in range(1, n_samples + 1):
         target = k * stride
         while t < target:
             seg_end = min(schedule.next_switch_after(t), target)
-            lap = np.ascontiguousarray(laplacian(schedule.graph_at(t)))
+            rows = [[(j, l) for j, l in enumerate(row) if l != 0.0]
+                    for row in laplacian(schedule.graph_at(t)).tolist()]
             steps = max(1, math.ceil((seg_end - t) / h - 1e-9))
             hh = (seg_end - t) / steps
-            x = _rk4_chunk(x, lap, xp, fp, hh, steps)
+            x = _rk4_chunk(x, rows, xp, fp, hh, steps)
             t = seg_end
-        if np.abs(x).max() > blow_up:
+        if max(map(abs, x)) > blow_up:
             raise RegularizationUnstable(
                 f"state norm exploded at t={t}; reduce the step size h"
             )
         times.append(t)
-        states.append(x.copy())
+        states.append(x)
     return RegularizedRun(times=np.array(times), states=np.array(states))

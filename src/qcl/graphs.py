@@ -55,6 +55,8 @@ class WeightedDigraph:
         """Build from ``(i, j, weight)`` triples; ``i`` listens to ``j``."""
         w = np.zeros((n, n))
         for i, j, weight in edges:
+            if not (0 <= i < n and 0 <= j < n):
+                raise InputError(f"edge ({i}, {j}, {weight}) has an agent index outside [0, {n})")
             w[i, j] = weight
         return cls(w)
 

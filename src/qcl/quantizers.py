@@ -71,13 +71,22 @@ class UniformQuantizer:
             return None
         return (k * self.delta, (k + 1) * self.delta)
 
+    def _index_above(self, x: float) -> int:
+        """Smallest integer k with ``(k+0.5)*delta > x``."""
+        base = math.floor(x / self.delta - 0.5)
+        for k in (base - 1, base, base + 1, base + 2):
+            if self._threshold(k) > x:
+                return k
+        # Only reachable when |x|/delta is far beyond 2^52, where the
+        # thresholds next to x round onto x or below it.
+        raise InputError(
+            f"x={x!r} lies beyond the representable threshold lattice of delta={self.delta!r}"
+        )
+
     def quantize(self, z: float) -> float:
-        z = _require_finite(z, "z")
-        k = self._threshold_index(z)
-        if k is not None:
-            # Threshold: the step map takes the upper level there.
-            return (k + 1) * self.delta
-        return math.floor(z / self.delta + 0.5) * self.delta
+        # The level of the cell below the next threshold up; on a threshold
+        # that is the upper level (floor convention).
+        return self._index_above(_require_finite(z, "z")) * self.delta
 
     def krasovskii_set(self, z: float) -> tuple[float, float]:
         bounds = self.surface_bounds(z)
@@ -91,17 +100,13 @@ class UniformQuantizer:
         x = _require_finite(x, "x")
         if direction not in (1, -1):
             raise InputError(f"direction must be +1 or -1, got {direction!r}")
-        base = math.floor(x / self.delta - 0.5)
         if direction > 0:
-            for k in (base - 1, base, base + 1, base + 2):
-                t = self._threshold(k)
-                if t > x:
-                    return t
-        else:
-            for k in (base + 1, base, base - 1, base - 2):
-                t = self._threshold(k)
-                if t < x:
-                    return t
+            return self._threshold(self._index_above(x))
+        base = math.floor(x / self.delta - 0.5)
+        for k in (base + 1, base, base - 1, base - 2):
+            t = self._threshold(k)
+            if t < x:
+                return t
         raise AssertionError("threshold scan exhausted")  # pragma: no cover
 
     def level_span(self, x_values) -> float:

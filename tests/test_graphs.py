@@ -52,6 +52,12 @@ class TestWeightedDigraph:
         assert line_graph(3) == line_graph(3)
         assert line_graph(3) != line_graph(4)
 
+    @pytest.mark.parametrize("edge", [(-1, 0, 1.0), (0, -1, 1.0), (3, 0, 1.0), (0, 3, 1.0)])
+    def test_from_edges_rejects_index_outside_agents(self, edge):
+        i, j, _ = edge
+        with pytest.raises(InputError, match=rf"edge \({i}, {j}, 1.0\).*\[0, 3\)"):
+            WeightedDigraph.from_edges(3, [edge])
+
 
 class TestStronglyConnectedComponents:
     def test_three_cycle_single_component(self):
@@ -282,6 +288,12 @@ class TestScheduleJson:
             segments=((0.0, g1), (2.5, g2)), a_low=0.5, a_high=2.0, period=4.0
         )
         assert schedule_from_json(s.to_json()) == s
+
+    def test_negative_edge_index_rejected(self):
+        obj = GraphSchedule.time_invariant(line_graph(3), 1.0, 1.0).to_json()
+        obj["segments"][0]["edges"].append({"i": -1, "j": 0, "w": 1.0})
+        with pytest.raises(InputError, match=r"edge \(-1, 0, 1.0\)"):
+            schedule_from_json(obj)
 
     def test_wire_is_zero_based(self):
         s = GraphSchedule.time_invariant(

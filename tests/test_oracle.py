@@ -12,9 +12,12 @@ from qcl import (
     WeightedDigraph,
     example1_line,
     example2_sliding,
+    laplacian,
+    random_connected,
     simulate,
     simulate_regularized,
 )
+from qcl import dynamics
 
 
 def max_deviation(traj, run) -> float:
@@ -89,3 +92,99 @@ def test_refinement_decreases_deviation_monotonically():
         )
         deviations.append(max_deviation(traj, run))
     assert deviations[0] > deviations[1] > deviations[2]
+
+
+# Element-wise loop kernel the oracle used before its list kernel; kept as
+# the reference the list kernel must reproduce bit for bit.
+def _interp_scalar(v, xp, fp):
+    if v <= xp[0]:
+        return fp[0]
+    if v >= xp[-1]:
+        return fp[-1]
+    lo = 0
+    hi = xp.shape[0] - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if xp[mid] <= v:
+            lo = mid
+        else:
+            hi = mid
+    x0 = xp[lo]
+    x1 = xp[lo + 1]
+    if x1 == x0:
+        return fp[lo]
+    return fp[lo] + (fp[lo + 1] - fp[lo]) * (v - x0) / (x1 - x0)
+
+
+def _rk4_chunk(x, lap, xp, fp, h, steps):
+    n = x.shape[0]
+    q = np.empty(n)
+    k1 = np.empty(n)
+    k2 = np.empty(n)
+    k3 = np.empty(n)
+    k4 = np.empty(n)
+    tmp = np.empty(n)
+    for _ in range(steps):
+        for i in range(n):
+            q[i] = _interp_scalar(x[i], xp, fp)
+        for i in range(n):
+            acc = 0.0
+            for j in range(n):
+                acc -= lap[i, j] * q[j]
+            k1[i] = acc
+        for i in range(n):
+            tmp[i] = x[i] + 0.5 * h * k1[i]
+        for i in range(n):
+            q[i] = _interp_scalar(tmp[i], xp, fp)
+        for i in range(n):
+            acc = 0.0
+            for j in range(n):
+                acc -= lap[i, j] * q[j]
+            k2[i] = acc
+        for i in range(n):
+            tmp[i] = x[i] + 0.5 * h * k2[i]
+        for i in range(n):
+            q[i] = _interp_scalar(tmp[i], xp, fp)
+        for i in range(n):
+            acc = 0.0
+            for j in range(n):
+                acc -= lap[i, j] * q[j]
+            k3[i] = acc
+        for i in range(n):
+            tmp[i] = x[i] + h * k3[i]
+        for i in range(n):
+            q[i] = _interp_scalar(tmp[i], xp, fp)
+        for i in range(n):
+            acc = 0.0
+            for j in range(n):
+                acc -= lap[i, j] * q[j]
+            k4[i] = acc
+        for i in range(n):
+            x[i] += (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+    return x
+
+
+# (config, eps, h, t_end): wide ramps so the states cross them, at most
+# 2,000 steps each; the periodic case crosses three topology switches and
+# the n = 20 case has sparse Laplacian rows.
+KERNEL_CASES = [
+    (example1_line(3, 1.0, policy=Sliding()), 0.2, 1e-3, 2.0),
+    (example2_sliding(4, 1.0, 1.0, policy=Sliding()), 0.2, 1e-3, 2.0),
+    (random_connected(6, seed=0, switching=(3, 0.05)), 0.2, 5e-4, 0.2),
+    (random_connected(20, seed=7), 0.2, 2.5e-4, 0.05),
+]
+
+
+@pytest.mark.parametrize("config,eps,h,t_end", KERNEL_CASES,
+                         ids=["line3", "chain4", "random6-periodic", "random20"])
+def test_kernel_bit_identical_to_loop_reference(monkeypatch, config, eps, h, t_end):
+    run = simulate_regularized(config, eps=eps, h=h, stride=0.01, t_end=t_end)
+    # Re-run with the reference kernel, fed the dense Laplacian of the segment.
+    laps = []
+    monkeypatch.setattr(dynamics, "laplacian", lambda g: laps.append(laplacian(g)) or laps[-1])
+    monkeypatch.setattr(dynamics, "_rk4_chunk", lambda x, rows, xp, fp, h, steps: list(
+        _rk4_chunk(np.array(x), laps[-1], np.array(xp), np.array(fp), h, steps)))
+    ref = simulate_regularized(config, eps=eps, h=h, stride=0.01, t_end=t_end)
+    assert len(laps) > 1
+    assert np.array_equal(run.times, ref.times)
+    assert np.array_equal(run.states, ref.states)

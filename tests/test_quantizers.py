@@ -38,6 +38,31 @@ class TestUniformQuantize:
         if not q.is_threshold(z):
             assert q.quantize(z) == math.floor(z / delta + 0.5) * delta
 
+    def test_cell_below_a_rounded_threshold(self):
+        # 3.385 lies just below the threshold (338 + 0.5) * 0.01.
+        q = UniformQuantizer(0.01)
+        assert q.next_threshold(3.385, 1) == 3.3850000000000002
+        assert q.quantize(3.385) == 338 * 0.01
+
+    def test_unrepresentable_lattice_rejected(self):
+        q = UniformQuantizer(1.0)
+        for bad in (1e17, -1e300):
+            with pytest.raises(InputError, match="representable threshold lattice"):
+                q.quantize(bad)
+            with pytest.raises(InputError, match="representable threshold lattice"):
+                q.next_threshold(bad, 1)
+
+    @pytest.mark.parametrize("delta", [0.01, 0.1])
+    def test_one_sided_neighbours_of_thresholds(self, delta):
+        q = UniformQuantizer(delta)
+        for k in range(-500, 500, 7):
+            t = (k + 0.5) * delta
+            lo, hi = q.surface_bounds(t)
+            below, above = math.nextafter(t, -math.inf), math.nextafter(t, math.inf)
+            assert q.next_threshold(below, 1) == t == q.next_threshold(above, -1)
+            assert q.krasovskii_set(below) == (lo, lo)
+            assert q.krasovskii_set(above) == (hi, hi)
+
     @given(
         st.floats(-1e6, 1e6),
         st.floats(-1e6, 1e6),
