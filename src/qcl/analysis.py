@@ -84,19 +84,42 @@ def convergence_time(traj: Trajectory) -> tuple[float, float] | None:
     return best
 
 
-def tcon_bound(x0, quantizer: Quantizer, a_low: float, a_high: float) -> float:
-    """Worst-case convergence time for a time-invariant topology.
-
-    ``(1/delta) * (n/a_low) * (n*a_high/a_low)^n * max_ij |q(x_i)-q(x_j)|``.
-    """
+def _bound_terms(x0, quantizer: Quantizer, a_low: float, a_high: float):
     if not isinstance(quantizer, UniformQuantizer):
         raise UnsupportedQuantizerError("the bound requires a uniform quantizer")
     if not (0.0 < a_low <= a_high):
         raise InputError("need 0 < a_low <= a_high")
-    n = len(x0)
     q = [quantizer.quantize(float(v)) for v in x0]
-    spread = max(q) - min(q)
-    return (1.0 / quantizer.delta) * (n / a_low) * (n * a_high / a_low) ** n * spread
+    return len(x0), max(q) - min(q)
+
+
+def log_tcon_bound(x0, quantizer: Quantizer, a_low: float, a_high: float) -> float:
+    """Natural log of :func:`tcon_bound`, finite for every agent count.
+
+    ``-inf`` when the quantized start is already in consensus.
+    """
+    n, spread = _bound_terms(x0, quantizer, a_low, a_high)
+    if spread == 0.0:
+        return -math.inf
+    return (-math.log(quantizer.delta) + math.log(n / a_low)
+            + n * math.log(n * a_high / a_low) + math.log(spread))
+
+
+def tcon_bound(x0, quantizer: Quantizer, a_low: float, a_high: float) -> float | None:
+    """Worst-case convergence time for a time-invariant topology.
+
+    ``(1/delta) * (n/a_low) * (n*a_high/a_low)^n * max_ij |q(x_i)-q(x_j)|``,
+    or None when that exceeds the float range; :func:`log_tcon_bound` gives
+    its logarithm for every ``n``.
+    """
+    n, spread = _bound_terms(x0, quantizer, a_low, a_high)
+    if spread == 0.0:
+        return 0.0
+    try:
+        value = (1.0 / quantizer.delta) * (n / a_low) * (n * a_high / a_low) ** n * spread
+    except OverflowError:  # float ** raises where * gives inf
+        return None
+    return value if math.isfinite(value) else None
 
 
 @dataclass(frozen=True)
@@ -203,13 +226,16 @@ class ConvergenceReport:
     bound: float | None
     average_drift: float
     envelope_violations: int
+    #: Natural log of the bound, set only when the bound applies but lies
+    #: beyond the float range (``bound`` is then None).
+    log_bound: float | None = None
 
     @property
     def envelope_ok(self) -> bool:
         return self.envelope_violations == 0
 
     def to_json_obj(self) -> dict:
-        return {
+        obj = {
             "converged": self.converged,
             "t_con": self.t_con,
             "s_star": self.s_star,
@@ -218,6 +244,9 @@ class ConvergenceReport:
             "average_drift": self.average_drift,
             "envelope_ok": self.envelope_ok,
         }
+        if self.log_bound is not None:
+            obj["log_bound"] = self.log_bound
+        return obj
 
 
 def convergence_report(traj: Trajectory, config) -> ConvergenceReport:
@@ -230,9 +259,11 @@ def convergence_report(traj: Trajectory, config) -> ConvergenceReport:
         t_con, s_star = result
         if isinstance(quantizer, UniformQuantizer):
             q_infinity = s_star
-    bound = None
+    bound = log_bound = None
     if schedule.is_time_invariant and isinstance(quantizer, UniformQuantizer):
         bound = tcon_bound(config.x0, quantizer, schedule.a_low, schedule.a_high)
+        if bound is None:
+            log_bound = log_tcon_bound(config.x0, quantizer, schedule.a_low, schedule.a_high)
     return ConvergenceReport(
         converged=result is not None,
         t_con=t_con,
@@ -241,6 +272,7 @@ def convergence_report(traj: Trajectory, config) -> ConvergenceReport:
         bound=bound,
         average_drift=average_conservation(traj),
         envelope_violations=envelopes(traj).violations,
+        log_bound=log_bound,
     )
 
 

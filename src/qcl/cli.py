@@ -31,6 +31,7 @@ from .analysis import (
     convergence_report,
     envelopes,
     limit_value_check,
+    log_tcon_bound,
     tcon_bound,
 )
 from .dynamics import (
@@ -157,12 +158,13 @@ def cmd_bound(args) -> int:
     quantizer = config.quantizer
     q = [quantizer.quantize(v) for v in config.x0]
     spread = max(q) - min(q)
-    print(f"bound={value!r} spread={spread!r}")
+    obj = {"bound": value, "spread": spread}
+    if value is None:
+        # Beyond the float range: give its natural log instead.
+        obj["log_bound"] = log_tcon_bound(config.x0, quantizer, config.a_low, config.a_high)
+    print(" ".join(f"{key}={v!r}" for key, v in obj.items()))
     if args.out:
-        _write(
-            Path(args.out) / "bound.json",
-            _json.dumps({"bound": value, "spread": spread}) + "\n",
-        )
+        _write(Path(args.out) / "bound.json", _json.dumps(obj) + "\n")
     return 0
 
 

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .graphs import GraphSchedule, WeightedDigraph, laplacian
+from .graphs import GraphSchedule, SparseRow, WeightedDigraph, laplacian
 from .quantizers import InputError, Quantizer
 
 # Feasibility slack for hold coefficients: absorbs elimination round-off
@@ -49,6 +49,9 @@ _RESIDUAL_TOL = 1e-9
 #: Surface sets up to this size use dense elimination; larger ones use
 #: projected Gauss-Seidel.
 DEFAULT_DENSE_CUTOFF = 64
+#: The regularized oracle keeps two knots per threshold between the extreme
+#: states; wider spans are rejected instead of exhausting memory.
+_MAX_RAMP_THRESHOLDS = 2 ** 20
 
 EVENT_KINDS = (
     "start",
@@ -186,11 +189,15 @@ class Resolution:
 # Velocity from a selection
 # ---------------------------------------------------------------------------
 
-def _row_velocity(row: np.ndarray, z: np.ndarray, z_i: float) -> float:
-    mask = row > 0.0
-    if not mask.any():
+def _velocity(row: SparseRow, z: np.ndarray, z_i: float) -> float:
+    """``sum_j a_ij (z_j - z_i)`` over the nonzero weights of one row.
+
+    The terms are summed by numpy in increasing ``j``, so the bits do not
+    depend on how many zero weights the row has.
+    """
+    if not row.pairs:
         return 0.0
-    return float((row[mask] * (z[mask] - z_i)).sum())
+    return float((row.weight * (z[row.index] - z_i)).sum())
 
 
 def selection_velocity(
@@ -207,7 +214,7 @@ def selection_velocity(
             raise ContractViolation(
                 f"selection z[{i}]={z[i]} outside [{lo}, {hi}] at x[{i}]={x[i]}"
             )
-    return np.array([_row_velocity(g.weights[i], z, float(z[i])) for i in range(g.n)])
+    return np.array([_velocity(row, z, float(z[i])) for i, row in enumerate(g.rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +229,7 @@ def _gaussian_solve(a_rows: list[list[float]], b: list[float]) -> list[float]:
     """Dense elimination with partial pivoting (ties to the lowest row)."""
     m = len(b)
     aug = [list(a_rows[r]) + [b[r]] for r in range(m)]
-    scale = max(1.0, max((abs(v) for row in a_rows for v in row), default=1.0))
+    scale = max(1.0, max((max(map(abs, row)) for row in a_rows), default=1.0))
     for col in range(m):
         piv = col
         best = abs(aug[col][col])
@@ -234,11 +241,12 @@ def _gaussian_solve(a_rows: list[list[float]], b: list[float]) -> list[float]:
             raise _Singular()
         if piv != col:
             aug[col], aug[piv] = aug[piv], aug[col]
+        pivot_row = aug[col]
         for r in range(col + 1, m):
-            factor = aug[r][col] / aug[col][col]
+            row = aug[r]
+            factor = row[col] / pivot_row[col]
             if factor != 0.0:
-                for c in range(col, m + 1):
-                    aug[r][c] -= factor * aug[col][c]
+                row[col:] = [a - factor * b for a, b in zip(row[col:], pivot_row[col:])]
     out = [0.0] * m
     for r in range(m - 1, -1, -1):
         acc = aug[r][m]
@@ -283,15 +291,18 @@ def _pgs(
     At the fixed point an interior value is a hold, a value clamped at a box
     bound with outward residual velocity is a departure.
     """
-    w_out = {i: g.out_weight(i) for i in agents}
+    rows = g.rows
+    w_out = {i: rows[i].total for i in agents}
+    for i in agents:
+        lo, hi = boxes[i]
+        z[i] = 0.5 * (lo + hi)
+    # Every entry of z is set only now: the caller may leave the agents'
+    # slots uninitialised.
     bound_scale = max(
         [1.0]
         + [abs(b) for box in boxes.values() for b in box]
         + [abs(float(v)) for v in z]
     )
-    for i in agents:
-        lo, hi = boxes[i]
-        z[i] = 0.5 * (lo + hi)
     converged = False
     for _ in range(_PGS_MAX_SWEEPS):
         worst = 0.0
@@ -326,7 +337,7 @@ def _pgs(
     departing: dict[int, int] = {}
     for i in agents:
         lo, hi = boxes[i]
-        v = _row_velocity(g.weights[i], z, float(z[i]))
+        v = _velocity(rows[i], z, float(z[i]))
         if abs(v) <= residual_tol or w_out[i] == 0.0:
             held.add(i)
         elif v > 0.0 and z[i] == hi:
@@ -347,25 +358,25 @@ def _build_hold_system(
     g: WeightedDigraph,
 ) -> tuple[list[list[float]], list[float], dict[int, int]]:
     col = {agent: c for c, agent in enumerate(active)}
+    z_values = z.tolist()
     rows = []
     rhs = []
     for i in active:
-        w_i = g.out_weight(i)
+        sparse = g.rows[i]
+        w_i = sparse.total
         lo_i, hi_i = boxes[i]
         row = [0.0] * len(active)
         row[col[i]] = -w_i * (hi_i - lo_i)
         b = w_i * lo_i
-        for j in range(g.n):
-            a_ij = float(g.weights[i, j])
-            if a_ij == 0.0:
-                continue
-            if j in col:
-                lo_j, hi_j = boxes[j]
-                if j != i:
-                    row[col[j]] += a_ij * (hi_j - lo_j)
-                b -= a_ij * lo_j
+        # The diagonal is zero, so j != i throughout.
+        for j, a_ij in sparse.pairs:
+            c = col.get(j)
+            if c is None:
+                b -= a_ij * z_values[j]
             else:
-                b -= a_ij * float(z[j])
+                lo_j, hi_j = boxes[j]
+                row[c] += a_ij * (hi_j - lo_j)
+                b -= a_ij * lo_j
         rows.append(row)
         rhs.append(b)
     return rows, rhs, col
@@ -466,7 +477,7 @@ def _solve_holds(
     # Confirm each departure is pushed off-surface by the final holds; an
     # extreme value with zero velocity is a feasible boundary hold instead.
     for i, sign in list(departing.items()):
-        v = _row_velocity(g.weights[i], z, float(z[i]))
+        v = _velocity(g.rows[i], z, float(z[i]))
         if v == 0.0:
             departing.pop(i)
             held.add(i)
@@ -532,8 +543,9 @@ def resolve_sliding(
     pins: dict[int, float] = {}
     if isinstance(policy, FixedAlpha):
         pins = {a: v for a, v in policy.overrides if a in boxes}
+    rows = g.rows
     trivially_held = {
-        i for i in boxes if i not in pins and g.out_weight(i) == 0.0
+        i for i in boxes if i not in pins and rows[i].total == 0.0
     }
     for i in trivially_held:
         lo, hi = boxes[i]
@@ -550,7 +562,7 @@ def resolve_sliding(
             (
                 (-abs(v), i)
                 for i in pins
-                if (v := _row_velocity(g.weights[i], z, float(z[i]))) != 0.0
+                if (v := _velocity(rows[i], z, float(z[i]))) != 0.0
             ),
         )
         if not stale:
@@ -570,7 +582,7 @@ def resolve_sliding(
         if i in zero_set:
             velocity[i] = 0.0
         else:
-            velocity[i] = _row_velocity(g.weights[i], z, float(z[i]))
+            velocity[i] = _velocity(rows[i], z, float(z[i]))
     for i, sign in departing.items():
         if velocity[i] == 0.0 or (velocity[i] > 0.0) != (sign > 0):
             raise NoSlidingSelection(
@@ -928,6 +940,11 @@ def _ramp_knots(quantizer: Quantizer, x0, eps: float) -> tuple[list[float], list
         hi = max(x0) + 2.0 * d
         k_lo = math.floor(lo / d - 0.5) - 1
         k_hi = math.ceil(hi / d - 0.5) + 1
+        if k_hi - k_lo >= _MAX_RAMP_THRESHOLDS:
+            raise InputError(
+                f"the states span {k_hi - k_lo + 1} thresholds; the regularized "
+                f"oracle builds at most {_MAX_RAMP_THRESHOLDS}"
+            )
         thresholds = [quantizer._threshold(k) for k in range(k_lo, k_hi + 1)]
         below = [k * d for k in range(k_lo, k_hi + 1)]
         above = [(k + 1) * d for k in range(k_lo, k_hi + 1)]
@@ -980,9 +997,13 @@ def simulate_regularized(
         t_end = config.horizon
 
     xp, fp = _ramp_knots(quantizer, x0, eps)
-    blow_up = 10.0 * (max(map(abs, fp)) + 1.0)
     x = [float(v) for v in x0]
     n_samples = int(math.floor(t_end / stride + 1e-9))
+    if not xp:
+        # A single level and no threshold: q is constant and nothing moves.
+        times = [k * stride for k in range(n_samples + 1)]
+        return RegularizedRun(times=np.array(times), states=np.array([x] * len(times)))
+    blow_up = 10.0 * (max(map(abs, fp)) + 1.0)
     times = [0.0]
     states = [x]
     t = 0.0

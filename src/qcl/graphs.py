@@ -13,7 +13,8 @@ is what makes exact event-driven integration possible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -23,6 +24,18 @@ from .quantizers import InputError
 #: Default tolerance for weight-balance checks: weights are exact inputs,
 #: this only guards float entry.
 BALANCE_TOL = 1e-12
+
+
+class SparseRow(NamedTuple):
+    """The nonzero weights of one row, in increasing column order."""
+
+    #: ``(j, a_ij)`` pairs on Python floats.
+    pairs: tuple[tuple[int, float], ...]
+    #: The same columns and weights as numpy arrays.
+    index: np.ndarray
+    weight: np.ndarray
+    #: ``float(weights[i].sum())``, summed over the full row.
+    total: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,8 +86,19 @@ class WeightedDigraph:
     def successors(self, i: int) -> list[int]:
         return [j for j in range(self.n) if self.weights[i, j] > 0.0]
 
+    @cached_property
+    def rows(self) -> tuple[SparseRow, ...]:
+        """Per-row nonzero structure, built once per graph on first use."""
+        out = []
+        for row in self.weights:
+            index = np.flatnonzero(row)
+            weight = row[index]
+            pairs = tuple(zip(index.tolist(), weight.tolist()))
+            out.append(SparseRow(pairs, index, weight, float(row.sum())))
+        return tuple(out)
+
     def out_weight(self, i: int) -> float:
-        return float(self.weights[i].sum())
+        return self.rows[i].total
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedDigraph):

@@ -99,6 +99,16 @@ class ScenarioConfig:
             raise InputError("x0 length must match the agent count")
         if not all(np.isfinite(x0)):
             raise InputError("x0 must be finite")
+        if isinstance(self.quantizer, UniformQuantizer):
+            # Beyond 2^52 cells the thresholds (k + 0.5) * delta round onto
+            # each other and the lattice no longer exists.
+            delta = self.quantizer.delta
+            for i, v in enumerate(x0):
+                if not abs(v) / delta < 2.0 ** 52:
+                    raise InputError(
+                        f"agent {i}: x0={v!r} is beyond the threshold lattice of "
+                        f"delta={delta!r} (need |x0|/delta < 2^52)"
+                    )
         if not (self.horizon > 0.0):
             raise InputError("horizon must be positive")
         if self.max_events < 1:

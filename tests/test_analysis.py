@@ -27,9 +27,12 @@ from qcl import (
     kq_envelope,
     limit_value_check,
     line_graph,
+    log_tcon_bound,
+    random_connected,
     simulate,
     tcon_bound,
 )
+from qcl import _json
 from qcl.scenarios import SplitMix64
 
 UNIT = UniformQuantizer(1.0)
@@ -126,6 +129,22 @@ class TestTconBound:
         q = GeneralQuantizer(levels=(0.0, 1.0), thresholds=(0.5,))
         with pytest.raises(UnsupportedQuantizerError):
             tcon_bound((0.0, 1.0), q, 1.0, 1.0)
+        with pytest.raises(UnsupportedQuantizerError):
+            log_tcon_bound((0.0, 1.0), q, 1.0, 1.0)
+
+    def test_log_matches_value_in_range(self):
+        assert log_tcon_bound((0.0, 1.0, 2.0), UNIT, 1.0, 1.0) == pytest.approx(
+            math.log(162.0), rel=1e-15)
+        assert log_tcon_bound((0.2, 0.3, 0.4), UNIT, 1.0, 1.0) == -math.inf
+
+    @pytest.mark.parametrize("n, ratio", [(143, 1.0), (144, 1.0), (115, 4.0), (116, 4.0)])
+    def test_beyond_float_range(self, n, ratio):
+        # (n ratio)^n leaves the float range here: 143 and 115 gave inf,
+        # 144 and 116 raised OverflowError.
+        x0 = tuple(float(i % 3) for i in range(n))
+        assert tcon_bound(x0, UNIT, 0.5, 0.5 * ratio) is None
+        expected = math.log(2 * n) + n * math.log(n * ratio) + math.log(2.0)
+        assert log_tcon_bound(x0, UNIT, 0.5, 0.5 * ratio) == pytest.approx(expected, rel=1e-15)
 
 
 def _constant_trajectory() -> Trajectory:
@@ -221,6 +240,16 @@ class TestReportsAndAudit:
             "converged", "t_con", "s_star", "q_infinity", "bound",
             "average_drift", "envelope_ok",
         ]
+
+    def test_bound_beyond_float_range_reported_as_log(self):
+        config = random_connected(150, seed=0)
+        report = convergence_report(simulate(config), config)
+        assert report.bound is None
+        assert report.log_bound == log_tcon_bound(
+            config.x0, config.quantizer, config.a_low, config.a_high)
+        obj = report.to_json_obj()
+        assert obj["bound"] is None and obj["log_bound"] == report.log_bound
+        assert '"log_bound": ' in _json.dumps(obj)
 
     def test_bound_absent_for_switching_schedules(self):
         g1 = line_graph(2)

@@ -111,6 +111,17 @@ class TestBound:
         assert run_cli("bound", "--scenario", str(path)) == 0
         assert "bound=0.0" in capsys.readouterr().out
 
+    def test_bound_beyond_float_range(self, tmp_path, capsys):
+        assert run_cli("bound", "--builder", "random", "--n", "150",
+                       "--out", str(tmp_path)) == 0
+        assert "bound=None spread=4.0 log_bound=" in capsys.readouterr().out
+        obj = json.loads((tmp_path / "bound.json").read_text())
+        assert obj["bound"] is None and obj["log_bound"] > 709.0
+        assert run_cli("run", "--builder", "random", "--n", "150",
+                       "--out", str(tmp_path)) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["bound"] is None and report["log_bound"] == obj["log_bound"]
+
     def test_switching_schedule_rejected(self, capsys):
         code = run_cli(
             "bound", "--builder", "random", "--n", "3", "--switching", "2,0.5",

@@ -9,6 +9,7 @@ from qcl import (
     ContractViolation,
     FixedAlpha,
     GraphSchedule,
+    InputError,
     ScenarioConfig,
     SequentialSlow,
     SimulationLimitError,
@@ -23,6 +24,7 @@ from qcl import (
     selection_velocity,
     simulate,
 )
+from qcl import dynamics
 from qcl.dynamics import policy_from_json
 from qcl.scenarios import SplitMix64
 
@@ -95,6 +97,19 @@ class TestResolveSliding:
         assert dict(res.departing) == {0: 1}
         assert res.z[0] == 1.0
         assert res.velocity[0] == 2.0
+
+    def test_projected_solve_ignores_unset_agent_slots(self):
+        # resolve_sliding hands the projected solver a state whose agent
+        # slots are not set yet; its result must not depend on them.
+        g = line_graph(5)
+        boxes = {i: (0.0, 1.0) for i in (1, 2, 3)}
+        results = []
+        for fill in (0.0, 1e300):
+            z = np.array([0.0, fill, fill, fill, 1.0])
+            held, departing = dynamics._pgs([1, 2, 3], boxes, z, g)
+            results.append((held, departing, z.tolist()))
+        assert results[0] == results[1]
+        assert results[0][0] == {1, 2, 3}
 
     def test_agent_listening_to_nobody_broadcasts_midpoint(self):
         g = WeightedDigraph.from_edges(2, [(0, 1, 1.0)])
@@ -258,6 +273,16 @@ class TestSimulate:
         assert traj.status == "equilibrium"
         kinds = {ev.kind for ev in traj.events}
         assert "topology-switch" in kinds
+
+    def test_state_beyond_threshold_lattice_rejected(self):
+        # 1e16 / delta is past 2^52: the thresholds around it collapse.
+        with pytest.raises(InputError, match="agent 2"):
+            simulate(ScenarioConfig(
+                schedule=GraphSchedule.time_invariant(line_graph(3), 1.0, 1.0),
+                quantizer=UNIT,
+                x0=(0.0, 1.0, 1e16),
+                horizon=10.0,
+            ))
 
     def test_stop_condition(self):
         config = example1_line(6, 1.0, policy=Sliding())

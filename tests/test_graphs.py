@@ -52,6 +52,16 @@ class TestWeightedDigraph:
         assert line_graph(3) == line_graph(3)
         assert line_graph(3) != line_graph(4)
 
+    def test_sparse_rows_match_weights(self):
+        g = WeightedDigraph.from_edges(4, [(0, 3, 0.5), (0, 1, 2.0), (2, 0, 1.0)])
+        assert g.rows[0].pairs == ((1, 2.0), (3, 0.5))
+        assert g.rows[1].pairs == ()
+        assert g.rows[0].index.tolist() == [1, 3]
+        assert g.rows[0].weight.tolist() == [2.0, 0.5]
+        for i, row in enumerate(g.rows):
+            assert row.total == float(g.weights[i].sum()) == g.out_weight(i)
+        assert g.rows is g.rows  # built once per graph
+
     @pytest.mark.parametrize("edge", [(-1, 0, 1.0), (0, -1, 1.0), (3, 0, 1.0), (0, 3, 1.0)])
     def test_from_edges_rejects_index_outside_agents(self, edge):
         i, j, _ = edge

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qcl import (
+    GeneralQuantizer,
     GraphSchedule,
     InputError,
     ScenarioConfig,
@@ -13,6 +14,7 @@ from qcl import (
     example1_line,
     example2_sliding,
     laplacian,
+    line_graph,
     random_connected,
     simulate,
     simulate_regularized,
@@ -54,6 +56,40 @@ def test_zero_edge_graph_state_is_constant():
     )
     run = simulate_regularized(config, eps=1e-3, h=1e-5, stride=0.1, t_end=1.0)
     assert np.all(run.states == np.array(config.x0))
+
+
+def test_single_level_quantizer_state_is_constant():
+    config = ScenarioConfig(
+        schedule=GraphSchedule.time_invariant(line_graph(3), 1.0, 1.0),
+        quantizer=GeneralQuantizer(levels=(0.0,), thresholds=()),
+        x0=(0.3, 1.7, -2.4),
+        horizon=10.0,
+    )
+    run = simulate_regularized(config, eps=1e-3, h=1e-5, stride=0.1, t_end=1.0)
+    assert run.times.tolist() == [k * 0.1 for k in range(11)]
+    assert np.all(run.states == np.array(config.x0))
+
+
+def test_state_beyond_threshold_lattice_rejected():
+    with pytest.raises(InputError, match="agent 2"):
+        simulate_regularized(ScenarioConfig(
+            schedule=GraphSchedule.time_invariant(line_graph(3), 1.0, 1.0),
+            quantizer=UniformQuantizer(1.0),
+            x0=(0.0, 1.0, 1e16),
+            horizon=10.0,
+        ), eps=1e-3, h=1e-5)
+
+
+def test_knot_count_is_capped():
+    # 2^21 thresholds between the states; h passes the step-size guard.
+    config = ScenarioConfig(
+        schedule=GraphSchedule.time_invariant(line_graph(2), 1.0, 1.0),
+        quantizer=UniformQuantizer(1.0),
+        x0=(0.0, 2.0 ** 21),
+        horizon=10.0,
+    )
+    with pytest.raises(InputError, match="thresholds"):
+        simulate_regularized(config, eps=1e-3, h=1e-12, t_end=0.01)
 
 
 def test_chain_crawl_speed_matches_geometric_factor():
