@@ -89,13 +89,17 @@ class WeightedDigraph:
     @cached_property
     def rows(self) -> tuple[SparseRow, ...]:
         """Per-row nonzero structure, built once per graph on first use."""
-        out = []
-        for row in self.weights:
-            index = np.flatnonzero(row)
-            weight = row[index]
-            pairs = tuple(zip(index.tolist(), weight.tolist()))
-            out.append(SparseRow(pairs, index, weight, float(row.sum())))
-        return tuple(out)
+        w = self.weights
+        r, c = np.nonzero(w)  # row-major, so j increases within each row
+        values = w[r, c]
+        ends = np.searchsorted(r, np.arange(self.n + 1)).tolist()
+        cols, vals = c.tolist(), values.tolist()
+        # numpy sums each contiguous row on its own: the bits of weights[i].sum().
+        totals = w.sum(axis=1).tolist()
+        return tuple(
+            SparseRow(tuple(zip(cols[a:b], vals[a:b])), c[a:b], values[a:b], total)
+            for a, b, total in zip(ends, ends[1:], totals)
+        )
 
     def out_weight(self, i: int) -> float:
         return self.rows[i].total

@@ -172,6 +172,99 @@ class TestResolveSliding:
             assert np.max(np.abs(dense.velocity - proj.velocity)) <= 1e-8
 
 
+def _row_velocity_loop(row, z, z_i):
+    mask = row > 0.0
+    if not mask.any():
+        return 0.0
+    return float((row[mask] * (z[mask] - z_i)).sum())
+
+
+def _build_hold_system_loop(active, boxes, z, g):
+    col = {agent: c for c, agent in enumerate(active)}
+    rows = []
+    rhs = []
+    for i in active:
+        w_i = float(g.weights[i].sum())
+        lo_i, hi_i = boxes[i]
+        row = [0.0] * len(active)
+        row[col[i]] = -w_i * (hi_i - lo_i)
+        b = w_i * lo_i
+        for j in range(g.n):
+            a_ij = float(g.weights[i, j])
+            if a_ij == 0.0:
+                continue
+            if j in col:
+                lo_j, hi_j = boxes[j]
+                if j != i:
+                    row[col[j]] += a_ij * (hi_j - lo_j)
+                b -= a_ij * lo_j
+            else:
+                b -= a_ij * float(z[j])
+        rows.append(row)
+        rhs.append(b)
+    return rows, rhs, col
+
+
+def _gaussian_solve_loop(a_rows, b):
+    m = len(b)
+    aug = [list(a_rows[r]) + [b[r]] for r in range(m)]
+    for col in range(m):
+        piv = col
+        best = abs(aug[col][col])
+        for r in range(col + 1, m):
+            mag = abs(aug[r][col])
+            if mag > best:
+                best, piv = mag, r
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+        for r in range(col + 1, m):
+            factor = aug[r][col] / aug[col][col]
+            if factor != 0.0:
+                for c in range(col, m + 1):
+                    aug[r][c] -= factor * aug[col][c]
+    out = [0.0] * m
+    for r in range(m - 1, -1, -1):
+        acc = aug[r][m]
+        for c in range(r + 1, m):
+            acc -= aug[r][c] * out[c]
+        out[r] = acc / aug[r][r]
+    return out
+
+
+class TestSparseResolverMatchesLoopReference:
+    """The sparse-row resolver helpers against the dense loops they replaced.
+
+    They do the same arithmetic in the same order, so results must agree
+    bit for bit (``repr`` tells -0.0 from 0.0).
+    """
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hold_system_solution_and_velocities(self, seed):
+        from qcl import random_connected
+
+        g = random_connected(30, seed=seed).schedule.segments[0][1]
+        rng = SplitMix64(seed)
+        z = np.array([rng.uniform(-3.0, 3.0) for _ in range(g.n)])
+        active = sorted({rng.randint(g.n) for _ in range(12)})
+        boxes = {}
+        for i in active:
+            k = rng.randint(4) - 2
+            boxes[i] = (float(k), float(k + 1))
+        system = dynamics._build_hold_system(active, boxes, z, g)
+        assert repr(system) == repr(_build_hold_system_loop(active, boxes, z, g))
+        rows, rhs, _ = system
+        assert repr(dynamics._gaussian_solve(rows, rhs)) == repr(_gaussian_solve_loop(rows, rhs))
+        for i in range(g.n):
+            assert repr(dynamics._velocity(g.rows[i], z, float(z[i]))) == repr(
+                _row_velocity_loop(g.weights[i], z, float(z[i])))
+
+    def test_elimination_with_row_swaps(self):
+        rng = SplitMix64(9)
+        rows = [[rng.uniform(-1.0, 1.0) for _ in range(10)] for _ in range(10)]
+        rhs = [rng.uniform(-1.0, 1.0) for _ in range(10)]
+        assert repr(dynamics._gaussian_solve(rows, rhs)) == repr(_gaussian_solve_loop(rows, rhs))
+
+
 class TestNextEvent:
     def test_threshold_hit_time(self):
         sched = GraphSchedule.time_invariant(line_graph(1), 1.0, 1.0)
