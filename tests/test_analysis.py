@@ -129,13 +129,14 @@ class TestTconBound:
         q = GeneralQuantizer(levels=(0.0, 1.0), thresholds=(0.5,))
         with pytest.raises(UnsupportedQuantizerError):
             tcon_bound((0.0, 1.0), q, 1.0, 1.0)
-        with pytest.raises(UnsupportedQuantizerError):
-            log_tcon_bound((0.0, 1.0), q, 1.0, 1.0)
 
     def test_log_matches_value_in_range(self):
         assert log_tcon_bound((0.0, 1.0, 2.0), UNIT, 1.0, 1.0) == pytest.approx(
             math.log(162.0), rel=1e-15)
         assert log_tcon_bound((0.2, 0.3, 0.4), UNIT, 1.0, 1.0) == -math.inf
+        q = GeneralQuantizer(levels=(0.0, 1.0), thresholds=(0.5,))
+        with pytest.raises(UnsupportedQuantizerError):
+            log_tcon_bound((0.0, 1.0), q, 1.0, 1.0)
 
     @pytest.mark.parametrize("n, ratio", [(143, 1.0), (144, 1.0), (115, 4.0), (116, 4.0)])
     def test_beyond_float_range(self, n, ratio):
