@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .graphs import GraphSchedule, is_weight_balanced
-from .quantizers import InputError, Quantizer, UniformQuantizer
+from .quantizers import InputError, Quantizer, UniformQuantizer, kq_envelope
 
 #: Absolute drift allowed for the preserved state average: event-driven
 #: arithmetic only incurs rounding in affine updates.
@@ -25,17 +25,6 @@ AVERAGE_DRIFT_TOL = 1e-9
 
 class UnsupportedQuantizerError(InputError):
     """The requested bound is only defined for uniform quantizers."""
-
-
-def kq_envelope(x, quantizer: Quantizer) -> tuple[float, float]:
-    """(lowest, highest) level touched by the convexified sets of ``x``."""
-    lows = []
-    highs = []
-    for xi in x:
-        lo, hi = quantizer.krasovskii_set(float(xi))
-        lows.append(lo)
-        highs.append(hi)
-    return min(lows), max(highs)
 
 
 def consensus_level_set(x, quantizer: Quantizer) -> tuple[float, ...]:

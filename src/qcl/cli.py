@@ -5,7 +5,7 @@ Subcommands
 run    simulate one scenario, write trajectory.csv/.json and report.json;
        exit 0 when converged, 2 on horizon without convergence, 1 on error.
 bound  evaluate the worst-case convergence-time bound (time-invariant only).
-sweep  run a parameter grid concurrently and write one summary CSV row per
+sweep  run a parameter grid in order and write one summary CSV row per
        cell; exit 2 if any cell failed.
 check  run the invariant suites (envelope, bounds, conservation, oracle,
        connectivity) and print one verdict line per suite.
@@ -20,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -92,18 +92,10 @@ def _load_scenario(args) -> ScenarioConfig:
 
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
     if getattr(args, "policy", None):
-        config = config.with_policy(policy_from_json({"type": args.policy}))
+        config = replace(config, policy=policy_from_json({"type": args.policy}))
     limit = os.environ.get("QCL_MAX_EVENTS")
     if limit:
-        config = ScenarioConfig(
-            schedule=config.schedule,
-            quantizer=config.quantizer,
-            x0=config.x0,
-            policy=config.policy,
-            horizon=config.horizon,
-            max_events=int(limit),
-            expected=config.expected,
-        )
+        config = replace(config, max_events=int(limit))
     return config
 
 
@@ -183,11 +175,7 @@ def _sweep_cell(builder: str, n: int, delta: float, a: float, b: float,
         else:
             config = random_connected(n, seed=seed, weight_range=(a, b), delta=delta)
         if max_events:
-            config = ScenarioConfig(
-                schedule=config.schedule, quantizer=config.quantizer, x0=config.x0,
-                policy=config.policy, horizon=config.horizon, max_events=max_events,
-                expected=config.expected,
-            )
+            config = replace(config, max_events=max_events)
         row["policy"] = config.policy.to_json()["type"]
         traj = simulate(config)
         report = convergence_report(traj, config)
@@ -223,13 +211,10 @@ def cmd_sweep(args) -> int:
         for n in ns for delta in deltas for a in a_vals for b in b_vals
         for seed in seeds
     ]
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        futures = [
-            pool.submit(_sweep_cell, args.builder, n, delta, a, b, seed,
-                        args.x0_spacing, max_events)
-            for n, delta, a, b, seed in grid
-        ]
-        rows = [f.result() for f in futures]
+    rows = [
+        _sweep_cell(args.builder, n, delta, a, b, seed, args.x0_spacing, max_events)
+        for n, delta, a, b, seed in grid
+    ]
 
     header = "n,delta,a,b,seed,policy,t_con,bound,bound_ok,avg_drift,status"
     lines = [header]
@@ -281,10 +266,7 @@ def _suite_bounds(inject: bool) -> tuple[bool, str]:
         n = 2 + seed % 5
         config = random_connected(n, seed=seed, delta=1.0 if seed % 2 else 0.25)
         bound = tcon_bound(config.x0, config.quantizer, config.a_low, config.a_high)
-        config = ScenarioConfig(
-            schedule=config.schedule, quantizer=config.quantizer, x0=config.x0,
-            policy=config.policy, horizon=max(10.0 * bound, 1.0),
-        )
+        config = replace(config, horizon=max(10.0 * bound, 1.0))
         traj = simulate(config)
         report = convergence_report(traj, config)
         if not report.converged or report.t_con > report.bound:
@@ -345,6 +327,7 @@ def _suite_connectivity(inject: bool) -> tuple[bool, str]:
 
 
 def _bfs_reachability(g) -> list[list[bool]]:
+    """Transitive reachability by BFS; reach[u][v] means v reachable from u."""
     n = g.n
     reach = [[False] * n for _ in range(n)]
     for start in range(n):
@@ -430,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--b-list", default="1.0")
     sweep.add_argument("--seed-list", default="0")
     sweep.add_argument("--x0-spacing", type=float, default=None)
-    sweep.add_argument("--jobs", type=int, default=4)
     sweep.add_argument("--out", default=None)
     sweep.set_defaults(fn=cmd_sweep)
 
@@ -448,10 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SimulationLimitError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (InputError, OSError, ValueError) as err:
+    except (InputError, OSError, ValueError, SimulationLimitError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

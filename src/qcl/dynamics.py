@@ -150,25 +150,6 @@ def policy_from_json(obj: dict) -> SelectionPolicy:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SurfaceMode:
-    threshold: float
-    alpha: float
-
-
-@dataclass(frozen=True)
-class NetworkState:
-    """Time, state vector, and the per-agent surface mode."""
-
-    t: float
-    x: tuple[float, ...]
-    modes: tuple[SurfaceMode | None, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
-
-
-@dataclass(frozen=True)
 class Resolution:
     """One consistent selection: values, velocities, holds and departures."""
 
@@ -618,14 +599,6 @@ class TrajectoryEvent:
     hits: tuple[int, ...]
     departing: tuple[tuple[int, int], ...]
 
-    @property
-    def state(self) -> NetworkState:
-        modes = tuple(
-            None if a is None else SurfaceMode(threshold=xi, alpha=a)
-            for xi, a in zip(self.x, self.alpha)
-        )
-        return NetworkState(t=self.t, x=self.x, modes=modes)
-
 
 class Trajectory:
     """Ordered event list with affine state segments in between."""
@@ -746,43 +719,16 @@ def _threshold_hits(
     return best, hits
 
 
-def next_event(
-    x: np.ndarray,
-    velocity: np.ndarray,
-    t: float,
-    schedule: GraphSchedule,
-    quantizer: Quantizer,
-) -> tuple[float, str]:
-    """Time to the next event under the current constant velocity.
-
-    Returns ``(inf, "equilibrium")`` when nothing moves and no schedule
-    switch remains.  The full terminal certificate for periodic schedules
-    (zero velocity under every graph of the period) lives in ``simulate``.
-    """
-    x = np.asarray(x, dtype=float)
-    velocity = np.asarray(velocity, dtype=float)
-    dt_th, _ = _threshold_hits(x, velocity, quantizer)
-    dt_sw = schedule.next_switch_after(t) - t
-    if not np.any(velocity) and math.isinf(dt_sw):
-        return math.inf, "equilibrium"
-    if dt_th <= dt_sw:
-        if math.isinf(dt_th):
-            return dt_sw, "topology-switch"
-        return dt_th, "threshold-hit"
-    return dt_sw, "topology-switch"
-
-
 def _certified_terminal(
     x: np.ndarray,
     schedule: GraphSchedule,
     t: float,
     quantizer: Quantizer,
     policy: SelectionPolicy,
-    cutoff: int,
 ) -> bool:
     """Full hold with zero velocity under every graph still to come."""
     for g in schedule.graphs_active_from(t):
-        res = resolve_sliding(x, g, quantizer, policy, cutoff=cutoff)
+        res = resolve_sliding(x, g, quantizer, policy)
         if np.any(res.velocity):
             return False
     return True
@@ -808,7 +754,6 @@ def _make_event(
 def simulate(
     config,
     stop_condition: Callable[[float, np.ndarray], bool] | None = None,
-    cutoff: int = DEFAULT_DENSE_CUTOFF,
 ) -> Trajectory:
     """Run the event loop until equilibrium, the horizon, or a stop callback.
 
@@ -833,11 +778,9 @@ def simulate(
                 Trajectory(quantizer, events, status="limit"),
             )
         g = schedule.graph_at(t)
-        res = resolve_sliding(x, g, quantizer, policy, last_stopped, cutoff)
+        res = resolve_sliding(x, g, quantizer, policy, last_stopped)
         at_rest = not np.any(res.velocity)
-        terminal = at_rest and _certified_terminal(
-            x, schedule, t, quantizer, policy, cutoff
-        )
+        terminal = at_rest and _certified_terminal(x, schedule, t, quantizer, policy)
         events.append(_make_event(t, "equilibrium" if terminal else kind, x, res, hits_now))
         if terminal:
             return Trajectory(quantizer, events, status="equilibrium")
@@ -866,7 +809,7 @@ def simulate(
             x = x + res.velocity * (config.horizon - t)
             t = config.horizon
             res_h = resolve_sliding(x, schedule.graph_at(t), quantizer, policy,
-                                    last_stopped, cutoff)
+                                    last_stopped)
             events.append(_make_event(t, "horizon", x, res_h, ()))
             return Trajectory(quantizer, events, status="horizon")
         x = x + res.velocity * dt

@@ -480,10 +480,6 @@ class GraphSchedule:
         }
 
 
-def unbounded_interactions_graph(s: GraphSchedule) -> WeightedDigraph:
-    return s.unbounded_interactions_graph()
-
-
 def schedule_from_json(obj: dict) -> GraphSchedule:
     n = int(obj["n"])
     segments = []

@@ -32,6 +32,39 @@ def _require_finite(value: float, what: str) -> float:
     return v
 
 
+def kq_envelope(x, quantizer: Quantizer) -> tuple[float, float]:
+    """(lowest, highest) level touched by the convexified sets of ``x``."""
+    lows = []
+    highs = []
+    for xi in x:
+        lo, hi = quantizer.krasovskii_set(float(xi))
+        lows.append(lo)
+        highs.append(hi)
+    return min(lows), max(highs)
+
+
+# Methods both quantizers share.  Each class binds them in its own body
+# rather than inheriting them, so every method stays in its class's
+# ``vars()``, where the benchmark's tracer looks methods up.
+
+def _is_threshold(self, x: float) -> bool:
+    return self._threshold_index(_require_finite(x, "x")) is not None
+
+
+def _krasovskii_set(self, z: float) -> tuple[float, float]:
+    bounds = self.surface_bounds(z)
+    if bounds is not None:
+        return bounds
+    q = self.quantize(z)
+    return (q, q)
+
+
+def _level_span(self, x_values) -> float:
+    """Width of the level range bracketing the given states."""
+    lo, hi = kq_envelope(x_values, self)
+    return hi - lo
+
+
 @dataclass(frozen=True)
 class UniformQuantizer:
     """Uniform lattice quantizer: levels ``k*delta``, thresholds ``(k+0.5)*delta``."""
@@ -61,8 +94,7 @@ class UniformQuantizer:
     def delta_min(self) -> float:
         return self.delta
 
-    def is_threshold(self, x: float) -> bool:
-        return self._threshold_index(_require_finite(x, "x")) is not None
+    is_threshold = _is_threshold
 
     def surface_bounds(self, x: float) -> tuple[float, float] | None:
         """Adjacent (lower, upper) levels when ``x`` is exactly a threshold."""
@@ -88,12 +120,7 @@ class UniformQuantizer:
         # that is the upper level (floor convention).
         return self._index_above(_require_finite(z, "z")) * self.delta
 
-    def krasovskii_set(self, z: float) -> tuple[float, float]:
-        bounds = self.surface_bounds(z)
-        if bounds is not None:
-            return bounds
-        q = self.quantize(z)
-        return (q, q)
+    krasovskii_set = _krasovskii_set
 
     def next_threshold(self, x: float, direction: int) -> float | None:
         """Closest threshold strictly beyond ``x`` in the given direction."""
@@ -109,11 +136,7 @@ class UniformQuantizer:
                 return t
         raise AssertionError("threshold scan exhausted")  # pragma: no cover
 
-    def level_span(self, x_values) -> float:
-        """Width of the level range bracketing the given states."""
-        lows = [self.krasovskii_set(x)[0] for x in x_values]
-        highs = [self.krasovskii_set(x)[1] for x in x_values]
-        return max(highs) - min(lows)
+    level_span = _level_span
 
     def to_json(self) -> dict:
         return {"type": "uniform", "delta": self.delta}
@@ -159,8 +182,7 @@ class GeneralQuantizer:
             return i
         return None
 
-    def is_threshold(self, x: float) -> bool:
-        return self._threshold_index(_require_finite(x, "x")) is not None
+    is_threshold = _is_threshold
 
     def surface_bounds(self, x: float) -> tuple[float, float] | None:
         k = self._threshold_index(_require_finite(x, "x"))
@@ -174,12 +196,7 @@ class GeneralQuantizer:
         # matching the floor convention of the uniform map.
         return self.levels[bisect_right(self.thresholds, z)]
 
-    def krasovskii_set(self, z: float) -> tuple[float, float]:
-        bounds = self.surface_bounds(z)
-        if bounds is not None:
-            return bounds
-        q = self.quantize(z)
-        return (q, q)
+    krasovskii_set = _krasovskii_set
 
     def next_threshold(self, x: float, direction: int) -> float | None:
         x = _require_finite(x, "x")
@@ -191,10 +208,7 @@ class GeneralQuantizer:
         i = bisect_left(self.thresholds, x) - 1
         return self.thresholds[i] if i >= 0 else None
 
-    def level_span(self, x_values) -> float:
-        lows = [self.krasovskii_set(x)[0] for x in x_values]
-        highs = [self.krasovskii_set(x)[1] for x in x_values]
-        return max(highs) - min(lows)
+    level_span = _level_span
 
     def to_json(self) -> dict:
         return {

@@ -128,17 +128,6 @@ class ScenarioConfig:
     def a_high(self) -> float:
         return self.schedule.a_high
 
-    def with_policy(self, policy: SelectionPolicy) -> "ScenarioConfig":
-        return ScenarioConfig(
-            schedule=self.schedule,
-            quantizer=self.quantizer,
-            x0=self.x0,
-            policy=policy,
-            horizon=self.horizon,
-            max_events=self.max_events,
-            expected=self.expected,
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScenarioConfig):
             return NotImplemented

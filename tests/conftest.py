@@ -3,22 +3,7 @@ from __future__ import annotations
 import numpy as np
 
 from qcl import WeightedDigraph
-
-
-def bfs_reachability(g: WeightedDigraph) -> list[list[bool]]:
-    """Transitive reachability by BFS; reach[u][v] means v reachable from u."""
-    n = g.n
-    reach = [[False] * n for _ in range(n)]
-    for start in range(n):
-        reach[start][start] = True
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in g.successors(u):
-                if not reach[start][v]:
-                    reach[start][v] = True
-                    stack.append(v)
-    return reach
+from qcl.cli import _bfs_reachability as bfs_reachability
 
 
 def oracle_globally_reachable(g: WeightedDigraph) -> tuple[bool, set[int]]:

@@ -10,6 +10,7 @@ brute-force oracle, and agreement with the regularized integrator.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -86,7 +87,7 @@ def test_criterion_2_chain_doubling_and_coefficients():
     ok = True
     for n in range(3, 11):
         pinned = example2_sliding(n, 1.0, 1.0)
-        sliding = pinned.with_policy(Sliding())
+        sliding = replace(pinned, policy=Sliding())
         traj_p = simulate(pinned)
         traj_s = simulate(sliding)
         _CORPUS.append((traj_p, pinned))

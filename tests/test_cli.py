@@ -134,7 +134,7 @@ class TestSweep:
     def test_chain_doubling(self, tmp_path):
         code = run_cli(
             "sweep", "--builder", "example2", "--n-list", "3,4,5,6",
-            "--jobs", "2", "--out", str(tmp_path),
+            "--out", str(tmp_path),
         )
         assert code == 0
         lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
@@ -166,7 +166,7 @@ class TestSweep:
         for sub in ("a", "b"):
             run_cli(
                 "sweep", "--builder", "random", "--n-list", "3,4",
-                "--seed-list", "1,2", "--jobs", "4", "--out", str(tmp_path / sub),
+                "--seed-list", "1,2", "--out", str(tmp_path / sub),
             )
         assert (tmp_path / "a" / "sweep.csv").read_bytes() == (
             tmp_path / "b" / "sweep.csv"

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,6 @@ from qcl import (
     example1_line,
     example2_sliding,
     line_graph,
-    next_event,
     resolve_sliding,
     selection_velocity,
     simulate,
@@ -265,29 +262,6 @@ class TestSparseResolverMatchesLoopReference:
         assert repr(dynamics._gaussian_solve(rows, rhs)) == repr(_gaussian_solve_loop(rows, rhs))
 
 
-class TestNextEvent:
-    def test_threshold_hit_time(self):
-        sched = GraphSchedule.time_invariant(line_graph(1), 1.0, 1.0)
-        dt, kind = next_event(np.array([0.0]), np.array([1.0]), 0.0, sched, UNIT)
-        assert (dt, kind) == (0.5, "threshold-hit")
-
-    def test_zero_velocity_time_invariant_is_equilibrium(self):
-        sched = GraphSchedule.time_invariant(line_graph(2), 1.0, 1.0)
-        dt, kind = next_event(np.array([0.0, 0.1]), np.zeros(2), 0.0, sched, UNIT)
-        assert math.isinf(dt) and kind == "equilibrium"
-
-    def test_switch_beats_farther_threshold(self):
-        g = line_graph(2)
-        sched = GraphSchedule(
-            segments=((0.0, g), (2.0, g)), a_low=1.0, a_high=1.0
-        )
-        # Nearest threshold 0.4 time units away, switch 0.3 away.
-        dt, kind = next_event(
-            np.array([0.1, 0.1]), np.array([1.0, 1.0]), 1.7, sched, UNIT
-        )
-        assert (dt, kind) == (pytest.approx(0.3), "topology-switch")
-
-
 class TestSimulate:
     def test_line_reference_trace_is_exact(self):
         config = example1_line(3, 1.0, policy=Sliding())
@@ -366,6 +340,32 @@ class TestSimulate:
         assert traj.status == "equilibrium"
         kinds = {ev.kind for ev in traj.events}
         assert "topology-switch" in kinds
+
+    def test_threshold_hit_at_closed_form_time(self):
+        # Agent 0 listens to a stubborn agent three levels up: velocity 3,
+        # so it reaches the threshold 0.5 at exactly 0.5 / 3.
+        g = WeightedDigraph.from_edges(2, [(0, 1, 1.0)])
+        traj = simulate(ScenarioConfig(
+            schedule=GraphSchedule.time_invariant(g, 1.0, 1.0),
+            quantizer=UNIT,
+            x0=(0.0, 3.0),
+            horizon=100.0,
+        ))
+        ev = traj.events[1]
+        assert (ev.t, ev.kind, ev.hits) == (0.5 / 3.0, "threshold-hit", (0,))
+        assert ev.x == (0.5, 3.0)
+
+    def test_switch_before_farther_threshold(self):
+        # The threshold is 1/6 away, the switch 0.1 away.
+        g = WeightedDigraph.from_edges(2, [(0, 1, 1.0)])
+        sched = GraphSchedule(segments=((0.0, g), (0.1, g)), a_low=1.0, a_high=1.0)
+        traj = simulate(ScenarioConfig(
+            schedule=sched, quantizer=UNIT, x0=(0.0, 3.0), horizon=100.0,
+        ))
+        switch, hit = traj.events[1:3]
+        assert (switch.t, switch.kind, switch.hits) == (0.1, "topology-switch", ())
+        assert switch.x == (3.0 * 0.1, 3.0)
+        assert (hit.kind, hit.hits, hit.x) == ("threshold-hit", (0,), (0.5, 3.0))
 
     def test_state_beyond_threshold_lattice_rejected(self):
         # 1e16 / delta is past 2^52: the thresholds around it collapse.
@@ -466,13 +466,6 @@ class TestTrajectory:
         assert obj["status"] == "equilibrium"
         assert set(obj["events"][0]) == {"t", "event", "x", "z", "alpha"}
         assert obj["events"][1]["alpha"][1] is None
-
-    def test_events_expose_surface_modes(self):
-        traj = simulate(example1_line(3, 1.0, policy=Sliding()))
-        state = traj.events[1].state
-        assert state.modes[0].threshold == 0.5
-        assert state.modes[0].alpha == 1.0
-        assert state.modes[1] is None
 
 
 class TestPolicyJson:

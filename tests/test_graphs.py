@@ -17,7 +17,6 @@ from qcl import (
     line_graph,
     schedule_from_json,
     strongly_connected_components,
-    unbounded_interactions_graph,
 )
 from qcl.scenarios import SplitMix64
 
@@ -252,7 +251,7 @@ class TestUnboundedInteractionsGraph:
     def test_time_invariant_keeps_edges(self):
         g = line_graph(3)
         s = GraphSchedule.time_invariant(g, 1.0, 1.0)
-        limit = unbounded_interactions_graph(s)
+        limit = s.unbounded_interactions_graph()
         assert np.array_equal(limit.weights > 0, g.weights > 0)
 
     def test_periodic_union(self):
@@ -261,7 +260,7 @@ class TestUnboundedInteractionsGraph:
         s = GraphSchedule(
             segments=((0.0, g1), (1.0, g2)), a_low=1.0, a_high=1.0, period=2.0
         )
-        limit = unbounded_interactions_graph(s)
+        limit = s.unbounded_interactions_graph()
         assert limit.weights[0, 1] == 1.0 and limit.weights[1, 0] == 1.0
 
     def test_finite_schedule_with_empty_tail(self):
@@ -271,7 +270,7 @@ class TestUnboundedInteractionsGraph:
             a_low=1.0,
             a_high=1.0,
         )
-        assert not list(unbounded_interactions_graph(s).edges())
+        assert not list(s.unbounded_interactions_graph().edges())
 
     def test_adding_a_segment_never_removes_edges(self):
         rng = SplitMix64(11)
@@ -285,8 +284,8 @@ class TestUnboundedInteractionsGraph:
             extended = GraphSchedule(
                 segments=((0.0, g1), (1.0, g2)), a_low=1.0, a_high=1.0, period=2.0
             )
-            before = unbounded_interactions_graph(base).weights > 0
-            after = unbounded_interactions_graph(extended).weights > 0
+            before = base.unbounded_interactions_graph().weights > 0
+            after = extended.unbounded_interactions_graph().weights > 0
             assert np.all(after[before])
 
 

@@ -16,7 +16,6 @@ from qcl import (
     random_connected,
     scenario_from_json,
     simulate,
-    unbounded_interactions_graph,
 )
 from qcl.scenarios import SplitMix64
 
@@ -111,7 +110,7 @@ class TestRandomConnected:
     def test_limit_graph_has_globally_reachable_node(self, seed):
         switching = (3, 0.5) if seed % 3 == 0 else None
         config = random_connected(2 + seed % 5, seed=seed, switching=switching)
-        limit = unbounded_interactions_graph(config.schedule)
+        limit = config.schedule.unbounded_interactions_graph()
         assert has_globally_reachable_node(limit).found
 
     def test_weights_respect_declared_bounds(self):
