@@ -27,7 +27,6 @@ import numpy as np
 
 from . import _json
 from .analysis import (
-    audit_trajectory,
     convergence_report,
     envelopes,
     limit_value_check,
@@ -35,7 +34,8 @@ from .analysis import (
     tcon_bound,
 )
 from .dynamics import (
-    SequentialSlow,
+    NoSlidingSelection,
+    RegularizationUnstable,
     SimulationLimitError,
     Sliding,
     Trajectory,
@@ -45,7 +45,7 @@ from .dynamics import (
     simulate_regularized,
 )
 from .graphs import has_globally_reachable_node
-from .quantizers import InputError, UniformQuantizer
+from .quantizers import InputError
 from .scenarios import (
     ScenarioConfig,
     example1_line,
@@ -430,7 +430,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, OSError, ValueError, SimulationLimitError) as err:
+    # InputError and ContractViolation are ValueErrors; the rest are qcl's
+    # RuntimeErrors.
+    except (OSError, ValueError, SimulationLimitError, NoSlidingSelection,
+            RegularizationUnstable) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .graphs import GraphSchedule, SparseRow, WeightedDigraph, laplacian
-from .quantizers import InputError, Quantizer
+from .quantizers import InputError, Quantizer, json_field
 
 # Feasibility slack for hold coefficients: absorbs elimination round-off
 # without admitting genuinely infeasible holds.
@@ -135,13 +135,14 @@ SelectionPolicy = Sliding | SequentialSlow | FixedAlpha
 
 
 def policy_from_json(obj: dict) -> SelectionPolicy:
-    kind = obj.get("type")
+    kind = json_field(obj, "type", "policy", None)
     if kind == "sliding":
         return Sliding()
     if kind == "sequential-slow":
         return SequentialSlow()
     if kind == "fixed-alpha":
-        return FixedAlpha({int(k): float(v) for k, v in obj.get("alpha", {}).items()})
+        alpha = json_field(obj, "alpha", "policy", {})
+        return FixedAlpha({int(k): float(v) for k, v in alpha.items()})
     raise InputError(f"unknown policy type {kind!r}")
 
 
@@ -773,8 +774,12 @@ def simulate(
 
     while True:
         if len(events) >= config.max_events:
+            # Each agent crosses about one threshold per level it still spans.
+            span = quantizer.level_span(x)
             raise SimulationLimitError(
-                f"event limit {config.max_events} exceeded at t={t}",
+                f"event limit {config.max_events} exceeded at t={t}; about "
+                f"{len(x) * span / quantizer.delta_min:.3g} level crossings remain "
+                f"(n={len(x)} agents x level span {span!r} / delta {quantizer.delta_min!r})",
                 Trajectory(quantizer, events, status="limit"),
             )
         g = schedule.graph_at(t)

@@ -19,7 +19,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .quantizers import InputError
+from .quantizers import InputError, json_field
 
 #: Default tolerance for weight-balance checks: weights are exact inputs,
 #: this only guards float entry.
@@ -481,15 +481,24 @@ class GraphSchedule:
 
 
 def schedule_from_json(obj: dict) -> GraphSchedule:
-    n = int(obj["n"])
+    n = int(json_field(obj, "n", "schedule"))
     segments = []
-    for seg in obj["segments"]:
-        edges = [(int(e["i"]), int(e["j"]), float(e["w"])) for e in seg["edges"]]
-        segments.append((float(seg["t"]), WeightedDigraph.from_edges(n, edges)))
-    period = obj.get("period")
+    for k, seg in enumerate(json_field(obj, "segments", "schedule")):
+        where = f"schedule segment {k}"
+        try:
+            edges = [(int(e["i"]), int(e["j"]), float(e["w"]))
+                     for e in json_field(seg, "edges", where)]
+        except KeyError as err:
+            raise InputError(f"{where}: an edge has no field {err.args[0]!r}") from None
+        except TypeError:
+            raise InputError(f"{where}: each edge must be an object with numbers "
+                             f"'i', 'j' and 'w'") from None
+        segments.append((float(json_field(seg, "t", where)),
+                         WeightedDigraph.from_edges(n, edges)))
+    period = json_field(obj, "period", "schedule", None)
     return GraphSchedule(
         segments=tuple(segments),
-        a_low=float(obj["a_low"]),
-        a_high=float(obj["a_high"]),
+        a_low=float(json_field(obj, "a_low", "schedule")),
+        a_high=float(json_field(obj, "a_high", "schedule")),
         period=None if period is None else float(period),
     )

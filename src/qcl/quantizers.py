@@ -32,6 +32,24 @@ def _require_finite(value: float, what: str) -> float:
     return v
 
 
+_REQUIRED = object()
+
+
+def json_field(obj, key: str, where: str, default=_REQUIRED):
+    """``obj[key]`` of a parsed JSON object, else ``default`` if one is given.
+
+    Raises InputError naming ``where`` and the field when ``obj`` is not an
+    object or a required field is missing.
+    """
+    if not isinstance(obj, dict):
+        raise InputError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    if key in obj:
+        return obj[key]
+    if default is _REQUIRED:
+        raise InputError(f"{where} has no field {key!r}")
+    return default
+
+
 def kq_envelope(x, quantizer: Quantizer) -> tuple[float, float]:
     """(lowest, highest) level touched by the convexified sets of ``x``."""
     lows = []
@@ -222,11 +240,12 @@ Quantizer = UniformQuantizer | GeneralQuantizer
 
 
 def quantizer_from_json(obj: dict) -> Quantizer:
-    kind = obj.get("type")
+    kind = json_field(obj, "type", "quantizer", None)
     if kind == "uniform":
-        return UniformQuantizer(delta=obj["delta"])
+        return UniformQuantizer(delta=json_field(obj, "delta", "quantizer"))
     if kind == "general":
         return GeneralQuantizer(
-            levels=tuple(obj["levels"]), thresholds=tuple(obj["thresholds"])
+            levels=tuple(json_field(obj, "levels", "quantizer")),
+            thresholds=tuple(json_field(obj, "thresholds", "quantizer")),
         )
     raise InputError(f"unknown quantizer type {kind!r}")

@@ -25,7 +25,7 @@ from .dynamics import (
     policy_from_json,
 )
 from .graphs import GraphSchedule, WeightedDigraph, schedule_from_json
-from .quantizers import InputError, Quantizer, UniformQuantizer, quantizer_from_json
+from .quantizers import InputError, Quantizer, UniformQuantizer, json_field, quantizer_from_json
 
 _MASK64 = (1 << 64) - 1
 
@@ -154,9 +154,9 @@ class ScenarioConfig:
 
 def scenario_from_json(obj: dict) -> ScenarioConfig:
     expected = None
-    raw = obj.get("expected")
+    raw = json_field(obj, "expected", "scenario", None)
     if raw is not None:
-        alpha = raw.get("alpha")
+        alpha = json_field(raw, "alpha", "expected", None)
         expected = ExpectedOutcome(
             t_con=raw.get("t_con"),
             q_infinity=raw.get("q_infinity"),
@@ -166,9 +166,9 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
             tuple(sorted((int(k), float(v)) for k, v in alpha.items())),
         )
     return ScenarioConfig(
-        schedule=schedule_from_json(obj["schedule"]),
-        quantizer=quantizer_from_json(obj["quantizer"]),
-        x0=tuple(float(v) for v in obj["x0"]),
+        schedule=schedule_from_json(json_field(obj, "schedule", "scenario")),
+        quantizer=quantizer_from_json(json_field(obj, "quantizer", "scenario")),
+        x0=tuple(float(v) for v in json_field(obj, "x0", "scenario")),
         policy=policy_from_json(obj.get("policy", {"type": "sliding"})),
         horizon=float(obj.get("horizon", 1e6)),
         max_events=int(obj.get("max_events", 100_000)),

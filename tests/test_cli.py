@@ -4,13 +4,29 @@ import json
 
 import pytest
 
-from qcl import scenario_from_json, example1_line
+from qcl import (
+    NoSlidingSelection,
+    RegularizationUnstable,
+    example1_line,
+    scenario_from_json,
+)
+from qcl import cli
 from qcl._json import dumps
 from qcl.cli import main
 
 
 def run_cli(*argv: str) -> int:
     return main(list(argv))
+
+
+def _reference_without(*path) -> dict:
+    """The example1 scenario JSON with the field at ``path`` deleted."""
+    scenario = example1_line(3, 1.0).to_json()
+    node = scenario
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return scenario
 
 
 class TestRun:
@@ -57,6 +73,29 @@ class TestRun:
         assert code == 1
         err = capsys.readouterr().err
         assert "line 1" in err and "column" in err
+
+    @pytest.mark.parametrize("document, named", [
+        pytest.param(_reference_without("x0"), "'x0'", id="no-x0"),
+        pytest.param(_reference_without("quantizer", "delta"), "'delta'", id="no-delta"),
+        pytest.param(_reference_without("schedule", "segments", 0, "edges", 0, "w"), "'w'",
+                     id="edge-without-w"),
+        pytest.param([example1_line(3, 1.0).to_json()], "JSON object", id="top-level-list"),
+    ])
+    def test_malformed_scenario_is_one_error_line(self, tmp_path, capsys, document, named):
+        path = tmp_path / "s.json"
+        path.write_text(dumps(document))
+        assert run_cli("run", "--scenario", str(path), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+
+    @pytest.mark.parametrize("error", [NoSlidingSelection, RegularizationUnstable])
+    def test_solver_failure_is_one_error_line(self, tmp_path, capsys, monkeypatch, error):
+        def fail(config):
+            raise error("no selection")
+
+        monkeypatch.setattr(cli, "simulate", fail)
+        assert run_cli("run", "--builder", "example1", "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == "error: no selection\n"
 
     def test_scenario_file_round_trip(self, tmp_path):
         config = example1_line(3, 1.0)

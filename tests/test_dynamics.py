@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,14 @@ class TestSimulate:
         with pytest.raises(SimulationLimitError) as err:
             simulate(config)
         assert len(err.value.trajectory.events) == 2
+
+    def test_event_limit_message_estimates_remaining_crossings(self):
+        # Three agents spanning two units at delta = 1e-9 need about
+        # 3 * 2 / 1e-9 = 6e9 more threshold crossings.
+        config = replace(example1_line(3, 1e-9, x0_spacing=1.0, policy=Sliding()),
+                         max_events=40)
+        with pytest.raises(SimulationLimitError, match="about 6e[+]09 level crossings remain"):
+            simulate(config)
 
     def test_horizon_status(self):
         config = example1_line(6, 1.0, policy=Sliding(), horizon=0.25)
