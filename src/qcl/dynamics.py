@@ -135,7 +135,7 @@ SelectionPolicy = Sliding | SequentialSlow | FixedAlpha
 
 
 def policy_from_json(obj: dict) -> SelectionPolicy:
-    kind = json_field(obj, "type", "policy", None)
+    kind = json_field(obj, "type", "policy")
     if kind == "sliding":
         return Sliding()
     if kind == "sequential-slow":
@@ -775,11 +775,10 @@ def simulate(
     while True:
         if len(events) >= config.max_events:
             # Each agent crosses about one threshold per level it still spans.
-            span = quantizer.level_span(x)
+            crossings = len(x) * quantizer.level_span(x) / quantizer.delta_min
             raise SimulationLimitError(
                 f"event limit {config.max_events} exceeded at t={t}; about "
-                f"{len(x) * span / quantizer.delta_min:.3g} level crossings remain "
-                f"(n={len(x)} agents x level span {span!r} / delta {quantizer.delta_min!r})",
+                f"{crossings:.3g} level crossings remain (agents x level span / delta)",
                 Trajectory(quantizer, events, status="limit"),
             )
         g = schedule.graph_at(t)

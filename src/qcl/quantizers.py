@@ -240,7 +240,7 @@ Quantizer = UniformQuantizer | GeneralQuantizer
 
 
 def quantizer_from_json(obj: dict) -> Quantizer:
-    kind = json_field(obj, "type", "quantizer", None)
+    kind = json_field(obj, "type", "quantizer")
     if kind == "uniform":
         return UniformQuantizer(delta=json_field(obj, "delta", "quantizer"))
     if kind == "general":
