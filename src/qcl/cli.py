@@ -104,10 +104,6 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _agents_1based(agents) -> str:
-    return ",".join(str(a + 1) for a in agents)
-
-
 def cmd_run(args) -> int:
     config = _apply_overrides(_load_scenario(args), args)
     traj = simulate(config)

@@ -31,11 +31,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from functools import cached_property
+from typing import Callable, Collection, Iterable, Mapping
 
 import numpy as np
 
-from .graphs import GraphSchedule, SparseRow, WeightedDigraph, laplacian
+from .graphs import GraphSchedule, WeightedDigraph, laplacian
 from .quantizers import InputError, Quantizer, json_field
 
 # Feasibility slack for hold coefficients: absorbs elimination round-off
@@ -49,6 +50,9 @@ _RESIDUAL_TOL = 1e-9
 #: Surface sets up to this size use dense elimination; larger ones use
 #: projected Gauss-Seidel.
 DEFAULT_DENSE_CUTOFF = 64
+#: Hold systems with at least this many unknowns are eliminated on a numpy
+#: array; below it the list kernel is faster.
+_ARRAY_ELIMINATION_MIN = 14
 #: The regularized oracle keeps two knots per threshold between the extreme
 #: states; wider spans are rejected instead of exhausting memory.
 _MAX_RAMP_THRESHOLDS = 2 ** 20
@@ -141,8 +145,8 @@ def policy_from_json(obj: dict) -> SelectionPolicy:
     if kind == "sequential-slow":
         return SequentialSlow()
     if kind == "fixed-alpha":
-        alpha = json_field(obj, "alpha", "policy", {})
-        return FixedAlpha({int(k): float(v) for k, v in alpha.items()})
+        return FixedAlpha(json_field(obj, "alpha", "policy", {},
+                                     lambda a: {int(k): float(v) for k, v in a.items()}))
     raise InputError(f"unknown policy type {kind!r}")
 
 
@@ -171,15 +175,18 @@ class Resolution:
 # Velocity from a selection
 # ---------------------------------------------------------------------------
 
-def _velocity(row: SparseRow, z: np.ndarray, z_i: float) -> float:
-    """``sum_j a_ij (z_j - z_i)`` over the nonzero weights of one row.
+def _velocities(g: WeightedDigraph, z: np.ndarray, agents: Collection[int]) -> list[float]:
+    """``v_i = sum_j a_ij (z_j - z_i)`` over the nonzero weights, for each agent.
 
-    The terms are summed by numpy in increasing ``j``, so the bits do not
-    depend on how many zero weights the row has.
+    The terms of every row are formed in one array; each row's contiguous
+    slice is then summed on its own by numpy in increasing ``j``, which gives
+    the bits of summing that row alone (``np.add.reduceat`` would not).
     """
-    if not row.pairs:
-        return 0.0
-    return float((row.weight * (z[row.index] - z_i)).sum())
+    if not agents:
+        return []
+    rows, cols, values, ends = g.csr
+    terms = values * (z[cols] - z[rows])
+    return [float(terms[ends[i]:ends[i + 1]].sum()) for i in agents]
 
 
 def selection_velocity(
@@ -196,7 +203,7 @@ def selection_velocity(
             raise ContractViolation(
                 f"selection z[{i}]={z[i]} outside [{lo}, {hi}] at x[{i}]={x[i]}"
             )
-    return np.array([_velocity(row, z, float(z[i])) for i, row in enumerate(g.rows)])
+    return np.array(_velocities(g, z, range(g.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +214,9 @@ class _Singular(Exception):
     pass
 
 
-def _gaussian_solve(a_rows: list[list[float]], b: list[float]) -> list[float]:
-    """Dense elimination with partial pivoting (ties to the lowest row)."""
-    m = len(b)
-    aug = [list(a_rows[r]) + [b[r]] for r in range(m)]
-    scale = max(1.0, max((max(map(abs, row)) for row in a_rows), default=1.0))
+def _eliminate_lists(aug: list[list[float]], tol: float) -> list[list[float]]:
+    """Forward elimination with partial pivoting (ties to the lowest row)."""
+    m = len(aug)
     for col in range(m):
         piv = col
         best = abs(aug[col][col])
@@ -219,7 +224,7 @@ def _gaussian_solve(a_rows: list[list[float]], b: list[float]) -> list[float]:
             mag = abs(aug[r][col])
             if mag > best:
                 best, piv = mag, r
-        if best <= 1e-12 * scale:
+        if best <= tol:
             raise _Singular()
         if piv != col:
             aug[col], aug[piv] = aug[piv], aug[col]
@@ -229,6 +234,33 @@ def _gaussian_solve(a_rows: list[list[float]], b: list[float]) -> list[float]:
             factor = row[col] / pivot_row[col]
             if factor != 0.0:
                 row[col:] = [a - factor * b for a, b in zip(row[col:], pivot_row[col:])]
+    return aug
+
+
+def _eliminate_array(aug: list[list[float]], tol: float) -> list[list[float]]:
+    """``_eliminate_lists`` on a numpy array, the same operations per element."""
+    a = np.array(aug)
+    m = len(a)
+    for col in range(m):
+        piv = col + int(np.abs(a[col:, col]).argmax())  # the first maximum
+        if abs(a[piv, col]) <= tol:
+            raise _Singular()
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+        pivot_row = a[col, col:]
+        below = a[col + 1:, col:]
+        factors = below[:, :1] / pivot_row[0]
+        # Rows whose factor is zero stay untouched, as in the list kernel.
+        np.subtract(below, factors * pivot_row, out=below, where=factors != 0.0)
+    return a.tolist()
+
+
+def _gaussian_solve(a_rows: list[list[float]], b: list[float]) -> list[float]:
+    """Dense elimination with partial pivoting, then back-substitution."""
+    m = len(b)
+    scale = max(1.0, max((max(map(abs, row)) for row in a_rows), default=1.0))
+    eliminate = _eliminate_array if m >= _ARRAY_ELIMINATION_MIN else _eliminate_lists
+    aug = eliminate([list(a_rows[r]) + [b[r]] for r in range(m)], 1e-12 * scale)
     out = [0.0] * m
     for r in range(m - 1, -1, -1):
         acc = aug[r][m]
@@ -273,8 +305,7 @@ def _pgs(
     At the fixed point an interior value is a hold, a value clamped at a box
     bound with outward residual velocity is a departure.
     """
-    rows = g.rows
-    w_out = {i: rows[i].total for i in agents}
+    w_out = {i: g.rows[i].total for i in agents}
     for i in agents:
         lo, hi = boxes[i]
         z[i] = 0.5 * (lo + hi)
@@ -317,9 +348,8 @@ def _pgs(
     )
     held: set[int] = set()
     departing: dict[int, int] = {}
-    for i in agents:
+    for i, v in zip(agents, _velocities(g, z, agents)):
         lo, hi = boxes[i]
-        v = _velocity(rows[i], z, float(z[i]))
         if abs(v) <= residual_tol or w_out[i] == 0.0:
             held.add(i)
         elif v > 0.0 and z[i] == hi:
@@ -458,8 +488,7 @@ def _solve_holds(
 
     # Confirm each departure is pushed off-surface by the final holds; an
     # extreme value with zero velocity is a feasible boundary hold instead.
-    for i, sign in list(departing.items()):
-        v = _velocity(g.rows[i], z, float(z[i]))
+    for (i, sign), v in zip(list(departing.items()), _velocities(g, z, departing)):
         if v == 0.0:
             departing.pop(i)
             held.add(i)
@@ -515,20 +544,17 @@ def resolve_sliding(
 
     z = np.empty(n)
     boxes: dict[int, tuple[float, float]] = {}
-    for i in range(n):
-        bounds = quantizer.surface_bounds(float(x[i]))
-        if bounds is None:
-            z[i] = quantizer.quantize(float(x[i]))
+    for i, x_i in enumerate(x.tolist()):
+        lo, hi = quantizer.krasovskii_set(x_i)
+        if lo == hi:
+            z[i] = lo
         else:
-            boxes[i] = bounds
+            boxes[i] = (lo, hi)
 
     pins: dict[int, float] = {}
     if isinstance(policy, FixedAlpha):
         pins = {a: v for a, v in policy.overrides if a in boxes}
-    rows = g.rows
-    trivially_held = {
-        i for i in boxes if i not in pins and rows[i].total == 0.0
-    }
+    trivially_held = {i for i in boxes if i not in pins and g.rows[i].total == 0.0}
     for i in trivially_held:
         lo, hi = boxes[i]
         z[i] = 0.5 * (lo + hi)
@@ -541,11 +567,7 @@ def resolve_sliding(
         candidates = set(boxes) - set(pins) - trivially_held
         held, departing, alphas = _solve_holds(candidates, boxes, z, g, pick, cutoff)
         stale = sorted(
-            (
-                (-abs(v), i)
-                for i in pins
-                if (v := _velocity(rows[i], z, float(z[i]))) != 0.0
-            ),
+            (-abs(v), i) for i, v in zip(pins, _velocities(g, z, pins)) if v != 0.0
         )
         if not stale:
             break
@@ -559,12 +581,9 @@ def resolve_sliding(
         alphas[i] = a
     zero_set = held | trivially_held | set(pins)
 
-    velocity = np.empty(n)
-    for i in range(n):
-        if i in zero_set:
-            velocity[i] = 0.0
-        else:
-            velocity[i] = _velocity(rows[i], z, float(z[i]))
+    moving = [i for i in range(n) if i not in zero_set]
+    velocity = np.zeros(n)
+    velocity[moving] = _velocities(g, z, moving)
     for i, sign in departing.items():
         if velocity[i] == 0.0 or (velocity[i] > 0.0) != (sign > 0):
             raise NoSlidingSelection(
@@ -625,16 +644,17 @@ class Trajectory:
     def final_x(self) -> np.ndarray:
         return np.array(self.events[-1].x)
 
+    @cached_property
+    def _times(self) -> list[float]:
+        return [ev.t for ev in self.events]
+
     def state_at(self, t: float) -> np.ndarray:
         """Piecewise-affine interpolation; constant beyond the final event."""
         events = self.events
         if t <= events[0].t:
             return np.array(events[0].x)
-        idx = len(events) - 1
-        for k in range(len(events) - 1):
-            if events[k].t <= t < events[k + 1].t:
-                idx = k
-                break
+        # The last event at or before t starts the segment that holds t.
+        idx = bisect_right(self._times, t) - 1
         ev = events[idx]
         if idx == len(events) - 1 and self.status == "equilibrium":
             return np.array(ev.x)
@@ -743,9 +763,9 @@ def _make_event(
     return TrajectoryEvent(
         t=t,
         kind=kind,
-        x=tuple(float(v) for v in x),
-        z=tuple(float(v) for v in res.z),
-        velocity=tuple(float(v) for v in res.velocity),
+        x=tuple(x.tolist()),
+        z=tuple(res.z.tolist()),
+        velocity=tuple(res.velocity.tolist()),
         alpha=tuple(alpha_map.get(i) for i in range(n)),
         hits=hits,
         departing=res.departing,

@@ -31,9 +31,6 @@ class SparseRow(NamedTuple):
 
     #: ``(j, a_ij)`` pairs on Python floats.
     pairs: tuple[tuple[int, float], ...]
-    #: The same columns and weights as numpy arrays.
-    index: np.ndarray
-    weight: np.ndarray
     #: ``float(weights[i].sum())``, summed over the full row.
     total: float
 
@@ -87,17 +84,22 @@ class WeightedDigraph:
         return [j for j in range(self.n) if self.weights[i, j] > 0.0]
 
     @cached_property
-    def rows(self) -> tuple[SparseRow, ...]:
-        """Per-row nonzero structure, built once per graph on first use."""
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+        """``(rows, cols, values, ends)`` of the nonzero weights in row-major
+        order, row ``i`` at ``ends[i]:ends[i + 1]``; built in one numpy pass."""
         w = self.weights
         r, c = np.nonzero(w)  # row-major, so j increases within each row
-        values = w[r, c]
-        ends = np.searchsorted(r, np.arange(self.n + 1)).tolist()
+        return r, c, w[r, c], np.searchsorted(r, np.arange(self.n + 1)).tolist()
+
+    @cached_property
+    def rows(self) -> tuple[SparseRow, ...]:
+        """Per-row nonzero pairs and totals on Python floats."""
+        _, c, values, ends = self.csr
         cols, vals = c.tolist(), values.tolist()
         # numpy sums each contiguous row on its own: the bits of weights[i].sum().
-        totals = w.sum(axis=1).tolist()
+        totals = self.weights.sum(axis=1).tolist()
         return tuple(
-            SparseRow(tuple(zip(cols[a:b], vals[a:b])), c[a:b], values[a:b], total)
+            SparseRow(tuple(zip(cols[a:b], vals[a:b])), total)
             for a, b, total in zip(ends, ends[1:], totals)
         )
 
@@ -481,9 +483,9 @@ class GraphSchedule:
 
 
 def schedule_from_json(obj: dict) -> GraphSchedule:
-    n = int(json_field(obj, "n", "schedule"))
+    n = json_field(obj, "n", "schedule", parse=int)
     segments = []
-    for k, seg in enumerate(json_field(obj, "segments", "schedule")):
+    for k, seg in enumerate(json_field(obj, "segments", "schedule", parse=list)):
         where = f"schedule segment {k}"
         try:
             edges = [(int(e["i"]), int(e["j"]), float(e["w"]))
@@ -493,12 +495,11 @@ def schedule_from_json(obj: dict) -> GraphSchedule:
         except TypeError:
             raise InputError(f"{where}: each edge must be an object with numbers "
                              f"'i', 'j' and 'w'") from None
-        segments.append((float(json_field(seg, "t", where)),
+        segments.append((json_field(seg, "t", where, parse=float),
                          WeightedDigraph.from_edges(n, edges)))
-    period = json_field(obj, "period", "schedule", None)
     return GraphSchedule(
         segments=tuple(segments),
-        a_low=float(json_field(obj, "a_low", "schedule")),
-        a_high=float(json_field(obj, "a_high", "schedule")),
-        period=None if period is None else float(period),
+        a_low=json_field(obj, "a_low", "schedule", parse=float),
+        a_high=json_field(obj, "a_high", "schedule", parse=float),
+        period=json_field(obj, "period", "schedule", None, float),
     )

@@ -35,19 +35,31 @@ def _require_finite(value: float, what: str) -> float:
 _REQUIRED = object()
 
 
-def json_field(obj, key: str, where: str, default=_REQUIRED):
-    """``obj[key]`` of a parsed JSON object, else ``default`` if one is given.
+def json_field(obj, key: str, where: str, default=_REQUIRED, parse=None):
+    """``parse(obj[key])`` of a parsed JSON object, else ``default`` if one is given.
 
-    Raises InputError naming ``where`` and the field when ``obj`` is not an
-    object or a required field is missing.
+    An optional field that is absent or null takes its default.  Raises
+    InputError naming ``where`` and the field when ``obj`` is not an object,
+    a required field is missing or ``parse`` rejects its value.
     """
     if not isinstance(obj, dict):
         raise InputError(f"{where} must be a JSON object, got {type(obj).__name__}")
-    if key in obj:
-        return obj[key]
-    if default is _REQUIRED:
+    value = obj.get(key)
+    if value is None and default is not _REQUIRED:
+        return default
+    if key not in obj:
         raise InputError(f"{where} has no field {key!r}")
-    return default
+    try:
+        return value if parse is None else parse(value)
+    except (TypeError, ValueError, AttributeError) as err:
+        raise InputError(f"{where} field {key!r} has the wrong type: {err}") from None
+
+
+def json_floats(value) -> tuple[float, ...]:
+    """A JSON list of numbers as floats."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of numbers, got {type(value).__name__}")
+    return tuple(float(v) for v in value)
 
 
 def kq_envelope(x, quantizer: Quantizer) -> tuple[float, float]:
@@ -67,14 +79,6 @@ def kq_envelope(x, quantizer: Quantizer) -> tuple[float, float]:
 
 def _is_threshold(self, x: float) -> bool:
     return self._threshold_index(_require_finite(x, "x")) is not None
-
-
-def _krasovskii_set(self, z: float) -> tuple[float, float]:
-    bounds = self.surface_bounds(z)
-    if bounds is not None:
-        return bounds
-    q = self.quantize(z)
-    return (q, q)
 
 
 def _level_span(self, x_values) -> float:
@@ -138,7 +142,13 @@ class UniformQuantizer:
         # that is the upper level (floor convention).
         return self._index_above(_require_finite(z, "z")) * self.delta
 
-    krasovskii_set = _krasovskii_set
+    def krasovskii_set(self, z: float) -> tuple[float, float]:
+        # One scan finds the first threshold above z; z lies on the one
+        # below it or inside the cell below it.
+        k = self._index_above(_require_finite(z, "z"))
+        if self._threshold(k - 1) == z:
+            return ((k - 1) * self.delta, k * self.delta)
+        return (k * self.delta, k * self.delta)
 
     def next_threshold(self, x: float, direction: int) -> float | None:
         """Closest threshold strictly beyond ``x`` in the given direction."""
@@ -214,7 +224,12 @@ class GeneralQuantizer:
         # matching the floor convention of the uniform map.
         return self.levels[bisect_right(self.thresholds, z)]
 
-    krasovskii_set = _krasovskii_set
+    def krasovskii_set(self, z: float) -> tuple[float, float]:
+        bounds = self.surface_bounds(z)
+        if bounds is not None:
+            return bounds
+        q = self.quantize(z)
+        return (q, q)
 
     def next_threshold(self, x: float, direction: int) -> float | None:
         x = _require_finite(x, "x")
@@ -242,10 +257,10 @@ Quantizer = UniformQuantizer | GeneralQuantizer
 def quantizer_from_json(obj: dict) -> Quantizer:
     kind = json_field(obj, "type", "quantizer")
     if kind == "uniform":
-        return UniformQuantizer(delta=json_field(obj, "delta", "quantizer"))
+        return UniformQuantizer(delta=json_field(obj, "delta", "quantizer", parse=float))
     if kind == "general":
         return GeneralQuantizer(
-            levels=tuple(json_field(obj, "levels", "quantizer")),
-            thresholds=tuple(json_field(obj, "thresholds", "quantizer")),
+            levels=json_field(obj, "levels", "quantizer", parse=json_floats),
+            thresholds=json_field(obj, "thresholds", "quantizer", parse=json_floats),
         )
     raise InputError(f"unknown quantizer type {kind!r}")

@@ -25,7 +25,8 @@ from .dynamics import (
     policy_from_json,
 )
 from .graphs import GraphSchedule, WeightedDigraph, schedule_from_json
-from .quantizers import InputError, Quantizer, UniformQuantizer, json_field, quantizer_from_json
+from .quantizers import (InputError, Quantizer, UniformQuantizer, json_field, json_floats,
+                         quantizer_from_json)
 
 _MASK64 = (1 << 64) - 1
 
@@ -156,22 +157,22 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
     expected = None
     raw = json_field(obj, "expected", "scenario", None)
     if raw is not None:
-        alpha = json_field(raw, "alpha", "expected", None)
+        alpha = json_field(raw, "alpha", "expected", None,
+                           lambda a: tuple(sorted((int(k), float(v)) for k, v in a.items())))
         expected = ExpectedOutcome(
             t_con=raw.get("t_con"),
             q_infinity=raw.get("q_infinity"),
             collocation=raw.get("collocation"),
             t_con_lower=raw.get("t_con_lower"),
-            alpha=None if alpha is None else
-            tuple(sorted((int(k), float(v)) for k, v in alpha.items())),
+            alpha=alpha,
         )
     return ScenarioConfig(
         schedule=schedule_from_json(json_field(obj, "schedule", "scenario")),
         quantizer=quantizer_from_json(json_field(obj, "quantizer", "scenario")),
-        x0=tuple(float(v) for v in json_field(obj, "x0", "scenario")),
+        x0=json_field(obj, "x0", "scenario", parse=json_floats),
         policy=policy_from_json(obj.get("policy", {"type": "sliding"})),
-        horizon=float(obj.get("horizon", 1e6)),
-        max_events=int(obj.get("max_events", 100_000)),
+        horizon=json_field(obj, "horizon", "scenario", 1e6, float),
+        max_events=json_field(obj, "max_events", "scenario", 100_000, int),
         expected=expected,
     )
 

@@ -1,9 +1,41 @@
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
-from qcl import WeightedDigraph
+from qcl import (
+    Sliding,
+    WeightedDigraph,
+    example1_line,
+    example2_sliding,
+    simulate,
+    simulate_regularized,
+)
 from qcl.cli import _bfs_reachability as bfs_reachability
+
+#: The four references that the exact run is checked against the
+#: regularized oracle on.
+ORACLE_REFERENCES = {
+    "line3": example1_line(3, 1.0, policy=Sliding()),
+    "line4": example1_line(4, 1.0, policy=Sliding()),
+    "chain3": example2_sliding(3, 1.0, 1.0, policy=Sliding()),
+    "chain4": example2_sliding(4, 1.0, 1.0, policy=Sliding()),
+}
+
+
+@cache
+def reference_oracle_run(name: str):
+    """``(trajectory, regularized run)`` of a reference at eps = 1e-3, h = 1e-5.
+
+    The run samples every 0.01 up to 1.2 times the final event time plus
+    0.2.  Computed once per test session; callers must not modify it.
+    """
+    config = ORACLE_REFERENCES[name]
+    traj = simulate(config)
+    run = simulate_regularized(config, eps=1e-3, h=1e-5, stride=0.01,
+                               t_end=traj.final_t * 1.2 + 0.2)
+    return traj, run
 
 
 def oracle_globally_reachable(g: WeightedDigraph) -> tuple[bool, set[int]]:

@@ -38,7 +38,7 @@ from qcl import (
 )
 from qcl.scenarios import SplitMix64
 
-from conftest import oracle_globally_reachable
+from conftest import ORACLE_REFERENCES, oracle_globally_reachable, reference_oracle_run
 
 # Trajectories produced by criteria 1-4 feed the envelope criterion.
 _CORPUS: list = []
@@ -289,21 +289,19 @@ def test_criterion_7_connectivity_predicate_vs_bfs():
 
 
 def test_criterion_8_oracle_agreement_and_refinement():
-    references = [
-        ("line3", example1_line(3, 1.0, policy=Sliding())),
-        ("line4", example1_line(4, 1.0, policy=Sliding())),
-        ("chain3", example2_sliding(3, 1.0, 1.0, policy=Sliding())),
-        ("chain4", example2_sliding(4, 1.0, 1.0, policy=Sliding())),
-    ]
     ok = True
     details = []
-    for name, config in references:
-        traj = simulate(config)
+    for name, config in ORACLE_REFERENCES.items():
+        # The run at (eps, h) = (1e-3, 1e-5) is shared with test_oracle.py.
+        traj, run = reference_oracle_run(name)
         t_end = traj.final_t * 1.2 + 0.2
+        runs = [run] + [
+            simulate_regularized(config, eps=eps, h=h, stride=0.01, t_end=t_end)
+            for eps, h in ((5e-4, 5e-6), (2.5e-4, 2.5e-6))
+        ]
 
         deviations = []
-        for eps, h in ((1e-3, 1e-5), (5e-4, 5e-6), (2.5e-4, 2.5e-6)):
-            run = simulate_regularized(config, eps=eps, h=h, stride=0.01, t_end=t_end)
+        for run in runs:
             deviations.append(
                 max(
                     float(np.max(np.abs(traj.state_at(float(t)) - s)))

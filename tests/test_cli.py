@@ -29,6 +29,16 @@ def _reference_without(*path) -> dict:
     return scenario
 
 
+def _reference_with(value, *path) -> dict:
+    """The example1 scenario JSON with the field at ``path`` set to ``value``."""
+    scenario = example1_line(3, 1.0).to_json()
+    node = scenario
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return scenario
+
+
 class TestRun:
     def test_reference_run_converges(self, tmp_path, capsys):
         code = run_cli(
@@ -80,6 +90,10 @@ class TestRun:
         pytest.param(_reference_without("schedule", "segments", 0, "edges", 0, "w"), "'w'",
                      id="edge-without-w"),
         pytest.param([example1_line(3, 1.0).to_json()], "JSON object", id="top-level-list"),
+        pytest.param(_reference_with(5, "x0"), "'x0'", id="x0-number"),
+        pytest.param(_reference_with(None, "schedule", "n"), "'n'", id="n-null"),
+        pytest.param(_reference_with({"type": "fixed-alpha", "alpha": [1]}, "policy"), "'alpha'",
+                     id="alpha-list"),
     ])
     def test_malformed_scenario_is_one_error_line(self, tmp_path, capsys, document, named):
         path = tmp_path / "s.json"

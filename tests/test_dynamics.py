@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qcl import (
     ContractViolation,
@@ -253,15 +254,122 @@ class TestSparseResolverMatchesLoopReference:
         assert repr(system) == repr(_build_hold_system_loop(active, boxes, z, g))
         rows, rhs, _ = system
         assert repr(dynamics._gaussian_solve(rows, rhs)) == repr(_gaussian_solve_loop(rows, rhs))
+        velocities = dynamics._velocities(g, z, range(g.n))
         for i in range(g.n):
-            assert repr(dynamics._velocity(g.rows[i], z, float(z[i]))) == repr(
-                _row_velocity_loop(g.weights[i], z, float(z[i])))
+            assert repr(velocities[i]) == repr(_row_velocity_loop(g.weights[i], z, float(z[i])))
 
     def test_elimination_with_row_swaps(self):
         rng = SplitMix64(9)
         rows = [[rng.uniform(-1.0, 1.0) for _ in range(10)] for _ in range(10)]
         rhs = [rng.uniform(-1.0, 1.0) for _ in range(10)]
         assert repr(dynamics._gaussian_solve(rows, rhs)) == repr(_gaussian_solve_loop(rows, rhs))
+
+
+def _velocity_per_row(g, z, i):
+    """The resolver's per-row velocity before the batched terms array."""
+    index = np.flatnonzero(g.weights[i])
+    if index.size == 0:
+        return 0.0
+    return float((g.weights[i][index] * (z[index] - float(z[i]))).sum())
+
+
+def _gaussian_solve_lists(a_rows, b):
+    """The resolver's list elimination before the array kernel, singular test included."""
+    m = len(b)
+    aug = [list(a_rows[r]) + [b[r]] for r in range(m)]
+    scale = max(1.0, max((max(map(abs, row)) for row in a_rows), default=1.0))
+    for col in range(m):
+        piv = col
+        best = abs(aug[col][col])
+        for r in range(col + 1, m):
+            mag = abs(aug[r][col])
+            if mag > best:
+                best, piv = mag, r
+        if best <= 1e-12 * scale:
+            raise dynamics._Singular()
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+        pivot_row = aug[col]
+        for r in range(col + 1, m):
+            row = aug[r]
+            factor = row[col] / pivot_row[col]
+            if factor != 0.0:
+                row[col:] = [a - factor * b for a, b in zip(row[col:], pivot_row[col:])]
+    out = [0.0] * m
+    for r in range(m - 1, -1, -1):
+        acc = aug[r][m]
+        for c in range(r + 1, m):
+            acc -= aug[r][c] * out[c]
+        out[r] = acc / aug[r][r]
+    return out
+
+
+def _solve_or_singular(solve, *args):
+    try:
+        return repr(solve(*args))
+    except dynamics._Singular:
+        return "singular"
+
+
+class TestBatchedKernelsMatchReferences:
+    """The batched velocities and the array elimination against the per-row
+    and list code they replace: the same arithmetic, so ``repr``-equal."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, seed=0).via("single agent, empty row")
+    @example(n=300, seed=1).via("rows past 8 and 128 nonzeros")
+    def test_velocities_match_per_row_sums(self, n, seed):
+        rng = np.random.default_rng(seed)
+        w = np.zeros((n, n))
+        for i in range(n):
+            # Empty rows, rows within numpy's 8-term unrolling, rows past it
+            # and past its 128-term blocks.
+            count = min(n - 1, int(rng.choice([0, rng.integers(1, 9), rng.integers(9, 129),
+                                               rng.integers(129, 300)])))
+            others = np.delete(np.arange(n), i)
+            w[i, rng.choice(others, size=count, replace=False)] = rng.uniform(0.1, 10.0, count)
+        g = WeightedDigraph(w)
+        z = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+        z[rng.random(n) < 0.3] = 1.0  # equal values give exact zero terms
+        assert repr(dynamics._velocities(g, z, range(n))) == repr(
+            [_velocity_per_row(g, z, i) for i in range(n)])
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(1, 2 * dynamics._ARRAY_ELIMINATION_MIN + 4),
+           seed=st.integers(0, 2**32 - 1), palette=st.booleans())
+    def test_array_elimination_matches_list_elimination(self, m, seed, palette):
+        rng = np.random.default_rng(seed)
+        if palette:
+            # Few distinct values: zero factors, signed zeros, pivot-magnitude
+            # ties and singular systems.
+            aug = rng.choice([0.0, -0.0, 1.0, -1.0, 2.0, -0.5], size=(m, m + 1))
+        else:
+            aug = rng.uniform(-1.0, 1.0, (m, m + 1)) * 10.0 ** rng.integers(-3, 4, (m, 1))
+        rows, rhs = aug[:, :m].tolist(), aug[:, m].tolist()
+        tol = 1e-12 * max(1.0, float(np.abs(aug[:, :m]).max()))
+        assert _solve_or_singular(dynamics._eliminate_array, aug.tolist(), tol) == \
+            _solve_or_singular(dynamics._eliminate_lists, aug.tolist(), tol)
+        assert _solve_or_singular(dynamics._gaussian_solve, rows, rhs) == \
+            _solve_or_singular(_gaussian_solve_lists, rows, rhs)
+
+    @pytest.mark.parametrize("m", [dynamics._ARRAY_ELIMINATION_MIN - 1,
+                                   dynamics._ARRAY_ELIMINATION_MIN, 40])
+    def test_ties_zero_factors_and_singular_systems(self, m):
+        # Equal pivot magnitudes in the first column; row 1 needs no update
+        # there and then pivots the second, so its -0.0 must stay (an update
+        # would turn it into 0.0).  Then the same system with two equal rows.
+        rows = [[1.0 if c <= r else -1.0 for c in range(m)] for r in range(m)]
+        rows[1][:3] = [0.0, 4.0, -0.0]
+        rhs = [float(r) for r in range(m)]
+        aug = [row + [b] for row, b in zip(rows, rhs)]
+        assert repr(dynamics._eliminate_array(aug, 1e-12)) == repr(
+            dynamics._eliminate_lists([list(row) for row in aug], 1e-12))
+        assert repr(dynamics._gaussian_solve(rows, rhs)) == repr(_gaussian_solve_lists(rows, rhs))
+        rows[-1] = list(rows[-2])
+        for kernel in (dynamics._eliminate_lists, dynamics._eliminate_array):
+            with pytest.raises(dynamics._Singular):
+                kernel([row + [b] for row, b in zip(rows, rhs)], 1e-12)
 
 
 class TestSimulate:
@@ -448,12 +556,40 @@ class TestTrajectoryAudit:
             assert audit_trajectory(traj, config) == [], f"seed {seed}"
 
 
+def _state_at_scan(traj, t):
+    """``Trajectory.state_at`` with the linear segment search it used before bisection."""
+    events = traj.events
+    if t <= events[0].t:
+        return np.array(events[0].x)
+    idx = len(events) - 1
+    for k in range(len(events) - 1):
+        if events[k].t <= t < events[k + 1].t:
+            idx = k
+            break
+    ev = events[idx]
+    if idx == len(events) - 1 and traj.status == "equilibrium":
+        return np.array(ev.x)
+    return np.array(ev.x) + (t - ev.t) * np.array(ev.velocity)
+
+
 class TestTrajectory:
     def test_state_at_interpolates_affinely(self):
         traj = simulate(example1_line(3, 1.0, policy=Sliding()))
         assert np.array_equal(traj.state_at(0.25), [0.25, 1.0, 1.75])
         assert np.array_equal(traj.state_at(100.0), [0.5, 1.0, 1.5])
         assert np.array_equal(traj.state_at(0.0), [0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("status", ["equilibrium", "horizon"])
+    def test_state_at_matches_linear_scan(self, status):
+        traj = simulate(example1_line(6, 0.25, policy=SequentialSlow()))
+        events = list(traj.events)
+        # A repeated event time: the later event starts the segment.
+        events.insert(2, replace(events[1], velocity=(9.0,) * 6))
+        traj = dynamics.Trajectory(traj.quantizer, events, status)
+        times = [ev.t for ev in events]
+        probes = times + [(a + b) / 2 for a, b in zip(times, times[1:])] + [-1.0, times[-1] + 1.0]
+        for t in probes:
+            assert repr(traj.state_at(t).tolist()) == repr(_state_at_scan(traj, t).tolist())
 
     def test_csv_layout(self):
         traj = simulate(example1_line(3, 1.0, policy=Sliding()))

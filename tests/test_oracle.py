@@ -21,6 +21,8 @@ from qcl import (
 )
 from qcl import dynamics
 
+from conftest import ORACLE_REFERENCES, reference_oracle_run
+
 
 def max_deviation(traj, run) -> float:
     return max(
@@ -29,20 +31,10 @@ def max_deviation(traj, run) -> float:
     )
 
 
-REFERENCES = [
-    example1_line(3, 1.0, policy=Sliding()),
-    example1_line(4, 1.0, policy=Sliding()),
-    example2_sliding(3, 1.0, 1.0, policy=Sliding()),
-    example2_sliding(4, 1.0, 1.0, policy=Sliding()),
-]
-
-
-@pytest.mark.parametrize("config", REFERENCES, ids=["line3", "line4", "chain3", "chain4"])
-def test_exact_trajectory_matches_regularized_run(config):
-    traj = simulate(config)
-    run = simulate_regularized(
-        config, eps=1e-3, h=1e-5, stride=0.01, t_end=traj.final_t * 1.2 + 0.2
-    )
+@pytest.mark.parametrize("name", list(ORACLE_REFERENCES))
+def test_exact_trajectory_matches_regularized_run(name):
+    # eps = 1e-3, h = 1e-5, up to 1.2 times the final event time plus 0.2.
+    traj, run = reference_oracle_run(name)
     assert max_deviation(traj, run) <= 5e-3
 
 

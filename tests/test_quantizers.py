@@ -87,6 +87,21 @@ class TestUniformQuantize:
 
 
 class TestKrasovskiiSet:
+    @given(
+        st.integers(-10**6, 10**6),
+        st.sampled_from(DYADIC_DELTAS + (0.01, 0.1, 0.3)),
+        st.integers(-3, 3),
+    )
+    def test_one_scan_matches_surface_bounds_then_quantize(self, k, delta, ulps):
+        # On a threshold (ulps = 0) and a few floats either side of it.
+        q = UniformQuantizer(delta)
+        x = (k + 0.5) * delta
+        for _ in range(abs(ulps)):
+            x = math.nextafter(x, math.copysign(math.inf, ulps))
+        bounds = q.surface_bounds(x)
+        expected = bounds if bounds is not None else (q.quantize(x), q.quantize(x))
+        assert repr(q.krasovskii_set(x)) == repr(expected)
+
     def test_interior_singleton(self):
         assert UniformQuantizer(1.0).krasovskii_set(0.2) == (0.0, 0.0)
 
