@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Collection, Iterable, Mapping
 
 import numpy as np
@@ -664,6 +664,8 @@ class Trajectory:
     # -- wire formats --------------------------------------------------------
 
     def _rows(self, stride: float | None):
+        if stride is not None:
+            _require_stride(stride)
         rows = []
         for k, ev in enumerate(self.events):
             rows.append((ev.t, ev.kind, ev.x, ev.z, ev.alpha))
@@ -856,6 +858,47 @@ def simulate(
 
 def _rk4_chunk(x: list[float], rows: list[list[tuple[int, float]]], xp: list[float],
                fp: list[float], h: float, steps: int) -> list[float]:
+    """``steps`` classical RK4 steps of ``x' = -L q(x)``.
+
+    Runs the compiled kernel ``_rk4.c`` when it loads, else the list kernel;
+    both give the same bits.
+    """
+    kernel = _load_kernel()
+    if kernel is None:
+        return _rk4_chunk_lists(x, rows, xp, fp, h, steps)
+    return kernel(x, rows, xp, fp, h, steps)
+
+
+@cache
+def _load_kernel():
+    """The compiled kernel, or None; built or loaded once per import."""
+    from . import _ckernel
+
+    return _ckernel.load(_kernel_agrees)
+
+
+def _kernel_agrees(kernel) -> bool:
+    """Whether ``kernel`` gives the list kernel's bits on a fixed set of chunks.
+
+    Two large steps from each of 16 spread-out states reach every knot
+    segment and both clamps, and keep each update comparable to the state,
+    so a change in the rounding of any operation shows in the result.  The
+    rows need not form a Laplacian.
+    """
+    rows = [[(0, 1.3), (1, -0.7), (3, 0.2)], [(0, -1.1), (1, 2.3), (2, -0.9)],
+            [(1, -0.6), (2, 1.7), (3, -1.3)], [(0, 0.4), (2, -1.2), (3, 0.9)]]
+    xp = [-1.9, -0.7, 0.4, 1.6, 2.2]
+    fp = [-1.7, -0.2, 0.3, 1.1, 2.6]
+
+    def bits(chunk, k: int) -> list[str]:
+        x = [((7 * k + 3 * i) % 13 - 6) / 2.7 for i in range(4)]
+        return [v.hex() for v in chunk(x, rows, xp, fp, 0.3, 2)]
+
+    return all(bits(kernel, k) == bits(_rk4_chunk_lists, k) for k in range(16))
+
+
+def _rk4_chunk_lists(x: list[float], rows: list[list[tuple[int, float]]], xp: list[float],
+                     fp: list[float], h: float, steps: int) -> list[float]:
     """``steps`` classical RK4 steps of ``x' = -L q(x)`` on Python floats.
 
     ``q`` interpolates the knots ``(xp, fp)`` linearly and clamps outside
@@ -928,6 +971,11 @@ def _ramp_knots(quantizer: Quantizer, x0, eps: float) -> tuple[list[float], list
     return xp, fp
 
 
+def _require_stride(stride: float) -> None:
+    if not (math.isfinite(stride) and stride > 0.0):
+        raise InputError(f"stride must be finite and positive, got {stride!r}")
+
+
 @dataclass(frozen=True)
 class RegularizedRun:
     """Sampled output of the smooth-surrogate integrator."""
@@ -951,6 +999,11 @@ def simulate_regularized(
     x0 = list(config.x0)
     if not (eps > 0.0) or not (h > 0.0):
         raise InputError("eps and h must be positive")
+    _require_stride(stride)
+    if t_end is None:
+        t_end = config.horizon
+    if not math.isfinite(t_end):
+        raise InputError(f"t_end must be finite, got {t_end!r}")
     dmin = quantizer.delta_min
     if math.isfinite(dmin) and not (eps < dmin / 4.0):
         raise InputError(f"eps must be below delta_min/4 = {dmin / 4.0}")
@@ -960,8 +1013,6 @@ def simulate_regularized(
         raise InputError(
             f"step h={h} too large for eps={eps}: need h < {eps / guard:.3g}"
         )
-    if t_end is None:
-        t_end = config.horizon
 
     xp, fp = _ramp_knots(quantizer, x0, eps)
     x = [float(v) for v in x0]

@@ -19,7 +19,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .quantizers import InputError, json_field
+from .quantizers import InputError, json_field, json_int
 
 #: Default tolerance for weight-balance checks: weights are exact inputs,
 #: this only guards float entry.
@@ -483,18 +483,19 @@ class GraphSchedule:
 
 
 def schedule_from_json(obj: dict) -> GraphSchedule:
-    n = json_field(obj, "n", "schedule", parse=int)
+    n = json_field(obj, "n", "schedule", parse=json_int)
     segments = []
     for k, seg in enumerate(json_field(obj, "segments", "schedule", parse=list)):
         where = f"schedule segment {k}"
+        raw = json_field(seg, "edges", where, parse=list)
         try:
-            edges = [(int(e["i"]), int(e["j"]), float(e["w"]))
-                     for e in json_field(seg, "edges", where)]
-        except KeyError as err:
-            raise InputError(f"{where}: an edge has no field {err.args[0]!r}") from None
-        except TypeError:
-            raise InputError(f"{where}: each edge must be an object with numbers "
-                             f"'i', 'j' and 'w'") from None
+            edges = [(json_int(e["i"]), json_int(e["j"]), float(e["w"])) for e in raw]
+        except (KeyError, TypeError, ValueError):
+            # Find the first bad edge again, to name it and its field.
+            for m, e in enumerate(raw):
+                for key, parse in (("i", json_int), ("j", json_int), ("w", float)):
+                    json_field(e, key, f"{where} edge {m}", parse=parse)
+            raise
         segments.append((json_field(seg, "t", where, parse=float),
                          WeightedDigraph.from_edges(n, edges)))
     return GraphSchedule(

@@ -62,6 +62,13 @@ def json_floats(value) -> tuple[float, ...]:
     return tuple(float(v) for v in value)
 
 
+def json_int(value) -> int:
+    """A JSON count as an int; a fractional value is rejected, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def kq_envelope(x, quantizer: Quantizer) -> tuple[float, float]:
     """(lowest, highest) level touched by the convexified sets of ``x``."""
     lows = []

@@ -26,7 +26,7 @@ from .dynamics import (
 )
 from .graphs import GraphSchedule, WeightedDigraph, schedule_from_json
 from .quantizers import (InputError, Quantizer, UniformQuantizer, json_field, json_floats,
-                         quantizer_from_json)
+                         json_int, quantizer_from_json)
 
 _MASK64 = (1 << 64) - 1
 
@@ -172,7 +172,7 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
         x0=json_field(obj, "x0", "scenario", parse=json_floats),
         policy=policy_from_json(obj.get("policy", {"type": "sliding"})),
         horizon=json_field(obj, "horizon", "scenario", 1e6, float),
-        max_events=json_field(obj, "max_events", "scenario", 100_000, int),
+        max_events=json_field(obj, "max_events", "scenario", 100_000, json_int),
         expected=expected,
     )
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -94,6 +95,12 @@ class TestRun:
         pytest.param(_reference_with(None, "schedule", "n"), "'n'", id="n-null"),
         pytest.param(_reference_with({"type": "fixed-alpha", "alpha": [1]}, "policy"), "'alpha'",
                      id="alpha-list"),
+        pytest.param(_reference_with(1.5, "max_events"), "'max_events'", id="max-events-1.5"),
+        pytest.param(_reference_with(3.9, "schedule", "n"), "'n'", id="n-3.9"),
+        pytest.param(_reference_with(0.5, "schedule", "segments", 0, "edges", 1, "i"),
+                     "edge 1 field 'i'", id="edge-i-0.5"),
+        pytest.param(_reference_with(1.5, "schedule", "segments", 0, "edges", 2, "j"),
+                     "edge 2 field 'j'", id="edge-j-1.5"),
     ])
     def test_malformed_scenario_is_one_error_line(self, tmp_path, capsys, document, named):
         path = tmp_path / "s.json"
@@ -101,6 +108,26 @@ class TestRun:
         assert run_cli("run", "--scenario", str(path), "--out", str(tmp_path)) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+
+    def test_integral_float_counts_accepted(self, tmp_path):
+        scenario = _reference_with(3.0, "schedule", "n")
+        scenario["max_events"] = 1000.0
+        scenario["schedule"]["segments"][0]["edges"][0]["i"] = 0.0
+        config = scenario_from_json(scenario)
+        assert config == replace(example1_line(3, 1.0), max_events=1000)
+        assert type(config.max_events) is int
+        path = tmp_path / "s.json"
+        path.write_text(dumps(scenario))
+        assert run_cli("run", "--scenario", str(path), "--out", str(tmp_path)) == 0
+
+    @pytest.mark.parametrize("stride", ["0", "-1", "nan", "inf"])
+    def test_bad_stride_is_one_error_line(self, tmp_path, capsys, stride):
+        code = run_cli("run", "--builder", "example1", "--n", "4", "--stride", stride,
+                       "--out", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: stride")
+        assert not (tmp_path / "trajectory.csv").exists()
 
     @pytest.mark.parametrize("error", [NoSlidingSelection, RegularizationUnstable])
     def test_solver_failure_is_one_error_line(self, tmp_path, capsys, monkeypatch, error):

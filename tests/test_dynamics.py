@@ -606,6 +606,14 @@ class TestTrajectory:
         assert len(sample_rows) == 3  # 0.125, 0.25, 0.375
         assert sample_rows[0].split(",")[0] == "0.125"
 
+    @pytest.mark.parametrize("stride", [0.0, -0.125, float("nan"), float("inf")])
+    def test_bad_stride_rejected(self, stride):
+        traj = simulate(example1_line(3, 1.0, policy=Sliding()))
+        with pytest.raises(InputError, match="stride"):
+            traj.to_csv(stride=stride)
+        with pytest.raises(InputError, match="stride"):
+            traj.to_json_obj(stride=stride)
+
     def test_json_mirror_has_same_fields(self):
         traj = simulate(example1_line(3, 1.0, policy=Sliding()))
         obj = traj.to_json_obj()

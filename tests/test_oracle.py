@@ -1,5 +1,12 @@
 from __future__ import annotations
 
+import os
+import shutil
+import subprocess
+import sys
+from functools import cache
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,7 +26,7 @@ from qcl import (
     simulate,
     simulate_regularized,
 )
-from qcl import dynamics
+from qcl import _ckernel, dynamics
 
 from conftest import ORACLE_REFERENCES, reference_oracle_run
 
@@ -82,6 +89,16 @@ def test_knot_count_is_capped():
     )
     with pytest.raises(InputError, match="thresholds"):
         simulate_regularized(config, eps=1e-3, h=1e-12, t_end=0.01)
+
+
+@pytest.mark.parametrize("stride,t_end", [
+    (0.0, 1.0), (-0.1, 1.0), (float("nan"), 1.0), (float("inf"), 1.0),
+    (0.1, float("inf")), (0.1, float("nan")),
+])
+def test_bad_sampling_rejected(stride, t_end):
+    config = example1_line(3, 1.0, policy=Sliding())
+    with pytest.raises(InputError, match="stride|t_end"):
+        simulate_regularized(config, eps=1e-3, h=1e-5, stride=stride, t_end=t_end)
 
 
 def test_chain_crawl_speed_matches_geometric_factor():
@@ -193,19 +210,24 @@ def _rk4_chunk(x, lap, xp, fp, h, steps):
 
 
 # (config, eps, h, t_end): wide ramps so the states cross them, at most
-# 2,000 steps each; the periodic case crosses three topology switches and
-# the n = 20 case has sparse Laplacian rows.
+# 2,000 steps each; the periodic case crosses three topology switches, the
+# n = 20 case has sparse Laplacian rows and the last case has uneven levels.
 KERNEL_CASES = [
     (example1_line(3, 1.0, policy=Sliding()), 0.2, 1e-3, 2.0),
     (example2_sliding(4, 1.0, 1.0, policy=Sliding()), 0.2, 1e-3, 2.0),
     (random_connected(6, seed=0, switching=(3, 0.05)), 0.2, 5e-4, 0.2),
     (random_connected(20, seed=7), 0.2, 2.5e-4, 0.05),
+    (ScenarioConfig(
+        schedule=GraphSchedule.time_invariant(line_graph(4), 1.0, 1.0),
+        quantizer=GeneralQuantizer(levels=(-1.0, 0.0, 0.5, 2.0), thresholds=(-0.5, 0.25, 1.0)),
+        x0=(-0.9, 0.1, 0.6, 1.8),
+        horizon=10.0,
+    ), 0.1, 1e-3, 2.0),
 ]
+KERNEL_IDS = ["line3", "chain4", "random6-periodic", "random20", "general4"]
 
 
-@pytest.mark.parametrize("config,eps,h,t_end", KERNEL_CASES,
-                         ids=["line3", "chain4", "random6-periodic", "random20"])
-def test_kernel_bit_identical_to_loop_reference(monkeypatch, config, eps, h, t_end):
+def _check_against_loop_reference(monkeypatch, config, eps, h, t_end):
     run = simulate_regularized(config, eps=eps, h=h, stride=0.01, t_end=t_end)
     # Re-run with the reference kernel, fed the dense Laplacian of the segment.
     laps = []
@@ -216,3 +238,71 @@ def test_kernel_bit_identical_to_loop_reference(monkeypatch, config, eps, h, t_e
     assert len(laps) > 1
     assert np.array_equal(run.times, ref.times)
     assert np.array_equal(run.states, ref.states)
+
+
+@pytest.mark.parametrize("config,eps,h,t_end", KERNEL_CASES, ids=KERNEL_IDS)
+def test_kernel_bit_identical_to_loop_reference(monkeypatch, config, eps, h, t_end):
+    # Where a C compiler is found, this checks the compiled kernel.
+    assert (dynamics._load_kernel() is None) == (shutil.which("cc") is None)
+    _check_against_loop_reference(monkeypatch, config, eps, h, t_end)
+
+
+@pytest.mark.parametrize("config,eps,h,t_end", KERNEL_CASES, ids=KERNEL_IDS)
+def test_list_kernel_bit_identical_to_loop_reference(monkeypatch, config, eps, h, t_end):
+    monkeypatch.setattr(dynamics, "_load_kernel", lambda: None)
+    _check_against_loop_reference(monkeypatch, config, eps, h, t_end)
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+@needs_cc
+def test_cached_kernel_loads_without_compiler():
+    assert dynamics._load_kernel() is not None
+    # A fresh interpreter imports qcl without loading the kernel, then finds
+    # the build cached.
+    code = "\n".join([
+        "import subprocess, sys",
+        "from qcl import dynamics",
+        "assert 'qcl._ckernel' not in sys.modules",
+        "def compiler(*args, **kwargs):",
+        "    raise AssertionError('compiler started')",
+        "subprocess.run = subprocess.Popen = compiler",
+        "print(dynamics._load_kernel() is not None)",
+    ])
+    src = str(Path(dynamics.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "True\n", out.stderr
+
+
+@needs_cc
+def test_reordered_kernel_fails_self_check(monkeypatch, tmp_path):
+    # Summing the final update right to left changes the last bits.
+    update = "k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]"
+    source = _ckernel.SOURCE.read_text()
+    assert source.count(update) == 1
+    bad = tmp_path / "_rk4.c"
+    bad.write_text(source.replace(update, "k4[i] + 2.0 * k3[i] + 2.0 * k2[i] + k1[i]"))
+    monkeypatch.setattr(_ckernel, "SOURCE", bad)
+    monkeypatch.setattr(_ckernel, "CACHE", tmp_path / "cache")
+    monkeypatch.setattr(dynamics, "_load_kernel", cache(dynamics._load_kernel.__wrapped__))
+    config, eps, h, t_end = KERNEL_CASES[0]
+    run = simulate_regularized(config, eps=eps, h=h, stride=0.01, t_end=t_end)
+    assert dynamics._load_kernel() is None
+    assert list((tmp_path / "cache").iterdir()) == []
+    # The run used the list kernel, which the compiled one reproduces.
+    monkeypatch.undo()
+    ref = simulate_regularized(config, eps=eps, h=h, stride=0.01, t_end=t_end)
+    assert np.array_equal(run.states, ref.states)
+
+
+@needs_cc
+@pytest.mark.parametrize("rows,xp", [
+    ([[(0, 1.0), (2, -1.0)], [(1, 0.0)]], [0.0, 1.0]),
+    ([[(0, 1.0)]], [0.0, 1.0]),
+    ([[(0, 1.0)], [(1, 1.0)]], [0.0]),
+], ids=["column-outside", "row-missing", "one-knot"])
+def test_compiled_kernel_rejects_chunks_that_do_not_fit(rows, xp):
+    with pytest.raises(ValueError):
+        dynamics._load_kernel()([0.0, 1.0], rows, xp, [0.0] * len(xp), 0.1, 1)
