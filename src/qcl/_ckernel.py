@@ -1,11 +1,11 @@
-"""Build, cache and load the compiled RK4 oracle kernel ``_rk4.c``.
+"""Build, cache and load the compiled kernels ``_kernels.c``.
 
 The first ``load`` compiles the source with the system C compiler into the
 package's ``__pycache__``, under a name keyed by the source, the flags and the
 compiler, and installs the build only after ``check`` accepts it.  Later
 loads reuse the cached library and start no compiler.  ``load`` returns None
 when there is no compiler, the build or the check fails, or the cache cannot
-be written; the caller then keeps its own kernel.
+be written; the caller then keeps its own kernels.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import os
 import shutil
 import subprocess
 import tempfile
+import weakref
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.ctypeslib import ndpointer
@@ -31,17 +32,25 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-SOURCE = Path(__file__).with_name("_rk4.c")
+SOURCE = Path(__file__).with_name("_kernels.c")
 CACHE = Path(__file__).with_name("__pycache__")
 #: No fast-math and no contraction into fused multiply-adds, so every
 #: operation rounds as it does in Python.
 FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-shared", "-fPIC")
 
-Kernel = Callable[[list, list, list, list, float, int], list]
+
+class Kernels(NamedTuple):
+    """The compiled entry points, each in the interface of its list code."""
+
+    #: ``rk4_chunk(x, rows, xp, fp, h, steps)``, as ``dynamics._rk4_chunk``.
+    rk4_chunk: Callable[[list, list, list, list, float, int], list]
+    #: ``hold_solve(g, active, boxes, z)``: the coefficients of the hold
+    #: system of ``active`` in its order, or None when it is singular.
+    hold_solve: Callable[[object, list, dict, np.ndarray], list | None]
 
 
-def load(check: Callable[[Kernel], bool]) -> Kernel | None:
-    """The compiled kernel, built and checked by ``check`` on first use."""
+def load(check: Callable[[Kernels], bool]) -> Kernels | None:
+    """The compiled kernels, built and checked by ``check`` on first use."""
     cc = shutil.which("cc")
     if cc is None:
         return None
@@ -50,19 +59,19 @@ def load(check: Callable[[Kernel], bool]) -> Kernel | None:
     try:
         source = SOURCE.read_bytes()
         key = sha256(b"\0".join([source, *map(str.encode, FLAGS), cc.encode()]))
-        target = CACHE / f"_rk4-{key.hexdigest()[:16]}.so"
+        target = CACHE / f"_kernels-{key.hexdigest()[:16]}.so"
         if target.exists():
             return _bind(ctypes.CDLL(str(target)))
         CACHE.mkdir(exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix="_rk4-", suffix=".tmp", dir=CACHE)
+        fd, tmp = tempfile.mkstemp(prefix="_kernels-", suffix=".tmp", dir=CACHE)
         os.close(fd)
         subprocess.run([cc, *FLAGS, "-o", tmp, "-x", "c", "-"], input=source,
                        capture_output=True, check=True)
-        kernel = _bind(ctypes.CDLL(tmp))
-        if not check(kernel):
+        kernels = _bind(ctypes.CDLL(tmp))
+        if not check(kernels):
             return None
         os.replace(tmp, target)
-        return kernel
+        return kernels
     except (OSError, subprocess.CalledProcessError):
         return None
     finally:
@@ -70,7 +79,11 @@ def load(check: Callable[[Kernel], bool]) -> Kernel | None:
             os.unlink(tmp)
 
 
-def _bind(lib: ctypes.CDLL) -> Kernel:
+def _bind(lib: ctypes.CDLL) -> Kernels:
+    return Kernels(_bind_rk4_chunk(lib), _bind_hold_solve(lib))
+
+
+def _bind_rk4_chunk(lib: ctypes.CDLL):
     """Wrap ``qcl_rk4_chunk`` in the list interface of ``dynamics._rk4_chunk``."""
     floats = ndpointer(np.float64, flags="C_CONTIGUOUS")
     ints = ndpointer(np.int64, flags="C_CONTIGUOUS")
@@ -101,3 +114,80 @@ def _bind(lib: ctypes.CDLL) -> Kernel:
         return state.tolist()
 
     return chunk
+
+
+class _Graph(ctypes.Structure):
+    """``struct qcl_graph``: a graph's CSR arrays."""
+
+    _fields_ = [("n", ctypes.c_int64), ("ends", ctypes.c_void_p), ("cols", ctypes.c_void_p),
+                ("vals", ctypes.c_void_p), ("totals", ctypes.c_void_p)]
+
+
+class _HoldWork(ctypes.Structure):
+    """``struct qcl_hold_work``: reused buffers for hold systems of up to
+    ``m`` unknowns among up to ``n`` agents."""
+
+    _fields_ = [("active", ctypes.c_void_p), ("box", ctypes.c_void_p), ("aug", ctypes.c_void_p),
+                ("out", ctypes.c_void_p), ("colmap", ctypes.c_void_p)]
+
+    def __init__(self, m: int, n: int):
+        self.m, self.n = m, n
+        self.active_buffer = (ctypes.c_int64 * m)()
+        self.box_buffer = (ctypes.c_double * (2 * m))()
+        self.out_buffer = (ctypes.c_double * m)()
+        self.buffers = (self.active_buffer, self.box_buffer, (ctypes.c_double * (m * (m + 1)))(),
+                        self.out_buffer, (ctypes.c_int64 * n)(*[-1] * n))
+        super().__init__(*map(ctypes.addressof, self.buffers))
+        self.address = ctypes.addressof(self)
+
+
+def _bind_hold_solve(lib: ctypes.CDLL):
+    """Wrap ``qcl_hold_solve`` for ``dynamics._hold_solve``.
+
+    A call costs O(m) Python work for m unknowns: each graph's CSR arrays are
+    copied for C once, and the work buffers are reused, grown only when a
+    larger system or graph arrives.
+    """
+    c_solve = lib.qcl_hold_solve
+    c_solve.restype = ctypes.c_int
+    c_solve.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
+    graphs: dict[int, tuple] = {}
+    work = _HoldWork(1, 1)
+
+    def c_graph(g) -> tuple[int, int, tuple]:
+        """``(n, address of its struct qcl_graph, what keeps that alive)``."""
+        entry = graphs.get(id(g))
+        if entry is None:
+            _, cols, values, ends = g.csr
+            cols = np.ascontiguousarray(cols, dtype=np.int64)
+            values = np.ascontiguousarray(values, dtype=np.float64)
+            arrays = ((ctypes.c_int64 * len(ends))(*ends),
+                      (ctypes.c_int64 * len(cols)).from_buffer_copy(cols),
+                      (ctypes.c_double * len(values)).from_buffer_copy(values),
+                      (ctypes.c_double * g.n)(*[row.total for row in g.rows]))
+            struct = _Graph(g.n, *map(ctypes.addressof, arrays))
+            entry = graphs[id(g)] = (g.n, ctypes.addressof(struct), (struct, arrays))
+            # The entry lives as long as the graph, and its id with it.
+            weakref.finalize(g, graphs.pop, id(g), None)
+        return entry
+
+    def hold_solve(g, active: list[int], boxes: dict[int, tuple[float, float]],
+                   z: np.ndarray) -> list[float] | None:
+        nonlocal work
+        n, graph, _ = c_graph(g)
+        m = len(active)
+        if m > work.m or n > work.n:
+            work = _HoldWork(max(m, work.m), max(n, work.n))
+        work.active_buffer[:m] = active
+        work.box_buffer[:2 * m] = [v for i in active for v in boxes[i]]
+        # The C code checks the agents; z must have one float64 per agent, and
+        # from_buffer takes only a writable, contiguous array.
+        if len(z) != n or z.dtype != np.float64:
+            raise ValueError("the states of a hold system do not fit the graph")
+        status = c_solve(graph, m, ctypes.addressof(ctypes.c_double.from_buffer(z)),
+                         work.address)
+        if status == 2:
+            raise ValueError("an agent of a hold system lies outside the graph")
+        return None if status else work.out_buffer[:m]
+
+    return hold_solve

@@ -37,7 +37,7 @@ from typing import Callable, Collection, Iterable, Mapping
 import numpy as np
 
 from .graphs import GraphSchedule, WeightedDigraph, laplacian
-from .quantizers import InputError, Quantizer, json_field
+from .quantizers import InputError, Quantizer, json_field, json_float
 
 # Feasibility slack for hold coefficients: absorbs elimination round-off
 # without admitting genuinely infeasible holds.
@@ -50,9 +50,6 @@ _RESIDUAL_TOL = 1e-9
 #: Surface sets up to this size use dense elimination; larger ones use
 #: projected Gauss-Seidel.
 DEFAULT_DENSE_CUTOFF = 64
-#: Hold systems with at least this many unknowns are eliminated on a numpy
-#: array; below it the list kernel is faster.
-_ARRAY_ELIMINATION_MIN = 14
 #: The regularized oracle keeps two knots per threshold between the extreme
 #: states; wider spans are rejected instead of exhausting memory.
 _MAX_RAMP_THRESHOLDS = 2 ** 20
@@ -146,7 +143,7 @@ def policy_from_json(obj: dict) -> SelectionPolicy:
         return SequentialSlow()
     if kind == "fixed-alpha":
         return FixedAlpha(json_field(obj, "alpha", "policy", {},
-                                     lambda a: {int(k): float(v) for k, v in a.items()}))
+                                     lambda a: {int(k): json_float(v) for k, v in a.items()}))
     raise InputError(f"unknown policy type {kind!r}")
 
 
@@ -237,30 +234,11 @@ def _eliminate_lists(aug: list[list[float]], tol: float) -> list[list[float]]:
     return aug
 
 
-def _eliminate_array(aug: list[list[float]], tol: float) -> list[list[float]]:
-    """``_eliminate_lists`` on a numpy array, the same operations per element."""
-    a = np.array(aug)
-    m = len(a)
-    for col in range(m):
-        piv = col + int(np.abs(a[col:, col]).argmax())  # the first maximum
-        if abs(a[piv, col]) <= tol:
-            raise _Singular()
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-        pivot_row = a[col, col:]
-        below = a[col + 1:, col:]
-        factors = below[:, :1] / pivot_row[0]
-        # Rows whose factor is zero stay untouched, as in the list kernel.
-        np.subtract(below, factors * pivot_row, out=below, where=factors != 0.0)
-    return a.tolist()
-
-
 def _gaussian_solve(a_rows: list[list[float]], b: list[float]) -> list[float]:
     """Dense elimination with partial pivoting, then back-substitution."""
     m = len(b)
     scale = max(1.0, max((max(map(abs, row)) for row in a_rows), default=1.0))
-    eliminate = _eliminate_array if m >= _ARRAY_ELIMINATION_MIN else _eliminate_lists
-    aug = eliminate([list(a_rows[r]) + [b[r]] for r in range(m)], 1e-12 * scale)
+    aug = _eliminate_lists([list(a_rows[r]) + [b[r]] for r in range(m)], 1e-12 * scale)
     out = [0.0] * m
     for r in range(m - 1, -1, -1):
         acc = aug[r][m]
@@ -394,6 +372,27 @@ def _build_hold_system(
     return rows, rhs, col
 
 
+def _hold_solve(
+    active: list[int],
+    boxes: dict[int, tuple[float, float]],
+    z: np.ndarray,
+    g: WeightedDigraph,
+) -> list[float]:
+    """The coefficients that hold ``active``, in its order; raises ``_Singular``.
+
+    Runs the compiled solver of ``_kernels.c`` when it loads, else
+    ``_build_hold_system`` and ``_gaussian_solve``; both give the same bits.
+    """
+    kernels = _load_kernel()
+    if kernels is None:
+        rows, rhs, _ = _build_hold_system(active, boxes, z, g)
+        return _gaussian_solve(rows, rhs)
+    solution = kernels.hold_solve(g, active, boxes, z)
+    if solution is None:
+        raise _Singular()
+    return solution
+
+
 def _refine_held(
     held: list[int],
     boxes: dict[int, tuple[float, float]],
@@ -410,15 +409,14 @@ def _refine_held(
     """
     if not held or len(held) > cutoff:
         return
-    rows, rhs, col = _build_hold_system(held, boxes, z, g)
     try:
-        solution = _gaussian_solve(rows, rhs)
+        solution = _hold_solve(held, boxes, z, g)
     except _Singular:
         return
-    if any(not (-_FEAS_SLACK <= solution[c] <= 1.0 + _FEAS_SLACK) for c in col.values()):
+    if any(not (-_FEAS_SLACK <= a <= 1.0 + _FEAS_SLACK) for a in solution):
         return
-    for i in held:
-        z[i] = _alpha_to_z(_snap_alpha(solution[col[i]]), *boxes[i])
+    for i, a in zip(held, solution):
+        z[i] = _alpha_to_z(_snap_alpha(a), *boxes[i])
 
 
 def _solve_holds(
@@ -454,29 +452,26 @@ def _solve_holds(
         return held_p, departing, alphas
 
     while active:
-        rows, rhs, col = _build_hold_system(active, boxes, z, g)
         try:
-            solution = _gaussian_solve(rows, rhs)
+            solution = dict(zip(active, _hold_solve(active, boxes, z, g)))
         except _Singular:
             held_p, dep_p = finish_pgs(active)
             departing.update(dep_p)
             return held_p, departing, alphas
 
         excess = {
-            i: max(solution[col[i]] - 1.0, -solution[col[i]])
-            for i in active
-            if max(solution[col[i]] - 1.0, -solution[col[i]]) > _FEAS_SLACK
+            i: e for i, a in solution.items() if (e := max(a - 1.0, -a)) > _FEAS_SLACK
         }
         if not excess:
-            for i in active:
-                alpha = _snap_alpha(solution[col[i]])
+            for i, a in solution.items():
+                alpha = _snap_alpha(a)
                 alphas[i] = alpha
                 z[i] = _alpha_to_z(alpha, *boxes[i])
             held = set(active)
             break
 
         drop = release_pick(excess)
-        alpha = solution[col[drop]]
+        alpha = solution[drop]
         sign = 1 if alpha > 1.0 else -1
         lo, hi = boxes[drop]
         z[drop] = hi if sign > 0 else lo
@@ -505,17 +500,14 @@ def _solve_holds(
 def _release_priority(
     last_stopped: frozenset[int], g: WeightedDigraph, sequential: bool
 ) -> Callable[[dict[int, float]], int]:
-    def adjacent(i: int) -> bool:
-        return any(
-            g.weights[i, s] > 0.0 or g.weights[s, i] > 0.0 for s in last_stopped
-        )
-
     def pick(excess: dict[int, float]) -> int:
-        if sequential:
-            key = lambda i: (not adjacent(i), -excess[i], i)
-        else:
-            key = lambda i: (-excess[i], i)
-        return min(excess, key=key)
+        if not sequential:
+            return min(excess, key=lambda i: (-excess[i], i))
+        # The candidates that listen to a just-stopped agent or are listened
+        # to by one.
+        near = {j for s in last_stopped for j, _ in g.rows[s].pairs}
+        near.update(i for i in excess if any(j in last_stopped for j, _ in g.rows[i].pairs))
+        return min(excess, key=lambda i: (i not in near, -excess[i], i))
 
     return pick
 
@@ -860,41 +852,32 @@ def _rk4_chunk(x: list[float], rows: list[list[tuple[int, float]]], xp: list[flo
                fp: list[float], h: float, steps: int) -> list[float]:
     """``steps`` classical RK4 steps of ``x' = -L q(x)``.
 
-    Runs the compiled kernel ``_rk4.c`` when it loads, else the list kernel;
-    both give the same bits.
+    Runs the compiled kernel of ``_kernels.c`` when it loads, else the list
+    kernel; both give the same bits.
     """
-    kernel = _load_kernel()
-    if kernel is None:
+    kernels = _load_kernel()
+    if kernels is None:
         return _rk4_chunk_lists(x, rows, xp, fp, h, steps)
-    return kernel(x, rows, xp, fp, h, steps)
+    return kernels.rk4_chunk(x, rows, xp, fp, h, steps)
 
 
 @cache
 def _load_kernel():
-    """The compiled kernel, or None; built or loaded once per import."""
+    """The compiled kernels (``_ckernel.Kernels``), or None; built or loaded
+    once per import."""
     from . import _ckernel
 
     return _ckernel.load(_kernel_agrees)
 
 
-def _kernel_agrees(kernel) -> bool:
-    """Whether ``kernel`` gives the list kernel's bits on a fixed set of chunks.
+def _kernel_agrees(kernels) -> bool:
+    """Whether both compiled entry points give the bits of their list code.
 
-    Two large steps from each of 16 spread-out states reach every knot
-    segment and both clamps, and keep each update comparable to the state,
-    so a change in the rounding of any operation shows in the result.  The
-    rows need not form a Laplacian.
+    Runs only when a build is new, so its module is imported only then.
     """
-    rows = [[(0, 1.3), (1, -0.7), (3, 0.2)], [(0, -1.1), (1, 2.3), (2, -0.9)],
-            [(1, -0.6), (2, 1.7), (3, -1.3)], [(0, 0.4), (2, -1.2), (3, 0.9)]]
-    xp = [-1.9, -0.7, 0.4, 1.6, 2.2]
-    fp = [-1.7, -0.2, 0.3, 1.1, 2.6]
+    from ._kernel_check import kernels_agree
 
-    def bits(chunk, k: int) -> list[str]:
-        x = [((7 * k + 3 * i) % 13 - 6) / 2.7 for i in range(4)]
-        return [v.hex() for v in chunk(x, rows, xp, fp, 0.3, 2)]
-
-    return all(bits(kernel, k) == bits(_rk4_chunk_lists, k) for k in range(16))
+    return kernels_agree(kernels)
 
 
 def _rk4_chunk_lists(x: list[float], rows: list[list[tuple[int, float]]], xp: list[float],

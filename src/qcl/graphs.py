@@ -19,7 +19,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .quantizers import InputError, json_field, json_int
+from .quantizers import InputError, json_field, json_float, json_int
 
 #: Default tolerance for weight-balance checks: weights are exact inputs,
 #: this only guards float entry.
@@ -489,18 +489,18 @@ def schedule_from_json(obj: dict) -> GraphSchedule:
         where = f"schedule segment {k}"
         raw = json_field(seg, "edges", where, parse=list)
         try:
-            edges = [(json_int(e["i"]), json_int(e["j"]), float(e["w"])) for e in raw]
+            edges = [(json_int(e["i"]), json_int(e["j"]), json_float(e["w"])) for e in raw]
         except (KeyError, TypeError, ValueError):
             # Find the first bad edge again, to name it and its field.
             for m, e in enumerate(raw):
-                for key, parse in (("i", json_int), ("j", json_int), ("w", float)):
+                for key, parse in (("i", json_int), ("j", json_int), ("w", json_float)):
                     json_field(e, key, f"{where} edge {m}", parse=parse)
             raise
-        segments.append((json_field(seg, "t", where, parse=float),
+        segments.append((json_field(seg, "t", where, parse=json_float),
                          WeightedDigraph.from_edges(n, edges)))
     return GraphSchedule(
         segments=tuple(segments),
-        a_low=json_field(obj, "a_low", "schedule", parse=float),
-        a_high=json_field(obj, "a_high", "schedule", parse=float),
-        period=json_field(obj, "period", "schedule", None, float),
+        a_low=json_field(obj, "a_low", "schedule", parse=json_float),
+        a_high=json_field(obj, "a_high", "schedule", parse=json_float),
+        period=json_field(obj, "period", "schedule", None, json_float),
     )

@@ -51,20 +51,32 @@ def json_field(obj, key: str, where: str, default=_REQUIRED, parse=None):
         raise InputError(f"{where} has no field {key!r}")
     try:
         return value if parse is None else parse(value)
-    except (TypeError, ValueError, AttributeError) as err:
+    except (TypeError, ValueError, AttributeError, OverflowError) as err:
         raise InputError(f"{where} field {key!r} has the wrong type: {err}") from None
+
+
+def json_float(value) -> float:
+    """A JSON number as a float; booleans and strings are not numbers."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"expected a number, got {type(value).__name__}")
 
 
 def json_floats(value) -> tuple[float, ...]:
     """A JSON list of numbers as floats."""
     if not isinstance(value, list):
         raise TypeError(f"expected a list of numbers, got {type(value).__name__}")
-    return tuple(float(v) for v in value)
+    return tuple(map(json_float, value))
 
 
 def json_int(value) -> int:
-    """A JSON count as an int; a fractional value is rejected, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    """A JSON count as an int; a fractional value is rejected, not truncated,
+    and booleans and strings are not counts."""
+    if type(value) is int:  # bool is a subclass of int
+        return value
+    if not isinstance(value, float):
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    if not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -264,7 +276,7 @@ Quantizer = UniformQuantizer | GeneralQuantizer
 def quantizer_from_json(obj: dict) -> Quantizer:
     kind = json_field(obj, "type", "quantizer")
     if kind == "uniform":
-        return UniformQuantizer(delta=json_field(obj, "delta", "quantizer", parse=float))
+        return UniformQuantizer(delta=json_field(obj, "delta", "quantizer", parse=json_float))
     if kind == "general":
         return GeneralQuantizer(
             levels=json_field(obj, "levels", "quantizer", parse=json_floats),

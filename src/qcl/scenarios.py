@@ -25,8 +25,8 @@ from .dynamics import (
     policy_from_json,
 )
 from .graphs import GraphSchedule, WeightedDigraph, schedule_from_json
-from .quantizers import (InputError, Quantizer, UniformQuantizer, json_field, json_floats,
-                         json_int, quantizer_from_json)
+from .quantizers import (InputError, Quantizer, UniformQuantizer, json_field, json_float,
+                         json_floats, json_int, quantizer_from_json)
 
 _MASK64 = (1 << 64) - 1
 
@@ -158,7 +158,7 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
     raw = json_field(obj, "expected", "scenario", None)
     if raw is not None:
         alpha = json_field(raw, "alpha", "expected", None,
-                           lambda a: tuple(sorted((int(k), float(v)) for k, v in a.items())))
+                           lambda a: tuple(sorted((int(k), json_float(v)) for k, v in a.items())))
         expected = ExpectedOutcome(
             t_con=raw.get("t_con"),
             q_infinity=raw.get("q_infinity"),
@@ -171,7 +171,7 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
         quantizer=quantizer_from_json(json_field(obj, "quantizer", "scenario")),
         x0=json_field(obj, "x0", "scenario", parse=json_floats),
         policy=policy_from_json(obj.get("policy", {"type": "sliding"})),
-        horizon=json_field(obj, "horizon", "scenario", 1e6, float),
+        horizon=json_field(obj, "horizon", "scenario", 1e6, json_float),
         max_events=json_field(obj, "max_events", "scenario", 100_000, json_int),
         expected=expected,
     )

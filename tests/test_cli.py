@@ -101,6 +101,19 @@ class TestRun:
                      "edge 1 field 'i'", id="edge-i-0.5"),
         pytest.param(_reference_with(1.5, "schedule", "segments", 0, "edges", 2, "j"),
                      "edge 2 field 'j'", id="edge-j-1.5"),
+        # Booleans and numeric strings are not JSON numbers.
+        pytest.param(_reference_with(True, "max_events"), "'max_events'", id="max-events-true"),
+        pytest.param(_reference_with(True, "schedule", "n"), "'n'", id="n-true"),
+        pytest.param(_reference_with("1", "quantizer", "delta"), "'delta'", id="delta-string"),
+        pytest.param(_reference_with(["0", 1, True], "x0"), "'x0'", id="x0-string-and-bool"),
+        pytest.param(_reference_with("10", "horizon"), "'horizon'", id="horizon-string"),
+        pytest.param(_reference_with(True, "schedule", "segments", 0, "t"), "'t'", id="t-true"),
+        pytest.param(_reference_with("1", "schedule", "a_low"), "'a_low'", id="a-low-string"),
+        pytest.param(_reference_with(True, "schedule", "a_high"), "'a_high'", id="a-high-true"),
+        pytest.param(_reference_with("1", "schedule", "segments", 0, "edges", 0, "w"),
+                     "edge 0 field 'w'", id="edge-w-string"),
+        pytest.param(_reference_with({"type": "fixed-alpha", "alpha": {"0": True}}, "policy"),
+                     "'alpha'", id="alpha-value-true"),
     ])
     def test_malformed_scenario_is_one_error_line(self, tmp_path, capsys, document, named):
         path = tmp_path / "s.json"

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import shutil
+from contextlib import contextmanager
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -24,9 +27,10 @@ from qcl import (
     selection_velocity,
     simulate,
 )
-from qcl import dynamics
+from qcl import _ckernel, dynamics
 from qcl.dynamics import policy_from_json
 from qcl.scenarios import SplitMix64
+from test_golden import CASES as GOLDEN_CASES, DIGESTS as GOLDEN_DIGESTS, csv_digest
 
 
 def leader_chain(n: int, a: float = 1.0, b: float = 1.0) -> WeightedDigraph:
@@ -231,6 +235,21 @@ def _gaussian_solve_loop(a_rows, b):
     return out
 
 
+HOLD_PATHS = ["compiled", "lists"]
+
+
+@contextmanager
+def hold_path(path: str):
+    """Solve hold systems with the compiled solver, where a C compiler is
+    found, or with the list code (the kernel loader monkeypatched to None)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "lists":
+            mp.setattr(dynamics, "_load_kernel", lambda: None)
+        else:
+            assert (dynamics._load_kernel() is None) == (shutil.which("cc") is None)
+        yield
+
+
 class TestSparseResolverMatchesLoopReference:
     """The sparse-row resolver helpers against the dense loops they replaced.
 
@@ -238,8 +257,9 @@ class TestSparseResolverMatchesLoopReference:
     bit for bit (``repr`` tells -0.0 from 0.0).
     """
 
+    @pytest.mark.parametrize("path", HOLD_PATHS)
     @pytest.mark.parametrize("seed", range(4))
-    def test_hold_system_solution_and_velocities(self, seed):
+    def test_hold_system_solution_and_velocities(self, seed, path):
         from qcl import random_connected
 
         g = random_connected(30, seed=seed).schedule.segments[0][1]
@@ -254,6 +274,9 @@ class TestSparseResolverMatchesLoopReference:
         assert repr(system) == repr(_build_hold_system_loop(active, boxes, z, g))
         rows, rhs, _ = system
         assert repr(dynamics._gaussian_solve(rows, rhs)) == repr(_gaussian_solve_loop(rows, rhs))
+        with hold_path(path):
+            solution = dynamics._hold_solve(active, boxes, z, g)
+        assert repr(solution) == repr(_gaussian_solve_loop(rows, rhs))
         velocities = dynamics._velocities(g, z, range(g.n))
         for i in range(g.n):
             assert repr(velocities[i]) == repr(_row_velocity_loop(g.weights[i], z, float(z[i])))
@@ -274,7 +297,7 @@ def _velocity_per_row(g, z, i):
 
 
 def _gaussian_solve_lists(a_rows, b):
-    """The resolver's list elimination before the array kernel, singular test included."""
+    """The resolver's list elimination, singular test included."""
     m = len(b)
     aug = [list(a_rows[r]) + [b[r]] for r in range(m)]
     scale = max(1.0, max((max(map(abs, row)) for row in a_rows), default=1.0))
@@ -311,9 +334,34 @@ def _solve_or_singular(solve, *args):
         return "singular"
 
 
+def _palette_hold_system(m: int, seed: int, palette: bool):
+    """A graph, m surface agents, their boxes and a state.
+
+    The palette draws few distinct weights, widths and states, with signed
+    zeros, so that systems have pivot ties, zero factors, -0.0 entries and
+    singular cases (agents that listen to nobody, or only to each other).
+    """
+    rng = np.random.default_rng(seed)
+    n = m + int(rng.integers(0, 6))
+    if palette:
+        w = rng.choice([0.0] * 7 + [1.0, 2.0, 0.3], size=(n, n))
+        lo = rng.choice([0.0, -0.0, -0.0, 1.0, -1.0], size=n)
+        width = rng.choice([1.0, 0.7], size=n)
+        z = rng.choice([0.0, 0.0, -0.0, 1.0, -1.1], size=n)
+    else:
+        w = rng.uniform(0.1, 3.0, (n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 1.0))
+        lo = rng.uniform(-5.0, 5.0, n)
+        width = rng.uniform(0.01, 3.0, n)
+        z = rng.uniform(-5.0, 5.0, n) * 10.0 ** rng.integers(-3, 4, n)
+    np.fill_diagonal(w, 0.0)
+    active = sorted(rng.choice(n, size=m, replace=False).tolist())
+    boxes = {i: (float(lo[i]), float(lo[i] + width[i])) for i in active}
+    return WeightedDigraph(w), active, boxes, z
+
+
 class TestBatchedKernelsMatchReferences:
-    """The batched velocities and the array elimination against the per-row
-    and list code they replace: the same arithmetic, so ``repr``-equal."""
+    """The batched velocities and the hold solvers against the per-row and
+    list code they replace: the same arithmetic, so ``repr``-equal."""
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
@@ -336,9 +384,8 @@ class TestBatchedKernelsMatchReferences:
             [_velocity_per_row(g, z, i) for i in range(n)])
 
     @settings(max_examples=80, deadline=None)
-    @given(m=st.integers(1, 2 * dynamics._ARRAY_ELIMINATION_MIN + 4),
-           seed=st.integers(0, 2**32 - 1), palette=st.booleans())
-    def test_array_elimination_matches_list_elimination(self, m, seed, palette):
+    @given(m=st.integers(1, 80), seed=st.integers(0, 2**32 - 1), palette=st.booleans())
+    def test_gaussian_solve_matches_list_reference(self, m, seed, palette):
         rng = np.random.default_rng(seed)
         if palette:
             # Few distinct values: zero factors, signed zeros, pivot-magnitude
@@ -347,14 +394,23 @@ class TestBatchedKernelsMatchReferences:
         else:
             aug = rng.uniform(-1.0, 1.0, (m, m + 1)) * 10.0 ** rng.integers(-3, 4, (m, 1))
         rows, rhs = aug[:, :m].tolist(), aug[:, m].tolist()
-        tol = 1e-12 * max(1.0, float(np.abs(aug[:, :m]).max()))
-        assert _solve_or_singular(dynamics._eliminate_array, aug.tolist(), tol) == \
-            _solve_or_singular(dynamics._eliminate_lists, aug.tolist(), tol)
         assert _solve_or_singular(dynamics._gaussian_solve, rows, rhs) == \
             _solve_or_singular(_gaussian_solve_lists, rows, rhs)
 
-    @pytest.mark.parametrize("m", [dynamics._ARRAY_ELIMINATION_MIN - 1,
-                                   dynamics._ARRAY_ELIMINATION_MIN, 40])
+    @pytest.mark.parametrize("path", HOLD_PATHS)
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 80), seed=st.integers(0, 2**32 - 1), palette=st.booleans())
+    @example(m=7, seed=6, palette=True).via("a pivot tie")
+    @example(m=2, seed=161, palette=True).via("a -0.0 rhs in a row with a zero factor")
+    @example(m=80, seed=3, palette=True).via("the largest palette system")
+    def test_hold_solver_matches_list_reference(self, path, m, seed, palette):
+        g, active, boxes, z = _palette_hold_system(m, seed, palette)
+        rows, rhs, _ = _build_hold_system_loop(active, boxes, z, g)
+        with hold_path(path):
+            assert _solve_or_singular(dynamics._hold_solve, active, boxes, z, g) == \
+                _solve_or_singular(_gaussian_solve_lists, rows, rhs)
+
+    @pytest.mark.parametrize("m", [3, 13, 40])
     def test_ties_zero_factors_and_singular_systems(self, m):
         # Equal pivot magnitudes in the first column; row 1 needs no update
         # there and then pivots the second, so its -0.0 must stay (an update
@@ -362,14 +418,58 @@ class TestBatchedKernelsMatchReferences:
         rows = [[1.0 if c <= r else -1.0 for c in range(m)] for r in range(m)]
         rows[1][:3] = [0.0, 4.0, -0.0]
         rhs = [float(r) for r in range(m)]
-        aug = [row + [b] for row, b in zip(rows, rhs)]
-        assert repr(dynamics._eliminate_array(aug, 1e-12)) == repr(
-            dynamics._eliminate_lists([list(row) for row in aug], 1e-12))
         assert repr(dynamics._gaussian_solve(rows, rhs)) == repr(_gaussian_solve_lists(rows, rhs))
         rows[-1] = list(rows[-2])
-        for kernel in (dynamics._eliminate_lists, dynamics._eliminate_array):
-            with pytest.raises(dynamics._Singular):
-                kernel([row + [b] for row, b in zip(rows, rhs)], 1e-12)
+        with pytest.raises(dynamics._Singular):
+            dynamics._gaussian_solve(rows, rhs)
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(GOLDEN_CASES)
+                                  if name.startswith("random")])
+def test_list_fallback_matches_golden_digest(monkeypatch, name):
+    # The random graphs solve hold systems of up to 64 unknowns under all
+    # three policies; without a compiler the list code must give the same CSV.
+    monkeypatch.setattr(dynamics, "_load_kernel", lambda: None)
+    assert csv_digest(name) == GOLDEN_DIGESTS[name]
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+@needs_cc
+def test_reordered_hold_solver_fails_self_check(monkeypatch, tmp_path):
+    # Back-substitution summed right to left changes the last bits.
+    loop = "for (int64_t c = r + 1; c < m; c++)\n            acc -= row[c] * out[c];"
+    source = _ckernel.SOURCE.read_text()
+    assert source.count(loop) == 1
+    bad = tmp_path / "_kernels.c"
+    bad.write_text(source.replace(
+        loop, "for (int64_t c = m - 1; c > r; c--)\n            acc -= row[c] * out[c];"))
+    monkeypatch.setattr(_ckernel, "SOURCE", bad)
+    monkeypatch.setattr(_ckernel, "CACHE", tmp_path / "cache")
+    monkeypatch.setattr(dynamics, "_load_kernel", cache(dynamics._load_kernel.__wrapped__))
+    config = GOLDEN_CASES["random40-s2-sequential-slow"]()
+    csv = simulate(config).to_csv()
+    assert dynamics._load_kernel() is None
+    assert list((tmp_path / "cache").iterdir()) == []
+    # The run used the list code, which the compiled solver reproduces.
+    monkeypatch.undo()
+    assert dynamics._load_kernel() is not None
+    assert simulate(config).to_csv() == csv
+
+
+@needs_cc
+@pytest.mark.parametrize("active,z", [
+    ([0, 3], np.zeros(3)),
+    ([-1, 1], np.zeros(3)),
+    ([0, 1], np.zeros(4)),
+    ([0, 1], np.zeros(3, dtype=np.int64)),
+], ids=["agent-outside", "negative-agent", "state-too-long", "integer-state"])
+def test_compiled_hold_solver_rejects_systems_that_do_not_fit(active, z):
+    g = line_graph(3)
+    boxes = {i: (0.0, 1.0) for i in active}
+    with pytest.raises(ValueError):
+        dynamics._load_kernel().hold_solve(g, active, boxes, z)
 
 
 class TestSimulate:

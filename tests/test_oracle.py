@@ -282,7 +282,7 @@ def test_reordered_kernel_fails_self_check(monkeypatch, tmp_path):
     update = "k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]"
     source = _ckernel.SOURCE.read_text()
     assert source.count(update) == 1
-    bad = tmp_path / "_rk4.c"
+    bad = tmp_path / "_kernels.c"
     bad.write_text(source.replace(update, "k4[i] + 2.0 * k3[i] + 2.0 * k2[i] + k1[i]"))
     monkeypatch.setattr(_ckernel, "SOURCE", bad)
     monkeypatch.setattr(_ckernel, "CACHE", tmp_path / "cache")
@@ -305,4 +305,4 @@ def test_reordered_kernel_fails_self_check(monkeypatch, tmp_path):
 ], ids=["column-outside", "row-missing", "one-knot"])
 def test_compiled_kernel_rejects_chunks_that_do_not_fit(rows, xp):
     with pytest.raises(ValueError):
-        dynamics._load_kernel()([0.0, 1.0], rows, xp, [0.0] * len(xp), 0.1, 1)
+        dynamics._load_kernel().rk4_chunk([0.0, 1.0], rows, xp, [0.0] * len(xp), 0.1, 1)
