@@ -22,6 +22,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
+from .quantizers import SetScan
+
 # The interpreter's own sha256: hashlib would load OpenSSL, which adds about
 # 3.5 MiB of resident memory to a process that never needed it.
 try:
@@ -47,6 +49,12 @@ class Kernels(NamedTuple):
     #: ``hold_solve(g, active, boxes, z)``: the coefficients of the hold
     #: system of ``active`` in its order, or None when it is singular.
     hold_solve: Callable[[object, list, dict, np.ndarray], list | None]
+    #: ``uniform_sets(delta, x, selection, z)``, as
+    #: ``quantizers._krasovskii_scan_lists``, or None when it declines.
+    uniform_sets: Callable[..., SetScan | None]
+    #: ``uniform_hits(delta, x, velocity)``, as
+    #: ``quantizers._threshold_hits_lists``, or None when it declines.
+    uniform_hits: Callable[..., tuple[float, list[tuple[int, float]]] | None]
 
 
 def load(check: Callable[[Kernels], bool]) -> Kernels | None:
@@ -80,7 +88,7 @@ def load(check: Callable[[Kernels], bool]) -> Kernels | None:
 
 
 def _bind(lib: ctypes.CDLL) -> Kernels:
-    return Kernels(_bind_rk4_chunk(lib), _bind_hold_solve(lib))
+    return Kernels(_bind_rk4_chunk(lib), _bind_hold_solve(lib), *_bind_scans(lib))
 
 
 def _bind_rk4_chunk(lib: ctypes.CDLL):
@@ -191,3 +199,111 @@ def _bind_hold_solve(lib: ctypes.CDLL):
         return None if status else work.out_buffer[:m]
 
     return hold_solve
+
+
+class _Sets(ctypes.Structure):
+    """``struct qcl_sets``."""
+
+    _fields_ = [("x", ctypes.c_void_p), ("sel", ctypes.c_void_p), ("z", ctypes.c_void_p),
+                ("surface", ctypes.c_void_p), ("box", ctypes.c_void_p),
+                ("outside", ctypes.c_void_p), ("n_surface", ctypes.c_int64),
+                ("n_outside", ctypes.c_int64), ("low", ctypes.c_double),
+                ("high", ctypes.c_double), ("common_low", ctypes.c_double),
+                ("common_high", ctypes.c_double)]
+
+
+class _Hits(ctypes.Structure):
+    """``struct qcl_hits``."""
+
+    _fields_ = [("x", ctypes.c_void_p), ("v", ctypes.c_void_p), ("agent", ctypes.c_void_p),
+                ("threshold", ctypes.c_void_p), ("count", ctypes.c_int64),
+                ("dt", ctypes.c_double)]
+
+
+class _ScanWork:
+    """Reused buffers for scans of up to ``n`` agents, shared by both scans.
+
+    ``y`` holds the selections of a set scan or the velocities of a hit
+    scan; ``agents`` and ``values`` the surface agents and their boxes, or
+    the tied agents and their thresholds.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.x, self.y, self.z = ((ctypes.c_double * n)() for _ in range(3))
+        self.agents, self.outside = (ctypes.c_int64 * n)(), (ctypes.c_int64 * n)()
+        self.values = (ctypes.c_double * (2 * n))()
+        # numpy views of the same memory, made once: on a 2-core Xeon,
+        # copying 6 states into one takes about 0.5 us, asking numpy for an
+        # array's address 0.9 us (ctypes.from_buffer, writable arrays only).
+        self.x_view, self.y_view, self.z_view = map(np.frombuffer, (self.x, self.y, self.z))
+        self.y_address = ctypes.addressof(self.y)
+        self.sets = _Sets(*map(ctypes.addressof, (self.x, self.y, self.z, self.agents,
+                                                    self.values, self.outside)))
+        self.hits = _Hits(*map(ctypes.addressof, (self.x, self.y, self.agents, self.values)))
+        self.sets_address = ctypes.addressof(self.sets)
+        self.hits_address = ctypes.addressof(self.hits)
+
+
+def _bind_scans(lib: ctypes.CDLL):
+    """Wrap ``qcl_uniform_sets`` and ``qcl_uniform_hits``.
+
+    Each call copies its inputs into buffers reused from call to call, grown
+    only for a larger state, and allocates no numpy array.  A wrapper returns
+    None, so that the caller runs its list code, when the C code reports a
+    state off the threshold lattice or the inputs are not n numbers each.
+    """
+    c_sets, c_hits = lib.qcl_uniform_sets, lib.qcl_uniform_hits
+    for fn in (c_sets, c_hits):
+        fn.restype = ctypes.c_int
+        fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_double]
+    work = _ScanWork(1)
+
+    def load(x, y) -> _ScanWork | None:
+        """The work buffers holding x, and y unless it is None.
+
+        An array is copied through numpy, anything else through ctypes,
+        which takes only a sequence of exactly n numbers.
+        """
+        nonlocal work
+        try:
+            n = len(x)
+            if n > work.n:
+                work = _ScanWork(n)
+            for values, buffer, view in ((x, work.x, work.x_view), (y, work.y, work.y_view)):
+                if isinstance(values, np.ndarray):
+                    if values.shape != (n,):
+                        return None
+                    view[:n] = values
+                elif values is not None:
+                    buffer[:n] = values
+        except (TypeError, ValueError):
+            return None
+        return work
+
+    def uniform_sets(delta: float, x, selection=None,
+                     z: np.ndarray | None = None) -> SetScan | None:
+        w = load(x, selection)
+        if w is None:
+            return None
+        n = len(x)
+        sets = w.sets
+        sets.sel = None if selection is None else w.y_address
+        if c_sets(w.sets_address, n, delta):
+            return None
+        if z is not None:
+            z[:] = w.z_view[:n]
+        k = sets.n_surface
+        boxes = dict(zip(w.agents[:k], zip(w.values[0:2 * k:2], w.values[1:2 * k:2]))) if k else {}
+        return SetScan(boxes, sets.low, sets.high, sets.common_low, sets.common_high,
+                       w.outside[:sets.n_outside])
+
+    def uniform_hits(delta: float, x, velocity) -> tuple[float, list[tuple[int, float]]] | None:
+        w = load(x, velocity)
+        if w is None or c_hits(w.hits_address, len(x), delta):
+            return None
+        hits = w.hits
+        k = hits.count
+        return hits.dt, list(zip(w.agents[:k], w.values[:k]))
+
+    return uniform_sets, uniform_hits

@@ -2,20 +2,25 @@
 
 Each compiled entry point must reproduce the bits of the list code it
 ports on fixed inputs chosen so that a change in the rounding or order of
-any operation shows.  ``dynamics`` runs it only when a build is new.
+any operation shows.  ``quantizers._load_kernel`` runs it only when a build
+is new.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .dynamics import _build_hold_system, _gaussian_solve, _rk4_chunk_lists, _Singular
 from .graphs import WeightedDigraph
+from .quantizers import UniformQuantizer, _krasovskii_scan_lists, _threshold_hits_lists
 
 
 def kernels_agree(kernels) -> bool:
-    """Whether both compiled entry points give the bits of their list code."""
-    return _rk4_agrees(kernels.rk4_chunk) and _hold_solve_agrees(kernels.hold_solve)
+    """Whether every compiled entry point gives the bits of its list code."""
+    return (_rk4_agrees(kernels.rk4_chunk) and _hold_solve_agrees(kernels.hold_solve)
+            and _scans_agree(kernels.uniform_sets, kernels.uniform_hits))
 
 
 def _rk4_agrees(kernel) -> bool:
@@ -79,3 +84,58 @@ def _hold_solve_agrees(kernel) -> bool:
         return None if solution is None else [v.hex() for v in solution]
 
     return all(bits(kernel(*system)) == bits(lists(*system)) for system in systems)
+
+
+def _ulps(x: float, count: int) -> float:
+    """The float ``count`` steps above x (below for a negative count)."""
+    for _ in range(abs(count)):
+        x = math.nextafter(x, math.copysign(math.inf, count))
+    return x
+
+
+def _scans_agree(sets, hits) -> bool:
+    """Whether both scans give the bits of their list code on fixed states.
+
+    For steps whose thresholds ``(k + 0.5) * delta`` round differently from
+    ``k * delta + 0.5 * delta``, the states lie on thresholds of both signs,
+    1-3 ulps beside them, on levels, at -0.0 and just inside |x|/delta <
+    2^52; the selections mix values inside and outside each set, NaN
+    included; the velocities mix signs and zeros, and repeated (x, v) pairs
+    and x = 0 moving either way tie for the closest arrival.  States off the
+    lattice must be declined.
+    """
+    big = 2.0 ** 52
+    for delta in (1.0, 0.1, 0.01, 1 / 3, 0.7, 2.5e-3):
+        q = UniformQuantizer(delta)
+        xs = [-0.0, 0.0, (big - 2.5) * delta, -(big - 2.5) * delta, (big - 2.0) * delta]
+        for k in (*range(-9, 10), 338, -4417):
+            t = (k + 0.5) * delta
+            xs += [t, k * delta] + [_ulps(t, u) for u in (-3, -2, -1, 1, 2, 3)]
+        sel = xs[3:] + [math.nan, (big - 3.0) * delta, 0.0]
+        vel = [(1.0, -1.0, 0.0, 2.5, -0.25, 1.0, 0.0)[i % 7] for i in range(len(xs))]
+        for start in range(0, len(xs), 9):
+            x = xs[start:start + 13]
+            for s in (sel[start:start + 13], None):
+                z, z_ref = np.zeros(len(x)), np.zeros(len(x))
+                if not _same_sets(sets(delta, x, s, z), z,
+                                  _krasovskii_scan_lists(x, q, s, z_ref), z_ref):
+                    return False
+            if repr(hits(delta, x, vel[start:start + 13])) != \
+                    repr(_threshold_hits_lists(x, vel[start:start + 13], q)):
+                return False
+        for x, v in (([0.2 * delta] * 3 + [0.7 * delta] * 2, [1.0, 0.0, 1.0, -1.0, -1.0]),
+                     ([0.0, 1.0, 0.0, 0.0], [1.0, 0.0, -1.0, 1.0])):
+            if repr(hits(delta, x, v)) != repr(_threshold_hits_lists(x, v, q)):
+                return False
+        for bad in (2.0 ** 53 * delta, -2.0 ** 60 * delta, math.inf, math.nan):
+            if sets(delta, [0.0, bad], None, None) is not None or \
+                    hits(delta, [0.0, bad], [0.0, 1.0]) is not None:
+                return False
+    return True
+
+
+def _same_sets(scan, z: np.ndarray, ref, z_ref: np.ndarray) -> bool:
+    """Whether two scans match, their levels compared where they are set."""
+    interior = [i for i in range(len(z)) if i not in ref.boxes]
+    return (scan is not None and repr(tuple(scan)) == repr(tuple(ref))
+            and repr(z[interior]) == repr(z_ref[interior]))

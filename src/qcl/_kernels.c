@@ -8,7 +8,11 @@
  * qcl_hold_solve: builds and solves one dense hold system, a port of
  * qcl.dynamics._build_hold_system and _gaussian_solve.
  *
- * Both keep the operation order of every element of the list code.  Built
+ * qcl_uniform_sets and qcl_uniform_hits: the Krasovskii set of every agent
+ * and the closest threshold arrival under a uniform quantizer, ports of the
+ * per-agent loops over UniformQuantizer.krasovskii_set and next_threshold.
+ *
+ * All keep the operation order of every element of the list code.  Built
  * with -ffp-contract=off and without fast-math, so the results are
  * bit-identical to it; qcl checks that before it uses a build.
  */
@@ -205,5 +209,173 @@ int qcl_hold_solve(const struct qcl_graph *g, int64_t m, const double *z,
             acc -= row[c] * out[c];
         out[r] = acc / row[r];
     }
+    return 0;
+}
+
+/* The uniform quantizer of step delta, computed as qcl.quantizers.
+ * UniformQuantizer does: threshold k is (k + 0.5) delta and level k is
+ * k delta, for an integer k held in a double.  |x| / delta < 2^52, the
+ * lattice precondition of qcl's scenarios, keeps every k near x / delta and
+ * k + 0.5 exact, so each value rounds as it does in Python; a scan returns 1
+ * for a state outside it, non-finite states included, and the caller then
+ * runs the list code. */
+
+static int on_lattice(double x, double delta)
+{
+    return fabs(x) / delta < 0x1p52;
+}
+
+static double threshold(double k, double delta)
+{
+    return (k + 0.5) * delta;
+}
+
+/* UniformQuantizer._index_above: the first k from floor(x / delta - 0.5) - 1
+ * whose threshold lies above x, or 0 when none of the four candidates does. */
+static int index_above(double x, double delta, double *k)
+{
+    double base = floor(x / delta - 0.5);
+
+    for (int j = -1; j <= 2; j++) {
+        if (threshold(base + j, delta) <= x)
+            continue;
+        *k = base + j;
+        return 1;
+    }
+    return 0;
+}
+
+/* UniformQuantizer.next_threshold(x, -1): the first threshold below x from
+ * floor(x / delta - 0.5) + 1 down, or 0 when none of the four candidates is. */
+static int threshold_below(double x, double delta, double *t)
+{
+    double base = floor(x / delta - 0.5);
+
+    for (int j = 1; j >= -2; j--) {
+        *t = threshold(base + j, delta);
+        if (*t < x)
+            return 1;
+    }
+    return 0;
+}
+
+/* The inputs and outputs of qcl_uniform_sets.  sel is NULL or n selections
+ * to test; z, surface, box and outside hold n values each (box 2 n). */
+struct qcl_sets {
+    const double *x;
+    const double *sel;
+    double *z;
+    int64_t *surface;
+    double *box;
+    int64_t *outside;
+    int64_t n_surface;
+    int64_t n_outside;
+    double low;
+    double high;
+    double common_low;
+    double common_high;
+};
+
+/* The Krasovskii set [lo, hi] of each of the n agents of s->x, in one pass:
+ * z[i] = lo for an agent inside a cell (lo == hi); the agents on a threshold
+ * in surface[0..n_surface), in increasing order, with (lo, hi) in box; the
+ * agents whose selection does not satisfy lo <= sel[i] <= hi in
+ * outside[0..n_outside); the lowest lo and highest hi (the level envelope),
+ * and the highest lo and lowest hi (the intersection of all sets, empty when
+ * common_low > common_high).  Returns 0, or 1 when a state is off the
+ * lattice. */
+int qcl_uniform_sets(struct qcl_sets *s, int64_t n, double delta)
+{
+    double low = INFINITY, high = -INFINITY, common_low = -INFINITY, common_high = INFINITY;
+    int64_t n_surface = 0, n_outside = 0;
+
+    for (int64_t i = 0; i < n; i++) {
+        double x = s->x[i], k, lo, hi;
+
+        if (!on_lattice(x, delta) || !index_above(x, delta, &k))
+            return 1;
+        if (threshold(k - 1.0, delta) == x) {
+            lo = (k - 1.0) * delta;
+            hi = k * delta;
+        } else {
+            lo = hi = k * delta;
+        }
+        if (lo == hi) {
+            s->z[i] = lo;
+        } else {
+            s->surface[n_surface] = i;
+            s->box[2 * n_surface] = lo;
+            s->box[2 * n_surface + 1] = hi;
+            n_surface++;
+        }
+        if (lo < low)
+            low = lo;
+        if (hi > high)
+            high = hi;
+        if (lo > common_low)
+            common_low = lo;
+        if (hi < common_high)
+            common_high = hi;
+        if (s->sel != 0 && !(lo <= s->sel[i] && s->sel[i] <= hi))
+            s->outside[n_outside++] = i;
+    }
+    s->n_surface = n_surface;
+    s->n_outside = n_outside;
+    s->low = low;
+    s->high = high;
+    s->common_low = common_low;
+    s->common_high = common_high;
+    return 0;
+}
+
+/* The inputs and outputs of qcl_uniform_hits; agent and threshold hold n
+ * values each. */
+struct qcl_hits {
+    const double *x;
+    const double *v;
+    int64_t *agent;
+    double *threshold;
+    int64_t count;
+    double dt;
+};
+
+/* The closest threshold arrival of the n agents of h->x moving with
+ * velocities h->v: dt = (th - x) / v, the smallest over the agents with
+ * nonzero velocity of their next threshold th in the direction of motion,
+ * and every agent tied at it, in increasing order, in agent[0..count) with
+ * its threshold.  A NaN velocity looks down and a NaN dt is never closest.
+ * Returns 0, or 1 when a moving agent's state is off the lattice. */
+int qcl_uniform_hits(struct qcl_hits *h, int64_t n, double delta)
+{
+    double best = INFINITY;
+    int64_t count = 0;
+
+    for (int64_t i = 0; i < n; i++) {
+        double x = h->x[i], v = h->v[i], k, th, dt;
+
+        if (v == 0.0)
+            continue;
+        if (!on_lattice(x, delta))
+            return 1;
+        if (v > 0.0) {
+            if (!index_above(x, delta, &k))
+                return 1;
+            th = threshold(k, delta);
+        } else if (!threshold_below(x, delta, &th)) {
+            return 1;
+        }
+        dt = (th - x) / v;
+        if (dt < best) {
+            best = dt;
+            count = 0;
+        }
+        if (dt == best) {
+            h->agent[count] = i;
+            h->threshold[count] = th;
+            count++;
+        }
+    }
+    h->count = count;
+    h->dt = best;
     return 0;
 }

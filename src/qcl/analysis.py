@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .graphs import GraphSchedule, is_weight_balanced
-from .quantizers import InputError, Quantizer, UniformQuantizer, kq_envelope
+from .quantizers import InputError, Quantizer, UniformQuantizer, kq_envelope, krasovskii_scan
 
 #: Absolute drift allowed for the preserved state average: event-driven
 #: arithmetic only incurs rounding in affine updates.
@@ -29,12 +29,8 @@ class UnsupportedQuantizerError(InputError):
 
 def consensus_level_set(x, quantizer: Quantizer) -> tuple[float, ...]:
     """Levels contained in every agent's convexified set (at most two)."""
-    lo = -math.inf
-    hi = math.inf
-    for xi in x:
-        a, b = quantizer.krasovskii_set(float(xi))
-        lo = max(lo, a)
-        hi = min(hi, b)
+    scan = krasovskii_scan(x, quantizer)
+    lo, hi = scan.common_low, scan.common_high
     if lo > hi:
         return ()
     if lo == hi:
@@ -63,10 +59,9 @@ def convergence_time(traj: Trajectory) -> tuple[float, float] | None:
     lo = -math.inf
     hi = math.inf
     for ev in reversed(traj.events):
-        for xi in ev.x:
-            a, b = quantizer.krasovskii_set(float(xi))
-            lo = max(lo, a)
-            hi = min(hi, b)
+        scan = krasovskii_scan(ev.x, quantizer)
+        lo = max(lo, scan.common_low)
+        hi = min(hi, scan.common_high)
         if lo > hi:
             break
         best = (ev.t, lo)
@@ -284,16 +279,14 @@ def audit_trajectory(traj: Trajectory, config) -> list[str]:
     if not audit.ok:
         problems.append(f"envelope monotonicity violated at event {audit.first_violation}")
 
-    m0, big_m0 = kq_envelope(events[0].x, quantizer)
+    _, m0, big_m0 = audit.points[0]
     for k, ev in enumerate(events):
-        lo, hi = kq_envelope(ev.x, quantizer)
+        _, lo, hi = audit.points[k]
         if lo < m0 or hi > big_m0:
             problems.append(f"state left the initial level range at event {k}")
         g = schedule.graph_at(ev.t)
-        for i in range(traj.n):
-            a, b = quantizer.krasovskii_set(ev.x[i])
-            if not (a <= ev.z[i] <= b):
-                problems.append(f"selection outside Kq for agent {i} at event {k}")
+        for i in krasovskii_scan(ev.x, quantizer, selection=ev.z).outside:
+            problems.append(f"selection outside Kq for agent {i} at event {k}")
         recomputed = np.array(
             [float((g.weights[i] * (np.array(ev.z) - ev.z[i])).sum())
              for i in range(traj.n)]
@@ -311,7 +304,7 @@ def audit_trajectory(traj: Trajectory, config) -> list[str]:
     # bordering the current minimal level must not continue downward.
     for k in range(1, len(events)):
         prev, ev = events[k - 1], events[k]
-        env_lo, _ = kq_envelope(ev.x, quantizer)
+        env_lo = audit.points[k][1]
         for i in ev.hits:
             if prev.velocity[i] >= 0.0:
                 continue

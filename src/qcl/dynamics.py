@@ -31,13 +31,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Collection, Iterable, Mapping
 
 import numpy as np
 
+from . import quantizers
 from .graphs import GraphSchedule, WeightedDigraph, laplacian
-from .quantizers import InputError, Quantizer, json_field, json_float
+from .quantizers import (InputError, Quantizer, json_field, json_float, krasovskii_scan,
+                         threshold_hits)
 
 # Feasibility slack for hold coefficients: absorbs elimination round-off
 # without admitting genuinely infeasible holds.
@@ -120,6 +122,9 @@ class FixedAlpha:
         items = sorted(
             overrides.items() if isinstance(overrides, Mapping) else overrides
         )
+        for (agent, _), (other, _) in zip(items, items[1:]):
+            if agent == other:
+                raise ContractViolation(f"agent {agent} is pinned more than once")
         for agent, alpha in items:
             if not (0.0 <= alpha <= 1.0):
                 raise ContractViolation(
@@ -142,8 +147,10 @@ def policy_from_json(obj: dict) -> SelectionPolicy:
     if kind == "sequential-slow":
         return SequentialSlow()
     if kind == "fixed-alpha":
+        # Pairs, not a dict: keys such as "1" and "01" name one agent, and
+        # FixedAlpha rejects the second pin instead of keeping one of them.
         return FixedAlpha(json_field(obj, "alpha", "policy", {},
-                                     lambda a: {int(k): json_float(v) for k, v in a.items()}))
+                                     lambda a: [(int(k), json_float(v)) for k, v in a.items()]))
     raise InputError(f"unknown policy type {kind!r}")
 
 
@@ -194,12 +201,13 @@ def selection_velocity(
     z = np.asarray(z, dtype=float)
     if x.shape != (g.n,) or z.shape != (g.n,):
         raise InputError("state/selection length must match the agent count")
-    for i in range(g.n):
+    outside = krasovskii_scan(x, quantizer, selection=z).outside
+    if outside:
+        i = outside[0]
         lo, hi = quantizer.krasovskii_set(float(x[i]))
-        if not (lo <= z[i] <= hi):
-            raise ContractViolation(
-                f"selection z[{i}]={z[i]} outside [{lo}, {hi}] at x[{i}]={x[i]}"
-            )
+        raise ContractViolation(
+            f"selection z[{i}]={z[i]} outside [{lo}, {hi}] at x[{i}]={x[i]}"
+        )
     return np.array(_velocities(g, z, range(g.n)))
 
 
@@ -383,7 +391,7 @@ def _hold_solve(
     Runs the compiled solver of ``_kernels.c`` when it loads, else
     ``_build_hold_system`` and ``_gaussian_solve``; both give the same bits.
     """
-    kernels = _load_kernel()
+    kernels = quantizers._load_kernel()
     if kernels is None:
         rows, rhs, _ = _build_hold_system(active, boxes, z, g)
         return _gaussian_solve(rows, rhs)
@@ -535,13 +543,7 @@ def resolve_sliding(
         raise InputError("state length must match the agent count")
 
     z = np.empty(n)
-    boxes: dict[int, tuple[float, float]] = {}
-    for i, x_i in enumerate(x.tolist()):
-        lo, hi = quantizer.krasovskii_set(x_i)
-        if lo == hi:
-            z[i] = lo
-        else:
-            boxes[i] = (lo, hi)
+    boxes = krasovskii_scan(x, quantizer, z=z).boxes
 
     pins: dict[int, float] = {}
     if isinstance(policy, FixedAlpha):
@@ -712,28 +714,6 @@ class Trajectory:
 # Event detection and the simulation loop
 # ---------------------------------------------------------------------------
 
-def _threshold_hits(
-    x: np.ndarray, velocity: np.ndarray, quantizer: Quantizer
-) -> tuple[float, list[tuple[int, float]]]:
-    """Closest threshold arrival: exact dt and all agents tied at it."""
-    best = math.inf
-    hits: list[tuple[int, float]] = []
-    for i in range(len(x)):
-        v = float(velocity[i])
-        if v == 0.0:
-            continue
-        th = quantizer.next_threshold(float(x[i]), 1 if v > 0.0 else -1)
-        if th is None:
-            continue
-        dt = (th - float(x[i])) / v
-        if dt < best:
-            best = dt
-            hits = [(i, th)]
-        elif dt == best:
-            hits.append((i, th))
-    return best, hits
-
-
 def _certified_terminal(
     x: np.ndarray,
     schedule: GraphSchedule,
@@ -819,7 +799,7 @@ def simulate(
             hits_now = ()
             continue
 
-        dt_th, th_hits = _threshold_hits(x, res.velocity, quantizer)
+        dt_th, th_hits = threshold_hits(x, res.velocity, quantizer)
         ts = schedule.next_switch_after(t)
         dt_sw = ts - t
         dt = min(dt_th, dt_sw)
@@ -855,29 +835,10 @@ def _rk4_chunk(x: list[float], rows: list[list[tuple[int, float]]], xp: list[flo
     Runs the compiled kernel of ``_kernels.c`` when it loads, else the list
     kernel; both give the same bits.
     """
-    kernels = _load_kernel()
+    kernels = quantizers._load_kernel()
     if kernels is None:
         return _rk4_chunk_lists(x, rows, xp, fp, h, steps)
     return kernels.rk4_chunk(x, rows, xp, fp, h, steps)
-
-
-@cache
-def _load_kernel():
-    """The compiled kernels (``_ckernel.Kernels``), or None; built or loaded
-    once per import."""
-    from . import _ckernel
-
-    return _ckernel.load(_kernel_agrees)
-
-
-def _kernel_agrees(kernels) -> bool:
-    """Whether both compiled entry points give the bits of their list code.
-
-    Runs only when a build is new, so its module is imported only then.
-    """
-    from ._kernel_check import kernels_agree
-
-    return kernels_agree(kernels)
 
 
 def _rk4_chunk_lists(x: list[float], rows: list[list[tuple[int, float]]], xp: list[float],

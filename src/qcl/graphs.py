@@ -62,11 +62,19 @@ class WeightedDigraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "WeightedDigraph":
-        """Build from ``(i, j, weight)`` triples; ``i`` listens to ``j``."""
+        """Build from ``(i, j, weight)`` triples; ``i`` listens to ``j``.
+
+        Each ordered pair ``(i, j)`` may appear once: a second weight would
+        silently replace the first.
+        """
         w = np.zeros((n, n))
+        seen = set()
         for i, j, weight in edges:
             if not (0 <= i < n and 0 <= j < n):
                 raise InputError(f"edge ({i}, {j}, {weight}) has an agent index outside [0, {n})")
+            if (i, j) in seen:
+                raise InputError(f"edge ({i}, {j}) is given more than once")
+            seen.add((i, j))
             w[i, j] = weight
         return cls(w)
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cache
+from typing import NamedTuple
 
 
 class InputError(ValueError):
@@ -79,17 +81,6 @@ def json_int(value) -> int:
     if not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
-
-
-def kq_envelope(x, quantizer: Quantizer) -> tuple[float, float]:
-    """(lowest, highest) level touched by the convexified sets of ``x``."""
-    lows = []
-    highs = []
-    for xi in x:
-        lo, hi = quantizer.krasovskii_set(float(xi))
-        lows.append(lo)
-        highs.append(hi)
-    return min(lows), max(highs)
 
 
 # Methods both quantizers share.  Each class binds them in its own body
@@ -283,3 +274,121 @@ def quantizer_from_json(obj: dict) -> Quantizer:
             thresholds=json_field(obj, "thresholds", "quantizer", parse=json_floats),
         )
     raise InputError(f"unknown quantizer type {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# Scans over all agents
+# ---------------------------------------------------------------------------
+
+@cache
+def _load_kernel():
+    """The compiled kernels (``_ckernel.Kernels``), or None; built or loaded
+    once per import.  Every compiled path goes through this one loader."""
+    from . import _ckernel
+
+    return _ckernel.load(_kernel_agrees)
+
+
+def _kernel_agrees(kernels) -> bool:
+    """Whether every compiled entry point gives the bits of its list code.
+
+    Runs only when a build is new, so its module is imported only then.
+    """
+    from ._kernel_check import kernels_agree
+
+    return kernels_agree(kernels)
+
+
+class SetScan(NamedTuple):
+    """The Krasovskii sets of all agents of a state, from one scan."""
+
+    #: ``(lo, hi)`` of each agent on a threshold, in increasing agent order.
+    boxes: dict[int, tuple[float, float]]
+    #: The lowest ``lo`` and the highest ``hi``: the level envelope.
+    low: float
+    high: float
+    #: The highest ``lo`` and the lowest ``hi``: the intersection of all sets,
+    #: empty when ``common_low > common_high``.
+    common_low: float
+    common_high: float
+    #: The agents whose selection lies outside their set, in increasing order.
+    outside: list[int]
+
+
+def krasovskii_scan(x, quantizer: Quantizer, selection=None, z=None) -> SetScan:
+    """The Krasovskii sets of all agents of ``x`` in one scan.
+
+    Writes the level of each agent inside a cell into the array ``z`` when
+    one is given; its entries at surface agents are left unspecified.  With
+    ``selection``, lists the agents ``i`` where ``lo <= selection[i] <= hi``
+    fails.  Runs the compiled scan of ``_kernels.c`` for a uniform quantizer
+    when it loads and accepts the states, else ``_krasovskii_scan_lists``;
+    both give the same bits and raise the same errors.
+    """
+    kernels = _load_kernel()
+    if kernels is not None and isinstance(quantizer, UniformQuantizer):
+        scan = kernels.uniform_sets(quantizer.delta, x, selection, z)
+        if scan is not None:
+            return scan
+    return _krasovskii_scan_lists(x, quantizer, selection, z)
+
+
+def _krasovskii_scan_lists(x, quantizer: Quantizer, selection=None, z=None) -> SetScan:
+    """``krasovskii_scan`` with one ``krasovskii_set`` call per agent."""
+    boxes = {}
+    lows = []
+    highs = []
+    for i, value in enumerate(x.tolist() if hasattr(x, "tolist") else x):
+        lo, hi = quantizer.krasovskii_set(float(value))
+        if lo != hi:
+            boxes[i] = (lo, hi)
+        elif z is not None:
+            z[i] = lo
+        lows.append(lo)
+        highs.append(hi)
+    outside = [] if selection is None else [
+        i for i, (lo, hi, s) in enumerate(zip(lows, highs, selection)) if not lo <= s <= hi]
+    return SetScan(boxes, min(lows, default=math.inf), max(highs, default=-math.inf),
+                   max(lows, default=-math.inf), min(highs, default=math.inf), outside)
+
+
+def kq_envelope(x, quantizer: Quantizer) -> tuple[float, float]:
+    """(lowest, highest) level touched by the convexified sets of ``x``."""
+    scan = krasovskii_scan(x, quantizer)
+    return scan.low, scan.high
+
+
+def threshold_hits(x, velocity, quantizer: Quantizer) -> tuple[float, list[tuple[int, float]]]:
+    """Closest threshold arrival: exact dt and all agents tied at it.
+
+    Runs the compiled scan of ``_kernels.c`` for a uniform quantizer when it
+    loads and accepts the states, else ``_threshold_hits_lists``; both give
+    the same bits and raise the same errors.
+    """
+    kernels = _load_kernel()
+    if kernels is not None and isinstance(quantizer, UniformQuantizer):
+        hits = kernels.uniform_hits(quantizer.delta, x, velocity)
+        if hits is not None:
+            return hits
+    return _threshold_hits_lists(x, velocity, quantizer)
+
+
+def _threshold_hits_lists(x, velocity,
+                          quantizer: Quantizer) -> tuple[float, list[tuple[int, float]]]:
+    """``threshold_hits`` with one ``next_threshold`` call per moving agent."""
+    best = math.inf
+    hits: list[tuple[int, float]] = []
+    for i in range(len(x)):
+        v = float(velocity[i])
+        if v == 0.0:
+            continue
+        th = quantizer.next_threshold(float(x[i]), 1 if v > 0.0 else -1)
+        if th is None:
+            continue
+        dt = (th - float(x[i])) / v
+        if dt < best:
+            best = dt
+            hits = [(i, th)]
+        elif dt == best:
+            hits.append((i, th))
+    return best, hits

@@ -110,6 +110,11 @@ class ScenarioConfig:
                         f"agent {i}: x0={v!r} is beyond the threshold lattice of "
                         f"delta={delta!r} (need |x0|/delta < 2^52)"
                     )
+        if isinstance(self.policy, FixedAlpha):
+            for agent, _ in self.policy.overrides:
+                if not 0 <= agent < len(x0):
+                    raise InputError(f"the fixed-alpha policy pins agent {agent}, "
+                                     f"outside the agents [0, {len(x0)}) of the scenario")
         if not (self.horizon > 0.0):
             raise InputError("horizon must be positive")
         if self.max_events < 1:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import shutil
+from contextlib import contextmanager
 from functools import cache
 
 import numpy as np
+import pytest
 
 from qcl import (
     Sliding,
@@ -12,6 +15,7 @@ from qcl import (
     simulate,
     simulate_regularized,
 )
+from qcl import _ckernel, quantizers
 from qcl.cli import _bfs_reachability as bfs_reachability
 
 #: The four references that the exact run is checked against the
@@ -36,6 +40,40 @@ def reference_oracle_run(name: str):
     run = simulate_regularized(config, eps=1e-3, h=1e-5, stride=0.01,
                                t_end=traj.final_t * 1.2 + 0.2)
     return traj, run
+
+
+def force_list_path(mp) -> None:
+    """Make qcl run its list code, as without a C compiler: every compiled
+    path goes through the one loader ``quantizers._load_kernel``."""
+    mp.setattr(quantizers, "_load_kernel", lambda: None)
+
+
+#: The two paths of every compiled kernel.
+KERNEL_PATHS = ["compiled", "lists"]
+
+
+@contextmanager
+def kernel_path(path: str):
+    """Run the compiled kernels, where a C compiler is found, or the list
+    code (the kernel loader monkeypatched to None)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "lists":
+            force_list_path(mp)
+        else:
+            assert (quantizers._load_kernel() is None) == (shutil.which("cc") is None)
+        yield
+
+
+def build_kernel_variant(mp, tmp_path, old: str, new: str) -> None:
+    """Make the next kernel load build ``_kernels.c`` with its one occurrence
+    of ``old`` replaced by ``new``, into an empty cache under ``tmp_path``."""
+    source = _ckernel.SOURCE.read_text()
+    assert source.count(old) == 1
+    variant = tmp_path / "_kernels.c"
+    variant.write_text(source.replace(old, new))
+    mp.setattr(_ckernel, "SOURCE", variant)
+    mp.setattr(_ckernel, "CACHE", tmp_path / "cache")
+    mp.setattr(quantizers, "_load_kernel", cache(quantizers._load_kernel.__wrapped__))
 
 
 def oracle_globally_reachable(g: WeightedDigraph) -> tuple[bool, set[int]]:

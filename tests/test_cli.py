@@ -30,6 +30,13 @@ def _reference_without(*path) -> dict:
     return scenario
 
 
+def _reference_with_edge(edge: dict) -> dict:
+    """The example1 scenario JSON with one more edge in its graph."""
+    scenario = example1_line(3, 1.0).to_json()
+    scenario["schedule"]["segments"][0]["edges"].append(edge)
+    return scenario
+
+
 def _reference_with(value, *path) -> dict:
     """The example1 scenario JSON with the field at ``path`` set to ``value``."""
     scenario = example1_line(3, 1.0).to_json()
@@ -114,6 +121,15 @@ class TestRun:
                      "edge 0 field 'w'", id="edge-w-string"),
         pytest.param(_reference_with({"type": "fixed-alpha", "alpha": {"0": True}}, "policy"),
                      "'alpha'", id="alpha-value-true"),
+        # A second weight for one edge, and pins naming no agent or one agent twice.
+        pytest.param(_reference_with_edge({"i": 0, "j": 1, "w": 1}), "edge (0, 1)",
+                     id="duplicate-edge"),
+        pytest.param(_reference_with({"type": "fixed-alpha", "alpha": {"7": 0.5}}, "policy"),
+                     "agent 7", id="pin-beyond-agents"),
+        pytest.param(_reference_with({"type": "fixed-alpha", "alpha": {"-1": 0.5}}, "policy"),
+                     "agent -1", id="pin-negative-agent"),
+        pytest.param(_reference_with({"type": "fixed-alpha", "alpha": {"1": 0.5, "01": 0.25}},
+                                     "policy"), "agent 1", id="pin-named-twice"),
     ])
     def test_malformed_scenario_is_one_error_line(self, tmp_path, capsys, document, named):
         path = tmp_path / "s.json"

@@ -1,9 +1,7 @@
 from __future__ import annotations
 
 import shutil
-from contextlib import contextmanager
 from dataclasses import replace
-from functools import cache
 
 import numpy as np
 import pytest
@@ -27,7 +25,8 @@ from qcl import (
     selection_velocity,
     simulate,
 )
-from qcl import _ckernel, dynamics
+from conftest import KERNEL_PATHS, build_kernel_variant, force_list_path, kernel_path
+from qcl import dynamics, quantizers
 from qcl.dynamics import policy_from_json
 from qcl.scenarios import SplitMix64
 from test_golden import CASES as GOLDEN_CASES, DIGESTS as GOLDEN_DIGESTS, csv_digest
@@ -235,21 +234,6 @@ def _gaussian_solve_loop(a_rows, b):
     return out
 
 
-HOLD_PATHS = ["compiled", "lists"]
-
-
-@contextmanager
-def hold_path(path: str):
-    """Solve hold systems with the compiled solver, where a C compiler is
-    found, or with the list code (the kernel loader monkeypatched to None)."""
-    with pytest.MonkeyPatch.context() as mp:
-        if path == "lists":
-            mp.setattr(dynamics, "_load_kernel", lambda: None)
-        else:
-            assert (dynamics._load_kernel() is None) == (shutil.which("cc") is None)
-        yield
-
-
 class TestSparseResolverMatchesLoopReference:
     """The sparse-row resolver helpers against the dense loops they replaced.
 
@@ -257,7 +241,7 @@ class TestSparseResolverMatchesLoopReference:
     bit for bit (``repr`` tells -0.0 from 0.0).
     """
 
-    @pytest.mark.parametrize("path", HOLD_PATHS)
+    @pytest.mark.parametrize("path", KERNEL_PATHS)
     @pytest.mark.parametrize("seed", range(4))
     def test_hold_system_solution_and_velocities(self, seed, path):
         from qcl import random_connected
@@ -274,7 +258,7 @@ class TestSparseResolverMatchesLoopReference:
         assert repr(system) == repr(_build_hold_system_loop(active, boxes, z, g))
         rows, rhs, _ = system
         assert repr(dynamics._gaussian_solve(rows, rhs)) == repr(_gaussian_solve_loop(rows, rhs))
-        with hold_path(path):
+        with kernel_path(path):
             solution = dynamics._hold_solve(active, boxes, z, g)
         assert repr(solution) == repr(_gaussian_solve_loop(rows, rhs))
         velocities = dynamics._velocities(g, z, range(g.n))
@@ -397,7 +381,7 @@ class TestBatchedKernelsMatchReferences:
         assert _solve_or_singular(dynamics._gaussian_solve, rows, rhs) == \
             _solve_or_singular(_gaussian_solve_lists, rows, rhs)
 
-    @pytest.mark.parametrize("path", HOLD_PATHS)
+    @pytest.mark.parametrize("path", KERNEL_PATHS)
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(1, 80), seed=st.integers(0, 2**32 - 1), palette=st.booleans())
     @example(m=7, seed=6, palette=True).via("a pivot tie")
@@ -406,7 +390,7 @@ class TestBatchedKernelsMatchReferences:
     def test_hold_solver_matches_list_reference(self, path, m, seed, palette):
         g, active, boxes, z = _palette_hold_system(m, seed, palette)
         rows, rhs, _ = _build_hold_system_loop(active, boxes, z, g)
-        with hold_path(path):
+        with kernel_path(path):
             assert _solve_or_singular(dynamics._hold_solve, active, boxes, z, g) == \
                 _solve_or_singular(_gaussian_solve_lists, rows, rhs)
 
@@ -424,12 +408,12 @@ class TestBatchedKernelsMatchReferences:
             dynamics._gaussian_solve(rows, rhs)
 
 
-@pytest.mark.parametrize("name", [name for name in sorted(GOLDEN_CASES)
-                                  if name.startswith("random")])
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_list_fallback_matches_golden_digest(monkeypatch, name):
-    # The random graphs solve hold systems of up to 64 unknowns under all
-    # three policies; without a compiler the list code must give the same CSV.
-    monkeypatch.setattr(dynamics, "_load_kernel", lambda: None)
+    # Every case scans the quantizer at every event, and the random graphs
+    # solve hold systems of up to 64 unknowns under all three policies;
+    # without a compiler the list code must give the same CSV.
+    force_list_path(monkeypatch)
     assert csv_digest(name) == GOLDEN_DIGESTS[name]
 
 
@@ -439,22 +423,17 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler"
 @needs_cc
 def test_reordered_hold_solver_fails_self_check(monkeypatch, tmp_path):
     # Back-substitution summed right to left changes the last bits.
-    loop = "for (int64_t c = r + 1; c < m; c++)\n            acc -= row[c] * out[c];"
-    source = _ckernel.SOURCE.read_text()
-    assert source.count(loop) == 1
-    bad = tmp_path / "_kernels.c"
-    bad.write_text(source.replace(
-        loop, "for (int64_t c = m - 1; c > r; c--)\n            acc -= row[c] * out[c];"))
-    monkeypatch.setattr(_ckernel, "SOURCE", bad)
-    monkeypatch.setattr(_ckernel, "CACHE", tmp_path / "cache")
-    monkeypatch.setattr(dynamics, "_load_kernel", cache(dynamics._load_kernel.__wrapped__))
+    build_kernel_variant(
+        monkeypatch, tmp_path,
+        "for (int64_t c = r + 1; c < m; c++)\n            acc -= row[c] * out[c];",
+        "for (int64_t c = m - 1; c > r; c--)\n            acc -= row[c] * out[c];")
     config = GOLDEN_CASES["random40-s2-sequential-slow"]()
     csv = simulate(config).to_csv()
-    assert dynamics._load_kernel() is None
+    assert quantizers._load_kernel() is None
     assert list((tmp_path / "cache").iterdir()) == []
     # The run used the list code, which the compiled solver reproduces.
     monkeypatch.undo()
-    assert dynamics._load_kernel() is not None
+    assert quantizers._load_kernel() is not None
     assert simulate(config).to_csv() == csv
 
 
@@ -469,7 +448,7 @@ def test_compiled_hold_solver_rejects_systems_that_do_not_fit(active, z):
     g = line_graph(3)
     boxes = {i: (0.0, 1.0) for i in active}
     with pytest.raises(ValueError):
-        dynamics._load_kernel().hold_solve(g, active, boxes, z)
+        quantizers._load_kernel().hold_solve(g, active, boxes, z)
 
 
 class TestSimulate:

@@ -4,7 +4,6 @@ import os
 import shutil
 import subprocess
 import sys
-from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +25,10 @@ from qcl import (
     simulate,
     simulate_regularized,
 )
-from qcl import _ckernel, dynamics
+from qcl import dynamics, quantizers
 
-from conftest import ORACLE_REFERENCES, reference_oracle_run
+from conftest import (ORACLE_REFERENCES, build_kernel_variant, force_list_path,
+                      reference_oracle_run)
 
 
 def max_deviation(traj, run) -> float:
@@ -243,13 +243,13 @@ def _check_against_loop_reference(monkeypatch, config, eps, h, t_end):
 @pytest.mark.parametrize("config,eps,h,t_end", KERNEL_CASES, ids=KERNEL_IDS)
 def test_kernel_bit_identical_to_loop_reference(monkeypatch, config, eps, h, t_end):
     # Where a C compiler is found, this checks the compiled kernel.
-    assert (dynamics._load_kernel() is None) == (shutil.which("cc") is None)
+    assert (quantizers._load_kernel() is None) == (shutil.which("cc") is None)
     _check_against_loop_reference(monkeypatch, config, eps, h, t_end)
 
 
 @pytest.mark.parametrize("config,eps,h,t_end", KERNEL_CASES, ids=KERNEL_IDS)
 def test_list_kernel_bit_identical_to_loop_reference(monkeypatch, config, eps, h, t_end):
-    monkeypatch.setattr(dynamics, "_load_kernel", lambda: None)
+    force_list_path(monkeypatch)
     _check_against_loop_reference(monkeypatch, config, eps, h, t_end)
 
 
@@ -258,17 +258,17 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler"
 
 @needs_cc
 def test_cached_kernel_loads_without_compiler():
-    assert dynamics._load_kernel() is not None
+    assert quantizers._load_kernel() is not None
     # A fresh interpreter imports qcl without loading the kernel, then finds
     # the build cached.
     code = "\n".join([
         "import subprocess, sys",
-        "from qcl import dynamics",
+        "from qcl import quantizers",
         "assert 'qcl._ckernel' not in sys.modules",
         "def compiler(*args, **kwargs):",
         "    raise AssertionError('compiler started')",
         "subprocess.run = subprocess.Popen = compiler",
-        "print(dynamics._load_kernel() is not None)",
+        "print(quantizers._load_kernel() is not None)",
     ])
     src = str(Path(dynamics.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -279,17 +279,11 @@ def test_cached_kernel_loads_without_compiler():
 @needs_cc
 def test_reordered_kernel_fails_self_check(monkeypatch, tmp_path):
     # Summing the final update right to left changes the last bits.
-    update = "k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]"
-    source = _ckernel.SOURCE.read_text()
-    assert source.count(update) == 1
-    bad = tmp_path / "_kernels.c"
-    bad.write_text(source.replace(update, "k4[i] + 2.0 * k3[i] + 2.0 * k2[i] + k1[i]"))
-    monkeypatch.setattr(_ckernel, "SOURCE", bad)
-    monkeypatch.setattr(_ckernel, "CACHE", tmp_path / "cache")
-    monkeypatch.setattr(dynamics, "_load_kernel", cache(dynamics._load_kernel.__wrapped__))
+    build_kernel_variant(monkeypatch, tmp_path, "k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]",
+                         "k4[i] + 2.0 * k3[i] + 2.0 * k2[i] + k1[i]")
     config, eps, h, t_end = KERNEL_CASES[0]
     run = simulate_regularized(config, eps=eps, h=h, stride=0.01, t_end=t_end)
-    assert dynamics._load_kernel() is None
+    assert quantizers._load_kernel() is None
     assert list((tmp_path / "cache").iterdir()) == []
     # The run used the list kernel, which the compiled one reproduces.
     monkeypatch.undo()
@@ -305,4 +299,4 @@ def test_reordered_kernel_fails_self_check(monkeypatch, tmp_path):
 ], ids=["column-outside", "row-missing", "one-knot"])
 def test_compiled_kernel_rejects_chunks_that_do_not_fit(rows, xp):
     with pytest.raises(ValueError):
-        dynamics._load_kernel().rk4_chunk([0.0, 1.0], rows, xp, [0.0] * len(xp), 0.1, 1)
+        quantizers._load_kernel().rk4_chunk([0.0, 1.0], rows, xp, [0.0] * len(xp), 0.1, 1)

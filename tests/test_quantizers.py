@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import math
+import shutil
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qcl import GeneralQuantizer, InputError, UniformQuantizer, quantizer_from_json
+from conftest import KERNEL_PATHS, build_kernel_variant, kernel_path
+from qcl import (GeneralQuantizer, InputError, UniformQuantizer, example1_line,
+                 quantizer_from_json, quantizers, simulate)
+from qcl.quantizers import krasovskii_scan, threshold_hits
 
 DYADIC_DELTAS = (0.25, 0.5, 1.0, 2.0)
 
@@ -203,3 +208,195 @@ class TestJson:
             UniformQuantizer(0.0)
         with pytest.raises(InputError):
             UniformQuantizer(math.inf)
+
+
+# ---------------------------------------------------------------------------
+# Scans over all agents against the per-agent methods
+# ---------------------------------------------------------------------------
+
+#: Steps whose thresholds (k + 0.5) * delta round differently from
+#: k * delta + 0.5 * delta for many k, and dyadic ones.
+SCAN_DELTAS = (1.0, 0.25, 0.1, 0.01, 1 / 3, 0.7, 2.5e-3)
+GENERAL = GeneralQuantizer(levels=(-1.0, 0.5, 2.0, 7.0), thresholds=(0.0, 1.0, 4.0))
+
+
+def _ulps(x: float, count: int) -> float:
+    for _ in range(abs(count)):
+        x = math.nextafter(x, math.copysign(math.inf, count))
+    return x
+
+
+@st.composite
+def lattice_states(draw, delta: float, max_agents: int = 24) -> list[float]:
+    """States on thresholds, 1-3 ulps beside them, on levels, at signed
+    zeros and near |x|/delta = 2^52, from few cells so that ties are common."""
+    def state():
+        k = draw(st.one_of(st.integers(-6, 6), st.integers(-10**6, 10**6),
+                           st.just(2**52 - 3), st.just(-2**52 + 2)))
+        kind = draw(st.sampled_from(["threshold", "beside", "level", "zero", "inside"]))
+        if kind == "zero":
+            return draw(st.sampled_from([0.0, -0.0]))
+        if kind == "level":
+            return k * delta
+        t = (k + 0.5) * delta
+        if kind == "beside":
+            return _ulps(t, draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
+        if kind == "inside":
+            return (k + draw(st.floats(-0.49, 0.49))) * delta
+        return t
+    return [state() for _ in range(draw(st.integers(0, max_agents)))]
+
+
+def _sets_reference(x, quantizer):
+    """The per-agent loops the scan replaced: resolve_sliding's
+    classification, kq_envelope and consensus_level_set."""
+    boxes, levels, lows, highs = {}, {}, [], []
+    lo_all, hi_all = -math.inf, math.inf
+    for i, x_i in enumerate(x):
+        lo, hi = quantizer.krasovskii_set(float(x_i))
+        if lo == hi:
+            levels[i] = lo
+        else:
+            boxes[i] = (lo, hi)
+        lows.append(lo)
+        highs.append(hi)
+        lo_all, hi_all = max(lo_all, lo), min(hi_all, hi)
+    envelope = (min(lows), max(highs)) if x else (math.inf, -math.inf)
+    return boxes, levels, envelope, (lo_all, hi_all)
+
+
+def _hits_reference(x, velocity, quantizer):
+    """``dynamics._threshold_hits`` before the compiled scan."""
+    best = math.inf
+    hits = []
+    for i in range(len(x)):
+        v = float(velocity[i])
+        if v == 0.0:
+            continue
+        th = quantizer.next_threshold(float(x[i]), 1 if v > 0.0 else -1)
+        if th is None:
+            continue
+        dt = (th - float(x[i])) / v
+        if dt < best:
+            best = dt
+            hits = [(i, th)]
+        elif dt == best:
+            hits.append((i, th))
+    return best, hits
+
+
+def _scan_summary(x, quantizer):
+    """``krasovskii_scan`` of x in the form of ``_sets_reference``."""
+    z = np.full(len(x), math.nan)
+    scan = krasovskii_scan(x, quantizer, z=z)
+    levels = {i: float(z[i]) for i in range(len(x)) if i not in scan.boxes}
+    return scan.boxes, levels, (scan.low, scan.high), (scan.common_low, scan.common_high)
+
+
+def _outcome(fn, *args):
+    """``repr`` of the result, or the type and message of the error."""
+    try:
+        return repr(fn(*args))
+    except Exception as err:  # noqa: BLE001 - compared by type and message
+        return type(err), str(err)
+
+
+class TestScansMatchPerAgentMethods:
+    """Both scans, compiled and on lists, against the per-agent methods:
+    the same arithmetic, so ``repr``-equal, and the same errors."""
+
+    @pytest.mark.parametrize("path", KERNEL_PATHS)
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), delta=st.sampled_from(SCAN_DELTAS))
+    def test_sets_scan(self, path, data, delta):
+        with kernel_path(path):
+            q = UniformQuantizer(delta)
+            x = data.draw(lattice_states(delta))
+            selection = data.draw(st.lists(st.sampled_from(x + [math.nan, 0.0, -0.0]) if x else
+                                           st.just(0.0), min_size=len(x), max_size=len(x)))
+            as_array = data.draw(st.booleans())
+            states = np.array(x) if as_array else tuple(x)
+            expected = _sets_reference(x, q)
+            assert repr(_scan_summary(states, q)) == repr(expected)
+            assert repr(quantizers.kq_envelope(states, q)) == repr(expected[2])
+            sets = [q.krasovskii_set(x_i) for x_i in x]
+            assert krasovskii_scan(states, q, selection).outside == [
+                i for i, ((lo, hi), s) in enumerate(zip(sets, selection)) if not lo <= s <= hi]
+
+    @pytest.mark.parametrize("path", KERNEL_PATHS)
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), delta=st.sampled_from(SCAN_DELTAS))
+    @example(data=None, delta=1.0).via("x = 0 moving either way, and repeated (x, v) pairs")
+    def test_hits_scan(self, path, data, delta):
+        with kernel_path(path):
+            q = UniformQuantizer(delta)
+            if data is None:
+                x = [0.0, 0.2, 0.0, 0.2, 0.7, 0.7]
+                velocity = [1.0, 1.0, -1.0, 1.0, -1.0, -1.0]
+            else:
+                x = data.draw(lattice_states(delta))
+                velocity = data.draw(st.lists(
+                    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, math.inf, math.nan]),
+                    min_size=len(x), max_size=len(x)))
+            expected = _hits_reference(x, velocity, q)
+            assert repr(threshold_hits(np.array(x), np.array(velocity), q)) == repr(expected)
+
+    @pytest.mark.parametrize("path", KERNEL_PATHS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e17, -2.0 ** 53, 1e308])
+    @pytest.mark.parametrize("delta", [1.0, 1e-10])
+    def test_states_off_the_lattice(self, path, bad, delta):
+        # Non-finite states and states off the lattice fail with the message
+        # of the per-agent methods, x / delta beyond the float range with
+        # their OverflowError; -2^53 lies on the lattice of delta = 1 and
+        # gives their result.
+        with kernel_path(path):
+            q = UniformQuantizer(delta)
+            x = np.array([0.25 * delta, bad, 0.5 * delta])
+            for states in (x, tuple(x)):
+                assert _outcome(_scan_summary, states, q) == \
+                    _outcome(_sets_reference, x.tolist(), q)
+            outcome = _outcome(_scan_summary, x, q)
+            if bad == -2.0 ** 53 and delta == 1.0:
+                assert isinstance(outcome, str)
+            else:
+                assert outcome[0] is (OverflowError if bad == 1e308 and delta == 1e-10
+                                      else InputError)
+            # A state that does not move is never looked up.
+            for v in (1.0, -1.0, 0.0):
+                velocity = [0.0, v, 1.0]
+                assert _outcome(threshold_hits, x, np.array(velocity), q) == \
+                    _outcome(_hits_reference, x, velocity, q)
+
+    @pytest.mark.parametrize("path", KERNEL_PATHS)
+    def test_general_quantizer_scans_per_agent(self, path):
+        with kernel_path(path):
+            x = [-2.0, 0.0, 0.3, 1.0, 4.0, 9.0]
+            scan = krasovskii_scan(x, GENERAL, [0.0, 0.5, 0.5, 2.0, 8.0, 7.0])
+            assert scan.boxes == {1: (-1.0, 0.5), 3: (0.5, 2.0), 4: (2.0, 7.0)}
+            assert (scan.low, scan.high, scan.common_low, scan.common_high) == (-1.0, 7.0, 7.0, -1.0)
+            assert scan.outside == [0, 4]
+            velocity = [1.0, -1.0, 1.0, 0.0, -1.0, 1.0]
+            assert repr(threshold_hits(x, velocity, GENERAL)) == \
+                repr(_hits_reference(x, velocity, GENERAL))
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+@needs_cc
+@pytest.mark.parametrize("old,new", [
+    ("return (k + 0.5) * delta;", "return k * delta + 0.5 * delta;"),
+    ("if (threshold(base + j, delta) <= x)", "if (threshold(base + j, delta) < x)"),
+    ("for (int64_t i = 0; i < n; i++) {\n        double x = h->x[i]",
+     "for (int64_t i = n - 1; i >= 0; i--) {\n        double x = h->x[i]"),
+], ids=["threshold-as-k-delta-plus-half-delta", "strict-cell-search", "ties-last-first"])
+def test_mutated_scan_fails_self_check(monkeypatch, tmp_path, old, new):
+    build_kernel_variant(monkeypatch, tmp_path, old, new)
+    config = example1_line(5, 0.1)
+    csv = simulate(config).to_csv()
+    assert quantizers._load_kernel() is None
+    assert list((tmp_path / "cache").iterdir()) == []
+    # The run used the list code, which the compiled scans reproduce.
+    monkeypatch.undo()
+    assert quantizers._load_kernel() is not None
+    assert simulate(config).to_csv() == csv
