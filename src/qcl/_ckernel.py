@@ -49,6 +49,8 @@ class Kernels(NamedTuple):
     #: ``hold_solve(g, active, boxes, z)``: the coefficients of the hold
     #: system of ``active`` in its order, or None when it is singular.
     hold_solve: Callable[[object, list, dict, np.ndarray], list | None]
+    #: ``velocities(g, z, agents)``, as ``dynamics._velocities``.
+    velocities: Callable[[object, np.ndarray, object], list]
     #: ``uniform_sets(delta, x, selection, z)``, as
     #: ``quantizers._krasovskii_scan_lists``, or None when it declines.
     uniform_sets: Callable[..., SetScan | None]
@@ -88,7 +90,9 @@ def load(check: Callable[[Kernels], bool]) -> Kernels | None:
 
 
 def _bind(lib: ctypes.CDLL) -> Kernels:
-    return Kernels(_bind_rk4_chunk(lib), _bind_hold_solve(lib), *_bind_scans(lib))
+    c_graph = _graph_table()
+    return Kernels(_bind_rk4_chunk(lib), _bind_hold_solve(lib, c_graph),
+                   _bind_velocities(lib, c_graph), *_bind_scans(lib))
 
 
 def _bind_rk4_chunk(lib: ctypes.CDLL):
@@ -149,21 +153,13 @@ class _HoldWork(ctypes.Structure):
         self.address = ctypes.addressof(self)
 
 
-def _bind_hold_solve(lib: ctypes.CDLL):
-    """Wrap ``qcl_hold_solve`` for ``dynamics._hold_solve``.
-
-    A call costs O(m) Python work for m unknowns: each graph's CSR arrays are
-    copied for C once, and the work buffers are reused, grown only when a
-    larger system or graph arrives.
-    """
-    c_solve = lib.qcl_hold_solve
-    c_solve.restype = ctypes.c_int
-    c_solve.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
+def _graph_table():
+    """``c_graph(g)``: ``(n, address of g's struct qcl_graph, what keeps that
+    alive)``, each graph's CSR arrays copied for C once and shared by every
+    entry point that reads them."""
     graphs: dict[int, tuple] = {}
-    work = _HoldWork(1, 1)
 
     def c_graph(g) -> tuple[int, int, tuple]:
-        """``(n, address of its struct qcl_graph, what keeps that alive)``."""
         entry = graphs.get(id(g))
         if entry is None:
             _, cols, values, ends = g.csr
@@ -178,6 +174,21 @@ def _bind_hold_solve(lib: ctypes.CDLL):
             # The entry lives as long as the graph, and its id with it.
             weakref.finalize(g, graphs.pop, id(g), None)
         return entry
+
+    return c_graph
+
+
+def _bind_hold_solve(lib: ctypes.CDLL, c_graph):
+    """Wrap ``qcl_hold_solve`` for ``dynamics._hold_solve``.
+
+    A call costs O(m) Python work for m unknowns: each graph's CSR arrays are
+    copied for C once, and the work buffers are reused, grown only when a
+    larger system or graph arrives.
+    """
+    c_solve = lib.qcl_hold_solve
+    c_solve.restype = ctypes.c_int
+    c_solve.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
+    work = _HoldWork(1, 1)
 
     def hold_solve(g, active: list[int], boxes: dict[int, tuple[float, float]],
                    z: np.ndarray) -> list[float] | None:
@@ -199,6 +210,50 @@ def _bind_hold_solve(lib: ctypes.CDLL):
         return None if status else work.out_buffer[:m]
 
     return hold_solve
+
+
+class _VelocityWork:
+    """Reused buffers for the velocities of up to ``k`` agents among up to
+    ``n``: the agents, their velocities and a numpy view of the selection."""
+
+    def __init__(self, k: int, n: int):
+        self.k, self.n = k, n
+        self.agents, self.out = (ctypes.c_int64 * k)(), (ctypes.c_double * k)()
+        self.z = (ctypes.c_double * n)()
+        self.z_view = np.frombuffer(self.z)
+        self.addresses = tuple(map(ctypes.addressof, (self.agents, self.z, self.out)))
+
+
+def _bind_velocities(lib: ctypes.CDLL, c_graph):
+    """Wrap ``qcl_velocities`` for ``dynamics._velocities``.
+
+    A call copies the agents and the selection into buffers reused from call
+    to call, grown only for more agents or a larger graph, and allocates no
+    numpy array.
+    """
+    c_velocities = lib.qcl_velocities
+    c_velocities.restype = ctypes.c_int
+    c_velocities.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                             ctypes.c_void_p, ctypes.c_void_p]
+    work = _VelocityWork(1, 1)
+
+    def velocities(g, z: np.ndarray, agents) -> list[float]:
+        nonlocal work
+        n, graph, _ = c_graph(g)
+        if not isinstance(agents, (list, range)):
+            agents = list(agents)
+        k = len(agents)
+        if k > work.k or n > work.n:
+            work = _VelocityWork(max(k, work.k), max(n, work.n))
+        if z.shape != (n,):
+            raise ValueError("the selection does not fit the graph")
+        work.agents[:k] = agents
+        work.z_view[:n] = z
+        if c_velocities(graph, k, *work.addresses):
+            raise ValueError("an agent of a velocity lies outside the graph")
+        return work.out[:k]
+
+    return velocities
 
 
 class _Sets(ctypes.Structure):

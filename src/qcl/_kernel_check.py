@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from .dynamics import _build_hold_system, _gaussian_solve, _rk4_chunk_lists, _Singular
+from .dynamics import (_build_hold_system, _gaussian_solve, _rk4_chunk_lists, _Singular,
+                       _velocities_numpy)
 from .graphs import WeightedDigraph
 from .quantizers import UniformQuantizer, _krasovskii_scan_lists, _threshold_hits_lists
 
@@ -20,6 +21,7 @@ from .quantizers import UniformQuantizer, _krasovskii_scan_lists, _threshold_hit
 def kernels_agree(kernels) -> bool:
     """Whether every compiled entry point gives the bits of its list code."""
     return (_rk4_agrees(kernels.rk4_chunk) and _hold_solve_agrees(kernels.hold_solve)
+            and _velocities_agree(kernels.velocities)
             and _scans_agree(kernels.uniform_sets, kernels.uniform_hits))
 
 
@@ -84,6 +86,28 @@ def _hold_solve_agrees(kernel) -> bool:
         return None if solution is None else [v.hex() for v in solution]
 
     return all(bits(kernel(*system)) == bits(lists(*system)) for system in systems)
+
+
+def _velocities_agree(kernel) -> bool:
+    """Whether ``kernel`` gives the bits of numpy's row sums.
+
+    numpy sums below 8 terms in one fold, up to 128 in eight interleaved
+    partial sums and above that in halves split at a multiple of 8, so the
+    rows take the lengths around each of those boundaries.  The terms mix
+    signs and magnitudes from 1e-8 to 1e8, so that another order rounds
+    differently; with the second selection every term is -0.0.
+    """
+    counts = (0, 1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 255, 256, 257, 300)
+    rows = len(counts)
+    g = WeightedDigraph.from_edges(rows + max(counts), [
+        (i, rows + t, (1 + (3 * t + i) % 5) / 1.3) for i, count in enumerate(counts)
+        for t in range(count)])
+    spread = np.array([(-1) ** j * (1 + j % 3 / 7) * 10.0 ** ((5 * j) % 17 - 8)
+                       for j in range(g.n)])
+    zeros = np.array([0.0] * rows + [-0.0] * max(counts))
+    return all([v.hex() for v in kernel(g, z, range(rows))]
+               == [v.hex() for v in _velocities_numpy(g, z, range(rows))]
+               for z in (spread, zeros))
 
 
 def _ulps(x: float, count: int) -> float:

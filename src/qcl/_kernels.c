@@ -8,11 +8,14 @@
  * qcl_hold_solve: builds and solves one dense hold system, a port of
  * qcl.dynamics._build_hold_system and _gaussian_solve.
  *
+ * qcl_velocities: the velocity of a selection at each of a list of agents,
+ * a port of qcl.dynamics._velocities, whose row sums are numpy's.
+ *
  * qcl_uniform_sets and qcl_uniform_hits: the Krasovskii set of every agent
  * and the closest threshold arrival under a uniform quantizer, ports of the
  * per-agent loops over UniformQuantizer.krasovskii_set and next_threshold.
  *
- * All keep the operation order of every element of the list code.  Built
+ * All keep the operation order of every element of the code they port.  Built
  * with -ffp-contract=off and without fast-math, so the results are
  * bit-identical to it; qcl checks that before it uses a build.
  */
@@ -208,6 +211,61 @@ int qcl_hold_solve(const struct qcl_graph *g, int64_t m, const double *z,
         for (int64_t c = r + 1; c < m; c++)
             acc -= row[c] * out[c];
         out[r] = acc / row[r];
+    }
+    return 0;
+}
+
+/* The sum of the terms vals[k] * (z[cols[k]] - zi), k in [0, n), in the
+ * order of numpy's pairwise_sum (numpy/_core/src/umath/loops_utils.h.src),
+ * which ndarray.sum uses on a contiguous float64 slice: a sequential fold
+ * below 8 terms; up to 128 terms, eight interleaved partial sums combined as
+ * a balanced tree, then the tail; above, the two halves split at n / 2
+ * rounded down to a multiple of 8. */
+static double pairwise_terms(const int64_t *cols, const double *vals, const double *z,
+                             double zi, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t k = 0; k < n; k++)
+            res += vals[k] * (z[cols[k]] - zi);
+        return res;
+    }
+    if (n <= 128) {
+        double r[8], res;
+        int64_t k;
+
+        for (int j = 0; j < 8; j++)
+            r[j] = vals[j] * (z[cols[j]] - zi);
+        for (k = 8; k < n - n % 8; k += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += vals[k + j] * (z[cols[k + j]] - zi);
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; k < n; k++)
+            res += vals[k] * (z[cols[k]] - zi);
+        return res;
+    }
+    {
+        int64_t half = n / 2;
+        half -= half % 8;
+        return pairwise_terms(cols, vals, z, zi, half)
+            + pairwise_terms(cols + half, vals + half, z, zi, n - half);
+    }
+}
+
+/* out[c] = sum_j a_ij (z_j - z_i) over row i = agents[c] of g, for c in
+ * [0, k), each summed as numpy sums that row's terms: its reduction starts
+ * from the identity 0.0, so terms that are all -0.0 give 0.0.  Returns 0, or
+ * 1, before any write, when an agent lies outside the graph. */
+int qcl_velocities(const struct qcl_graph *g, int64_t k, const int64_t *agents,
+                   const double *z, double *out)
+{
+    for (int64_t c = 0; c < k; c++)
+        if (agents[c] < 0 || agents[c] >= g->n)
+            return 1;
+    for (int64_t c = 0; c < k; c++) {
+        int64_t i = agents[c], start = g->ends[i];
+        out[c] = 0.0 + pairwise_terms(g->cols + start, g->vals + start, z, z[i],
+                                      g->ends[i + 1] - start);
     }
     return 0;
 }

@@ -287,10 +287,8 @@ def audit_trajectory(traj: Trajectory, config) -> list[str]:
         g = schedule.graph_at(ev.t)
         for i in krasovskii_scan(ev.x, quantizer, selection=ev.z).outside:
             problems.append(f"selection outside Kq for agent {i} at event {k}")
-        recomputed = np.array(
-            [float((g.weights[i] * (np.array(ev.z) - ev.z[i])).sum())
-             for i in range(traj.n)]
-        )
+        z = np.array(ev.z)
+        recomputed = (g.weights * (z - z[:, None])).sum(axis=1)
         if np.max(np.abs(recomputed - np.array(ev.velocity))) > 1e-9:
             problems.append(f"recorded velocity does not match -L z at event {k}")
         for agent, sign in ev.departing:

@@ -182,12 +182,24 @@ class Resolution:
 def _velocities(g: WeightedDigraph, z: np.ndarray, agents: Collection[int]) -> list[float]:
     """``v_i = sum_j a_ij (z_j - z_i)`` over the nonzero weights, for each agent.
 
+    Runs the compiled ``qcl_velocities`` of ``_kernels.c`` when it loads,
+    else ``_velocities_numpy``; both give the same bits.
+    """
+    if not agents:
+        return []
+    kernels = quantizers._load_kernel()
+    if kernels is not None:
+        return kernels.velocities(g, z, agents)
+    return _velocities_numpy(g, z, agents)
+
+
+def _velocities_numpy(g: WeightedDigraph, z: np.ndarray, agents: Collection[int]) -> list[float]:
+    """``_velocities`` on numpy arrays.
+
     The terms of every row are formed in one array; each row's contiguous
     slice is then summed on its own by numpy in increasing ``j``, which gives
     the bits of summing that row alone (``np.add.reduceat`` would not).
     """
-    if not agents:
-        return []
     rows, cols, values, ends = g.csr
     terms = values * (z[cols] - z[rows])
     return [float(terms[ends[i]:ends[i + 1]].sum()) for i in agents]

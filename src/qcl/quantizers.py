@@ -64,6 +64,13 @@ def json_float(value) -> float:
     raise TypeError(f"expected a number, got {type(value).__name__}")
 
 
+def json_bool(value) -> bool:
+    """A JSON boolean; numbers and strings are not booleans."""
+    if isinstance(value, bool):
+        return value
+    raise TypeError(f"expected a boolean, got {type(value).__name__}")
+
+
 def json_floats(value) -> tuple[float, ...]:
     """A JSON list of numbers as floats."""
     if not isinstance(value, list):

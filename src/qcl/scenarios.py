@@ -25,8 +25,8 @@ from .dynamics import (
     policy_from_json,
 )
 from .graphs import GraphSchedule, WeightedDigraph, schedule_from_json
-from .quantizers import (InputError, Quantizer, UniformQuantizer, json_field, json_float,
-                         json_floats, json_int, quantizer_from_json)
+from .quantizers import (InputError, Quantizer, UniformQuantizer, json_bool, json_field,
+                         json_float, json_floats, json_int, quantizer_from_json)
 
 _MASK64 = (1 << 64) - 1
 
@@ -164,11 +164,17 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
     if raw is not None:
         alpha = json_field(raw, "alpha", "expected", None,
                            lambda a: tuple(sorted((int(k), json_float(v)) for k, v in a.items())))
+        # Keys such as "1" and "01" name one agent.
+        agents = [agent for agent, _ in alpha or ()]
+        for agent, other in zip(agents, agents[1:]):
+            if agent == other:
+                raise InputError(f"expected field 'alpha' gives agent {agent} more than one "
+                                 "coefficient")
         expected = ExpectedOutcome(
-            t_con=raw.get("t_con"),
-            q_infinity=raw.get("q_infinity"),
-            collocation=raw.get("collocation"),
-            t_con_lower=raw.get("t_con_lower"),
+            t_con=json_field(raw, "t_con", "expected", None, json_float),
+            q_infinity=json_field(raw, "q_infinity", "expected", None, json_float),
+            collocation=json_field(raw, "collocation", "expected", None, json_bool),
+            t_con_lower=json_field(raw, "t_con_lower", "expected", None, json_float),
             alpha=alpha,
         )
     return ScenarioConfig(

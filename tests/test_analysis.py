@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -274,3 +275,18 @@ class TestReportsAndAudit:
         problems = audit_trajectory(_corrupted_trajectory(), config)
         assert any("level range" in p for p in problems)
         assert any("envelope" in p for p in problems)
+
+    @pytest.mark.parametrize("error,flagged", [(1e-6, True), (1e-11, False)])
+    def test_audit_checks_velocities_within_tolerance(self, error, flagged):
+        # The recorded velocities are checked against -L z to within 1e-9.
+        config = random_connected(12, seed=3)
+        traj = simulate(config)
+        k = len(traj.events) // 2
+        ev = traj.events[k]
+        velocity = list(ev.velocity)
+        velocity[5] += error
+        events = list(traj.events)
+        events[k] = replace(ev, velocity=tuple(velocity))
+        problems = audit_trajectory(Trajectory(traj.quantizer, events, traj.status), config)
+        expected = f"recorded velocity does not match -L z at event {k}"
+        assert (expected in problems) == flagged

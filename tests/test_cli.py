@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from qcl import (
+    InputError,
     NoSlidingSelection,
     RegularizationUnstable,
     example1_line,
@@ -45,6 +46,22 @@ def _reference_with(value, *path) -> dict:
         node = node[key]
     node[path[-1]] = value
     return scenario
+
+
+#: ``expected`` blocks that must be rejected: a coefficient given twice for
+#: one agent, and fields of the wrong JSON type.
+EXPECTED_BLOCK_ERRORS = [
+    pytest.param(_reference_with({"1": 0.5, "01": 0.25}, "expected", "alpha"), "agent 1",
+                 id="expected-alpha-named-twice"),
+    pytest.param(_reference_with("abc", "expected", "t_con"), "'t_con'",
+                 id="expected-t-con-string"),
+    pytest.param(_reference_with(True, "expected", "q_infinity"), "'q_infinity'",
+                 id="expected-q-infinity-true"),
+    pytest.param(_reference_with("1.5", "expected", "t_con_lower"), "'t_con_lower'",
+                 id="expected-t-con-lower-string"),
+    pytest.param(_reference_with(3, "expected", "collocation"), "'collocation'",
+                 id="expected-collocation-number"),
+]
 
 
 class TestRun:
@@ -130,13 +147,18 @@ class TestRun:
                      "agent -1", id="pin-negative-agent"),
         pytest.param(_reference_with({"type": "fixed-alpha", "alpha": {"1": 0.5, "01": 0.25}},
                                      "policy"), "agent 1", id="pin-named-twice"),
-    ])
+    ] + EXPECTED_BLOCK_ERRORS)
     def test_malformed_scenario_is_one_error_line(self, tmp_path, capsys, document, named):
         path = tmp_path / "s.json"
         path.write_text(dumps(document))
         assert run_cli("run", "--scenario", str(path), "--out", str(tmp_path)) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+
+    @pytest.mark.parametrize("document, named", EXPECTED_BLOCK_ERRORS)
+    def test_malformed_expected_block_is_input_error(self, document, named):
+        with pytest.raises(InputError, match=named):
+            scenario_from_json(document)
 
     def test_integral_float_counts_accepted(self, tmp_path):
         scenario = _reference_with(3.0, "schedule", "n")

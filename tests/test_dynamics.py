@@ -451,6 +451,60 @@ def test_compiled_hold_solver_rejects_systems_that_do_not_fit(active, z):
         quantizers._load_kernel().hold_solve(g, active, boxes, z)
 
 
+def _csr_graph(n: int, seed: int) -> WeightedDigraph:
+    """A random graph whose rows have 0, 7, 8, 128, 129 or 257 nonzeros, as
+    many as n allows: every branch of numpy's pairwise summation."""
+    rng = np.random.default_rng(seed)
+    w = np.zeros((n, n))
+    for i in range(n):
+        count = min(n - 1, int(rng.choice([0, 7, 8, 128, 129, 257])))
+        others = np.delete(np.arange(n), i)
+        w[i, rng.choice(others, size=count, replace=False)] = \
+            rng.uniform(0.1, 10.0, count) * 10.0 ** rng.integers(-4, 5, count)
+    return WeightedDigraph(w)
+
+
+@needs_cc
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), zeros=st.booleans())
+@example(n=300, seed=0, zeros=False).via("the longest rows")
+@example(n=300, seed=1, zeros=True).via("-0.0 selections")
+def test_compiled_velocities_match_numpy(n, seed, zeros):
+    g = _csr_graph(n, seed)
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+    if zeros:
+        # 0.0 - (-0.0) and -0.0 - 0.0: terms of either sign of zero.
+        z[rng.random(n) < 0.7] = -0.0
+        z[rng.random(n) < 0.3] = 0.0
+    agents = rng.permutation(n).tolist()
+    assert repr(quantizers._load_kernel().velocities(g, z, agents)) == \
+        repr(dynamics._velocities_numpy(g, z, agents))
+
+
+@needs_cc
+@pytest.mark.parametrize("agents,z", [
+    ([0, 3], np.zeros(3)),
+    ([-1, 1], np.zeros(3)),
+    ([0, 1], np.zeros(4)),
+    ([0, 1], np.zeros(1)),
+], ids=["agent-outside", "negative-agent", "state-too-long", "state-too-short"])
+def test_compiled_velocities_reject_inputs_that_do_not_fit(agents, z):
+    with pytest.raises(ValueError):
+        quantizers._load_kernel().velocities(line_graph(3), z, agents)
+
+
+@needs_cc
+@pytest.mark.parametrize("old,new", [
+    ("if (n < 8) {", "if (n > 0) {"),
+    ("half -= half % 8;", ""),
+], ids=["sequential-fold", "unrounded-split"])
+def test_velocities_in_another_order_fail_self_check(monkeypatch, tmp_path, old, new):
+    build_kernel_variant(monkeypatch, tmp_path, old, new)
+    assert quantizers._load_kernel() is None
+    assert list((tmp_path / "cache").iterdir()) == []
+
+
 class TestSimulate:
     def test_line_reference_trace_is_exact(self):
         config = example1_line(3, 1.0, policy=Sliding())
