@@ -3,12 +3,19 @@
 The standard library does not let callers control float formatting, and
 exact reproducibility of event times requires round-trippable output, so
 this tiny serializer handles the flat structures this package emits.
+
+The writer makes one pass: it appends string parts to one list, joined once
+at the end, and formats a list or tuple of floats and ``None`` in one batch,
+so the cost of a trajectory is one call per container, not one per value.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
+
+#: Unlike ``format``, it refuses anything but a float, with ``TypeError``.
+_float_format = float.__format__
 
 
 def _format_float(v: float) -> str:
@@ -18,29 +25,55 @@ def _format_float(v: float) -> str:
 
 
 def dumps(obj, indent: int = 0) -> str:
-    pad = " " * indent
-    child = indent + 2
+    parts: list[str] = []
+    _write(obj, indent, parts)
+    return "".join(parts)
 
+
+def _write(obj, indent: int, parts: list[str]) -> None:
     if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
+        parts.append("null")
+    elif isinstance(obj, bool):
+        parts.append("true" if obj else "false")
+    elif isinstance(obj, float):
+        parts.append(_format_float(obj))
+    elif isinstance(obj, int):
+        parts.append(str(obj))
+    elif isinstance(obj, str):
+        parts.append(_quote(obj))
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        items = [dumps(v, child) for v in obj]
-        return "[\n" + ",\n".join(" " * child + s for s in items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
+            parts.append("[]")
+            return
+        child = indent + 2
+        sep = ",\n" + " " * child
+        parts.append("[\n" + " " * child)
+        try:
+            text = sep.join(["null" if v is None else _float_format(v, ".17g") for v in obj])
+        except TypeError:  # an element is neither None nor a float
+            text = None
+        if text is None or "inf" in text or "nan" in text:
+            # The general rules give each element its own text or error, in
+            # order, so the first refused value raises.
+            for k, v in enumerate(obj):
+                if k:
+                    parts.append(sep)
+                _write(v, child, parts)
+        else:
+            parts.append(text)
+        parts.append("\n" + " " * indent + "]")
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = [
-            f"{json.dumps(str(k))}: {dumps(v, child)}" for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(" " * child + s for s in items) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+            parts.append("{}")
+            return
+        child = indent + 2
+        sep = ",\n" + " " * child
+        parts.append("{\n" + " " * child)
+        for k, (key, v) in enumerate(obj.items()):
+            if k:
+                parts.append(sep)
+            parts.append(_quote(str(key)) + ": ")
+            _write(v, child, parts)
+        parts.append("\n" + " " * indent + "}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -10,8 +10,8 @@ sweep  run a parameter grid in order and write one summary CSV row per
 check  run the invariant suites (envelope, bounds, conservation, oracle,
        connectivity) and print one verdict line per suite.
 
-The environment variable ``QCL_MAX_EVENTS`` overrides the event safety
-limit of every run started by this CLI.
+The environment variable ``QCL_MAX_EVENTS``, a positive integer, overrides
+the event safety limit of every run started by this CLI.
 """
 
 from __future__ import annotations
@@ -93,10 +93,24 @@ def _load_scenario(args) -> ScenarioConfig:
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
     if getattr(args, "policy", None):
         config = replace(config, policy=policy_from_json({"type": args.policy}))
-    limit = os.environ.get("QCL_MAX_EVENTS")
+    limit = _max_events_override()
     if limit:
-        config = replace(config, max_events=int(limit))
+        config = replace(config, max_events=limit)
     return config
+
+
+def _max_events_override() -> int | None:
+    """``QCL_MAX_EVENTS`` as an event limit; None when it is unset or empty."""
+    text = os.environ.get("QCL_MAX_EVENTS")
+    if not text:
+        return None
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise InputError(f"QCL_MAX_EVENTS must be a positive integer, got {text!r}")
+    return limit
 
 
 def _write(path: Path, text: str) -> None:
@@ -200,8 +214,7 @@ def cmd_sweep(args) -> int:
     a_vals = parse_list(args.a_list, float)
     b_vals = parse_list(args.b_list, float)
     seeds = parse_list(args.seed_list, int)
-    limit = os.environ.get("QCL_MAX_EVENTS")
-    max_events = int(limit) if limit else None
+    max_events = _max_events_override()
     grid = [
         (n, delta, a, b, seed)
         for n in ns for delta in deltas for a in a_vals for b in b_vals

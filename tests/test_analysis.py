@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qcl import (
     GeneralQuantizer,
@@ -198,6 +199,20 @@ class TestAverageConservation:
 
     def test_single_event_trajectory_is_zero(self):
         assert average_conservation(_constant_trajectory()) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 300), rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    @example(n=300, rows=40, seed=1).via("rows past 8 and 128 terms")
+    def test_matches_per_event_means(self, n, rows, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.choice([-1.0, 1.0], (rows, n)) * 10.0 ** rng.uniform(-8, 8, (rows, n))
+        x[rng.random((rows, n)) < 0.1] = -0.0
+        events = [replace(_constant_trajectory().events[0], x=tuple(r)) for r in x.tolist()]
+        # The per-event form it replaced: one np.mean per event.
+        mean0 = float(np.mean(events[0].x))
+        expected = max(abs(float(np.mean(ev.x)) - mean0) for ev in events)
+        got = average_conservation(Trajectory(UNIT, events, "equilibrium"))
+        assert got.hex() == expected.hex()
 
 
 class TestLimitValueCheck:

@@ -228,6 +228,15 @@ class TestRun:
         assert code == 1
         assert "event limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
+    def test_bad_max_events_env_is_one_error_line(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("QCL_MAX_EVENTS", value)
+        code = run_cli("run", "--builder", "example1", "--n", "3", "--out", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: QCL_MAX_EVENTS must be a positive integer, got {value!r}\n")
+        assert not (tmp_path / "trajectory.csv").exists()
+
 
 class TestBound:
     def test_reference_value(self, capsys):
@@ -292,6 +301,23 @@ class TestSweep:
         lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
         assert any("error:" in row for row in lines[1:])
         assert any("equilibrium" in row for row in lines[1:])
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0"])
+    def test_bad_max_events_env_is_one_error_line(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("QCL_MAX_EVENTS", value)
+        code = run_cli("sweep", "--builder", "example1", "--n-list", "3",
+                       "--out", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: QCL_MAX_EVENTS must be a positive integer, got {value!r}\n")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_max_events_env_limits_each_cell(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QCL_MAX_EVENTS", "1")
+        code = run_cli("sweep", "--builder", "example1", "--n-list", "6",
+                       "--out", str(tmp_path))
+        assert code == 2
+        assert "event limit 1 exceeded" in (tmp_path / "sweep.csv").read_text()
 
     def test_deterministic_output(self, tmp_path):
         for sub in ("a", "b"):

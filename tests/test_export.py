@@ -1,0 +1,127 @@
+"""The single-pass JSON writer against the recursive writer it replaced.
+
+``reference_dumps`` is the old ``qcl._json.dumps``, kept verbatim: one call
+per value, a string built and copied at every level.  The writer must give
+the same bytes for every document, and the same exception type and message
+for every document it refuses.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qcl import _json
+from qcl._json import dumps
+
+
+def _format_float(v: float) -> str:
+    if not math.isfinite(v):
+        raise ValueError(f"cannot serialize non-finite float {v!r}")
+    return format(v, ".17g")
+
+
+def reference_dumps(obj, indent: int = 0) -> str:
+    pad = " " * indent
+    child = indent + 2
+
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, float):
+        return _format_float(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [reference_dumps(v, child) for v in obj]
+        return "[\n" + ",\n".join(" " * child + s for s in items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{json.dumps(str(k))}: {reference_dumps(v, child)}" for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(" " * child + s for s in items) + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def outcome(writer, obj, indent: int = 0):
+    """The text ``writer`` gives, or the type and message of its error."""
+    try:
+        return writer(obj, indent)
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1e16, 1e-7, 123456789.0]
+finite = (st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS))
+floats = finite | finite.map(np.float64)
+strings = st.text() | st.sampled_from(['"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é", "☃",
+                                       "\ud800", "𝄞", "a b"])
+keys = strings | st.integers() | floats | st.booleans() | st.none()
+scalars = floats | st.integers() | st.booleans() | st.none() | strings
+#: Values the writer must refuse, with the reference's message.
+POISON = [math.inf, -math.inf, math.nan, np.float64(math.inf), np.float64(math.nan),
+          {1.0}, b"x", 1j, np.int64(3), object()]
+
+
+def documents(leaves):
+    # Lists of floats and None go through the batched path; lists that also
+    # hold ints or bools fall back to one element at a time.
+    float_lists = st.lists(floats, max_size=12) | st.lists(floats, max_size=12).map(tuple)
+    with_none = st.lists(floats | st.none(), max_size=12)
+    mixed = st.lists(floats | st.none() | st.integers() | st.booleans(), max_size=12)
+    return st.recursive(
+        leaves | float_lists | with_none | mixed,
+        lambda children: (st.lists(children, max_size=6)
+                          | st.lists(children, max_size=6).map(tuple)
+                          | st.dictionaries(keys, children, max_size=6)),
+        max_leaves=15,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(documents(scalars), st.integers(0, 5))
+def test_writer_matches_reference(doc, indent):
+    assert outcome(dumps, doc, indent) == outcome(reference_dumps, doc, indent)
+
+
+@settings(max_examples=60, deadline=None)
+@given(documents(scalars | st.sampled_from(POISON)), st.integers(0, 5))
+def test_refusals_match_reference(doc, indent):
+    # The first refused value in document order decides the error.
+    assert outcome(dumps, doc, indent) == outcome(reference_dumps, doc, indent)
+
+
+@pytest.mark.parametrize("doc", [
+    [1.0, math.inf],
+    {"events": [{"x": [0.5, -0.0, math.nan]}]},
+    (1.0, None, np.float64(-math.inf)),
+    [[1.0, 2.0], [3.0, {2.0}]],
+    [1.0, math.nan, {1}],
+    {"a": [1, 2], "b": {"c": object()}},
+], ids=["inf-last", "nan-deep", "np-inf-in-mixed", "set-deep", "nan-before-set", "object"])
+def test_refused_value_at_depth(doc):
+    kind, message = outcome(reference_dumps, doc)
+    with pytest.raises(kind) as err:
+        dumps(doc)
+    assert str(err.value) == message
+
+
+def test_differential_test_catches_repr_float_lists(monkeypatch):
+    # Negative control: batched float lists written with repr instead of
+    # ".17g" (1.0 as "1.0", 0.1 as "0.1") must fail the differential test.
+    monkeypatch.setattr(_json, "_float_format", lambda v, spec: repr(v))
+    assert dumps([0.1, 1.0]) != reference_dumps([0.1, 1.0])
+    with pytest.raises(AssertionError):
+        test_writer_matches_reference()
