@@ -57,6 +57,11 @@ class Kernels(NamedTuple):
     #: ``uniform_hits(delta, x, velocity)``, as
     #: ``quantizers._threshold_hits_lists``, or None when it declines.
     uniform_hits: Callable[..., tuple[float, list[tuple[int, float]]] | None]
+    #: ``resolve(g, x, delta, sequential, last_stopped, cutoff)``: the fields
+    #: of ``dynamics.resolve_sliding``'s ``Resolution`` under the Sliding
+    #: (SequentialSlow when ``sequential``) policy, then the
+    #: ``threshold_hits`` of its velocity; or None when it declines.
+    resolve: Callable[..., tuple | None]
 
 
 def load(check: Callable[[Kernels], bool]) -> Kernels | None:
@@ -91,8 +96,18 @@ def load(check: Callable[[Kernels], bool]) -> Kernels | None:
 
 def _bind(lib: ctypes.CDLL) -> Kernels:
     c_graph = _graph_table()
-    return Kernels(_bind_rk4_chunk(lib), _bind_hold_solve(lib, c_graph),
-                   _bind_velocities(lib, c_graph), *_bind_scans(lib))
+    work = _Work(1, 1)
+
+    def reserve(n: int, m: int = 0) -> _Work:
+        """The workspace, grown to at least n agents and m unknowns."""
+        nonlocal work
+        if n > work.n or m > work.m:
+            work = _Work(max(n, work.n), max(m, work.m))
+        return work
+
+    return Kernels(_bind_rk4_chunk(lib), _bind_hold_solve(lib, c_graph, reserve),
+                   _bind_velocities(lib, c_graph, reserve), *_bind_scans(lib, reserve),
+                   _bind_resolve(lib, c_graph, reserve))
 
 
 def _bind_rk4_chunk(lib: ctypes.CDLL):
@@ -135,22 +150,48 @@ class _Graph(ctypes.Structure):
                 ("vals", ctypes.c_void_p), ("totals", ctypes.c_void_p)]
 
 
-class _HoldWork(ctypes.Structure):
-    """``struct qcl_hold_work``: reused buffers for hold systems of up to
-    ``m`` unknowns among up to ``n`` agents."""
+#: The buffers of ``struct qcl_work``: name, C type and length in agents n
+#: or unknowns m.
+_BUFFERS = (("x", ctypes.c_double, "n"), ("y", ctypes.c_double, "n"),
+            ("z", ctypes.c_double, "n"), ("agents", ctypes.c_int64, "n"),
+            ("stopped", ctypes.c_int64, "n"), ("surface", ctypes.c_int64, "n"),
+            ("bounds", ctypes.c_double, "2n"), ("outside", ctypes.c_int64, "n"),
+            ("hit", ctypes.c_int64, "n"), ("threshold", ctypes.c_double, "n"),
+            ("alpha", ctypes.c_double, "n"), ("sign", ctypes.c_int64, "n"),
+            ("mark", ctypes.c_int64, "n"), ("active", ctypes.c_int64, "m"),
+            ("box", ctypes.c_double, "2m"), ("aug", ctypes.c_double, "m(m+1)"),
+            ("out", ctypes.c_double, "m"), ("slot", ctypes.c_int64, "m"),
+            ("colmap", ctypes.c_int64, "n"))
 
-    _fields_ = [("active", ctypes.c_void_p), ("box", ctypes.c_void_p), ("aug", ctypes.c_void_p),
-                ("out", ctypes.c_void_p), ("colmap", ctypes.c_void_p)]
 
-    def __init__(self, m: int, n: int):
-        self.m, self.n = m, n
-        self.active_buffer = (ctypes.c_int64 * m)()
-        self.box_buffer = (ctypes.c_double * (2 * m))()
-        self.out_buffer = (ctypes.c_double * m)()
-        self.buffers = (self.active_buffer, self.box_buffer, (ctypes.c_double * (m * (m + 1)))(),
-                        self.out_buffer, (ctypes.c_int64 * n)(*[-1] * n))
-        super().__init__(*map(ctypes.addressof, self.buffers))
-        self.address = ctypes.addressof(self)
+class _Struct(ctypes.Structure):
+    """``struct qcl_work``."""
+
+    _fields_ = ([(name, ctypes.c_void_p) for name, _, _ in _BUFFERS]
+                + [(name, ctypes.c_int64) for name in ("m", "n_surface", "n_outside", "count")]
+                + [(name, ctypes.c_double)
+                   for name in ("low", "high", "common_low", "common_high", "dt")])
+
+
+class _Work:
+    """The buffers of every entry point but the RK4 chunk, for up to ``n``
+    agents and hold systems of up to ``m`` unknowns, reused from call to call
+    and replaced by a larger one only when a call needs more.
+
+    ``buf`` maps each buffer of ``_BUFFERS`` to its ctypes array, ``x``, ``y``
+    and ``z`` are numpy views of the same memory, made once (on a 2-core Xeon,
+    copying 6 states into one takes about 0.5 us, asking numpy for an array's
+    address 0.9 us), and ``struct`` points the C code at all of them.
+    """
+
+    def __init__(self, n: int, m: int):
+        self.n, self.m = n, m
+        sizes = {"n": n, "2n": 2 * n, "m": m, "2m": 2 * m, "m(m+1)": m * (m + 1)}
+        self.buf = {name: (ctype * sizes[size])() for name, ctype, size in _BUFFERS}
+        self.buf["colmap"][:] = [-1] * n
+        self.x, self.y, self.z = (np.frombuffer(self.buf[name]) for name in "xyz")
+        self.struct = _Struct(*map(ctypes.addressof, self.buf.values()), m)
+        self.address = ctypes.addressof(self.struct)
 
 
 def _graph_table():
@@ -178,187 +219,160 @@ def _graph_table():
     return c_graph
 
 
-def _bind_hold_solve(lib: ctypes.CDLL, c_graph):
+def _bind_hold_solve(lib: ctypes.CDLL, c_graph, reserve):
     """Wrap ``qcl_hold_solve`` for ``dynamics._hold_solve``.
 
     A call costs O(m) Python work for m unknowns: each graph's CSR arrays are
-    copied for C once, and the work buffers are reused, grown only when a
-    larger system or graph arrives.
+    copied for C once, and the workspace is reused.
     """
     c_solve = lib.qcl_hold_solve
     c_solve.restype = ctypes.c_int
     c_solve.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
-    work = _HoldWork(1, 1)
 
     def hold_solve(g, active: list[int], boxes: dict[int, tuple[float, float]],
                    z: np.ndarray) -> list[float] | None:
-        nonlocal work
         n, graph, _ = c_graph(g)
         m = len(active)
-        if m > work.m or n > work.n:
-            work = _HoldWork(max(m, work.m), max(n, work.n))
-        work.active_buffer[:m] = active
-        work.box_buffer[:2 * m] = [v for i in active for v in boxes[i]]
+        w = reserve(n, m)
+        w.buf["active"][:m] = active
+        w.buf["box"][:2 * m] = [v for i in active for v in boxes[i]]
         # The C code checks the agents; z must have one float64 per agent, and
         # from_buffer takes only a writable, contiguous array.
         if len(z) != n or z.dtype != np.float64:
             raise ValueError("the states of a hold system do not fit the graph")
-        status = c_solve(graph, m, ctypes.addressof(ctypes.c_double.from_buffer(z)),
-                         work.address)
+        status = c_solve(graph, m, ctypes.addressof(ctypes.c_double.from_buffer(z)), w.address)
         if status == 2:
             raise ValueError("an agent of a hold system lies outside the graph")
-        return None if status else work.out_buffer[:m]
+        return None if status else w.buf["out"][:m]
 
     return hold_solve
 
 
-class _VelocityWork:
-    """Reused buffers for the velocities of up to ``k`` agents among up to
-    ``n``: the agents, their velocities and a numpy view of the selection."""
-
-    def __init__(self, k: int, n: int):
-        self.k, self.n = k, n
-        self.agents, self.out = (ctypes.c_int64 * k)(), (ctypes.c_double * k)()
-        self.z = (ctypes.c_double * n)()
-        self.z_view = np.frombuffer(self.z)
-        self.addresses = tuple(map(ctypes.addressof, (self.agents, self.z, self.out)))
-
-
-def _bind_velocities(lib: ctypes.CDLL, c_graph):
+def _bind_velocities(lib: ctypes.CDLL, c_graph, reserve):
     """Wrap ``qcl_velocities`` for ``dynamics._velocities``.
 
-    A call copies the agents and the selection into buffers reused from call
-    to call, grown only for more agents or a larger graph, and allocates no
-    numpy array.
+    A call copies the agents and the selection into the workspace and
+    allocates no numpy array.
     """
     c_velocities = lib.qcl_velocities
     c_velocities.restype = ctypes.c_int
-    c_velocities.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-                             ctypes.c_void_p, ctypes.c_void_p]
-    work = _VelocityWork(1, 1)
+    c_velocities.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
 
     def velocities(g, z: np.ndarray, agents) -> list[float]:
-        nonlocal work
         n, graph, _ = c_graph(g)
         if not isinstance(agents, (list, range)):
             agents = list(agents)
         k = len(agents)
-        if k > work.k or n > work.n:
-            work = _VelocityWork(max(k, work.k), max(n, work.n))
+        w = reserve(max(n, k))
         if z.shape != (n,):
             raise ValueError("the selection does not fit the graph")
-        work.agents[:k] = agents
-        work.z_view[:n] = z
-        if c_velocities(graph, k, *work.addresses):
+        w.buf["agents"][:k] = agents
+        w.z[:n] = z
+        if c_velocities(graph, w.address, k):
             raise ValueError("an agent of a velocity lies outside the graph")
-        return work.out[:k]
+        return w.buf["y"][:k]
 
     return velocities
 
 
-class _Sets(ctypes.Structure):
-    """``struct qcl_sets``."""
-
-    _fields_ = [("x", ctypes.c_void_p), ("sel", ctypes.c_void_p), ("z", ctypes.c_void_p),
-                ("surface", ctypes.c_void_p), ("box", ctypes.c_void_p),
-                ("outside", ctypes.c_void_p), ("n_surface", ctypes.c_int64),
-                ("n_outside", ctypes.c_int64), ("low", ctypes.c_double),
-                ("high", ctypes.c_double), ("common_low", ctypes.c_double),
-                ("common_high", ctypes.c_double)]
-
-
-class _Hits(ctypes.Structure):
-    """``struct qcl_hits``."""
-
-    _fields_ = [("x", ctypes.c_void_p), ("v", ctypes.c_void_p), ("agent", ctypes.c_void_p),
-                ("threshold", ctypes.c_void_p), ("count", ctypes.c_int64),
-                ("dt", ctypes.c_double)]
-
-
-class _ScanWork:
-    """Reused buffers for scans of up to ``n`` agents, shared by both scans.
-
-    ``y`` holds the selections of a set scan or the velocities of a hit
-    scan; ``agents`` and ``values`` the surface agents and their boxes, or
-    the tied agents and their thresholds.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.x, self.y, self.z = ((ctypes.c_double * n)() for _ in range(3))
-        self.agents, self.outside = (ctypes.c_int64 * n)(), (ctypes.c_int64 * n)()
-        self.values = (ctypes.c_double * (2 * n))()
-        # numpy views of the same memory, made once: on a 2-core Xeon,
-        # copying 6 states into one takes about 0.5 us, asking numpy for an
-        # array's address 0.9 us (ctypes.from_buffer, writable arrays only).
-        self.x_view, self.y_view, self.z_view = map(np.frombuffer, (self.x, self.y, self.z))
-        self.y_address = ctypes.addressof(self.y)
-        self.sets = _Sets(*map(ctypes.addressof, (self.x, self.y, self.z, self.agents,
-                                                    self.values, self.outside)))
-        self.hits = _Hits(*map(ctypes.addressof, (self.x, self.y, self.agents, self.values)))
-        self.sets_address = ctypes.addressof(self.sets)
-        self.hits_address = ctypes.addressof(self.hits)
-
-
-def _bind_scans(lib: ctypes.CDLL):
+def _bind_scans(lib: ctypes.CDLL, reserve):
     """Wrap ``qcl_uniform_sets`` and ``qcl_uniform_hits``.
 
-    Each call copies its inputs into buffers reused from call to call, grown
-    only for a larger state, and allocates no numpy array.  A wrapper returns
-    None, so that the caller runs its list code, when the C code reports a
-    state off the threshold lattice or the inputs are not n numbers each.
+    Each call copies its inputs into the workspace and allocates no numpy
+    array.  A wrapper returns None, so that the caller runs its list code,
+    when the C code reports a state off the threshold lattice or the inputs
+    are not n numbers each.
     """
     c_sets, c_hits = lib.qcl_uniform_sets, lib.qcl_uniform_hits
-    for fn in (c_sets, c_hits):
-        fn.restype = ctypes.c_int
-        fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_double]
-    work = _ScanWork(1)
+    c_sets.restype = c_hits.restype = ctypes.c_int
+    c_sets.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int64]
+    c_hits.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_double]
 
-    def load(x, y) -> _ScanWork | None:
-        """The work buffers holding x, and y unless it is None.
+    def load(x, y) -> _Work | None:
+        """The workspace holding x, and y unless it is None.
 
         An array is copied through numpy, anything else through ctypes,
         which takes only a sequence of exactly n numbers.
         """
-        nonlocal work
         try:
             n = len(x)
-            if n > work.n:
-                work = _ScanWork(n)
-            for values, buffer, view in ((x, work.x, work.x_view), (y, work.y, work.y_view)):
+            w = reserve(n)
+            for values, name in ((x, "x"), (y, "y")):
                 if isinstance(values, np.ndarray):
                     if values.shape != (n,):
                         return None
-                    view[:n] = values
+                    getattr(w, name)[:n] = values
                 elif values is not None:
-                    buffer[:n] = values
+                    w.buf[name][:n] = values
         except (TypeError, ValueError):
             return None
-        return work
+        return w
 
     def uniform_sets(delta: float, x, selection=None,
                      z: np.ndarray | None = None) -> SetScan | None:
         w = load(x, selection)
-        if w is None:
+        if w is None or c_sets(w.address, len(x), delta, selection is not None):
             return None
         n = len(x)
-        sets = w.sets
-        sets.sel = None if selection is None else w.y_address
-        if c_sets(w.sets_address, n, delta):
-            return None
         if z is not None:
-            z[:] = w.z_view[:n]
-        k = sets.n_surface
-        boxes = dict(zip(w.agents[:k], zip(w.values[0:2 * k:2], w.values[1:2 * k:2]))) if k else {}
-        return SetScan(boxes, sets.low, sets.high, sets.common_low, sets.common_high,
-                       w.outside[:sets.n_outside])
+            z[:] = w.z[:n]
+        s, bounds = w.struct, w.buf["bounds"]
+        k = s.n_surface
+        boxes = dict(zip(w.buf["surface"][:k], zip(bounds[0:2 * k:2], bounds[1:2 * k:2]))) \
+            if k else {}
+        return SetScan(boxes, s.low, s.high, s.common_low, s.common_high,
+                       w.buf["outside"][:s.n_outside])
 
     def uniform_hits(delta: float, x, velocity) -> tuple[float, list[tuple[int, float]]] | None:
         w = load(x, velocity)
-        if w is None or c_hits(w.hits_address, len(x), delta):
+        if w is None or c_hits(w.address, len(x), delta):
             return None
-        hits = w.hits
-        k = hits.count
-        return hits.dt, list(zip(w.agents[:k], w.values[:k]))
+        k = w.struct.count
+        return w.struct.dt, list(zip(w.buf["hit"][:k], w.buf["threshold"][:k]))
 
     return uniform_sets, uniform_hits
+
+
+def _bind_resolve(lib: ctypes.CDLL, c_graph, reserve):
+    """Wrap ``qcl_resolve`` for ``dynamics.resolve_sliding``.
+
+    ``x`` must be a float64 array with one state per agent.  Returns None,
+    so that the caller runs its Python code, when the C code declines, a
+    last-stopped agent is not an integer of the graph or the cutoff is not a
+    number.  The hold buffers grow when the C code asks for more.
+    """
+    c_resolve = lib.qcl_resolve
+    c_resolve.restype = ctypes.c_int
+    c_resolve.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_int64,
+                          ctypes.c_int64, ctypes.c_double]
+
+    def resolve(g, x: np.ndarray, delta: float, sequential: bool, last_stopped,
+                cutoff) -> tuple | None:
+        n, graph, _ = c_graph(g)
+        stopped = list(last_stopped) if sequential else []
+        try:
+            if stopped and not 0 <= min(stopped) <= max(stopped) < n:
+                return None
+            w = reserve(n)
+            while True:
+                w.x[:n] = x
+                w.buf["stopped"][:len(stopped)] = stopped
+                status = c_resolve(graph, w.address, delta, sequential, len(stopped), cutoff)
+                if status != 3:
+                    break
+                w = reserve(n, w.struct.count)
+        except (TypeError, ctypes.ArgumentError):
+            return None
+        if status:
+            return None
+        s, buf = w.struct, w.buf
+        k, count = s.n_surface, s.count
+        surface, signs = buf["surface"][:k], buf["sign"][:k]
+        z, velocity = w.z[:n].copy(), w.y[:n].copy()
+        z.flags.writeable = velocity.flags.writeable = False
+        return (z, velocity, tuple(zip(surface, buf["alpha"][:k])),
+                frozenset([i for i, sign in zip(surface, signs) if not sign]),
+                tuple([(i, sign) for i, sign in zip(surface, signs) if sign]),
+                (s.dt, list(zip(buf["hit"][:count], buf["threshold"][:count]))))
+
+    return resolve

@@ -9,11 +9,13 @@ is new.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
-from .dynamics import (_build_hold_system, _gaussian_solve, _rk4_chunk_lists, _Singular,
-                       _velocities_numpy)
+from . import quantizers
+from .dynamics import (SequentialSlow, Sliding, _build_hold_system, _gaussian_solve,
+                       _resolve_python, _rk4_chunk_lists, _Singular, _velocities_numpy)
 from .graphs import WeightedDigraph
 from .quantizers import UniformQuantizer, _krasovskii_scan_lists, _threshold_hits_lists
 
@@ -22,7 +24,8 @@ def kernels_agree(kernels) -> bool:
     """Whether every compiled entry point gives the bits of its list code."""
     return (_rk4_agrees(kernels.rk4_chunk) and _hold_solve_agrees(kernels.hold_solve)
             and _velocities_agree(kernels.velocities)
-            and _scans_agree(kernels.uniform_sets, kernels.uniform_hits))
+            and _scans_agree(kernels.uniform_sets, kernels.uniform_hits)
+            and _resolve_agrees(kernels.resolve))
 
 
 def _rk4_agrees(kernel) -> bool:
@@ -163,3 +166,82 @@ def _same_sets(scan, z: np.ndarray, ref, z_ref: np.ndarray) -> bool:
     interior = [i for i in range(len(z)) if i not in ref.boxes]
     return (scan is not None and repr(tuple(scan)) == repr(tuple(ref))
             and repr(z[interior]) == repr(z_ref[interior]))
+
+
+def _resolve_agrees(resolve) -> bool:
+    """Whether ``resolve`` gives the bits of ``dynamics._resolve_python`` on
+    the list code, and the arrival of ``_threshold_hits_lists`` on its
+    velocity, or declines where it must.
+
+    Resolves that it accepts must match on 60 random graphs with dyadic
+    weights, states on thresholds and levels, either policy and random
+    last-stopped agents.  It must accept ties for the largest excess whose
+    other tie-break changes the result, under each policy, coefficients
+    1.5e-12 from 0 and from 1, which are not snapped, and a released agent
+    that the re-check finds at rest, which holds.  It must decline a
+    singular pair, three candidates over a cutoff of 2, a departure that the
+    re-check finds pushed back onto its surface, and a state off the lattice.
+    """
+    def case(n, edges, x, sequential=False, stopped=(), delta=1.0, cutoff=64):
+        return (WeightedDigraph.from_edges(n, edges), np.array(x, dtype=float), delta,
+                sequential, frozenset(stopped), cutoff)
+
+    rng = random.Random(1)
+    drawn = []
+    for _ in range(60):
+        n, delta = rng.randint(2, 8), rng.choice([1.0, 0.25, 1 / 3])
+        edges = [(i, j, rng.choice([0.5, 1.0, 1.5, 2.0]))
+                 for i in range(n) for j in range(n) if i != j and rng.random() < 0.4]
+        x = [(rng.randint(-2, 2) + (0.5 if rng.random() < 0.6 else 0.0)) * delta
+             for _ in range(n)]
+        drawn.append(case(n, edges, x, rng.random() < 0.5,
+                          [i for i in range(n) if rng.random() < 0.3], delta))
+    accepted = [
+        case(6, [(0, 1, 1.0), (2, 1, 2.0), (3, 0, 2.0), (4, 0, 1.0), (4, 1, 1.0), (4, 3, 3.0),
+                 (5, 2, 1.0)], [-1.5, -0.5, 3.5, -1.5, -0.5, -0.5]),
+        case(5, [(0, 3, 2.0), (0, 4, 2.0), (1, 0, 1.0), (1, 4, 3.0), (2, 1, 1.0), (3, 2, 1.0),
+                 (4, 0, 2.0), (4, 3, 1.0)], [2.5, 0.5, 1.5, 0.5, -2.0], True, [0, 2]),
+        case(3, [(0, 1, 1.5e-12), (0, 2, 1.0)], [0.5, 1.0, 0.0]),
+        case(3, [(0, 1, 1.0), (0, 2, 1.5e-12)], [0.5, 1.0, 0.0], True, [1]),
+        case(3, [(0, 1, 1.0), (1, 2, 1.0)], [0.5, 0.5, 2.0]),
+    ]
+    declined = [
+        case(2, [(0, 1, 1.0), (1, 0, 1.0)], [0.5, 0.5]),
+        case(4, [(0, 3, 1.0), (1, 3, 1.0), (2, 3, 1.0)], [0.5, 0.5, 0.5, 3.0], cutoff=2),
+        case(6, [(0, 4, 1.0), (0, 5, 1.5), (1, 0, 2.0), (1, 4, 1.0), (1, 5, 0.5), (2, 3, 2.0),
+                 (2, 4, 1.5), (3, 0, 2.0), (3, 5, 0.5), (4, 0, 1.0), (4, 1, 1.0), (5, 0, 1.5),
+                 (5, 2, 1.5), (5, 3, 1.0)], [-1.5, -1.5, -0.5, 1.5, 2.0, 0.5], True, [2]),
+        case(2, [(0, 1, 1.0)], [0.5, 2.0 ** 60]),
+    ]
+
+    def bits(result):
+        z, velocity, alpha, held, departing = result[:5]
+        return (z.tobytes(), velocity.tobytes(), [(i, a.hex()) for i, a in alpha], held,
+                departing)
+
+    def agrees(g, x, delta, sequential, stopped, cutoff, must) -> bool:
+        out = resolve(g, x, delta, sequential, stopped, cutoff)
+        if out is None:
+            return must != "accept"
+        if must == "decline":
+            return False
+        q = UniformQuantizer(delta)
+        try:
+            ref = _resolve_python(x, g, q, SequentialSlow() if sequential else Sliding(),
+                                  stopped, cutoff)
+        except (ArithmeticError, ValueError, RuntimeError):
+            return False
+        return (bits(out) == bits((ref.z, ref.velocity, ref.alpha, ref.held, ref.departing))
+                and repr(out[5]) == repr(_threshold_hits_lists(x, ref.velocity, q)))
+
+    # This check runs inside the first ``_load_kernel`` call, which a nested
+    # call would repeat, build and check included; the reference runs the
+    # list code instead.
+    loader = quantizers._load_kernel
+    quantizers._load_kernel = lambda: None
+    try:
+        return all(agrees(*c, must) for cases, must in ((drawn, "match"), (accepted, "accept"),
+                                                        (declined, "decline"))
+                   for c in cases)
+    finally:
+        quantizers._load_kernel = loader

@@ -15,9 +15,23 @@
  * and the closest threshold arrival under a uniform quantizer, ports of the
  * per-agent loops over UniformQuantizer.krasovskii_set and next_threshold.
  *
+ * qcl_resolve: one whole resolve of qcl.dynamics.resolve_sliding under a
+ * uniform quantizer and the Sliding or SequentialSlow policy, and the closest
+ * threshold arrival of its velocity: the set scan, the trivially held
+ * midpoints, the dense hold solves with their releases, the departure
+ * re-check, the velocities and the hit scan, in one call.  It declines,
+ * with no effect outside its buffers, leaving the caller to run its Python
+ * code, for a state off the threshold lattice, more surface agents that
+ * listen to someone than the dense cutoff, a singular hold system, a
+ * departure that the re-check finds sign-inconsistent (the last two send the
+ * Python code to projected Gauss-Seidel) or a resolved selection outside its
+ * box.  FixedAlpha and general quantizers never reach it, nor last-stopped
+ * agents outside the graph.
+ *
  * All keep the operation order of every element of the code they port.  Built
  * with -ffp-contract=off and without fast-math, so the results are
- * bit-identical to it; qcl checks that before it uses a build.
+ * bit-identical to it; qcl checks that before it uses a build.  Every entry
+ * point but qcl_rk4_chunk works in one struct qcl_work of reused buffers.
  */
 #include <float.h>
 #include <math.h>
@@ -101,16 +115,52 @@ struct qcl_graph {
     const double *totals;
 };
 
-/* The inputs and work space of one hold system: the agents active[0..m),
- * the box [box[2c], box[2c + 1]] of active[c], m (m + 1) doubles of aug, m
- * of out, and colmap, which holds -1 for each of the graph's agents on entry
- * and on return. */
-struct qcl_hold_work {
+/* The buffers of every entry point but qcl_rk4_chunk, for up to n agents and
+ * hold systems of up to m unknowns.
+ *
+ * x, y and z hold n doubles each: the states; the selections a set scan
+ * tests, the velocities a hit scan reads, the output of qcl_velocities or
+ * the velocity of a resolve; the levels of a set scan or the selection of a
+ * resolve.  agents (n) lists the agents of qcl_velocities, stopped (n) the
+ * last-stopped agents of a resolve.  A set scan writes its surface agents to
+ * surface (n) with their boxes in bounds (2 n) and the agents whose selection
+ * leaves its set to outside (n); a hit scan writes the tied agents to hit (n)
+ * and their thresholds to threshold (n).  A resolve writes, for surface
+ * agent c, its coefficient to alpha[c] and to sign[c] 0 for a hold, or +1 or
+ * -1 for a departure up or down; mark (n) is its scratch.  A hold system
+ * reads its agents from active (m) and their boxes from box (2 m), works in
+ * aug (m (m + 1)) and writes its solution to out (m); slot (m) maps the
+ * unknowns of a resolve to surface agents, and colmap (n) holds -1 for each
+ * agent on entry and on return. */
+struct qcl_work {
+    double *x;
+    double *y;
+    double *z;
+    int64_t *agents;
+    int64_t *stopped;
+    int64_t *surface;
+    double *bounds;
+    int64_t *outside;
+    int64_t *hit;
+    double *threshold;
+    double *alpha;
+    int64_t *sign;
+    int64_t *mark;
     int64_t *active;
     double *box;
     double *aug;
     double *out;
+    int64_t *slot;
     int64_t *colmap;
+    int64_t m;
+    int64_t n_surface;
+    int64_t n_outside;
+    int64_t count;
+    double low;
+    double high;
+    double common_low;
+    double common_high;
+    double dt;
 };
 
 /* The hold system of the m agents in s->active: unknown c is the convex
@@ -124,7 +174,7 @@ struct qcl_hold_work {
  * the graph.
  */
 int qcl_hold_solve(const struct qcl_graph *g, int64_t m, const double *z,
-                   const struct qcl_hold_work *s)
+                   struct qcl_work *s)
 {
     const int64_t *active = s->active, *ends = g->ends, *cols = g->cols;
     const double *box = s->box, *vals = g->vals, *totals = g->totals;
@@ -252,21 +302,26 @@ static double pairwise_terms(const int64_t *cols, const double *vals, const doub
     }
 }
 
-/* out[c] = sum_j a_ij (z_j - z_i) over row i = agents[c] of g, for c in
- * [0, k), each summed as numpy sums that row's terms: its reduction starts
- * from the identity 0.0, so terms that are all -0.0 give 0.0.  Returns 0, or
- * 1, before any write, when an agent lies outside the graph. */
-int qcl_velocities(const struct qcl_graph *g, int64_t k, const int64_t *agents,
-                   const double *z, double *out)
+/* sum_j a_ij (z_j - z_i) over row i of g, summed as numpy sums that row's
+ * terms: its reduction starts from the identity 0.0, so terms that are all
+ * -0.0 give 0.0. */
+static double velocity(const struct qcl_graph *g, const double *z, int64_t i)
+{
+    int64_t start = g->ends[i];
+
+    return 0.0 + pairwise_terms(g->cols + start, g->vals + start, z, z[i],
+                                g->ends[i + 1] - start);
+}
+
+/* y[c] = the velocity of z at agent agents[c] of g, for c in [0, k).  Returns
+ * 0, or 1, before any write, when an agent lies outside the graph. */
+int qcl_velocities(const struct qcl_graph *g, struct qcl_work *w, int64_t k)
 {
     for (int64_t c = 0; c < k; c++)
-        if (agents[c] < 0 || agents[c] >= g->n)
+        if (w->agents[c] < 0 || w->agents[c] >= g->n)
             return 1;
-    for (int64_t c = 0; c < k; c++) {
-        int64_t i = agents[c], start = g->ends[i];
-        out[c] = 0.0 + pairwise_terms(g->cols + start, g->vals + start, z, z[i],
-                                      g->ends[i + 1] - start);
-    }
+    for (int64_t c = 0; c < k; c++)
+        w->y[c] = velocity(g, w->z, w->agents[c]);
     return 0;
 }
 
@@ -317,32 +372,15 @@ static int threshold_below(double x, double delta, double *t)
     return 0;
 }
 
-/* The inputs and outputs of qcl_uniform_sets.  sel is NULL or n selections
- * to test; z, surface, box and outside hold n values each (box 2 n). */
-struct qcl_sets {
-    const double *x;
-    const double *sel;
-    double *z;
-    int64_t *surface;
-    double *box;
-    int64_t *outside;
-    int64_t n_surface;
-    int64_t n_outside;
-    double low;
-    double high;
-    double common_low;
-    double common_high;
-};
-
 /* The Krasovskii set [lo, hi] of each of the n agents of s->x, in one pass:
  * z[i] = lo for an agent inside a cell (lo == hi); the agents on a threshold
- * in surface[0..n_surface), in increasing order, with (lo, hi) in box; the
- * agents whose selection does not satisfy lo <= sel[i] <= hi in
- * outside[0..n_outside); the lowest lo and highest hi (the level envelope),
- * and the highest lo and lowest hi (the intersection of all sets, empty when
- * common_low > common_high).  Returns 0, or 1 when a state is off the
- * lattice. */
-int qcl_uniform_sets(struct qcl_sets *s, int64_t n, double delta)
+ * in surface[0..n_surface), in increasing order, with (lo, hi) in bounds;
+ * when select is nonzero, the agents whose selection y[i] does not satisfy
+ * lo <= y[i] <= hi in outside[0..n_outside); the lowest lo and highest hi
+ * (the level envelope), and the highest lo and lowest hi (the intersection
+ * of all sets, empty when common_low > common_high).  Returns 0, or 1 when a
+ * state is off the lattice. */
+int qcl_uniform_sets(struct qcl_work *s, int64_t n, double delta, int64_t select)
 {
     double low = INFINITY, high = -INFINITY, common_low = -INFINITY, common_high = INFINITY;
     int64_t n_surface = 0, n_outside = 0;
@@ -362,8 +400,8 @@ int qcl_uniform_sets(struct qcl_sets *s, int64_t n, double delta)
             s->z[i] = lo;
         } else {
             s->surface[n_surface] = i;
-            s->box[2 * n_surface] = lo;
-            s->box[2 * n_surface + 1] = hi;
+            s->bounds[2 * n_surface] = lo;
+            s->bounds[2 * n_surface + 1] = hi;
             n_surface++;
         }
         if (lo < low)
@@ -374,7 +412,7 @@ int qcl_uniform_sets(struct qcl_sets *s, int64_t n, double delta)
             common_low = lo;
         if (hi < common_high)
             common_high = hi;
-        if (s->sel != 0 && !(lo <= s->sel[i] && s->sel[i] <= hi))
+        if (select && !(lo <= s->y[i] && s->y[i] <= hi))
             s->outside[n_outside++] = i;
     }
     s->n_surface = n_surface;
@@ -386,30 +424,19 @@ int qcl_uniform_sets(struct qcl_sets *s, int64_t n, double delta)
     return 0;
 }
 
-/* The inputs and outputs of qcl_uniform_hits; agent and threshold hold n
- * values each. */
-struct qcl_hits {
-    const double *x;
-    const double *v;
-    int64_t *agent;
-    double *threshold;
-    int64_t count;
-    double dt;
-};
-
 /* The closest threshold arrival of the n agents of h->x moving with
- * velocities h->v: dt = (th - x) / v, the smallest over the agents with
+ * velocities h->y: dt = (th - x) / v, the smallest over the agents with
  * nonzero velocity of their next threshold th in the direction of motion,
- * and every agent tied at it, in increasing order, in agent[0..count) with
+ * and every agent tied at it, in increasing order, in hit[0..count) with
  * its threshold.  A NaN velocity looks down and a NaN dt is never closest.
  * Returns 0, or 1 when a moving agent's state is off the lattice. */
-int qcl_uniform_hits(struct qcl_hits *h, int64_t n, double delta)
+int qcl_uniform_hits(struct qcl_work *h, int64_t n, double delta)
 {
     double best = INFINITY;
     int64_t count = 0;
 
     for (int64_t i = 0; i < n; i++) {
-        double x = h->x[i], v = h->v[i], k, th, dt;
+        double x = h->x[i], v = h->y[i], k, th, dt;
 
         if (v == 0.0)
             continue;
@@ -428,7 +455,7 @@ int qcl_uniform_hits(struct qcl_hits *h, int64_t n, double delta)
             count = 0;
         }
         if (dt == best) {
-            h->agent[count] = i;
+            h->hit[count] = i;
             h->threshold[count] = th;
             count++;
         }
@@ -436,4 +463,175 @@ int qcl_uniform_hits(struct qcl_hits *h, int64_t n, double delta)
     h->count = count;
     h->dt = best;
     return 0;
+}
+
+/* qcl.dynamics._FEAS_SLACK: a hold coefficient within it of [0, 1] is
+ * feasible, and one within it of 0 or 1 is snapped there. */
+#define FEAS_SLACK 1e-12
+
+/* qcl.dynamics._snap_alpha, min and max as Python's (NaN stays NaN). */
+static double snap_alpha(double a)
+{
+    if (fabs(a) <= FEAS_SLACK)
+        return 0.0;
+    if (fabs(a - 1.0) <= FEAS_SLACK)
+        return 1.0;
+    a = 0.0 > a ? 0.0 : a;
+    return 1.0 < a ? 1.0 : a;
+}
+
+/* qcl.dynamics._alpha_to_z */
+static double alpha_to_z(double alpha, double lo, double hi)
+{
+    if (alpha <= 0.0)
+        return lo;
+    if (alpha >= 1.0)
+        return hi;
+    return lo + alpha * (hi - lo);
+}
+
+/* Marks of SequentialSlow's release pick in w->mark: bit 1 for a stopped
+ * agent, bit 2 for an agent that a stopped one listens to.  An agent is near
+ * when it has bit 2 or listens to an agent with bit 1. */
+static int near(const struct qcl_graph *g, const int64_t *mark, int64_t i)
+{
+    if (mark[i] & 2)
+        return 1;
+    for (int64_t k = g->ends[i]; k < g->ends[i + 1]; k++)
+        if (mark[g->cols[k]] & 1)
+            return 1;
+    return 0;
+}
+
+/* One resolve of qcl.dynamics.resolve_sliding of the n = g->n states in w->x
+ * under the uniform quantizer of step delta, with releases from the largest
+ * excess, ties to the lowest agent, or, when sequential is nonzero, first
+ * among the agents near the n_stopped agents in w->stopped (SequentialSlow);
+ * then the closest threshold arrival of the resulting velocity.  The stopped
+ * agents must lie in the graph.
+ *
+ * Returns 0 with the selection in z, the velocity in y (+0.0 for a held
+ * agent), the surface agents with their coefficients and signs (see struct
+ * qcl_work) and the arrival as qcl_uniform_hits leaves it; 1 when it
+ * declines (see the top of this file), its outputs then unspecified; or 3
+ * when the hold buffers are too small, with the number of unknowns needed
+ * in count. */
+int qcl_resolve(const struct qcl_graph *g, struct qcl_work *w, double delta,
+                int64_t sequential, int64_t n_stopped, double cutoff)
+{
+    const int64_t *surface = w->surface;
+    const double *bounds = w->bounds;
+    double *z = w->z;
+    int64_t n = g->n, k, m = 0;
+
+    if (qcl_uniform_sets(w, n, delta, 0))
+        return 1;
+    k = w->n_surface;
+    for (int64_t c = 0; c < k; c++)
+        if (g->totals[surface[c]] != 0.0)
+            m++;
+    if (m > cutoff)
+        return 1;
+    if (m > w->m) {
+        w->count = m;
+        return 3;
+    }
+    if (sequential) {
+        for (int64_t i = 0; i < n; i++)
+            w->mark[i] = 0;
+        for (int64_t t = 0; t < n_stopped; t++) {
+            int64_t s = w->stopped[t];
+            w->mark[s] |= 1;
+            for (int64_t e = g->ends[s]; e < g->ends[s + 1]; e++)
+                w->mark[g->cols[e]] |= 2;
+        }
+    }
+
+    /* Agents that listen to nobody hold at their box's midpoint. */
+    m = 0;
+    for (int64_t c = 0; c < k; c++) {
+        int64_t i = surface[c];
+        w->sign[c] = 0;
+        if (g->totals[i] == 0.0) {
+            z[i] = 0.5 * (bounds[2 * c] + bounds[2 * c + 1]);
+            w->alpha[c] = 0.5;
+        } else {
+            w->active[m] = i;
+            w->slot[m] = c;
+            w->box[2 * m] = bounds[2 * c];
+            w->box[2 * m + 1] = bounds[2 * c + 1];
+            m++;
+        }
+    }
+
+    /* Hold every candidate; release the worst infeasible hold and solve again. */
+    while (m > 0) {
+        int64_t drop = -1, drop_near = 0;
+        double worst = 0.0;
+
+        if (qcl_hold_solve(g, m, z, w))
+            return 1;
+        for (int64_t r = 0; r < m; r++) {
+            double a = w->out[r], e = -a > a - 1.0 ? -a : a - 1.0;
+            int64_t r_near;
+
+            if (!(e > FEAS_SLACK))
+                continue;
+            r_near = sequential && near(g, w->mark, w->active[r]);
+            if (drop < 0 || r_near > drop_near || (r_near == drop_near && e > worst)) {
+                drop = r;
+                drop_near = r_near;
+                worst = e;
+            }
+        }
+        if (drop < 0) {
+            for (int64_t r = 0; r < m; r++) {
+                double alpha = snap_alpha(w->out[r]);
+                w->alpha[w->slot[r]] = alpha;
+                z[w->active[r]] = alpha_to_z(alpha, w->box[2 * r], w->box[2 * r + 1]);
+            }
+            break;
+        }
+        {
+            int64_t c = w->slot[drop], up = w->out[drop] > 1.0;
+            z[w->active[drop]] = up ? w->box[2 * drop + 1] : w->box[2 * drop];
+            w->alpha[c] = up ? 1.0 : 0.0;
+            w->sign[c] = up ? 1 : -1;
+            m--;
+            for (int64_t r = drop; r < m; r++) {
+                w->active[r] = w->active[r + 1];
+                w->slot[r] = w->slot[r + 1];
+                w->box[2 * r] = w->box[2 * r + 2];
+                w->box[2 * r + 1] = w->box[2 * r + 3];
+            }
+        }
+    }
+
+    /* A departure with zero velocity is a boundary hold; one pushed back
+     * onto its surface sends the Python code to projected Gauss-Seidel. */
+    for (int64_t c = 0; c < k; c++) {
+        if (w->sign[c] != 0) {
+            double v = velocity(g, z, surface[c]);
+            if (v == 0.0)
+                w->sign[c] = 0;
+            else if ((v > 0.0) != (w->sign[c] > 0))
+                return 1;
+        }
+    }
+
+    for (int64_t i = 0, c = 0; i < n; i++) {
+        int64_t sign = 0, held = 0;
+
+        if (c < k && surface[c] == i) {
+            sign = w->sign[c];
+            held = sign == 0;
+            if (!(bounds[2 * c] <= z[i] && z[i] <= bounds[2 * c + 1]))
+                return 1;
+            c++;
+        }
+        w->y[i] = held ? 0.0 : velocity(g, z, i);
+        if (sign != 0 && (w->y[i] == 0.0 || (w->y[i] > 0.0) != (sign > 0)))
+            return 1;
+    }
+    return qcl_uniform_hits(w, n, delta);
 }

@@ -24,6 +24,17 @@ A classical fixed-step RK4 integrator on a continuous piecewise-linear
 regularisation of the quantizer serves as an independent oracle: as the
 regularisation width and step size shrink it converges to the sliding
 solution.
+
+Under a uniform quantizer and the Sliding or SequentialSlow policy, a
+resolve runs as one compiled call, ``qcl_resolve`` of ``_kernels.c``, which
+also gives ``simulate`` the next threshold arrival; it has the bits of the
+Python code, ``_resolve_python``.  The call declines, with no effect, and
+the Python code runs for a FixedAlpha policy, a general quantizer, more
+surface agents that listen to someone than the dense cutoff, a singular
+hold system, a departure that the re-check finds sign-inconsistent (these
+two go to projected Gauss-Seidel), a selection that leaves its box, a state
+off the threshold lattice, last-stopped agents outside the graph, and
+whenever the compiled kernels do not load.
 """
 
 from __future__ import annotations
@@ -38,8 +49,8 @@ import numpy as np
 
 from . import quantizers
 from .graphs import GraphSchedule, WeightedDigraph, laplacian
-from .quantizers import (InputError, Quantizer, json_field, json_float, krasovskii_scan,
-                         threshold_hits)
+from .quantizers import (InputError, Quantizer, UniformQuantizer, json_agent, json_field,
+                         json_float, krasovskii_scan, threshold_hits)
 
 # Feasibility slack for hold coefficients: absorbs elimination round-off
 # without admitting genuinely infeasible holds.
@@ -150,7 +161,8 @@ def policy_from_json(obj: dict) -> SelectionPolicy:
         # Pairs, not a dict: keys such as "1" and "01" name one agent, and
         # FixedAlpha rejects the second pin instead of keeping one of them.
         return FixedAlpha(json_field(obj, "alpha", "policy", {},
-                                     lambda a: [(int(k), json_float(v)) for k, v in a.items()]))
+                                     lambda a: [(json_agent(k), json_float(v))
+                                                for k, v in a.items()]))
     raise InputError(f"unknown policy type {kind!r}")
 
 
@@ -548,12 +560,34 @@ def resolve_sliding(
     broadcast the midpoint of their surface interval (the regularisation
     limit).  Held agents are reported with exactly zero velocity so that
     the integrator keeps them bit-exactly on their thresholds.
+
+    The compiled ``qcl_resolve`` runs for a uniform quantizer under Sliding
+    or SequentialSlow and gives the bits of ``_resolve_python``, which runs
+    where it declines (see the module docstring).  Its resolution also
+    carries ``_arrival``, the ``threshold_hits`` of its velocity, as an
+    attribute outside the fields, which ``simulate`` takes instead of
+    scanning again.
     """
     x = np.asarray(x, dtype=float)
-    n = g.n
-    if x.shape != (n,):
+    if x.shape != (g.n,):
         raise InputError("state length must match the agent count")
+    kernels = quantizers._load_kernel()
+    if (kernels is not None and isinstance(quantizer, UniformQuantizer)
+            and not isinstance(policy, FixedAlpha)):
+        out = kernels.resolve(g, x, quantizer.delta, isinstance(policy, SequentialSlow),
+                              last_stopped, cutoff)
+        if out is not None:
+            res = Resolution(*out[:5])
+            object.__setattr__(res, "_arrival", out[5])
+            return res
+    return _resolve_python(x, g, quantizer, policy, last_stopped, cutoff)
 
+
+def _resolve_python(x: np.ndarray, g: WeightedDigraph, quantizer: Quantizer,
+                    policy: SelectionPolicy, last_stopped: frozenset[int],
+                    cutoff: int) -> Resolution:
+    """``resolve_sliding`` of a state of the right length, in Python."""
+    n = g.n
     z = np.empty(n)
     boxes = krasovskii_scan(x, quantizer, z=z).boxes
 
@@ -633,6 +667,7 @@ class Trajectory:
         self.quantizer = quantizer
         self.events = events
         self.status = status
+        self._sampled: tuple | None = None
 
     @property
     def n(self) -> int:
@@ -670,8 +705,14 @@ class Trajectory:
     # -- wire formats --------------------------------------------------------
 
     def _rows(self, stride: float | None):
+        """The exported rows: each event, and with a stride the samples between
+        them.  The sampled rows of the last stride are kept, so that the CSV
+        and the JSON export of one stride build them once."""
         if stride is not None:
             _require_stride(stride)
+            key = (type(stride), stride)
+            if self._sampled is not None and self._sampled[0] == key:
+                return self._sampled[1]
         rows = []
         for k, ev in enumerate(self.events):
             rows.append((ev.t, ev.kind, ev.x, ev.z, ev.alpha))
@@ -686,6 +727,8 @@ class Trajectory:
                         )
                         rows.append((ts, "sample", xs, ev.z, ev.alpha))
                     s += 1
+        if stride is not None:
+            self._sampled = (key, rows)
         return rows
 
     def to_csv(self, stride: float | None = None) -> str:
@@ -736,7 +779,7 @@ def _certified_terminal(
     """Full hold with zero velocity under every graph still to come."""
     for g in schedule.graphs_active_from(t):
         res = resolve_sliding(x, g, quantizer, policy)
-        if np.any(res.velocity):
+        if res.velocity.any():
             return False
     return True
 
@@ -789,7 +832,7 @@ def simulate(
             )
         g = schedule.graph_at(t)
         res = resolve_sliding(x, g, quantizer, policy, last_stopped)
-        at_rest = not np.any(res.velocity)
+        at_rest = not res.velocity.any()
         terminal = at_rest and _certified_terminal(x, schedule, t, quantizer, policy)
         events.append(_make_event(t, "equilibrium" if terminal else kind, x, res, hits_now))
         if terminal:
@@ -811,7 +854,8 @@ def simulate(
             hits_now = ()
             continue
 
-        dt_th, th_hits = threshold_hits(x, res.velocity, quantizer)
+        arrival = getattr(res, "_arrival", None)
+        dt_th, th_hits = arrival or threshold_hits(x, res.velocity, quantizer)
         ts = schedule.next_switch_after(t)
         dt_sw = ts - t
         dt = min(dt_th, dt_sw)
@@ -898,7 +942,7 @@ def _rk4_chunk_lists(x: list[float], rows: list[list[tuple[int, float]]], xp: li
 
 def _ramp_knots(quantizer: Quantizer, x0, eps: float) -> tuple[list[float], list[float]]:
     """Breakpoints of the continuous piecewise-linear quantizer surrogate."""
-    from .quantizers import GeneralQuantizer, UniformQuantizer
+    from .quantizers import GeneralQuantizer
 
     if isinstance(quantizer, UniformQuantizer):
         d = quantizer.delta

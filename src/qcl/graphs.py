@@ -339,6 +339,8 @@ class GraphSchedule:
         if segs[0][0] != 0.0:
             raise InputError("first segment must start at time 0")
         times = [t for t, _ in segs]
+        if not all(map(math.isfinite, times)):
+            raise InputError(f"segment start times must be finite, got {times}")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise InputError("segment start times must be strictly increasing")
         n = segs[0][1].n

@@ -17,6 +17,7 @@ values at events, so no epsilon comparison is needed anywhere.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache
@@ -88,6 +89,15 @@ def json_int(value) -> int:
     if not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def json_agent(key: str) -> int:
+    """A JSON object key that names an agent, as an int: an optional minus
+    and ASCII digits only (``int`` would also take spaces, a plus sign,
+    underscores and other scripts' digits)."""
+    if re.fullmatch(r"-?[0-9]+", key) is None:
+        raise ValueError(f"agent keys must be integers, got {key!r}")
+    return int(key)
 
 
 # Methods both quantizers share.  Each class binds them in its own body

@@ -25,8 +25,8 @@ from .dynamics import (
     policy_from_json,
 )
 from .graphs import GraphSchedule, WeightedDigraph, schedule_from_json
-from .quantizers import (InputError, Quantizer, UniformQuantizer, json_bool, json_field,
-                         json_float, json_floats, json_int, quantizer_from_json)
+from .quantizers import (InputError, Quantizer, UniformQuantizer, json_agent, json_bool,
+                         json_field, json_float, json_floats, json_int, quantizer_from_json)
 
 _MASK64 = (1 << 64) - 1
 
@@ -163,7 +163,8 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
     raw = json_field(obj, "expected", "scenario", None)
     if raw is not None:
         alpha = json_field(raw, "alpha", "expected", None,
-                           lambda a: tuple(sorted((int(k), json_float(v)) for k, v in a.items())))
+                           lambda a: tuple(sorted((json_agent(k), json_float(v))
+                                                  for k, v in a.items())))
         # Keys such as "1" and "01" name one agent.
         agents = [agent for agent, _ in alpha or ()]
         for agent, other in zip(agents, agents[1:]):

@@ -53,6 +53,10 @@ def _reference_with(value, *path) -> dict:
 EXPECTED_BLOCK_ERRORS = [
     pytest.param(_reference_with({"1": 0.5, "01": 0.25}, "expected", "alpha"), "agent 1",
                  id="expected-alpha-named-twice"),
+    pytest.param(_reference_with({" 1 ": 0.5}, "expected", "alpha"), "'alpha'",
+                 id="expected-alpha-key-with-spaces"),
+    pytest.param(_reference_with({"+1": 0.5}, "expected", "alpha"), "'alpha'",
+                 id="expected-alpha-key-with-plus"),
     pytest.param(_reference_with("abc", "expected", "t_con"), "'t_con'",
                  id="expected-t-con-string"),
     pytest.param(_reference_with(True, "expected", "q_infinity"), "'q_infinity'",
@@ -147,6 +151,15 @@ class TestRun:
                      "agent -1", id="pin-negative-agent"),
         pytest.param(_reference_with({"type": "fixed-alpha", "alpha": {"1": 0.5, "01": 0.25}},
                                      "policy"), "agent 1", id="pin-named-twice"),
+        # Agent keys are an optional minus and ASCII digits, nothing else.
+        pytest.param(_reference_with({"type": "fixed-alpha", "alpha": {" 1 ": 0.5}}, "policy"),
+                     "'alpha'", id="pin-key-with-spaces"),
+        pytest.param(_reference_with({"type": "fixed-alpha", "alpha": {"1_0": 0.5}}, "policy"),
+                     "'alpha'", id="pin-key-with-underscore"),
+        pytest.param(_reference_with({"type": "fixed-alpha", "alpha": {"\u0661": 0.5}},
+                                     "policy"), "'alpha'", id="pin-key-arabic-indic-digit"),
+        pytest.param(_reference_with({"type": "fixed-alpha", "alpha": {"1.0": 0.5}}, "policy"),
+                     "'alpha'", id="pin-key-float"),
     ] + EXPECTED_BLOCK_ERRORS)
     def test_malformed_scenario_is_one_error_line(self, tmp_path, capsys, document, named):
         path = tmp_path / "s.json"
@@ -154,6 +167,17 @@ class TestRun:
         assert run_cli("run", "--scenario", str(path), "--out", str(tmp_path)) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+
+    @pytest.mark.parametrize("t", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_segment_start_is_one_error_line(self, tmp_path, capsys, t):
+        scenario = example1_line(3, 1.0).to_json()
+        segments = scenario["schedule"]["segments"]
+        segments.append(dict(segments[0], t=1.0))
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario).replace('"t": 1.0', f'"t": {t}'))
+        assert run_cli("run", "--scenario", str(path), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
 
     @pytest.mark.parametrize("document, named", EXPECTED_BLOCK_ERRORS)
     def test_malformed_expected_block_is_input_error(self, document, named):

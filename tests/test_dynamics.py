@@ -12,6 +12,7 @@ from qcl import (
     FixedAlpha,
     GraphSchedule,
     InputError,
+    NoSlidingSelection,
     ScenarioConfig,
     SequentialSlow,
     SimulationLimitError,
@@ -505,6 +506,117 @@ def test_velocities_in_another_order_fail_self_check(monkeypatch, tmp_path, old,
     assert list((tmp_path / "cache").iterdir()) == []
 
 
+#: Resolves that the compiled ``qcl_resolve`` must decline: a pair of
+#: surface agents that listen only to each other (singular), three surface
+#: candidates over a cutoff of 2, and a departure that the re-check finds
+#: pushed back onto its surface (``SequentialSlow``, agent 2 last stopped).
+DECLINED_RESOLVES = {
+    "singular": (WeightedDigraph.from_edges(2, [(0, 1, 1.0), (1, 0, 1.0)]),
+                 [0.5, 0.5], 1.0, Sliding(), frozenset(), 64),
+    "over-cutoff": (WeightedDigraph.from_edges(4, [(0, 3, 1.0), (1, 3, 1.0), (2, 3, 1.0)]),
+                    [0.5, 0.5, 0.5, 3.0], 1.0, Sliding(), frozenset(), 2),
+    "sign-inconsistent": (WeightedDigraph.from_edges(6, [
+        (0, 4, 1.0), (0, 5, 1.5), (1, 0, 2.0), (1, 4, 1.0), (1, 5, 0.5), (2, 3, 2.0), (2, 4, 1.5),
+        (3, 0, 2.0), (3, 5, 0.5), (4, 0, 1.0), (4, 1, 1.0), (5, 0, 1.5), (5, 2, 1.5), (5, 3, 1.0)]),
+        [-1.5, -1.5, -0.5, 1.5, 2.0, 0.5], 1.0, SequentialSlow(), frozenset({2}), 64),
+}
+
+
+@st.composite
+def resolve_inputs(draw):
+    """A planted digraph (each agent but a root listens to one agent before
+    it in a random order, plus random edges) of at most 12 agents, with states
+    on thresholds, levels and inside cells of a uniform quantizer, either
+    policy, random last-stopped agents and now and then a cutoff of 2."""
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(n)))
+    weight = st.sampled_from([0.5, 1.0, 1.5, 2.0, 0.3, 1.7])
+    edges = {(order[k], order[draw(st.integers(0, k - 1))]): draw(weight) for k in range(1, n)}
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3 * n)):
+        if i != j:
+            edges[i, j] = draw(weight)
+    delta = draw(st.sampled_from([1.0, 0.25, 1 / 3, 0.1]))
+    x = [(k + draw(st.sampled_from([0.5, 0.5, 0.0, 0.25]))) * delta
+         for k in draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))]
+    return (WeightedDigraph.from_edges(n, [(i, j, w) for (i, j), w in edges.items()]), x, delta,
+            draw(st.sampled_from([Sliding(), SequentialSlow()])),
+            frozenset(draw(st.sets(st.integers(0, n - 1), max_size=3))),
+            draw(st.sampled_from([64, 64, 64, 2])))
+
+
+def _resolve_outcome(g, x, delta, policy, last_stopped, cutoff):
+    """The fields of a resolve, in bits, or the type and message of its error."""
+    try:
+        res = resolve_sliding(np.array(x), g, UniformQuantizer(delta), policy, last_stopped,
+                              cutoff)
+    except (NoSlidingSelection, ContractViolation) as err:
+        return type(err), str(err)
+    return (res.z.tobytes(), res.velocity.tobytes(), [(i, a.hex()) for i, a in res.alpha],
+            res.held, res.departing)
+
+
+@pytest.mark.parametrize("path", KERNEL_PATHS)
+@settings(max_examples=150, deadline=None)
+@given(case=resolve_inputs())
+@example(case=DECLINED_RESOLVES["singular"])
+@example(case=DECLINED_RESOLVES["over-cutoff"])
+@example(case=DECLINED_RESOLVES["sign-inconsistent"])
+def test_compiled_resolve_matches_list_path(path, case):
+    with kernel_path("lists"):
+        expected = _resolve_outcome(*case)
+    with kernel_path(path):
+        assert _resolve_outcome(*case) == expected
+        if not isinstance(expected[0], bytes):
+            return
+        g, x, delta, policy, last_stopped, cutoff = case
+        res = resolve_sliding(np.array(x), g, UniformQuantizer(delta), policy, last_stopped,
+                              cutoff)
+    arrival = getattr(res, "_arrival", None)
+    if arrival is not None:
+        with kernel_path("lists"):
+            assert repr(arrival) == repr(quantizers.threshold_hits(
+                np.array(x), res.velocity, UniformQuantizer(delta)))
+
+
+@needs_cc
+@pytest.mark.parametrize("name", sorted(DECLINED_RESOLVES))
+def test_compiled_resolve_declines(name):
+    g, x, delta, policy, last_stopped, cutoff = DECLINED_RESOLVES[name]
+    assert quantizers._load_kernel().resolve(
+        g, np.array(x), delta, isinstance(policy, SequentialSlow), last_stopped, cutoff) is None
+    # The Python code that then runs resolves it.
+    assert isinstance(_resolve_outcome(*DECLINED_RESOLVES[name])[0], bytes)
+
+
+@needs_cc
+def test_simulate_takes_the_arrival_from_the_compiled_resolve(monkeypatch):
+    config = example1_line(5, 0.1)
+    csv = simulate(config).to_csv()
+
+    def scan_again(*args):
+        raise AssertionError("threshold_hits after a compiled resolve")
+
+    monkeypatch.setattr(dynamics, "threshold_hits", scan_again)
+    assert simulate(config).to_csv() == csv
+
+
+@needs_cc
+@pytest.mark.parametrize("old,new", [
+    ("(r_near == drop_near && e > worst)", "(r_near == drop_near && e >= worst)"),
+    ("if (fabs(a) <= FEAS_SLACK)", "if (fabs(a) <= 2 * FEAS_SLACK)"),
+], ids=["release-ties-to-highest", "wider-snap-slack"])
+def test_mutated_resolve_fails_self_check(monkeypatch, tmp_path, old, new):
+    build_kernel_variant(monkeypatch, tmp_path, old, new)
+    config = example1_line(5, 0.1)
+    csv = simulate(config).to_csv()
+    assert quantizers._load_kernel() is None
+    assert list((tmp_path / "cache").iterdir()) == []
+    # The run used the Python code, which the compiled resolve reproduces.
+    monkeypatch.undo()
+    assert simulate(config).to_csv() == csv
+
+
 class TestSimulate:
     def test_line_reference_trace_is_exact(self):
         config = example1_line(3, 1.0, policy=Sliding())
@@ -738,6 +850,16 @@ class TestTrajectory:
         sample_rows = [ln for ln in lines if ",sample," in ln]
         assert len(sample_rows) == 3  # 0.125, 0.25, 0.375
         assert sample_rows[0].split(",")[0] == "0.125"
+
+    def test_both_exports_of_one_stride_build_the_samples_once(self):
+        # to_csv and to_json_obj of one stride read one table of rows; only
+        # the last stride's table is kept.
+        traj = simulate(example1_line(3, 1.0, policy=Sliding()))
+        rows = traj._rows(0.125)
+        assert traj._rows(0.125) is rows
+        assert traj._rows(0.25) is not rows
+        assert traj._rows(0.125) is not rows
+        assert traj._rows(0.125) == rows
 
     @pytest.mark.parametrize("stride", [0.0, -0.125, float("nan"), float("inf")])
     def test_bad_stride_rejected(self, stride):

@@ -223,6 +223,9 @@ class TestGraphSchedule:
             GraphSchedule(segments=((0.0, g),), a_low=1.0, a_high=1.0, period=0.0)
         with pytest.raises(InputError):
             GraphSchedule(segments=((0.0, g),), a_low=2.0, a_high=3.0)
+        for t in (math.nan, math.inf):
+            with pytest.raises(InputError, match="finite"):
+                GraphSchedule(segments=((0.0, g), (t, g)), a_low=1.0, a_high=1.0)
 
     def test_periodic_lookup_and_switches(self):
         g1 = line_graph(2)
