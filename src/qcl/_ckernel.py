@@ -11,6 +11,7 @@ be written; the caller then keeps its own kernels.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import shutil
 import subprocess
@@ -62,6 +63,12 @@ class Kernels(NamedTuple):
     #: (SequentialSlow when ``sequential``) policy, then the
     #: ``threshold_hits`` of its velocity; or None when it declines.
     resolve: Callable[..., tuple | None]
+    #: ``advance(g, x, delta, sequential, last_stopped, cutoff, t, ts,
+    #: horizon, budget)``: ``(values, alphas, ints, t, x, hits, resolution)``,
+    #: the events that ``qcl_advance`` recorded, as ``dynamics._events``
+    #: reads them, the time, state and hit agents where it stopped, and
+    #: ``resolve`` of that state.
+    advance: Callable[..., tuple]
 
 
 def load(check: Callable[[Kernels], bool]) -> Kernels | None:
@@ -107,7 +114,7 @@ def _bind(lib: ctypes.CDLL) -> Kernels:
 
     return Kernels(_bind_rk4_chunk(lib), _bind_hold_solve(lib, c_graph, reserve),
                    _bind_velocities(lib, c_graph, reserve), *_bind_scans(lib, reserve),
-                   _bind_resolve(lib, c_graph, reserve))
+                   *_bind_advance(lib, c_graph, reserve))
 
 
 def _bind_rk4_chunk(lib: ctypes.CDLL):
@@ -150,8 +157,8 @@ class _Graph(ctypes.Structure):
                 ("vals", ctypes.c_void_p), ("totals", ctypes.c_void_p)]
 
 
-#: The buffers of ``struct qcl_work``: name, C type and length in agents n
-#: or unknowns m.
+#: The buffers of ``struct qcl_work``: name, C type and length in agents n,
+#: unknowns m or the chunk of ``qcl_advance``.
 _BUFFERS = (("x", ctypes.c_double, "n"), ("y", ctypes.c_double, "n"),
             ("z", ctypes.c_double, "n"), ("agents", ctypes.c_int64, "n"),
             ("stopped", ctypes.c_int64, "n"), ("surface", ctypes.c_int64, "n"),
@@ -161,16 +168,22 @@ _BUFFERS = (("x", ctypes.c_double, "n"), ("y", ctypes.c_double, "n"),
             ("mark", ctypes.c_int64, "n"), ("active", ctypes.c_int64, "m"),
             ("box", ctypes.c_double, "2m"), ("aug", ctypes.c_double, "m(m+1)"),
             ("out", ctypes.c_double, "m"), ("slot", ctypes.c_int64, "m"),
-            ("colmap", ctypes.c_int64, "n"))
+            ("colmap", ctypes.c_int64, "n"), ("rows", ctypes.c_double, "rows"),
+            ("ints", ctypes.c_int64, "ints"))
+#: The least length of the chunk of ``qcl_advance``, in doubles of its rows
+#: and in integers of its records (32 KiB each); it stops when it is full.
+CHUNK = 2 ** 12
 
 
 class _Struct(ctypes.Structure):
     """``struct qcl_work``."""
 
     _fields_ = ([(name, ctypes.c_void_p) for name, _, _ in _BUFFERS]
-                + [(name, ctypes.c_int64) for name in ("m", "n_surface", "n_outside", "count")]
+                + [(name, ctypes.c_int64)
+                   for name in ("m", "rows_cap", "ints_cap", "n_surface", "n_outside", "count")]
                 + [(name, ctypes.c_double)
-                   for name in ("low", "high", "common_low", "common_high", "dt")])
+                   for name in ("low", "high", "common_low", "common_high", "dt", "t")]
+                + [(name, ctypes.c_int64) for name in ("n_stopped", "n_rows", "n_ints")])
 
 
 class _Work:
@@ -178,19 +191,23 @@ class _Work:
     agents and hold systems of up to ``m`` unknowns, reused from call to call
     and replaced by a larger one only when a call needs more.
 
-    ``buf`` maps each buffer of ``_BUFFERS`` to its ctypes array, ``x``, ``y``
-    and ``z`` are numpy views of the same memory, made once (on a 2-core Xeon,
-    copying 6 states into one takes about 0.5 us, asking numpy for an array's
-    address 0.9 us), and ``struct`` points the C code at all of them.
+    ``buf`` maps each buffer of ``_BUFFERS`` to its ctypes array, ``x``,
+    ``y``, ``z`` and ``rows`` are numpy views of the same memory, made once
+    (on a 2-core Xeon, copying 6 states into one takes about 0.5 us, asking
+    numpy for an array's address 0.9 us), and ``struct`` points the C code
+    at all of them.
     """
 
     def __init__(self, n: int, m: int):
         self.n, self.m = n, m
-        sizes = {"n": n, "2n": 2 * n, "m": m, "2m": 2 * m, "m(m+1)": m * (m + 1)}
+        sizes = {"n": n, "2n": 2 * n, "m": m, "2m": 2 * m, "m(m+1)": m * (m + 1),
+                 "rows": max(CHUNK, 4 * n + 1), "ints": max(CHUNK, 3 * n + 2)}
         self.buf = {name: (ctype * sizes[size])() for name, ctype, size in _BUFFERS}
         self.buf["colmap"][:] = [-1] * n
-        self.x, self.y, self.z = (np.frombuffer(self.buf[name]) for name in "xyz")
-        self.struct = _Struct(*map(ctypes.addressof, self.buf.values()), m)
+        self.x, self.y, self.z, self.rows = (np.frombuffer(self.buf[name])
+                                             for name in ("x", "y", "z", "rows"))
+        self.struct = _Struct(*map(ctypes.addressof, self.buf.values()), m,
+                              sizes["rows"], sizes["ints"])
         self.address = ctypes.addressof(self.struct)
 
 
@@ -333,46 +350,75 @@ def _bind_scans(lib: ctypes.CDLL, reserve):
     return uniform_sets, uniform_hits
 
 
-def _bind_resolve(lib: ctypes.CDLL, c_graph, reserve):
-    """Wrap ``qcl_resolve`` for ``dynamics.resolve_sliding``.
+def _bind_advance(lib: ctypes.CDLL, c_graph, reserve):
+    """Wrap ``qcl_advance`` as ``resolve``, for ``dynamics.resolve_sliding``,
+    and ``advance``, for ``dynamics.simulate``.
 
-    ``x`` must be a float64 array with one state per agent.  Returns None,
-    so that the caller runs its Python code, when the C code declines, a
-    last-stopped agent is not an integer of the graph or the cutoff is not a
-    number.  The hold buffers grow when the C code asks for more.
+    ``x`` must be a float64 array with one state per agent.  The resolution
+    is None, so that the caller runs its Python code, when the C code
+    declines, a last-stopped agent is not an integer of the graph or the
+    cutoff is not a number.  The hold buffers grow when the C code asks for
+    more, and the loop then goes on in the larger workspace.
     """
-    c_resolve = lib.qcl_resolve
-    c_resolve.restype = ctypes.c_int
-    c_resolve.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_int64,
-                          ctypes.c_int64, ctypes.c_double]
+    c_advance = lib.qcl_advance
+    c_advance.restype = ctypes.c_int
+    c_advance.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_int64,
+                          ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_int64]
 
-    def resolve(g, x: np.ndarray, delta: float, sequential: bool, last_stopped,
-                cutoff) -> tuple | None:
+    def advance(g, x: np.ndarray, delta: float, sequential: bool, last_stopped, cutoff,
+                t: float = 0.0, ts: float = math.inf, horizon: float = math.inf,
+                budget: int = 0) -> tuple:
         n, graph, _ = c_graph(g)
         stopped = list(last_stopped) if sequential else []
+        values: list[float] = []
+        alphas: list[float | None] = []
+        ints: list[int] = []
         try:
             if stopped and not 0 <= min(stopped) <= max(stopped) < n:
-                return None
+                return values, alphas, ints, t, x, None, None
             w = reserve(n)
+            w.x[:n] = x
+            w.buf["stopped"][:len(stopped)] = stopped
+            s = w.struct
+            s.t, s.n_stopped = t, len(stopped)
+            budget = min(budget, CHUNK)  # a chunk holds fewer events; C takes an int64
             while True:
-                w.x[:n] = x
-                w.buf["stopped"][:len(stopped)] = stopped
-                status = c_resolve(graph, w.address, delta, sequential, len(stopped), cutoff)
+                status = c_advance(graph, w.address, delta, sequential, cutoff, ts, horizon,
+                                   budget)
+                if s.n_rows:
+                    rows = w.rows[:s.n_rows * (4 * n + 1)].reshape(s.n_rows, -1)
+                    alpha = rows[:, 3 * n + 1:]
+                    values += rows[:, :3 * n + 1].ravel().tolist()
+                    alphas += np.where(np.isnan(alpha), None, alpha).ravel().tolist()
+                    ints += w.buf["ints"][:s.n_ints]
+                    budget -= s.n_rows
                 if status != 3:
                     break
-                w = reserve(n, w.struct.count)
+                grown = reserve(n, s.count)
+                grown.x[:n] = w.x[:n]
+                grown.buf["stopped"][:s.n_stopped] = w.buf["stopped"][:s.n_stopped]
+                grown.struct.t, grown.struct.n_stopped = s.t, s.n_stopped
+                w, s = grown, grown.struct
         except (TypeError, ctypes.ArgumentError):
-            return None
+            return values, alphas, ints, t, x, None, None
+        hits = None
+        if ints:
+            t, x, hits = s.t, w.x[:n].copy(), tuple(w.buf["stopped"][:s.n_stopped])
         if status:
-            return None
-        s, buf = w.struct, w.buf
+            return values, alphas, ints, t, x, hits, None
+        buf = w.buf
         k, count = s.n_surface, s.count
         surface, signs = buf["surface"][:k], buf["sign"][:k]
         z, velocity = w.z[:n].copy(), w.y[:n].copy()
         z.flags.writeable = velocity.flags.writeable = False
-        return (z, velocity, tuple(zip(surface, buf["alpha"][:k])),
-                frozenset([i for i, sign in zip(surface, signs) if not sign]),
-                tuple([(i, sign) for i, sign in zip(surface, signs) if sign]),
-                (s.dt, list(zip(buf["hit"][:count], buf["threshold"][:count]))))
+        return values, alphas, ints, t, x, hits, (
+            z, velocity, tuple(zip(surface, buf["alpha"][:k])),
+            frozenset([i for i, sign in zip(surface, signs) if not sign]),
+            tuple([(i, sign) for i, sign in zip(surface, signs) if sign]),
+            (s.dt, list(zip(buf["hit"][:count], buf["threshold"][:count]))))
 
-    return resolve
+    def resolve(g, x: np.ndarray, delta: float, sequential: bool, last_stopped,
+                cutoff) -> tuple | None:
+        return advance(g, x, delta, sequential, last_stopped, cutoff)[-1]
+
+    return resolve, advance

@@ -14,9 +14,10 @@ import random
 import numpy as np
 
 from . import quantizers
-from .dynamics import (SequentialSlow, Sliding, _build_hold_system, _gaussian_solve,
-                       _resolve_python, _rk4_chunk_lists, _Singular, _velocities_numpy)
-from .graphs import WeightedDigraph
+from .dynamics import (SequentialSlow, SimulationLimitError, Sliding, _build_hold_system,
+                       _gaussian_solve, _resolve_python, _rk4_chunk_lists, _Singular,
+                       _velocities_numpy, simulate)
+from .graphs import GraphSchedule, WeightedDigraph
 from .quantizers import UniformQuantizer, _krasovskii_scan_lists, _threshold_hits_lists
 
 
@@ -25,7 +26,7 @@ def kernels_agree(kernels) -> bool:
     return (_rk4_agrees(kernels.rk4_chunk) and _hold_solve_agrees(kernels.hold_solve)
             and _velocities_agree(kernels.velocities)
             and _scans_agree(kernels.uniform_sets, kernels.uniform_hits)
-            and _resolve_agrees(kernels.resolve))
+            and _resolve_agrees(kernels.resolve) and _runs_agree(kernels))
 
 
 def _rk4_agrees(kernel) -> bool:
@@ -234,14 +235,66 @@ def _resolve_agrees(resolve) -> bool:
         return (bits(out) == bits((ref.z, ref.velocity, ref.alpha, ref.held, ref.departing))
                 and repr(out[5]) == repr(_threshold_hits_lists(x, ref.velocity, q)))
 
-    # This check runs inside the first ``_load_kernel`` call, which a nested
-    # call would repeat, build and check included; the reference runs the
-    # list code instead.
+    return _on_lists(lambda: all(agrees(*c, must) for cases, must in (
+        (drawn, "match"), (accepted, "accept"), (declined, "decline")) for c in cases))
+
+
+def _on_lists(check, kernels=None):
+    """``check()`` with ``quantizers._load_kernel`` returning ``kernels``.
+
+    The self-check runs inside the first ``_load_kernel`` call, which a
+    nested call would repeat, build and check included; so the reference
+    runs on the list code (no kernels), and a run of the build under check
+    gets it passed in.
+    """
     loader = quantizers._load_kernel
-    quantizers._load_kernel = lambda: None
+    quantizers._load_kernel = lambda: kernels
     try:
-        return all(agrees(*c, must) for cases, must in ((drawn, "match"), (accepted, "accept"),
-                                                        (declined, "decline"))
-                   for c in cases)
+        return check()
     finally:
         quantizers._load_kernel = loader
+
+
+def _runs_agree(kernels) -> bool:
+    """Whether whole runs of ``simulate`` with ``kernels`` give the events,
+    status and errors of the same runs on the list code, in bits.
+
+    The lines have steps, weights and spacings that are not binary
+    fractions, so that a step x + v dt rounded once (as a fused multiply-add)
+    shows in the states, and on the line of weight 0.7 an arrival left where
+    x + v dt puts it, off its threshold, does too.  They run under both
+    policies, from states on thresholds, to the event limit and to the
+    horizon.  On the schedule of two line graphs, arrivals at 0.25 and 1.0
+    coincide with its switches.
+    """
+    from .scenarios import ScenarioConfig, line_graph
+
+    line, heavy = line_graph(6), line_graph(6, 2.0)
+    spread = [0.0937 * i + 0.013 for i in range(6)]
+    on_thresholds = [(k + 0.5) / 3 for k in (0, 2, 3, 5, 8, 9)]
+    runs = [
+        (GraphSchedule.time_invariant(line, 1.0, 2.0), 0.1, spread, {}),
+        (GraphSchedule.time_invariant(line, 1.0, 2.0), 1 / 3, on_thresholds, {}),
+        (GraphSchedule.time_invariant(line, 1.0, 2.0), 0.1, spread, {"max_events": 7}),
+        (GraphSchedule.time_invariant(line, 1.0, 2.0), 0.1, spread, {"horizon": 0.3}),
+        (GraphSchedule.time_invariant(line_graph(6, 0.7), 0.7, 0.7), 1.0,
+         [0.0182, 2.3449, 4.2378, 5.2531, 7.1425, 9.0116], {}),
+        (GraphSchedule(((0.0, line), (0.25, heavy), (1.0, line)), 1.0, 2.0), 0.25,
+         [0.0, 0.0, 0.0, 0.0, 0.6, 1.1], {}),
+    ]
+    configs = [ScenarioConfig(schedule, UniformQuantizer(delta), x0, policy, **limits)
+               for schedule, delta, x0, limits in runs
+               for policy in (Sliding(), SequentialSlow())]
+
+    def bits(config):
+        try:
+            traj, outcome = simulate(config), None
+        except SimulationLimitError as err:
+            traj, outcome = err.trajectory, str(err)
+        return outcome, traj.status, [
+            (ev.t.hex(), ev.kind, [v.hex() for v in ev.x + ev.z + ev.velocity],
+             [None if a is None else a.hex() for a in ev.alpha], ev.hits, ev.departing)
+            for ev in traj.events]
+
+    return all(_on_lists(lambda: bits(config), kernels) == _on_lists(lambda: bits(config))
+               for config in configs)

@@ -28,10 +28,23 @@
  * box.  FixedAlpha and general quantizers never reach it, nor last-stopped
  * agents outside the graph.
  *
+ * qcl_advance: the event loop of qcl.dynamics.simulate around qcl_resolve,
+ * for as long as each step is a plain threshold hit inside one graph
+ * segment: the state moves, its arrival comes strictly before the segment's
+ * end and not after the horizon, the event budget is not used up and the
+ * chunk of recorded events has room.  Each such step records the event and
+ * steps as simulate does, x + v dt for every agent, then the hit agents
+ * snapped onto their thresholds.  It stops at the first state that is not
+ * such a step (at rest, a switch first or at the same time, the horizon,
+ * the budget, a full chunk) or whose resolve declines or needs larger
+ * buffers, with that state's resolve in the buffers; with a budget of 0 it
+ * is one qcl_resolve.
+ *
  * All keep the operation order of every element of the code they port.  Built
  * with -ffp-contract=off and without fast-math, so the results are
  * bit-identical to it; qcl checks that before it uses a build.  Every entry
- * point but qcl_rk4_chunk works in one struct qcl_work of reused buffers.
+ * point but qcl_rk4_chunk works in one struct qcl_work of reused buffers, so
+ * none is reentrant.
  */
 #include <float.h>
 #include <math.h>
@@ -131,7 +144,13 @@ struct qcl_graph {
  * reads its agents from active (m) and their boxes from box (2 m), works in
  * aug (m (m + 1)) and writes its solution to out (m); slot (m) maps the
  * unknowns of a resolve to surface agents, and colmap (n) holds -1 for each
- * agent on entry and on return. */
+ * agent on entry and on return.
+ *
+ * qcl_advance starts at time t from the state x with the n_stopped agents
+ * in stopped, and leaves there the time, state and last-stopped agents
+ * where it stopped.  It writes n_rows rows of 4 n + 1 doubles to rows
+ * (capacity rows_cap doubles) and n_ints integers to ints (capacity
+ * ints_cap); see qcl_advance. */
 struct qcl_work {
     double *x;
     double *y;
@@ -152,7 +171,11 @@ struct qcl_work {
     double *out;
     int64_t *slot;
     int64_t *colmap;
+    double *rows;
+    int64_t *ints;
     int64_t m;
+    int64_t rows_cap;
+    int64_t ints_cap;
     int64_t n_surface;
     int64_t n_outside;
     int64_t count;
@@ -161,6 +184,10 @@ struct qcl_work {
     double common_low;
     double common_high;
     double dt;
+    double t;
+    int64_t n_stopped;
+    int64_t n_rows;
+    int64_t n_ints;
 };
 
 /* The hold system of the m agents in s->active: unknown c is the convex
@@ -634,4 +661,70 @@ int qcl_resolve(const struct qcl_graph *g, struct qcl_work *w, double delta,
             return 1;
     }
     return qcl_uniform_hits(w, n, delta);
+}
+
+/* The event loop of the top of this file, for a graph segment that ends at
+ * ts.  A recorded step takes dt = w->dt, the arrival of its resolve, to
+ * t + dt, and its hit agents become the last stopped.
+ *
+ * The event at time t is the row t, x, z, v and alpha (NaN for an agent off
+ * the surface) and, in ints, the number of departing agents, each agent and
+ * its sign, then the number of agents that the step hits and those agents.
+ *
+ * Returns what qcl_resolve returns for the state it stops at, whose resolve
+ * is then in the buffers. */
+int qcl_advance(const struct qcl_graph *g, struct qcl_work *w, double delta,
+                int64_t sequential, double cutoff, double ts, double horizon, int64_t budget)
+{
+    int64_t n = g->n, width = 4 * n + 1;
+
+    w->n_rows = 0;
+    w->n_ints = 0;
+    for (;;) {
+        int status = qcl_resolve(g, w, delta, sequential, w->n_stopped, cutoff);
+        double t = w->t, dt = w->dt, *row;
+        int64_t *ints, moving = 0, k = 0;
+
+        if (status)
+            return status;
+        for (int64_t i = 0; i < n && !moving; i++)
+            moving = w->y[i] != 0.0;
+        if (!moving || !(dt < ts - t) || !(t + dt <= horizon) || w->n_rows == budget
+            || (w->n_rows + 1) * width > w->rows_cap || w->n_ints + 3 * n + 2 > w->ints_cap)
+            return 0;
+
+        row = w->rows + w->n_rows * width;
+        ints = w->ints + w->n_ints;
+        row[0] = t;
+        for (int64_t i = 0; i < n; i++) {
+            row[1 + i] = w->x[i];
+            row[1 + n + i] = w->z[i];
+            row[1 + 2 * n + i] = w->y[i];
+            row[1 + 3 * n + i] = NAN;
+        }
+        for (int64_t c = 0; c < w->n_surface; c++) {
+            row[1 + 3 * n + w->surface[c]] = w->alpha[c];
+            if (w->sign[c] != 0) {
+                ints[1 + 2 * k] = w->surface[c];
+                ints[2 + 2 * k] = w->sign[c];
+                k++;
+            }
+        }
+        ints[0] = k;
+        ints += 1 + 2 * k;
+        ints[0] = w->count;
+        for (int64_t h = 0; h < w->count; h++)
+            ints[1 + h] = w->hit[h];
+        w->n_ints += 2 + 2 * k + w->count;
+        w->n_rows++;
+
+        for (int64_t i = 0; i < n; i++)
+            w->x[i] = w->x[i] + w->y[i] * dt;
+        for (int64_t h = 0; h < w->count; h++) {
+            w->x[w->hit[h]] = w->threshold[h];
+            w->stopped[h] = w->hit[h];
+        }
+        w->n_stopped = w->count;
+        w->t = t + dt;
+    }
 }

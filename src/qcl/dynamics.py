@@ -27,14 +27,25 @@ solution.
 
 Under a uniform quantizer and the Sliding or SequentialSlow policy, a
 resolve runs as one compiled call, ``qcl_resolve`` of ``_kernels.c``, which
-also gives ``simulate`` the next threshold arrival; it has the bits of the
-Python code, ``_resolve_python``.  The call declines, with no effect, and
-the Python code runs for a FixedAlpha policy, a general quantizer, more
-surface agents that listen to someone than the dense cutoff, a singular
-hold system, a departure that the re-check finds sign-inconsistent (these
-two go to projected Gauss-Seidel), a selection that leaves its box, a state
-off the threshold lattice, last-stopped agents outside the graph, and
-whenever the compiled kernels do not load.
+also gives the next threshold arrival; it has the bits of the Python code,
+``_resolve_python``.  The call declines, with no effect, and the Python code
+runs for a FixedAlpha policy, a general quantizer, more surface agents that
+listen to someone than the dense cutoff, a singular hold system, a departure
+that the re-check finds sign-inconsistent (these two go to projected
+Gauss-Seidel), a selection that leaves its box, a state off the threshold
+lattice, and whenever the compiled kernels do not load.
+
+``simulate`` calls the compiled event loop ``qcl_advance`` in place of each
+such resolve.  In one call it resolves, records the event and steps (``x +
+v dt``, the hit agents snapped onto their thresholds) for as long as each
+step is a plain threshold hit inside the current graph segment: the state
+moves, its arrival comes strictly before the next switch and not after the
+horizon, the event limit leaves room and the chunk of recorded events is
+not full.  It stops at the first state that is not, at rest, declined or in
+need of larger buffers, and returns that state's resolve, with which the
+Python loop goes on; so a run makes no more resolves than the Python loop
+alone would.  Under a stop callback or a periodic schedule it records no
+event.  The loop works in the kernels' one workspace and is not reentrant.
 """
 
 from __future__ import annotations
@@ -563,24 +574,32 @@ def resolve_sliding(
 
     The compiled ``qcl_resolve`` runs for a uniform quantizer under Sliding
     or SequentialSlow and gives the bits of ``_resolve_python``, which runs
-    where it declines (see the module docstring).  Its resolution also
-    carries ``_arrival``, the ``threshold_hits`` of its velocity, as an
-    attribute outside the fields, which ``simulate`` takes instead of
-    scanning again.
+    where it declines (see the module docstring).  A last-stopped agent
+    that is not an agent of ``g`` is an ``InputError``.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):
         raise InputError("state length must match the agent count")
-    kernels = quantizers._load_kernel()
-    if (kernels is not None and isinstance(quantizer, UniformQuantizer)
-            and not isinstance(policy, FixedAlpha)):
+    for s in last_stopped:
+        if not isinstance(s, (int, np.integer)) or not 0 <= s < g.n:
+            raise InputError(f"last-stopped agent {s!r} is not an agent of the "
+                             f"{g.n}-agent graph")
+    kernels = _compiled_resolve(quantizer, policy)
+    if kernels is not None:
         out = kernels.resolve(g, x, quantizer.delta, isinstance(policy, SequentialSlow),
                               last_stopped, cutoff)
         if out is not None:
-            res = Resolution(*out[:5])
-            object.__setattr__(res, "_arrival", out[5])
-            return res
+            return Resolution(*out[:5])
     return _resolve_python(x, g, quantizer, policy, last_stopped, cutoff)
+
+
+def _compiled_resolve(quantizer: Quantizer, policy: SelectionPolicy):
+    """The compiled kernels where they load and resolve under ``quantizer``
+    and ``policy`` (uniform; Sliding or SequentialSlow), else None."""
+    kernels = quantizers._load_kernel()
+    if isinstance(quantizer, UniformQuantizer) and not isinstance(policy, FixedAlpha):
+        return kernels
+    return None
 
 
 def _resolve_python(x: np.ndarray, g: WeightedDigraph, quantizer: Quantizer,
@@ -648,7 +667,7 @@ def _resolve_python(x: np.ndarray, g: WeightedDigraph, quantizer: Quantizer,
 # Trajectories
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryEvent:
     t: float
     kind: str
@@ -784,21 +803,45 @@ def _certified_terminal(
     return True
 
 
-def _make_event(
-    t: float, kind: str, x: np.ndarray, res: Resolution, hits: tuple[int, ...]
-) -> TrajectoryEvent:
-    n = len(x)
-    alpha_map = dict(res.alpha)
-    return TrajectoryEvent(
-        t=t,
-        kind=kind,
-        x=tuple(x.tolist()),
-        z=tuple(res.z.tolist()),
-        velocity=tuple(res.velocity.tolist()),
-        alpha=tuple(alpha_map.get(i) for i in range(n)),
-        hits=hits,
-        departing=res.departing,
-    )
+def _events(kind: str, hits: tuple[int, ...], n: int, values: list[float],
+            alphas: list[float | None], ints: list[int]) -> list[TrajectoryEvent]:
+    """The events whose time, state, selection and velocity follow one
+    another in ``values`` (``3 n + 1`` floats per event), whose alphas
+    (None off the surface) follow one another in ``alphas``, and whose
+    records in ``ints`` are the number of departing agents, each agent and
+    its sign, then the number of agents that the step to the next event
+    hits and those agents.  The first event is of ``kind`` with ``hits``;
+    each later one is a threshold hit with the hits of the step before it.
+
+    Flat lists, sliced per event, leave no list per event alive while the
+    events are built, so the garbage collector runs less often."""
+    events = []
+    pos = 0
+    for k in range(len(alphas) // n):
+        r, a = k * (3 * n + 1), k * n
+        count = ints[pos]
+        departing = tuple(zip(ints[pos + 1:pos + 1 + 2 * count:2],
+                              ints[pos + 2:pos + 2 + 2 * count:2])) if count else ()
+        pos += 1 + 2 * count
+        events.append(TrajectoryEvent(
+            values[r], kind, tuple(values[r + 1:r + 1 + n]), tuple(values[r + 1 + n:r + 1 + 2 * n]),
+            tuple(values[r + 1 + 2 * n:r + 1 + 3 * n]), tuple(alphas[a:a + n]), hits, departing))
+        count = ints[pos]
+        hits = tuple(ints[pos + 1:pos + 1 + count])
+        pos += 1 + count
+        kind = "threshold-hit"
+    return events
+
+
+def _event(t: float, kind: str, x: np.ndarray, res: Resolution,
+           hits: tuple[int, ...]) -> TrajectoryEvent:
+    """The event of ``res`` at ``(t, x)``, built by ``_events``."""
+    alphas: list[float | None] = [None] * len(x)
+    for i, a in res.alpha:
+        alphas[i] = a
+    values = [t, *x.tolist(), *res.z.tolist(), *res.velocity.tolist()]
+    return _events(kind, hits, len(x), values, alphas,
+                   [len(res.departing), *[v for pair in res.departing for v in pair], 0])[0]
 
 
 def simulate(
@@ -810,6 +853,11 @@ def simulate(
     Each recorded event carries the state at the event together with the
     selection and velocity of the segment that starts there; the final
     event repeats the terminal selection.
+
+    The compiled event loop (see the module docstring) records no event
+    under a stop callback, which sees every event, or a periodic schedule,
+    whose switch times are computed per cycle and need not bound the times
+    at which ``graph_at`` keeps its graph.
     """
     schedule: GraphSchedule = config.schedule
     quantizer: Quantizer = config.quantizer
@@ -820,6 +868,9 @@ def simulate(
     kind = "start"
     hits_now: tuple[int, ...] = ()
     last_stopped: frozenset[int] = frozenset()
+    kernels = _compiled_resolve(quantizer, policy)
+    sequential = isinstance(policy, SequentialSlow)
+    record = stop_condition is None and schedule.period is None
 
     while True:
         if len(events) >= config.max_events:
@@ -831,32 +882,41 @@ def simulate(
                 Trajectory(quantizer, events, status="limit"),
             )
         g = schedule.graph_at(t)
-        res = resolve_sliding(x, g, quantizer, policy, last_stopped)
+        ts = schedule.next_switch_after(t)
+        if kernels is not None:
+            budget = config.max_events - len(events) - 1 if record else 0
+            values, alphas, ints, t, x, hits, out = kernels.advance(
+                g, x, quantizer.delta, sequential, last_stopped, DEFAULT_DENSE_CUTOFF, t, ts,
+                config.horizon, budget)
+            if ints:
+                events += _events(kind, hits_now, len(x), values, alphas, ints)
+                kind, hits_now, last_stopped = "threshold-hit", hits, frozenset(hits)
+            res = (_resolve_python(x, g, quantizer, policy, last_stopped, DEFAULT_DENSE_CUTOFF)
+                   if out is None else Resolution(*out[:5]))
+        else:
+            res, out = resolve_sliding(x, g, quantizer, policy, last_stopped), None
         at_rest = not res.velocity.any()
         terminal = at_rest and _certified_terminal(x, schedule, t, quantizer, policy)
-        events.append(_make_event(t, "equilibrium" if terminal else kind, x, res, hits_now))
+        events.append(_event(t, "equilibrium" if terminal else kind, x, res, hits_now))
         if terminal:
             return Trajectory(quantizer, events, status="equilibrium")
         if stop_condition is not None and stop_condition(t, x):
             return Trajectory(quantizer, events, status="stopped")
 
         if at_rest:
-            ts = schedule.next_switch_after(t)
             # Not terminal with zero velocity means a future graph moves the
             # state, so a switch must exist.
             assert math.isfinite(ts)
             if ts > config.horizon:
                 t = config.horizon
-                events.append(_make_event(t, "horizon", x, res, ()))
+                events.append(_event(t, "horizon", x, res, ()))
                 return Trajectory(quantizer, events, status="horizon")
             t = ts
             kind = "topology-switch"
             hits_now = ()
             continue
 
-        arrival = getattr(res, "_arrival", None)
-        dt_th, th_hits = arrival or threshold_hits(x, res.velocity, quantizer)
-        ts = schedule.next_switch_after(t)
+        dt_th, th_hits = out[5] if out else threshold_hits(x, res.velocity, quantizer)
         dt_sw = ts - t
         dt = min(dt_th, dt_sw)
         if t + dt > config.horizon:
@@ -864,7 +924,7 @@ def simulate(
             t = config.horizon
             res_h = resolve_sliding(x, schedule.graph_at(t), quantizer, policy,
                                     last_stopped)
-            events.append(_make_event(t, "horizon", x, res_h, ()))
+            events.append(_event(t, "horizon", x, res_h, ()))
             return Trajectory(quantizer, events, status="horizon")
         x = x + res.velocity * dt
         if dt_th <= dt_sw:

@@ -359,6 +359,8 @@ class GraphSchedule:
                 raise InputError("period must exceed the last segment start")
             object.__setattr__(self, "period", p)
         object.__setattr__(self, "segments", segs)
+        # The segment start times, for the lookups below.
+        object.__setattr__(self, "_starts", tuple(times))
         object.__setattr__(self, "a_low", lo)
         object.__setattr__(self, "a_high", hi)
 
@@ -376,14 +378,10 @@ class GraphSchedule:
     def is_time_invariant(self) -> bool:
         return len(self.segments) == 1
 
-    def _offsets(self) -> list[float]:
-        return [t for t, _ in self.segments]
-
     def graph_at(self, t: float) -> WeightedDigraph:
         """Graph active at time ``t``; segments are right-open ``[t_k, t_{k+1})``."""
         if t < 0.0:
             raise InputError(f"time must be nonnegative, got {t}")
-        offsets = self._offsets()
         if self.period is None:
             local = t
         else:
@@ -401,16 +399,15 @@ class GraphSchedule:
             if local is None:  # pragma: no cover - float safety net
                 local = t - k * self.period
         idx = 0
-        for i, start in enumerate(offsets):
+        for i, start in enumerate(self._starts):
             if start <= local:
                 idx = i
         return self.segments[idx][1]
 
     def next_switch_after(self, t: float) -> float:
         """Smallest switch time strictly greater than ``t``; +inf if none."""
-        offsets = self._offsets()
         if self.period is None:
-            for start in offsets:
+            for start in self._starts:
                 if start > t:
                     return start
             return math.inf
@@ -420,7 +417,7 @@ class GraphSchedule:
             if kk < 0:
                 continue
             base = kk * self.period
-            candidates.extend(base + off for off in offsets)
+            candidates.extend(base + off for off in self._starts)
             candidates.append(base + self.period)
         later = [c for c in candidates if c > t]
         return min(later) if later else math.inf  # pragma: no cover - always nonempty
@@ -430,9 +427,8 @@ class GraphSchedule:
         if self.period is not None:
             pool = [g for _, g in self.segments]
         else:
-            offsets = self._offsets()
             idx = 0
-            for i, start in enumerate(offsets):
+            for i, start in enumerate(self._starts):
                 if start <= t:
                     idx = i
             pool = [g for _, g in self.segments[idx:]]

@@ -27,7 +27,7 @@ from qcl import (
     simulate,
 )
 from conftest import KERNEL_PATHS, build_kernel_variant, force_list_path, kernel_path
-from qcl import dynamics, quantizers
+from qcl import _ckernel, dynamics, quantizers
 from qcl.dynamics import policy_from_json
 from qcl.scenarios import SplitMix64
 from test_golden import CASES as GOLDEN_CASES, DIGESTS as GOLDEN_DIGESTS, csv_digest
@@ -522,13 +522,9 @@ DECLINED_RESOLVES = {
 }
 
 
-@st.composite
-def resolve_inputs(draw):
-    """A planted digraph (each agent but a root listens to one agent before
-    it in a random order, plus random edges) of at most 12 agents, with states
-    on thresholds, levels and inside cells of a uniform quantizer, either
-    policy, random last-stopped agents and now and then a cutoff of 2."""
-    n = draw(st.integers(1, 12))
+def _planted_digraph(draw, n: int) -> WeightedDigraph:
+    """Each agent but a root listens to one agent before it in a random
+    order, plus random edges; weights from 0.3 to 2."""
     order = draw(st.permutations(range(n)))
     weight = st.sampled_from([0.5, 1.0, 1.5, 2.0, 0.3, 1.7])
     edges = {(order[k], order[draw(st.integers(0, k - 1))]): draw(weight) for k in range(1, n)}
@@ -536,11 +532,21 @@ def resolve_inputs(draw):
                               max_size=3 * n)):
         if i != j:
             edges[i, j] = draw(weight)
+    return WeightedDigraph.from_edges(n, [(i, j, w) for (i, j), w in edges.items()])
+
+
+@st.composite
+def resolve_inputs(draw):
+    """A planted digraph (each agent but a root listens to one agent before
+    it in a random order, plus random edges) of at most 12 agents, with states
+    on thresholds, levels and inside cells of a uniform quantizer, either
+    policy, random last-stopped agents and now and then a cutoff of 2."""
+    n = draw(st.integers(1, 12))
+    g = _planted_digraph(draw, n)
     delta = draw(st.sampled_from([1.0, 0.25, 1 / 3, 0.1]))
     x = [(k + draw(st.sampled_from([0.5, 0.5, 0.0, 0.25]))) * delta
          for k in draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))]
-    return (WeightedDigraph.from_edges(n, [(i, j, w) for (i, j), w in edges.items()]), x, delta,
-            draw(st.sampled_from([Sliding(), SequentialSlow()])),
+    return (g, x, delta, draw(st.sampled_from([Sliding(), SequentialSlow()])),
             frozenset(draw(st.sets(st.integers(0, n - 1), max_size=3))),
             draw(st.sampled_from([64, 64, 64, 2])))
 
@@ -567,16 +573,16 @@ def test_compiled_resolve_matches_list_path(path, case):
         expected = _resolve_outcome(*case)
     with kernel_path(path):
         assert _resolve_outcome(*case) == expected
-        if not isinstance(expected[0], bytes):
+        kernels = quantizers._load_kernel()
+        if not isinstance(expected[0], bytes) or kernels is None:
             return
         g, x, delta, policy, last_stopped, cutoff = case
-        res = resolve_sliding(np.array(x), g, UniformQuantizer(delta), policy, last_stopped,
-                              cutoff)
-    arrival = getattr(res, "_arrival", None)
-    if arrival is not None:
+        out = kernels.resolve(g, np.array(x), delta, isinstance(policy, SequentialSlow),
+                              last_stopped, cutoff)
+    if out is not None:
         with kernel_path("lists"):
-            assert repr(arrival) == repr(quantizers.threshold_hits(
-                np.array(x), res.velocity, UniformQuantizer(delta)))
+            assert repr(out[5]) == repr(quantizers.threshold_hits(
+                np.array(x), out[1], UniformQuantizer(delta)))
 
 
 @needs_cc
@@ -615,6 +621,137 @@ def test_mutated_resolve_fails_self_check(monkeypatch, tmp_path, old, new):
     # The run used the Python code, which the compiled resolve reproduces.
     monkeypatch.undo()
     assert simulate(config).to_csv() == csv
+
+
+@pytest.mark.parametrize("path", KERNEL_PATHS)
+@pytest.mark.parametrize("agent", [-1, 3, 2**70])
+def test_last_stopped_agent_outside_the_graph_is_one_error(path, agent):
+    # -1 once stood silently for agent 2; 3 raised IndexError only when a
+    # release happened; ctypes would truncate 2**70 to 0.
+    with kernel_path(path), pytest.raises(
+            InputError, match=f"^last-stopped agent {agent} is not an agent of the 3-agent graph$"):
+        resolve_sliding(np.array([0.5, 1.5, 2.5]), line_graph(3), UNIT, SequentialSlow(),
+                        frozenset({agent}))
+
+
+#: Two line graphs of six agents that switch at 0.25 and 1.0, when
+#: threshold arrivals come too.
+SWITCH_AT_ARRIVALS = ScenarioConfig(
+    schedule=GraphSchedule(((0.0, line_graph(6)), (0.25, line_graph(6, 2.0)),
+                            (1.0, line_graph(6))), 1.0, 2.0),
+    quantizer=UniformQuantizer(0.25), x0=(0.0, 0.0, 0.0, 0.0, 0.6, 1.1),
+    policy=SequentialSlow())
+
+
+@st.composite
+def run_inputs(draw):
+    """A scenario: a line of up to 12 agents, a planted digraph, a schedule of
+    planted digraphs that switch at binary-fraction times, once or with a
+    period (an arrival can then coincide with a switch); a step that is a
+    binary fraction or not; either policy; states on thresholds, on levels
+    or inside cells; now and then a small event limit or a short horizon."""
+    kind = draw(st.sampled_from(["line", "digraph", "switching", "periodic"]))
+    n = draw(st.integers(3, 12) if kind == "line" else st.integers(2, 7))
+    if kind == "line":
+        graphs = [line_graph(n, draw(st.sampled_from([1.0, 0.5, 1.5, 0.3])))]
+    else:
+        graphs = [_planted_digraph(draw, n)
+                  for _ in range(1 if kind == "digraph" else draw(st.integers(2, 3)))]
+    dwell = draw(st.sampled_from([0.125, 0.25, 0.375, 1.0]))
+    schedule = GraphSchedule(tuple((k * dwell, g) for k, g in enumerate(graphs)), 0.3, 2.0,
+                             len(graphs) * dwell if kind == "periodic" else None)
+    delta = draw(st.sampled_from([1.0, 0.25, 1 / 64, 0.1, 1 / 3]))
+    x0 = [(k + draw(st.sampled_from([0.5, 0.5, 0.0, 0.25, 0.37]))) * delta
+          for k in draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))]
+    return ScenarioConfig(schedule=schedule, quantizer=UniformQuantizer(delta), x0=x0,
+                          policy=draw(st.sampled_from([Sliding(), SequentialSlow()])),
+                          horizon=draw(st.sampled_from([1e6, 1e6, 0.3, 2.0])),
+                          max_events=draw(st.sampled_from([400, 400, 1, 2, 5])))
+
+
+def _run_outcome(config, stop_at):
+    """A run's events in bits, its status or the message of its event limit,
+    and the calls of a stop condition that stops at call ``stop_at`` (0:
+    never; None: no stop condition); or the type and message of its error."""
+    calls = []
+
+    def stop(t, x) -> bool:
+        calls.append((t.hex(), x.tobytes()))
+        return len(calls) == stop_at
+
+    try:
+        traj, limit = simulate(config, None if stop_at is None else stop), None
+    except SimulationLimitError as err:
+        traj, limit = err.trajectory, str(err)
+    except (NoSlidingSelection, ContractViolation) as err:
+        return type(err), str(err), calls
+    return limit, traj.status, calls, [
+        (ev.t.hex(), ev.kind, [v.hex() for v in ev.x + ev.z + ev.velocity],
+         [None if a is None else a.hex() for a in ev.alpha], ev.hits, ev.departing)
+        for ev in traj.events]
+
+
+@pytest.mark.parametrize("path", KERNEL_PATHS)
+@settings(max_examples=100, deadline=None)
+@given(config=run_inputs(), stop_at=st.sampled_from([None, None, 0, 3]))
+@example(config=SWITCH_AT_ARRIVALS, stop_at=None)
+@example(config=replace(SWITCH_AT_ARRIVALS, max_events=4), stop_at=None)
+@example(config=example1_line(6, 0.1, x0_spacing=0.0937), stop_at=0)
+def test_runs_match_list_path(path, config, stop_at):
+    with kernel_path("lists"):
+        expected = _run_outcome(config, stop_at)
+    with kernel_path(path):
+        assert _run_outcome(config, stop_at) == expected
+
+
+def _counting_advance(monkeypatch, kernels) -> list[int]:
+    """Route ``simulate`` through ``kernels`` and count, per call of its
+    compiled event loop, the events that call recorded."""
+    recorded = []
+
+    def advance(g, x, *args):
+        out = kernels.advance(g, x, *args)
+        recorded.append(len(out[1]) // len(x))  # n alphas per event
+        return out
+
+    monkeypatch.setattr(quantizers, "_load_kernel", lambda: kernels._replace(advance=advance))
+    return recorded
+
+
+@needs_cc
+def test_staircase_runs_in_a_few_compiled_calls(monkeypatch):
+    # A step that went back to Python would cost one call per event.  Each
+    # call records up to a chunk of 124 events of 8 agents, and Python
+    # records the state where it stops: a full chunk, the one resolve that
+    # declines (on its way to projected Gauss-Seidel) and the equilibrium.
+    recorded = _counting_advance(monkeypatch, quantizers._load_kernel())
+    traj = simulate(example1_line(8, 1 / 64, x0_spacing=0.98))
+    assert len(traj.events) == 1004
+    assert len(recorded) <= 10 and sum(recorded) + len(recorded) == 1004
+
+
+@needs_cc
+def test_event_loop_resumes_after_a_full_chunk_and_grown_buffers(monkeypatch):
+    # A chunk of three 12-agent events, and a workspace that starts with one
+    # unknown, so the hold buffers grow in the middle of a call.
+    monkeypatch.setattr(_ckernel, "CHUNK", 3 * (4 * 12 + 1))
+    recorded = _counting_advance(monkeypatch, quantizers._load_kernel.__wrapped__())
+    config = example1_line(12, 1 / 16, x0_spacing=0.3)
+    compiled = _run_outcome(config, None)
+    assert max(recorded) > 3 and recorded.count(3) > 10
+    monkeypatch.setattr(quantizers, "_load_kernel", lambda: None)
+    assert compiled == _run_outcome(config, None)
+
+
+@needs_cc
+@pytest.mark.parametrize("old,new", [
+    ("            w->x[w->hit[h]] = w->threshold[h];\n", ""),
+    ("w->x[i] = w->x[i] + w->y[i] * dt;", "w->x[i] = fma(w->y[i], dt, w->x[i]);"),
+], ids=["unsnapped-hit", "fused-step"])
+def test_mutated_event_loop_fails_self_check(monkeypatch, tmp_path, old, new):
+    build_kernel_variant(monkeypatch, tmp_path, old, new)
+    assert quantizers._load_kernel() is None
+    assert list((tmp_path / "cache").iterdir()) == []
 
 
 class TestSimulate:

@@ -251,6 +251,100 @@ class TestGraphSchedule:
         assert s.graphs_active_from(2.5) == (g2,)
 
 
+def _offsets(s: GraphSchedule) -> list[float]:
+    return [t for t, _ in s.segments]
+
+
+def reference_graph_at(s: GraphSchedule, t: float) -> WeightedDigraph:
+    """``GraphSchedule.graph_at`` as it was when it rebuilt the segment start
+    times on every call."""
+    if t < 0.0:
+        raise InputError(f"time must be nonnegative, got {t}")
+    offsets = _offsets(s)
+    if s.period is None:
+        local = t
+    else:
+        k = math.floor(t / s.period)
+        local = None
+        for kk in (k + 1, k, k - 1):
+            if kk < 0:
+                continue
+            base = kk * s.period
+            if base <= t < base + s.period:
+                local = t - base
+                break
+        if local is None:
+            local = t - k * s.period
+    idx = 0
+    for i, start in enumerate(offsets):
+        if start <= local:
+            idx = i
+    return s.segments[idx][1]
+
+
+def reference_next_switch_after(s: GraphSchedule, t: float) -> float:
+    """``GraphSchedule.next_switch_after`` as it was (see above)."""
+    offsets = _offsets(s)
+    if s.period is None:
+        for start in offsets:
+            if start > t:
+                return start
+        return math.inf
+    k = math.floor(t / s.period)
+    candidates = []
+    for kk in (k - 1, k, k + 1):
+        if kk < 0:
+            continue
+        base = kk * s.period
+        candidates.extend(base + off for off in offsets)
+        candidates.append(base + s.period)
+    later = [c for c in candidates if c > t]
+    return min(later) if later else math.inf
+
+
+def reference_graphs_active_from(s: GraphSchedule, t: float) -> tuple:
+    """``GraphSchedule.graphs_active_from`` as it was (see above)."""
+    if s.period is not None:
+        pool = [g for _, g in s.segments]
+    else:
+        offsets = _offsets(s)
+        idx = 0
+        for i, start in enumerate(offsets):
+            if start <= t:
+                idx = i
+        pool = [g for _, g in s.segments[idx:]]
+    unique: list[WeightedDigraph] = []
+    for g in pool:
+        if not any(g == u for u in unique):
+            unique.append(g)
+    return tuple(unique)
+
+
+@pytest.mark.parametrize("period", [0.7, 2.0, None])
+def test_lookups_match_the_per_call_start_times(period):
+    # With a period of 0.7 the cycle starts k * 0.7 and their segment
+    # starts k * 0.7 + off round, so the three lookups compare floats right
+    # at the boundaries; each boundary is tried with its neighbours.
+    graphs = [line_graph(3), WeightedDigraph.from_edges(3, [(0, 1, 1.0)]),
+              WeightedDigraph.from_edges(3, [(1, 2, 1.0), (2, 0, 1.0)])]
+    s = GraphSchedule(segments=((0.0, graphs[0]), (0.1, graphs[1]), (0.35, graphs[2])),
+                      a_low=1.0, a_high=1.0, period=period)
+    cycle = 2.0 if period is None else period
+    times = {0.0, 1e-300}
+    for k in range(60):
+        for boundary in [k * cycle, k * cycle + cycle / 2] + [k * cycle + off for off in
+                                                              (0.1, 0.35)]:
+            down = up = boundary
+            for _ in range(3):
+                down, up = math.nextafter(down, -math.inf), math.nextafter(up, math.inf)
+                times.update((down, up))
+            times.add(boundary)
+    for t in sorted(t for t in times if t >= 0.0):
+        assert s.graph_at(t) is reference_graph_at(s, t)
+        assert s.next_switch_after(t).hex() == reference_next_switch_after(s, t).hex()
+        assert s.graphs_active_from(t) == reference_graphs_active_from(s, t)
+
+
 class TestUnboundedInteractionsGraph:
     def test_time_invariant_keeps_edges(self):
         g = line_graph(3)
