@@ -181,8 +181,7 @@ class _Struct(ctypes.Structure):
     _fields_ = ([(name, ctypes.c_void_p) for name, _, _ in _BUFFERS]
                 + [(name, ctypes.c_int64)
                    for name in ("m", "rows_cap", "ints_cap", "n_surface", "n_outside", "count")]
-                + [(name, ctypes.c_double)
-                   for name in ("low", "high", "common_low", "common_high", "dt", "t")]
+                + [(name, ctypes.c_double) for name in ("dt", "t")]
                 + [(name, ctypes.c_int64) for name in ("n_stopped", "n_rows", "n_ints")])
 
 
@@ -337,8 +336,7 @@ def _bind_scans(lib: ctypes.CDLL, reserve):
         k = s.n_surface
         boxes = dict(zip(w.buf["surface"][:k], zip(bounds[0:2 * k:2], bounds[1:2 * k:2]))) \
             if k else {}
-        return SetScan(boxes, s.low, s.high, s.common_low, s.common_high,
-                       w.buf["outside"][:s.n_outside])
+        return SetScan(boxes, w.buf["outside"][:s.n_outside])
 
     def uniform_hits(delta: float, x, velocity) -> tuple[float, list[tuple[int, float]]] | None:
         w = load(x, velocity)

@@ -265,7 +265,8 @@ def _runs_agree(kernels) -> bool:
     x + v dt puts it, off its threshold, does too.  They run under both
     policies, from states on thresholds, to the event limit and to the
     horizon.  On the schedule of two line graphs, arrivals at 0.25 and 1.0
-    coincide with its switches.
+    coincide with its switches; repeated with a period of 0.7, the switch
+    times k * 0.7 + 0.1 round.
     """
     from .scenarios import ScenarioConfig, line_graph
 
@@ -281,6 +282,7 @@ def _runs_agree(kernels) -> bool:
          [0.0182, 2.3449, 4.2378, 5.2531, 7.1425, 9.0116], {}),
         (GraphSchedule(((0.0, line), (0.25, heavy), (1.0, line)), 1.0, 2.0), 0.25,
          [0.0, 0.0, 0.0, 0.0, 0.6, 1.1], {}),
+        (GraphSchedule(((0.0, line), (0.1, heavy)), 1.0, 2.0, 0.7), 0.1, spread, {}),
     ]
     configs = [ScenarioConfig(schedule, UniformQuantizer(delta), x0, policy, **limits)
                for schedule, delta, x0, limits in runs

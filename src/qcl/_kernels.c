@@ -11,8 +11,9 @@
  * qcl_velocities: the velocity of a selection at each of a list of agents,
  * a port of qcl.dynamics._velocities, whose row sums are numpy's.
  *
- * qcl_uniform_sets and qcl_uniform_hits: the Krasovskii set of every agent
- * and the closest threshold arrival under a uniform quantizer, ports of the
+ * qcl_uniform_sets and qcl_uniform_hits: under a uniform quantizer, the
+ * Krasovskii set of every agent (its level or its surface box, and whether
+ * a selection leaves it) and the closest threshold arrival, ports of the
  * per-agent loops over UniformQuantizer.krasovskii_set and next_threshold.
  *
  * qcl_resolve: one whole resolve of qcl.dynamics.resolve_sliding under a
@@ -179,10 +180,6 @@ struct qcl_work {
     int64_t n_surface;
     int64_t n_outside;
     int64_t count;
-    double low;
-    double high;
-    double common_low;
-    double common_high;
     double dt;
     double t;
     int64_t n_stopped;
@@ -403,13 +400,10 @@ static int threshold_below(double x, double delta, double *t)
  * z[i] = lo for an agent inside a cell (lo == hi); the agents on a threshold
  * in surface[0..n_surface), in increasing order, with (lo, hi) in bounds;
  * when select is nonzero, the agents whose selection y[i] does not satisfy
- * lo <= y[i] <= hi in outside[0..n_outside); the lowest lo and highest hi
- * (the level envelope), and the highest lo and lowest hi (the intersection
- * of all sets, empty when common_low > common_high).  Returns 0, or 1 when a
- * state is off the lattice. */
+ * lo <= y[i] <= hi in outside[0..n_outside).  Returns 0, or 1 when a state
+ * is off the lattice. */
 int qcl_uniform_sets(struct qcl_work *s, int64_t n, double delta, int64_t select)
 {
-    double low = INFINITY, high = -INFINITY, common_low = -INFINITY, common_high = INFINITY;
     int64_t n_surface = 0, n_outside = 0;
 
     for (int64_t i = 0; i < n; i++) {
@@ -431,23 +425,11 @@ int qcl_uniform_sets(struct qcl_work *s, int64_t n, double delta, int64_t select
             s->bounds[2 * n_surface + 1] = hi;
             n_surface++;
         }
-        if (lo < low)
-            low = lo;
-        if (hi > high)
-            high = hi;
-        if (lo > common_low)
-            common_low = lo;
-        if (hi < common_high)
-            common_high = hi;
         if (select && !(lo <= s->y[i] && s->y[i] <= hi))
             s->outside[n_outside++] = i;
     }
     s->n_surface = n_surface;
     s->n_outside = n_outside;
-    s->low = low;
-    s->high = high;
-    s->common_low = common_low;
-    s->common_high = common_high;
     return 0;
 }
 

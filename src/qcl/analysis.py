@@ -16,7 +16,8 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .graphs import GraphSchedule, is_weight_balanced
-from .quantizers import InputError, Quantizer, UniformQuantizer, kq_envelope, krasovskii_scan
+from .quantizers import (InputError, Quantizer, UniformQuantizer, extreme_sets, kq_envelope,
+                         krasovskii_scan)
 
 #: Absolute drift allowed for the preserved state average: event-driven
 #: arithmetic only incurs rounding in affine updates.
@@ -29,8 +30,8 @@ class UnsupportedQuantizerError(InputError):
 
 def consensus_level_set(x, quantizer: Quantizer) -> tuple[float, ...]:
     """Levels contained in every agent's convexified set (at most two)."""
-    scan = krasovskii_scan(x, quantizer)
-    lo, hi = scan.common_low, scan.common_high
+    low, high = extreme_sets(x, quantizer)
+    lo, hi = high[0], low[1]
     if lo > hi:
         return ()
     if lo == hi:
@@ -59,9 +60,9 @@ def convergence_time(traj: Trajectory) -> tuple[float, float] | None:
     lo = -math.inf
     hi = math.inf
     for ev in reversed(traj.events):
-        scan = krasovskii_scan(ev.x, quantizer)
-        lo = max(lo, scan.common_low)
-        hi = min(hi, scan.common_high)
+        low, high = extreme_sets(ev.x, quantizer)
+        lo = max(lo, high[0])
+        hi = min(hi, low[1])
         if lo > hi:
             break
         best = (ev.t, lo)
@@ -73,8 +74,11 @@ def _bound_terms(x0, quantizer: Quantizer, a_low: float, a_high: float):
         raise UnsupportedQuantizerError("the bound requires a uniform quantizer")
     if not (0.0 < a_low <= a_high):
         raise InputError("need 0 < a_low <= a_high")
-    q = [quantizer.quantize(float(v)) for v in x0]
-    return len(x0), max(q) - min(q)
+    if not len(x0):
+        raise InputError("the bound needs at least one agent")
+    # quantize(x) is the upper level of x's Krasovskii set.
+    low, high = extreme_sets(x0, quantizer)
+    return len(x0), high[1] - low[1]
 
 
 def log_tcon_bound(x0, quantizer: Quantizer, a_low: float, a_high: float) -> float:

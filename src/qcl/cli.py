@@ -27,6 +27,7 @@ import numpy as np
 
 from . import _json
 from .analysis import (
+    _bound_terms,
     convergence_report,
     envelopes,
     limit_value_check,
@@ -158,8 +159,7 @@ def cmd_bound(args) -> int:
         return 1
     value = tcon_bound(config.x0, config.quantizer, config.a_low, config.a_high)
     quantizer = config.quantizer
-    q = [quantizer.quantize(v) for v in config.x0]
-    spread = max(q) - min(q)
+    _, spread = _bound_terms(config.x0, quantizer, config.a_low, config.a_high)
     obj = {"bound": value, "spread": spread}
     if value is None:
         # Beyond the float range: give its natural log instead.
@@ -255,7 +255,7 @@ def _corrupt(traj: Trajectory) -> Trajectory:
     return Trajectory(traj.quantizer, traj.events + [bad], traj.status)
 
 
-def _suite_envelope(inject: bool) -> tuple[bool, str]:
+def _suite_envelope(inject: bool = False) -> tuple[bool, str]:
     bad = 0
     runs = 0
     for seed in range(25):
@@ -269,7 +269,7 @@ def _suite_envelope(inject: bool) -> tuple[bool, str]:
     return bad == 0, f"{runs} trajectories, {bad} envelope violations"
 
 
-def _suite_bounds(inject: bool) -> tuple[bool, str]:
+def _suite_bounds() -> tuple[bool, str]:
     bad = 0
     for seed in range(50):
         n = 2 + seed % 5
@@ -283,7 +283,7 @@ def _suite_bounds(inject: bool) -> tuple[bool, str]:
     return bad == 0, f"50 scenarios, {bad} bound violations"
 
 
-def _suite_conservation(inject: bool) -> tuple[bool, str]:
+def _suite_conservation() -> tuple[bool, str]:
     worst = 0.0
     bad = 0
     for seed in range(25):
@@ -298,7 +298,7 @@ def _suite_conservation(inject: bool) -> tuple[bool, str]:
     return ok, f"max drift {worst:.2e}, {bad} limit-check failures"
 
 
-def _suite_oracle(inject: bool) -> tuple[bool, str]:
+def _suite_oracle() -> tuple[bool, str]:
     worst = 0.0
     for config in (
         example1_line(3, 1.0, policy=Sliding()),
@@ -313,7 +313,7 @@ def _suite_oracle(inject: bool) -> tuple[bool, str]:
     return worst <= 5e-3, f"max exact-vs-regularized deviation {worst:.2e}"
 
 
-def _suite_connectivity(inject: bool) -> tuple[bool, str]:
+def _suite_connectivity() -> tuple[bool, str]:
     from itertools import product
 
     from .graphs import WeightedDigraph
@@ -362,12 +362,16 @@ SUITES = {
 
 def cmd_check(args) -> int:
     names = args.suite if args.suite else list(SUITES)
+    plain = [name for name in names if name != "envelope"]
+    if args.inject_corruption and plain:
+        raise InputError("--inject-corruption corrupts only the envelope suite, "
+                         f"not {', '.join(plain)}")
     all_ok = True
     for name in names:
         if name not in SUITES:
             print(f"unknown suite: {name}", file=sys.stderr)
             return 1
-        ok, detail = SUITES[name](args.inject_corruption)
+        ok, detail = SUITES[name](inject=True) if args.inject_corruption else SUITES[name]()
         all_ok &= ok
         print(f"suite {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     return 0 if all_ok else 1

@@ -44,8 +44,8 @@ horizon, the event limit leaves room and the chunk of recorded events is
 not full.  It stops at the first state that is not, at rest, declined or in
 need of larger buffers, and returns that state's resolve, with which the
 Python loop goes on; so a run makes no more resolves than the Python loop
-alone would.  Under a stop callback or a periodic schedule it records no
-event.  The loop works in the kernels' one workspace and is not reentrant.
+alone would.  Under a stop callback it records no event.  The loop works in
+the kernels' one workspace and is not reentrant.
 """
 
 from __future__ import annotations
@@ -855,9 +855,7 @@ def simulate(
     event repeats the terminal selection.
 
     The compiled event loop (see the module docstring) records no event
-    under a stop callback, which sees every event, or a periodic schedule,
-    whose switch times are computed per cycle and need not bound the times
-    at which ``graph_at`` keeps its graph.
+    under a stop callback, which sees every event.
     """
     schedule: GraphSchedule = config.schedule
     quantizer: Quantizer = config.quantizer
@@ -870,7 +868,7 @@ def simulate(
     last_stopped: frozenset[int] = frozenset()
     kernels = _compiled_resolve(quantizer, policy)
     sequential = isinstance(policy, SequentialSlow)
-    record = stop_condition is None and schedule.period is None
+    record = stop_condition is None
 
     while True:
         if len(events) >= config.max_events:

@@ -13,6 +13,7 @@ is what makes exact event-driven integration possible.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple
@@ -177,46 +178,6 @@ class Condensation:
         has_out = {h for h, _ in self.dag_edges}
         return tuple(c for c in range(self.size) if c not in has_out)
 
-    def is_weakly_connected(self) -> bool:
-        """Connectivity of the dag ignoring edge direction."""
-        if self.size <= 1:
-            return True
-        adj: dict[int, set[int]] = {c: set() for c in range(self.size)}
-        for h, k in self.dag_edges:
-            adj[h].add(k)
-            adj[k].add(h)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return len(seen) == self.size
-
-    def is_pairwise_connected(self) -> bool:
-        """Every two components are ordered by reachability one way or the other.
-
-        Strictly stronger than weak connectivity: two sources feeding one
-        sink are weakly connected but not pairwise comparable.
-        """
-        reach = [set([c]) for c in range(self.size)]
-        adj: dict[int, list[int]] = {c: [] for c in range(self.size)}
-        for h, k in self.dag_edges:
-            adj[h].append(k)
-        for start in range(self.size):
-            stack = [start]
-            while stack:
-                for nxt in adj[stack.pop()]:
-                    if nxt not in reach[start]:
-                        reach[start].add(nxt)
-                        stack.append(nxt)
-        return all(
-            b in reach[a] or a in reach[b]
-            for a in range(self.size)
-            for b in range(a + 1, self.size)
-        )
-
 
 def strongly_connected_components(g: WeightedDigraph) -> Condensation:
     """Tarjan's algorithm (iterative) plus the component dag."""
@@ -290,14 +251,13 @@ class ReachabilityResult(NamedTuple):
 def has_globally_reachable_node(g: WeightedDigraph) -> ReachabilityResult:
     """Decide whether some node is reachable from every other node.
 
-    Equivalent to: the condensation is weakly connected and has exactly one
-    sink; the witness is the smallest node of the sink component.  A stricter
-    variant replacing weak connectivity with pairwise comparability is
-    available via :meth:`Condensation.is_pairwise_connected`.
+    Equivalent to: the condensation has exactly one sink, which every
+    component then reaches; the witness is the smallest node of the sink
+    component.
     """
     cond = strongly_connected_components(g)
     sinks = cond.sinks()
-    if len(sinks) == 1 and cond.is_weakly_connected():
+    if len(sinks) == 1:
         return ReachabilityResult(True, min(cond.components[sinks[0]]))
     return ReachabilityResult(False, None)
 
@@ -378,62 +338,46 @@ class GraphSchedule:
     def is_time_invariant(self) -> bool:
         return len(self.segments) == 1
 
-    def graph_at(self, t: float) -> WeightedDigraph:
-        """Graph active at time ``t``; segments are right-open ``[t_k, t_{k+1})``."""
+    def _lookup(self, t: float) -> tuple[int, float]:
+        """The segment of the latest switch at or before ``t``, and the
+        earliest switch after ``t`` (+inf if none).
+
+        The switches are the segment starts, and with a period the floats
+        ``kk * period + start`` of every cycle ``kk >= 0``; of switches
+        that round to one float the later one starts its segment.
+        """
         if t < 0.0:
             raise InputError(f"time must be nonnegative, got {t}")
+        starts = self._starts
         if self.period is None:
-            local = t
-        else:
-            # Candidate cycle starts around floor(t / period) absorb float
-            # error at exact cycle boundaries.
-            k = math.floor(t / self.period)
-            local = None
-            for kk in (k + 1, k, k - 1):
-                if kk < 0:
-                    continue
-                s = kk * self.period
-                if s <= t < s + self.period:
-                    local = t - s
-                    break
-            if local is None:  # pragma: no cover - float safety net
-                local = t - k * self.period
-        idx = 0
-        for i, start in enumerate(self._starts):
-            if start <= local:
-                idx = i
-        return self.segments[idx][1]
+            idx = bisect_right(starts, t) - 1
+            return idx, starts[idx + 1] if idx + 1 < len(starts) else math.inf
+        # The cycles around floor(t / period) absorb its rounding.
+        k = math.floor(t / self.period)
+        idx, latest, after = 0, -math.inf, math.inf
+        for kk in range(max(k - 1, 0), k + 3):
+            base = kk * self.period
+            for i, start in enumerate(starts):
+                switch = base + start
+                if switch > t:
+                    after = min(after, switch)
+                elif switch >= latest:
+                    idx, latest = i, switch
+        return idx, after
+
+    def graph_at(self, t: float) -> WeightedDigraph:
+        """Graph active at time ``t``; segments are right-open ``[t_k, t_{k+1})``."""
+        return self.segments[self._lookup(t)[0]][1]
 
     def next_switch_after(self, t: float) -> float:
         """Smallest switch time strictly greater than ``t``; +inf if none."""
-        if self.period is None:
-            for start in self._starts:
-                if start > t:
-                    return start
-            return math.inf
-        k = math.floor(t / self.period)
-        candidates = []
-        for kk in (k - 1, k, k + 1):
-            if kk < 0:
-                continue
-            base = kk * self.period
-            candidates.extend(base + off for off in self._starts)
-            candidates.append(base + self.period)
-        later = [c for c in candidates if c > t]
-        return min(later) if later else math.inf  # pragma: no cover - always nonempty
+        return self._lookup(t)[1]
 
     def graphs_active_from(self, t: float) -> tuple[WeightedDigraph, ...]:
         """Deduplicated graphs that can still become active at or after ``t``."""
-        if self.period is not None:
-            pool = [g for _, g in self.segments]
-        else:
-            idx = 0
-            for i, start in enumerate(self._starts):
-                if start <= t:
-                    idx = i
-            pool = [g for _, g in self.segments[idx:]]
+        pool = self.segments if self.period is not None else self.segments[self._lookup(t)[0]:]
         unique: list[WeightedDigraph] = []
-        for g in pool:
+        for _, g in pool:
             if not any(g == u for u in unique):
                 unique.append(g)
         return tuple(unique)

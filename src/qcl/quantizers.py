@@ -321,13 +321,6 @@ class SetScan(NamedTuple):
 
     #: ``(lo, hi)`` of each agent on a threshold, in increasing agent order.
     boxes: dict[int, tuple[float, float]]
-    #: The lowest ``lo`` and the highest ``hi``: the level envelope.
-    low: float
-    high: float
-    #: The highest ``lo`` and the lowest ``hi``: the intersection of all sets,
-    #: empty when ``common_low > common_high``.
-    common_low: float
-    common_high: float
     #: The agents whose selection lies outside their set, in increasing order.
     outside: list[int]
 
@@ -353,26 +346,45 @@ def krasovskii_scan(x, quantizer: Quantizer, selection=None, z=None) -> SetScan:
 def _krasovskii_scan_lists(x, quantizer: Quantizer, selection=None, z=None) -> SetScan:
     """``krasovskii_scan`` with one ``krasovskii_set`` call per agent."""
     boxes = {}
-    lows = []
-    highs = []
+    sets = []
     for i, value in enumerate(x.tolist() if hasattr(x, "tolist") else x):
         lo, hi = quantizer.krasovskii_set(float(value))
         if lo != hi:
             boxes[i] = (lo, hi)
         elif z is not None:
             z[i] = lo
-        lows.append(lo)
-        highs.append(hi)
+        sets.append((lo, hi))
     outside = [] if selection is None else [
-        i for i, (lo, hi, s) in enumerate(zip(lows, highs, selection)) if not lo <= s <= hi]
-    return SetScan(boxes, min(lows, default=math.inf), max(highs, default=-math.inf),
-                   max(lows, default=-math.inf), min(highs, default=math.inf), outside)
+        i for i, ((lo, hi), s) in enumerate(zip(sets, selection)) if not lo <= s <= hi]
+    return SetScan(boxes, outside)
+
+
+def extreme_sets(x, quantizer: Quantizer) -> tuple[tuple[float, float], tuple[float, float]]:
+    """``((lowest lo, lowest hi), (highest lo, highest hi))`` over the
+    Krasovskii sets ``(lo, hi)`` of the agents of ``x``, or
+    ``((inf, inf), (-inf, -inf))`` for no agents.
+
+    On the representable lattice (|x|/delta < 2^52) ``krasovskii_set`` is
+    monotone in the state, so these are the sets of the lowest and the
+    highest agent.  Non-finite states and states beyond it go through
+    every agent's set, so that the first bad agent raises its error.
+    """
+    values = x.tolist() if hasattr(x, "tolist") else x
+    if not len(values):
+        return (math.inf, math.inf), (-math.inf, -math.inf)
+    low, high = min(values), max(values)
+    # min and max pass over a NaN at some positions; a sum does not.
+    if math.isfinite(sum(values)) and (not isinstance(quantizer, UniformQuantizer)
+                                       or max(-low, high) / quantizer.delta < 2.0 ** 52):
+        return quantizer.krasovskii_set(float(low)), quantizer.krasovskii_set(float(high))
+    lows, highs = zip(*[quantizer.krasovskii_set(float(v)) for v in values])
+    return (min(lows), min(highs)), (max(lows), max(highs))
 
 
 def kq_envelope(x, quantizer: Quantizer) -> tuple[float, float]:
     """(lowest, highest) level touched by the convexified sets of ``x``."""
-    scan = krasovskii_scan(x, quantizer)
-    return scan.low, scan.high
+    low, high = extreme_sets(x, quantizer)
+    return low[0], high[1]
 
 
 def threshold_hits(x, velocity, quantizer: Quantizer) -> tuple[float, list[tuple[int, float]]]:

@@ -364,6 +364,16 @@ class TestCheck:
         assert run_cli("check", "--suite", "envelope", "--inject-corruption") == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("suites", [["bounds"], ["envelope", "oracle"], []])
+    def test_injected_corruption_rejected_for_other_suites(self, capsys, suites):
+        # Only the envelope suite has a corruption to inject; all five run
+        # when no suite is named.
+        args = [arg for suite in suites for arg in ("--suite", suite)]
+        assert run_cli("check", *args, "--inject-corruption") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_suite_filter(self, capsys):
         assert run_cli("check", "--suite", "bounds") == 0
         out = capsys.readouterr().out

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ctypes
+import re
 import shutil
 from dataclasses import replace
 
@@ -646,10 +648,11 @@ SWITCH_AT_ARRIVALS = ScenarioConfig(
 @st.composite
 def run_inputs(draw):
     """A scenario: a line of up to 12 agents, a planted digraph, a schedule of
-    planted digraphs that switch at binary-fraction times, once or with a
-    period (an arrival can then coincide with a switch); a step that is a
-    binary fraction or not; either policy; states on thresholds, on levels
-    or inside cells; now and then a small event limit or a short horizon."""
+    planted digraphs that switch once or with a period, at binary-fraction
+    times (an arrival can then coincide with a switch) or not (the cycles'
+    switch times then round); a step that is a binary fraction or not;
+    either policy; states on thresholds, on levels or inside cells; now and
+    then a small event limit or a short horizon."""
     kind = draw(st.sampled_from(["line", "digraph", "switching", "periodic"]))
     n = draw(st.integers(3, 12) if kind == "line" else st.integers(2, 7))
     if kind == "line":
@@ -657,7 +660,7 @@ def run_inputs(draw):
     else:
         graphs = [_planted_digraph(draw, n)
                   for _ in range(1 if kind == "digraph" else draw(st.integers(2, 3)))]
-    dwell = draw(st.sampled_from([0.125, 0.25, 0.375, 1.0]))
+    dwell = draw(st.sampled_from([0.125, 0.25, 0.375, 1.0, 0.1, 0.35]))
     schedule = GraphSchedule(tuple((k * dwell, g) for k, g in enumerate(graphs)), 0.3, 2.0,
                              len(graphs) * dwell if kind == "periodic" else None)
     delta = draw(st.sampled_from([1.0, 0.25, 1 / 64, 0.1, 1 / 3]))
@@ -728,6 +731,35 @@ def test_staircase_runs_in_a_few_compiled_calls(monkeypatch):
     traj = simulate(example1_line(8, 1 / 64, x0_spacing=0.98))
     assert len(traj.events) == 1004
     assert len(recorded) <= 10 and sum(recorded) + len(recorded) == 1004
+
+
+@pytest.mark.parametrize("struct,mirror", [("qcl_work", _ckernel._Struct),
+                                           ("qcl_graph", _ckernel._Graph)])
+def test_c_structs_match_their_ctypes_mirrors(struct, mirror):
+    # ctypes lays a structure out from its _fields_ alone: a member added,
+    # dropped or moved on one side only would have C and Python read each
+    # other's fields.
+    body = re.search(rf"struct {struct} {{(.*?)}};", _ckernel.SOURCE.read_text(), re.S)
+    kinds = {"double": ctypes.c_double, "int64_t": ctypes.c_int64}
+    members = []
+    for declaration in body.group(1).split(";")[:-1]:
+        m = re.fullmatch(r"\s*(?:const )?(double|int64_t) (\*?)(\w+)\s*", declaration)
+        assert m is not None, declaration
+        members.append((m.group(3), ctypes.c_void_p if m.group(2) else kinds[m.group(1)]))
+    assert members == mirror._fields_
+
+
+@needs_cc
+def test_periodic_runs_use_the_compiled_event_loop(monkeypatch):
+    # Python records only the state where each call stops: at a switch, at
+    # a resolve that declines or at the equilibrium.  The switch times
+    # k * 0.7 + 0.35 round.
+    recorded = _counting_advance(monkeypatch, quantizers._load_kernel())
+    config = replace(example1_line(8, 1 / 64, x0_spacing=0.98), schedule=GraphSchedule(
+        ((0.0, line_graph(8)), (0.35, line_graph(8, 2.0))), 1.0, 2.0, 0.7))
+    traj = simulate(config)
+    assert len(traj.events) == 1097
+    assert sum(recorded) + len(recorded) == 1097 and len(recorded) < 100
 
 
 @needs_cc

@@ -135,23 +135,17 @@ class TestGloballyReachableNode:
                     assert result.witness in witnesses
 
     def test_two_sources_one_sink_is_weak_but_not_pairwise(self):
-        # A -> K <- B: a globally reachable node exists, the dag is weakly
-        # connected, yet the two sources are not ordered by reachability.
+        # A -> K <- B: a globally reachable node exists, yet the two sources
+        # are not ordered by reachability.
         g = WeightedDigraph.from_edges(3, [(0, 2, 1.0), (1, 2, 1.0)])
-        cond = strongly_connected_components(g)
-        assert cond.is_weakly_connected()
-        assert not cond.is_pairwise_connected()
         assert has_globally_reachable_node(g).found
 
-    def test_pairwise_connected_one_sink_implies_reachable(self):
+    def test_one_sink_implies_reachable(self):
         rng = SplitMix64(17)
         for _ in range(500):
             g = random_digraph(rng, 1 + rng.randint(5))
-            cond = strongly_connected_components(g)
-            if cond.is_pairwise_connected() and len(cond.sinks()) == 1:
+            if len(strongly_connected_components(g).sinks()) == 1:
                 assert has_globally_reachable_node(g).found
-            if cond.is_pairwise_connected():
-                assert cond.is_weakly_connected()
 
 
 class TestWeightBalance:
@@ -320,29 +314,60 @@ def reference_graphs_active_from(s: GraphSchedule, t: float) -> tuple:
     return tuple(unique)
 
 
-@pytest.mark.parametrize("period", [0.7, 2.0, None])
-def test_lookups_match_the_per_call_start_times(period):
-    # With a period of 0.7 the cycle starts k * 0.7 and their segment
-    # starts k * 0.7 + off round, so the three lookups compare floats right
-    # at the boundaries; each boundary is tried with its neighbours.
+def _three_segments(period, offsets=(0.1, 0.35)):
+    """The graphs and the schedule of three segments, starting at 0 and at
+    ``offsets``."""
     graphs = [line_graph(3), WeightedDigraph.from_edges(3, [(0, 1, 1.0)]),
               WeightedDigraph.from_edges(3, [(1, 2, 1.0), (2, 0, 1.0)])]
-    s = GraphSchedule(segments=((0.0, graphs[0]), (0.1, graphs[1]), (0.35, graphs[2])),
-                      a_low=1.0, a_high=1.0, period=period)
+    starts = (0.0, *offsets)
+    return graphs, GraphSchedule(segments=tuple(zip(starts, graphs)), a_low=1.0, a_high=1.0,
+                                 period=period)
+
+
+@pytest.mark.parametrize("period", [0.7, 2.0, None, 0.75])
+def test_lookups_match_the_per_call_start_times(period):
+    # With a period of 0.7 or 2.0 the cycle starts k * period and their
+    # segment starts k * period + off round, so the three lookups compare
+    # floats right at the boundaries; each boundary is tried with its
+    # neighbours.  There the references, the lookups as they were, disagree
+    # with each other, so the lookups are checked against each other.  With
+    # a period of 0.75 and offsets 0.125 and 0.375 every switch time is
+    # exact, and the lookups must give what the old ones gave.
+    exact = period in (None, 0.75)
+    graphs, s = _three_segments(period, (0.125, 0.375) if period == 0.75 else (0.1, 0.35))
     cycle = 2.0 if period is None else period
     times = {0.0, 1e-300}
     for k in range(60):
         for boundary in [k * cycle, k * cycle + cycle / 2] + [k * cycle + off for off in
-                                                              (0.1, 0.35)]:
+                                                              _offsets(s)[1:]]:
             down = up = boundary
             for _ in range(3):
                 down, up = math.nextafter(down, -math.inf), math.nextafter(up, math.inf)
                 times.update((down, up))
             times.add(boundary)
     for t in sorted(t for t in times if t >= 0.0):
-        assert s.graph_at(t) is reference_graph_at(s, t)
-        assert s.next_switch_after(t).hex() == reference_next_switch_after(s, t).hex()
         assert s.graphs_active_from(t) == reference_graphs_active_from(s, t)
+        if exact:
+            assert s.graph_at(t) is reference_graph_at(s, t)
+            assert s.next_switch_after(t).hex() == reference_next_switch_after(s, t).hex()
+            continue
+        # The graph of t holds up to the next switch, which starts the next
+        # segment's graph.
+        j = graphs.index(s.graph_at(t))
+        switch = s.next_switch_after(t)
+        assert switch > t
+        assert s.graph_at(math.nextafter(switch, -math.inf)) is graphs[j]
+        assert s.graph_at(switch) is graphs[(j + 1) % 3]
+
+
+def test_periodic_switches_start_the_next_segment():
+    # The old graph_at gave the graph of the segment that had just ended at
+    # 503 of these 3,000 switch times.
+    graphs, s = _three_segments(0.7)
+    t = 0.0
+    for k in range(1, 3001):
+        t = s.next_switch_after(t)
+        assert s.graph_at(t) is graphs[k % 3]
 
 
 class TestUnboundedInteractionsGraph:

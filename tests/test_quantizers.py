@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import KERNEL_PATHS, build_kernel_variant, kernel_path
 from qcl import (GeneralQuantizer, InputError, UniformQuantizer, example1_line,
                  quantizer_from_json, quantizers, simulate)
-from qcl.quantizers import krasovskii_scan, threshold_hits
+from qcl.quantizers import extreme_sets, krasovskii_scan, threshold_hits
 
 DYADIC_DELTAS = (0.25, 0.5, 1.0, 2.0)
 
@@ -286,11 +286,13 @@ def _hits_reference(x, velocity, quantizer):
 
 
 def _scan_summary(x, quantizer):
-    """``krasovskii_scan`` of x in the form of ``_sets_reference``."""
+    """``krasovskii_scan`` and ``extreme_sets`` of x in the form of
+    ``_sets_reference``."""
     z = np.full(len(x), math.nan)
     scan = krasovskii_scan(x, quantizer, z=z)
     levels = {i: float(z[i]) for i in range(len(x)) if i not in scan.boxes}
-    return scan.boxes, levels, (scan.low, scan.high), (scan.common_low, scan.common_high)
+    low, high = extreme_sets(x, quantizer)
+    return scan.boxes, levels, (low[0], high[1]), (high[0], low[1])
 
 
 def _outcome(fn, *args):
@@ -373,11 +375,37 @@ class TestScansMatchPerAgentMethods:
             x = [-2.0, 0.0, 0.3, 1.0, 4.0, 9.0]
             scan = krasovskii_scan(x, GENERAL, [0.0, 0.5, 0.5, 2.0, 8.0, 7.0])
             assert scan.boxes == {1: (-1.0, 0.5), 3: (0.5, 2.0), 4: (2.0, 7.0)}
-            assert (scan.low, scan.high, scan.common_low, scan.common_high) == (-1.0, 7.0, 7.0, -1.0)
+            assert extreme_sets(x, GENERAL) == ((-1.0, -1.0), (7.0, 7.0))
             assert scan.outside == [0, 4]
             velocity = [1.0, -1.0, 1.0, 0.0, -1.0, 1.0]
             assert repr(threshold_hits(x, velocity, GENERAL)) == \
                 repr(_hits_reference(x, velocity, GENERAL))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), delta=st.sampled_from(SCAN_DELTAS), general=st.booleans())
+def test_extreme_sets_match_every_agents_set(data, delta, general):
+    # extreme_sets reads two agents: the lowest and highest lo and hi of
+    # all agents' sets must have its bits, and a NaN, an infinity or a
+    # state off the lattice anywhere must raise the first bad agent's error
+    # (the uniform states also come from test_sets_scan).
+    q = GENERAL if general else UniformQuantizer(delta)
+    points = [*GENERAL.levels, *GENERAL.thresholds, -100.0, -0.0]
+    x = data.draw(st.lists(st.builds(_ulps, st.sampled_from(points), st.integers(-2, 2)),
+                           max_size=8) if general else lattice_states(delta, 8))
+    for bad in data.draw(st.lists(st.sampled_from(
+            [math.nan, math.inf, -math.inf, 1e308, 2.0 ** 53 * delta, -2.0 ** 53 * delta,
+             1e17 * delta, -2.0 ** 60 * delta]),
+            max_size=3)):
+        x.insert(data.draw(st.integers(0, len(x))), bad)
+    states = np.array(x) if data.draw(st.booleans()) else tuple(x)
+
+    def every_agent(x, q):
+        lows, highs = zip(*[q.krasovskii_set(v) for v in x]) if x else ((), ())
+        return ((min(lows, default=math.inf), min(highs, default=math.inf)),
+                (max(lows, default=-math.inf), max(highs, default=-math.inf)))
+
+    assert _outcome(extreme_sets, states, q) == _outcome(every_agent, x, q)
 
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
