@@ -50,6 +50,8 @@ class Kernels(NamedTuple):
     #: ``hold_solve(g, active, boxes, z)``: the coefficients of the hold
     #: system of ``active`` in its order, or None when it is singular.
     hold_solve: Callable[[object, list, dict, np.ndarray], list | None]
+    #: ``pgs(g, agents, boxes, z, cutoff)``, as ``dynamics._pgs_lists``.
+    pgs: Callable[[object, list, dict, np.ndarray, float], tuple]
     #: ``velocities(g, z, agents)``, as ``dynamics._velocities``.
     velocities: Callable[[object, np.ndarray, object], list]
     #: ``uniform_sets(delta, x, selection, z)``, as
@@ -113,7 +115,8 @@ def _bind(lib: ctypes.CDLL) -> Kernels:
         return work
 
     return Kernels(_bind_rk4_chunk(lib), _bind_hold_solve(lib, c_graph, reserve),
-                   _bind_velocities(lib, c_graph, reserve), *_bind_scans(lib, reserve),
+                   _bind_pgs(lib, c_graph, reserve), _bind_velocities(lib, c_graph, reserve),
+                   *_bind_scans(lib, reserve),
                    *_bind_advance(lib, c_graph, reserve))
 
 
@@ -165,9 +168,9 @@ _BUFFERS = (("x", ctypes.c_double, "n"), ("y", ctypes.c_double, "n"),
             ("bounds", ctypes.c_double, "2n"), ("outside", ctypes.c_int64, "n"),
             ("hit", ctypes.c_int64, "n"), ("threshold", ctypes.c_double, "n"),
             ("alpha", ctypes.c_double, "n"), ("sign", ctypes.c_int64, "n"),
-            ("mark", ctypes.c_int64, "n"), ("active", ctypes.c_int64, "m"),
-            ("box", ctypes.c_double, "2m"), ("aug", ctypes.c_double, "m(m+1)"),
-            ("out", ctypes.c_double, "m"), ("slot", ctypes.c_int64, "m"),
+            ("mark", ctypes.c_int64, "n"), ("active", ctypes.c_int64, "n"),
+            ("box", ctypes.c_double, "2n"), ("aug", ctypes.c_double, "m(m+1)"),
+            ("out", ctypes.c_double, "m"), ("slot", ctypes.c_int64, "n"),
             ("colmap", ctypes.c_int64, "n"), ("rows", ctypes.c_double, "rows"),
             ("ints", ctypes.c_int64, "ints"))
 #: The least length of the chunk of ``qcl_advance``, in doubles of its rows
@@ -199,7 +202,7 @@ class _Work:
 
     def __init__(self, n: int, m: int):
         self.n, self.m = n, m
-        sizes = {"n": n, "2n": 2 * n, "m": m, "2m": 2 * m, "m(m+1)": m * (m + 1),
+        sizes = {"n": n, "2n": 2 * n, "m": m, "m(m+1)": m * (m + 1),
                  "rows": max(CHUNK, 4 * n + 1), "ints": max(CHUNK, 3 * n + 2)}
         self.buf = {name: (ctype * sizes[size])() for name, ctype, size in _BUFFERS}
         self.buf["colmap"][:] = [-1] * n
@@ -249,7 +252,7 @@ def _bind_hold_solve(lib: ctypes.CDLL, c_graph, reserve):
                    z: np.ndarray) -> list[float] | None:
         n, graph, _ = c_graph(g)
         m = len(active)
-        w = reserve(n, m)
+        w = reserve(max(n, m), m)
         w.buf["active"][:m] = active
         w.buf["box"][:2 * m] = [v for i in active for v in boxes[i]]
         # The C code checks the agents; z must have one float64 per agent, and
@@ -262,6 +265,51 @@ def _bind_hold_solve(lib: ctypes.CDLL, c_graph, reserve):
         return None if status else w.buf["out"][:m]
 
     return hold_solve
+
+
+def _bind_pgs(lib: ctypes.CDLL, c_graph, reserve):
+    """Wrap ``qcl_pgs`` for ``dynamics._pgs``: ``(held, departing, alphas)``
+    with ``z`` updated in place, or the ``NoSlidingSelection`` of the list
+    code, with ``z`` then left as it was."""
+    from .dynamics import NoSlidingSelection
+
+    c_pgs = lib.qcl_pgs
+    c_pgs.restype = ctypes.c_int
+    c_pgs.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                      ctypes.c_double]
+
+    def pgs(g, agents: list[int], boxes: dict[int, tuple[float, float]], z: np.ndarray,
+            cutoff: float) -> tuple[set[int], dict[int, int], dict[int, float]]:
+        n, graph, _ = c_graph(g)
+        m, k = len(agents), len(boxes)
+        if z.shape != (n,):
+            raise ValueError("the states of a projected solve do not fit the graph")
+        unknowns = 0
+        while True:
+            w = reserve(max(n, m, k), unknowns)
+            w.buf["active"][:m] = agents
+            w.buf["slot"][:m] = range(m)
+            w.buf["box"][:2 * m] = [v for i in agents for v in boxes[i]]
+            w.buf["bounds"][:2 * k] = [v for box in boxes.values() for v in box]
+            w.z[:n] = z
+            status = c_pgs(graph, w.address, m, k, cutoff)
+            if status != 3:
+                break
+            unknowns = w.struct.count
+        if status == 1:
+            raise NoSlidingSelection("projected Gauss-Seidel did not converge")
+        if status == 2:
+            raise NoSlidingSelection(
+                f"inconsistent projected solution for agent {w.struct.count}")
+        if status == 4:
+            raise ValueError("an agent of a projected solve lies outside the graph")
+        z[:] = w.z[:n]
+        signs = w.buf["sign"][:m]
+        return ({i for i, sign in zip(agents, signs) if not sign},
+                {i: sign for i, sign in zip(agents, signs) if sign},
+                dict(zip(agents, w.buf["alpha"][:m])))
+
+    return pgs
 
 
 def _bind_velocities(lib: ctypes.CDLL, c_graph, reserve):

@@ -14,9 +14,9 @@ import random
 import numpy as np
 
 from . import quantizers
-from .dynamics import (SequentialSlow, SimulationLimitError, Sliding, _build_hold_system,
-                       _gaussian_solve, _resolve_python, _rk4_chunk_lists, _Singular,
-                       _velocities_numpy, simulate)
+from .dynamics import (NoSlidingSelection, SequentialSlow, SimulationLimitError, Sliding,
+                       _build_hold_system, _gaussian_solve, _pgs_lists, _resolve_python,
+                       _rk4_chunk_lists, _Singular, _velocities_numpy, simulate)
 from .graphs import GraphSchedule, WeightedDigraph
 from .quantizers import UniformQuantizer, _krasovskii_scan_lists, _threshold_hits_lists
 
@@ -26,7 +26,8 @@ def kernels_agree(kernels) -> bool:
     return (_rk4_agrees(kernels.rk4_chunk) and _hold_solve_agrees(kernels.hold_solve)
             and _velocities_agree(kernels.velocities)
             and _scans_agree(kernels.uniform_sets, kernels.uniform_hits)
-            and _resolve_agrees(kernels.resolve) and _runs_agree(kernels))
+            and _pgs_agrees(kernels.pgs) and _resolve_agrees(kernels.resolve)
+            and _runs_agree(kernels))
 
 
 def _rk4_agrees(kernel) -> bool:
@@ -169,6 +170,45 @@ def _same_sets(scan, z: np.ndarray, ref, z_ref: np.ndarray) -> bool:
             and repr(z[interior]) == repr(z_ref[interior]))
 
 
+#: States of a unit step that run projected Gauss-Seidel: ``(n, edges, x,
+#: last stopped, cutoff)``.  See ``_resolve_agrees``.
+_PGS_STATES = (
+    (2, [(0, 1, 1.0), (1, 0, 1.0)], [0.5, 0.5], (), 64),
+    (5, [(1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0), (2, 0, 1.0), (3, 0, 1.0), (3, 4, 1.5),
+         (3, 1, 0.7)], [1.0, 0.5, 0.5, 0.5, -1.0], (), 2),
+    (8, [(0, 1, 1.0), (1, 0, 1.0), (2, 0, 0.3), (2, 3, 1.0), (2, 4, 0.2), (3, 2, 1.0),
+         (3, 5, 0.1), (3, 1, 0.3), (6, 7, 1.0), (6, 4, 1.0), (7, 6, 1.0), (7, 4, 0.3)],
+     [0.5, 0.5, 0.5, 0.5, 1.0, -1.0, 0.5, 0.5], (), 64),
+    (6, [(0, 4, 1.0), (0, 5, 1.5), (1, 0, 2.0), (1, 4, 1.0), (1, 5, 0.5), (2, 3, 2.0),
+         (2, 4, 1.5), (3, 0, 2.0), (3, 5, 0.5), (4, 0, 1.0), (4, 1, 1.0), (5, 0, 1.5),
+         (5, 2, 1.5), (5, 3, 1.0)], [-1.5, -1.5, -0.5, 1.5, 2.0, 0.5], [2], 64),
+)
+
+
+def _pgs_agrees(pgs) -> bool:
+    """Whether ``pgs`` gives the bits of ``dynamics._pgs_lists``, the
+    selection included, on every surface agent that listens to someone in
+    each of the ``_PGS_STATES``, with cutoffs 2 and 64."""
+    def bits(run, z):
+        try:
+            held, departing, alphas = run(z)
+        except NoSlidingSelection:
+            return None
+        return held, departing, {i: a.hex() for i, a in alphas.items()}, z.tobytes()
+
+    for n, edges, x, _, _ in _PGS_STATES:
+        g = WeightedDigraph.from_edges(n, edges)
+        z = np.zeros(n)
+        boxes = _krasovskii_scan_lists(x, UniformQuantizer(1.0), z=z).boxes
+        agents = [i for i in boxes if g.rows[i].total != 0.0]
+        for cutoff in (2, 64):
+            ref = _on_lists(lambda: bits(lambda z: _pgs_lists(agents, boxes, z, g, cutoff),
+                                         z.copy()))
+            if ref is None or bits(lambda z: pgs(g, agents, boxes, z, cutoff), z.copy()) != ref:
+                return False
+    return True
+
+
 def _resolve_agrees(resolve) -> bool:
     """Whether ``resolve`` gives the bits of ``dynamics._resolve_python`` on
     the list code, and the arrival of ``_threshold_hits_lists`` on its
@@ -179,9 +219,15 @@ def _resolve_agrees(resolve) -> bool:
     last-stopped agents.  It must accept ties for the largest excess whose
     other tie-break changes the result, under each policy, coefficients
     1.5e-12 from 0 and from 1, which are not snapped, and a released agent
-    that the re-check finds at rest, which holds.  It must decline a
-    singular pair, three candidates over a cutoff of 2, a departure that the
-    re-check finds pushed back onto its surface, and a state off the lattice.
+    that the re-check finds at rest, which holds.  Under both policies it
+    must accept the states that run projected Gauss-Seidel: a singular
+    pair; three candidates over a cutoff of 2, two of which converge onto
+    their upper box end from inside, and too many to polish; a free
+    translation pair beside agents that converge to interior holds and onto
+    box ends, which leaves the polish singular; and a departure that the
+    re-check finds pushed back onto its surface.  Where the polish does not
+    run, the sweep order and the end-snap show in the bits.  It must decline
+    a state off the lattice.
     """
     def case(n, edges, x, sequential=False, stopped=(), delta=1.0, cutoff=64):
         return (WeightedDigraph.from_edges(n, edges), np.array(x, dtype=float), delta,
@@ -205,15 +251,11 @@ def _resolve_agrees(resolve) -> bool:
         case(3, [(0, 1, 1.5e-12), (0, 2, 1.0)], [0.5, 1.0, 0.0]),
         case(3, [(0, 1, 1.0), (0, 2, 1.5e-12)], [0.5, 1.0, 0.0], True, [1]),
         case(3, [(0, 1, 1.0), (1, 2, 1.0)], [0.5, 0.5, 2.0]),
+    ] + [
+        case(n, edges, x, sequential, stopped, cutoff=cutoff)
+        for n, edges, x, stopped, cutoff in _PGS_STATES for sequential in (False, True)
     ]
-    declined = [
-        case(2, [(0, 1, 1.0), (1, 0, 1.0)], [0.5, 0.5]),
-        case(4, [(0, 3, 1.0), (1, 3, 1.0), (2, 3, 1.0)], [0.5, 0.5, 0.5, 3.0], cutoff=2),
-        case(6, [(0, 4, 1.0), (0, 5, 1.5), (1, 0, 2.0), (1, 4, 1.0), (1, 5, 0.5), (2, 3, 2.0),
-                 (2, 4, 1.5), (3, 0, 2.0), (3, 5, 0.5), (4, 0, 1.0), (4, 1, 1.0), (5, 0, 1.5),
-                 (5, 2, 1.5), (5, 3, 1.0)], [-1.5, -1.5, -0.5, 1.5, 2.0, 0.5], True, [2]),
-        case(2, [(0, 1, 1.0)], [0.5, 2.0 ** 60]),
-    ]
+    declined = [case(2, [(0, 1, 1.0)], [0.5, 2.0 ** 60])]
 
     def bits(result):
         z, velocity, alpha, held, departing = result[:5]
@@ -266,7 +308,8 @@ def _runs_agree(kernels) -> bool:
     policies, from states on thresholds, to the event limit and to the
     horizon.  On the schedule of two line graphs, arrivals at 0.25 and 1.0
     coincide with its switches; repeated with a period of 0.7, the switch
-    times k * 0.7 + 0.1 round.
+    times k * 0.7 + 0.1 round.  On the last schedule an arrival that comes
+    before the switch at 0.375 steps to a time that rounds onto it.
     """
     from .scenarios import ScenarioConfig, line_graph
 
@@ -283,6 +326,10 @@ def _runs_agree(kernels) -> bool:
         (GraphSchedule(((0.0, line), (0.25, heavy), (1.0, line)), 1.0, 2.0), 0.25,
          [0.0, 0.0, 0.0, 0.0, 0.6, 1.1], {}),
         (GraphSchedule(((0.0, line), (0.1, heavy)), 1.0, 2.0, 0.7), 0.1, spread, {}),
+        (GraphSchedule(((0.0, WeightedDigraph.from_edges(
+            3, [(0, 2, 2.0), (1, 0, 1.0), (1, 2, 2.0), (2, 0, 1.0)])),
+                        (0.375, WeightedDigraph.from_edges(3, [(1, 0, 0.5), (2, 0, 0.5)]))),
+                       0.3, 2.0), 1 / 3, [1.5, 1 / 3, 0.0], {}),
     ]
     configs = [ScenarioConfig(schedule, UniformQuantizer(delta), x0, policy, **limits)
                for schedule, delta, x0, limits in runs

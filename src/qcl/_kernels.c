@@ -16,23 +16,31 @@
  * a selection leaves it) and the closest threshold arrival, ports of the
  * per-agent loops over UniformQuantizer.krasovskii_set and next_threshold.
  *
+ * qcl_pgs: projected Gauss-Seidel on a box-constrained hold system, with the
+ * snap onto box ends, the held/departing split, the dense polish of the held
+ * agents through qcl_hold_solve and their coefficients, a port of
+ * qcl.dynamics._pgs_lists.  Each sweep's target for agent i is the sum of
+ * row i's terms a_ij z_j, in the order of qcl_velocities, over the row total.
+ *
  * qcl_resolve: one whole resolve of qcl.dynamics.resolve_sliding under a
  * uniform quantizer and the Sliding or SequentialSlow policy, and the closest
  * threshold arrival of its velocity: the set scan, the trivially held
  * midpoints, the dense hold solves with their releases, the departure
- * re-check, the velocities and the hit scan, in one call.  It declines,
- * with no effect outside its buffers, leaving the caller to run its Python
- * code, for a state off the threshold lattice, more surface agents that
- * listen to someone than the dense cutoff, a singular hold system, a
- * departure that the re-check finds sign-inconsistent (the last two send the
- * Python code to projected Gauss-Seidel) or a resolved selection outside its
- * box.  FixedAlpha and general quantizers never reach it, nor last-stopped
- * agents outside the graph.
+ * re-check, projected Gauss-Seidel where the Python code runs it (more
+ * surface agents that listen to someone than the dense cutoff, a singular
+ * hold system, a departure that the re-check finds sign-inconsistent), the
+ * velocities and the hit scan, in one call.  It declines, with no effect
+ * outside its buffers, leaving the caller to run its Python code, for a
+ * state off the threshold lattice, projected Gauss-Seidel that fails, or a
+ * resolved selection outside its box or with a sign-inconsistent departure.
+ * FixedAlpha and general quantizers never reach it, nor last-stopped agents
+ * outside the graph.
  *
  * qcl_advance: the event loop of qcl.dynamics.simulate around qcl_resolve,
  * for as long as each step is a plain threshold hit inside one graph
  * segment: the state moves, its arrival comes strictly before the segment's
- * end and not after the horizon, the event budget is not used up and the
+ * end, and so does the time t + dt it steps to (which can round onto the
+ * end), not after the horizon, the event budget is not used up and the
  * chunk of recorded events has room.  Each such step records the event and
  * steps as simulate does, x + v dt for every agent, then the hit agents
  * snapped onto their thresholds.  It stops at the first state that is not
@@ -41,7 +49,8 @@
  * buffers, with that state's resolve in the buffers; with a budget of 0 it
  * is one qcl_resolve.
  *
- * All keep the operation order of every element of the code they port.  Built
+ * All keep the operation order of every element of the code they port, and
+ * none calls BLAS, so the results do not depend on the BLAS build.  Built
  * with -ffp-contract=off and without fast-math, so the results are
  * bit-identical to it; qcl checks that before it uses a build.  Every entry
  * point but qcl_rk4_chunk works in one struct qcl_work of reused buffers, so
@@ -142,10 +151,10 @@ struct qcl_graph {
  * and their thresholds to threshold (n).  A resolve writes, for surface
  * agent c, its coefficient to alpha[c] and to sign[c] 0 for a hold, or +1 or
  * -1 for a departure up or down; mark (n) is its scratch.  A hold system
- * reads its agents from active (m) and their boxes from box (2 m), works in
- * aug (m (m + 1)) and writes its solution to out (m); slot (m) maps the
- * unknowns of a resolve to surface agents, and colmap (n) holds -1 for each
- * agent on entry and on return.
+ * or projected Gauss-Seidel reads its agents from active (n) and their boxes
+ * from box (2 n); slot (n) maps them to surface agents.  A hold system works
+ * in aug (m (m + 1)) and writes its solution to out (m), and colmap (n) holds
+ * -1 for each agent on entry and on return.
  *
  * qcl_advance starts at time t from the state x with the n_stopped agents
  * in stopped, and leaves there the time, state and last-stopped agents
@@ -512,66 +521,182 @@ static int near(const struct qcl_graph *g, const int64_t *mark, int64_t i)
     return 0;
 }
 
-/* One resolve of qcl.dynamics.resolve_sliding of the n = g->n states in w->x
- * under the uniform quantizer of step delta, with releases from the largest
- * excess, ties to the lowest agent, or, when sequential is nonzero, first
- * among the agents near the n_stopped agents in w->stopped (SequentialSlow);
- * then the closest threshold arrival of the resulting velocity.  The stopped
- * agents must lie in the graph.
- *
- * Returns 0 with the selection in z, the velocity in y (+0.0 for a held
- * agent), the surface agents with their coefficients and signs (see struct
- * qcl_work) and the arrival as qcl_uniform_hits leaves it; 1 when it
- * declines (see the top of this file), its outputs then unspecified; or 3
- * when the hold buffers are too small, with the number of unknowns needed
- * in count. */
-int qcl_resolve(const struct qcl_graph *g, struct qcl_work *w, double delta,
-                int64_t sequential, int64_t n_stopped, double cutoff)
-{
-    const int64_t *surface = w->surface;
-    const double *bounds = w->bounds;
-    double *z = w->z;
-    int64_t n = g->n, k, m = 0;
+/* qcl.dynamics._PGS_TOL, _PGS_MAX_SWEEPS and _RESIDUAL_TOL. */
+#define PGS_TOL 1e-12
+#define PGS_MAX_SWEEPS 100000
+#define RESIDUAL_TOL 1e-9
 
-    if (qcl_uniform_sets(w, n, delta, 0))
-        return 1;
-    k = w->n_surface;
-    for (int64_t c = 0; c < k; c++)
-        if (g->totals[surface[c]] != 0.0)
-            m++;
-    if (m > cutoff)
-        return 1;
-    if (m > w->m) {
-        w->count = m;
-        return 3;
+/* Swaps entries r and q of active, slot and box. */
+static void swap_unknowns(struct qcl_work *w, int64_t r, int64_t q)
+{
+    int64_t a = w->active[r], s = w->slot[r];
+    double lo = w->box[2 * r], hi = w->box[2 * r + 1];
+
+    w->active[r] = w->active[q];
+    w->slot[r] = w->slot[q];
+    w->box[2 * r] = w->box[2 * q];
+    w->box[2 * r + 1] = w->box[2 * q + 1];
+    w->active[q] = a;
+    w->slot[q] = s;
+    w->box[2 * q] = lo;
+    w->box[2 * q + 1] = hi;
+}
+
+/* Projected Gauss-Seidel on the hold system of the m agents in w->active,
+ * their boxes in w->box, every other agent j fixed at z[j]; the bound scale
+ * also counts the k boxes in w->bounds, which hold those of the m agents.
+ *
+ * Each agent starts at its box's midpoint.  A sweep moves agent active[r]
+ * in turn, r = 0, 1, ..., to its target, the sum of a_ij z_j over its row (in
+ * the order of velocity) over the row total, clamped into its box; agents
+ * that listen to nobody stay.  Then values within the sweep tolerance of a
+ * box end are snapped onto it, and each agent is held (residual velocity
+ * within the tolerance, or no neighbours) or departs from the end it sits at
+ * on the side of its velocity.  At most cutoff held agents are polished by
+ * a dense hold solve, taken when it is nonsingular and every coefficient is
+ * feasible.
+ *
+ * Returns 0 with z updated and, for agent r, sign[slot[r]] (0 for a hold)
+ * and alpha[slot[r]] = 0.0 + (z - lo) / (hi - lo); active, slot and box are
+ * reordered with the held agents first, in their order.  Returns 1 when the
+ * sweeps do not converge, 2 when an agent, then in count, neither holds nor
+ * departs, and 3 when the hold buffers are too small, with the number of
+ * unknowns needed in count. */
+static int pgs(const struct qcl_graph *g, struct qcl_work *w, int64_t m, int64_t k,
+               double cutoff)
+{
+    const int64_t *active = w->active;
+    const double *box = w->box, *totals = g->totals;
+    double *z = w->z, scale = 1.0, top = 1.0, snap, residual;
+    int64_t held = 0, converged = 0;
+
+    for (int64_t r = 0; r < m; r++)
+        z[active[r]] = 0.5 * (box[2 * r] + box[2 * r + 1]);
+    for (int64_t c = 0; c < 2 * k; c++)
+        if (fabs(w->bounds[c]) > scale)
+            scale = fabs(w->bounds[c]);
+    for (int64_t i = 0; i < g->n; i++)
+        if (fabs(z[i]) > scale)
+            scale = fabs(z[i]);
+
+    for (int64_t sweep = 0; sweep < PGS_MAX_SWEEPS && !converged; sweep++) {
+        double worst = 0.0;
+
+        for (int64_t r = 0; r < m; r++) {
+            int64_t i = active[r], start = g->ends[i];
+            double target, step;
+
+            if (totals[i] == 0.0)
+                continue;
+            target = (0.0 + pairwise_terms(g->cols + start, g->vals + start, z, 0.0,
+                                           g->ends[i + 1] - start)) / totals[i];
+            target = box[2 * r] > target ? box[2 * r] : target;
+            target = box[2 * r + 1] < target ? box[2 * r + 1] : target;
+            step = fabs(target - z[i]);
+            worst = step > worst ? step : worst;
+            z[i] = target;
+        }
+        converged = worst <= PGS_TOL * scale;
     }
-    if (sequential) {
-        for (int64_t i = 0; i < n; i++)
-            w->mark[i] = 0;
-        for (int64_t t = 0; t < n_stopped; t++) {
-            int64_t s = w->stopped[t];
-            w->mark[s] |= 1;
-            for (int64_t e = g->ends[s]; e < g->ends[s + 1]; e++)
-                w->mark[g->cols[e]] |= 2;
+    if (!converged)
+        return 1;
+
+    snap = 10.0 * PGS_TOL * scale;
+    for (int64_t r = 0; r < m; r++) {
+        int64_t i = active[r];
+        if (fabs(z[i] - box[2 * r]) <= snap)
+            z[i] = box[2 * r];
+        else if (fabs(z[i] - box[2 * r + 1]) <= snap)
+            z[i] = box[2 * r + 1];
+    }
+
+    /* max(1, (largest row total of the agents, 1 for none) * scale) */
+    for (int64_t r = 0; r < m; r++)
+        if (r == 0 || totals[active[r]] > top)
+            top = totals[active[r]];
+    top = top * scale;
+    residual = RESIDUAL_TOL * (top > 1.0 ? top : 1.0);
+    for (int64_t r = 0; r < m; r++) {
+        int64_t i = active[r], *sign = w->sign + w->slot[r];
+        double v = velocity(g, z, i);
+
+        if (fabs(v) <= residual || totals[i] == 0.0)
+            *sign = 0;
+        else if (v > 0.0 && z[i] == box[2 * r + 1])
+            *sign = 1;
+        else if (v < 0.0 && z[i] == box[2 * r])
+            *sign = -1;
+        else {
+            w->count = i;
+            return 2;
         }
     }
 
-    /* Agents that listen to nobody hold at their box's midpoint. */
-    m = 0;
-    for (int64_t c = 0; c < k; c++) {
-        int64_t i = surface[c];
+    for (int64_t r = 0; r < m; r++)
+        if (w->sign[w->slot[r]] == 0)
+            swap_unknowns(w, r, held++);
+    if (held > 0 && !(held > cutoff)) {
+        int feasible = 1;
+
+        if (held > w->m) {
+            w->count = held;
+            return 3;
+        }
+        if (qcl_hold_solve(g, held, z, w) == 0) {
+            for (int64_t r = 0; r < held; r++)
+                feasible &= -FEAS_SLACK <= w->out[r] && w->out[r] <= 1.0 + FEAS_SLACK;
+            for (int64_t r = 0; r < held && feasible; r++)
+                z[active[r]] = alpha_to_z(snap_alpha(w->out[r]), box[2 * r], box[2 * r + 1]);
+        }
+    }
+    for (int64_t r = 0; r < m; r++)
+        w->alpha[w->slot[r]] = 0.0 + (z[active[r]] - box[2 * r]) / (box[2 * r + 1] - box[2 * r]);
+    return 0;
+}
+
+/* qcl_pgs on the m agents in w->active with slot[r] = r, the bound scale
+ * counting the k boxes in w->bounds: see pgs.  Returns what pgs returns, or
+ * 4, before any write, when an agent lies outside the graph. */
+int qcl_pgs(const struct qcl_graph *g, struct qcl_work *w, int64_t m, int64_t k, double cutoff)
+{
+    for (int64_t r = 0; r < m; r++)
+        if (w->active[r] < 0 || w->active[r] >= g->n)
+            return 4;
+    return pgs(g, w, m, k, cutoff);
+}
+
+/* The surface agents of a resolve that listen to someone, in increasing
+ * order, in active, slot and box; those that listen to nobody hold at their
+ * box's midpoint.  Every sign is reset to 0.  Returns their number. */
+static int64_t candidates(const struct qcl_graph *g, struct qcl_work *w)
+{
+    int64_t m = 0;
+
+    for (int64_t c = 0; c < w->n_surface; c++) {
+        int64_t i = w->surface[c];
         w->sign[c] = 0;
         if (g->totals[i] == 0.0) {
-            z[i] = 0.5 * (bounds[2 * c] + bounds[2 * c + 1]);
+            w->z[i] = 0.5 * (w->bounds[2 * c] + w->bounds[2 * c + 1]);
             w->alpha[c] = 0.5;
         } else {
             w->active[m] = i;
             w->slot[m] = c;
-            w->box[2 * m] = bounds[2 * c];
-            w->box[2 * m + 1] = bounds[2 * c + 1];
+            w->box[2 * m] = w->bounds[2 * c];
+            w->box[2 * m + 1] = w->bounds[2 * c + 1];
             m++;
         }
     }
+    return m;
+}
+
+/* The dense hold solves of a resolve's m candidates with their releases and
+ * the departure re-check, or projected Gauss-Seidel where _solve_holds runs
+ * it; returns 0, or what pgs returns. */
+static int dense_holds(const struct qcl_graph *g, struct qcl_work *w, int64_t m,
+                       int64_t sequential, double cutoff)
+{
+    double *z = w->z;
+    int64_t k = w->n_surface;
 
     /* Hold every candidate; release the worst infeasible hold and solve again. */
     while (m > 0) {
@@ -579,7 +704,7 @@ int qcl_resolve(const struct qcl_graph *g, struct qcl_work *w, double delta,
         double worst = 0.0;
 
         if (qcl_hold_solve(g, m, z, w))
-            return 1;
+            return pgs(g, w, m, k, cutoff);
         for (int64_t r = 0; r < m; r++) {
             double a = w->out[r], e = -a > a - 1.0 ? -a : a - 1.0;
             int64_t r_near;
@@ -617,16 +742,66 @@ int qcl_resolve(const struct qcl_graph *g, struct qcl_work *w, double delta,
     }
 
     /* A departure with zero velocity is a boundary hold; one pushed back
-     * onto its surface sends the Python code to projected Gauss-Seidel. */
+     * onto its surface sends every candidate to projected Gauss-Seidel. */
     for (int64_t c = 0; c < k; c++) {
         if (w->sign[c] != 0) {
-            double v = velocity(g, z, surface[c]);
+            double v = velocity(g, z, w->surface[c]);
             if (v == 0.0)
                 w->sign[c] = 0;
             else if ((v > 0.0) != (w->sign[c] > 0))
-                return 1;
+                return pgs(g, w, candidates(g, w), k, cutoff);
         }
     }
+    return 0;
+}
+
+/* One resolve of qcl.dynamics.resolve_sliding of the n = g->n states in w->x
+ * under the uniform quantizer of step delta, with releases from the largest
+ * excess, ties to the lowest agent, or, when sequential is nonzero, first
+ * among the agents near the n_stopped agents in w->stopped (SequentialSlow);
+ * then the closest threshold arrival of the resulting velocity.  The stopped
+ * agents must lie in the graph.
+ *
+ * Returns 0 with the selection in z, the velocity in y (+0.0 for a held
+ * agent), the surface agents with their coefficients and signs (see struct
+ * qcl_work) and the arrival as qcl_uniform_hits leaves it; 1 when it
+ * declines (see the top of this file), its outputs then unspecified; or 3
+ * when the hold buffers are too small, with the number of unknowns needed
+ * in count. */
+int qcl_resolve(const struct qcl_graph *g, struct qcl_work *w, double delta,
+                int64_t sequential, int64_t n_stopped, double cutoff)
+{
+    const int64_t *surface = w->surface;
+    const double *bounds = w->bounds;
+    double *z = w->z;
+    int64_t n = g->n, k, m = 0;
+    int status;
+
+    if (qcl_uniform_sets(w, n, delta, 0))
+        return 1;
+    k = w->n_surface;
+    for (int64_t c = 0; c < k; c++)
+        if (g->totals[surface[c]] != 0.0)
+            m++;
+    if (!(m > cutoff) && m > w->m) {
+        w->count = m;
+        return 3;
+    }
+    if (sequential) {
+        for (int64_t i = 0; i < n; i++)
+            w->mark[i] = 0;
+        for (int64_t t = 0; t < n_stopped; t++) {
+            int64_t s = w->stopped[t];
+            w->mark[s] |= 1;
+            for (int64_t e = g->ends[s]; e < g->ends[s + 1]; e++)
+                w->mark[g->cols[e]] |= 2;
+        }
+    }
+
+    m = candidates(g, w);
+    status = m > cutoff ? pgs(g, w, m, k, cutoff) : dense_holds(g, w, m, sequential, cutoff);
+    if (status)
+        return status == 3 ? 3 : 1;
 
     for (int64_t i = 0, c = 0; i < n; i++) {
         int64_t sign = 0, held = 0;
@@ -671,7 +846,8 @@ int qcl_advance(const struct qcl_graph *g, struct qcl_work *w, double delta,
             return status;
         for (int64_t i = 0; i < n && !moving; i++)
             moving = w->y[i] != 0.0;
-        if (!moving || !(dt < ts - t) || !(t + dt <= horizon) || w->n_rows == budget
+        if (!moving || !(dt < ts - t && t + dt < ts) || !(t + dt <= horizon)
+            || w->n_rows == budget
             || (w->n_rows + 1) * width > w->rows_cap || w->n_ints + 3 * n + 2 > w->ints_cap)
             return 0;
 

@@ -362,15 +362,15 @@ SUITES = {
 
 def cmd_check(args) -> int:
     names = args.suite if args.suite else list(SUITES)
+    for name in names:
+        if name not in SUITES:
+            raise InputError(f"unknown suite {name!r}; the suites are {', '.join(SUITES)}")
     plain = [name for name in names if name != "envelope"]
     if args.inject_corruption and plain:
         raise InputError("--inject-corruption corrupts only the envelope suite, "
                          f"not {', '.join(plain)}")
     all_ok = True
     for name in names:
-        if name not in SUITES:
-            print(f"unknown suite: {name}", file=sys.stderr)
-            return 1
         ok, detail = SUITES[name](inject=True) if args.inject_corruption else SUITES[name]()
         all_ok &= ok
         print(f"suite {name}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run the invariant suites")
     check.add_argument("--suite", action="append",
-                       help="run only the named suite (repeatable)")
+                       help=f"run only the named suite (repeatable): {', '.join(SUITES)}")
     check.add_argument("--inject-corruption", action="store_true",
                        help=argparse.SUPPRESS)
     check.set_defaults(fn=cmd_check)

@@ -28,24 +28,30 @@ solution.
 Under a uniform quantizer and the Sliding or SequentialSlow policy, a
 resolve runs as one compiled call, ``qcl_resolve`` of ``_kernels.c``, which
 also gives the next threshold arrival; it has the bits of the Python code,
-``_resolve_python``.  The call declines, with no effect, and the Python code
-runs for a FixedAlpha policy, a general quantizer, more surface agents that
-listen to someone than the dense cutoff, a singular hold system, a departure
-that the re-check finds sign-inconsistent (these two go to projected
-Gauss-Seidel), a selection that leaves its box, a state off the threshold
-lattice, and whenever the compiled kernels do not load.
+``_resolve_python``.  That includes projected Gauss-Seidel, which runs for
+more surface agents that listen to someone than the dense cutoff, a singular
+hold system and a departure that the re-check finds sign-inconsistent.  The
+call declines, with no effect, and the Python code runs for a FixedAlpha
+policy, a general quantizer, projected Gauss-Seidel that fails (no
+convergence or an inconsistent fixed point), a selection that leaves its box
+or departs against its velocity, a state off the threshold lattice, and
+whenever the compiled kernels do not load.
+Projected Gauss-Seidel sums each row's terms in numpy's pairwise order, as
+the velocities do, on both paths; nothing calls BLAS, so the bits do not
+depend on the BLAS build.
 
 ``simulate`` calls the compiled event loop ``qcl_advance`` in place of each
 such resolve.  In one call it resolves, records the event and steps (``x +
 v dt``, the hit agents snapped onto their thresholds) for as long as each
 step is a plain threshold hit inside the current graph segment: the state
-moves, its arrival comes strictly before the next switch and not after the
-horizon, the event limit leaves room and the chunk of recorded events is
-not full.  It stops at the first state that is not, at rest, declined or in
-need of larger buffers, and returns that state's resolve, with which the
-Python loop goes on; so a run makes no more resolves than the Python loop
-alone would.  Under a stop callback it records no event.  The loop works in
-the kernels' one workspace and is not reentrant.
+moves, its arrival and the time it steps to come strictly before the next
+switch and not after the horizon, the event limit leaves room and the
+chunk of recorded events is not full.  It stops at the first state that is
+not, at rest, declined or in need of larger buffers, and returns that
+state's resolve, with which the Python loop goes on; so a run makes no more
+resolves than the Python loop alone would.  Under a stop callback it
+records no event.  The loop works in the kernels' one workspace and is not
+reentrant.
 """
 
 from __future__ import annotations
@@ -319,13 +325,40 @@ def _pgs(
     boxes: dict[int, tuple[float, float]],
     z: np.ndarray,
     g: WeightedDigraph,
-) -> tuple[set[int], dict[int, int]]:
-    """Projected Gauss-Seidel on the box-constrained hold system.
+    cutoff: int,
+) -> tuple[set[int], dict[int, int], dict[int, float]]:
+    """Projected Gauss-Seidel on the box-constrained hold system of ``agents``.
 
-    Updates ``z`` in place for ``agents``; all other entries are constants.
-    At the fixed point an interior value is a hold, a value clamped at a box
-    bound with outward residual velocity is a departure.
+    Returns the held agents, the departing ones with their signs and every
+    agent's coefficient, and updates ``z`` in place for ``agents``; all other
+    entries are constants.  At the fixed point an interior value is a hold,
+    a value clamped at a box bound with outward residual velocity is a
+    departure; a dense re-solve then polishes the holds.  Runs the compiled
+    ``qcl_pgs`` of ``_kernels.c`` when it loads, else ``_pgs_lists``, the
+    reference; both give the same bits and raise the same errors.
     """
+    kernels = quantizers._load_kernel()
+    if kernels is None:
+        return _pgs_lists(agents, boxes, z, g, cutoff)
+    return kernels.pgs(g, agents, boxes, z, cutoff)
+
+
+def _pgs_lists(
+    agents: list[int],
+    boxes: dict[int, tuple[float, float]],
+    z: np.ndarray,
+    g: WeightedDigraph,
+    cutoff: int,
+) -> tuple[set[int], dict[int, int], dict[int, float]]:
+    """``_pgs`` on numpy arrays and Python floats.
+
+    A sweep moves each agent in the order of ``agents`` to its target: the
+    sum of its row's terms ``a_ij * z_j``, formed in one array and summed by
+    numpy in increasing ``j`` as ``_velocities_numpy`` sums, over the row
+    total, clamped into its box.  No BLAS call is made, so the bits do not
+    depend on the BLAS build.
+    """
+    _, cols, values, ends = g.csr
     w_out = {i: g.rows[i].total for i in agents}
     for i in agents:
         lo, hi = boxes[i]
@@ -343,7 +376,8 @@ def _pgs(
         for i in agents:
             if w_out[i] == 0.0:
                 continue
-            target = float(g.weights[i] @ z) / w_out[i]
+            row = slice(ends[i], ends[i + 1])
+            target = float((values[row] * z[cols[row]]).sum()) / w_out[i]
             lo, hi = boxes[i]
             new = min(max(target, lo), hi)
             worst = max(worst, abs(new - z[i]))
@@ -381,7 +415,12 @@ def _pgs(
             raise NoSlidingSelection(
                 f"inconsistent projected solution for agent {i}"
             )
-    return held, departing
+    _refine_held([i for i in agents if i in held], boxes, z, g, cutoff)
+    alphas = {}
+    for i in agents:
+        lo, hi = boxes[i]
+        alphas[i] = 0.0 + (float(z[i]) - lo) / (hi - lo)
+    return held, departing, alphas
 
 
 def _build_hold_system(
@@ -475,31 +514,22 @@ def _solve_holds(
     Held agents receive the coefficient that balances their velocity to
     zero; infeasible holds are released one at a time (``release_pick``
     chooses among the violators) and the system is re-solved.  Singular
-    systems and large surface sets fall back to projected Gauss-Seidel.
+    systems, large surface sets and a departure that the final holds push
+    back onto its surface fall back to projected Gauss-Seidel.
     """
     active = sorted(candidates)
     departing: dict[int, int] = {}
     alphas: dict[int, float] = {}
-
-    def finish_pgs(agents: list[int]) -> tuple[set[int], dict[int, int]]:
-        held_p, dep_p = _pgs(agents, boxes, z, g)
-        _refine_held(sorted(held_p), boxes, z, g, cutoff)
-        for i in agents:
-            lo, hi = boxes[i]
-            alphas[i] = 0.0 + (float(z[i]) - lo) / (hi - lo)
-        return held_p, dep_p
-
     if len(active) > cutoff:
-        held_p, dep_p = finish_pgs(active)
-        departing.update(dep_p)
-        return held_p, departing, alphas
+        return _pgs(active, boxes, z, g, cutoff)
 
     while active:
         try:
             solution = dict(zip(active, _hold_solve(active, boxes, z, g)))
         except _Singular:
-            held_p, dep_p = finish_pgs(active)
+            held_p, dep_p, alphas_p = _pgs(active, boxes, z, g, cutoff)
             departing.update(dep_p)
+            alphas.update(alphas_p)
             return held_p, departing, alphas
 
         excess = {
@@ -531,8 +561,7 @@ def _solve_holds(
             departing.pop(i)
             held.add(i)
         elif (v > 0.0) != (sign > 0):
-            held_p, dep_p = finish_pgs(sorted(candidates))
-            return held_p, dep_p, alphas
+            return _pgs(sorted(candidates), boxes, z, g, cutoff)
     return held, departing, alphas
 
 

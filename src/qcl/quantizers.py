@@ -131,9 +131,20 @@ class UniformQuantizer:
     def _threshold(self, k: int) -> float:
         return (k + 0.5) * self.delta
 
+    def _on_lattice(self, x: float) -> float:
+        """``x``, which must lie on the representable threshold lattice,
+        ``|x|/delta < 2^52``, as the compiled scans and the scenario parser
+        require: beyond it ``(k + 0.5) * delta`` rounds onto the levels."""
+        if not abs(x) / self.delta < 2.0 ** 52:
+            raise InputError(
+                f"x={x!r} lies beyond the representable threshold lattice of "
+                f"delta={self.delta!r} (need |x|/delta < 2^52)"
+            )
+        return x
+
     def _threshold_index(self, x: float) -> int | None:
         """Integer k with ``(k+0.5)*delta == x`` bit-exactly, else None."""
-        base = math.floor(x / self.delta - 0.5)
+        base = math.floor(self._on_lattice(x) / self.delta - 0.5)
         for k in (base - 1, base, base + 1):
             if self._threshold(k) == x:
                 return k
@@ -154,15 +165,11 @@ class UniformQuantizer:
 
     def _index_above(self, x: float) -> int:
         """Smallest integer k with ``(k+0.5)*delta > x``."""
-        base = math.floor(x / self.delta - 0.5)
+        base = math.floor(self._on_lattice(x) / self.delta - 0.5)
         for k in (base - 1, base, base + 1, base + 2):
             if self._threshold(k) > x:
                 return k
-        # Only reachable when |x|/delta is far beyond 2^52, where the
-        # thresholds next to x round onto x or below it.
-        raise InputError(
-            f"x={x!r} lies beyond the representable threshold lattice of delta={self.delta!r}"
-        )
+        raise AssertionError("threshold scan exhausted")  # pragma: no cover
 
     def quantize(self, z: float) -> float:
         # The level of the cell below the next threshold up; on a threshold
@@ -184,7 +191,7 @@ class UniformQuantizer:
             raise InputError(f"direction must be +1 or -1, got {direction!r}")
         if direction > 0:
             return self._threshold(self._index_above(x))
-        base = math.floor(x / self.delta - 0.5)
+        base = math.floor(self._on_lattice(x) / self.delta - 0.5)
         for k in (base + 1, base, base - 1, base - 2):
             t = self._threshold(k)
             if t < x:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import inspect
 from pathlib import Path
@@ -35,3 +36,16 @@ def test_public_surface():
     assert not hasattr(qcl.TrajectoryEvent, "state")
     assert not hasattr(qcl.ScenarioConfig, "with_policy")
     assert "cutoff" not in inspect.signature(qcl.simulate).parameters
+
+
+def test_no_blas_in_the_package():
+    # BLAS kernels are chosen for the CPU at run time and round differently
+    # from one another, so the output bits would depend on the host.
+    package = Path(qcl.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                assert not isinstance(node.op, ast.MatMult), (path.name, node.lineno)
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in {"dot", "inner", "vdot", "matmul", "linalg"}, \
+                    (path.name, node.lineno, node.attr)

@@ -380,4 +380,16 @@ class TestCheck:
         assert "suite bounds" in out and "suite envelope" not in out
 
     def test_unknown_suite(self, capsys):
-        assert run_cli("check", "--suite", "nope") == 1
+        # One error line that names the suites, and no suite runs.
+        for before in ([], ["--suite", "bounds"]):
+            assert run_cli("check", *before, "--suite", "nope") == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == ("error: unknown suite 'nope'; the suites are envelope, bounds, "
+                           "conservation, oracle, connectivity\n")
+
+    def test_help_lists_the_suites(self, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("check", "--help")
+        assert "envelope, bounds, conservation, oracle, connectivity" in \
+            " ".join(capsys.readouterr().out.split())

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import ctypes
+import importlib.util
+import json
 import re
 import shutil
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from qcl import (
     example2_sliding,
     line_graph,
     resolve_sliding,
+    scenario_from_json,
     selection_velocity,
     simulate,
 )
@@ -112,8 +117,8 @@ class TestResolveSliding:
         results = []
         for fill in (0.0, 1e300):
             z = np.array([0.0, fill, fill, fill, 1.0])
-            held, departing = dynamics._pgs([1, 2, 3], boxes, z, g)
-            results.append((held, departing, z.tolist()))
+            held, departing, alphas = dynamics._pgs([1, 2, 3], boxes, z, g, 64)
+            results.append((held, departing, alphas, z.tolist()))
         assert results[0] == results[1]
         assert results[0][0] == {1, 2, 3}
 
@@ -508,11 +513,11 @@ def test_velocities_in_another_order_fail_self_check(monkeypatch, tmp_path, old,
     assert list((tmp_path / "cache").iterdir()) == []
 
 
-#: Resolves that the compiled ``qcl_resolve`` must decline: a pair of
-#: surface agents that listen only to each other (singular), three surface
-#: candidates over a cutoff of 2, and a departure that the re-check finds
-#: pushed back onto its surface (``SequentialSlow``, agent 2 last stopped).
-DECLINED_RESOLVES = {
+#: Resolves that run projected Gauss-Seidel: a pair of surface agents that
+#: listen only to each other (singular), three surface candidates over a
+#: cutoff of 2, and a departure that the re-check finds pushed back onto its
+#: surface (``SequentialSlow``, agent 2 last stopped).
+PGS_RESOLVES = {
     "singular": (WeightedDigraph.from_edges(2, [(0, 1, 1.0), (1, 0, 1.0)]),
                  [0.5, 0.5], 1.0, Sliding(), frozenset(), 64),
     "over-cutoff": (WeightedDigraph.from_edges(4, [(0, 3, 1.0), (1, 3, 1.0), (2, 3, 1.0)]),
@@ -567,9 +572,9 @@ def _resolve_outcome(g, x, delta, policy, last_stopped, cutoff):
 @pytest.mark.parametrize("path", KERNEL_PATHS)
 @settings(max_examples=150, deadline=None)
 @given(case=resolve_inputs())
-@example(case=DECLINED_RESOLVES["singular"])
-@example(case=DECLINED_RESOLVES["over-cutoff"])
-@example(case=DECLINED_RESOLVES["sign-inconsistent"])
+@example(case=PGS_RESOLVES["singular"])
+@example(case=PGS_RESOLVES["over-cutoff"])
+@example(case=PGS_RESOLVES["sign-inconsistent"])
 def test_compiled_resolve_matches_list_path(path, case):
     with kernel_path("lists"):
         expected = _resolve_outcome(*case)
@@ -588,13 +593,51 @@ def test_compiled_resolve_matches_list_path(path, case):
 
 
 @needs_cc
-@pytest.mark.parametrize("name", sorted(DECLINED_RESOLVES))
-def test_compiled_resolve_declines(name):
-    g, x, delta, policy, last_stopped, cutoff = DECLINED_RESOLVES[name]
-    assert quantizers._load_kernel().resolve(
-        g, np.array(x), delta, isinstance(policy, SequentialSlow), last_stopped, cutoff) is None
-    # The Python code that then runs resolves it.
-    assert isinstance(_resolve_outcome(*DECLINED_RESOLVES[name])[0], bytes)
+@pytest.mark.parametrize("name", sorted(PGS_RESOLVES))
+def test_compiled_resolve_runs_projected_gauss_seidel(monkeypatch, name):
+    # The compiled resolve takes these states, which its Python code sends
+    # to projected Gauss-Seidel, and gives the Python code's bits.
+    g, x, delta, policy, last_stopped, cutoff = PGS_RESOLVES[name]
+    out = quantizers._load_kernel().resolve(
+        g, np.array(x), delta, isinstance(policy, SequentialSlow), last_stopped, cutoff)
+    assert out is not None
+    projected, pgs = [], dynamics._pgs
+
+    def counted_pgs(agents, *args):
+        projected.append(agents)
+        return pgs(agents, *args)
+
+    monkeypatch.setattr(dynamics, "_pgs", counted_pgs)
+    with kernel_path("lists"):
+        assert _resolve_outcome(*PGS_RESOLVES[name]) == (
+            out[0].tobytes(), out[1].tobytes(), [(i, a.hex()) for i, a in out[2]], out[3], out[4])
+    assert projected
+
+
+def _pgs_outcome(pgs, z):
+    """``pgs(z)``'s result and ``z`` after it in bits, or the type and
+    message of its error."""
+    try:
+        held, departing, alphas = pgs(z)
+    except NoSlidingSelection as err:
+        return type(err), str(err)
+    return held, departing, {i: a.hex() for i, a in alphas.items()}, z.tobytes()
+
+
+@needs_cc
+@settings(max_examples=150, deadline=None)
+@given(case=resolve_inputs(), cutoff=st.sampled_from([0, 1, 2, 64]))
+@example(case=PGS_RESOLVES["singular"], cutoff=64)
+def test_compiled_pgs_matches_list_code(case, cutoff):
+    # The entry point of FixedAlpha and general quantizers: every surface
+    # agent that listens to someone, with the others' levels fixed.
+    g, x, delta = case[:3]
+    z = np.zeros(g.n)
+    boxes = quantizers.krasovskii_scan(np.array(x), UniformQuantizer(delta), z=z).boxes
+    agents = [i for i in boxes if g.rows[i].total != 0.0]
+    kernels = quantizers._load_kernel()
+    assert _pgs_outcome(lambda z: kernels.pgs(g, agents, boxes, z, cutoff), z.copy()) == \
+        _pgs_outcome(lambda z: dynamics._pgs_lists(agents, boxes, z, g, cutoff), z.copy())
 
 
 @needs_cc
@@ -643,6 +686,15 @@ SWITCH_AT_ARRIVALS = ScenarioConfig(
                             (1.0, line_graph(6))), 1.0, 2.0),
     quantizer=UniformQuantizer(0.25), x0=(0.0, 0.0, 0.0, 0.0, 0.6, 1.1),
     policy=SequentialSlow())
+
+
+#: An arrival before the switch at 0.375 whose step t + dt rounds onto it:
+#: the event there resolves under the next graph.
+ROUNDS_ONTO_SWITCH = ScenarioConfig(
+    schedule=GraphSchedule(((0.0, WeightedDigraph.from_edges(
+        3, [(0, 2, 2.0), (1, 0, 1.0), (1, 2, 2.0), (2, 0, 1.0)])),
+        (0.375, WeightedDigraph.from_edges(3, [(1, 0, 0.5), (2, 0, 0.5)]))), 0.3, 2.0),
+    quantizer=UniformQuantizer(1 / 3), x0=(1.5, 1 / 3, 0.0), policy=Sliding())
 
 
 @st.composite
@@ -700,6 +752,7 @@ def _run_outcome(config, stop_at):
 @example(config=SWITCH_AT_ARRIVALS, stop_at=None)
 @example(config=replace(SWITCH_AT_ARRIVALS, max_events=4), stop_at=None)
 @example(config=example1_line(6, 0.1, x0_spacing=0.0937), stop_at=0)
+@example(config=ROUNDS_ONTO_SWITCH, stop_at=None)
 def test_runs_match_list_path(path, config, stop_at):
     with kernel_path("lists"):
         expected = _run_outcome(config, stop_at)
@@ -725,12 +778,12 @@ def _counting_advance(monkeypatch, kernels) -> list[int]:
 def test_staircase_runs_in_a_few_compiled_calls(monkeypatch):
     # A step that went back to Python would cost one call per event.  Each
     # call records up to a chunk of 124 events of 8 agents, and Python
-    # records the state where it stops: a full chunk, the one resolve that
-    # declines (on its way to projected Gauss-Seidel) and the equilibrium.
+    # records the state where it stops: a full chunk or the equilibrium.
+    # The state that runs projected Gauss-Seidel no longer stops it.
     recorded = _counting_advance(monkeypatch, quantizers._load_kernel())
     traj = simulate(example1_line(8, 1 / 64, x0_spacing=0.98))
     assert len(traj.events) == 1004
-    assert len(recorded) <= 10 and sum(recorded) + len(recorded) == 1004
+    assert len(recorded) <= 9 and sum(recorded) + len(recorded) == 1004
 
 
 @pytest.mark.parametrize("struct,mirror", [("qcl_work", _ckernel._Struct),
@@ -762,6 +815,39 @@ def test_periodic_runs_use_the_compiled_event_loop(monkeypatch):
     assert sum(recorded) + len(recorded) == 1097 and len(recorded) < 100
 
 
+def _benchmark_workloads():
+    """``benchmark/workloads.py``, which generates the benchmark's scenarios."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("qcl_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return module
+
+
+@needs_cc
+@pytest.mark.parametrize("workload", ["staircase", "wide-surface"])
+def test_benchmark_resolves_never_leave_the_compiled_path(monkeypatch, workload):
+    # Under a uniform quantizer and Sliding or SequentialSlow, projected
+    # Gauss-Seidel runs inside the compiled resolve, so no resolve of these
+    # workloads goes to the Python code (at seed 1, 106 and 13 did while
+    # the compiled resolve declined it).
+    quantizers._load_kernel()  # the self-check of a new build runs both paths
+    in_python, resolve_python = [], dynamics._resolve_python
+
+    def counted(x, g, quantizer, policy, *args):
+        if isinstance(quantizer, UniformQuantizer) and not isinstance(policy, FixedAlpha):
+            in_python.append(name)
+        return resolve_python(x, g, quantizer, policy, *args)
+
+    monkeypatch.setattr(dynamics, "_resolve_python", counted)
+    root = Path(__file__).resolve().parents[1]
+    for case in _benchmark_workloads().WORKLOADS[workload](1, root):
+        name = case.name
+        simulate(scenario_from_json(json.loads(case.text())))
+    assert in_python == []
+
+
 @needs_cc
 def test_event_loop_resumes_after_a_full_chunk_and_grown_buffers(monkeypatch):
     # A chunk of three 12-agent events, and a workspace that starts with one
@@ -779,8 +865,23 @@ def test_event_loop_resumes_after_a_full_chunk_and_grown_buffers(monkeypatch):
 @pytest.mark.parametrize("old,new", [
     ("            w->x[w->hit[h]] = w->threshold[h];\n", ""),
     ("w->x[i] = w->x[i] + w->y[i] * dt;", "w->x[i] = fma(w->y[i], dt, w->x[i]);"),
-], ids=["unsnapped-hit", "fused-step"])
+    ("!(dt < ts - t && t + dt < ts)", "!(dt < ts - t)"),
+], ids=["unsnapped-hit", "fused-step", "step-rounds-onto-switch"])
 def test_mutated_event_loop_fails_self_check(monkeypatch, tmp_path, old, new):
+    build_kernel_variant(monkeypatch, tmp_path, old, new)
+    assert quantizers._load_kernel() is None
+    assert list((tmp_path / "cache").iterdir()) == []
+
+
+@needs_cc
+@pytest.mark.parametrize("old,new", [
+    ("            z[i] = target;\n        }\n",
+     "            w->y[i] = target;\n        }\n        for (int64_t r = 0; r < m; r++)\n"
+     "            if (totals[active[r]] != 0.0)\n                z[active[r]] = w->y[active[r]];\n"),
+    ("    snap = 10.0 * PGS_TOL * scale;", "    snap = -1.0;"),
+], ids=["jacobi-sweep", "unsnapped-ends"])
+def test_mutated_pgs_fails_self_check(monkeypatch, tmp_path, old, new):
+    # A Jacobi sweep computes every target from the previous sweep's z.
     build_kernel_variant(monkeypatch, tmp_path, old, new)
     assert quantizers._load_kernel() is None
     assert list((tmp_path / "cache").iterdir()) == []

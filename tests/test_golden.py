@@ -20,6 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -148,9 +151,9 @@ DIGESTS = {
     "random40-s2-sliding": "c5b5f34a9702b4a1139b80e5650b620d245cb1c67ed6230a1452ff515da93ee3",
     "random40-s2-sequential-slow": "19d5728c6d77a83292b21188018bde81015bb6964158c875350643e3ddca9764",
     "random40-s2-fixed-alpha": "c5b5f34a9702b4a1139b80e5650b620d245cb1c67ed6230a1452ff515da93ee3",
-    "random160-s1-sliding": "3bb832b68bcb76307fd152dea6258f30e62207f0c80a05eb980bc4e43ce0b514",
-    "random160-s1-sequential-slow": "6ec0708c0a7e1b72979e3b283177a37d0448c688806969e989aac7499b7235e1",
-    "random160-s1-fixed-alpha": "3bb832b68bcb76307fd152dea6258f30e62207f0c80a05eb980bc4e43ce0b514",
+    "random160-s1-sliding": "7a83730141e2f7529d4eb618d61aa348a3dd15e52bdf81281bdb7a77307d4f0d",
+    "random160-s1-sequential-slow": "ddc250b9119ad90f60e3206d9befa823becaa23252126210f015030762d22689",
+    "random160-s1-fixed-alpha": "7a83730141e2f7529d4eb618d61aa348a3dd15e52bdf81281bdb7a77307d4f0d",
 }
 
 
@@ -280,12 +283,12 @@ JSON_DIGESTS = {
         "c9e93124d13463fc40434b47b48412250fc4c98598f873bf09c45ea8dafc6e01"),
     "random40-s2-fixed-alpha": ("0dfc4eda25972f672cd7a6771f2fe844e560e424064f78412803c727684c9a7a",
         "c9e93124d13463fc40434b47b48412250fc4c98598f873bf09c45ea8dafc6e01"),
-    "random160-s1-sliding": ("89d16eeb173993d9c98333022fde3e1bf3049fb1b40fccaec803996ec4b36ba4",
-        "f8030b463a9210429bd27ea9d9106b8e22dfae0f5b6505162352219297e8e590"),
-    "random160-s1-sequential-slow": ("eb9285249fc7cb8c5a5cbe425ebbf5e8c28d0b0f3eb585e76ba6e6580a8a50d1",
-        "f8030b463a9210429bd27ea9d9106b8e22dfae0f5b6505162352219297e8e590"),
-    "random160-s1-fixed-alpha": ("89d16eeb173993d9c98333022fde3e1bf3049fb1b40fccaec803996ec4b36ba4",
-        "f8030b463a9210429bd27ea9d9106b8e22dfae0f5b6505162352219297e8e590"),
+    "random160-s1-sliding": ("ea5387376a69f9f3fbdb7efd49c4651e66a99961ed39d62305fa88a69366e840",
+        "d3f9ca7635586cd5f8cdd10c8fd9ef58b5d53edcc716b12adb8fb8ae29945bfd"),
+    "random160-s1-sequential-slow": ("2206babc261464f385550b1313af6cf6ec13fe4972b0c4d2e9653b7ff6d28652",
+        "d3f9ca7635586cd5f8cdd10c8fd9ef58b5d53edcc716b12adb8fb8ae29945bfd"),
+    "random160-s1-fixed-alpha": ("ea5387376a69f9f3fbdb7efd49c4651e66a99961ed39d62305fa88a69366e840",
+        "d3f9ca7635586cd5f8cdd10c8fd9ef58b5d53edcc716b12adb8fb8ae29945bfd"),
 }
 
 
@@ -319,6 +322,26 @@ def test_json_and_report_match_golden_digest(name):
         trajectory, report, stride = json_digests(name)
     assert (trajectory, report) == JSON_DIGESTS[name]
     assert stride == STRIDE_DIGESTS.get(name)
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Nehalem"])
+def test_random160_digests_do_not_depend_on_the_blas_build(core):
+    # numpy's OpenBLAS picks its kernels for the CPU when it loads, and its
+    # kernels for different core types round dot products differently; the
+    # variable makes a child process use the given core type's kernels.
+    # The n = 160 cases run projected Gauss-Seidel, whose sums once went
+    # through BLAS.
+    names = [name for name in CASES if name.startswith("random160")]
+    tests = Path(__file__).resolve().parent
+    code = ("import json, sys; sys.path[:0] = sys.argv[1:3]; import test_golden as t; "
+            "print(json.dumps({n: [t.csv_digest(n), *t.json_digests(n)[:2]] "
+            "for n in sys.argv[3:]}))")
+    child = subprocess.run(
+        [sys.executable, "-c", code, str(tests.parent / "src"), str(tests), *names],
+        env={**os.environ, "OPENBLAS_CORETYPE": core}, capture_output=True, text=True,
+        check=True, timeout=300)
+    assert json.loads(child.stdout) == {name: [DIGESTS[name], *JSON_DIGESTS[name]]
+                                        for name in names}
 
 
 def test_corpus_is_complete():

@@ -57,6 +57,27 @@ class TestUniformQuantize:
             with pytest.raises(InputError, match="representable threshold lattice"):
                 q.next_threshold(bad, 1)
 
+    @pytest.mark.parametrize("bad", [2.0 ** 52, -2.0 ** 52, 1e16])
+    def test_states_from_two_to_the_52_rejected(self, bad):
+        # From 2^52 cells on, (k + 0.5) * delta rounds onto the levels: once
+        # krasovskii_set(2^52) was (2^52, 2^52 + 1) and 2^52 a threshold.
+        q = UniformQuantizer(1.0)
+        for method in (q.krasovskii_set, q.is_threshold, q.quantize, q.surface_bounds,
+                       lambda x: q.next_threshold(x, 1), lambda x: q.next_threshold(x, -1)):
+            with pytest.raises(InputError, match="representable threshold lattice"):
+                method(bad)
+
+    @pytest.mark.parametrize("path", KERNEL_PATHS)
+    def test_largest_state_below_two_to_the_52_is_on_the_lattice(self, path):
+        q = UniformQuantizer(1.0)
+        x = math.nextafter(2.0 ** 52, 0.0)  # 2^52 - 0.5, a threshold
+        assert q.krasovskii_set(x) == q.surface_bounds(x) == (2.0 ** 52 - 1, 2.0 ** 52)
+        assert q.is_threshold(x) and q.quantize(x) == 2.0 ** 52
+        assert q.next_threshold(x, -1) == x - 1.0
+        with kernel_path(path):
+            assert krasovskii_scan([x, -x], q).boxes == {0: (2.0 ** 52 - 1, 2.0 ** 52),
+                                                         1: (-2.0 ** 52, 1 - 2.0 ** 52)}
+
     @pytest.mark.parametrize("delta", [0.01, 0.1])
     def test_one_sided_neighbours_of_thresholds(self, delta):
         q = UniformQuantizer(delta)
@@ -229,7 +250,8 @@ def _ulps(x: float, count: int) -> float:
 @st.composite
 def lattice_states(draw, delta: float, max_agents: int = 24) -> list[float]:
     """States on thresholds, 1-3 ulps beside them, on levels, at signed
-    zeros and near |x|/delta = 2^52, from few cells so that ties are common."""
+    zeros and just below |x|/delta = 2^52, from few cells so that ties are
+    common; all on the representable lattice, |x|/delta < 2^52."""
     def state():
         k = draw(st.one_of(st.integers(-6, 6), st.integers(-10**6, 10**6),
                            st.just(2**52 - 3), st.just(-2**52 + 2)))
@@ -244,7 +266,8 @@ def lattice_states(draw, delta: float, max_agents: int = 24) -> list[float]:
         if kind == "inside":
             return (k + draw(st.floats(-0.49, 0.49))) * delta
         return t
-    return [state() for _ in range(draw(st.integers(0, max_agents)))]
+    states = [state() for _ in range(draw(st.integers(0, max_agents)))]
+    return [x for x in states if abs(x) / delta < 2.0 ** 52]
 
 
 def _sets_reference(x, quantizer):
@@ -344,25 +367,19 @@ class TestScansMatchPerAgentMethods:
             assert repr(threshold_hits(np.array(x), np.array(velocity), q)) == repr(expected)
 
     @pytest.mark.parametrize("path", KERNEL_PATHS)
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e17, -2.0 ** 53, 1e308])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e17, -2.0 ** 53, 1e308,
+                                     2.0 ** 52])
     @pytest.mark.parametrize("delta", [1.0, 1e-10])
     def test_states_off_the_lattice(self, path, bad, delta):
-        # Non-finite states and states off the lattice fail with the message
-        # of the per-agent methods, x / delta beyond the float range with
-        # their OverflowError; -2^53 lies on the lattice of delta = 1 and
-        # gives their result.
+        # Non-finite states and states off the lattice, |x|/delta >= 2^52,
+        # fail with the InputError of the per-agent methods.
         with kernel_path(path):
             q = UniformQuantizer(delta)
             x = np.array([0.25 * delta, bad, 0.5 * delta])
             for states in (x, tuple(x)):
                 assert _outcome(_scan_summary, states, q) == \
                     _outcome(_sets_reference, x.tolist(), q)
-            outcome = _outcome(_scan_summary, x, q)
-            if bad == -2.0 ** 53 and delta == 1.0:
-                assert isinstance(outcome, str)
-            else:
-                assert outcome[0] is (OverflowError if bad == 1e308 and delta == 1e-10
-                                      else InputError)
+            assert _outcome(_scan_summary, x, q)[0] is InputError
             # A state that does not move is never looked up.
             for v in (1.0, -1.0, 0.0):
                 velocity = [0.0, v, 1.0]
