@@ -1,9 +1,13 @@
 """The self-check that a build of ``_kernels.c`` must pass before qcl uses it.
 
-Each compiled entry point must reproduce the bits of the list code it
+Each compiled entry point must reproduce the bits of the Python code it
 ports on fixed inputs chosen so that a change in the rounding or order of
-any operation shows.  ``quantizers._load_kernel`` runs it only when a build
-is new.
+any operation shows: ``qcl_rk4_chunk`` against the list kernel, and
+``qcl_resolve`` and ``qcl_advance`` against ``_resolve_python`` and
+``simulate`` on the list code.  The resolve states also reach every static
+helper that they run: the hold solver, the row sums, the set and hit scans
+and projected Gauss-Seidel.  ``quantizers._load_kernel`` runs it only when
+a build is new.
 """
 
 from __future__ import annotations
@@ -14,19 +18,15 @@ import random
 import numpy as np
 
 from . import quantizers
-from .dynamics import (NoSlidingSelection, SequentialSlow, SimulationLimitError, Sliding,
-                       _build_hold_system, _gaussian_solve, _pgs_lists, _resolve_python,
-                       _rk4_chunk_lists, _Singular, _velocities_numpy, simulate)
+from .dynamics import (FixedAlpha, SequentialSlow, SimulationLimitError, Sliding,
+                       _resolve_python, _rk4_chunk_lists, simulate)
 from .graphs import GraphSchedule, WeightedDigraph
-from .quantizers import UniformQuantizer, _krasovskii_scan_lists, _threshold_hits_lists
+from .quantizers import UniformQuantizer, threshold_hits
 
 
 def kernels_agree(kernels) -> bool:
-    """Whether every compiled entry point gives the bits of its list code."""
-    return (_rk4_agrees(kernels.rk4_chunk) and _hold_solve_agrees(kernels.hold_solve)
-            and _velocities_agree(kernels.velocities)
-            and _scans_agree(kernels.uniform_sets, kernels.uniform_hits)
-            and _pgs_agrees(kernels.pgs) and _resolve_agrees(kernels.resolve)
+    """Whether every compiled entry point gives the bits of its Python code."""
+    return (_rk4_agrees(kernels.rk4_chunk) and _resolve_agrees(kernels.resolve)
             and _runs_agree(kernels))
 
 
@@ -50,71 +50,6 @@ def _rk4_agrees(kernel) -> bool:
     return all(bits(kernel, k) == bits(_rk4_chunk_lists, k) for k in range(16))
 
 
-def _hold_solve_agrees(kernel) -> bool:
-    """Whether ``kernel`` gives the bits of ``_build_hold_system`` and
-    ``_gaussian_solve``, singular cases included, on a fixed set of systems.
-
-    On the spread-out graph every rounding shows.  On the path, whose
-    weights are symmetric, each end row ties with its neighbour for the
-    first pivot.  On the last graph, agent 0's pivot equals the tolerance
-    (singular), agent 1's lies just above it while a rhs is far larger than
-    every entry, and agent 4's rhs is -0.0 in a row with a zero factor.
-    """
-    spread = WeightedDigraph(np.array(
-        [[(1 + (3 * i + 5 * j) % 7) / 2.9 if i != j and (i + 2 * j) % 5 else 0.0
-          for j in range(9)] for i in range(9)]))
-    path = WeightedDigraph.from_edges(9, [
-        edge for i in range(8) for w in [(1 + (5 * i) % 7) / 3.7]
-        for edge in ((i, i + 1, w), (i + 1, i, w))])
-    edge_cases = WeightedDigraph.from_edges(
-        6, [(0, 3, 1e-12), (1, 3, 2e-12), (2, 3, 0.5), (4, 5, 0.75)])
-    z = np.array([((5 * i) % 9 - 4) / 1.7 for i in range(9)])
-    systems = [
-        (g, active, {i: ((i * k) % 5 - 2.3, (i * k) % 5 - 2.3 + (1 + (i + k) % 3) / 3.1)
-                     for i in active}, z)
-        for g in (spread, path) for k in range(8)
-        for active in [[i for i in range(9) if (i * k + k) % 4 != 3]]
-    ] + [
-        (edge_cases, [0], {0: (0.0, 1.0)}, z[:6]),
-        (edge_cases, [1, 2, 4], {1: (-20.0, -19.0), 2: (0.0, 1.0), 4: (-0.0, 1.0)},
-         np.array([0.0, 0.0, 0.0, -10.0, 0.0, 0.0])),
-    ]
-
-    def lists(g, active, boxes, z) -> list[float] | None:
-        rows, rhs, _ = _build_hold_system(active, boxes, z, g)
-        try:
-            return _gaussian_solve(rows, rhs)
-        except _Singular:
-            return None
-
-    def bits(solution: list[float] | None) -> list[str] | None:
-        return None if solution is None else [v.hex() for v in solution]
-
-    return all(bits(kernel(*system)) == bits(lists(*system)) for system in systems)
-
-
-def _velocities_agree(kernel) -> bool:
-    """Whether ``kernel`` gives the bits of numpy's row sums.
-
-    numpy sums below 8 terms in one fold, up to 128 in eight interleaved
-    partial sums and above that in halves split at a multiple of 8, so the
-    rows take the lengths around each of those boundaries.  The terms mix
-    signs and magnitudes from 1e-8 to 1e8, so that another order rounds
-    differently; with the second selection every term is -0.0.
-    """
-    counts = (0, 1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 255, 256, 257, 300)
-    rows = len(counts)
-    g = WeightedDigraph.from_edges(rows + max(counts), [
-        (i, rows + t, (1 + (3 * t + i) % 5) / 1.3) for i, count in enumerate(counts)
-        for t in range(count)])
-    spread = np.array([(-1) ** j * (1 + j % 3 / 7) * 10.0 ** ((5 * j) % 17 - 8)
-                       for j in range(g.n)])
-    zeros = np.array([0.0] * rows + [-0.0] * max(counts))
-    return all([v.hex() for v in kernel(g, z, range(rows))]
-               == [v.hex() for v in _velocities_numpy(g, z, range(rows))]
-               for z in (spread, zeros))
-
-
 def _ulps(x: float, count: int) -> float:
     """The float ``count`` steps above x (below for a negative count)."""
     for _ in range(abs(count)):
@@ -122,52 +57,95 @@ def _ulps(x: float, count: int) -> float:
     return x
 
 
-def _scans_agree(sets, hits) -> bool:
-    """Whether both scans give the bits of their list code on fixed states.
+def _case(n, edges, x, policy=Sliding(), stopped=(), delta=1.0, cutoff=64):
+    """A resolve's arguments: ``(g, x, delta, policy, last stopped, cutoff)``."""
+    return (WeightedDigraph.from_edges(n, edges), np.array(x, dtype=float), delta, policy,
+            frozenset(stopped), cutoff)
 
-    For steps whose thresholds ``(k + 0.5) * delta`` round differently from
-    ``k * delta + 0.5 * delta``, the states lie on thresholds of both signs,
-    1-3 ulps beside them, on levels, at -0.0 and just inside |x|/delta <
-    2^52; the selections mix values inside and outside each set, NaN
-    included; the velocities mix signs and zeros, and repeated (x, v) pairs
-    and x = 0 moving either way tie for the closest arrival.  States off the
-    lattice must be declined.
+
+def _row_states() -> list[tuple]:
+    """Rows of 0 to 300 terms, the lengths around numpy's pairwise
+    boundaries: below 8 terms one fold, up to 128 eight interleaved partial
+    sums, above that halves split at a multiple of 8.  The moving agents'
+    terms mix signs and magnitudes from 1e-8 to 1e8, so that another order
+    rounds differently; in the second state every term is -0.0 (a weight
+    that underflows), whose sum starts from numpy's identity 0.0.  The empty
+    rows come first, so that a build that reads past one reads the rows
+    after it."""
+    counts = (0, 1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 255, 256, 257, 300)
+    leaves, n = max(counts), max(counts) + len(counts)
+    spread = [(leaves + i, t, (1 + (3 * t + i) % 5) / 1.3 * 10.0 ** ((5 * t) % 17 - 8))
+              for i, count in enumerate(counts) for t in range(count)]
+    tiny = [(i, j, 5e-324) for i, j, _ in spread]
+    return [
+        _case(n, spread, [(-1) ** t * (1 + t % 7) / 10 for t in range(leaves)]
+              + [0.0] * len(counts), delta=0.1),
+        _case(n, tiny, [0.0] * leaves + [0.25] * len(counts), delta=0.25),
+    ]
+
+
+def _hold_states() -> list[tuple]:
+    """Dense hold systems of up to 9 unknowns.  On the spread-out graph every
+    rounding shows; on the path, whose weights are symmetric, the end rows
+    tie with their neighbours for the first pivot.  On the last graph, agent
+    0's pivot equals the tolerance (singular), and agent 1's lies just above
+    it while its rhs is far larger."""
+    spread = [(i, j, (1 + (3 * i + 5 * j) % 7) / 2.9)
+              for i in range(9) for j in range(9) if i != j and (i + 2 * j) % 5]
+    path = [edge for i in range(8) for w in [(1 + (5 * i) % 7) / 3.7]
+            for edge in ((i, i + 1, w), (i + 1, i, w))]
+    states = [
+        _case(9, edges, [((i * k) % 5 - 1.5) / 3 if (i * k + k) % 4 != 3
+                         else ((5 * i) % 9 - 4) / 3 for i in range(9)], delta=1 / 3)
+        for edges in (spread, path) for k in range(8)]
+    edge_cases = [(0, 3, 1e-12), (1, 3, 2e-12), (2, 3, 0.5), (4, 5, 0.75)]
+    return states + [_case(6, edge_cases, [0.5, 0.0, 0.0, 0.0, 0.0, 0.0]),
+                     _case(6, edge_cases, [0.0, -19.5, 0.5, -10.0, 0.5, 0.0])]
+
+
+def _scan_states(delta: float) -> tuple[list[tuple], list[tuple]]:
+    """``(accepted, declined)`` resolves that test the scans under a step
+    whose thresholds ``(k + 0.5) * delta`` round differently from ``k *
+    delta + 0.5 * delta``.
+
+    On directed paths, the states lie on thresholds of both signs, 1-3 ulps
+    beside them, on levels, at -0.0 and just inside |x|/delta < 2^52, and
+    the velocities mix signs.  Two states tie for the closest arrival: two
+    pairs of agents with equal states and velocities, and agents at x = 0
+    moving either way.  States off the lattice must be declined.
     """
     big = 2.0 ** 52
-    for delta in (1.0, 0.1, 0.01, 1 / 3, 0.7, 2.5e-3):
-        q = UniformQuantizer(delta)
-        xs = [-0.0, 0.0, (big - 2.5) * delta, -(big - 2.5) * delta, (big - 2.0) * delta]
-        for k in (*range(-9, 10), 338, -4417):
-            t = (k + 0.5) * delta
-            xs += [t, k * delta] + [_ulps(t, u) for u in (-3, -2, -1, 1, 2, 3)]
-        sel = xs[3:] + [math.nan, (big - 3.0) * delta, 0.0]
-        vel = [(1.0, -1.0, 0.0, 2.5, -0.25, 1.0, 0.0)[i % 7] for i in range(len(xs))]
-        for start in range(0, len(xs), 9):
-            x = xs[start:start + 13]
-            for s in (sel[start:start + 13], None):
-                z, z_ref = np.zeros(len(x)), np.zeros(len(x))
-                if not _same_sets(sets(delta, x, s, z), z,
-                                  _krasovskii_scan_lists(x, q, s, z_ref), z_ref):
-                    return False
-            if repr(hits(delta, x, vel[start:start + 13])) != \
-                    repr(_threshold_hits_lists(x, vel[start:start + 13], q)):
-                return False
-        for x, v in (([0.2 * delta] * 3 + [0.7 * delta] * 2, [1.0, 0.0, 1.0, -1.0, -1.0]),
-                     ([0.0, 1.0, 0.0, 0.0], [1.0, 0.0, -1.0, 1.0])):
-            if repr(hits(delta, x, v)) != repr(_threshold_hits_lists(x, v, q)):
-                return False
-        for bad in (2.0 ** 53 * delta, -2.0 ** 60 * delta, math.inf, math.nan):
-            if sets(delta, [0.0, bad], None, None) is not None or \
-                    hits(delta, [0.0, bad], [0.0, 1.0]) is not None:
-                return False
-    return True
+    xs = [-0.0, 0.0, (big - 2.5) * delta, -(big - 2.5) * delta, (big - 2.0) * delta]
+    for k in (*range(-9, 10), 338, -4417):
+        t = (k + 0.5) * delta
+        xs += [t, k * delta] + [_ulps(t, u) for u in (-3, -2, -1, 1, 2, 3)]
+    accepted = [_case(len(x), [(i, i + 1, 1.3) for i in range(len(x) - 1)], x, delta=delta)
+                for start in range(0, len(xs), 9) for x in [xs[start:start + 13]]]
+    accepted += [
+        _case(7, [(0, 5, 1.5), (2, 5, 1.5), (3, 6, 1.5), (4, 6, 1.5)],
+              [0.2 * delta] * 3 + [0.7 * delta] * 2 + [delta, 0.0], delta=delta),
+        _case(5, [(0, 1, 0.7), (2, 4, 0.7), (3, 1, 0.7)], [0.0, delta, 0.0, 0.0, -delta],
+              delta=delta),
+    ]
+    declined = [_case(2, [(0, 1, 1.0)], [0.0, bad], delta=delta)
+                for bad in (2.0 ** 53 * delta, -2.0 ** 60 * delta, math.inf, math.nan)]
+    return accepted, declined
 
 
-def _same_sets(scan, z: np.ndarray, ref, z_ref: np.ndarray) -> bool:
-    """Whether two scans match, their levels compared where they are set."""
-    interior = [i for i in range(len(z)) if i not in ref.boxes]
-    return (scan is not None and repr(tuple(scan)) == repr(tuple(ref))
-            and repr(z[interior]) == repr(z_ref[interior]))
+def _pin_states() -> list[tuple]:
+    """FixedAlpha resolves: a stale pin that is released and then held; two
+    stale pins tied in |velocity| on two agents that listen only to each
+    other, where releasing the lower one first leaves the other sustained; a
+    pin on an agent that listens to nobody, beside a pin off the surface and
+    pins outside the graph, which are ignored; and a sustained pin on one of
+    two such agents, whose hold system would be singular without it."""
+    return [
+        _case(3, [(0, 1, 1.0), (1, 2, 1.0), (1, 0, 1.0)], [0.0, 0.5, 1.0], FixedAlpha({1: 0.9})),
+        _case(2, [(0, 1, 1.0), (1, 0, 1.0)], [0.5, 0.5], FixedAlpha({0: 0.25, 1: 0.75})),
+        _case(3, [(0, 1, 1.0), (2, 1, 1.0)], [0.0, 0.5, 1.0],
+              FixedAlpha({-1: 0.5, 0: 0.75, 1: 0.25, 3: 0.5})),
+        _case(2, [(0, 1, 1.0), (1, 0, 1.0)], [0.5, 0.5], FixedAlpha({0: 0.25})),
+    ]
 
 
 #: States of a unit step that run projected Gauss-Seidel: ``(n, edges, x,
@@ -185,54 +163,28 @@ _PGS_STATES = (
 )
 
 
-def _pgs_agrees(pgs) -> bool:
-    """Whether ``pgs`` gives the bits of ``dynamics._pgs_lists``, the
-    selection included, on every surface agent that listens to someone in
-    each of the ``_PGS_STATES``, with cutoffs 2 and 64."""
-    def bits(run, z):
-        try:
-            held, departing, alphas = run(z)
-        except NoSlidingSelection:
-            return None
-        return held, departing, {i: a.hex() for i, a in alphas.items()}, z.tobytes()
-
-    for n, edges, x, _, _ in _PGS_STATES:
-        g = WeightedDigraph.from_edges(n, edges)
-        z = np.zeros(n)
-        boxes = _krasovskii_scan_lists(x, UniformQuantizer(1.0), z=z).boxes
-        agents = [i for i in boxes if g.rows[i].total != 0.0]
-        for cutoff in (2, 64):
-            ref = _on_lists(lambda: bits(lambda z: _pgs_lists(agents, boxes, z, g, cutoff),
-                                         z.copy()))
-            if ref is None or bits(lambda z: pgs(g, agents, boxes, z, cutoff), z.copy()) != ref:
-                return False
-    return True
-
-
 def _resolve_agrees(resolve) -> bool:
-    """Whether ``resolve`` gives the bits of ``dynamics._resolve_python`` on
-    the list code, and the arrival of ``_threshold_hits_lists`` on its
-    velocity, or declines where it must.
+    """Whether ``resolve`` gives the bits of ``dynamics._resolve_python`` and
+    the arrival of ``threshold_hits`` on its velocity, or declines where it
+    must.
 
     Resolves that it accepts must match on 60 random graphs with dyadic
-    weights, states on thresholds and levels, either policy and random
-    last-stopped agents.  It must accept ties for the largest excess whose
-    other tie-break changes the result, under each policy, coefficients
-    1.5e-12 from 0 and from 1, which are not snapped, and a released agent
-    that the re-check finds at rest, which holds.  Under both policies it
-    must accept the states that run projected Gauss-Seidel: a singular
-    pair; three candidates over a cutoff of 2, two of which converge onto
-    their upper box end from inside, and too many to polish; a free
-    translation pair beside agents that converge to interior holds and onto
-    box ends, which leaves the polish singular; and a departure that the
-    re-check finds pushed back onto its surface.  Where the polish does not
-    run, the sweep order and the end-snap show in the bits.  It must decline
-    a state off the lattice.
+    weights, states on thresholds and levels, any policy, random pins and
+    random last-stopped agents.  It must accept ties for the largest excess
+    whose other tie-break changes the result, under Sliding and
+    SequentialSlow, coefficients 1.5e-12 from 0 and from 1, which are not
+    snapped, and a released agent that the re-check finds at rest, which
+    holds.  Under both policies it must accept the states that run projected
+    Gauss-Seidel: a singular pair; three candidates over a cutoff of 2, two
+    of which converge onto their upper box end from inside, and too many to
+    polish; a free translation pair beside agents that converge to interior
+    holds and onto box ends, which leaves the polish singular; and a
+    departure that the re-check finds pushed back onto its surface.  Where
+    the polish does not run, the sweep order and the end-snap show in the
+    bits.  It must also accept the states of ``_row_states``,
+    ``_hold_states``, ``_scan_states`` and ``_pin_states``, and decline
+    states off the lattice.
     """
-    def case(n, edges, x, sequential=False, stopped=(), delta=1.0, cutoff=64):
-        return (WeightedDigraph.from_edges(n, edges), np.array(x, dtype=float), delta,
-                sequential, frozenset(stopped), cutoff)
-
     rng = random.Random(1)
     drawn = []
     for _ in range(60):
@@ -241,44 +193,51 @@ def _resolve_agrees(resolve) -> bool:
                  for i in range(n) for j in range(n) if i != j and rng.random() < 0.4]
         x = [(rng.randint(-2, 2) + (0.5 if rng.random() < 0.6 else 0.0)) * delta
              for _ in range(n)]
-        drawn.append(case(n, edges, x, rng.random() < 0.5,
-                          [i for i in range(n) if rng.random() < 0.3], delta))
-    accepted = [
-        case(6, [(0, 1, 1.0), (2, 1, 2.0), (3, 0, 2.0), (4, 0, 1.0), (4, 1, 1.0), (4, 3, 3.0),
-                 (5, 2, 1.0)], [-1.5, -0.5, 3.5, -1.5, -0.5, -0.5]),
-        case(5, [(0, 3, 2.0), (0, 4, 2.0), (1, 0, 1.0), (1, 4, 3.0), (2, 1, 1.0), (3, 2, 1.0),
-                 (4, 0, 2.0), (4, 3, 1.0)], [2.5, 0.5, 1.5, 0.5, -2.0], True, [0, 2]),
-        case(3, [(0, 1, 1.5e-12), (0, 2, 1.0)], [0.5, 1.0, 0.0]),
-        case(3, [(0, 1, 1.0), (0, 2, 1.5e-12)], [0.5, 1.0, 0.0], True, [1]),
-        case(3, [(0, 1, 1.0), (1, 2, 1.0)], [0.5, 0.5, 2.0]),
+        policy = rng.choice([Sliding(), SequentialSlow(), FixedAlpha(
+            {i: rng.choice([0.0, 0.25, 1 / 3, 1.0]) for i in range(n + 1) if rng.random() < 0.4})])
+        drawn.append(_case(n, edges, x, policy, [i for i in range(n) if rng.random() < 0.3],
+                           delta))
+    accepted = _row_states() + [
+        _case(6, [(0, 1, 1.0), (2, 1, 2.0), (3, 0, 2.0), (4, 0, 1.0), (4, 1, 1.0), (4, 3, 3.0),
+                  (5, 2, 1.0)], [-1.5, -0.5, 3.5, -1.5, -0.5, -0.5]),
+        _case(5, [(0, 3, 2.0), (0, 4, 2.0), (1, 0, 1.0), (1, 4, 3.0), (2, 1, 1.0), (3, 2, 1.0),
+                  (4, 0, 2.0), (4, 3, 1.0)], [2.5, 0.5, 1.5, 0.5, -2.0], SequentialSlow(), [0, 2]),
+        _case(3, [(0, 1, 1.5e-12), (0, 2, 1.0)], [0.5, 1.0, 0.0]),
+        _case(3, [(0, 1, 1.0), (0, 2, 1.5e-12)], [0.5, 1.0, 0.0], SequentialSlow(), [1]),
+        _case(3, [(0, 1, 1.0), (1, 2, 1.0)], [0.5, 0.5, 2.0]),
     ] + [
-        case(n, edges, x, sequential, stopped, cutoff=cutoff)
-        for n, edges, x, stopped, cutoff in _PGS_STATES for sequential in (False, True)
-    ]
-    declined = [case(2, [(0, 1, 1.0)], [0.5, 2.0 ** 60])]
+        _case(n, edges, x, policy, stopped, cutoff=cutoff)
+        for n, edges, x, stopped, cutoff in _PGS_STATES for policy in (Sliding(), SequentialSlow())
+    ] + _hold_states() + _pin_states()
+    declined = []
+    for delta in (1.0, 0.1, 0.01, 1 / 3, 0.7, 2.5e-3):
+        on_lattice, off_lattice = _scan_states(delta)
+        accepted += on_lattice
+        declined += off_lattice
 
     def bits(result):
         z, velocity, alpha, held, departing = result[:5]
         return (z.tobytes(), velocity.tobytes(), [(i, a.hex()) for i, a in alpha], held,
                 departing)
 
-    def agrees(g, x, delta, sequential, stopped, cutoff, must) -> bool:
-        out = resolve(g, x, delta, sequential, stopped, cutoff)
+    def agrees(g, x, delta, policy, stopped, cutoff, must) -> bool:
+        out = resolve(g, x, delta, policy, stopped, cutoff)
         if out is None:
             return must != "accept"
         if must == "decline":
             return False
         q = UniformQuantizer(delta)
         try:
-            ref = _resolve_python(x, g, q, SequentialSlow() if sequential else Sliding(),
-                                  stopped, cutoff)
+            ref = _resolve_python(x, g, q, policy, stopped, cutoff)
         except (ArithmeticError, ValueError, RuntimeError):
             return False
         return (bits(out) == bits((ref.z, ref.velocity, ref.alpha, ref.held, ref.departing))
-                and repr(out[5]) == repr(_threshold_hits_lists(x, ref.velocity, q)))
+                and repr(out[5]) == repr(threshold_hits(x, ref.velocity, q)))
 
-    return _on_lists(lambda: all(agrees(*c, must) for cases, must in (
-        (drawn, "match"), (accepted, "accept"), (declined, "decline")) for c in cases))
+    # The states of _row_states come first: a build whose row sums read past
+    # an empty row fails on them before it can read past the last one.
+    return all(agrees(*c, must) for cases, must in (
+        (accepted, "accept"), (drawn, "match"), (declined, "decline")) for c in cases)
 
 
 def _on_lists(check, kernels=None):
@@ -309,9 +268,11 @@ def _runs_agree(kernels) -> bool:
     horizon.  On the schedule of two line graphs, arrivals at 0.25 and 1.0
     coincide with its switches; repeated with a period of 0.7, the switch
     times k * 0.7 + 0.1 round.  On the last schedule an arrival that comes
-    before the switch at 0.375 steps to a time that rounds onto it.
+    before the switch at 0.375 steps to a time that rounds onto it.  Two
+    stubborn-leader chains run under FixedAlpha, one with the pins that
+    sustain its holds and one with pins that go stale.
     """
-    from .scenarios import ScenarioConfig, line_graph
+    from .scenarios import ScenarioConfig, example2_sliding, line_graph
 
     line, heavy = line_graph(6), line_graph(6, 2.0)
     spread = [0.0937 * i + 0.013 for i in range(6)]
@@ -334,6 +295,9 @@ def _runs_agree(kernels) -> bool:
     configs = [ScenarioConfig(schedule, UniformQuantizer(delta), x0, policy, **limits)
                for schedule, delta, x0, limits in runs
                for policy in (Sliding(), SequentialSlow())]
+    chain = example2_sliding(5, 0.7, 1.3)
+    configs += [chain, ScenarioConfig(chain.schedule, chain.quantizer, chain.x0,
+                                      FixedAlpha({1: 0.9, 2: 0.1, 3: 0.5}))]
 
     def bits(config):
         try:

@@ -5,36 +5,20 @@
  * bisect_right, each Laplacian row is summed in increasing column order, and
  * the final update adds k1 + 2 k2 + 2 k3 + k4 from left to right.
  *
- * qcl_hold_solve: builds and solves one dense hold system, a port of
- * qcl.dynamics._build_hold_system and _gaussian_solve.
- *
- * qcl_velocities: the velocity of a selection at each of a list of agents,
- * a port of qcl.dynamics._velocities, whose row sums are numpy's.
- *
- * qcl_uniform_sets and qcl_uniform_hits: under a uniform quantizer, the
- * Krasovskii set of every agent (its level or its surface box, and whether
- * a selection leaves it) and the closest threshold arrival, ports of the
- * per-agent loops over UniformQuantizer.krasovskii_set and next_threshold.
- *
- * qcl_pgs: projected Gauss-Seidel on a box-constrained hold system, with the
- * snap onto box ends, the held/departing split, the dense polish of the held
- * agents through qcl_hold_solve and their coefficients, a port of
- * qcl.dynamics._pgs_lists.  Each sweep's target for agent i is the sum of
- * row i's terms a_ij z_j, in the order of qcl_velocities, over the row total.
- *
  * qcl_resolve: one whole resolve of qcl.dynamics.resolve_sliding under a
- * uniform quantizer and the Sliding or SequentialSlow policy, and the closest
- * threshold arrival of its velocity: the set scan, the trivially held
- * midpoints, the dense hold solves with their releases, the departure
- * re-check, projected Gauss-Seidel where the Python code runs it (more
- * surface agents that listen to someone than the dense cutoff, a singular
- * hold system, a departure that the re-check finds sign-inconsistent), the
- * velocities and the hit scan, in one call.  It declines, with no effect
- * outside its buffers, leaving the caller to run its Python code, for a
- * state off the threshold lattice, projected Gauss-Seidel that fails, or a
- * resolved selection outside its box or with a sign-inconsistent departure.
- * FixedAlpha and general quantizers never reach it, nor last-stopped agents
- * outside the graph.
+ * uniform quantizer and any policy (Sliding, SequentialSlow or FixedAlpha),
+ * and the closest threshold arrival of its velocity: the set scan, the
+ * trivially held midpoints and the pins, the dense hold solves with their
+ * releases, the departure re-check, projected Gauss-Seidel where the Python
+ * code runs it (more surface agents that listen to someone than the dense
+ * cutoff, a singular hold system, a departure that the re-check finds
+ * sign-inconsistent), the release of stale pins, the velocities and the hit
+ * scan, in one call.  It declines, with no effect outside its buffers,
+ * leaving the caller to run its Python code, for a state off the threshold
+ * lattice, projected Gauss-Seidel that fails, a stale pin with a NaN
+ * velocity, or a resolved selection outside its box or with a
+ * sign-inconsistent departure.  General quantizers never reach it, nor
+ * last-stopped agents or pins outside the graph.
  *
  * qcl_advance: the event loop of qcl.dynamics.simulate around qcl_resolve,
  * for as long as each step is a plain threshold hit inside one graph
@@ -49,12 +33,17 @@
  * buffers, with that state's resolve in the buffers; with a budget of 0 it
  * is one qcl_resolve.
  *
- * All keep the operation order of every element of the code they port, and
- * none calls BLAS, so the results do not depend on the BLAS build.  Built
- * with -ffp-contract=off and without fast-math, so the results are
- * bit-identical to it; qcl checks that before it uses a build.  Every entry
- * point but qcl_rk4_chunk works in one struct qcl_work of reused buffers, so
- * none is reentrant.
+ * The static helpers port the list code of qcl: hold_solve builds and
+ * solves one dense hold system (_build_hold_system and _gaussian_solve),
+ * velocity sums one row as numpy does (_velocities), uniform_sets and
+ * uniform_hits scan the Krasovskii sets and the closest arrival
+ * (krasovskii_scan and threshold_hits), and pgs runs projected Gauss-Seidel
+ * (_pgs).  All keep the operation order of every element of the code they
+ * port, and none calls BLAS, so the results do not depend on the BLAS build.
+ * Built with -ffp-contract=off and without fast-math, so the results are
+ * bit-identical to it; qcl checks that before it uses a build.  qcl_resolve
+ * and qcl_advance work in one struct qcl_work of reused buffers, so neither
+ * is reentrant.
  */
 #include <float.h>
 #include <math.h>
@@ -138,23 +127,23 @@ struct qcl_graph {
     const double *totals;
 };
 
-/* The buffers of every entry point but qcl_rk4_chunk, for up to n agents and
- * hold systems of up to m unknowns.
+/* The buffers of qcl_resolve and qcl_advance, for up to n agents and hold
+ * systems of up to m unknowns.
  *
- * x, y and z hold n doubles each: the states; the selections a set scan
- * tests, the velocities a hit scan reads, the output of qcl_velocities or
- * the velocity of a resolve; the levels of a set scan or the selection of a
- * resolve.  agents (n) lists the agents of qcl_velocities, stopped (n) the
- * last-stopped agents of a resolve.  A set scan writes its surface agents to
- * surface (n) with their boxes in bounds (2 n) and the agents whose selection
- * leaves its set to outside (n); a hit scan writes the tied agents to hit (n)
+ * x, y and z hold n doubles each: the states, the velocity of a resolve
+ * (which its hit scan reads) and its selection.  stopped (n) lists the
+ * n_stopped last-stopped agents of a resolve, pins (n) its n_pins pinned
+ * agents in increasing order, with their coefficients in pin_alpha (n).  A
+ * set scan writes the levels to z, its surface agents to surface (n) with
+ * their boxes in bounds (2 n); a hit scan writes the tied agents to hit (n)
  * and their thresholds to threshold (n).  A resolve writes, for surface
  * agent c, its coefficient to alpha[c] and to sign[c] 0 for a hold, or +1 or
- * -1 for a departure up or down; mark (n) is its scratch.  A hold system
- * or projected Gauss-Seidel reads its agents from active (n) and their boxes
- * from box (2 n); slot (n) maps them to surface agents.  A hold system works
- * in aug (m (m + 1)) and writes its solution to out (m), and colmap (n) holds
- * -1 for each agent on entry and on return.
+ * -1 for a departure up or down; pinned[c] is the index in pins of its pin
+ * while it holds, else -1, and mark (n) is the scratch of SequentialSlow.  A
+ * hold system or projected Gauss-Seidel reads its agents from active (n) and
+ * their boxes from box (2 n); slot (n) maps them to surface agents.  A hold
+ * system works in aug (m (m + 1)) and writes its solution to out (m), and
+ * colmap (n) holds -1 for each agent on entry and on return.
  *
  * qcl_advance starts at time t from the state x with the n_stopped agents
  * in stopped, and leaves there the time, state and last-stopped agents
@@ -165,11 +154,12 @@ struct qcl_work {
     double *x;
     double *y;
     double *z;
-    int64_t *agents;
     int64_t *stopped;
+    int64_t *pins;
+    double *pin_alpha;
+    int64_t *pinned;
     int64_t *surface;
     double *bounds;
-    int64_t *outside;
     int64_t *hit;
     double *threshold;
     double *alpha;
@@ -186,8 +176,8 @@ struct qcl_work {
     int64_t m;
     int64_t rows_cap;
     int64_t ints_cap;
+    int64_t n_pins;
     int64_t n_surface;
-    int64_t n_outside;
     int64_t count;
     double dt;
     double t;
@@ -202,12 +192,11 @@ struct qcl_work {
  *
  * Elimination uses partial pivoting with ties to the lowest row and fails
  * when the best pivot is at most 1e-12 times the largest matrix entry (at
- * least 1).  Returns 0 with the coefficients in s->out[0..m), 1 when the
- * system is singular, or 2, before any write, when an agent lies outside
- * the graph.
+ * least 1).  Returns 0 with the coefficients in s->out[0..m), or 1 when the
+ * system is singular.
  */
-int qcl_hold_solve(const struct qcl_graph *g, int64_t m, const double *z,
-                   struct qcl_work *s)
+static int hold_solve(const struct qcl_graph *g, int64_t m, const double *z,
+                      struct qcl_work *s)
 {
     const int64_t *active = s->active, *ends = g->ends, *cols = g->cols;
     const double *box = s->box, *vals = g->vals, *totals = g->totals;
@@ -216,9 +205,6 @@ int qcl_hold_solve(const struct qcl_graph *g, int64_t m, const double *z,
     int64_t w = m + 1;
     double top = 0.0, tol;
 
-    for (int64_t c = 0; c < m; c++)
-        if (active[c] < 0 || active[c] >= g->n)
-            return 2;
     for (int64_t c = 0; c < m; c++)
         colmap[active[c]] = c;
     for (int64_t r = 0; r < m; r++) {
@@ -346,25 +332,13 @@ static double velocity(const struct qcl_graph *g, const double *z, int64_t i)
                                 g->ends[i + 1] - start);
 }
 
-/* y[c] = the velocity of z at agent agents[c] of g, for c in [0, k).  Returns
- * 0, or 1, before any write, when an agent lies outside the graph. */
-int qcl_velocities(const struct qcl_graph *g, struct qcl_work *w, int64_t k)
-{
-    for (int64_t c = 0; c < k; c++)
-        if (w->agents[c] < 0 || w->agents[c] >= g->n)
-            return 1;
-    for (int64_t c = 0; c < k; c++)
-        w->y[c] = velocity(g, w->z, w->agents[c]);
-    return 0;
-}
-
 /* The uniform quantizer of step delta, computed as qcl.quantizers.
  * UniformQuantizer does: threshold k is (k + 0.5) delta and level k is
  * k delta, for an integer k held in a double.  |x| / delta < 2^52, the
  * lattice precondition of qcl's scenarios, keeps every k near x / delta and
  * k + 0.5 exact, so each value rounds as it does in Python; a scan returns 1
- * for a state outside it, non-finite states included, and the caller then
- * runs the list code. */
+ * for a state outside it, non-finite states included, and the resolve then
+ * declines. */
 
 static int on_lattice(double x, double delta)
 {
@@ -407,13 +381,11 @@ static int threshold_below(double x, double delta, double *t)
 
 /* The Krasovskii set [lo, hi] of each of the n agents of s->x, in one pass:
  * z[i] = lo for an agent inside a cell (lo == hi); the agents on a threshold
- * in surface[0..n_surface), in increasing order, with (lo, hi) in bounds;
- * when select is nonzero, the agents whose selection y[i] does not satisfy
- * lo <= y[i] <= hi in outside[0..n_outside).  Returns 0, or 1 when a state
- * is off the lattice. */
-int qcl_uniform_sets(struct qcl_work *s, int64_t n, double delta, int64_t select)
+ * in surface[0..n_surface), in increasing order, with (lo, hi) in bounds.
+ * Returns 0, or 1 when a state is off the lattice. */
+static int uniform_sets(struct qcl_work *s, int64_t n, double delta)
 {
-    int64_t n_surface = 0, n_outside = 0;
+    int64_t n_surface = 0;
 
     for (int64_t i = 0; i < n; i++) {
         double x = s->x[i], k, lo, hi;
@@ -434,11 +406,8 @@ int qcl_uniform_sets(struct qcl_work *s, int64_t n, double delta, int64_t select
             s->bounds[2 * n_surface + 1] = hi;
             n_surface++;
         }
-        if (select && !(lo <= s->y[i] && s->y[i] <= hi))
-            s->outside[n_outside++] = i;
     }
     s->n_surface = n_surface;
-    s->n_outside = n_outside;
     return 0;
 }
 
@@ -448,7 +417,7 @@ int qcl_uniform_sets(struct qcl_work *s, int64_t n, double delta, int64_t select
  * and every agent tied at it, in increasing order, in hit[0..count) with
  * its threshold.  A NaN velocity looks down and a NaN dt is never closest.
  * Returns 0, or 1 when a moving agent's state is off the lattice. */
-int qcl_uniform_hits(struct qcl_work *h, int64_t n, double delta)
+static int uniform_hits(struct qcl_work *h, int64_t n, double delta)
 {
     double best = INFINITY;
     int64_t count = 0;
@@ -642,7 +611,7 @@ static int pgs(const struct qcl_graph *g, struct qcl_work *w, int64_t m, int64_t
             w->count = held;
             return 3;
         }
-        if (qcl_hold_solve(g, held, z, w) == 0) {
+        if (hold_solve(g, held, z, w) == 0) {
             for (int64_t r = 0; r < held; r++)
                 feasible &= -FEAS_SLACK <= w->out[r] && w->out[r] <= 1.0 + FEAS_SLACK;
             for (int64_t r = 0; r < held && feasible; r++)
@@ -654,35 +623,30 @@ static int pgs(const struct qcl_graph *g, struct qcl_work *w, int64_t m, int64_t
     return 0;
 }
 
-/* qcl_pgs on the m agents in w->active with slot[r] = r, the bound scale
- * counting the k boxes in w->bounds: see pgs.  Returns what pgs returns, or
- * 4, before any write, when an agent lies outside the graph. */
-int qcl_pgs(const struct qcl_graph *g, struct qcl_work *w, int64_t m, int64_t k, double cutoff)
-{
-    for (int64_t r = 0; r < m; r++)
-        if (w->active[r] < 0 || w->active[r] >= g->n)
-            return 4;
-    return pgs(g, w, m, k, cutoff);
-}
-
-/* The surface agents of a resolve that listen to someone, in increasing
- * order, in active, slot and box; those that listen to nobody hold at their
- * box's midpoint.  Every sign is reset to 0.  Returns their number. */
+/* The surface agents of a resolve that listen to someone and are not
+ * pinned, in increasing order, in active, slot and box; a pinned agent sits
+ * at its pin and one that listens to nobody holds at its box's midpoint.
+ * Every sign is reset to 0.  Returns their number. */
 static int64_t candidates(const struct qcl_graph *g, struct qcl_work *w)
 {
     int64_t m = 0;
 
     for (int64_t c = 0; c < w->n_surface; c++) {
-        int64_t i = w->surface[c];
+        int64_t i = w->surface[c], p = w->pinned[c];
+        double lo = w->bounds[2 * c], hi = w->bounds[2 * c + 1];
+
         w->sign[c] = 0;
-        if (g->totals[i] == 0.0) {
-            w->z[i] = 0.5 * (w->bounds[2 * c] + w->bounds[2 * c + 1]);
+        if (p >= 0) {
+            w->alpha[c] = w->pin_alpha[p];
+            w->z[i] = alpha_to_z(w->alpha[c], lo, hi);
+        } else if (g->totals[i] == 0.0) {
+            w->z[i] = 0.5 * (lo + hi);
             w->alpha[c] = 0.5;
         } else {
             w->active[m] = i;
             w->slot[m] = c;
-            w->box[2 * m] = w->bounds[2 * c];
-            w->box[2 * m + 1] = w->bounds[2 * c + 1];
+            w->box[2 * m] = lo;
+            w->box[2 * m + 1] = hi;
             m++;
         }
     }
@@ -703,7 +667,7 @@ static int dense_holds(const struct qcl_graph *g, struct qcl_work *w, int64_t m,
         int64_t drop = -1, drop_near = 0;
         double worst = 0.0;
 
-        if (qcl_hold_solve(g, m, z, w))
+        if (hold_solve(g, m, z, w))
             return pgs(g, w, m, k, cutoff);
         for (int64_t r = 0; r < m; r++) {
             double a = w->out[r], e = -a > a - 1.0 ? -a : a - 1.0;
@@ -762,9 +726,15 @@ static int dense_holds(const struct qcl_graph *g, struct qcl_work *w, int64_t m,
  * then the closest threshold arrival of the resulting velocity.  The stopped
  * agents must lie in the graph.
  *
- * Returns 0 with the selection in z, the velocity in y (+0.0 for a held
- * agent), the surface agents with their coefficients and signs (see struct
- * qcl_work) and the arrival as qcl_uniform_hits leaves it; 1 when it
+ * The w->n_pins agents in w->pins (FixedAlpha, never with sequential) that
+ * lie on a threshold are pinned at their coefficients in w->pin_alpha while
+ * the others are resolved; then the pin with the largest nonzero |velocity|,
+ * ties to the lowest agent, is released and everything is resolved again,
+ * until no pin moves.  The pins must lie in the graph, in increasing order.
+ *
+ * Returns 0 with the selection in z, the velocity in y (+0.0 for a held or
+ * pinned agent), the surface agents with their coefficients and signs (see
+ * struct qcl_work) and the arrival as uniform_hits leaves it; 1 when it
  * declines (see the top of this file), its outputs then unspecified; or 3
  * when the hold buffers are too small, with the number of unknowns needed
  * in count. */
@@ -774,18 +744,15 @@ int qcl_resolve(const struct qcl_graph *g, struct qcl_work *w, double delta,
     const int64_t *surface = w->surface;
     const double *bounds = w->bounds;
     double *z = w->z;
-    int64_t n = g->n, k, m = 0;
-    int status;
+    int64_t n = g->n, k, m;
 
-    if (qcl_uniform_sets(w, n, delta, 0))
+    if (uniform_sets(w, n, delta))
         return 1;
     k = w->n_surface;
-    for (int64_t c = 0; c < k; c++)
-        if (g->totals[surface[c]] != 0.0)
-            m++;
-    if (!(m > cutoff) && m > w->m) {
-        w->count = m;
-        return 3;
+    for (int64_t c = 0, p = 0; c < k; c++) {
+        while (p < w->n_pins && w->pins[p] < surface[c])
+            p++;
+        w->pinned[c] = p < w->n_pins && w->pins[p] == surface[c] ? p : -1;
     }
     if (sequential) {
         for (int64_t i = 0; i < n; i++)
@@ -798,10 +765,36 @@ int qcl_resolve(const struct qcl_graph *g, struct qcl_work *w, double delta,
         }
     }
 
-    m = candidates(g, w);
-    status = m > cutoff ? pgs(g, w, m, k, cutoff) : dense_holds(g, w, m, sequential, cutoff);
-    if (status)
-        return status == 3 ? 3 : 1;
+    for (;;) {
+        int64_t stale = -1;
+        double worst = 0.0;
+        int status;
+
+        m = candidates(g, w);
+        if (!(m > cutoff) && m > w->m) {
+            w->count = m;
+            return 3;
+        }
+        status = m > cutoff ? pgs(g, w, m, k, cutoff) : dense_holds(g, w, m, sequential, cutoff);
+        if (status)
+            return status == 3 ? 3 : 1;
+        for (int64_t c = 0; c < k; c++) {
+            double v;
+
+            if (w->pinned[c] < 0)
+                continue;
+            v = fabs(velocity(g, z, surface[c]));
+            if (isnan(v))
+                return 1;
+            if (v > worst) {
+                stale = c;
+                worst = v;
+            }
+        }
+        if (stale < 0)
+            break;
+        w->pinned[stale] = -1;
+    }
 
     for (int64_t i = 0, c = 0; i < n; i++) {
         int64_t sign = 0, held = 0;
@@ -817,7 +810,7 @@ int qcl_resolve(const struct qcl_graph *g, struct qcl_work *w, double delta,
         if (sign != 0 && (w->y[i] == 0.0 || (w->y[i] > 0.0) != (sign > 0)))
             return 1;
     }
-    return qcl_uniform_hits(w, n, delta);
+    return uniform_hits(w, n, delta);
 }
 
 /* The event loop of the top of this file, for a graph segment that ends at

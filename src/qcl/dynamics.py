@@ -25,20 +25,20 @@ regularisation of the quantizer serves as an independent oracle: as the
 regularisation width and step size shrink it converges to the sliding
 solution.
 
-Under a uniform quantizer and the Sliding or SequentialSlow policy, a
-resolve runs as one compiled call, ``qcl_resolve`` of ``_kernels.c``, which
-also gives the next threshold arrival; it has the bits of the Python code,
-``_resolve_python``.  That includes projected Gauss-Seidel, which runs for
-more surface agents that listen to someone than the dense cutoff, a singular
-hold system and a departure that the re-check finds sign-inconsistent.  The
-call declines, with no effect, and the Python code runs for a FixedAlpha
-policy, a general quantizer, projected Gauss-Seidel that fails (no
-convergence or an inconsistent fixed point), a selection that leaves its box
-or departs against its velocity, a state off the threshold lattice, and
-whenever the compiled kernels do not load.
-Projected Gauss-Seidel sums each row's terms in numpy's pairwise order, as
-the velocities do, on both paths; nothing calls BLAS, so the bits do not
-depend on the BLAS build.
+Under a uniform quantizer, a resolve runs as one compiled call,
+``qcl_resolve`` of ``_kernels.c``, under every policy, FixedAlpha pins
+included; it also gives the next threshold arrival and has the bits of the
+Python code, ``_resolve_python``.  That includes projected Gauss-Seidel,
+which runs for more surface agents that listen to someone than the dense
+cutoff, a singular hold system and a departure that the re-check finds
+sign-inconsistent.  The call declines, with no effect, and the Python code
+runs for projected Gauss-Seidel that fails (no convergence or an
+inconsistent fixed point), a selection that leaves its box or departs
+against its velocity, a stale pin whose velocity is NaN, a state off the
+threshold lattice, and whenever the compiled kernels do not load.  A
+general quantizer always runs the Python code.  Projected Gauss-Seidel sums
+each row's terms in numpy's pairwise order, as the velocities do, on both
+paths; nothing calls BLAS, so the bits do not depend on the BLAS build.
 
 ``simulate`` calls the compiled event loop ``qcl_advance`` in place of each
 such resolve.  In one call it resolves, records the event and steps (``x +
@@ -67,7 +67,7 @@ import numpy as np
 from . import quantizers
 from .graphs import GraphSchedule, WeightedDigraph, laplacian
 from .quantizers import (InputError, Quantizer, UniformQuantizer, json_agent, json_field,
-                         json_float, krasovskii_scan, threshold_hits)
+                         json_float, json_keys, krasovskii_scan, threshold_hits)
 
 # Feasibility slack for hold coefficients: absorbs elimination round-off
 # without admitting genuinely infeasible holds.
@@ -170,17 +170,17 @@ SelectionPolicy = Sliding | SequentialSlow | FixedAlpha
 
 def policy_from_json(obj: dict) -> SelectionPolicy:
     kind = json_field(obj, "type", "policy")
+    if kind not in ("sliding", "sequential-slow", "fixed-alpha"):
+        raise InputError(f"unknown policy type {kind!r}")
+    json_keys(obj, ("type", "alpha") if kind == "fixed-alpha" else ("type",), f"{kind} policy")
     if kind == "sliding":
         return Sliding()
     if kind == "sequential-slow":
         return SequentialSlow()
-    if kind == "fixed-alpha":
-        # Pairs, not a dict: keys such as "1" and "01" name one agent, and
-        # FixedAlpha rejects the second pin instead of keeping one of them.
-        return FixedAlpha(json_field(obj, "alpha", "policy", {},
-                                     lambda a: [(json_agent(k), json_float(v))
-                                                for k, v in a.items()]))
-    raise InputError(f"unknown policy type {kind!r}")
+    # Pairs, not a dict: keys such as "1" and "01" name one agent, and
+    # FixedAlpha rejects the second pin instead of keeping one of them.
+    return FixedAlpha(json_field(obj, "alpha", "policy", {},
+                                 lambda a: [(json_agent(k), json_float(v)) for k, v in a.items()]))
 
 
 # ---------------------------------------------------------------------------
@@ -211,24 +211,12 @@ class Resolution:
 def _velocities(g: WeightedDigraph, z: np.ndarray, agents: Collection[int]) -> list[float]:
     """``v_i = sum_j a_ij (z_j - z_i)`` over the nonzero weights, for each agent.
 
-    Runs the compiled ``qcl_velocities`` of ``_kernels.c`` when it loads,
-    else ``_velocities_numpy``; both give the same bits.
-    """
-    if not agents:
-        return []
-    kernels = quantizers._load_kernel()
-    if kernels is not None:
-        return kernels.velocities(g, z, agents)
-    return _velocities_numpy(g, z, agents)
-
-
-def _velocities_numpy(g: WeightedDigraph, z: np.ndarray, agents: Collection[int]) -> list[float]:
-    """``_velocities`` on numpy arrays.
-
     The terms of every row are formed in one array; each row's contiguous
     slice is then summed on its own by numpy in increasing ``j``, which gives
     the bits of summing that row alone (``np.add.reduceat`` would not).
     """
+    if not agents:
+        return []
     rows, cols, values, ends = g.csr
     terms = values * (z[cols] - z[rows])
     return [float(terms[ends[i]:ends[i + 1]].sum()) for i in agents]
@@ -333,30 +321,13 @@ def _pgs(
     agent's coefficient, and updates ``z`` in place for ``agents``; all other
     entries are constants.  At the fixed point an interior value is a hold,
     a value clamped at a box bound with outward residual velocity is a
-    departure; a dense re-solve then polishes the holds.  Runs the compiled
-    ``qcl_pgs`` of ``_kernels.c`` when it loads, else ``_pgs_lists``, the
-    reference; both give the same bits and raise the same errors.
-    """
-    kernels = quantizers._load_kernel()
-    if kernels is None:
-        return _pgs_lists(agents, boxes, z, g, cutoff)
-    return kernels.pgs(g, agents, boxes, z, cutoff)
-
-
-def _pgs_lists(
-    agents: list[int],
-    boxes: dict[int, tuple[float, float]],
-    z: np.ndarray,
-    g: WeightedDigraph,
-    cutoff: int,
-) -> tuple[set[int], dict[int, int], dict[int, float]]:
-    """``_pgs`` on numpy arrays and Python floats.
+    departure; a dense re-solve then polishes the holds.
 
     A sweep moves each agent in the order of ``agents`` to its target: the
     sum of its row's terms ``a_ij * z_j``, formed in one array and summed by
-    numpy in increasing ``j`` as ``_velocities_numpy`` sums, over the row
-    total, clamped into its box.  No BLAS call is made, so the bits do not
-    depend on the BLAS build.
+    numpy in increasing ``j`` as ``_velocities`` sums, over the row total,
+    clamped into its box.  No BLAS call is made, so the bits do not depend
+    on the BLAS build.
     """
     _, cols, values, ends = g.csr
     w_out = {i: g.rows[i].total for i in agents}
@@ -460,19 +431,9 @@ def _hold_solve(
     z: np.ndarray,
     g: WeightedDigraph,
 ) -> list[float]:
-    """The coefficients that hold ``active``, in its order; raises ``_Singular``.
-
-    Runs the compiled solver of ``_kernels.c`` when it loads, else
-    ``_build_hold_system`` and ``_gaussian_solve``; both give the same bits.
-    """
-    kernels = quantizers._load_kernel()
-    if kernels is None:
-        rows, rhs, _ = _build_hold_system(active, boxes, z, g)
-        return _gaussian_solve(rows, rhs)
-    solution = kernels.hold_solve(g, active, boxes, z)
-    if solution is None:
-        raise _Singular()
-    return solution
+    """The coefficients that hold ``active``, in its order; raises ``_Singular``."""
+    rows, rhs, _ = _build_hold_system(active, boxes, z, g)
+    return _gaussian_solve(rows, rhs)
 
 
 def _refine_held(
@@ -601,10 +562,10 @@ def resolve_sliding(
     limit).  Held agents are reported with exactly zero velocity so that
     the integrator keeps them bit-exactly on their thresholds.
 
-    The compiled ``qcl_resolve`` runs for a uniform quantizer under Sliding
-    or SequentialSlow and gives the bits of ``_resolve_python``, which runs
-    where it declines (see the module docstring).  A last-stopped agent
-    that is not an agent of ``g`` is an ``InputError``.
+    The compiled ``qcl_resolve`` runs for a uniform quantizer and gives the
+    bits of ``_resolve_python``, which runs where it declines (see the
+    module docstring).  A last-stopped agent that is not an agent of ``g``
+    is an ``InputError``.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):
@@ -613,22 +574,19 @@ def resolve_sliding(
         if not isinstance(s, (int, np.integer)) or not 0 <= s < g.n:
             raise InputError(f"last-stopped agent {s!r} is not an agent of the "
                              f"{g.n}-agent graph")
-    kernels = _compiled_resolve(quantizer, policy)
+    kernels = _compiled_resolve(quantizer)
     if kernels is not None:
-        out = kernels.resolve(g, x, quantizer.delta, isinstance(policy, SequentialSlow),
-                              last_stopped, cutoff)
+        out = kernels.resolve(g, x, quantizer.delta, policy, last_stopped, cutoff)
         if out is not None:
             return Resolution(*out[:5])
     return _resolve_python(x, g, quantizer, policy, last_stopped, cutoff)
 
 
-def _compiled_resolve(quantizer: Quantizer, policy: SelectionPolicy):
+def _compiled_resolve(quantizer: Quantizer):
     """The compiled kernels where they load and resolve under ``quantizer``
-    and ``policy`` (uniform; Sliding or SequentialSlow), else None."""
+    (uniform), else None."""
     kernels = quantizers._load_kernel()
-    if isinstance(quantizer, UniformQuantizer) and not isinstance(policy, FixedAlpha):
-        return kernels
-    return None
+    return kernels if isinstance(quantizer, UniformQuantizer) else None
 
 
 def _resolve_python(x: np.ndarray, g: WeightedDigraph, quantizer: Quantizer,
@@ -895,8 +853,7 @@ def simulate(
     kind = "start"
     hits_now: tuple[int, ...] = ()
     last_stopped: frozenset[int] = frozenset()
-    kernels = _compiled_resolve(quantizer, policy)
-    sequential = isinstance(policy, SequentialSlow)
+    kernels = _compiled_resolve(quantizer)
     record = stop_condition is None
 
     while True:
@@ -913,7 +870,7 @@ def simulate(
         if kernels is not None:
             budget = config.max_events - len(events) - 1 if record else 0
             values, alphas, ints, t, x, hits, out = kernels.advance(
-                g, x, quantizer.delta, sequential, last_stopped, DEFAULT_DENSE_CUTOFF, t, ts,
+                g, x, quantizer.delta, policy, last_stopped, DEFAULT_DENSE_CUTOFF, t, ts,
                 config.horizon, budget)
             if ints:
                 events += _events(kind, hits_now, len(x), values, alphas, ints)

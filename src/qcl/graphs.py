@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .quantizers import InputError, json_field, json_float, json_int
+from .quantizers import InputError, json_field, json_float, json_int, json_keys
 
 #: Default tolerance for weight-balance checks: weights are exact inputs,
 #: this only guards float entry.
@@ -433,16 +433,22 @@ class GraphSchedule:
 
 
 def schedule_from_json(obj: dict) -> GraphSchedule:
+    json_keys(obj, ("n", "segments", "period", "a_low", "a_high"), "schedule")
     n = json_field(obj, "n", "schedule", parse=json_int)
     segments = []
     for k, seg in enumerate(json_field(obj, "segments", "schedule", parse=list)):
         where = f"schedule segment {k}"
+        json_keys(seg, ("t", "edges"), where)
         raw = json_field(seg, "edges", where, parse=list)
         try:
             edges = [(json_int(e["i"]), json_int(e["j"]), json_float(e["w"])) for e in raw]
+            # Each edge has i, j and w, so one with more fields has another.
+            if any(len(e) != 3 for e in raw):
+                raise KeyError
         except (KeyError, TypeError, ValueError):
             # Find the first bad edge again, to name it and its field.
             for m, e in enumerate(raw):
+                json_keys(e, ("i", "j", "w"), f"{where} edge {m}")
                 for key, parse in (("i", json_int), ("j", json_int), ("w", json_float)):
                     json_field(e, key, f"{where} edge {m}", parse=parse)
             raise

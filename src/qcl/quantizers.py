@@ -58,6 +58,17 @@ def json_field(obj, key: str, where: str, default=_REQUIRED, parse=None):
         raise InputError(f"{where} field {key!r} has the wrong type: {err}") from None
 
 
+def json_keys(obj, allowed: tuple[str, ...], where: str) -> None:
+    """Raise InputError naming the first field of the parsed JSON object
+    ``obj`` that is not in ``allowed``: a misspelt optional field would
+    otherwise take its default without a word.  Anything but an object
+    passes, for ``json_field`` to reject."""
+    if isinstance(obj, dict):
+        for key in obj:
+            if key not in allowed:
+                raise InputError(f"unknown field {key!r} in {where}")
+
+
 def json_float(value) -> float:
     """A JSON number as a float; booleans and strings are not numbers."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -133,7 +144,7 @@ class UniformQuantizer:
 
     def _on_lattice(self, x: float) -> float:
         """``x``, which must lie on the representable threshold lattice,
-        ``|x|/delta < 2^52``, as the compiled scans and the scenario parser
+        ``|x|/delta < 2^52``, as the compiled resolve and the scenario parser
         require: beyond it ``(k + 0.5) * delta`` rounds onto the levels."""
         if not abs(x) / self.delta < 2.0 ** 52:
             raise InputError(
@@ -291,8 +302,10 @@ Quantizer = UniformQuantizer | GeneralQuantizer
 def quantizer_from_json(obj: dict) -> Quantizer:
     kind = json_field(obj, "type", "quantizer")
     if kind == "uniform":
+        json_keys(obj, ("type", "delta"), "uniform quantizer")
         return UniformQuantizer(delta=json_field(obj, "delta", "quantizer", parse=json_float))
     if kind == "general":
+        json_keys(obj, ("type", "levels", "thresholds"), "general quantizer")
         return GeneralQuantizer(
             levels=json_field(obj, "levels", "quantizer", parse=json_floats),
             thresholds=json_field(obj, "thresholds", "quantizer", parse=json_floats),
@@ -314,7 +327,7 @@ def _load_kernel():
 
 
 def _kernel_agrees(kernels) -> bool:
-    """Whether every compiled entry point gives the bits of its list code.
+    """Whether every compiled entry point gives the bits of its Python code.
 
     Runs only when a build is new, so its module is imported only then.
     """
@@ -333,25 +346,14 @@ class SetScan(NamedTuple):
 
 
 def krasovskii_scan(x, quantizer: Quantizer, selection=None, z=None) -> SetScan:
-    """The Krasovskii sets of all agents of ``x`` in one scan.
+    """The Krasovskii sets of all agents of ``x`` in one scan, with one
+    ``krasovskii_set`` call per agent.
 
     Writes the level of each agent inside a cell into the array ``z`` when
     one is given; its entries at surface agents are left unspecified.  With
     ``selection``, lists the agents ``i`` where ``lo <= selection[i] <= hi``
-    fails.  Runs the compiled scan of ``_kernels.c`` for a uniform quantizer
-    when it loads and accepts the states, else ``_krasovskii_scan_lists``;
-    both give the same bits and raise the same errors.
+    fails.
     """
-    kernels = _load_kernel()
-    if kernels is not None and isinstance(quantizer, UniformQuantizer):
-        scan = kernels.uniform_sets(quantizer.delta, x, selection, z)
-        if scan is not None:
-            return scan
-    return _krasovskii_scan_lists(x, quantizer, selection, z)
-
-
-def _krasovskii_scan_lists(x, quantizer: Quantizer, selection=None, z=None) -> SetScan:
-    """``krasovskii_scan`` with one ``krasovskii_set`` call per agent."""
     boxes = {}
     sets = []
     for i, value in enumerate(x.tolist() if hasattr(x, "tolist") else x):
@@ -395,23 +397,8 @@ def kq_envelope(x, quantizer: Quantizer) -> tuple[float, float]:
 
 
 def threshold_hits(x, velocity, quantizer: Quantizer) -> tuple[float, list[tuple[int, float]]]:
-    """Closest threshold arrival: exact dt and all agents tied at it.
-
-    Runs the compiled scan of ``_kernels.c`` for a uniform quantizer when it
-    loads and accepts the states, else ``_threshold_hits_lists``; both give
-    the same bits and raise the same errors.
-    """
-    kernels = _load_kernel()
-    if kernels is not None and isinstance(quantizer, UniformQuantizer):
-        hits = kernels.uniform_hits(quantizer.delta, x, velocity)
-        if hits is not None:
-            return hits
-    return _threshold_hits_lists(x, velocity, quantizer)
-
-
-def _threshold_hits_lists(x, velocity,
-                          quantizer: Quantizer) -> tuple[float, list[tuple[int, float]]]:
-    """``threshold_hits`` with one ``next_threshold`` call per moving agent."""
+    """Closest threshold arrival: exact dt and all agents tied at it, with one
+    ``next_threshold`` call per moving agent."""
     best = math.inf
     hits: list[tuple[int, float]] = []
     for i in range(len(x)):

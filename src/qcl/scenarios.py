@@ -26,7 +26,8 @@ from .dynamics import (
 )
 from .graphs import GraphSchedule, WeightedDigraph, schedule_from_json
 from .quantizers import (InputError, Quantizer, UniformQuantizer, json_agent, json_bool,
-                         json_field, json_float, json_floats, json_int, quantizer_from_json)
+                         json_field, json_float, json_floats, json_int, json_keys,
+                         quantizer_from_json)
 
 _MASK64 = (1 << 64) - 1
 
@@ -159,9 +160,13 @@ class ScenarioConfig:
 
 
 def scenario_from_json(obj: dict) -> ScenarioConfig:
+    json_keys(obj, ("schedule", "quantizer", "x0", "policy", "horizon", "max_events",
+                    "expected"), "scenario")
     expected = None
     raw = json_field(obj, "expected", "scenario", None)
     if raw is not None:
+        json_keys(raw, ("t_con", "q_infinity", "collocation", "t_con_lower", "alpha"),
+                  "expected")
         alpha = json_field(raw, "alpha", "expected", None,
                            lambda a: tuple(sorted((json_agent(k), json_float(v))
                                                   for k, v in a.items())))

@@ -5,9 +5,11 @@ from __future__ import annotations
 import ast
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import qcl
+from qcl import _ckernel
 
 
 def _load_tracing():
@@ -49,3 +51,14 @@ def test_no_blas_in_the_package():
             if isinstance(node, ast.Attribute):
                 assert node.attr not in {"dot", "inner", "vdot", "matmul", "linalg"}, \
                     (path.name, node.lineno, node.attr)
+
+
+def test_one_compiled_resolve_and_no_per_primitive_kernels():
+    # Every compiled entry point is a second implementation that the
+    # self-check must cover.  The resolve and the event loop run the hold
+    # solver, row sums, scans and projected Gauss-Seidel as static helpers;
+    # exporting them again would fork the resolve.
+    assert _ckernel.Kernels._fields == ("rk4_chunk", "resolve", "advance")
+    exported = re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\s*\([^;{]*\)\s*\{",
+                          _ckernel.SOURCE.read_text(), re.M)
+    assert exported == ["qcl_rk4_chunk", "qcl_resolve", "qcl_advance"]

@@ -168,6 +168,28 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
 
+    @pytest.mark.parametrize("document, message", [
+        pytest.param(_reference_with(0.1, "horizn"), "unknown field 'horizn' in scenario",
+                     id="misspelt-horizon"),
+        pytest.param(_reference_with(1, "bogus"), "unknown field 'bogus' in scenario",
+                     id="bogus"),
+        pytest.param(_reference_with([0.0, 1.0], "quantizer", "levels"),
+                     "unknown field 'levels' in uniform quantizer", id="uniform-with-levels"),
+        pytest.param(_reference_with({"type": "fixed-alpha", "overrides": {"1": 0.5}}, "policy"),
+                     "unknown field 'overrides' in fixed-alpha policy", id="fixed-alpha-overrides"),
+        pytest.param(_reference_with(2.0, "schedule", "segments", 0, "edges", 1, "x"),
+                     "unknown field 'x' in schedule segment 0 edge 1", id="edge-with-x"),
+        pytest.param(_reference_with({"tcon": 1}, "expected"), "unknown field 'tcon' in expected",
+                     id="expected-tcon"),
+    ])
+    def test_unknown_field_is_one_error_line(self, tmp_path, capsys, document, message):
+        # Each of these once ran, silently without the field: the default
+        # horizon, no pins, no expected t_con.
+        path = tmp_path / "s.json"
+        path.write_text(dumps(document))
+        assert run_cli("run", "--scenario", str(path), "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     @pytest.mark.parametrize("t", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_segment_start_is_one_error_line(self, tmp_path, capsys, t):
         scenario = example1_line(3, 1.0).to_json()

@@ -446,63 +446,6 @@ def test_reordered_hold_solver_fails_self_check(monkeypatch, tmp_path):
 
 
 @needs_cc
-@pytest.mark.parametrize("active,z", [
-    ([0, 3], np.zeros(3)),
-    ([-1, 1], np.zeros(3)),
-    ([0, 1], np.zeros(4)),
-    ([0, 1], np.zeros(3, dtype=np.int64)),
-], ids=["agent-outside", "negative-agent", "state-too-long", "integer-state"])
-def test_compiled_hold_solver_rejects_systems_that_do_not_fit(active, z):
-    g = line_graph(3)
-    boxes = {i: (0.0, 1.0) for i in active}
-    with pytest.raises(ValueError):
-        quantizers._load_kernel().hold_solve(g, active, boxes, z)
-
-
-def _csr_graph(n: int, seed: int) -> WeightedDigraph:
-    """A random graph whose rows have 0, 7, 8, 128, 129 or 257 nonzeros, as
-    many as n allows: every branch of numpy's pairwise summation."""
-    rng = np.random.default_rng(seed)
-    w = np.zeros((n, n))
-    for i in range(n):
-        count = min(n - 1, int(rng.choice([0, 7, 8, 128, 129, 257])))
-        others = np.delete(np.arange(n), i)
-        w[i, rng.choice(others, size=count, replace=False)] = \
-            rng.uniform(0.1, 10.0, count) * 10.0 ** rng.integers(-4, 5, count)
-    return WeightedDigraph(w)
-
-
-@needs_cc
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), zeros=st.booleans())
-@example(n=300, seed=0, zeros=False).via("the longest rows")
-@example(n=300, seed=1, zeros=True).via("-0.0 selections")
-def test_compiled_velocities_match_numpy(n, seed, zeros):
-    g = _csr_graph(n, seed)
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
-    if zeros:
-        # 0.0 - (-0.0) and -0.0 - 0.0: terms of either sign of zero.
-        z[rng.random(n) < 0.7] = -0.0
-        z[rng.random(n) < 0.3] = 0.0
-    agents = rng.permutation(n).tolist()
-    assert repr(quantizers._load_kernel().velocities(g, z, agents)) == \
-        repr(dynamics._velocities_numpy(g, z, agents))
-
-
-@needs_cc
-@pytest.mark.parametrize("agents,z", [
-    ([0, 3], np.zeros(3)),
-    ([-1, 1], np.zeros(3)),
-    ([0, 1], np.zeros(4)),
-    ([0, 1], np.zeros(1)),
-], ids=["agent-outside", "negative-agent", "state-too-long", "state-too-short"])
-def test_compiled_velocities_reject_inputs_that_do_not_fit(agents, z):
-    with pytest.raises(ValueError):
-        quantizers._load_kernel().velocities(line_graph(3), z, agents)
-
-
-@needs_cc
 @pytest.mark.parametrize("old,new", [
     ("if (n < 8) {", "if (n > 0) {"),
     ("half -= half % 8;", ""),
@@ -546,14 +489,18 @@ def _planted_digraph(draw, n: int) -> WeightedDigraph:
 def resolve_inputs(draw):
     """A planted digraph (each agent but a root listens to one agent before
     it in a random order, plus random edges) of at most 12 agents, with states
-    on thresholds, levels and inside cells of a uniform quantizer, either
-    policy, random last-stopped agents and now and then a cutoff of 2."""
+    on thresholds, levels and inside cells of a uniform quantizer, any policy
+    (FixedAlpha pins on random agents, some off the surface or outside the
+    graph), random last-stopped agents and now and then a cutoff of 2."""
     n = draw(st.integers(1, 12))
     g = _planted_digraph(draw, n)
     delta = draw(st.sampled_from([1.0, 0.25, 1 / 3, 0.1]))
     x = [(k + draw(st.sampled_from([0.5, 0.5, 0.0, 0.25]))) * delta
          for k in draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))]
-    return (g, x, delta, draw(st.sampled_from([Sliding(), SequentialSlow()])),
+    pins = FixedAlpha(draw(st.dictionaries(st.integers(-1, n),
+                                           st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0]),
+                                           max_size=4)))
+    return (g, x, delta, draw(st.sampled_from([Sliding(), SequentialSlow(), pins])),
             frozenset(draw(st.sets(st.integers(0, n - 1), max_size=3))),
             draw(st.sampled_from([64, 64, 64, 2])))
 
@@ -567,6 +514,15 @@ def _resolve_outcome(g, x, delta, policy, last_stopped, cutoff):
         return type(err), str(err)
     return (res.z.tobytes(), res.velocity.tobytes(), [(i, a.hex()) for i, a in res.alpha],
             res.held, res.departing)
+
+
+def _compiled_outcome(g, x, delta, policy, last_stopped, cutoff):
+    """The fields of the compiled resolve, in the bits of ``_resolve_outcome``,
+    or None when it declines."""
+    out = quantizers._load_kernel().resolve(g, np.array(x), delta, policy, last_stopped, cutoff)
+    if out is None:
+        return None
+    return out[0].tobytes(), out[1].tobytes(), [(i, a.hex()) for i, a in out[2]], out[3], out[4]
 
 
 @pytest.mark.parametrize("path", KERNEL_PATHS)
@@ -584,12 +540,10 @@ def test_compiled_resolve_matches_list_path(path, case):
         if not isinstance(expected[0], bytes) or kernels is None:
             return
         g, x, delta, policy, last_stopped, cutoff = case
-        out = kernels.resolve(g, np.array(x), delta, isinstance(policy, SequentialSlow),
-                              last_stopped, cutoff)
+        out = kernels.resolve(g, np.array(x), delta, policy, last_stopped, cutoff)
     if out is not None:
-        with kernel_path("lists"):
-            assert repr(out[5]) == repr(quantizers.threshold_hits(
-                np.array(x), out[1], UniformQuantizer(delta)))
+        assert repr(out[5]) == repr(quantizers.threshold_hits(
+            np.array(x), out[1], UniformQuantizer(delta)))
 
 
 @needs_cc
@@ -597,9 +551,7 @@ def test_compiled_resolve_matches_list_path(path, case):
 def test_compiled_resolve_runs_projected_gauss_seidel(monkeypatch, name):
     # The compiled resolve takes these states, which its Python code sends
     # to projected Gauss-Seidel, and gives the Python code's bits.
-    g, x, delta, policy, last_stopped, cutoff = PGS_RESOLVES[name]
-    out = quantizers._load_kernel().resolve(
-        g, np.array(x), delta, isinstance(policy, SequentialSlow), last_stopped, cutoff)
+    out = _compiled_outcome(*PGS_RESOLVES[name])
     assert out is not None
     projected, pgs = [], dynamics._pgs
 
@@ -609,19 +561,8 @@ def test_compiled_resolve_runs_projected_gauss_seidel(monkeypatch, name):
 
     monkeypatch.setattr(dynamics, "_pgs", counted_pgs)
     with kernel_path("lists"):
-        assert _resolve_outcome(*PGS_RESOLVES[name]) == (
-            out[0].tobytes(), out[1].tobytes(), [(i, a.hex()) for i, a in out[2]], out[3], out[4])
+        assert _resolve_outcome(*PGS_RESOLVES[name]) == out
     assert projected
-
-
-def _pgs_outcome(pgs, z):
-    """``pgs(z)``'s result and ``z`` after it in bits, or the type and
-    message of its error."""
-    try:
-        held, departing, alphas = pgs(z)
-    except NoSlidingSelection as err:
-        return type(err), str(err)
-    return held, departing, {i: a.hex() for i, a in alphas.items()}, z.tobytes()
 
 
 @needs_cc
@@ -629,15 +570,46 @@ def _pgs_outcome(pgs, z):
 @given(case=resolve_inputs(), cutoff=st.sampled_from([0, 1, 2, 64]))
 @example(case=PGS_RESOLVES["singular"], cutoff=64)
 def test_compiled_pgs_matches_list_code(case, cutoff):
-    # The entry point of FixedAlpha and general quantizers: every surface
-    # agent that listens to someone, with the others' levels fixed.
-    g, x, delta = case[:3]
-    z = np.zeros(g.n)
-    boxes = quantizers.krasovskii_scan(np.array(x), UniformQuantizer(delta), z=z).boxes
-    agents = [i for i in boxes if g.rows[i].total != 0.0]
-    kernels = quantizers._load_kernel()
-    assert _pgs_outcome(lambda z: kernels.pgs(g, agents, boxes, z, cutoff), z.copy()) == \
-        _pgs_outcome(lambda z: dynamics._pgs_lists(agents, boxes, z, g, cutoff), z.copy())
+    # Cutoffs 0 and 1 send nearly every resolve with surface agents to
+    # projected Gauss-Seidel, and let it polish at most that many held
+    # agents.  The compiled resolve declines only where the list code fails.
+    case = (*case[:5], cutoff)
+    with kernel_path("lists"):
+        expected = _resolve_outcome(*case)
+    out = _compiled_outcome(*case)
+    assert out == expected if out is not None else not isinstance(expected[0], bytes)
+
+
+def _csr_graph(n: int, seed: int) -> WeightedDigraph:
+    """A random graph whose rows have 0, 7, 8, 128, 129 or 257 nonzeros, as
+    many as n allows: every branch of numpy's pairwise summation."""
+    rng = np.random.default_rng(seed)
+    w = np.zeros((n, n))
+    for i in range(n):
+        count = min(n - 1, int(rng.choice([0, 7, 8, 128, 129, 257])))
+        others = np.delete(np.arange(n), i)
+        w[i, rng.choice(others, size=count, replace=False)] = \
+            rng.uniform(0.1, 10.0, count) * 10.0 ** rng.integers(-4, 5, count)
+    return WeightedDigraph(w)
+
+
+@needs_cc
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), tied=st.booleans())
+@example(n=300, seed=0, tied=False).via("the longest rows")
+@example(n=300, seed=1, tied=True).via("terms that are exactly zero")
+def test_compiled_velocities_match_numpy(n, seed, tied):
+    # Every agent sits on a level, so the compiled resolve sums every row
+    # for its velocity; the list path sums them with numpy.
+    g = _csr_graph(n, seed)
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-10**6, 10**6, size=n) * 0.1
+    if tied:
+        x[rng.random(n) < 0.7] = 0.0
+    case = (g, x, 0.1, Sliding(), frozenset(), 64)
+    with kernel_path("lists"):
+        expected = _resolve_outcome(*case)
+    assert _compiled_outcome(*case) == expected
 
 
 @needs_cc
@@ -656,7 +628,10 @@ def test_simulate_takes_the_arrival_from_the_compiled_resolve(monkeypatch):
 @pytest.mark.parametrize("old,new", [
     ("(r_near == drop_near && e > worst)", "(r_near == drop_near && e >= worst)"),
     ("if (fabs(a) <= FEAS_SLACK)", "if (fabs(a) <= 2 * FEAS_SLACK)"),
-], ids=["release-ties-to-highest", "wider-snap-slack"])
+    ("if (v > worst) {", "if (v != 0.0 && v >= worst) {"),
+    ("if (p >= 0) {", "if (p >= 0 && g->totals[i] == 0.0) {"),
+], ids=["release-ties-to-highest", "wider-snap-slack", "stale-pin-ties-to-highest",
+        "pins-not-excluded-from-candidates"])
 def test_mutated_resolve_fails_self_check(monkeypatch, tmp_path, old, new):
     build_kernel_variant(monkeypatch, tmp_path, old, new)
     config = example1_line(5, 0.1)
@@ -828,15 +803,15 @@ def _benchmark_workloads():
 @needs_cc
 @pytest.mark.parametrize("workload", ["staircase", "wide-surface"])
 def test_benchmark_resolves_never_leave_the_compiled_path(monkeypatch, workload):
-    # Under a uniform quantizer and Sliding or SequentialSlow, projected
-    # Gauss-Seidel runs inside the compiled resolve, so no resolve of these
-    # workloads goes to the Python code (at seed 1, 106 and 13 did while
-    # the compiled resolve declined it).
+    # Under a uniform quantizer, every policy and projected Gauss-Seidel run
+    # inside the compiled resolve, so no resolve of these workloads goes to
+    # the Python code (at seed 1, 106 and 13 did while the compiled resolve
+    # declined projected Gauss-Seidel, and 9 and 9 under FixedAlpha).
     quantizers._load_kernel()  # the self-check of a new build runs both paths
     in_python, resolve_python = [], dynamics._resolve_python
 
     def counted(x, g, quantizer, policy, *args):
-        if isinstance(quantizer, UniformQuantizer) and not isinstance(policy, FixedAlpha):
+        if isinstance(quantizer, UniformQuantizer):
             in_python.append(name)
         return resolve_python(x, g, quantizer, policy, *args)
 

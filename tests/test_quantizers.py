@@ -327,8 +327,10 @@ def _outcome(fn, *args):
 
 
 class TestScansMatchPerAgentMethods:
-    """Both scans, compiled and on lists, against the per-agent methods:
-    the same arithmetic, so ``repr``-equal, and the same errors."""
+    """Both scans against the per-agent methods: the same arithmetic, so
+    ``repr``-equal, and the same errors.  The scans are list code on either
+    kernel path; their compiled ports run inside the compiled resolve, which
+    test_dynamics compares with the list path."""
 
     @pytest.mark.parametrize("path", KERNEL_PATHS)
     @settings(max_examples=80, deadline=None)

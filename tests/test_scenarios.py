@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qcl import (
     FixedAlpha,
+    GeneralQuantizer,
     InputError,
     ScenarioConfig,
     SequentialSlow,
@@ -18,6 +22,7 @@ from qcl import (
     simulate,
 )
 from qcl.scenarios import SplitMix64
+from test_dynamics import _benchmark_workloads
 
 
 class TestSplitMix64:
@@ -160,10 +165,22 @@ class TestScenarioJson:
             example1_line(4, 0.5),
             example2_sliding(4, 1.0, 2.0),
             random_connected(4, seed=11, switching=(2, 0.5)),
+            ScenarioConfig(schedule=example1_line(3, 1.0).schedule,
+                           quantizer=GeneralQuantizer((0.0, 0.5, 1.5), (0.25, 1.0)),
+                           x0=(0.0, 0.25, 1.5), policy=SequentialSlow()),
         ],
     )
     def test_round_trip(self, config):
         assert scenario_from_json(config.to_json()) == config
+
+    def test_benchmark_scenarios_parse(self):
+        # Unknown fields are rejected; every scenario the benchmark generates
+        # has only known ones.
+        workloads = _benchmark_workloads()
+        root = Path(__file__).resolve().parents[1]
+        cases = [case for make in workloads.WORKLOADS.values() for case in make(1, root)]
+        for case in cases + [workloads.PROBE]:
+            scenario_from_json(json.loads(case.text()))
 
     def test_rejects_mismatched_x0(self):
         config = example1_line(3, 1.0)
