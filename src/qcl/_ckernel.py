@@ -50,11 +50,17 @@ class Kernels(NamedTuple):
     #: the ``threshold_hits`` of its velocity; or None when it declines.
     resolve: Callable[..., tuple | None]
     #: ``advance(g, x, delta, policy, last_stopped, cutoff, t, ts, horizon,
-    #: budget)``: ``(values, alphas, ints, t, x, hits, resolution)``, the
-    #: events that ``qcl_advance`` recorded, as ``dynamics._events`` reads
-    #: them, the time, state and hit agents where it stopped, and ``resolve``
-    #: of that state.
+    #: budget)``: ``(rows, ints, t, x, hits, resolution)``, the events that
+    #: ``qcl_advance`` recorded (per chunk, a float array of one row ``t, x,
+    #: z, velocity, alpha`` per event and an int array of their records, as
+    #: ``dynamics._Recorder`` reads them), the time, state and hit agents
+    #: where it stopped, and ``resolve`` of that state.
     advance: Callable[..., tuple]
+    #: ``write(json, indent, t, kind, x, src, z, alpha)``: the text of the
+    #: rows of a trajectory export (see ``qcl_write``), or None when they
+    #: need the Python writer: a JSON number that is not finite, or states,
+    #: selections and coefficients of unequal widths.
+    write: Callable[..., str | None]
 
 
 def load(check: Callable[[Kernels], bool]) -> Kernels | None:
@@ -69,13 +75,13 @@ def load(check: Callable[[Kernels], bool]) -> Kernels | None:
         key = sha256(b"\0".join([source, *map(str.encode, FLAGS), cc.encode()]))
         target = CACHE / f"_kernels-{key.hexdigest()[:16]}.so"
         if target.exists():
-            return _bind(ctypes.CDLL(str(target)))
+            return _bind(str(target))
         CACHE.mkdir(exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix="_kernels-", suffix=".tmp", dir=CACHE)
         os.close(fd)
         subprocess.run([cc, *FLAGS, "-o", tmp, "-x", "c", "-"], input=source,
                        capture_output=True, check=True)
-        kernels = _bind(ctypes.CDLL(tmp))
+        kernels = _bind(tmp)
         if not check(kernels):
             return None
         os.replace(tmp, target)
@@ -87,8 +93,9 @@ def load(check: Callable[[Kernels], bool]) -> Kernels | None:
             os.unlink(tmp)
 
 
-def _bind(lib: ctypes.CDLL) -> Kernels:
-    return Kernels(_bind_rk4_chunk(lib), *_bind_advance(lib))
+def _bind(path: str) -> Kernels:
+    lib = ctypes.CDLL(path)
+    return Kernels(_bind_rk4_chunk(lib), *_bind_advance(lib), _bind_write(ctypes.PyDLL(path)))
 
 
 def _bind_rk4_chunk(lib: ctypes.CDLL):
@@ -166,7 +173,7 @@ class _Work:
     replaced by a larger one only when a call needs more.
 
     ``buf`` maps each buffer of ``_BUFFERS`` to its ctypes array, ``x``,
-    ``y``, ``z`` and ``rows`` are numpy views of the same memory, made once
+    ``y``, ``z``, ``rows`` and ``ints`` are numpy views of the same memory, made once
     (on a 2-core Xeon, copying 6 states into one takes about 0.5 us, asking
     numpy for an array's address 0.9 us), and ``struct`` points the C code
     at all of them.
@@ -180,6 +187,7 @@ class _Work:
         self.buf["colmap"][:] = [-1] * n
         self.x, self.y, self.z, self.rows = (np.frombuffer(self.buf[name])
                                              for name in ("x", "y", "z", "rows"))
+        self.ints = np.frombuffer(self.buf["ints"], dtype=np.int64)
         self.struct = _Struct(*map(ctypes.addressof, self.buf.values()), m,
                               sizes["rows"], sizes["ints"])
         self.address = ctypes.addressof(self.struct)
@@ -245,12 +253,11 @@ def _bind_advance(lib: ctypes.CDLL):
         stopped = list(last_stopped) if sequential else []
         pins = [pin for pin in policy.overrides if 0 <= pin[0] < n] \
             if isinstance(policy, FixedAlpha) else []
-        values: list[float] = []
-        alphas: list[float | None] = []
-        ints: list[int] = []
+        rows: list[np.ndarray] = []
+        ints: list[np.ndarray] = []
         try:
             if stopped and not 0 <= min(stopped) <= max(stopped) < n:
-                return values, alphas, ints, t, x, None, None
+                return rows, ints, t, x, None, None
             w = reserve(n)
             w.x[:n] = x
             w.buf["stopped"][:len(stopped)] = stopped
@@ -264,11 +271,8 @@ def _bind_advance(lib: ctypes.CDLL):
                 status = c_advance(graph, w.address, delta, sequential, cutoff, ts, horizon,
                                    budget)
                 if s.n_rows:
-                    rows = w.rows[:s.n_rows * (4 * n + 1)].reshape(s.n_rows, -1)
-                    alpha = rows[:, 3 * n + 1:]
-                    values += rows[:, :3 * n + 1].ravel().tolist()
-                    alphas += np.where(np.isnan(alpha), None, alpha).ravel().tolist()
-                    ints += w.buf["ints"][:s.n_ints]
+                    rows.append(w.rows[:s.n_rows * (4 * n + 1)].reshape(s.n_rows, -1).copy())
+                    ints.append(w.ints[:s.n_ints].copy())
                     budget -= s.n_rows
                 if status != 3:
                     break
@@ -278,18 +282,18 @@ def _bind_advance(lib: ctypes.CDLL):
                 grown.struct.t, grown.struct.n_stopped = s.t, s.n_stopped
                 w = grown
         except (TypeError, ctypes.ArgumentError):
-            return values, alphas, ints, t, x, None, None
+            return rows, ints, t, x, None, None
         hits = None
         if ints:
             t, x, hits = s.t, w.x[:n].copy(), tuple(w.buf["stopped"][:s.n_stopped])
         if status:
-            return values, alphas, ints, t, x, hits, None
+            return rows, ints, t, x, hits, None
         buf = w.buf
         k, count = s.n_surface, s.count
         surface, signs = buf["surface"][:k], buf["sign"][:k]
         z, velocity = w.z[:n].copy(), w.y[:n].copy()
         z.flags.writeable = velocity.flags.writeable = False
-        return values, alphas, ints, t, x, hits, (
+        return rows, ints, t, x, hits, (
             z, velocity, tuple(zip(surface, buf["alpha"][:k])),
             frozenset([i for i, sign in zip(surface, signs) if not sign]),
             tuple([(i, sign) for i, sign in zip(surface, signs) if sign]),
@@ -299,3 +303,58 @@ def _bind_advance(lib: ctypes.CDLL):
         return advance(g, x, delta, policy, last_stopped, cutoff)[-1]
 
     return resolve, advance
+
+
+#: The dtypes of ``write``'s arrays ``t, kind, x, src, z, alpha``.
+_WRITE_DTYPES = (np.float64, np.int64, np.float64, np.int64, np.float64, np.float64)
+
+
+def _bind_write(lib: ctypes.PyDLL):
+    """Wrap ``qcl_write`` as ``write(json, indent, t, kind, x, src, z,
+    alpha)``.
+
+    ``lib`` is a ``PyDLL`` handle, so the call holds the GIL, which CPython's
+    formatter needs, and raises the Python error that the formatter sets
+    when it runs out of memory.  ``kind`` indexes ``KIND_NAMES``.  The arrays
+    go to C by address, their types and shapes checked here; the C code
+    checks the indices in ``kind`` and ``src``.
+    """
+    from .dynamics import KIND_NAMES
+    from ._json import _quote
+
+    c_write = lib.qcl_write
+    c_write.restype = ctypes.c_int64
+    c_write.argtypes = ([ctypes.c_int64] * 5 + [ctypes.c_void_p] * 6
+                        + [ctypes.c_int64, ctypes.c_char_p, ctypes.c_void_p, ctypes.c_void_p,
+                           ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p])
+    formatter = [ctypes.cast(f, ctypes.c_void_p).value for f in (
+        ctypes.pythonapi.PyOS_double_to_string, ctypes.pythonapi.PyMem_Free)]
+    tables = []
+    for names in (KIND_NAMES, [_quote(name) for name in KIND_NAMES]):
+        name_at = np.cumsum([0] + [len(name) for name in names], dtype=np.int64)
+        tables.append((len(names), "".join(names).encode("ascii"), name_at.ctypes.data, name_at))
+
+    def write(json: bool, indent: int, t: np.ndarray, kind: np.ndarray, x: np.ndarray,
+              src: np.ndarray, z: np.ndarray, alpha: np.ndarray) -> str | None:
+        rows, n = len(t), z.shape[1]
+        if x.shape != (rows, n) or alpha.shape != z.shape:
+            return None  # events of unequal widths, given to Trajectory
+        arrays = (t, kind, x, src, z, alpha)
+        if (kind.shape != (rows,) or src.shape != (rows,) or indent < 0
+                or not all(a.flags.c_contiguous and a.dtype == dtype
+                           for a, dtype in zip(arrays, _WRITE_DTYPES))):
+            raise ValueError("the columns of a trajectory export do not fit together")
+        args = [bool(json), indent, rows, n, len(z), *[a.ctypes.data for a in arrays],
+                *tables[bool(json)][:3]]
+        cap = c_write(*args, None, 0, *formatter)
+        out = bytearray(cap)
+        size = c_write(*args, (ctypes.c_char * cap).from_buffer(out), cap, *formatter)
+        if size == -2:
+            return None
+        if size == -4:
+            raise ValueError("an export row names no kind or event")
+        if size < 0:  # -1; the capacity comes from the C code, so never -3
+            raise MemoryError("no memory for a trajectory export")
+        return str(memoryview(out)[:size], "ascii")
+
+    return write

@@ -7,6 +7,8 @@ this tiny serializer handles the flat structures this package emits.
 The writer makes one pass: it appends string parts to one list, joined once
 at the end, and formats a list or tuple of floats and ``None`` in one batch,
 so the cost of a trajectory is one call per container, not one per value.
+An object with a ``json_text(indent)`` method, the event rows of a
+trajectory, writes itself, or returns None to be written as a list.
 """
 
 from __future__ import annotations
@@ -76,4 +78,12 @@ def _write(obj, indent: int, parts: list[str]) -> None:
             _write(v, child, parts)
         parts.append("\n" + " " * indent + "}")
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        # A sequence that writes itself: Trajectory.to_json_obj's "events".
+        json_text = getattr(obj, "json_text", None)
+        if json_text is None:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+        text = json_text(indent)
+        if text is None:  # written, or refused, by the general rules
+            _write(list(obj), indent, parts)
+        else:
+            parts.append(text)

@@ -2,11 +2,12 @@
 
 Each compiled entry point must reproduce the bits of the Python code it
 ports on fixed inputs chosen so that a change in the rounding or order of
-any operation shows: ``qcl_rk4_chunk`` against the list kernel, and
+any operation shows: ``qcl_rk4_chunk`` against the list kernel,
 ``qcl_resolve`` and ``qcl_advance`` against ``_resolve_python`` and
-``simulate`` on the list code.  The resolve states also reach every static
-helper that they run: the hold solver, the row sums, the set and hit scans
-and projected Gauss-Seidel.  ``quantizers._load_kernel`` runs it only when
+``simulate`` on the list code, and ``qcl_write`` against the Python writer,
+which formats with ``repr`` and ``format(v, ".17g")``.  The resolve states
+also reach every static helper that they run: the hold solver, the row
+sums, the set and hit scans and projected Gauss-Seidel.  ``quantizers._load_kernel`` runs it only when
 a build is new.
 """
 
@@ -17,9 +18,10 @@ import random
 
 import numpy as np
 
-from . import quantizers
-from .dynamics import (FixedAlpha, SequentialSlow, SimulationLimitError, Sliding,
-                       _resolve_python, _rk4_chunk_lists, simulate)
+from . import _json, quantizers
+from .dynamics import (FixedAlpha, SequentialSlow, SimulationLimitError, Sliding, Trajectory,
+                       TrajectoryEvent, _csv_line, _resolve_python, _rk4_chunk_lists,
+                       _row_dicts, simulate)
 from .graphs import GraphSchedule, WeightedDigraph
 from .quantizers import UniformQuantizer, threshold_hits
 
@@ -27,7 +29,7 @@ from .quantizers import UniformQuantizer, threshold_hits
 def kernels_agree(kernels) -> bool:
     """Whether every compiled entry point gives the bits of its Python code."""
     return (_rk4_agrees(kernels.rk4_chunk) and _resolve_agrees(kernels.resolve)
-            and _runs_agree(kernels))
+            and _runs_agree(kernels) and _writer_agrees(kernels.write))
 
 
 def _rk4_agrees(kernel) -> bool:
@@ -311,3 +313,56 @@ def _runs_agree(kernels) -> bool:
 
     return all(_on_lists(lambda: bits(config), kernels) == _on_lists(lambda: bits(config))
                for config in configs)
+
+
+def _writer_states() -> list[Trajectory]:
+    """Trajectories whose exports reach every formatting rule: 0.0 followed
+    by -0.0 in one column and the reverse, an empty coefficient (NaN) beside
+    0.0, subnormals down to 5e-324, the points where ``repr`` changes
+    notation (1e16, 1e-4, 1e-5) and their neighbours, integers, 1e308 and
+    the largest float; one agent; a single event; and states that are not
+    finite, which JSON refuses."""
+    def event(t, x, z, alpha, kind="threshold-hit"):
+        return TrajectoryEvent(t, kind, x, z, tuple(-v for v in z), alpha, (), ())
+
+    q = UniformQuantizer(1.0)
+    return [
+        Trajectory(q, [
+            event(0.0, (0.0, 1e16, 5e-324, 1e-4), (-0.0, 1e-5, 2.2250738585072009e-308, 1.0),
+                  (None, 0.0, -0.0, 0.5), "start"),
+            event(-0.0, (-0.0, 9999999999999998.0, -5e-324, 1e-4),
+                  (0.0, 1e-5, 1e-310, 123456789.0), (0.0, None, 0.0, 0.5)),
+            event(1e-5, (1e308, -1.7976931348623157e308, 2.0 ** 53, 0.0001 + 1e-20),
+                  (2.0, -3.0, 1e17, 0.30000000000000004), (1.0, 1.0, None, 1 / 3)),
+            event(0.75, (0.1, 9.999999999999999e-05, 1.0000000000000001e-05, 1e22),
+                  (1e-4, 1e16, 5e-324, 1.0), (None, None, None, None)),
+            event(2.5, (0.1, 0.2, -0.0, 0.0), (1e-4, 1e16, -5e-324, 1.0),
+                  (None, 0.25, 1.0, 0.0), "equilibrium"),
+        ], "equilibrium"),
+        Trajectory(q, [event(0.0, (0.5,), (0.0,), (0.5,), "start"),
+                       event(1.25, (-0.0,), (1.0,), (None,), "horizon")], "horizon"),
+        Trajectory(q, [event(0.0, (1.5, -2.0), (1.0, -2.0), (None, 0.0), "equilibrium")],
+                   "equilibrium"),
+        Trajectory(q, [event(0.0, (math.inf, 0.5), (0.0, 0.0), (None, 0.5), "start"),
+                       event(1.0, (math.nan, -math.inf), (0.0, 0.0), (None, None), "horizon")],
+                   "horizon"),
+    ]
+
+
+def _writer_agrees(write) -> bool:
+    """Whether ``write`` gives the text of the Python writer on the CSV and
+    the JSON at two indents of each ``_writer_states`` trajectory, with and
+    without samples, and refuses the same JSON."""
+    for traj in _writer_states():
+        for stride in (None, 0.375):
+            rows = traj._rows(stride)
+            if write(False, 0, *rows) != "".join(map(_csv_line, _row_dicts(*rows))):
+                return False
+            for indent in (0, 3):
+                try:
+                    expected = _json.dumps(_row_dicts(*rows), indent)
+                except ValueError:
+                    expected = None
+                if write(True, indent, *rows) != expected:
+                    return False
+    return True

@@ -33,6 +33,13 @@
  * buffers, with that state's resolve in the buffers; with a budget of 0 it
  * is one qcl_resolve.
  *
+ * qcl_write: the rows of a trajectory's CSV export, or the "events" list of
+ * its JSON export, from its columns in one call, with CPython's own float
+ * formatter (repr for CSV, format(v, ".17g") for JSON) reached through
+ * pointers that the caller passes, so the library needs no link to
+ * libpython; the caller holds the GIL.  A number with the bits of the last
+ * one in its column copies that text instead of formatting it again.
+ *
  * The static helpers port the list code of qcl: hold_solve builds and
  * solves one dense hold system (_build_hold_system and _gaussian_solve),
  * velocity sums one row as numpy does (_velocities), uniform_sets and
@@ -48,6 +55,8 @@
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* Excess precision (x87) would round differently from Python. */
 #if FLT_EVAL_METHOD == 2 || FLT_EVAL_METHOD < 0
@@ -878,4 +887,218 @@ int qcl_advance(const struct qcl_graph *g, struct qcl_work *w, double delta,
         w->n_stopped = w->count;
         w->t = t + dt;
     }
+}
+
+/* CPython's PyOS_double_to_string and PyMem_Free, which frees its result;
+ * the caller passes their addresses, so this library needs no link to
+ * libpython, and calls qcl_write holding the GIL. */
+typedef char *(*qcl_dtoa)(double, char, int, int, int *);
+typedef void (*qcl_free)(void *);
+
+/* Py_DTSF_ADD_DOT_0 of CPython's pystrtod.h: repr's "1.0", not "1". */
+#define ADD_DOT_0 0x02
+/* An upper bound on the length of one formatted double, such as
+ * "-2.2250738585072014e-308". */
+#define CELL 32
+
+/* The text of the last value of one column and where it lies in out. */
+struct cell {
+    double value;
+    int64_t at;
+    int64_t len;
+};
+
+struct writer {
+    char *out;
+    int64_t pos;
+    qcl_dtoa dtoa;
+    qcl_free free;
+    char code;
+    int precision;
+    int flags;
+};
+
+static int same_bits(double a, double b)
+{
+    uint64_t u, v;
+
+    memcpy(&u, &a, sizeof u);
+    memcpy(&v, &b, sizeof v);
+    return u == v;
+}
+
+static void put(struct writer *o, const char *text, int64_t len)
+{
+    memcpy(o->out + o->pos, text, len);
+    o->pos += len;
+}
+
+static void pad(struct writer *o, const char *sep, int64_t indent)
+{
+    put(o, sep, strlen(sep));
+    memset(o->out + o->pos, ' ', indent);
+    o->pos += indent;
+}
+
+/* Appends v as the formatter writes it; a value with the bits of the
+ * column's last one copies that text instead.  Returns 1 when the formatter
+ * fails (its Python error is set). */
+static int number(struct writer *o, double v, struct cell *c)
+{
+    char *text;
+    int64_t len;
+
+    if (c->len >= 0 && same_bits(v, c->value)) {
+        memcpy(o->out + o->pos, o->out + c->at, c->len);
+        o->pos += c->len;
+        return 0;
+    }
+    text = o->dtoa(v, o->code, o->precision, o->flags, NULL);
+    if (text == NULL)
+        return 1;
+    len = strlen(text);
+    c->value = v;
+    c->at = o->pos;
+    c->len = len;
+    put(o, text, len);
+    o->free(text);
+    return 0;
+}
+
+/* A JSON list of the n values of one row at the given indent, as
+ * qcl._json.dumps writes it; NaN is null when nan_null, else refused. */
+static int json_list(struct writer *o, const double *v, int64_t n, struct cell *c,
+                     int64_t indent, int nan_null)
+{
+    if (n == 0) {
+        put(o, "[]", 2);
+        return 0;
+    }
+    put(o, "[", 1);
+    for (int64_t i = 0; i < n; i++) {
+        pad(o, i ? ",\n" : "\n", indent + 2);
+        if (nan_null && isnan(v[i]))
+            put(o, "null", 4);
+        else if (!isfinite(v[i]))
+            return 2;
+        else if (number(o, v[i], c + i))
+            return 1;
+    }
+    pad(o, "\n", indent);
+    put(o, "]", 1);
+    return 0;
+}
+
+/* The rows of a trajectory export, written to out: with json zero the CSV
+ * lines of qcl.dynamics.Trajectory.to_csv after its header, else the
+ * "events" list of Trajectory.to_json_obj as qcl._json.dumps writes it at
+ * the given indent.  Row r has time t[r], the kind name k = kind[r] (the
+ * text names[name_at[k]..name_at[k + 1]), already quoted for JSON, k <
+ * n_names) and the n states x[r * n..], and shows the selection and
+ * coefficients of event e = src[r] < events, z[e * n..] and alpha[e * n..]
+ * (NaN off the surface: an empty CSV cell, JSON null).  CSV numbers are
+ * repr's, JSON numbers format(v, ".17g")'s; a JSON number that is not
+ * finite is refused.
+ *
+ * With out NULL it returns the capacity that out needs; else the number of
+ * bytes written, -1 when out of memory (the formatter's Python error is set
+ * then), -2 when a JSON number is not finite, -3 when cap is too small or
+ * -4 when a row names no kind or event. */
+int64_t qcl_write(int64_t json, int64_t indent, int64_t rows, int64_t n, int64_t events,
+                  const double *t, const int64_t *kind, const double *x, const int64_t *src,
+                  const double *z, const double *alpha, int64_t n_names, const char *names,
+                  const int64_t *name_at, char *out, int64_t cap, void *dtoa, void *pyfree)
+{
+    int64_t inner = indent + 4, longest = 0, row_cap;
+    struct writer o = {out, 0, (qcl_dtoa)dtoa, (qcl_free)pyfree, json ? 'g' : 'r',
+                       json ? 17 : 0, json ? 0 : ADD_DOT_0};
+    struct cell *cells;
+    int status = 0;
+
+    for (int64_t k = 0; k < n_names; k++)
+        longest = name_at[k + 1] - name_at[k] > longest ? name_at[k + 1] - name_at[k] : longest;
+    row_cap = json ? 128 + longest + 12 * inner + 3 * n * (CELL + inner + 4)
+                   : 2 + CELL + longest + 3 * n * (CELL + 1);
+    if (out == NULL)
+        return 2 * indent + 8 + rows * row_cap;
+    if (cap < 2 * indent + 8 + rows * row_cap)
+        return -3;
+    cells = malloc((3 * n + 1) * sizeof *cells);
+    if (cells == NULL)
+        return -1;
+    for (int64_t c = 0; c < 3 * n + 1; c++)
+        cells[c].len = -1;
+
+    if (json)
+        put(&o, "[", 1);
+    for (int64_t r = 0; r < rows && !status; r++) {
+        const double *xr = x + r * n, *zr, *ar;
+        const char *name;
+        int64_t name_len;
+
+        if (kind[r] < 0 || kind[r] >= n_names || src[r] < 0 || src[r] >= events) {
+            status = 4;
+            break;
+        }
+        zr = z + src[r] * n;
+        ar = alpha + src[r] * n;
+        name = names + name_at[kind[r]];
+        name_len = name_at[kind[r] + 1] - name_at[kind[r]];
+
+        if (!json) {
+            status = number(&o, t[r], cells);
+            put(&o, ",", 1);
+            put(&o, name, name_len);
+            for (int64_t i = 0; i < n && !status; i++) {
+                put(&o, ",", 1);
+                status = number(&o, xr[i], cells + 1 + i);
+            }
+            for (int64_t i = 0; i < n && !status; i++) {
+                put(&o, ",", 1);
+                status = number(&o, zr[i], cells + 1 + n + i);
+            }
+            for (int64_t i = 0; i < n && !status; i++) {
+                put(&o, ",", 1);
+                if (!isnan(ar[i]))
+                    status = number(&o, ar[i], cells + 1 + 2 * n + i);
+            }
+            put(&o, "\n", 1);
+            continue;
+        }
+        pad(&o, r ? ",\n" : "\n", indent + 2);
+        put(&o, "{", 1);
+        pad(&o, "\n", inner);
+        put(&o, "\"t\": ", 5);
+        status = isfinite(t[r]) ? number(&o, t[r], cells) : 2;
+        if (status)
+            break;
+        pad(&o, ",\n", inner);
+        put(&o, "\"event\": ", 9);
+        put(&o, name, name_len);
+        pad(&o, ",\n", inner);
+        put(&o, "\"x\": ", 5);
+        status = json_list(&o, xr, n, cells + 1, inner, 0);
+        if (status)
+            break;
+        pad(&o, ",\n", inner);
+        put(&o, "\"z\": ", 5);
+        status = json_list(&o, zr, n, cells + 1 + n, inner, 0);
+        if (status)
+            break;
+        pad(&o, ",\n", inner);
+        put(&o, "\"alpha\": ", 9);
+        status = json_list(&o, ar, n, cells + 1 + 2 * n, inner, 1);
+        pad(&o, "\n", indent + 2);
+        put(&o, "}", 1);
+    }
+    free(cells);
+    if (status)
+        return -status;
+    if (json && rows) {
+        pad(&o, "\n", indent);
+        put(&o, "]", 1);
+    } else if (json) {
+        put(&o, "]", 1);
+    }
+    return o.pos;
 }

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .dynamics import Trajectory
 from .graphs import GraphSchedule, is_weight_balanced
-from .quantizers import (InputError, Quantizer, UniformQuantizer, extreme_sets, kq_envelope,
-                         krasovskii_scan)
+from .quantizers import InputError, Quantizer, UniformQuantizer, extreme_sets, krasovskii_scan
 
 #: Absolute drift allowed for the preserved state average: event-driven
 #: arithmetic only incurs rounding in affine updates.
@@ -47,6 +47,28 @@ def consensus_level(x, quantizer: Quantizer) -> float | None:
     return levels[0] if levels else None
 
 
+def _row_extreme_sets(traj: Trajectory, rows: Iterable[int]):
+    """``extreme_sets`` of the states of each event in ``rows``, in order.
+
+    The lowest and highest state of every event come from one pass over the
+    states, exact as ``min`` and ``max``; a row that is not finite or leaves
+    the representable lattice goes through ``extreme_sets``, which gives
+    every agent's set or error.
+    """
+    quantizer = traj.quantizer
+    x = traj.x
+    low, high = (x.min(axis=1, initial=math.inf).tolist(),
+                 x.max(axis=1, initial=-math.inf).tolist())
+    uniform = isinstance(quantizer, UniformQuantizer)
+    for k in rows:
+        lo, hi = low[k], high[k]
+        # The test of extreme_sets, which the per-agent path would run.
+        if math.isfinite(lo + hi) and (not uniform or max(-lo, hi) / quantizer.delta < 2.0 ** 52):
+            yield quantizer.krasovskii_set(lo), quantizer.krasovskii_set(hi)
+        else:
+            yield extreme_sets(x[k], quantizer)
+
+
 def convergence_time(traj: Trajectory) -> tuple[float, float] | None:
     """Earliest event time from which one level is shared at every event.
 
@@ -55,17 +77,16 @@ def convergence_time(traj: Trajectory) -> tuple[float, float] | None:
     """
     if traj.status != "equilibrium":
         return None
-    quantizer = traj.quantizer
     best: tuple[float, float] | None = None
     lo = -math.inf
     hi = math.inf
-    for ev in reversed(traj.events):
-        low, high = extreme_sets(ev.x, quantizer)
+    rows = range(len(traj.t) - 1, -1, -1)
+    for k, (low, high) in zip(rows, _row_extreme_sets(traj, rows)):
         lo = max(lo, high[0])
         hi = min(hi, low[1])
         if lo > hi:
             break
-        best = (ev.t, lo)
+        best = (float(traj.t[k]), lo)
     return best
 
 
@@ -138,10 +159,8 @@ def envelopes(traj: Trajectory) -> EnvelopeAudit:
     The lower envelope must never decrease and the upper must never
     increase along a valid trajectory.
     """
-    points = []
-    for ev in traj.events:
-        lo, hi = kq_envelope(ev.x, traj.quantizer)
-        points.append((ev.t, lo, hi))
+    points = [(t, low[0], high[1]) for t, (low, high) in
+              zip(traj.t.tolist(), _row_extreme_sets(traj, range(len(traj.t))))]
     lower_ok = all(b >= a for (_, a, _), (_, b, _) in zip(points, points[1:]))
     upper_ok = all(b <= a for (_, _, a), (_, _, b) in zip(points, points[1:]))
     first = None
@@ -161,7 +180,7 @@ def average_conservation(traj: Trajectory) -> float:
     """Max drift of the state average across events."""
     # Row means of one 2-D array sum each row in the same pairwise order as
     # np.mean of that row alone, so the drift keeps its bits.
-    means = np.array([ev.x for ev in traj.events]).mean(axis=1)
+    means = traj.x.mean(axis=1)
     return float(np.max(np.abs(means - means[0])))
 
 
@@ -189,10 +208,10 @@ def limit_value_check(traj: Trajectory, schedule: GraphSchedule) -> LimitCheck:
     result = convergence_time(traj)
     assert result is not None
     t_con, s_star = result
-    xbar0 = float(np.mean(traj.events[0].x))
+    xbar0 = float(np.mean(traj.x[0]))
     if quantizer.is_threshold(xbar0):
-        event = next(ev for ev in traj.events if ev.t == t_con)
-        if all(v == xbar0 for v in event.x):
+        event = int(np.flatnonzero(traj.t == t_con)[0])
+        if all(v == xbar0 for v in traj.x[event].tolist()):
             return LimitCheck("pass", f"all states collocated at {xbar0}")
         return LimitCheck(
             "fail", f"half-level average {xbar0} without exact collocation"
@@ -200,7 +219,7 @@ def limit_value_check(traj: Trajectory, schedule: GraphSchedule) -> LimitCheck:
     expected = quantizer.quantize(xbar0)
     if s_star == expected:
         return LimitCheck("pass", f"limit level {s_star} matches q(mean)={expected}")
-    levels = consensus_level_set(tuple(traj.events[-1].x), quantizer)
+    levels = consensus_level_set(traj.x[-1], quantizer)
     if expected in levels:
         # Two-level tie where the tie rule reported the other level.
         return LimitCheck("pass", f"q(mean)={expected} among shared levels {levels}")
@@ -266,6 +285,25 @@ def convergence_report(traj: Trajectory, config) -> ConvergenceReport:
     )
 
 
+def _velocity_errors(traj: Trajectory, schedule: GraphSchedule) -> list[float]:
+    """Per event, the largest |recorded velocity - (-L z)| under its graph,
+    with one product over the events of each graph."""
+    graphs = [schedule.graph_at(t) for t in traj.t.tolist()]
+    errors = np.zeros(len(graphs))
+    for g in {id(g): g for g in graphs}.values():
+        events = np.flatnonzero([h is g for h in graphs])
+        rows, cols, values, ends = g.csr
+        ends = np.array(ends)
+        z = traj.z[events]
+        terms = values * (z[:, cols] - z[:, rows])
+        recomputed = np.zeros((len(events), g.n))
+        filled = ends[1:] > ends[:-1]
+        if filled.any():
+            recomputed[:, filled] = np.add.reduceat(terms, ends[:-1][filled], axis=1)
+        errors[events] = np.max(np.abs(recomputed - traj.velocity[events]), axis=1)
+    return errors.tolist()
+
+
 def audit_trajectory(traj: Trajectory, config) -> list[str]:
     """Cross-check recorded segments against the dynamics contracts.
 
@@ -275,30 +313,29 @@ def audit_trajectory(traj: Trajectory, config) -> list[str]:
     problems: list[str] = []
     quantizer = traj.quantizer
     schedule: GraphSchedule = config.schedule
-    events = traj.events
+    times = traj.t.tolist()
+    x, z, velocity = traj.x.tolist(), traj.z.tolist(), traj.velocity.tolist()
+    hits, departing = traj._hits_and_departures()
 
-    for a, b in zip(events, events[1:]):
-        if not (b.t > a.t):
-            problems.append(f"event times not strictly increasing at t={b.t}")
+    for k in np.flatnonzero(~(traj.t[1:] > traj.t[:-1])).tolist():
+        problems.append(f"event times not strictly increasing at t={times[k + 1]}")
 
     audit = envelopes(traj)
     if not audit.ok:
         problems.append(f"envelope monotonicity violated at event {audit.first_violation}")
 
     _, m0, big_m0 = audit.points[0]
-    for k, ev in enumerate(events):
+    errors = _velocity_errors(traj, schedule)
+    for k in range(len(times)):
         _, lo, hi = audit.points[k]
         if lo < m0 or hi > big_m0:
             problems.append(f"state left the initial level range at event {k}")
-        g = schedule.graph_at(ev.t)
-        for i in krasovskii_scan(ev.x, quantizer, selection=ev.z).outside:
+        for i in krasovskii_scan(x[k], quantizer, selection=z[k]).outside:
             problems.append(f"selection outside Kq for agent {i} at event {k}")
-        z = np.array(ev.z)
-        recomputed = (g.weights * (z - z[:, None])).sum(axis=1)
-        if np.max(np.abs(recomputed - np.array(ev.velocity))) > 1e-9:
+        if errors[k] > 1e-9:
             problems.append(f"recorded velocity does not match -L z at event {k}")
-        for agent, sign in ev.departing:
-            v = ev.velocity[agent]
+        for agent, sign in departing[k]:
+            v = velocity[k][agent]
             if v == 0.0 or (v > 0.0) != (sign > 0):
                 problems.append(
                     f"departure sign mismatch for agent {agent} at event {k}"
@@ -306,16 +343,15 @@ def audit_trajectory(traj: Trajectory, config) -> list[str]:
 
     # One-sided invariance: an agent arriving from above at the threshold
     # bordering the current minimal level must not continue downward.
-    for k in range(1, len(events)):
-        prev, ev = events[k - 1], events[k]
+    for k in range(1, len(times)):
         env_lo = audit.points[k][1]
-        for i in ev.hits:
-            if prev.velocity[i] >= 0.0:
+        for i in hits[k]:
+            if velocity[k - 1][i] >= 0.0:
                 continue
-            bounds = quantizer.surface_bounds(ev.x[i])
+            bounds = quantizer.surface_bounds(x[k][i])
             if bounds is None:
                 continue
-            if bounds[0] == env_lo and ev.velocity[i] < 0.0:
+            if bounds[0] == env_lo and velocity[k][i] < 0.0:
                 problems.append(
                     f"agent {i} crossed below the minimal-level surface at event {k}"
                 )

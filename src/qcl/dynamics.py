@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Collection, Iterable, Mapping
@@ -666,18 +667,101 @@ class TrajectoryEvent:
     departing: tuple[tuple[int, int], ...]
 
 
-class Trajectory:
-    """Ordered event list with affine state segments in between."""
+#: The kinds of exported rows, indexed by ``Trajectory.kind``: the event
+#: kinds, then the samples of a stride export.
+KIND_NAMES = EVENT_KINDS + ("sample",)
+#: A CSV export of fewer numbers is written by ``repr`` in Python, which
+#: beats the fixed cost of the compiled call there (on a 2-core Xeon, 52
+#: numbers took 38 us in Python and 45 us compiled, 133 numbers 92 and 67).
+_SMALL_CSV = 100
 
-    def __init__(self, quantizer: Quantizer, events: list[TrajectoryEvent], status: str):
-        self.quantizer = quantizer
-        self.events = events
-        self.status = status
+
+def _matrix(rows: list) -> np.ndarray:
+    return np.array(rows, dtype=float).reshape(len(rows), -1) if rows else np.empty((0, 0))
+
+
+def _record(hits: tuple[int, ...], departing: tuple[tuple[int, int], ...]) -> list[int]:
+    """An event's part of ``Trajectory.records``."""
+    return [len(hits), *hits, len(departing), *[v for pair in departing for v in pair]]
+
+
+class Trajectory:
+    """Events stored as columns, with affine state segments in between.
+
+    ``t`` holds the event times and ``x``, ``z``, ``velocity`` and ``alpha``
+    the states, selections, velocities and coefficients (NaN off the
+    surface), each a read-only C-contiguous float64 array with one row per
+    event.  ``kind`` holds each event's index in ``EVENT_KINDS``, and
+    ``records`` the hits and departures of all events in one int array: per
+    event, the number of agents it hits and those agents, then the number
+    of departing agents and each one with its sign.  ``events`` is a
+    sequence of ``TrajectoryEvent``, built on first use; its length is known
+    without building it.
+    """
+
+    def __init__(self, quantizer: Quantizer, events: Iterable[TrajectoryEvent], status: str):
+        events = list(events)
+        records = [v for ev in events for v in _record(ev.hits, ev.departing)]
+        self._store(quantizer, status, np.array([ev.t for ev in events], dtype=float),
+                    *[_matrix([getattr(ev, name) for ev in events]) for name in ("x", "z",
+                                                                                  "velocity")],
+                    _matrix([[math.nan if a is None else a for a in ev.alpha] for ev in events]),
+                    np.array([EVENT_KINDS.index(ev.kind) for ev in events], dtype=np.int64),
+                    np.array(records, dtype=np.int64))
+        self._events = events
+
+    @classmethod
+    def _from_table(cls, quantizer: Quantizer, status: str, table: np.ndarray, kind: np.ndarray,
+                    records: np.ndarray) -> "Trajectory":
+        """The trajectory of the rows ``t, x, z, velocity, alpha`` of ``table``."""
+        n = (table.shape[1] - 1) // 4
+        traj = cls.__new__(cls)
+        traj._store(quantizer, status, table[:, 0].copy(),
+                    *[np.ascontiguousarray(table[:, 1 + k * n:1 + (k + 1) * n]) for k in range(4)],
+                    kind, records)
+        return traj
+
+    def _store(self, quantizer: Quantizer, status: str, *columns: np.ndarray) -> None:
+        for column in columns:
+            column.flags.writeable = False
+        self.quantizer, self.status = quantizer, status
+        self.t, self.x, self.z, self.velocity, self.alpha, self.kind, self.records = columns
+        self._events: list[TrajectoryEvent] | None = None
         self._sampled: tuple | None = None
 
     @property
     def n(self) -> int:
-        return len(self.events[0].x)
+        return self.x.shape[1]
+
+    @property
+    def events(self) -> "_Lazy":
+        return _Lazy(len(self.t), self._event_list)
+
+    def _event_list(self) -> list[TrajectoryEvent]:
+        if self._events is None:
+            hits, departing = self._hits_and_departures()
+            alpha = [tuple(None if a != a else a for a in row) for row in self.alpha.tolist()]
+            self._events = [
+                TrajectoryEvent(t, EVENT_KINDS[k], tuple(x), tuple(z), tuple(v), a, h, d)
+                for t, k, x, z, v, a, h, d in zip(
+                    self.t.tolist(), self.kind.tolist(), self.x.tolist(), self.z.tolist(),
+                    self.velocity.tolist(), alpha, hits, departing)]
+        return self._events
+
+    def _hits_and_departures(self) -> tuple[list[tuple[int, ...]], list[tuple]]:
+        """Each event's hit agents and its departing agents with their signs."""
+        ints = self.records.tolist()
+        hits, departing = [], []
+        pos = 0
+        for _ in range(len(self.t)):
+            count = ints[pos]
+            hits.append(tuple(ints[pos + 1:pos + 1 + count]))
+            pos += 1 + count
+            count = ints[pos]
+            departing.append(tuple(zip(ints[pos + 1:pos + 1 + 2 * count:2],
+                                       ints[pos + 2:pos + 2 + 2 * count:2])))
+            pos += 1 + 2 * count
+        return hits, departing
 
     @property
     def converged(self) -> bool:
@@ -685,56 +769,71 @@ class Trajectory:
 
     @property
     def final_t(self) -> float:
-        return self.events[-1].t
+        return float(self.t[-1])
 
     @property
     def final_x(self) -> np.ndarray:
-        return np.array(self.events[-1].x)
+        return self.x[-1].copy()
 
     @cached_property
     def _times(self) -> list[float]:
-        return [ev.t for ev in self.events]
+        return self.t.tolist()
 
     def state_at(self, t: float) -> np.ndarray:
         """Piecewise-affine interpolation; constant beyond the final event."""
-        events = self.events
-        if t <= events[0].t:
-            return np.array(events[0].x)
+        if t <= self.t[0]:
+            return self.x[0].copy()
         # The last event at or before t starts the segment that holds t.
         idx = bisect_right(self._times, t) - 1
-        ev = events[idx]
-        if idx == len(events) - 1 and self.status == "equilibrium":
-            return np.array(ev.x)
-        dt = t - ev.t
-        return np.array(ev.x) + dt * np.array(ev.velocity)
+        if idx == len(self._times) - 1 and self.status == "equilibrium":
+            return self.x[idx].copy()
+        dt = t - self._times[idx]
+        return self.x[idx] + dt * self.velocity[idx]
 
     # -- wire formats --------------------------------------------------------
 
-    def _rows(self, stride: float | None):
-        """The exported rows: each event, and with a stride the samples between
-        them.  The sampled rows of the last stride are kept, so that the CSV
-        and the JSON export of one stride build them once."""
-        if stride is not None:
-            _require_stride(stride)
-            key = (type(stride), stride)
-            if self._sampled is not None and self._sampled[0] == key:
-                return self._sampled[1]
-        rows = []
-        for k, ev in enumerate(self.events):
-            rows.append((ev.t, ev.kind, ev.x, ev.z, ev.alpha))
-            if stride is not None and k + 1 < len(self.events):
-                nxt = self.events[k + 1]
-                s = math.floor(ev.t / stride) + 1
-                while s * stride < nxt.t:
-                    ts = s * stride
-                    if ts > ev.t:
-                        xs = tuple(
-                            xi + (ts - ev.t) * vi for xi, vi in zip(ev.x, ev.velocity)
-                        )
-                        rows.append((ts, "sample", xs, ev.z, ev.alpha))
-                    s += 1
-        if stride is not None:
-            self._sampled = (key, rows)
+    def _rows(self, stride: float | None) -> tuple[np.ndarray, ...]:
+        """The exported rows as the columns ``(t, kind, x, src, z, alpha)``:
+        each event, and with a stride the samples between them
+        (``x_i + (ts - t) * v_i`` of the event before), where row ``r`` shows
+        the selection and coefficients of event ``src[r]``.  The rows of the
+        last stride are kept, so that both exports of one stride build them
+        once."""
+        if stride is None:
+            return self.t, self.kind, self.x, np.arange(len(self.t)), self.z, self.alpha
+        _require_stride(stride)
+        key = (type(stride), stride)
+        if self._sampled is not None and self._sampled[0] == key:
+            return self._sampled[1]
+        t, x = self.t, self.x
+        if not np.isfinite(t).all():
+            raise InputError("a stride samples only trajectories with finite event times")
+        stride = float(stride)
+        # Candidates s * stride after each event but the last, from s =
+        # floor(t / stride) + 1 to one past the next event; s * stride grows
+        # with s, so the kept ones are those that a scan from the first s up
+        # to the next event keeps.
+        first = np.floor(t[:-1] / stride) + 1.0
+        count = np.maximum(np.ceil(t[1:] / stride) + 2.0 - first, 0.0).astype(np.int64)
+        event = np.repeat(np.arange(len(t) - 1), count)
+        s = np.repeat(first, count) + (np.arange(len(event)) - np.repeat(np.cumsum(count) - count,
+                                                                          count))
+        ts = s * stride
+        keep = (ts < t[1:][event]) & (ts > t[:-1][event])
+        event, ts = event[keep], ts[keep]
+        # Each event's row comes before its samples.
+        at = np.arange(len(t)) + np.searchsorted(event, np.arange(len(t)))
+        sample = event + 1 + np.arange(len(event))
+
+        def column(of_events, of_samples, dtype=float) -> np.ndarray:
+            out = np.empty((len(t) + len(ts), *np.shape(of_events)[1:]), dtype)
+            out[at], out[sample] = of_events, of_samples
+            return out
+
+        rows = (column(t, ts), column(self.kind, len(EVENT_KINDS), np.int64),
+                column(x, x[event] + (ts - t[event])[:, None] * self.velocity[event]),
+                column(np.arange(len(t)), event, np.int64), self.z, self.alpha)
+        self._sampled = (key, rows)
         return rows
 
     def to_csv(self, stride: float | None = None) -> str:
@@ -745,30 +844,68 @@ class Trajectory:
             + [f"z_{i + 1}" for i in range(n)]
             + [f"alpha_{i + 1}" for i in range(n)]
         )
-        lines = [",".join(header)]
-        for t, kind, x, z, alpha in self._rows(stride):
-            cells = [repr(float(t)), kind]
-            cells += [repr(float(v)) for v in x]
-            cells += [repr(float(v)) for v in z]
-            cells += ["" if a is None else repr(float(a)) for a in alpha]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        rows = self._rows(stride)
+        small = len(rows[0]) + 3 * rows[2].size < _SMALL_CSV  # numbers: t, x, z, alpha
+        kernels = None if small else quantizers._load_kernel()
+        body = None if kernels is None else kernels.write(False, 0, *rows)
+        if body is None:
+            body = "".join(map(_csv_line, _row_dicts(*rows)))
+        return ",".join(header) + "\n" + body
 
     def to_json_obj(self, stride: float | None = None) -> dict:
-        return {
-            "n": self.n,
-            "status": self.status,
-            "events": [
-                {
-                    "t": t,
-                    "event": kind,
-                    "x": list(x),
-                    "z": list(z),
-                    "alpha": list(alpha),
-                }
-                for t, kind, x, z, alpha in self._rows(stride)
-            ],
-        }
+        """``{"n", "status", "events"}``, where ``events`` holds one dict
+        ``{"t", "event", "x", "z", "alpha"}`` per row (None off the surface),
+        built on access; ``qcl._json.dumps`` writes them in one call."""
+        return {"n": self.n, "status": self.status, "events": _EventRows(self._rows(stride))}
+
+
+def _row_dicts(t, kind, x, src, z, alpha) -> list[dict]:
+    """The rows of ``Trajectory._rows`` as Python values, None off the surface."""
+    z = z.tolist()
+    alpha = [[None if a != a else a for a in row] for row in alpha.tolist()]
+    return [{"t": tr, "event": KIND_NAMES[k], "x": xr, "z": list(z[e]), "alpha": list(alpha[e])}
+            for tr, k, xr, e in zip(t.tolist(), kind.tolist(), x.tolist(), src.tolist())]
+
+
+def _csv_line(row: dict) -> str:
+    """One CSV line: ``repr`` of each number, an empty cell off the surface."""
+    return ",".join([repr(row["t"]), row["event"], *map(repr, row["x"]), *map(repr, row["z"]),
+                     *["" if a is None else repr(a) for a in row["alpha"]]]) + "\n"
+
+
+class _Lazy(Sequence):
+    """A list that ``build()`` makes on the first access to an item; its
+    length is known before."""
+
+    def __init__(self, length: int, build: Callable[[], list]):
+        self._length, self._build, self._list = length, build, None
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, k):
+        if self._list is None:
+            self._list = self._build()
+        return self._list[k]
+
+    def __add__(self, other) -> list:
+        return list(self) + list(other)
+
+
+class _EventRows(_Lazy):
+    """The ``"events"`` of ``Trajectory.to_json_obj``: one dict per row of
+    ``rows``, built on access, and ``json_text``, with which
+    ``qcl._json.dumps`` writes all of them in one compiled call."""
+
+    def __init__(self, rows: tuple[np.ndarray, ...]):
+        super().__init__(len(rows[0]), lambda: _row_dicts(*rows))
+        self._rows = rows
+
+    def json_text(self, indent: int) -> str | None:
+        """The rows as ``qcl._json.dumps`` writes a list at ``indent``, or
+        None without compiled kernels or for a number that is not finite."""
+        kernels = quantizers._load_kernel()
+        return None if kernels is None else kernels.write(True, indent, *self._rows)
 
 
 # ---------------------------------------------------------------------------
@@ -790,45 +927,49 @@ def _certified_terminal(
     return True
 
 
-def _events(kind: str, hits: tuple[int, ...], n: int, values: list[float],
-            alphas: list[float | None], ints: list[int]) -> list[TrajectoryEvent]:
-    """The events whose time, state, selection and velocity follow one
-    another in ``values`` (``3 n + 1`` floats per event), whose alphas
-    (None off the surface) follow one another in ``alphas``, and whose
-    records in ``ints`` are the number of departing agents, each agent and
-    its sign, then the number of agents that the step to the next event
-    hits and those agents.  The first event is of ``kind`` with ``hits``;
-    each later one is a threshold hit with the hits of the step before it.
+class _Recorder:
+    """The events of a run as it goes: blocks of rows ``t, x, z, velocity,
+    alpha`` (NaN off the surface), their kinds and their records (see
+    ``Trajectory``)."""
 
-    Flat lists, sliced per event, leave no list per event alive while the
-    events are built, so the garbage collector runs less often."""
-    events = []
-    pos = 0
-    for k in range(len(alphas) // n):
-        r, a = k * (3 * n + 1), k * n
-        count = ints[pos]
-        departing = tuple(zip(ints[pos + 1:pos + 1 + 2 * count:2],
-                              ints[pos + 2:pos + 2 + 2 * count:2])) if count else ()
-        pos += 1 + 2 * count
-        events.append(TrajectoryEvent(
-            values[r], kind, tuple(values[r + 1:r + 1 + n]), tuple(values[r + 1 + n:r + 1 + 2 * n]),
-            tuple(values[r + 1 + 2 * n:r + 1 + 3 * n]), tuple(alphas[a:a + n]), hits, departing))
-        count = ints[pos]
-        hits = tuple(ints[pos + 1:pos + 1 + count])
-        pos += 1 + count
-        kind = "threshold-hit"
-    return events
+    def __init__(self, n: int):
+        self.n, self.count = n, 0
+        self.blocks: list[np.ndarray] = []
+        self.kinds: list[int] = []
+        self.records: list = []
 
+    def add_chunk(self, rows: list[np.ndarray], ints: list[np.ndarray], kind: str,
+                  hits: tuple[int, ...], next_hits: tuple[int, ...]) -> None:
+        """The events of one ``advance``, the first of ``kind`` with ``hits``,
+        each later one a threshold hit.
 
-def _event(t: float, kind: str, x: np.ndarray, res: Resolution,
-           hits: tuple[int, ...]) -> TrajectoryEvent:
-    """The event of ``res`` at ``(t, x)``, built by ``_events``."""
-    alphas: list[float | None] = [None] * len(x)
-    for i, a in res.alpha:
-        alphas[i] = a
-    values = [t, *x.tolist(), *res.z.tolist(), *res.velocity.tolist()]
-    return _events(kind, hits, len(x), values, alphas,
-                   [len(res.departing), *[v for pair in res.departing for v in pair], 0])[0]
+        ``qcl_advance`` records for each event its number of departing
+        agents, each agent and its sign, then the number of agents that the
+        step to the next event hits and those agents; preceded by ``hits``
+        and without ``next_hits``, those of the event after the chunk, its
+        records are those of ``Trajectory``."""
+        ints = np.concatenate(ints)
+        count = sum(map(len, rows))
+        self.blocks += rows
+        self.kinds += [EVENT_KINDS.index(kind)] + [EVENT_KINDS.index("threshold-hit")] * (count - 1)
+        self.records += [[len(hits), *hits], ints[:len(ints) - 1 - len(next_hits)]]
+        self.count += count
+
+    def add(self, t: float, kind: str, x: np.ndarray, res: Resolution,
+            hits: tuple[int, ...]) -> None:
+        """The event of ``res`` at ``(t, x)``."""
+        alpha = np.full(self.n, math.nan)
+        for i, a in res.alpha:
+            alpha[i] = a
+        self.blocks.append(np.concatenate(([t], x, res.z, res.velocity, alpha))[None])
+        self.kinds.append(EVENT_KINDS.index(kind))
+        self.records.append(_record(hits, res.departing))
+        self.count += 1
+
+    def trajectory(self, quantizer: Quantizer, status: str) -> Trajectory:
+        return Trajectory._from_table(
+            quantizer, status, np.concatenate(self.blocks), np.array(self.kinds, dtype=np.int64),
+            np.concatenate([np.asarray(part, dtype=np.int64) for part in self.records]))
 
 
 def simulate(
@@ -849,7 +990,7 @@ def simulate(
     policy: SelectionPolicy = config.policy
     x = np.array(config.x0, dtype=float)
     t = 0.0
-    events: list[TrajectoryEvent] = []
+    events = _Recorder(len(x))
     kind = "start"
     hits_now: tuple[int, ...] = ()
     last_stopped: frozenset[int] = frozenset()
@@ -857,23 +998,23 @@ def simulate(
     record = stop_condition is None
 
     while True:
-        if len(events) >= config.max_events:
+        if events.count >= config.max_events:
             # Each agent crosses about one threshold per level it still spans.
             crossings = len(x) * quantizer.level_span(x) / quantizer.delta_min
             raise SimulationLimitError(
                 f"event limit {config.max_events} exceeded at t={t}; about "
                 f"{crossings:.3g} level crossings remain (agents x level span / delta)",
-                Trajectory(quantizer, events, status="limit"),
+                events.trajectory(quantizer, "limit"),
             )
         g = schedule.graph_at(t)
         ts = schedule.next_switch_after(t)
         if kernels is not None:
-            budget = config.max_events - len(events) - 1 if record else 0
-            values, alphas, ints, t, x, hits, out = kernels.advance(
+            budget = config.max_events - events.count - 1 if record else 0
+            rows, ints, t, x, hits, out = kernels.advance(
                 g, x, quantizer.delta, policy, last_stopped, DEFAULT_DENSE_CUTOFF, t, ts,
                 config.horizon, budget)
-            if ints:
-                events += _events(kind, hits_now, len(x), values, alphas, ints)
+            if rows:
+                events.add_chunk(rows, ints, kind, hits_now, hits)
                 kind, hits_now, last_stopped = "threshold-hit", hits, frozenset(hits)
             res = (_resolve_python(x, g, quantizer, policy, last_stopped, DEFAULT_DENSE_CUTOFF)
                    if out is None else Resolution(*out[:5]))
@@ -881,11 +1022,11 @@ def simulate(
             res, out = resolve_sliding(x, g, quantizer, policy, last_stopped), None
         at_rest = not res.velocity.any()
         terminal = at_rest and _certified_terminal(x, schedule, t, quantizer, policy)
-        events.append(_event(t, "equilibrium" if terminal else kind, x, res, hits_now))
+        events.add(t, "equilibrium" if terminal else kind, x, res, hits_now)
         if terminal:
-            return Trajectory(quantizer, events, status="equilibrium")
+            return events.trajectory(quantizer, "equilibrium")
         if stop_condition is not None and stop_condition(t, x):
-            return Trajectory(quantizer, events, status="stopped")
+            return events.trajectory(quantizer, "stopped")
 
         if at_rest:
             # Not terminal with zero velocity means a future graph moves the
@@ -893,8 +1034,8 @@ def simulate(
             assert math.isfinite(ts)
             if ts > config.horizon:
                 t = config.horizon
-                events.append(_event(t, "horizon", x, res, ()))
-                return Trajectory(quantizer, events, status="horizon")
+                events.add(t, "horizon", x, res, ())
+                return events.trajectory(quantizer, "horizon")
             t = ts
             kind = "topology-switch"
             hits_now = ()
@@ -908,8 +1049,8 @@ def simulate(
             t = config.horizon
             res_h = resolve_sliding(x, schedule.graph_at(t), quantizer, policy,
                                     last_stopped)
-            events.append(_event(t, "horizon", x, res_h, ()))
-            return Trajectory(quantizer, events, status="horizon")
+            events.add(t, "horizon", x, res_h, ())
+            return events.trajectory(quantizer, "horizon")
         x = x + res.velocity * dt
         if dt_th <= dt_sw:
             for i, th in th_hits:

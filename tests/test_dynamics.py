@@ -35,9 +35,11 @@ from qcl import (
 )
 from conftest import KERNEL_PATHS, build_kernel_variant, force_list_path, kernel_path
 from qcl import _ckernel, dynamics, quantizers
-from qcl.dynamics import policy_from_json
+from qcl._json import dumps
+from qcl.dynamics import KIND_NAMES, policy_from_json
 from qcl.scenarios import SplitMix64
-from test_golden import CASES as GOLDEN_CASES, DIGESTS as GOLDEN_DIGESTS, csv_digest
+from test_golden import (CASES as GOLDEN_CASES, DIGESTS as GOLDEN_DIGESTS, JSON_DIGESTS,
+                         STRIDE_DIGESTS, digests)
 
 
 def leader_chain(n: int, a: float = 1.0, b: float = 1.0) -> WeightedDigraph:
@@ -249,9 +251,8 @@ class TestSparseResolverMatchesLoopReference:
     bit for bit (``repr`` tells -0.0 from 0.0).
     """
 
-    @pytest.mark.parametrize("path", KERNEL_PATHS)
     @pytest.mark.parametrize("seed", range(4))
-    def test_hold_system_solution_and_velocities(self, seed, path):
+    def test_hold_system_solution_and_velocities(self, seed):
         from qcl import random_connected
 
         g = random_connected(30, seed=seed).schedule.segments[0][1]
@@ -266,8 +267,7 @@ class TestSparseResolverMatchesLoopReference:
         assert repr(system) == repr(_build_hold_system_loop(active, boxes, z, g))
         rows, rhs, _ = system
         assert repr(dynamics._gaussian_solve(rows, rhs)) == repr(_gaussian_solve_loop(rows, rhs))
-        with kernel_path(path):
-            solution = dynamics._hold_solve(active, boxes, z, g)
+        solution = dynamics._hold_solve(active, boxes, z, g)
         assert repr(solution) == repr(_gaussian_solve_loop(rows, rhs))
         velocities = dynamics._velocities(g, z, range(g.n))
         for i in range(g.n):
@@ -389,18 +389,18 @@ class TestBatchedKernelsMatchReferences:
         assert _solve_or_singular(dynamics._gaussian_solve, rows, rhs) == \
             _solve_or_singular(_gaussian_solve_lists, rows, rhs)
 
-    @pytest.mark.parametrize("path", KERNEL_PATHS)
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(1, 80), seed=st.integers(0, 2**32 - 1), palette=st.booleans())
     @example(m=7, seed=6, palette=True).via("a pivot tie")
     @example(m=2, seed=161, palette=True).via("a -0.0 rhs in a row with a zero factor")
     @example(m=80, seed=3, palette=True).via("the largest palette system")
-    def test_hold_solver_matches_list_reference(self, path, m, seed, palette):
+    def test_hold_solver_matches_list_reference(self, m, seed, palette):
+        # The list solver; its compiled port runs inside the compiled
+        # resolve, which the self-check compares with it.
         g, active, boxes, z = _palette_hold_system(m, seed, palette)
         rows, rhs, _ = _build_hold_system_loop(active, boxes, z, g)
-        with kernel_path(path):
-            assert _solve_or_singular(dynamics._hold_solve, active, boxes, z, g) == \
-                _solve_or_singular(_gaussian_solve_lists, rows, rhs)
+        assert _solve_or_singular(dynamics._hold_solve, active, boxes, z, g) == \
+            _solve_or_singular(_gaussian_solve_lists, rows, rhs)
 
     @pytest.mark.parametrize("m", [3, 13, 40])
     def test_ties_zero_factors_and_singular_systems(self, m):
@@ -420,9 +420,13 @@ class TestBatchedKernelsMatchReferences:
 def test_list_fallback_matches_golden_digest(monkeypatch, name):
     # Every case scans the quantizer at every event, and the random graphs
     # solve hold systems of up to 64 unknowns under all three policies;
-    # without a compiler the list code must give the same CSV.
+    # without a compiler the list code and the Python writer must give the
+    # same CSV, trajectory JSON, report and stride exports.
     force_list_path(monkeypatch)
-    assert csv_digest(name) == GOLDEN_DIGESTS[name]
+    csv, trajectory, report, stride = digests(name)
+    assert csv == GOLDEN_DIGESTS[name]
+    assert (trajectory, report) == JSON_DIGESTS[name]
+    assert stride == STRIDE_DIGESTS.get(name)
 
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -742,7 +746,7 @@ def _counting_advance(monkeypatch, kernels) -> list[int]:
 
     def advance(g, x, *args):
         out = kernels.advance(g, x, *args)
-        recorded.append(len(out[1]) // len(x))  # n alphas per event
+        recorded.append(sum(map(len, out[0])))  # one row per event
         return out
 
     monkeypatch.setattr(quantizers, "_load_kernel", lambda: kernels._replace(advance=advance))
@@ -1097,14 +1101,23 @@ class TestTrajectory:
         assert sample_rows[0].split(",")[0] == "0.125"
 
     def test_both_exports_of_one_stride_build_the_samples_once(self):
-        # to_csv and to_json_obj of one stride read one table of rows; only
-        # the last stride's table is kept.
+        # to_csv and to_json_obj of one stride read one set of sampled
+        # columns; only the last stride's columns are kept.
         traj = simulate(example1_line(3, 1.0, policy=Sliding()))
+        csv = traj.to_csv(stride=0.125)
         rows = traj._rows(0.125)
+        dumps(traj.to_json_obj(stride=0.125))
         assert traj._rows(0.125) is rows
         assert traj._rows(0.25) is not rows
-        assert traj._rows(0.125) is not rows
-        assert traj._rows(0.125) == rows
+        again = traj._rows(0.125)
+        assert again is not rows
+        assert [a.tobytes() for a in again] == [a.tobytes() for a in rows]
+        assert traj.to_csv(stride=0.125) == csv
+        t, kind, x, src, z, alpha = rows
+        assert [KIND_NAMES[k] for k in kind] == ["start", "sample", "sample", "sample",
+                                                 "equilibrium"]
+        assert t.tolist() == [0.0, 0.125, 0.25, 0.375, 0.5] and src.tolist() == [0, 0, 0, 0, 1]
+        assert x.flags.c_contiguous and x.shape == (5, 3) and z is traj.z and alpha is traj.alpha
 
     @pytest.mark.parametrize("stride", [0.0, -0.125, float("nan"), float("inf")])
     def test_bad_stride_rejected(self, stride):

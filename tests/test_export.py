@@ -1,21 +1,26 @@
-"""The single-pass JSON writer against the recursive writer it replaced.
+"""The single-pass JSON writer against the recursive writer it replaced,
+and the compiled trajectory writer.
 
 ``reference_dumps`` is the old ``qcl._json.dumps``, kept verbatim: one call
 per value, a string built and copied at every level.  The writer must give
 the same bytes for every document, and the same exception type and message
-for every document it refuses.
+for every document it refuses.  The compiled writer's own self-check
+compares it with the Python writer (``_kernel_check._writer_agrees``).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcl import _json
+from conftest import build_kernel_variant
+from qcl import (TrajectoryEvent, _json, convergence_report, example1_line, quantizers,
+                 simulate)
 from qcl._json import dumps
 
 
@@ -125,3 +130,32 @@ def test_differential_test_catches_repr_float_lists(monkeypatch):
     assert dumps([0.1, 1.0]) != reference_dumps([0.1, 1.0])
     with pytest.raises(AssertionError):
         test_writer_matches_reference()
+
+
+def test_a_staircase_round_builds_no_trajectory_events(monkeypatch):
+    # simulate records columns, and the report and both exports read them;
+    # the events are built only when one of them is read.
+    built = []
+    init = TrajectoryEvent.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TrajectoryEvent, "__init__", counted)
+    config = example1_line(8, 1 / 64, x0_spacing=0.98)
+    traj = simulate(config)
+    convergence_report(traj, config)
+    traj.to_csv()
+    dumps(traj.to_json_obj())
+    assert len(traj.events) == 1004 and built == []
+    assert traj.events[-1].kind == "equilibrium" and len(built) == 1004
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_writer_reusing_text_on_equality_fails_self_check(monkeypatch, tmp_path):
+    # 0.0 == -0.0, so a column that repeats a value by == rather than by its
+    # bits writes -0.0 as "0.0".
+    build_kernel_variant(monkeypatch, tmp_path, "same_bits(v, c->value)", "v == c->value")
+    assert quantizers._load_kernel() is None
+    assert list((tmp_path / "cache").iterdir()) == []

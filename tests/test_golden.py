@@ -33,6 +33,7 @@ from qcl import (
     convergence_report,
     SequentialSlow,
     Sliding,
+    Trajectory,
     example1_line,
     example2_sliding,
     random_connected,
@@ -76,16 +77,21 @@ def csv_digest(name: str) -> str:
     return sha256(simulate(CASES[name]()).to_csv())
 
 
-def json_digests(name: str) -> tuple[str, str, tuple[str, str] | None]:
-    """Digests of the trajectory JSON, the report JSON and, for the
+def digests(name: str) -> tuple[str, str, str, tuple[str, str] | None]:
+    """Digests of one run's CSV, trajectory JSON, report JSON and, for the
     cases in ``STRIDE_DIGESTS``, the JSON and CSV at stride 0.25."""
     config = CASES[name]()
     traj = simulate(config)
     stride = None
     if name in STRIDE_DIGESTS:
         stride = (sha256(dumps(traj.to_json_obj(stride=0.25))), sha256(traj.to_csv(stride=0.25)))
-    return (sha256(dumps(traj.to_json_obj())),
+    return (sha256(traj.to_csv()), sha256(dumps(traj.to_json_obj())),
             sha256(dumps(convergence_report(traj, config).to_json_obj())), stride)
+
+
+def json_digests(name: str) -> tuple[str, str, tuple[str, str] | None]:
+    """``digests`` without the CSV."""
+    return digests(name)[1:]
 
 
 DIGESTS = {
@@ -324,6 +330,16 @@ def test_json_and_report_match_golden_digest(name):
     assert stride == STRIDE_DIGESTS.get(name)
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_public_constructor_round_trip(name):
+    # Trajectory(quantizer, events, status) stores given events in the
+    # columns that simulate fills, so the exports keep their bytes.
+    traj = simulate(CASES[name]())
+    copy = Trajectory(traj.quantizer, list(traj.events), traj.status)
+    assert sha256(copy.to_csv()) == sha256(traj.to_csv()) == DIGESTS[name]
+    assert sha256(dumps(copy.to_json_obj())) == JSON_DIGESTS[name][0]
+
+
 @pytest.mark.parametrize("core", ["Haswell", "Nehalem"])
 def test_random160_digests_do_not_depend_on_the_blas_build(core):
     # numpy's OpenBLAS picks its kernels for the CPU when it loads, and its
@@ -354,13 +370,13 @@ if __name__ == "__main__":
     for case in CASES:
         print(f'    "{case}": "{csv_digest(case)}",')
     print("}")
-    digests = {case: json_digests(case) for case in CASES}
+    by_case = {case: json_digests(case) for case in CASES}
     print("JSON_DIGESTS = {")
-    for case, (trajectory, report, _) in digests.items():
+    for case, (trajectory, report, _) in by_case.items():
         print(f'    "{case}": ("{trajectory}",\n        "{report}"),')
     print("}")
     print("STRIDE_DIGESTS = {")
     for case in STRIDE_DIGESTS:
-        trajectory, csv = digests[case][2]
+        trajectory, csv = by_case[case][2]
         print(f'    "{case}": ("{trajectory}",\n        "{csv}"),')
     print("}")
