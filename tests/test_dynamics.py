@@ -389,18 +389,21 @@ class TestBatchedKernelsMatchReferences:
         assert _solve_or_singular(dynamics._gaussian_solve, rows, rhs) == \
             _solve_or_singular(_gaussian_solve_lists, rows, rhs)
 
+    @pytest.mark.parametrize("path", KERNEL_PATHS)
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(1, 80), seed=st.integers(0, 2**32 - 1), palette=st.booleans())
     @example(m=7, seed=6, palette=True).via("a pivot tie")
     @example(m=2, seed=161, palette=True).via("a -0.0 rhs in a row with a zero factor")
     @example(m=80, seed=3, palette=True).via("the largest palette system")
-    def test_hold_solver_matches_list_reference(self, m, seed, palette):
-        # The list solver; its compiled port runs inside the compiled
-        # resolve, which the self-check compares with it.
+    def test_hold_solver_matches_list_reference(self, path, m, seed, palette):
+        # The list solver, with the kernels loaded or not; its compiled port
+        # runs inside the compiled resolve, which the self-check compares
+        # with it.
         g, active, boxes, z = _palette_hold_system(m, seed, palette)
         rows, rhs, _ = _build_hold_system_loop(active, boxes, z, g)
-        assert _solve_or_singular(dynamics._hold_solve, active, boxes, z, g) == \
-            _solve_or_singular(_gaussian_solve_lists, rows, rhs)
+        with kernel_path(path):
+            assert _solve_or_singular(dynamics._hold_solve, active, boxes, z, g) == \
+                _solve_or_singular(_gaussian_solve_lists, rows, rhs)
 
     @pytest.mark.parametrize("m", [3, 13, 40])
     def test_ties_zero_factors_and_singular_systems(self, m):
