@@ -28,8 +28,8 @@ from .quantizers import UniformQuantizer, threshold_hits
 
 def kernels_agree(kernels) -> bool:
     """Whether every compiled entry point gives the bits of its Python code."""
-    return (_rk4_agrees(kernels.rk4_chunk) and _resolve_agrees(kernels.resolve)
-            and _runs_agree(kernels) and _writer_agrees(kernels.write))
+    return (_writer_agrees(kernels.write) and _rk4_agrees(kernels.rk4_chunk)
+            and _resolve_agrees(kernels.resolve) and _runs_agree(kernels))
 
 
 def _rk4_agrees(kernel) -> bool:
@@ -320,12 +320,14 @@ def _writer_states() -> list[Trajectory]:
     by -0.0 in one column and the reverse, an empty coefficient (NaN) beside
     0.0, subnormals down to 5e-324, the points where ``repr`` changes
     notation (1e16, 1e-4, 1e-5) and their neighbours, integers, 1e308 and
-    the largest float; one agent; a single event; and states that are not
-    finite, which JSON refuses."""
+    the largest float; one agent; a single event; states that are not
+    finite, which JSON refuses; and the ``_exact_states`` of the compiled
+    writer's exact digits, with their negatives."""
     def event(t, x, z, alpha, kind="threshold-hit"):
         return TrajectoryEvent(t, kind, x, z, tuple(-v for v in z), alpha, (), ())
 
     q = UniformQuantizer(1.0)
+    exact = _exact_states()
     return [
         Trajectory(q, [
             event(0.0, (0.0, 1e16, 5e-324, 1e-4), (-0.0, 1e-5, 2.2250738585072009e-308, 1.0),
@@ -346,7 +348,28 @@ def _writer_states() -> list[Trajectory]:
         Trajectory(q, [event(0.0, (math.inf, 0.5), (0.0, 0.0), (None, 0.5), "start"),
                        event(1.0, (math.nan, -math.inf), (0.0, 0.0), (None, None), "horizon")],
                    "horizon"),
+        Trajectory(q, [event(float(i), tuple(exact[i:i + 4]), tuple(-v for v in exact[i:i + 4]),
+                             (None,) * 4) for i in range(0, len(exact), 4)], "horizon"),
     ]
+
+
+def _exact_states() -> list[float]:
+    """Numbers at the edges of ``exact_digits`` in ``_kernels.c``.  With
+    the two floats on either side of each: the ends of its range, 1e-10 and
+    1e17; powers of two, whose rounding interval is asymmetric; the notation
+    switches of ``repr`` at 1e16, 1e-4 and 1e-5; the floats 1e-7 and 1e-6,
+    which lie below 10^-7 and 10^-6, so that their shortest decimal carries
+    into the next decade (no float in the range carries at 17 digits).
+    Then dyadic ties at 17 digits of both parities (the first two are also
+    ties of ``repr``, which fall back), and floats whose shortest decimal is
+    an end of their rounding interval, the upper for 2e16 + 8 and the lower
+    for the others, which only an even significand may write (none lies
+    below 2^54).  Four to an event."""
+    centres = [1e-10, 1e17, 1e16, 1e-4, 1e-5, 1e-7, 1e-6, 2.0 ** -33, 2.0 ** -1, 1.0, 2.0 ** 10,
+               2.0 ** 52, 2.0 ** 54]
+    ties = [(2 ** 52 + 1) / 4, (2 ** 52 + 3) / 4, 131073 / 2 ** 17, 1049 / 2 ** 20]
+    ends = [20000000000000008.0, 36028797018964304.0, 72057594037931008.0]
+    return [_ulps(v, u) for v in centres for u in (-2, -1, 0, 1, 2)] + ties + ends
 
 
 def _writer_agrees(write) -> bool:

@@ -34,11 +34,17 @@
  * is one qcl_resolve.
  *
  * qcl_write: the rows of a trajectory's CSV export, or the "events" list of
- * its JSON export, from its columns in one call, with CPython's own float
- * formatter (repr for CSV, format(v, ".17g") for JSON) reached through
- * pointers that the caller passes, so the library needs no link to
- * libpython; the caller holds the GIL.  A number with the bits of the last
- * one in its column copies that text instead of formatting it again.
+ * its JSON export, from its columns in one call, each number as CPython
+ * writes it: repr for CSV, format(v, ".17g") for JSON.  Zeros and finite
+ * numbers with 1e-10 <= |v| < 1e17 get their digits from exact_digits,
+ * which computes them in 128-bit integers with no rounding of its own (see
+ * there), and their layout from exact_text, which follows Python's rules.
+ * Every other number (subnormals, magnitudes outside that range, inf and
+ * NaN, and a repr whose two closest shortest decimals tie) goes to
+ * CPython's own formatter, reached through pointers that the caller passes,
+ * so the library needs no link to libpython; the caller holds the GIL.  A
+ * number with the bits of the last one in its column copies that text
+ * instead of formatting it again.
  *
  * The static helpers port the list code of qcl: hold_solve builds and
  * solves one dense hold system (_build_hold_system and _gaussian_solve),
@@ -916,7 +922,164 @@ struct writer {
     char code;
     int precision;
     int flags;
+    /* The decimal exponent from which the text is in e-notation: 16 for
+     * repr, 17 for ".17g". */
+    int exp_from;
 };
+
+typedef unsigned __int128 u128;
+
+#define P16 10000000000000000ULL
+#define P17 100000000000000000ULL
+
+/* 5^p, p <= 27; 10^j is POW5[j] << j. */
+static const uint64_t POW5[28] = {
+    1ULL, 5ULL, 25ULL, 125ULL, 625ULL, 3125ULL, 15625ULL, 78125ULL, 390625ULL, 1953125ULL,
+    9765625ULL, 48828125ULL, 244140625ULL, 1220703125ULL, 6103515625ULL, 30517578125ULL,
+    152587890625ULL, 762939453125ULL, 3814697265625ULL, 19073486328125ULL,
+    95367431640625ULL, 476837158203125ULL, 2384185791015625ULL, 11920928955078125ULL,
+    59604644775390625ULL, 298023223876953125ULL, 1490116119384765625ULL,
+    7450580596923828125ULL};
+
+/* The decimal digits of a normal |v| = m 2^e in [1e-10, 1e17), exactly as
+ * CPython's dtoa gives them: with shortest, repr's (the shortest decimal in
+ * the rounding interval v +- ulp/2, its ends included for an even m, and
+ * the closest to v among the shortest), else the 17 of ".17g" (v rounded
+ * half to even).  On success *n holds them as a 17-digit integer in
+ * [1e16, 1e17) and *k the decimal exponent of the first; 0 when v lies
+ * outside the range or its shortest decimal is an exact tie.
+ *
+ * With k = floor(log10 |v|) and p = 16 - k, D = |v| 10^p lies in [1e16,
+ * 1e17).  D and the interval ends are integers over the unit 2^s: X =
+ * 4m 5^p, X + 2 5^p and X - 2 5^p, or X - 5^p below a power-of-two
+ * significand, whose predecessor lies half as far; s = 2 - e - p, the
+ * numerators shifted left instead when s < 0.  In the range, 5^p fits 64
+ * bits and X and 10^17 2^s fit 128, so every comparison is exact. */
+static int exact_digits(double v, int shortest, uint64_t *n, int *k)
+{
+    uint64_t bits, m, a, b, c, ten;
+    int biased, e, p, s = 0, j = 0;
+    u128 X = 0, up = 0, down = 0;
+
+    memcpy(&bits, &v, sizeof bits);
+    biased = (int)(bits >> 52 & 0x7ff);
+    if (biased == 0 || biased == 0x7ff)
+        return 0; /* zero, subnormal, inf or NaN */
+    m = bits & ((1ULL << 52) - 1);
+    e = biased - 1075;
+    /* floor((e + 52) log10 2), which is k or k - 1. */
+    for (*k = ((e + 52) * 78913) >> 18;; ++*k) {
+        if (*k < -11 || *k > 16)
+            return 0;
+        p = 16 - *k;
+        s = 2 - e - p;
+        X = (u128)(4 * (m | 1ULL << 52)) * POW5[p];
+        up = 2 * (u128)POW5[p];
+        down = m == 0 && biased > 1 ? up / 2 : up;
+        if (s < 0) {
+            X <<= -s;
+            up <<= -s;
+            down <<= -s;
+            s = 0;
+        }
+        if (X < (u128)P17 << s)
+            break;
+    }
+    if (*k < -10 || X < (u128)P16 << s)
+        return 0;
+
+    if (!shortest) {
+        u128 r = X & (((u128)1 << s) - 1), half = s ? (u128)1 << (s - 1) : 1;
+
+        *n = (uint64_t)(X >> s);
+        if (r > half || (r == half && (*n & 1)))
+            ++*n;
+    } else {
+        int closed = !(m & 1);
+
+        /* a..b: the integers in the interval, over the unit 1. */
+        a = (uint64_t)((X - down + ((u128)1 << s) - 1) >> s);
+        b = (uint64_t)((X + up) >> s);
+        if (!closed && (u128)a << s == X - down)
+            a++;
+        if (!closed && (u128)b << s == X + up)
+            b--;
+        /* The most trailing zeros: a..b over the unit 10^j. */
+        while ((a + 9) / 10 <= b / 10) {
+            a = (a + 9) / 10;
+            b /= 10;
+            j++;
+        }
+        ten = POW5[j] << j;
+        c = (uint64_t)(X >> s) / ten;
+        /* 2 D against the midpoint of c and c + 1 over the unit 10^j. */
+        if (2 * X == (u128)((2 * c + 1) * ten) << s)
+            return 0;
+        if (2 * X > (u128)((2 * c + 1) * ten) << s)
+            c++;
+        *n = (c < a ? a : c > b ? b : c) * ten;
+    }
+    if (*n == P17) { /* rounded up into the next decade */
+        *n = P16;
+        ++*k;
+    }
+    return 1;
+}
+
+/* Writes v at out as repr (ADD_DOT_0 in o->flags) or format(v, ".17g")
+ * writes it and returns the length, or 0 when exact_digits cannot give its
+ * digits. */
+static int64_t exact_text(const struct writer *o, double v, char *out)
+{
+    char digits[17], *q = out;
+    uint64_t n;
+    int k, count = 17;
+
+    if (signbit(v))
+        *q++ = '-';
+    if (v == 0.0) {
+        memcpy(q, "0.0", 3);
+        return q - out + (o->flags & ADD_DOT_0 ? 3 : 1);
+    }
+    if (!exact_digits(fabs(v), o->code == 'r', &n, &k))
+        return 0;
+    for (int i = 16; i >= 0; i--, n /= 10)
+        digits[i] = (char)('0' + n % 10);
+    while (count > 1 && digits[count - 1] == '0')
+        count--;
+    if (k < -4 || k >= o->exp_from) {
+        *q++ = digits[0];
+        if (count > 1) {
+            *q++ = '.';
+            memcpy(q, digits + 1, count - 1);
+            q += count - 1;
+        }
+        *q++ = 'e';
+        *q++ = k < 0 ? '-' : '+';
+        k = abs(k);
+        *q++ = (char)('0' + k / 10);
+        *q++ = (char)('0' + k % 10);
+    } else if (k < 0) {
+        memcpy(q, "0.0000", 1 - k);
+        q += 1 - k;
+        memcpy(q, digits, count);
+        q += count;
+    } else if (count <= k + 1) {
+        memcpy(q, digits, count);
+        memset(q + count, '0', k + 1 - count);
+        q += k + 1;
+        if (o->flags & ADD_DOT_0) {
+            memcpy(q, ".0", 2);
+            q += 2;
+        }
+    } else {
+        memcpy(q, digits, k + 1);
+        q[k + 1] = '.';
+        memcpy(q + k + 2, digits + k + 1, count - k - 1);
+        q += count + 1;
+    }
+    return q - out;
+}
 
 static int same_bits(double a, double b)
 {
@@ -940,9 +1103,9 @@ static void pad(struct writer *o, const char *sep, int64_t indent)
     o->pos += indent;
 }
 
-/* Appends v as the formatter writes it; a value with the bits of the
- * column's last one copies that text instead.  Returns 1 when the formatter
- * fails (its Python error is set). */
+/* Appends v as the formatter writes it, through exact_text where it can; a
+ * value with the bits of the column's last one copies that text instead.
+ * Returns 1 when the formatter fails (its Python error is set). */
 static int number(struct writer *o, double v, struct cell *c)
 {
     char *text;
@@ -953,15 +1116,19 @@ static int number(struct writer *o, double v, struct cell *c)
         o->pos += c->len;
         return 0;
     }
-    text = o->dtoa(v, o->code, o->precision, o->flags, NULL);
-    if (text == NULL)
-        return 1;
-    len = strlen(text);
+    len = exact_text(o, v, o->out + o->pos);
+    if (len == 0) {
+        text = o->dtoa(v, o->code, o->precision, o->flags, NULL);
+        if (text == NULL)
+            return 1;
+        len = strlen(text);
+        memcpy(o->out + o->pos, text, len);
+        o->free(text);
+    }
     c->value = v;
     c->at = o->pos;
     c->len = len;
-    put(o, text, len);
-    o->free(text);
+    o->pos += len;
     return 0;
 }
 
@@ -1011,7 +1178,7 @@ int64_t qcl_write(int64_t json, int64_t indent, int64_t rows, int64_t n, int64_t
 {
     int64_t inner = indent + 4, longest = 0, row_cap;
     struct writer o = {out, 0, (qcl_dtoa)dtoa, (qcl_free)pyfree, json ? 'g' : 'r',
-                       json ? 17 : 0, json ? 0 : ADD_DOT_0};
+                       json ? 17 : 0, json ? 0 : ADD_DOT_0, json ? 17 : 16};
     struct cell *cells;
     int status = 0;
 

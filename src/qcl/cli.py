@@ -120,11 +120,15 @@ def _write(path: Path, text: str) -> None:
 
 
 def cmd_run(args) -> int:
+    formats = args.formats.split(",") if args.formats else []
+    unknown = [name for name in formats if name not in ("csv", "json")]
+    if unknown:
+        raise InputError(f"unknown format {unknown[0]!r} in --formats; "
+                         "the formats are csv and json")
     config = _apply_overrides(_load_scenario(args), args)
     traj = simulate(config)
     report = convergence_report(traj, config)
     out = Path(args.out)
-    formats = args.formats.split(",")
     stride = args.stride
     if "csv" in formats:
         _write(out / "trajectory.csv", traj.to_csv(stride=stride))
@@ -406,7 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(run)
     run.add_argument("--policy", choices=("sliding", "sequential-slow"))
     run.add_argument("--out", default="qcl-out")
-    run.add_argument("--formats", default="csv,json")
+    run.add_argument("--formats", default="csv,json",
+                     help="comma-separated trajectory formats, csv and json; "
+                          "'' writes report.json only")
     run.add_argument("--stride", type=float, default=None)
     run.add_argument("--oracle", action="store_true",
                      help="also run the regularized oracle and report deviation")

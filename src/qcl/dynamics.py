@@ -674,6 +674,10 @@ KIND_NAMES = EVENT_KINDS + ("sample",)
 #: beats the fixed cost of the compiled call there (on a 2-core Xeon, 52
 #: numbers took 38 us in Python and 45 us compiled, 133 numbers 92 and 67).
 _SMALL_CSV = 100
+#: A stride export scans at most this many sample times (about the span of
+#: the events over the stride, plus two per event), so that a tiny stride is
+#: refused instead of exhausting memory.
+_MAX_SAMPLE_ROWS = 1_000_000
 
 
 def _matrix(rows: list) -> np.ndarray:
@@ -812,9 +816,14 @@ class Trajectory:
         # Candidates s * stride after each event but the last, from s =
         # floor(t / stride) + 1 to one past the next event; s * stride grows
         # with s, so the kept ones are those that a scan from the first s up
-        # to the next event keeps.
-        first = np.floor(t[:-1] / stride) + 1.0
-        count = np.maximum(np.ceil(t[1:] / stride) + 2.0 - first, 0.0).astype(np.int64)
+        # to the next event keeps.  They are counted in float, where a tiny
+        # stride overflows to inf or NaN, before anything is allocated.
+        with np.errstate(over="ignore", invalid="ignore"):
+            first = np.floor(t[:-1] / stride) + 1.0
+            count = np.maximum(np.ceil(t[1:] / stride) + 2.0 - first, 0.0)
+        if not count.sum() <= _MAX_SAMPLE_ROWS:
+            raise InputError(f"stride {stride!r} needs more than {_MAX_SAMPLE_ROWS:,} sample rows")
+        count = count.astype(np.int64)
         event = np.repeat(np.arange(len(t) - 1), count)
         s = np.repeat(first, count) + (np.arange(len(event)) - np.repeat(np.cumsum(count) - count,
                                                                           count))

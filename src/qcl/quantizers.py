@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
+import numpy as np
+
 
 class InputError(ValueError):
     """Raised for non-finite or otherwise malformed numeric inputs."""
@@ -194,6 +196,18 @@ class UniformQuantizer:
         if self._threshold(k - 1) == z:
             return ((k - 1) * self.delta, k * self.delta)
         return (k * self.delta, k * self.delta)
+
+    def krasovskii_sets(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``krasovskii_set`` of each element of ``x`` by the same operations,
+        as the arrays ``(lo, hi)``; NaN for an element that is not finite or
+        leaves the representable lattice, where the method raises."""
+        with np.errstate(over="ignore"):
+            x = np.where(np.abs(x) / self.delta < 2.0 ** 52, x, math.nan)
+        base = np.floor(x / self.delta - 0.5)
+        k = base + 2.0
+        for j in (base + 1.0, base, base - 1.0):
+            k = np.where(self._threshold(j) > x, j, k)
+        return np.where(self._threshold(k - 1.0) == x, k - 1.0, k) * self.delta, k * self.delta
 
     def next_threshold(self, x: float, direction: int) -> float | None:
         """Closest threshold strictly beyond ``x`` in the given direction."""

@@ -291,6 +291,18 @@ class TestReportsAndAudit:
         assert any("level range" in p for p in problems)
         assert any("envelope" in p for p in problems)
 
+    def test_audit_flags_selections_outside_their_sets(self):
+        config = random_connected(12, seed=3)
+        traj = simulate(config)
+        k = len(traj.events) // 2
+        events = list(traj.events)
+        z = list(events[k].z)
+        z[2], z[7] = z[2] + 5.0, math.nan
+        events[k] = replace(events[k], z=tuple(z))
+        problems = audit_trajectory(Trajectory(traj.quantizer, events, traj.status), config)
+        assert [p for p in problems if "Kq" in p] == [
+            f"selection outside Kq for agent {i} at event {k}" for i in (2, 7)]
+
     @pytest.mark.parametrize("error,flagged", [(1e-6, True), (1e-11, False)])
     def test_audit_checks_velocities_within_tolerance(self, error, flagged):
         # The recorded velocities are checked against -L z to within 1e-9.

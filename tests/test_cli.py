@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -225,6 +226,37 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: stride")
         assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("stride", ["1e-12", "1e-300"])
+    def test_tiny_stride_is_one_error_line(self, tmp_path, capsys, stride):
+        # The samples (about 1e12 of them at 1e-12) are counted before any
+        # is built, so the run stays small.
+        tracemalloc.start()
+        try:
+            code = run_cli("run", "--builder", "example1", "--n", "3", "--stride", stride,
+                           "--out", str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and peak < 2 ** 26
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: stride"), err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("formats", ["xml", "CSV", "csv,xml", "csv,"])
+    def test_unknown_format_is_one_error_line(self, tmp_path, capsys, formats):
+        code = run_cli("run", "--builder", "example1", "--formats", formats,
+                       "--out", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: unknown format {formats.split(',')[-1]!r} in --formats; "
+            "the formats are csv and json"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_formats_writes_the_report_only(self, tmp_path):
+        assert run_cli("run", "--builder", "example1", "--formats", "", "--out",
+                       str(tmp_path)) == 0
+        assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
 
     @pytest.mark.parametrize("error", [NoSlidingSelection, RegularizationUnstable])
     def test_solver_failure_is_one_error_line(self, tmp_path, capsys, monkeypatch, error):

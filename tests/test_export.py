@@ -5,23 +5,27 @@ and the compiled trajectory writer.
 per value, a string built and copied at every level.  The writer must give
 the same bytes for every document, and the same exception type and message
 for every document it refuses.  The compiled writer's own self-check
-compares it with the Python writer (``_kernel_check._writer_agrees``).
+compares it with the Python writer (``_kernel_check._writer_agrees``), and
+a differential test compares its numbers with ``repr`` and ``.17g``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import shutil
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_kernel_variant
-from qcl import (TrajectoryEvent, _json, convergence_report, example1_line, quantizers,
-                 simulate)
+from qcl import (TrajectoryEvent, _json, _kernel_check, convergence_report, example1_line,
+                 quantizers, simulate)
 from qcl._json import dumps
+from qcl.dynamics import KIND_NAMES
 
 
 def _format_float(v: float) -> str:
@@ -159,3 +163,67 @@ def test_writer_reusing_text_on_equality_fails_self_check(monkeypatch, tmp_path)
     build_kernel_variant(monkeypatch, tmp_path, "same_bits(v, c->value)", "v == c->value")
     assert quantizers._load_kernel() is None
     assert list((tmp_path / "cache").iterdir()) == []
+
+
+def _differential_floats() -> np.ndarray:
+    """About 100,000 finite floats: random bit patterns, magnitudes from
+    1e-12 to 1e18, multiples of 1/64, decimals rounded to 0 to 12 places,
+    and the ends of the compiled writer's exact range, 1e-10 and 1e17, with
+    their neighbours."""
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2 ** 64, 5_000, dtype=np.uint64).view(np.float64)
+    magnitudes = 10.0 ** rng.uniform(-12.0, 18.0, 30_000) * rng.choice([-1.0, 1.0], 30_000)
+    sixty_fourths = rng.integers(-2 ** 40, 2 ** 40, 25_000) / 64.0
+    decimals = [round(v, p) for v, p in zip(rng.uniform(-1e6, 1e6, 25_000).tolist(),
+                                            rng.integers(0, 13, 25_000).tolist())]
+    # 4,000 floats on either side of each end, by their bits.
+    ends = np.array([1e-10, 1e17]).view(np.int64)[:, None] + np.arange(-4_000, 4_000)
+    edges = ends.ravel().view(np.float64) * rng.choice([-1.0, 1.0], ends.size)
+    values = np.concatenate([bits, magnitudes, sixty_fourths, decimals, edges])
+    return values[np.isfinite(values)]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_compiled_numbers_match_repr_and_17g():
+    # Each float is written twice per format, as the time and as the state
+    # of a one-agent row, so about 200,000 numbers per format; every one
+    # must be repr's (CSV) and format(v, ".17g")'s (JSON).
+    values = _differential_floats()
+    rows = len(values)
+    args = (values, np.zeros(rows, np.int64), values[::-1].reshape(-1, 1).copy(),
+            np.zeros(rows, np.int64), np.zeros((1, 1)), np.full((1, 1), np.nan))
+    write = quantizers._load_kernel().write
+    times, states = values.tolist(), values[::-1].tolist()
+    name = KIND_NAMES[0]
+    assert write(False, 0, *args).splitlines() == [f"{t!r},{name},{x!r},0.0,"
+                                                   for t, x in zip(times, states)]
+    text = write(True, 0, *args)
+    assert re.findall(r'"t": (.*),\n', text) == [format(t, ".17g") for t in times]
+    assert re.findall(r'"x": \[\n +(.*)\n', text) == [format(x, ".17g") for x in states]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@pytest.mark.parametrize("old, new", [
+    ("int closed = !(m & 1);", "int closed = 0;"),
+    ("(r == half && (*n & 1))", "r == half"),
+    ("if (*n == P17) {", "if (0) {"),
+    ("json ? 17 : 16", "17"),
+], ids=["open-interval-ends", "round-half-up", "no-decade-carry", "repr-switch-at-17"])
+def test_mutated_exact_digits_fail_self_check(monkeypatch, tmp_path, old, new):
+    build_kernel_variant(monkeypatch, tmp_path, old, new)
+    assert quantizers._load_kernel() is None
+    assert list((tmp_path / "cache").iterdir()) == []
+
+
+def test_exact_states_reach_interval_ends_and_ties():
+    # The self-check's floats that the mutants above depend on: a shortest
+    # decimal that is an end of the rounding interval v +- ulp/2, of an even
+    # significand, and exact ties at 17 digits, in exact arithmetic.
+    exact = _kernel_check._exact_states()
+    for v in exact[-3:]:
+        ulp = Fraction(math.ulp(v))
+        assert Fraction(repr(v)) in (Fraction(v) - ulp / 2, Fraction(v) + ulp / 2)
+        assert (Fraction(v) / ulp).numerator % 2 == 0
+    for v in exact[-7:-3]:
+        digits = Fraction(v) * 10 ** (16 - math.floor(math.log10(v)))
+        assert digits.denominator == 2

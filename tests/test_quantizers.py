@@ -347,6 +347,8 @@ class TestScansMatchPerAgentMethods:
             sets = [q.krasovskii_set(x_i) for x_i in x]
             assert krasovskii_scan(states, q, selection).outside == [
                 i for i, ((lo, hi), s) in enumerate(zip(sets, selection)) if not lo <= s <= hi]
+            lo, hi = q.krasovskii_sets(np.array(x, dtype=float))
+            assert repr(list(zip(lo.tolist(), hi.tolist()))) == repr(sets)
 
     @pytest.mark.parametrize("path", KERNEL_PATHS)
     @settings(max_examples=80, deadline=None)
