@@ -170,7 +170,9 @@ class _Struct(ctypes.Structure):
 class _Work:
     """The buffers of ``resolve`` and ``advance``, for up to ``n`` agents
     and hold systems of up to ``m`` unknowns, reused from call to call and
-    replaced by a larger one only when a call needs more.
+    replaced by a larger one only when a call needs more: then ``m`` at
+    least doubles, up to ``n``, so that surface sets that grow one agent at
+    a time replace it a few times, not once per size.
 
     ``buf`` maps each buffer of ``_BUFFERS`` to its ctypes array, ``x``,
     ``y``, ``z``, ``rows`` and ``ints`` are numpy views of the same memory, made once
@@ -195,19 +197,22 @@ class _Work:
 
 def _graph_table():
     """``c_graph(g)``: ``(n, address of g's struct qcl_graph, what keeps that
-    alive)``, each graph's CSR arrays copied for C once."""
+    alive)``, each graph's CSR arrays copied for C once from numpy: ``ends``,
+    ``cols`` and ``vals`` from ``g.csr``, and the row totals from
+    ``g.weights.sum(axis=1)``, the expression that defines
+    ``SparseRow.total``, so ``g.rows`` is never built."""
     graphs: dict[int, tuple] = {}
 
     def c_graph(g) -> tuple[int, int, tuple]:
         entry = graphs.get(id(g))
         if entry is None:
             _, cols, values, ends = g.csr
-            cols = np.ascontiguousarray(cols, dtype=np.int64)
-            values = np.ascontiguousarray(values, dtype=np.float64)
-            arrays = ((ctypes.c_int64 * len(ends))(*ends),
-                      (ctypes.c_int64 * len(cols)).from_buffer_copy(cols),
-                      (ctypes.c_double * len(values)).from_buffer_copy(values),
-                      (ctypes.c_double * g.n)(*[row.total for row in g.rows]))
+            arrays = tuple((ctype * len(a)).from_buffer_copy(np.ascontiguousarray(a, dtype))
+                           for ctype, dtype, a in (
+                               (ctypes.c_int64, np.int64, ends),
+                               (ctypes.c_int64, np.int64, cols),
+                               (ctypes.c_double, np.float64, values),
+                               (ctypes.c_double, np.float64, g.weights.sum(axis=1))))
             struct = _Graph(g.n, *map(ctypes.addressof, arrays))
             entry = graphs[id(g)] = (g.n, ctypes.addressof(struct), (struct, arrays))
             # The entry lives as long as the graph, and its id with it.
@@ -234,10 +239,12 @@ def _bind_advance(lib: ctypes.CDLL):
     work = _Work(1, 1)
 
     def reserve(n: int, m: int = 0) -> _Work:
-        """The workspace, grown to at least n agents and m unknowns."""
+        """The workspace, grown to at least n agents and m unknowns; more
+        unknowns are at least twice as many, up to the agents."""
         nonlocal work
         if n > work.n or m > work.m:
-            work = _Work(max(n, work.n), max(m, work.m))
+            n = max(n, work.n)
+            work = _Work(n, max(m, min(2 * work.m, n)) if m > work.m else work.m)
         return work
 
     c_advance = lib.qcl_advance

@@ -675,8 +675,9 @@ KIND_NAMES = EVENT_KINDS + ("sample",)
 #: numbers took 38 us in Python and 45 us compiled, 133 numbers 92 and 67).
 _SMALL_CSV = 100
 #: A stride export scans at most this many sample times (about the span of
-#: the events over the stride, plus two per event), so that a tiny stride is
-#: refused instead of exhausting memory.
+#: the events over the stride, plus two per event), and the regularized
+#: oracle keeps fewer samples, so that a tiny stride is refused instead of
+#: exhausting memory.
 _MAX_SAMPLE_ROWS = 1_000_000
 
 
@@ -1208,9 +1209,15 @@ def simulate_regularized(
             f"step h={h} too large for eps={eps}: need h < {eps / guard:.3g}"
         )
 
+    # Counted in float first: a tiny stride overflows to inf, or asks for
+    # more samples than memory holds; a negative t_end keeps the sample at 0.
+    samples = t_end / stride + 1e-9
+    if not samples < _MAX_SAMPLE_ROWS:
+        raise InputError(f"stride {stride!r} needs more than {_MAX_SAMPLE_ROWS:,} sample rows "
+                         f"up to t_end={t_end!r}")
+    n_samples = int(math.floor(max(samples, -1.0)))
     xp, fp = _ramp_knots(quantizer, x0, eps)
     x = [float(v) for v in x0]
-    n_samples = int(math.floor(t_end / stride + 1e-9))
     if not xp:
         # A single level and no threshold: q is constant and nothing moves.
         times = [k * stride for k in range(n_samples + 1)]

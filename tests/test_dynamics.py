@@ -843,6 +843,64 @@ def test_event_loop_resumes_after_a_full_chunk_and_grown_buffers(monkeypatch):
     assert compiled == _run_outcome(config, None)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 1.0))
+@example(n=1, seed=0, density=1.0).via("single agent, empty row")
+@example(n=30, seed=1, density=0.5).via("weights of mixed magnitude")
+def test_graph_tables_hold_the_csr_and_row_totals_bit_for_bit(n, seed, density):
+    # Weights from 1e-12 to 1e12, so row totals round, and rows with no
+    # neighbours.  The tables are built without SparseRow; the totals are
+    # compared with SparseRow's.
+    rng = np.random.default_rng(seed)
+    w = rng.choice([0.1, 1 / 3, 1.0, 1e-12, 7e11, 2.5e-7], size=(n, n))
+    w *= rng.uniform(size=(n, n)) < density
+    w[rng.uniform(size=n) < 0.3] = 0.0
+    np.fill_diagonal(w, 0.0)
+    g = WeightedDigraph(w)
+    size, address, (struct, arrays) = _ckernel._graph_table()(g)
+    assert "rows" not in g.__dict__
+    assert size == n and address == ctypes.addressof(struct) and struct.n == n
+    _, cols, values, ends = g.csr
+    expected = (np.array(ends, dtype=np.int64), cols, values,
+                np.array([row.total for row in g.rows]))
+    for table, array, pointer in zip(arrays, expected, (struct.ends, struct.cols, struct.vals,
+                                                         struct.totals)):
+        assert ctypes.addressof(table) == pointer
+        assert bytes(table) == array.tobytes()
+
+
+@needs_cc
+def test_compiled_simulate_builds_no_sparse_rows():
+    config = example1_line(12, 1 / 16, x0_spacing=0.3, policy=SequentialSlow())
+    g = config.schedule.graph_at(0.0)
+    assert len(simulate(config).events) > 10
+    assert "rows" not in g.__dict__
+
+
+@needs_cc
+def test_workspace_grows_a_few_times_over_the_wide_surface_workload(monkeypatch):
+    # Surface sets grow one agent at a time up to 64 unknowns on up to 160
+    # agents; doubling the unknowns, up to the agents, replaces the
+    # workspace 10 times after the first, where growing to the size asked
+    # for replaced it 67 times.
+    built = []
+
+    class Counted(_ckernel._Work):
+        def __init__(self, n, m):
+            built.append((n, m))
+            super().__init__(n, m)
+
+    monkeypatch.setattr(_ckernel, "_Work", Counted)
+    kernels = quantizers._load_kernel.__wrapped__()  # a fresh workspace
+    monkeypatch.setattr(quantizers, "_load_kernel", lambda: kernels)
+    root = Path(__file__).resolve().parents[1]
+    for case in _benchmark_workloads().WORKLOADS["wide-surface"](1, root):
+        simulate(scenario_from_json(json.loads(case.text())))
+    assert built[0] == (1, 1) and len(built) <= 12
+    assert max(m for _, m in built) == 64
+    assert all(m <= n for n, m in built)
+
+
 @needs_cc
 @pytest.mark.parametrize("old,new", [
     ("            w->x[w->hit[h]] = w->threshold[h];\n", ""),

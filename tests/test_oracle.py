@@ -101,6 +101,16 @@ def test_bad_sampling_rejected(stride, t_end):
         simulate_regularized(config, eps=1e-3, h=1e-5, stride=stride, t_end=t_end)
 
 
+@pytest.mark.parametrize("stride", [1e-300, 5e-324, 1e-7])
+def test_tiny_stride_rejected_before_sampling(stride):
+    # 1e-300 asks for 1e299 samples, and 0.1 / 5e-324 overflows to inf;
+    # each would run out of memory or raise OverflowError.  1e-7 asks for
+    # 1e6 samples plus the one at t = 0, one past the cap.
+    config = example1_line(3, 1.0)
+    with pytest.raises(InputError, match="stride .* needs more than 1,000,000 sample rows"):
+        simulate_regularized(config, eps=1e-3, h=1e-5, stride=stride, t_end=0.1)
+
+
 def test_chain_crawl_speed_matches_geometric_factor():
     # Leader-chain with four agents: the regularized slide moves the first
     # agent at a * (a/(a+b))^2 = 0.25.
