@@ -45,16 +45,20 @@ class Kernels(NamedTuple):
 
     #: ``rk4_chunk(x, rows, xp, fp, h, steps)``, as ``dynamics._rk4_chunk``.
     rk4_chunk: Callable[[list, list, list, list, float, int], list]
-    #: ``resolve(g, x, delta, policy, last_stopped, cutoff)``: the fields of
-    #: ``dynamics.resolve_sliding``'s ``Resolution`` under any policy, then
-    #: the ``threshold_hits`` of its velocity; or None when it declines.
+    #: ``resolve(g, x, quantizer, policy, last_stopped, cutoff)``: the fields
+    #: of ``dynamics.resolve_sliding``'s ``Resolution`` under any policy and
+    #: either quantizer, then the ``threshold_hits`` of its velocity; or None
+    #: when it declines.
     resolve: Callable[..., tuple | None]
-    #: ``advance(g, x, delta, policy, last_stopped, cutoff, t, ts, horizon,
-    #: budget)``: ``(rows, ints, t, x, hits, resolution)``, the events that
-    #: ``qcl_advance`` recorded (per chunk, a float array of one row ``t, x,
-    #: z, velocity, alpha`` per event and an int array of their records, as
-    #: ``dynamics._Recorder`` reads them), the time, state and hit agents
-    #: where it stopped, and ``resolve`` of that state.
+    #: ``advance(schedule, x, quantizer, policy, last_stopped, cutoff, t,
+    #: kind, horizon, budget)``: ``(rows, kinds, ints, t, x, kind, stopped,
+    #: resolution)``, the events that ``qcl_advance`` recorded from the event
+    #: of kind ``kind`` (an index in ``dynamics.EVENT_KINDS``) at time ``t``
+    #: (per chunk, a float array of one row ``t, x, z, velocity, alpha`` per
+    #: event, an int array of their kinds and one of their records, as
+    #: ``Trajectory`` stores them), the time, state, kind and last-stopped
+    #: agents (in increasing order) where it stopped, and ``resolve`` of that
+    #: state.
     advance: Callable[..., tuple]
     #: ``write(json, indent, t, kind, x, src, z, alpha)``: the text of the
     #: rows of a trajectory export (see ``qcl_write``), or None when they
@@ -138,6 +142,25 @@ class _Graph(ctypes.Structure):
                 ("vals", ctypes.c_void_p), ("totals", ctypes.c_void_p)]
 
 
+class _Schedule(ctypes.Structure):
+    """``struct qcl_schedule``: a schedule's segment starts, graphs and period."""
+
+    _fields_ = [("count", ctypes.c_int64), ("starts", ctypes.c_void_p),
+                ("graphs", ctypes.c_void_p), ("periodic", ctypes.c_int64),
+                ("period", ctypes.c_double)]
+
+
+#: The start of every schedule of one segment.
+_ZERO = ctypes.c_double(0.0)
+
+
+class _Quantizer(ctypes.Structure):
+    """``struct qcl_quantizer``: a uniform step, or a general quantizer's table."""
+
+    _fields_ = [("delta", ctypes.c_double), ("count", ctypes.c_int64),
+                ("thresholds", ctypes.c_void_p), ("levels", ctypes.c_void_p)]
+
+
 #: The buffers of ``struct qcl_work``: name, C type and length in agents n,
 #: unknowns m or the chunk of ``qcl_advance``.
 _BUFFERS = (("x", ctypes.c_double, "n"), ("y", ctypes.c_double, "n"),
@@ -151,10 +174,14 @@ _BUFFERS = (("x", ctypes.c_double, "n"), ("y", ctypes.c_double, "n"),
             ("box", ctypes.c_double, "2n"), ("aug", ctypes.c_double, "m(m+1)"),
             ("out", ctypes.c_double, "m"), ("slot", ctypes.c_int64, "n"),
             ("colmap", ctypes.c_int64, "n"), ("rows", ctypes.c_double, "rows"),
-            ("ints", ctypes.c_int64, "ints"))
+            ("ints", ctypes.c_int64, "ints"), ("kinds", ctypes.c_int64, "kinds"))
 #: The least length of the chunk of ``qcl_advance``, in doubles of its rows
-#: and in integers of its records (32 KiB each); it stops when it is full.
+#: and in integers of its records (32 KiB each); ``advance`` empties a full
+#: chunk and calls it again.
 CHUNK = 2 ** 12
+#: What ``qcl_advance`` returns when the chunk is full, and when the hold
+#: buffers are too small.
+_FULL, _GROW = 2, 3
 
 
 class _Struct(ctypes.Structure):
@@ -164,7 +191,7 @@ class _Struct(ctypes.Structure):
                 + [(name, ctypes.c_int64)
                    for name in ("m", "rows_cap", "ints_cap", "n_pins", "n_surface", "count")]
                 + [(name, ctypes.c_double) for name in ("dt", "t")]
-                + [(name, ctypes.c_int64) for name in ("n_stopped", "n_rows", "n_ints")])
+                + [(name, ctypes.c_int64) for name in ("n_stopped", "n_rows", "n_ints", "kind")])
 
 
 class _Work:
@@ -175,51 +202,103 @@ class _Work:
     a time replace it a few times, not once per size.
 
     ``buf`` maps each buffer of ``_BUFFERS`` to its ctypes array, ``x``,
-    ``y``, ``z``, ``rows`` and ``ints`` are numpy views of the same memory, made once
-    (on a 2-core Xeon, copying 6 states into one takes about 0.5 us, asking
-    numpy for an array's address 0.9 us), and ``struct`` points the C code
-    at all of them.
+    ``y``, ``z``, ``rows``, ``ints`` and ``kinds`` are numpy views of the
+    same memory, made once (on a 2-core Xeon, copying 6 states into one
+    takes about 0.5 us, asking numpy for an array's address 0.9 us), and
+    ``struct`` points the C code at all of them.
     """
 
     def __init__(self, n: int, m: int):
         self.n, self.m = n, m
         sizes = {"n": n, "2n": 2 * n, "m": m, "m(m+1)": m * (m + 1),
                  "rows": max(CHUNK, 4 * n + 1), "ints": max(CHUNK, 3 * n + 2)}
+        sizes["kinds"] = sizes["rows"] // 5  # an event has at least 5 numbers
         self.buf = {name: (ctype * sizes[size])() for name, ctype, size in _BUFFERS}
         self.buf["colmap"][:] = [-1] * n
         self.x, self.y, self.z, self.rows = (np.frombuffer(self.buf[name])
                                              for name in ("x", "y", "z", "rows"))
-        self.ints = np.frombuffer(self.buf["ints"], dtype=np.int64)
+        self.ints, self.kinds = (np.frombuffer(self.buf[name], dtype=np.int64)
+                                 for name in ("ints", "kinds"))
         self.struct = _Struct(*map(ctypes.addressof, self.buf.values()), m,
                               sizes["rows"], sizes["ints"])
         self.address = ctypes.addressof(self.struct)
 
 
-def _graph_table():
-    """``c_graph(g)``: ``(n, address of g's struct qcl_graph, what keeps that
-    alive)``, each graph's CSR arrays copied for C once from numpy: ``ends``,
-    ``cols`` and ``vals`` from ``g.csr``, and the row totals from
-    ``g.weights.sum(axis=1)``, the expression that defines
-    ``SparseRow.total``, so ``g.rows`` is never built."""
-    graphs: dict[int, tuple] = {}
+def _tables():
+    """``(c_schedule, c_quantizer)``, the C tables of schedules and
+    quantizers.
 
-    def c_graph(g) -> tuple[int, int, tuple]:
-        entry = graphs.get(id(g))
+    ``c_schedule(s)`` gives ``(n, address of s's struct qcl_schedule)`` for
+    a ``GraphSchedule``, or a graph as a schedule of one segment.  Each
+    graph's CSR arrays are copied for C once from numpy: ``ends``, ``cols``
+    and ``vals`` from ``g.csr``, and the row totals from
+    ``g.weights.sum(axis=1)``, the expression that defines
+    ``SparseRow.total``, so ``g.rows`` is never built; the graph's own
+    schedule of one segment is built with them and serves every schedule
+    of one segment without a period.  ``c_quantizer(q)`` gives the address
+    of q's struct qcl_quantizer: a ``GeneralQuantizer``'s thresholds and
+    levels, sorted as that class keeps them, or the step of a uniform one,
+    written into one struct that serves every uniform quantizer, which the
+    next call may overwrite.  The tables of a graph, a schedule or a general
+    quantizer are built once and live as long as it does.
+    """
+    from .graphs import GraphSchedule
+    from .quantizers import GeneralQuantizer
+
+    tables: dict[tuple[str, int], tuple] = {}
+
+    def cached(obj, kind: str, build: Callable) -> tuple:
+        entry = tables.get((kind, id(obj)))
         if entry is None:
-            _, cols, values, ends = g.csr
-            arrays = tuple((ctype * len(a)).from_buffer_copy(np.ascontiguousarray(a, dtype))
-                           for ctype, dtype, a in (
-                               (ctypes.c_int64, np.int64, ends),
-                               (ctypes.c_int64, np.int64, cols),
-                               (ctypes.c_double, np.float64, values),
-                               (ctypes.c_double, np.float64, g.weights.sum(axis=1))))
-            struct = _Graph(g.n, *map(ctypes.addressof, arrays))
-            entry = graphs[id(g)] = (g.n, ctypes.addressof(struct), (struct, arrays))
-            # The entry lives as long as the graph, and its id with it.
-            weakref.finalize(g, graphs.pop, id(g), None)
+            entry = tables[kind, id(obj)] = build(obj)
+            # The entry lives as long as the object, and its id with it.
+            weakref.finalize(obj, tables.pop, (kind, id(obj)), None)
         return entry
 
-    return c_graph
+    def graph_table(g) -> tuple:
+        """``(n, address of g's schedule of one segment, what keeps it
+        alive)``; that schedule's graphs are g's struct qcl_graph."""
+        _, cols, values, ends = g.csr
+        arrays = tuple((ctype * len(a)).from_buffer_copy(np.ascontiguousarray(a, dtype))
+                       for ctype, dtype, a in (
+                           (ctypes.c_int64, np.int64, ends),
+                           (ctypes.c_int64, np.int64, cols),
+                           (ctypes.c_double, np.float64, values),
+                           (ctypes.c_double, np.float64, g.weights.sum(axis=1))))
+        graph = _Graph(g.n, *map(ctypes.addressof, arrays))
+        schedule = _Schedule(1, ctypes.addressof(_ZERO), ctypes.addressof(graph), 0, 0.0)
+        return g.n, ctypes.addressof(schedule), (schedule, graph, arrays)
+
+    def schedule_table(s) -> tuple:
+        graphs = [cached(g, "graph", graph_table) for _, g in s.segments]
+        arrays = ((ctypes.c_double * len(graphs))(*s._starts),
+                  (_Graph * len(graphs))(*[graph for _, _, (_, graph, _) in graphs]))
+        schedule = _Schedule(len(graphs), *map(ctypes.addressof, arrays), s.period is not None,
+                             s.period or 0.0)
+        return graphs[0][0], ctypes.addressof(schedule), (schedule, arrays, graphs)
+
+    def c_schedule(s) -> tuple[int, int]:
+        if not isinstance(s, GraphSchedule):
+            return cached(s, "graph", graph_table)[:2]
+        if s.period is None and len(s.segments) == 1:
+            return cached(s.segments[0][1], "graph", graph_table)[:2]
+        return cached(s, "schedule", schedule_table)[:2]
+
+    def quantizer_table(q) -> tuple:
+        arrays = ((ctypes.c_double * len(q.thresholds))(*q.thresholds),
+                  (ctypes.c_double * len(q.levels))(*q.levels))
+        struct = _Quantizer(0.0, len(q.thresholds), *map(ctypes.addressof, arrays))
+        return ctypes.addressof(struct), (struct, arrays)
+
+    uniform = _Quantizer()
+
+    def c_quantizer(q) -> int:
+        if isinstance(q, GeneralQuantizer):
+            return cached(q, "quantizer", quantizer_table)[0]
+        uniform.delta = q.delta
+        return ctypes.addressof(uniform)
+
+    return c_schedule, c_quantizer
 
 
 def _bind_advance(lib: ctypes.CDLL):
@@ -230,12 +309,13 @@ def _bind_advance(lib: ctypes.CDLL):
     pins on agents outside the graph are dropped, as its Python code ignores
     them.  The resolution is None, so that the caller runs its Python code,
     when the C code declines, a last-stopped agent is not an integer of the
-    graph or the cutoff is not a number.  The hold buffers grow when the C
-    code asks for more, and the loop then goes on in the larger workspace.
+    graph or the cutoff is not a number.  A full chunk is copied out and the
+    loop goes on; the hold buffers grow when the C code asks for more, and
+    the loop then goes on in the larger workspace.
     """
     from .dynamics import FixedAlpha, SequentialSlow
 
-    c_graph = _graph_table()
+    c_schedule, c_quantizer = _tables()
     work = _Work(1, 1)
 
     def reserve(n: int, m: int = 0) -> _Work:
@@ -249,65 +329,72 @@ def _bind_advance(lib: ctypes.CDLL):
 
     c_advance = lib.qcl_advance
     c_advance.restype = ctypes.c_int
-    c_advance.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_int64,
-                          ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_int64]
+    c_advance.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                          ctypes.c_double, ctypes.c_double, ctypes.c_int64]
 
-    def advance(g, x: np.ndarray, delta: float, policy, last_stopped, cutoff,
-                t: float = 0.0, ts: float = math.inf, horizon: float = math.inf,
+    def advance(schedule, x: np.ndarray, quantizer, policy, last_stopped, cutoff,
+                t: float = 0.0, kind: int = 0, horizon: float = math.inf,
                 budget: int = 0) -> tuple:
-        n, graph, _ = c_graph(g)
+        n, table = c_schedule(schedule)
         sequential = isinstance(policy, SequentialSlow)
-        stopped = list(last_stopped) if sequential else []
         pins = [pin for pin in policy.overrides if 0 <= pin[0] < n] \
             if isinstance(policy, FixedAlpha) else []
         rows: list[np.ndarray] = []
+        kinds: list[np.ndarray] = []
         ints: list[np.ndarray] = []
+        stopped = ()
         try:
-            if stopped and not 0 <= min(stopped) <= max(stopped) < n:
-                return rows, ints, t, x, None, None
+            if last_stopped:
+                stopped = tuple(sorted(last_stopped))
+                if not 0 <= stopped[0] <= stopped[-1] < n:
+                    return rows, kinds, ints, t, x, kind, stopped, None
+            q = c_quantizer(quantizer)
             w = reserve(n)
             w.x[:n] = x
             w.buf["stopped"][:len(stopped)] = stopped
-            w.struct.t, w.struct.n_stopped = t, len(stopped)
-            budget = min(budget, CHUNK)  # a chunk holds fewer events; C takes an int64
+            w.struct.t, w.struct.n_stopped, w.struct.kind = t, len(stopped), kind
+            budget = min(budget, 2 ** 62)  # C takes an int64
             while True:
                 s = w.struct
                 s.n_pins = len(pins)
                 if pins:
                     w.buf["pins"][:len(pins)], w.buf["pin_alpha"][:len(pins)] = zip(*pins)
-                status = c_advance(graph, w.address, delta, sequential, cutoff, ts, horizon,
-                                   budget)
+                status = c_advance(table, w.address, q, sequential, cutoff, horizon, budget)
                 if s.n_rows:
                     rows.append(w.rows[:s.n_rows * (4 * n + 1)].reshape(s.n_rows, -1).copy())
+                    kinds.append(w.kinds[:s.n_rows].copy())
                     ints.append(w.ints[:s.n_ints].copy())
                     budget -= s.n_rows
-                if status != 3:
+                if status == _FULL:
+                    continue
+                if status != _GROW:
                     break
                 grown = reserve(n, s.count)
                 grown.x[:n] = w.x[:n]
                 grown.buf["stopped"][:s.n_stopped] = w.buf["stopped"][:s.n_stopped]
-                grown.struct.t, grown.struct.n_stopped = s.t, s.n_stopped
+                for field in ("t", "n_stopped", "kind"):
+                    setattr(grown.struct, field, getattr(s, field))
                 w = grown
         except (TypeError, ctypes.ArgumentError):
-            return rows, ints, t, x, None, None
-        hits = None
-        if ints:
-            t, x, hits = s.t, w.x[:n].copy(), tuple(w.buf["stopped"][:s.n_stopped])
+            return rows, kinds, ints, t, x, kind, stopped, None
+        if rows:
+            t, x, kind = s.t, w.x[:n].copy(), s.kind
+            stopped = tuple(w.buf["stopped"][:s.n_stopped])
         if status:
-            return rows, ints, t, x, hits, None
+            return rows, kinds, ints, t, x, kind, stopped, None
         buf = w.buf
         k, count = s.n_surface, s.count
         surface, signs = buf["surface"][:k], buf["sign"][:k]
         z, velocity = w.z[:n].copy(), w.y[:n].copy()
         z.flags.writeable = velocity.flags.writeable = False
-        return rows, ints, t, x, hits, (
+        return rows, kinds, ints, t, x, kind, stopped, (
             z, velocity, tuple(zip(surface, buf["alpha"][:k])),
             frozenset([i for i, sign in zip(surface, signs) if not sign]),
             tuple([(i, sign) for i, sign in zip(surface, signs) if sign]),
             (s.dt, list(zip(buf["hit"][:count], buf["threshold"][:count]))))
 
-    def resolve(g, x: np.ndarray, delta: float, policy, last_stopped, cutoff) -> tuple | None:
-        return advance(g, x, delta, policy, last_stopped, cutoff)[-1]
+    def resolve(g, x: np.ndarray, quantizer, policy, last_stopped, cutoff) -> tuple | None:
+        return advance(g, x, quantizer, policy, last_stopped, cutoff)[-1]
 
     return resolve, advance
 
@@ -354,8 +441,10 @@ def _bind_write(lib: ctypes.PyDLL):
         args = [bool(json), indent, rows, n, len(z), *[a.ctypes.data for a in arrays],
                 *tables[bool(json)][:3]]
         cap = c_write(*args, None, 0, *formatter)
-        out = bytearray(cap)
-        size = c_write(*args, (ctypes.c_char * cap).from_buffer(out), cap, *formatter)
+        # Not zero-filled: the C code writes every byte before the size it
+        # returns, and only those are read.
+        out = np.empty(cap, np.uint8)
+        size = c_write(*args, out.ctypes.data, cap, *formatter)
         if size == -2:
             return None
         if size == -4:

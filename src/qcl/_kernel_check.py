@@ -6,9 +6,10 @@ any operation shows: ``qcl_rk4_chunk`` against the list kernel,
 ``qcl_resolve`` and ``qcl_advance`` against ``_resolve_python`` and
 ``simulate`` on the list code, and ``qcl_write`` against the Python writer,
 which formats with ``repr`` and ``format(v, ".17g")``.  The resolve states
-also reach every static helper that they run: the hold solver, the row
-sums, the set and hit scans and projected Gauss-Seidel.  ``quantizers._load_kernel`` runs it only when
-a build is new.
+and runs also reach every static helper that they run: the hold solver, the
+row sums, the set and hit scans of both quantizers, the schedule lookup and
+projected Gauss-Seidel.  ``quantizers._load_kernel`` runs it only when a
+build is new.
 """
 
 from __future__ import annotations
@@ -23,7 +24,11 @@ from .dynamics import (FixedAlpha, SequentialSlow, SimulationLimitError, Sliding
                        TrajectoryEvent, _csv_line, _resolve_python, _rk4_chunk_lists,
                        _row_dicts, simulate)
 from .graphs import GraphSchedule, WeightedDigraph
-from .quantizers import UniformQuantizer, threshold_hits
+from .quantizers import GeneralQuantizer, UniformQuantizer, threshold_hits
+
+#: Uneven gaps, thresholds off the midpoints (-0.3 and 2.9 not binary
+#: fractions) and a threshold at 0.
+_GENERAL = GeneralQuantizer((-1.5, -0.25, 0.5, 0.75, 2.0, 3.25), (-0.3, 0.0, 0.625, 1.0, 2.9))
 
 
 def kernels_agree(kernels) -> bool:
@@ -59,9 +64,12 @@ def _ulps(x: float, count: int) -> float:
     return x
 
 
-def _case(n, edges, x, policy=Sliding(), stopped=(), delta=1.0, cutoff=64):
-    """A resolve's arguments: ``(g, x, delta, policy, last stopped, cutoff)``."""
-    return (WeightedDigraph.from_edges(n, edges), np.array(x, dtype=float), delta, policy,
+def _case(n, edges, x, policy=Sliding(), stopped=(), delta=1.0, cutoff=64, quantizer=None):
+    """A resolve's arguments: ``(g, x, quantizer, policy, last stopped,
+    cutoff)``, under ``UniformQuantizer(delta)`` unless a quantizer is
+    given."""
+    return (WeightedDigraph.from_edges(n, edges), np.array(x, dtype=float),
+            UniformQuantizer(delta) if quantizer is None else quantizer, policy,
             frozenset(stopped), cutoff)
 
 
@@ -150,6 +158,33 @@ def _pin_states() -> list[tuple]:
     ]
 
 
+def _general_states() -> tuple[list[tuple], list[tuple]]:
+    """``(accepted, declined)`` resolves under ``_GENERAL`` and under a
+    quantizer of one level and no threshold.
+
+    On directed cycles, the states lie on the thresholds, 1-2 ulps beside
+    them, on the levels, at -0.0 and beyond the outermost thresholds on
+    both sides; the set scan must find a threshold with bisect_left, and
+    the hit scan look up with bisect_right and down with bisect_left.
+    States that are not finite must be declined."""
+    xs = [-0.0, 0.0, -7.5, 9.0, -1.5, 3.25, 3.0, -1.0]
+    for t in _GENERAL.thresholds:
+        xs += [t] + [_ulps(t, u) for u in (-2, -1, 1, 2)]
+    xs += list(_GENERAL.levels)
+    accepted = [_case(len(x), [(i, i + 1, 1.3) for i in range(len(x) - 1)]
+                      + [(len(x) - 1, 0, 0.7)], x, quantizer=_GENERAL)
+                for start in range(0, len(xs), 7) for x in [xs[start:start + 11]]]
+    accepted += [
+        _case(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 2.0), (3, 2, 0.5)], [-7.5, 9.0, 2.9, 2.9],
+              SequentialSlow(), [2], quantizer=_GENERAL),
+        _case(3, [(0, 1, 1.0), (2, 0, 1.0)], [0.0, 4.0, -2.0], FixedAlpha({1: 0.5}),
+              quantizer=GeneralQuantizer((0.7,), ())),
+    ]
+    declined = [_case(2, [(0, 1, 1.0)], [0.0, bad], quantizer=_GENERAL)
+                for bad in (math.inf, -math.inf, math.nan)]
+    return accepted, declined
+
+
 #: States of a unit step that run projected Gauss-Seidel: ``(n, edges, x,
 #: last stopped, cutoff)``.  See ``_resolve_agrees``.
 _PGS_STATES = (
@@ -184,8 +219,9 @@ def _resolve_agrees(resolve) -> bool:
     departure that the re-check finds pushed back onto its surface.  Where
     the polish does not run, the sweep order and the end-snap show in the
     bits.  It must also accept the states of ``_row_states``,
-    ``_hold_states``, ``_scan_states`` and ``_pin_states``, and decline
-    states off the lattice.
+    ``_hold_states``, ``_scan_states``, ``_general_states`` and
+    ``_pin_states``, match on 30 random graphs under ``_GENERAL``, and
+    decline states off the lattice or not finite.
     """
     rng = random.Random(1)
     drawn = []
@@ -199,6 +235,14 @@ def _resolve_agrees(resolve) -> bool:
             {i: rng.choice([0.0, 0.25, 1 / 3, 1.0]) for i in range(n + 1) if rng.random() < 0.4})])
         drawn.append(_case(n, edges, x, policy, [i for i in range(n) if rng.random() < 0.3],
                            delta))
+    points = [*_GENERAL.thresholds, *_GENERAL.levels, -4.0, 5.0]
+    for _ in range(30):
+        n = rng.randint(2, 8)
+        edges = [(i, j, rng.choice([0.5, 1.0, 1.5, 0.3]))
+                 for i in range(n) for j in range(n) if i != j and rng.random() < 0.4]
+        drawn.append(_case(n, edges, [rng.choice(points) for _ in range(n)],
+                           rng.choice([Sliding(), SequentialSlow()]),
+                           [i for i in range(n) if rng.random() < 0.3], quantizer=_GENERAL))
     accepted = _row_states() + [
         _case(6, [(0, 1, 1.0), (2, 1, 2.0), (3, 0, 2.0), (4, 0, 1.0), (4, 1, 1.0), (4, 3, 3.0),
                   (5, 2, 1.0)], [-1.5, -0.5, 3.5, -1.5, -0.5, -0.5]),
@@ -211,7 +255,8 @@ def _resolve_agrees(resolve) -> bool:
         _case(n, edges, x, policy, stopped, cutoff=cutoff)
         for n, edges, x, stopped, cutoff in _PGS_STATES for policy in (Sliding(), SequentialSlow())
     ] + _hold_states() + _pin_states()
-    declined = []
+    accepted_general, declined = _general_states()
+    accepted += accepted_general
     for delta in (1.0, 0.1, 0.01, 1 / 3, 0.7, 2.5e-3):
         on_lattice, off_lattice = _scan_states(delta)
         accepted += on_lattice
@@ -222,13 +267,12 @@ def _resolve_agrees(resolve) -> bool:
         return (z.tobytes(), velocity.tobytes(), [(i, a.hex()) for i, a in alpha], held,
                 departing)
 
-    def agrees(g, x, delta, policy, stopped, cutoff, must) -> bool:
-        out = resolve(g, x, delta, policy, stopped, cutoff)
+    def agrees(g, x, q, policy, stopped, cutoff, must) -> bool:
+        out = resolve(g, x, q, policy, stopped, cutoff)
         if out is None:
             return must != "accept"
         if must == "decline":
             return False
-        q = UniformQuantizer(delta)
         try:
             ref = _resolve_python(x, g, q, policy, stopped, cutoff)
         except (ArithmeticError, ValueError, RuntimeError):
@@ -269,9 +313,14 @@ def _runs_agree(kernels) -> bool:
     policies, from states on thresholds, to the event limit and to the
     horizon.  On the schedule of two line graphs, arrivals at 0.25 and 1.0
     coincide with its switches; repeated with a period of 0.7, the switch
-    times k * 0.7 + 0.1 round.  On the last schedule an arrival that comes
-    before the switch at 0.375 steps to a time that rounds onto it.  Two
-    stubborn-leader chains run under FixedAlpha, one with the pins that
+    times k * 0.7 + 0.1 round.  On the next schedule an arrival that comes
+    before the switch at 0.375 steps to a time that rounds onto it.  With a
+    period of 1/3 whose second segment starts one ulp before its end, the
+    switch 2/3 + that start rounds below 1 while its quotient by the period
+    rounds to 3, so its segment comes from the cycle before floor(t /
+    period).  Two lines run under ``_GENERAL`` from states on and beyond its
+    outermost thresholds, one to its equilibrium and one to the horizon.
+    Two stubborn-leader chains run under FixedAlpha, one with the pins that
     sustain its holds and one with pins that go stale.
     """
     from .scenarios import ScenarioConfig, example2_sliding, line_graph
@@ -293,9 +342,16 @@ def _runs_agree(kernels) -> bool:
             3, [(0, 2, 2.0), (1, 0, 1.0), (1, 2, 2.0), (2, 0, 1.0)])),
                         (0.375, WeightedDigraph.from_edges(3, [(1, 0, 0.5), (2, 0, 0.5)]))),
                        0.3, 2.0), 1 / 3, [1.5, 1 / 3, 0.0], {}),
+        (GraphSchedule(((0.0, line), (math.nextafter(1 / 3, 0.0), heavy)), 1.0, 2.0, 1 / 3),
+         1 / 64, [0.0, 0.3, 0.55, 0.9, 1.3, 1.6], {}),
+        (GraphSchedule.time_invariant(line, 1.0, 2.0), _GENERAL,
+         [-1.5, -0.3, 0.2, 0.625, 1.9, 2.9], {}),
+        (GraphSchedule.time_invariant(line_graph(6, 0.7), 0.7, 0.7), _GENERAL,
+         [-2.0, -0.3, 0.0, 0.5, 2.9, 8.0], {"horizon": 2.5}),
     ]
-    configs = [ScenarioConfig(schedule, UniformQuantizer(delta), x0, policy, **limits)
-               for schedule, delta, x0, limits in runs
+    configs = [ScenarioConfig(schedule, q if isinstance(q, GeneralQuantizer)
+                              else UniformQuantizer(q), x0, policy, **limits)
+               for schedule, q, x0, limits in runs
                for policy in (Sliding(), SequentialSlow())]
     chain = example2_sliding(5, 0.7, 1.3)
     configs += [chain, ScenarioConfig(chain.schedule, chain.quantizer, chain.x0,

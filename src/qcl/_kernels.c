@@ -5,33 +5,36 @@
  * bisect_right, each Laplacian row is summed in increasing column order, and
  * the final update adds k1 + 2 k2 + 2 k3 + k4 from left to right.
  *
- * qcl_resolve: one whole resolve of qcl.dynamics.resolve_sliding under a
- * uniform quantizer and any policy (Sliding, SequentialSlow or FixedAlpha),
+ * qcl_resolve: one whole resolve of qcl.dynamics.resolve_sliding under
+ * either quantizer and any policy (Sliding, SequentialSlow or FixedAlpha),
  * and the closest threshold arrival of its velocity: the set scan, the
  * trivially held midpoints and the pins, the dense hold solves with their
  * releases, the departure re-check, projected Gauss-Seidel where the Python
  * code runs it (more surface agents that listen to someone than the dense
  * cutoff, a singular hold system, a departure that the re-check finds
  * sign-inconsistent), the release of stale pins, the velocities and the hit
- * scan, in one call.  It declines, with no effect outside its buffers,
- * leaving the caller to run its Python code, for a state off the threshold
+ * scan, in one call.  A uniform quantizer's lattice is computed; a general
+ * one comes as its table of thresholds and levels (struct qcl_quantizer),
+ * which the binding copies from the GeneralQuantizer, sorted and finite as
+ * that class makes them.  It declines, with no effect outside its buffers,
+ * leaving the caller to run its Python code (which raises the InputError of
+ * a bad state), for a state that is not finite or lies off the uniform
  * lattice, projected Gauss-Seidel that fails, a stale pin with a NaN
  * velocity, or a resolved selection outside its box or with a
- * sign-inconsistent departure.  General quantizers never reach it, nor
- * last-stopped agents or pins outside the graph.
+ * sign-inconsistent departure.  The binding passes no last-stopped agent
+ * and no pin outside the graph.
  *
  * qcl_advance: the event loop of qcl.dynamics.simulate around qcl_resolve,
- * for as long as each step is a plain threshold hit inside one graph
- * segment: the state moves, its arrival comes strictly before the segment's
- * end, and so does the time t + dt it steps to (which can round onto the
- * end), not after the horizon, the event budget is not used up and the
- * chunk of recorded events has room.  Each such step records the event and
- * steps as simulate does, x + v dt for every agent, then the hit agents
- * snapped onto their thresholds.  It stops at the first state that is not
- * such a step (at rest, a switch first or at the same time, the horizon,
- * the budget, a full chunk) or whose resolve declines or needs larger
- * buffers, with that state's resolve in the buffers; with a budget of 0 it
- * is one qcl_resolve.
+ * over the segments of a graph schedule (struct qcl_schedule, which the
+ * binding builds from the GraphSchedule: its starts, one struct qcl_graph
+ * per segment and its period), found at each event as GraphSchedule._lookup
+ * finds them.  It records threshold hits and topology switches alike, each
+ * row with its kind, and stops only where simulate has work of its own: at
+ * rest (terminal certification, or a switch out of rest), at a step beyond
+ * the horizon, at the event budget, when a resolve declines or needs larger
+ * buffers, or when the chunk of recorded events is full, which the binding
+ * empties before it calls again.  The state it stops at has its resolve in
+ * the buffers; with a budget of 0 it is one qcl_resolve.
  *
  * qcl_write: the rows of a trajectory's CSV export, or the "events" list of
  * its JSON export, from its columns in one call, each number as CPython
@@ -48,11 +51,12 @@
  *
  * The static helpers port the list code of qcl: hold_solve builds and
  * solves one dense hold system (_build_hold_system and _gaussian_solve),
- * velocity sums one row as numpy does (_velocities), uniform_sets and
- * uniform_hits scan the Krasovskii sets and the closest arrival
- * (krasovskii_scan and threshold_hits), and pgs runs projected Gauss-Seidel
- * (_pgs).  All keep the operation order of every element of the code they
- * port, and none calls BLAS, so the results do not depend on the BLAS build.
+ * velocity sums one row as numpy does (_velocities), krasovskii_sets and
+ * threshold_hits scan the Krasovskii sets and the closest arrival
+ * (krasovskii_scan and threshold_hits), lookup finds a schedule's segment
+ * (GraphSchedule._lookup), and pgs runs projected Gauss-Seidel (_pgs).  All
+ * keep the operation order of every element of the code they port, and none
+ * calls BLAS, so the results do not depend on the BLAS build.
  * Built with -ffp-contract=off and without fast-math, so the results are
  * bit-identical to it; qcl checks that before it uses a build.  qcl_resolve
  * and qcl_advance work in one struct qcl_work of reused buffers, so neither
@@ -160,11 +164,12 @@ struct qcl_graph {
  * system works in aug (m (m + 1)) and writes its solution to out (m), and
  * colmap (n) holds -1 for each agent on entry and on return.
  *
- * qcl_advance starts at time t from the state x with the n_stopped agents
- * in stopped, and leaves there the time, state and last-stopped agents
- * where it stopped.  It writes n_rows rows of 4 n + 1 doubles to rows
- * (capacity rows_cap doubles) and n_ints integers to ints (capacity
- * ints_cap); see qcl_advance. */
+ * qcl_advance starts at time t from the state x, an event of kind kind,
+ * with the n_stopped last-stopped agents in stopped in increasing order,
+ * and leaves there the time, state, kind and last-stopped agents where it
+ * stopped.  It writes n_rows rows of 4 n + 1 doubles to rows (capacity
+ * rows_cap doubles), their kinds to kinds (capacity rows_cap / 5) and n_ints
+ * integers to ints (capacity ints_cap); see qcl_advance. */
 struct qcl_work {
     double *x;
     double *y;
@@ -188,6 +193,7 @@ struct qcl_work {
     int64_t *colmap;
     double *rows;
     int64_t *ints;
+    int64_t *kinds;
     int64_t m;
     int64_t rows_cap;
     int64_t ints_cap;
@@ -199,6 +205,7 @@ struct qcl_work {
     int64_t n_stopped;
     int64_t n_rows;
     int64_t n_ints;
+    int64_t kind;
 };
 
 /* The hold system of the m agents in s->active: unknown c is the convex
@@ -347,13 +354,23 @@ static double velocity(const struct qcl_graph *g, const double *z, int64_t i)
                                 g->ends[i + 1] - start);
 }
 
+/* A quantizer: with levels NULL, the uniform lattice of step delta, else
+ * the count thresholds of a qcl.quantizers.GeneralQuantizer in strictly
+ * increasing order and its count + 1 levels, levels[k] < thresholds[k] <
+ * levels[k + 1]. */
+struct qcl_quantizer {
+    double delta;
+    int64_t count;
+    const double *thresholds;
+    const double *levels;
+};
+
 /* The uniform quantizer of step delta, computed as qcl.quantizers.
  * UniformQuantizer does: threshold k is (k + 0.5) delta and level k is
  * k delta, for an integer k held in a double.  |x| / delta < 2^52, the
  * lattice precondition of qcl's scenarios, keeps every k near x / delta and
- * k + 0.5 exact, so each value rounds as it does in Python; a scan returns 1
- * for a state outside it, non-finite states included, and the resolve then
- * declines. */
+ * k + 0.5 exact, so each value rounds as it does in Python; a state outside
+ * it, non-finite states included, makes the resolve decline. */
 
 static int on_lattice(double x, double delta)
 {
@@ -394,25 +411,92 @@ static int threshold_below(double x, double delta, double *t)
     return 0;
 }
 
+/* bisect.bisect_left (right 0) or bisect_right (right 1) of x, not NaN, in
+ * the n increasing values of a. */
+static int64_t bisect(const double *a, int64_t n, double x, int right)
+{
+    int64_t lo = 0, hi = n;
+
+    while (lo < hi) {
+        int64_t mid = (lo + hi) / 2;
+        if (right ? !(x < a[mid]) : a[mid] < x)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* The Krasovskii set [lo, hi] of x, as krasovskii_set gives it: for a
+ * GeneralQuantizer, x lies on threshold k = bisect_left(thresholds, x) when
+ * that threshold equals it, else inside the cell of level k.  Returns 0, or
+ * 1 for a state that is not finite or off the uniform lattice. */
+static int cell(const struct qcl_quantizer *q, double x, double *lo, double *hi)
+{
+    double k;
+    int64_t i;
+
+    if (q->levels == NULL) {
+        if (!on_lattice(x, q->delta) || !index_above(x, q->delta, &k))
+            return 1;
+        *hi = k * q->delta;
+        *lo = threshold(k - 1.0, q->delta) == x ? (k - 1.0) * q->delta : *hi;
+        return 0;
+    }
+    if (!isfinite(x))
+        return 1;
+    i = bisect(q->thresholds, q->count, x, 0);
+    *lo = q->levels[i];
+    *hi = i < q->count && q->thresholds[i] == x ? q->levels[i + 1] : *lo;
+    return 0;
+}
+
+/* The next threshold beyond x in the direction of v (down for a NaN v), as
+ * next_threshold gives it: for a GeneralQuantizer, bisect_right up and
+ * bisect_left down.  Returns 1 with it in *th, 0 beyond the outermost
+ * threshold of a GeneralQuantizer, or -1 for a state that is not finite or
+ * off the uniform lattice. */
+static int next_threshold(const struct qcl_quantizer *q, double x, double v, double *th)
+{
+    double k;
+    int64_t i;
+
+    if (q->levels == NULL) {
+        if (!on_lattice(x, q->delta))
+            return -1;
+        if (v > 0.0) {
+            if (!index_above(x, q->delta, &k))
+                return -1;
+            *th = threshold(k, q->delta);
+            return 1;
+        }
+        return threshold_below(x, q->delta, th) ? 1 : -1;
+    }
+    if (!isfinite(x))
+        return -1;
+    if (v > 0.0)
+        i = bisect(q->thresholds, q->count, x, 1);
+    else
+        i = bisect(q->thresholds, q->count, x, 0) - 1;
+    if (i < 0 || i >= q->count)
+        return 0;
+    *th = q->thresholds[i];
+    return 1;
+}
+
 /* The Krasovskii set [lo, hi] of each of the n agents of s->x, in one pass:
  * z[i] = lo for an agent inside a cell (lo == hi); the agents on a threshold
  * in surface[0..n_surface), in increasing order, with (lo, hi) in bounds.
- * Returns 0, or 1 when a state is off the lattice. */
-static int uniform_sets(struct qcl_work *s, int64_t n, double delta)
+ * Returns 0, or 1 when cell refuses a state. */
+static int krasovskii_sets(struct qcl_work *s, int64_t n, const struct qcl_quantizer *q)
 {
     int64_t n_surface = 0;
 
     for (int64_t i = 0; i < n; i++) {
-        double x = s->x[i], k, lo, hi;
+        double lo, hi;
 
-        if (!on_lattice(x, delta) || !index_above(x, delta, &k))
+        if (cell(q, s->x[i], &lo, &hi))
             return 1;
-        if (threshold(k - 1.0, delta) == x) {
-            lo = (k - 1.0) * delta;
-            hi = k * delta;
-        } else {
-            lo = hi = k * delta;
-        }
         if (lo == hi) {
             s->z[i] = lo;
         } else {
@@ -428,29 +512,27 @@ static int uniform_sets(struct qcl_work *s, int64_t n, double delta)
 
 /* The closest threshold arrival of the n agents of h->x moving with
  * velocities h->y: dt = (th - x) / v, the smallest over the agents with
- * nonzero velocity of their next threshold th in the direction of motion,
+ * nonzero velocity and a next threshold th in the direction of motion,
  * and every agent tied at it, in increasing order, in hit[0..count) with
- * its threshold.  A NaN velocity looks down and a NaN dt is never closest.
- * Returns 0, or 1 when a moving agent's state is off the lattice. */
-static int uniform_hits(struct qcl_work *h, int64_t n, double delta)
+ * its threshold; +inf and no agent when none arrives.  A NaN velocity looks
+ * down and a NaN dt is never closest.  Returns 0, or 1 when next_threshold
+ * refuses a moving agent's state. */
+static int threshold_hits(struct qcl_work *h, int64_t n, const struct qcl_quantizer *q)
 {
     double best = INFINITY;
     int64_t count = 0;
 
     for (int64_t i = 0; i < n; i++) {
-        double x = h->x[i], v = h->y[i], k, th, dt;
+        double x = h->x[i], v = h->y[i], th, dt;
+        int found;
 
         if (v == 0.0)
             continue;
-        if (!on_lattice(x, delta))
+        found = next_threshold(q, x, v, &th);
+        if (found < 0)
             return 1;
-        if (v > 0.0) {
-            if (!index_above(x, delta, &k))
-                return 1;
-            th = threshold(k, delta);
-        } else if (!threshold_below(x, delta, &th)) {
-            return 1;
-        }
+        if (!found)
+            continue;
         dt = (th - x) / v;
         if (dt < best) {
             best = dt;
@@ -735,7 +817,7 @@ static int dense_holds(const struct qcl_graph *g, struct qcl_work *w, int64_t m,
 }
 
 /* One resolve of qcl.dynamics.resolve_sliding of the n = g->n states in w->x
- * under the uniform quantizer of step delta, with releases from the largest
+ * under the quantizer q, with releases from the largest
  * excess, ties to the lowest agent, or, when sequential is nonzero, first
  * among the agents near the n_stopped agents in w->stopped (SequentialSlow);
  * then the closest threshold arrival of the resulting velocity.  The stopped
@@ -749,11 +831,11 @@ static int dense_holds(const struct qcl_graph *g, struct qcl_work *w, int64_t m,
  *
  * Returns 0 with the selection in z, the velocity in y (+0.0 for a held or
  * pinned agent), the surface agents with their coefficients and signs (see
- * struct qcl_work) and the arrival as uniform_hits leaves it; 1 when it
+ * struct qcl_work) and the arrival as threshold_hits leaves it; 1 when it
  * declines (see the top of this file), its outputs then unspecified; or 3
  * when the hold buffers are too small, with the number of unknowns needed
  * in count. */
-int qcl_resolve(const struct qcl_graph *g, struct qcl_work *w, double delta,
+int qcl_resolve(const struct qcl_graph *g, struct qcl_work *w, const struct qcl_quantizer *q,
                 int64_t sequential, int64_t n_stopped, double cutoff)
 {
     const int64_t *surface = w->surface;
@@ -761,7 +843,7 @@ int qcl_resolve(const struct qcl_graph *g, struct qcl_work *w, double delta,
     double *z = w->z;
     int64_t n = g->n, k, m;
 
-    if (uniform_sets(w, n, delta))
+    if (krasovskii_sets(w, n, q))
         return 1;
     k = w->n_surface;
     for (int64_t c = 0, p = 0; c < k; c++) {
@@ -825,38 +907,115 @@ int qcl_resolve(const struct qcl_graph *g, struct qcl_work *w, double delta,
         if (sign != 0 && (w->y[i] == 0.0 || (w->y[i] > 0.0) != (sign > 0)))
             return 1;
     }
-    return uniform_hits(w, n, delta);
+    return threshold_hits(w, n, q);
 }
 
-/* The event loop of the top of this file, for a graph segment that ends at
- * ts.  A recorded step takes dt = w->dt, the arrival of its resolve, to
- * t + dt, and its hit agents become the last stopped.
- *
- * The event at time t is the row t, x, z, v and alpha (NaN for an agent off
- * the surface) and, in ints, the number of departing agents, each agent and
- * its sign, then the number of agents that the step hits and those agents.
- *
- * Returns what qcl_resolve returns for the state it stops at, whose resolve
- * is then in the buffers. */
-int qcl_advance(const struct qcl_graph *g, struct qcl_work *w, double delta,
-                int64_t sequential, double cutoff, double ts, double horizon, int64_t budget)
+/* A qcl.graphs.GraphSchedule: segment k has the graph graphs[k] and starts
+ * at starts[k], for k < count, with starts[0] = 0 and the starts strictly
+ * increasing; with periodic nonzero the segments repeat every period, which
+ * exceeds the last start, else the last one holds forever.  Every graph has
+ * the same number of agents. */
+struct qcl_schedule {
+    int64_t count;
+    const double *starts;
+    const struct qcl_graph *graphs;
+    int64_t periodic;
+    double period;
+};
+
+/* GraphSchedule._lookup of a time t >= 0: returns the segment of the latest
+ * switch at or before t, and writes the earliest switch after t (+inf if
+ * none) to *after.  The switches are the starts, and with a period the
+ * doubles kk * period + start of the cycles kk from floor(t / period) - 1
+ * (at least 0) to floor(t / period) + 2; of switches that round to one
+ * double the later one starts its segment. */
+static int64_t lookup(const struct qcl_schedule *s, double t, double *after)
 {
-    int64_t n = g->n, width = 4 * n + 1;
+    int64_t idx = 0;
+    double latest = -INFINITY, k;
+
+    *after = INFINITY;
+    if (!s->periodic) {
+        idx = bisect(s->starts, s->count, t, 1) - 1;
+        if (idx + 1 < s->count)
+            *after = s->starts[idx + 1];
+        return idx;
+    }
+    k = floor(t / s->period);
+    for (double kk = k > 1.0 ? k - 1.0 : 0.0; kk <= k + 2.0; kk++) {
+        double base = kk * s->period;
+
+        for (int64_t i = 0; i < s->count; i++) {
+            double sw = base + s->starts[i];
+
+            if (sw > t) {
+                if (sw < *after)
+                    *after = sw;
+            } else if (sw >= latest) {
+                idx = i;
+                latest = sw;
+            }
+        }
+    }
+    return idx;
+}
+
+/* Indices in qcl.dynamics.EVENT_KINDS of the kinds of events that
+ * qcl_advance steps to. */
+#define KIND_HIT 1
+#define KIND_SWITCH 3
+
+/* What qcl_advance returns, besides what qcl_resolve returns, when the
+ * chunk cannot take another event. */
+#define FULL 2
+
+/* The event loop of qcl.dynamics.simulate, from the event of kind w->kind at
+ * time w->t and state w->x, under the segment of the schedule at each time
+ * and the quantizer q.  Each event is resolved; while the state moves, the
+ * event budget is not used up, the chunk has room and the step stays within
+ * the horizon, the event is recorded and the loop steps as simulate does:
+ * dt is the smaller of the arrival w->dt and the time to the next switch ts,
+ * x + v dt for every agent, and then, when the arrival comes first or at
+ * the switch, the hit agents are snapped onto their thresholds, become the
+ * last stopped and the next event is a threshold hit at t + dt (at ts when
+ * they tie); else the next event is a topology switch at ts and the last
+ * stopped agents stay.
+ *
+ * Row r of the chunk is the event's t, x, z, v and alpha (NaN for an agent
+ * off the surface), kinds[r] its kind, and ints its record in the layout of
+ * qcl.dynamics.Trajectory.records: the number of agents it hits and those
+ * agents (the last stopped, for a threshold hit), then the number of
+ * departing agents and each agent with its sign.
+ *
+ * Returns FULL, before the resolve, when the chunk has no room for another
+ * event; else what qcl_resolve returns for the state it stops at, whose
+ * resolve is then in the buffers: 0 at rest, at the budget or at a step
+ * beyond the horizon (or to +inf).  w->t, w->x, w->kind and the last
+ * stopped agents hold the state it stops at.  A chunk of rows_cap doubles
+ * holds at most rows_cap / 5 events of at least one agent; with none,
+ * nothing moves and nothing is recorded. */
+int qcl_advance(const struct qcl_schedule *sc, struct qcl_work *w, const struct qcl_quantizer *q,
+                int64_t sequential, double cutoff, double horizon, int64_t budget)
+{
+    int64_t n = sc->graphs[0].n, width = 4 * n + 1;
 
     w->n_rows = 0;
     w->n_ints = 0;
     for (;;) {
-        int status = qcl_resolve(g, w, delta, sequential, w->n_stopped, cutoff);
-        double t = w->t, dt = w->dt, *row;
-        int64_t *ints, moving = 0, k = 0;
+        double t = w->t, ts, dt, *row;
+        const struct qcl_graph *g = sc->graphs + lookup(sc, t, &ts);
+        int64_t *ints, moving = 0, k = 0, hits = w->kind == KIND_HIT ? w->n_stopped : 0;
+        int status;
 
+        if ((w->n_rows + 1) * width > w->rows_cap || w->n_ints + 3 * n + 2 > w->ints_cap)
+            return FULL;
+        status = qcl_resolve(g, w, q, sequential, w->n_stopped, cutoff);
         if (status)
             return status;
         for (int64_t i = 0; i < n && !moving; i++)
             moving = w->y[i] != 0.0;
-        if (!moving || !(dt < ts - t && t + dt < ts) || !(t + dt <= horizon)
-            || w->n_rows == budget
-            || (w->n_rows + 1) * width > w->rows_cap || w->n_ints + 3 * n + 2 > w->ints_cap)
+        dt = ts - t < w->dt ? ts - t : w->dt;
+        if (!moving || w->n_rows == budget || !(t + dt <= horizon) || !(dt < INFINITY))
             return 0;
 
         row = w->rows + w->n_rows * width;
@@ -868,6 +1027,10 @@ int qcl_advance(const struct qcl_graph *g, struct qcl_work *w, double delta,
             row[1 + 2 * n + i] = w->y[i];
             row[1 + 3 * n + i] = NAN;
         }
+        ints[0] = hits;
+        for (int64_t h = 0; h < hits; h++)
+            ints[1 + h] = w->stopped[h];
+        ints += 1 + hits;
         for (int64_t c = 0; c < w->n_surface; c++) {
             row[1 + 3 * n + w->surface[c]] = w->alpha[c];
             if (w->sign[c] != 0) {
@@ -877,21 +1040,24 @@ int qcl_advance(const struct qcl_graph *g, struct qcl_work *w, double delta,
             }
         }
         ints[0] = k;
-        ints += 1 + 2 * k;
-        ints[0] = w->count;
-        for (int64_t h = 0; h < w->count; h++)
-            ints[1 + h] = w->hit[h];
-        w->n_ints += 2 + 2 * k + w->count;
+        w->kinds[w->n_rows] = w->kind;
+        w->n_ints += 2 + hits + 2 * k;
         w->n_rows++;
 
         for (int64_t i = 0; i < n; i++)
             w->x[i] = w->x[i] + w->y[i] * dt;
+        if (ts - t < w->dt) {
+            w->t = ts;
+            w->kind = KIND_SWITCH;
+            continue;
+        }
         for (int64_t h = 0; h < w->count; h++) {
             w->x[w->hit[h]] = w->threshold[h];
             w->stopped[h] = w->hit[h];
         }
         w->n_stopped = w->count;
-        w->t = t + dt;
+        w->t = w->dt == ts - t ? ts : t + dt;
+        w->kind = KIND_HIT;
     }
 }
 
@@ -1170,7 +1336,8 @@ static int json_list(struct writer *o, const double *v, int64_t n, struct cell *
  * With out NULL it returns the capacity that out needs; else the number of
  * bytes written, -1 when out of memory (the formatter's Python error is set
  * then), -2 when a JSON number is not finite, -3 when cap is too small or
- * -4 when a row names no kind or event. */
+ * -4 when a row names no kind or event.  Every byte before the size it
+ * returns is written, so out need not be initialised. */
 int64_t qcl_write(int64_t json, int64_t indent, int64_t rows, int64_t n, int64_t events,
                   const double *t, const int64_t *kind, const double *x, const int64_t *src,
                   const double *z, const double *alpha, int64_t n_names, const char *names,

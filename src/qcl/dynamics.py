@@ -25,33 +25,35 @@ regularisation of the quantizer serves as an independent oracle: as the
 regularisation width and step size shrink it converges to the sliding
 solution.
 
-Under a uniform quantizer, a resolve runs as one compiled call,
-``qcl_resolve`` of ``_kernels.c``, under every policy, FixedAlpha pins
-included; it also gives the next threshold arrival and has the bits of the
-Python code, ``_resolve_python``.  That includes projected Gauss-Seidel,
-which runs for more surface agents that listen to someone than the dense
-cutoff, a singular hold system and a departure that the re-check finds
-sign-inconsistent.  The call declines, with no effect, and the Python code
-runs for projected Gauss-Seidel that fails (no convergence or an
-inconsistent fixed point), a selection that leaves its box or departs
-against its velocity, a stale pin whose velocity is NaN, a state off the
-threshold lattice, and whenever the compiled kernels do not load.  A
-general quantizer always runs the Python code.  Projected Gauss-Seidel sums
-each row's terms in numpy's pairwise order, as the velocities do, on both
-paths; nothing calls BLAS, so the bits do not depend on the BLAS build.
+A resolve runs as one compiled call, ``qcl_resolve`` of ``_kernels.c``,
+under either quantizer (a general one as its table of thresholds and
+levels) and every policy, FixedAlpha pins included; it also gives the next
+threshold arrival and has the bits of the Python code, ``_resolve_python``.
+That includes projected Gauss-Seidel, which runs for more surface agents
+that listen to someone than the dense cutoff, a singular hold system and a
+departure that the re-check finds sign-inconsistent.  The call declines,
+with no effect, and the Python code runs for projected Gauss-Seidel that
+fails (no convergence or an inconsistent fixed point), a selection that
+leaves its box or departs against its velocity, a stale pin whose velocity
+is NaN, a state that is not finite or lies off the uniform threshold
+lattice (the Python code raises its InputError), and whenever the compiled
+kernels do not load.  Projected Gauss-Seidel sums each row's terms in
+numpy's pairwise order, as the velocities do, on both paths; nothing calls
+BLAS, so the bits do not depend on the BLAS build.
 
 ``simulate`` calls the compiled event loop ``qcl_advance`` in place of each
-such resolve.  In one call it resolves, records the event and steps (``x +
-v dt``, the hit agents snapped onto their thresholds) for as long as each
-step is a plain threshold hit inside the current graph segment: the state
-moves, its arrival and the time it steps to come strictly before the next
-switch and not after the horizon, the event limit leaves room and the
-chunk of recorded events is not full.  It stops at the first state that is
-not, at rest, declined or in need of larger buffers, and returns that
-state's resolve, with which the Python loop goes on; so a run makes no more
-resolves than the Python loop alone would.  Under a stop callback it
-records no event.  The loop works in the kernels' one workspace and is not
-reentrant.
+such resolve.  In one call it resolves, records the event with its kind
+and steps (``x + v dt``, the hit agents snapped onto their thresholds, or
+on to the next topology switch, under the graph segment that the schedule
+gives at each time) for as long as the state moves, the step stays within
+the horizon and the event limit leaves room; a full chunk of recorded
+events is copied out and the call goes on.  It stops at rest, at the
+horizon, at the event limit or where a resolve declines, and returns that
+state's resolve, with which the Python loop goes on: it certifies a state
+at rest as terminal or moves it to the next switch, and takes the last
+step to the horizon or the event limit; so a run makes no more resolves
+than the Python loop alone would.  Under a stop callback it records no
+event.  The loop works in the kernels' one workspace and is not reentrant.
 """
 
 from __future__ import annotations
@@ -563,10 +565,9 @@ def resolve_sliding(
     limit).  Held agents are reported with exactly zero velocity so that
     the integrator keeps them bit-exactly on their thresholds.
 
-    The compiled ``qcl_resolve`` runs for a uniform quantizer and gives the
-    bits of ``_resolve_python``, which runs where it declines (see the
-    module docstring).  A last-stopped agent that is not an agent of ``g``
-    is an ``InputError``.
+    The compiled ``qcl_resolve`` gives the bits of ``_resolve_python``,
+    which runs where it declines (see the module docstring).  A last-stopped
+    agent that is not an agent of ``g`` is an ``InputError``.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):
@@ -575,19 +576,12 @@ def resolve_sliding(
         if not isinstance(s, (int, np.integer)) or not 0 <= s < g.n:
             raise InputError(f"last-stopped agent {s!r} is not an agent of the "
                              f"{g.n}-agent graph")
-    kernels = _compiled_resolve(quantizer)
+    kernels = quantizers._load_kernel()
     if kernels is not None:
-        out = kernels.resolve(g, x, quantizer.delta, policy, last_stopped, cutoff)
+        out = kernels.resolve(g, x, quantizer, policy, last_stopped, cutoff)
         if out is not None:
             return Resolution(*out[:5])
     return _resolve_python(x, g, quantizer, policy, last_stopped, cutoff)
-
-
-def _compiled_resolve(quantizer: Quantizer):
-    """The compiled kernels where they load and resolve under ``quantizer``
-    (uniform), else None."""
-    kernels = quantizers._load_kernel()
-    return kernels if isinstance(quantizer, UniformQuantizer) else None
 
 
 def _resolve_python(x: np.ndarray, g: WeightedDigraph, quantizer: Quantizer,
@@ -948,22 +942,15 @@ class _Recorder:
         self.kinds: list[int] = []
         self.records: list = []
 
-    def add_chunk(self, rows: list[np.ndarray], ints: list[np.ndarray], kind: str,
-                  hits: tuple[int, ...], next_hits: tuple[int, ...]) -> None:
-        """The events of one ``advance``, the first of ``kind`` with ``hits``,
-        each later one a threshold hit.
-
-        ``qcl_advance`` records for each event its number of departing
-        agents, each agent and its sign, then the number of agents that the
-        step to the next event hits and those agents; preceded by ``hits``
-        and without ``next_hits``, those of the event after the chunk, its
-        records are those of ``Trajectory``."""
-        ints = np.concatenate(ints)
-        count = sum(map(len, rows))
+    def add_chunks(self, rows: list[np.ndarray], kinds: list[np.ndarray],
+                   ints: list[np.ndarray]) -> None:
+        """The events of one ``advance``: their rows, kinds and records, per
+        chunk, in the layout of ``Trajectory``."""
         self.blocks += rows
-        self.kinds += [EVENT_KINDS.index(kind)] + [EVENT_KINDS.index("threshold-hit")] * (count - 1)
-        self.records += [[len(hits), *hits], ints[:len(ints) - 1 - len(next_hits)]]
-        self.count += count
+        for chunk in kinds:
+            self.kinds += chunk.tolist()
+        self.records += ints
+        self.count += sum(map(len, rows))
 
     def add(self, t: float, kind: str, x: np.ndarray, res: Resolution,
             hits: tuple[int, ...]) -> None:
@@ -1004,7 +991,7 @@ def simulate(
     kind = "start"
     hits_now: tuple[int, ...] = ()
     last_stopped: frozenset[int] = frozenset()
-    kernels = _compiled_resolve(quantizer)
+    kernels = quantizers._load_kernel()
     record = stop_condition is None
 
     while True:
@@ -1016,20 +1003,20 @@ def simulate(
                 f"{crossings:.3g} level crossings remain (agents x level span / delta)",
                 events.trajectory(quantizer, "limit"),
             )
-        g = schedule.graph_at(t)
-        ts = schedule.next_switch_after(t)
+        out = None
         if kernels is not None:
             budget = config.max_events - events.count - 1 if record else 0
-            rows, ints, t, x, hits, out = kernels.advance(
-                g, x, quantizer.delta, policy, last_stopped, DEFAULT_DENSE_CUTOFF, t, ts,
-                config.horizon, budget)
+            rows, kinds, ints, t, x, k, stopped, out = kernels.advance(
+                schedule, x, quantizer, policy, last_stopped, DEFAULT_DENSE_CUTOFF, t,
+                EVENT_KINDS.index(kind), config.horizon, budget)
             if rows:
-                events.add_chunk(rows, ints, kind, hits_now, hits)
-                kind, hits_now, last_stopped = "threshold-hit", hits, frozenset(hits)
-            res = (_resolve_python(x, g, quantizer, policy, last_stopped, DEFAULT_DENSE_CUTOFF)
-                   if out is None else Resolution(*out[:5]))
-        else:
-            res, out = resolve_sliding(x, g, quantizer, policy, last_stopped), None
+                events.add_chunks(rows, kinds, ints)
+                kind, last_stopped = EVENT_KINDS[k], frozenset(stopped)
+                hits_now = stopped if kind == "threshold-hit" else ()
+        g = schedule.graph_at(t)
+        ts = schedule.next_switch_after(t)
+        res = (_resolve_python(x, g, quantizer, policy, last_stopped, DEFAULT_DENSE_CUTOFF)
+               if out is None else Resolution(*out[:5]))
         at_rest = not res.velocity.any()
         terminal = at_rest and _certified_terminal(x, schedule, t, quantizer, policy)
         events.add(t, "equilibrium" if terminal else kind, x, res, hits_now)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ctypes
 import importlib.util
 import json
+import math
 import re
 import shutil
 import sys
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from qcl import (
     ContractViolation,
     FixedAlpha,
+    GeneralQuantizer,
     GraphSchedule,
     InputError,
     NoSlidingSelection,
@@ -469,13 +471,13 @@ def test_velocities_in_another_order_fail_self_check(monkeypatch, tmp_path, old,
 #: surface (``SequentialSlow``, agent 2 last stopped).
 PGS_RESOLVES = {
     "singular": (WeightedDigraph.from_edges(2, [(0, 1, 1.0), (1, 0, 1.0)]),
-                 [0.5, 0.5], 1.0, Sliding(), frozenset(), 64),
+                 [0.5, 0.5], UNIT, Sliding(), frozenset(), 64),
     "over-cutoff": (WeightedDigraph.from_edges(4, [(0, 3, 1.0), (1, 3, 1.0), (2, 3, 1.0)]),
-                    [0.5, 0.5, 0.5, 3.0], 1.0, Sliding(), frozenset(), 2),
+                    [0.5, 0.5, 0.5, 3.0], UNIT, Sliding(), frozenset(), 2),
     "sign-inconsistent": (WeightedDigraph.from_edges(6, [
         (0, 4, 1.0), (0, 5, 1.5), (1, 0, 2.0), (1, 4, 1.0), (1, 5, 0.5), (2, 3, 2.0), (2, 4, 1.5),
         (3, 0, 2.0), (3, 5, 0.5), (4, 0, 1.0), (4, 1, 1.0), (5, 0, 1.5), (5, 2, 1.5), (5, 3, 1.0)]),
-        [-1.5, -1.5, -0.5, 1.5, 2.0, 0.5], 1.0, SequentialSlow(), frozenset({2}), 64),
+        [-1.5, -1.5, -0.5, 1.5, 2.0, 0.5], UNIT, SequentialSlow(), frozenset({2}), 64),
 }
 
 
@@ -492,41 +494,59 @@ def _planted_digraph(draw, n: int) -> WeightedDigraph:
     return WeightedDigraph.from_edges(n, [(i, j, w) for (i, j), w in edges.items()])
 
 
+#: Uneven gaps and thresholds off the midpoints.
+GENERAL = GeneralQuantizer((-1.2, -0.4, 0.3, 1.0, 1.6, 2.9), (-0.9, -0.1, 0.62, 1.25, 2.1))
+#: States of ``GENERAL``: on its thresholds, on its levels, an ulp beside a
+#: threshold, inside a cell and beyond the outermost thresholds.
+GENERAL_STATES = (*GENERAL.thresholds, *GENERAL.levels, math.nextafter(0.62, 1.0),
+                  math.nextafter(-0.1, -1.0), 0.8, -3.0, 4.5)
+
+
+def _states(draw, n: int, quantizer) -> list[float]:
+    """n states of a uniform quantizer's lattice (on thresholds, levels and
+    inside cells) or of ``GENERAL_STATES``."""
+    if isinstance(quantizer, GeneralQuantizer):
+        return draw(st.lists(st.sampled_from(GENERAL_STATES), min_size=n, max_size=n))
+    return [(k + draw(st.sampled_from([0.5, 0.5, 0.0, 0.25, 0.37]))) * quantizer.delta
+            for k in draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))]
+
+
 @st.composite
 def resolve_inputs(draw):
     """A planted digraph (each agent but a root listens to one agent before
     it in a random order, plus random edges) of at most 12 agents, with states
-    on thresholds, levels and inside cells of a uniform quantizer, any policy
-    (FixedAlpha pins on random agents, some off the surface or outside the
-    graph), random last-stopped agents and now and then a cutoff of 2."""
+    on thresholds, levels and inside cells of a uniform quantizer or of
+    ``GENERAL``, any policy (FixedAlpha pins on random agents, some off the
+    surface or outside the graph), random last-stopped agents and now and
+    then a cutoff of 2."""
     n = draw(st.integers(1, 12))
     g = _planted_digraph(draw, n)
-    delta = draw(st.sampled_from([1.0, 0.25, 1 / 3, 0.1]))
-    x = [(k + draw(st.sampled_from([0.5, 0.5, 0.0, 0.25]))) * delta
-         for k in draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))]
+    quantizer = draw(st.sampled_from([UNIT, UniformQuantizer(0.25), UniformQuantizer(1 / 3),
+                                      UniformQuantizer(0.1), GENERAL]))
     pins = FixedAlpha(draw(st.dictionaries(st.integers(-1, n),
                                            st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0]),
                                            max_size=4)))
-    return (g, x, delta, draw(st.sampled_from([Sliding(), SequentialSlow(), pins])),
+    return (g, _states(draw, n, quantizer), quantizer,
+            draw(st.sampled_from([Sliding(), SequentialSlow(), pins])),
             frozenset(draw(st.sets(st.integers(0, n - 1), max_size=3))),
             draw(st.sampled_from([64, 64, 64, 2])))
 
 
-def _resolve_outcome(g, x, delta, policy, last_stopped, cutoff):
+def _resolve_outcome(g, x, quantizer, policy, last_stopped, cutoff):
     """The fields of a resolve, in bits, or the type and message of its error."""
     try:
-        res = resolve_sliding(np.array(x), g, UniformQuantizer(delta), policy, last_stopped,
-                              cutoff)
+        res = resolve_sliding(np.array(x), g, quantizer, policy, last_stopped, cutoff)
     except (NoSlidingSelection, ContractViolation) as err:
         return type(err), str(err)
     return (res.z.tobytes(), res.velocity.tobytes(), [(i, a.hex()) for i, a in res.alpha],
             res.held, res.departing)
 
 
-def _compiled_outcome(g, x, delta, policy, last_stopped, cutoff):
+def _compiled_outcome(g, x, quantizer, policy, last_stopped, cutoff):
     """The fields of the compiled resolve, in the bits of ``_resolve_outcome``,
     or None when it declines."""
-    out = quantizers._load_kernel().resolve(g, np.array(x), delta, policy, last_stopped, cutoff)
+    out = quantizers._load_kernel().resolve(g, np.array(x), quantizer, policy, last_stopped,
+                                            cutoff)
     if out is None:
         return None
     return out[0].tobytes(), out[1].tobytes(), [(i, a.hex()) for i, a in out[2]], out[3], out[4]
@@ -546,11 +566,10 @@ def test_compiled_resolve_matches_list_path(path, case):
         kernels = quantizers._load_kernel()
         if not isinstance(expected[0], bytes) or kernels is None:
             return
-        g, x, delta, policy, last_stopped, cutoff = case
-        out = kernels.resolve(g, np.array(x), delta, policy, last_stopped, cutoff)
+        g, x, quantizer, policy, last_stopped, cutoff = case
+        out = kernels.resolve(g, np.array(x), quantizer, policy, last_stopped, cutoff)
     if out is not None:
-        assert repr(out[5]) == repr(quantizers.threshold_hits(
-            np.array(x), out[1], UniformQuantizer(delta)))
+        assert repr(out[5]) == repr(quantizers.threshold_hits(np.array(x), out[1], quantizer))
 
 
 @needs_cc
@@ -613,7 +632,7 @@ def test_compiled_velocities_match_numpy(n, seed, tied):
     x = rng.integers(-10**6, 10**6, size=n) * 0.1
     if tied:
         x[rng.random(n) < 0.7] = 0.0
-    case = (g, x, 0.1, Sliding(), frozenset(), 64)
+    case = (g, x, UniformQuantizer(0.1), Sliding(), frozenset(), 64)
     with kernel_path("lists"):
         expected = _resolve_outcome(*case)
     assert _compiled_outcome(*case) == expected
@@ -686,7 +705,8 @@ def run_inputs(draw):
     times (an arrival can then coincide with a switch) or not (the cycles'
     switch times then round); a step that is a binary fraction or not;
     either policy; states on thresholds, on levels or inside cells; now and
-    then a small event limit or a short horizon."""
+    then a small event limit or a short horizon; now and then ``GENERAL``,
+    with states of ``GENERAL_STATES``."""
     kind = draw(st.sampled_from(["line", "digraph", "switching", "periodic"]))
     n = draw(st.integers(3, 12) if kind == "line" else st.integers(2, 7))
     if kind == "line":
@@ -697,10 +717,9 @@ def run_inputs(draw):
     dwell = draw(st.sampled_from([0.125, 0.25, 0.375, 1.0, 0.1, 0.35]))
     schedule = GraphSchedule(tuple((k * dwell, g) for k, g in enumerate(graphs)), 0.3, 2.0,
                              len(graphs) * dwell if kind == "periodic" else None)
-    delta = draw(st.sampled_from([1.0, 0.25, 1 / 64, 0.1, 1 / 3]))
-    x0 = [(k + draw(st.sampled_from([0.5, 0.5, 0.0, 0.25, 0.37]))) * delta
-          for k in draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))]
-    return ScenarioConfig(schedule=schedule, quantizer=UniformQuantizer(delta), x0=x0,
+    quantizer = draw(st.sampled_from([UNIT, UniformQuantizer(0.25), UniformQuantizer(1 / 64),
+                                      UniformQuantizer(0.1), UniformQuantizer(1 / 3), GENERAL]))
+    return ScenarioConfig(schedule=schedule, quantizer=quantizer, x0=_states(draw, n, quantizer),
                           policy=draw(st.sampled_from([Sliding(), SequentialSlow()])),
                           horizon=draw(st.sampled_from([1e6, 1e6, 0.3, 2.0])),
                           max_events=draw(st.sampled_from([400, 400, 1, 2, 5])))
@@ -758,18 +777,20 @@ def _counting_advance(monkeypatch, kernels) -> list[int]:
 
 @needs_cc
 def test_staircase_runs_in_a_few_compiled_calls(monkeypatch):
-    # A step that went back to Python would cost one call per event.  Each
-    # call records up to a chunk of 124 events of 8 agents, and Python
-    # records the state where it stops: a full chunk or the equilibrium.
-    # The state that runs projected Gauss-Seidel no longer stops it.
+    # A step that went back to Python would cost one call per event.  One
+    # call records every event through its full chunks of 124 events of 8
+    # agents, and Python records the equilibrium where it stops.  The state
+    # that runs projected Gauss-Seidel no longer stops it.
     recorded = _counting_advance(monkeypatch, quantizers._load_kernel())
     traj = simulate(example1_line(8, 1 / 64, x0_spacing=0.98))
     assert len(traj.events) == 1004
-    assert len(recorded) <= 9 and sum(recorded) + len(recorded) == 1004
+    assert recorded == [1003]
 
 
 @pytest.mark.parametrize("struct,mirror", [("qcl_work", _ckernel._Struct),
-                                           ("qcl_graph", _ckernel._Graph)])
+                                           ("qcl_graph", _ckernel._Graph),
+                                           ("qcl_schedule", _ckernel._Schedule),
+                                           ("qcl_quantizer", _ckernel._Quantizer)])
 def test_c_structs_match_their_ctypes_mirrors(struct, mirror):
     # ctypes lays a structure out from its _fields_ alone: a member added,
     # dropped or moved on one side only would have C and Python read each
@@ -778,7 +799,8 @@ def test_c_structs_match_their_ctypes_mirrors(struct, mirror):
     kinds = {"double": ctypes.c_double, "int64_t": ctypes.c_int64}
     members = []
     for declaration in body.group(1).split(";")[:-1]:
-        m = re.fullmatch(r"\s*(?:const )?(double|int64_t) (\*?)(\w+)\s*", declaration)
+        m = re.fullmatch(r"\s*(?:const )?(double|int64_t|struct qcl_graph) (\*?)(\w+)\s*",
+                         declaration)
         assert m is not None, declaration
         members.append((m.group(3), ctypes.c_void_p if m.group(2) else kinds[m.group(1)]))
     assert members == mirror._fields_
@@ -786,15 +808,15 @@ def test_c_structs_match_their_ctypes_mirrors(struct, mirror):
 
 @needs_cc
 def test_periodic_runs_use_the_compiled_event_loop(monkeypatch):
-    # Python records only the state where each call stops: at a switch, at
-    # a resolve that declines or at the equilibrium.  The switch times
-    # k * 0.7 + 0.35 round.
+    # The compiled loop records the switches too, so Python records only the
+    # equilibrium.  The switch times k * 0.7 + 0.35 round.
     recorded = _counting_advance(monkeypatch, quantizers._load_kernel())
     config = replace(example1_line(8, 1 / 64, x0_spacing=0.98), schedule=GraphSchedule(
         ((0.0, line_graph(8)), (0.35, line_graph(8, 2.0))), 1.0, 2.0, 0.7))
     traj = simulate(config)
     assert len(traj.events) == 1097
-    assert sum(recorded) + len(recorded) == 1097 and len(recorded) < 100
+    assert recorded == [1096]
+    assert sum(ev.kind == "topology-switch" for ev in traj.events) > 50
 
 
 def _benchmark_workloads():
@@ -810,17 +832,17 @@ def _benchmark_workloads():
 @needs_cc
 @pytest.mark.parametrize("workload", ["staircase", "wide-surface"])
 def test_benchmark_resolves_never_leave_the_compiled_path(monkeypatch, workload):
-    # Under a uniform quantizer, every policy and projected Gauss-Seidel run
+    # Under either quantizer, every policy and projected Gauss-Seidel run
     # inside the compiled resolve, so no resolve of these workloads goes to
     # the Python code (at seed 1, 106 and 13 did while the compiled resolve
-    # declined projected Gauss-Seidel, and 9 and 9 under FixedAlpha).
+    # declined projected Gauss-Seidel, 9 and 9 under FixedAlpha, and 14 and
+    # 0 while a general quantizer ran in Python).
     quantizers._load_kernel()  # the self-check of a new build runs both paths
     in_python, resolve_python = [], dynamics._resolve_python
 
-    def counted(x, g, quantizer, policy, *args):
-        if isinstance(quantizer, UniformQuantizer):
-            in_python.append(name)
-        return resolve_python(x, g, quantizer, policy, *args)
+    def counted(*args):
+        in_python.append(name)
+        return resolve_python(*args)
 
     monkeypatch.setattr(dynamics, "_resolve_python", counted)
     root = Path(__file__).resolve().parents[1]
@@ -831,14 +853,40 @@ def test_benchmark_resolves_never_leave_the_compiled_path(monkeypatch, workload)
 
 
 @needs_cc
+@pytest.mark.parametrize("workload", ["staircase", "wide-surface"])
+def test_benchmark_events_leave_the_compiled_loop_only_at_rest(monkeypatch, workload):
+    # The compiled loop records threshold hits, topology switches and full
+    # chunks; the Python loop records only a state at rest (an equilibrium,
+    # or one that waits for the next switch), the horizon or the event
+    # limit.  At seed 1 it recorded 113 and 72 events while switches, general
+    # quantizers and full chunks went back to it.
+    quantizers._load_kernel()
+    elsewhere, add = [], dynamics._Recorder.add
+
+    def checked(self, t, kind, x, res, hits):
+        if res.velocity.any() and kind != "horizon" and self.count + 1 < config.max_events:
+            elsewhere.append((name, kind, t))
+        add(self, t, kind, x, res, hits)
+
+    monkeypatch.setattr(dynamics._Recorder, "add", checked)
+    root = Path(__file__).resolve().parents[1]
+    for case in _benchmark_workloads().WORKLOADS[workload](1, root):
+        name, config = case.name, scenario_from_json(json.loads(case.text()))
+        simulate(config)
+    assert elsewhere == []
+
+
+@needs_cc
 def test_event_loop_resumes_after_a_full_chunk_and_grown_buffers(monkeypatch):
     # A chunk of three 12-agent events, and a workspace that starts with one
-    # unknown, so the hold buffers grow in the middle of a call.
+    # unknown, so the hold buffers grow in the middle of a call.  The call
+    # empties each full chunk and goes on: Python records only the
+    # equilibrium.
     monkeypatch.setattr(_ckernel, "CHUNK", 3 * (4 * 12 + 1))
     recorded = _counting_advance(monkeypatch, quantizers._load_kernel.__wrapped__())
     config = example1_line(12, 1 / 16, x0_spacing=0.3)
     compiled = _run_outcome(config, None)
-    assert max(recorded) > 3 and recorded.count(3) > 10
+    assert recorded == [len(compiled[3]) - 1] and recorded[0] > 10 * 3
     monkeypatch.setattr(quantizers, "_load_kernel", lambda: None)
     assert compiled == _run_outcome(config, None)
 
@@ -857,16 +905,18 @@ def test_graph_tables_hold_the_csr_and_row_totals_bit_for_bit(n, seed, density):
     w[rng.uniform(size=n) < 0.3] = 0.0
     np.fill_diagonal(w, 0.0)
     g = WeightedDigraph(w)
-    size, address, (struct, arrays) = _ckernel._graph_table()(g)
+    size, address = _ckernel._tables()[0](g)  # the graph as a schedule of one segment
     assert "rows" not in g.__dict__
-    assert size == n and address == ctypes.addressof(struct) and struct.n == n
+    schedule = _ckernel._Schedule.from_address(address)
+    assert size == n and schedule.count == 1 and not schedule.periodic
+    assert ctypes.c_double.from_address(schedule.starts).value == 0.0
+    struct = _ckernel._Graph.from_address(schedule.graphs)
+    assert struct.n == n
     _, cols, values, ends = g.csr
     expected = (np.array(ends, dtype=np.int64), cols, values,
                 np.array([row.total for row in g.rows]))
-    for table, array, pointer in zip(arrays, expected, (struct.ends, struct.cols, struct.vals,
-                                                         struct.totals)):
-        assert ctypes.addressof(table) == pointer
-        assert bytes(table) == array.tobytes()
+    for array, pointer in zip(expected, (struct.ends, struct.cols, struct.vals, struct.totals)):
+        assert ctypes.string_at(pointer, array.nbytes) == array.tobytes()
 
 
 @needs_cc
@@ -905,8 +955,11 @@ def test_workspace_grows_a_few_times_over_the_wide_surface_workload(monkeypatch)
 @pytest.mark.parametrize("old,new", [
     ("            w->x[w->hit[h]] = w->threshold[h];\n", ""),
     ("w->x[i] = w->x[i] + w->y[i] * dt;", "w->x[i] = fma(w->y[i], dt, w->x[i]);"),
-    ("!(dt < ts - t && t + dt < ts)", "!(dt < ts - t)"),
-], ids=["unsnapped-hit", "fused-step", "step-rounds-onto-switch"])
+    ("if (ts - t < w->dt) {", "if (ts - t < w->dt || t + dt >= ts) {"),
+    ("            w->kind = KIND_SWITCH;\n", ""),
+    ("k = floor(t / s->period);", "k = floor(t / s->period) + 1.0;"),
+], ids=["unsnapped-hit", "fused-step", "step-rounds-onto-switch", "switch-row-without-kind",
+        "cycle-window-shifted"])
 def test_mutated_event_loop_fails_self_check(monkeypatch, tmp_path, old, new):
     build_kernel_variant(monkeypatch, tmp_path, old, new)
     assert quantizers._load_kernel() is None
@@ -1068,7 +1121,7 @@ class TestSimulate:
 
 class TestGeneralQuantizerSimulation:
     def test_uneven_levels_trace(self):
-        from qcl import GeneralQuantizer, convergence_time
+        from qcl import convergence_time
 
         quantizer = GeneralQuantizer(levels=(0.0, 1.0, 5.0), thresholds=(0.5, 3.0))
         config = ScenarioConfig(
@@ -1084,8 +1137,6 @@ class TestGeneralQuantizerSimulation:
         assert convergence_time(traj) == (pytest.approx(0.475), 1.0)
 
     def test_motion_beyond_last_threshold_runs_to_horizon(self):
-        from qcl import GeneralQuantizer
-
         quantizer = GeneralQuantizer(levels=(0.0, 1.0), thresholds=(0.5,))
         g = WeightedDigraph.from_edges(2, [(0, 1, 1.0)])
         config = ScenarioConfig(

@@ -9,7 +9,8 @@ events.  The corpus covers every file in ``scenarios/``, the line
 staircases and stubborn-leader chains of the reference families, and random
 graphs whose surface sets run through both the dense path and projected
 Gauss-Seidel (n = 160 reaches surface sets of 75 agents) under all three
-selection policies.
+selection policies, random graphs under a general quantizer with uneven gaps
+and thresholds off the midpoints, and schedules that switch many times.
 
 A deliberate change of outputs regenerates the digests with
 ``python tests/test_golden.py`` and needs a CHANGES.md entry that gives the
@@ -23,6 +24,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,8 @@ import pytest
 from conftest import kernel_path
 from qcl import (
     FixedAlpha,
+    GeneralQuantizer,
+    GraphSchedule,
     convergence_report,
     SequentialSlow,
     Sliding,
@@ -43,6 +47,30 @@ from qcl import (
 from qcl._json import dumps
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+#: Thirteen levels with gaps from 0.15 to 1.15, each threshold at its own
+#: fraction (0.3 to 0.7) of its gap, none at the midpoint.
+_LEVELS = (-0.4, -0.1, 0.35, 0.6, 1.1, 1.45, 2.6, 2.75, 3.05, 3.6, 4.3, 4.5, 5.2)
+UNEVEN = GeneralQuantizer(_LEVELS, tuple(
+    lo + f * (hi - lo) for lo, hi, f in zip(_LEVELS, _LEVELS[1:], (
+        0.3, 0.62, 0.45, 0.7, 0.35, 0.5, 0.41, 0.66, 0.3, 0.58, 0.37, 0.69))))
+
+
+def _general(n: int, seed: int, policy):
+    """A random graph under ``UNEVEN``, with states from below its lowest
+    threshold to above its highest."""
+    config = random_connected(n, seed=seed, x0_cells=6.2, policy=policy)
+    return replace(config, quantizer=UNEVEN, x0=tuple(v - 0.7 for v in config.x0))
+
+
+def _switching(n: int, seed: int):
+    """Four random graphs in turn over ten segments of uneven lengths, the
+    last of which holds forever."""
+    config = random_connected(n, seed=seed, switching=(4, 1.0), delta=0.05, x0_cells=16.0)
+    graphs = [g for _, g in config.schedule.segments]
+    starts = (0.0, 0.13, 0.37, 0.41, 0.9, 1.7, 2.3, 2.35, 3.1, 4.7)
+    return replace(config, schedule=GraphSchedule(
+        tuple((t, graphs[k % 4]) for k, t in enumerate(starts)), 0.5, 2.0))
 
 
 def _cases() -> dict:
@@ -63,6 +91,14 @@ def _cases() -> dict:
             name = f"random{n}-s{seed}-{policy.to_json()['type']}"
             cases[name] = lambda n=n, seed=seed, policy=policy: random_connected(
                 n, seed=seed, policy=policy)
+    for n, seed, policy in ((6, 3, Sliding()), (9, 4, SequentialSlow()),
+                            (12, 5, FixedAlpha({2: 0.25, 7: 0.5}))):
+        cases[f"general{n}-{policy.to_json()['type']}"] = \
+            lambda n=n, seed=seed, policy=policy: _general(n, seed, policy)
+    # 78 switches of a period of three graphs, and a schedule of ten segments.
+    cases["periodic5-many-switches"] = lambda: random_connected(
+        5, seed=6, switching=(3, 0.0123), delta=1 / 16, x0_cells=24.0)
+    cases["switching6"] = lambda: _switching(6, 7)
     return cases
 
 
@@ -160,6 +196,11 @@ DIGESTS = {
     "random160-s1-sliding": "7a83730141e2f7529d4eb618d61aa348a3dd15e52bdf81281bdb7a77307d4f0d",
     "random160-s1-sequential-slow": "ddc250b9119ad90f60e3206d9befa823becaa23252126210f015030762d22689",
     "random160-s1-fixed-alpha": "7a83730141e2f7529d4eb618d61aa348a3dd15e52bdf81281bdb7a77307d4f0d",
+    "general6-sliding": "9aeaa25295682016318b2de845a97f5becc3432feb8331ec89e31cb9839113f9",
+    "general9-sequential-slow": "c1784d0c2da53f0eb6def1317fbf15e8a3cf9ac3068e12b907fc284b237d9a1a",
+    "general12-fixed-alpha": "8dec7961ebe8aabfde91d5bddadcb170533f2d4ee8114692f481726c9e7c8d6c",
+    "periodic5-many-switches": "0ef3b2e10651e4f6f159397b13e677a644278cd5e1a4838e0a1383405c66d6c7",
+    "switching6": "d978112ff8174278780574f1d7a6a465535f5885d4635b8e7b69b96418424dcc",
 }
 
 
@@ -295,6 +336,16 @@ JSON_DIGESTS = {
         "d3f9ca7635586cd5f8cdd10c8fd9ef58b5d53edcc716b12adb8fb8ae29945bfd"),
     "random160-s1-fixed-alpha": ("ea5387376a69f9f3fbdb7efd49c4651e66a99961ed39d62305fa88a69366e840",
         "d3f9ca7635586cd5f8cdd10c8fd9ef58b5d53edcc716b12adb8fb8ae29945bfd"),
+    "general6-sliding": ("6df19674e3ef5410a55be262dfe36873be3d416c815d1031150ab95c6ddf09d2",
+        "215b94014805c0e04e0400607a894c4dfc2ca1a6f05bbe0baf473ae31c3da3b7"),
+    "general9-sequential-slow": ("b64bd70acfb30f02b4c8fd8a205bc6424919f80721b97fa6dfef53892118d346",
+        "7c5bab519b3ceaf559e05281f384c21efeea31ed328da86a311bddc292f1a5ab"),
+    "general12-fixed-alpha": ("824fa86248d32a85e579db35d47be05734c3d43110f34c8cf95aad41642eeb57",
+        "2447fe9bba8cdb5be7dfee09da667fea15f4daa5dd6f0c88483774bfb0b04b64"),
+    "periodic5-many-switches": ("568711db7d6aabc70a3caf0b9dbd6b4c94e50bf28c2876024f98a3283764f8f9",
+        "622de392a8b9493322143a9309ad4b70a04cf1bb0ad1ac9c0b24f502e18734db"),
+    "switching6": ("9468c46ad60fb4d66ddf778cd9d67429966f8d11ad9fd60e81e9cca57f25ae47",
+        "d737a7a55c750659ea0b4d61b5bd64609ad35b025f2b96a5a388800e981c75a8"),
 }
 
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import KERNEL_PATHS, build_kernel_variant, kernel_path
-from qcl import (GeneralQuantizer, InputError, UniformQuantizer, example1_line,
-                 quantizer_from_json, quantizers, simulate)
+from qcl import (GeneralQuantizer, InputError, Sliding, UniformQuantizer, WeightedDigraph,
+                 example1_line, quantizer_from_json, quantizers, resolve_sliding, simulate)
 from qcl.quantizers import extreme_sets, krasovskii_scan, threshold_hits
 
 DYADIC_DELTAS = (0.25, 0.5, 1.0, 2.0)
@@ -316,6 +316,42 @@ def _scan_summary(x, quantizer):
     return scan.boxes, levels, (low[0], high[1]), (high[0], low[1])
 
 
+def _resolved_scans(x, quantizer):
+    """The scans as ``resolve_sliding`` runs them on the kernel path in use
+    (the compiled resolve's own, where it loads): the surface agents and the
+    levels of the others, in the form of ``_sets_reference``, then the
+    closest arrival and the states and velocity it comes from.  Even agents
+    listen to an agent at the highest finite state and odd ones to one at
+    the lowest, so that they move or depart; those two come last and are
+    left out of the sets."""
+    x = np.array(x, dtype=float)
+    n = len(x)
+    finite = [v for v in x.tolist() if math.isfinite(v)] or [0.0]
+    states = np.concatenate([x, [max(finite), min(finite)]])
+    g = WeightedDigraph.from_edges(n + 2, [(i, n + i % 2, 1.0) for i in range(n)])
+    res = resolve_sliding(states, g, quantizer)
+    kernels = quantizers._load_kernel()
+    out = None if kernels is None else kernels.resolve(g, states, quantizer, Sliding(),
+                                                       frozenset(), 64)
+    arrival = threshold_hits(states, res.velocity, quantizer) if out is None else out[5]
+    surface = {i for i, _ in res.alpha}
+    return ([i for i in range(n) if i in surface],
+            {i: z for i, z in enumerate(res.z[:n].tolist()) if i not in surface},
+            arrival, states.tolist(), res.velocity.tolist())
+
+
+def _resolved_scans_agree(x, quantizer) -> bool:
+    """Whether ``_resolved_scans`` gives the per-agent methods' sets and
+    arrival, or their error."""
+    outcome = _outcome(_resolved_scans, x, quantizer)
+    if not isinstance(outcome, str):
+        return outcome == _outcome(_sets_reference, x, quantizer)
+    surface, levels, arrival, states, velocity = _resolved_scans(x, quantizer)
+    boxes, expected_levels = _sets_reference(x, quantizer)[:2]
+    return (surface == list(boxes) and repr(levels) == repr(expected_levels)
+            and repr(arrival) == repr(_hits_reference(states, velocity, quantizer)))
+
+
 def _outcome(fn, *args):
     """``repr`` of the result, or the type and message of the error."""
     try:
@@ -326,9 +362,9 @@ def _outcome(fn, *args):
 
 class TestScansMatchPerAgentMethods:
     """Both scans against the per-agent methods: the same arithmetic, so
-    ``repr``-equal, and the same errors.  The scans are list code on either
-    kernel path; their compiled ports run inside the compiled resolve, which
-    test_dynamics compares with the list path."""
+    ``repr``-equal, and the same errors.  The scans are list code; on each
+    kernel path the scans of ``resolve_sliding`` are compared too, on the
+    compiled path the compiled resolve's ports of them."""
 
     @pytest.mark.parametrize("path", KERNEL_PATHS)
     @settings(max_examples=80, deadline=None)
@@ -349,6 +385,7 @@ class TestScansMatchPerAgentMethods:
                 i for i, ((lo, hi), s) in enumerate(zip(sets, selection)) if not lo <= s <= hi]
             lo, hi = q.krasovskii_sets(np.array(x, dtype=float))
             assert repr(list(zip(lo.tolist(), hi.tolist()))) == repr(sets)
+            assert _resolved_scans_agree(x, q)
 
     @pytest.mark.parametrize("path", KERNEL_PATHS)
     @settings(max_examples=80, deadline=None)
@@ -367,6 +404,7 @@ class TestScansMatchPerAgentMethods:
                     min_size=len(x), max_size=len(x)))
             expected = _hits_reference(x, velocity, q)
             assert repr(threshold_hits(np.array(x), np.array(velocity), q)) == repr(expected)
+            assert _resolved_scans_agree(x, q)
 
     @pytest.mark.parametrize("path", KERNEL_PATHS)
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e17, -2.0 ** 53, 1e308,
@@ -387,6 +425,8 @@ class TestScansMatchPerAgentMethods:
                 velocity = [0.0, v, 1.0]
                 assert _outcome(threshold_hits, x, np.array(velocity), q) == \
                     _outcome(_hits_reference, x, velocity, q)
+            # The compiled resolve declines, and the Python code raises.
+            assert _resolved_scans_agree(x.tolist(), q)
 
     @pytest.mark.parametrize("path", KERNEL_PATHS)
     def test_general_quantizer_scans_per_agent(self, path):
@@ -399,6 +439,8 @@ class TestScansMatchPerAgentMethods:
             velocity = [1.0, -1.0, 1.0, 0.0, -1.0, 1.0]
             assert repr(threshold_hits(x, velocity, GENERAL)) == \
                 repr(_hits_reference(x, velocity, GENERAL))
+            for states in (x, [*GENERAL.thresholds, *GENERAL.levels, -9.0, 0.4], [math.nan, 0.3]):
+                assert _resolved_scans_agree(states, GENERAL)
 
 
 @settings(max_examples=150, deadline=None)
@@ -436,7 +478,9 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler"
     ("if (threshold(base + j, delta) <= x)", "if (threshold(base + j, delta) < x)"),
     ("for (int64_t i = 0; i < n; i++) {\n        double x = h->x[i]",
      "for (int64_t i = n - 1; i >= 0; i--) {\n        double x = h->x[i]"),
-], ids=["threshold-as-k-delta-plus-half-delta", "strict-cell-search", "ties-last-first"])
+    ("i = bisect(q->thresholds, q->count, x, 0);", "i = bisect(q->thresholds, q->count, x, 1);"),
+], ids=["threshold-as-k-delta-plus-half-delta", "strict-cell-search", "ties-last-first",
+        "general-set-scan-bisect-right"])
 def test_mutated_scan_fails_self_check(monkeypatch, tmp_path, old, new):
     build_kernel_variant(monkeypatch, tmp_path, old, new)
     config = example1_line(5, 0.1)
