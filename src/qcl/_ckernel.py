@@ -1,11 +1,15 @@
-"""Build, cache and load the compiled kernels ``_kernels.c``.
+"""Build, cache and load the compiled kernels ``_kernels.c``, qcl's only
+implementation of its resolver, event loop, RK4 oracle kernel and export
+writer.
 
 The first ``load`` compiles the source with the system C compiler into the
 package's ``__pycache__``, under a name keyed by the source, the flags and the
-compiler, and installs the build only after ``check`` accepts it.  Later
-loads reuse the cached library and start no compiler.  ``load`` returns None
-when there is no compiler, the build or the check fails, or the cache cannot
-be written; the caller then keeps its own kernels.
+compiler, and installs the build only after its self-check
+(``_kernel_check.kernels_agree``) accepts it.  Later loads reuse the cached
+library and start no compiler.  Where the cache cannot be written (an
+installed package), each process builds and checks its own copy in a
+temporary directory.  With no compiler, or a build that fails to compile
+or its self-check, ``load`` raises ``KernelError`` and caches nothing.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import shutil
 import subprocess
 import tempfile
 import weakref
+from contextlib import suppress
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -41,15 +46,21 @@ FLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 class Kernels(NamedTuple):
-    """The compiled entry points, each in the interface of its Python code."""
+    """The compiled entry points (``tests/reference.py`` implements the same
+    interface in Python)."""
 
-    #: ``rk4_chunk(x, rows, xp, fp, h, steps)``, as ``dynamics._rk4_chunk``.
+    #: ``rk4_chunk(x, rows, xp, fp, h, steps)``: ``steps`` classical RK4
+    #: steps of ``x' = -L q(x)``, ``q`` the linear interpolation of the knots
+    #: ``(xp, fp)``, clamped outside them, and ``rows[i]`` the nonzero ``(j,
+    #: l_ij)`` of Laplacian row ``i`` in increasing ``j``.
     rk4_chunk: Callable[[list, list, list, list, float, int], list]
     #: ``resolve(g, x, quantizer, policy, last_stopped, cutoff)``: the fields
     #: of ``dynamics.resolve_sliding``'s ``Resolution`` under any policy and
-    #: either quantizer, then the ``threshold_hits`` of its velocity; or None
-    #: when it declines.
-    resolve: Callable[..., tuple | None]
+    #: either quantizer, then the closest threshold arrival of its velocity,
+    #: ``(dt, [(agent, threshold), ...])`` with every agent tied at it; a
+    #: state with no consistent selection raises the error of its decline
+    #: (see ``DECLINES``).
+    resolve: Callable[..., tuple]
     #: ``advance(schedule, x, quantizer, policy, last_stopped, cutoff, t,
     #: kind, horizon, budget)``: ``(rows, kinds, ints, t, x, kind, stopped,
     #: resolution)``, the events that ``qcl_advance`` recorded from the event
@@ -58,7 +69,7 @@ class Kernels(NamedTuple):
     #: event, an int array of their kinds and one of their records, as
     #: ``Trajectory`` stores them), the time, state, kind and last-stopped
     #: agents (in increasing order) where it stopped, and ``resolve`` of that
-    #: state.
+    #: state, whose errors it raises.
     advance: Callable[..., tuple]
     #: ``write(json, indent, t, kind, x, src, z, alpha)``: the text of the
     #: rows of a trajectory export (see ``qcl_write``), or None when they
@@ -67,34 +78,55 @@ class Kernels(NamedTuple):
     write: Callable[..., str | None]
 
 
-def load(check: Callable[[Kernels], bool]) -> Kernels | None:
-    """The compiled kernels, built and checked by ``check`` on first use."""
+def load() -> Kernels:
+    """The compiled kernels, built and checked on first use."""
+    from .quantizers import KernelError
+
     cc = shutil.which("cc")
     if cc is None:
-        return None
+        raise KernelError("no C compiler: qcl builds its kernels with cc, "
+                          "which is not on the PATH")
     cc = os.path.realpath(cc)
-    tmp = None
+    source = SOURCE.read_bytes()
+    key = sha256(b"\0".join([source, *map(str.encode, FLAGS), cc.encode()]))
+    target = CACHE / f"_kernels-{key.hexdigest()[:16]}.so"
+    if target.exists():
+        return _bind(str(target))
     try:
-        source = SOURCE.read_bytes()
-        key = sha256(b"\0".join([source, *map(str.encode, FLAGS), cc.encode()]))
-        target = CACHE / f"_kernels-{key.hexdigest()[:16]}.so"
-        if target.exists():
-            return _bind(str(target))
         CACHE.mkdir(exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix="_kernels-", suffix=".tmp", dir=CACHE)
-        os.close(fd)
-        subprocess.run([cc, *FLAGS, "-o", tmp, "-x", "c", "-"], input=source,
-                       capture_output=True, check=True)
-        kernels = _bind(tmp)
-        if not check(kernels):
-            return None
+    except OSError:
+        # A read-only cache: this process builds its own copy, which the
+        # loaded library outlives.
+        with tempfile.TemporaryDirectory(prefix="qcl-kernels-") as scratch:
+            return _build(cc, source, str(Path(scratch) / "_kernels.so"))
+    os.close(fd)
+    try:
+        kernels = _build(cc, source, tmp)
         os.replace(tmp, target)
         return kernels
-    except (OSError, subprocess.CalledProcessError):
-        return None
     finally:
-        if tmp is not None and os.path.exists(tmp):
+        with suppress(FileNotFoundError):
             os.unlink(tmp)
+
+
+def _build(cc: str, source: bytes, path: str) -> Kernels:
+    """The kernels compiled from ``source`` into ``path``, which must pass
+    the self-check; its module is imported only for a new build."""
+    from ._kernel_check import kernels_agree
+    from .quantizers import KernelError
+
+    built = subprocess.run([cc, *FLAGS, "-o", path, "-x", "c", "-"], input=source,
+                           capture_output=True)
+    if built.returncode:
+        lines = built.stderr.decode(errors="replace").splitlines()
+        errors = [line for line in lines if "error" in line] or lines or ["no output"]
+        raise KernelError(f"cc could not build {SOURCE.name}: {errors[0].strip()}")
+    kernels = _bind(path)
+    if not kernels_agree(kernels):
+        raise KernelError(f"the build of {SOURCE.name} failed its self-check: its outputs "
+                          "differ from the reference bits")
+    return kernels
 
 
 def _bind(path: str) -> Kernels:
@@ -103,7 +135,7 @@ def _bind(path: str) -> Kernels:
 
 
 def _bind_rk4_chunk(lib: ctypes.CDLL):
-    """Wrap ``qcl_rk4_chunk`` in the list interface of ``dynamics._rk4_chunk``."""
+    """Wrap ``qcl_rk4_chunk`` in the list interface of ``Kernels.rk4_chunk``."""
     floats = ndpointer(np.float64, flags="C_CONTIGUOUS")
     ints = ndpointer(np.int64, flags="C_CONTIGUOUS")
     c_chunk = lib.qcl_rk4_chunk
@@ -191,7 +223,8 @@ class _Struct(ctypes.Structure):
                 + [(name, ctypes.c_int64)
                    for name in ("m", "rows_cap", "ints_cap", "n_pins", "n_surface", "count")]
                 + [(name, ctypes.c_double) for name in ("dt", "t")]
-                + [(name, ctypes.c_int64) for name in ("n_stopped", "n_rows", "n_ints", "kind")])
+                + [(name, ctypes.c_int64)
+                   for name in ("n_stopped", "n_rows", "n_ints", "kind", "reason", "agent")])
 
 
 class _Work:
@@ -203,9 +236,8 @@ class _Work:
 
     ``buf`` maps each buffer of ``_BUFFERS`` to its ctypes array, ``x``,
     ``y``, ``z``, ``rows``, ``ints`` and ``kinds`` are numpy views of the
-    same memory, made once (on a 2-core Xeon, copying 6 states into one
-    takes about 0.5 us, asking numpy for an array's address 0.9 us), and
-    ``struct`` points the C code at all of them.
+    same memory, made once, and ``struct`` points the C code at all of
+    them.
     """
 
     def __init__(self, n: int, m: int):
@@ -232,14 +264,13 @@ def _tables():
     a ``GraphSchedule``, or a graph as a schedule of one segment.  Each
     graph's CSR arrays are copied for C once from numpy: ``ends``, ``cols``
     and ``vals`` from ``g.csr``, and the row totals from
-    ``g.weights.sum(axis=1)``, the expression that defines
-    ``SparseRow.total``, so ``g.rows`` is never built; the graph's own
-    schedule of one segment is built with them and serves every schedule
-    of one segment without a period.  ``c_quantizer(q)`` gives the address
-    of q's struct qcl_quantizer: a ``GeneralQuantizer``'s thresholds and
-    levels, sorted as that class keeps them, or the step of a uniform one,
-    written into one struct that serves every uniform quantizer, which the
-    next call may overwrite.  The tables of a graph, a schedule or a general
+    ``g.weights.sum(axis=1)``, which has the bits of ``g.out_weight``; the
+    graph's own schedule of one segment is built with them and serves every
+    schedule of one segment without a period.  ``c_quantizer(q)`` gives the
+    address of q's struct qcl_quantizer: a ``GeneralQuantizer``'s thresholds
+    and levels, sorted as that class keeps them, or the step of a uniform
+    one, written into one struct that serves every uniform quantizer, which
+    the next call may overwrite.  The tables of a graph, a schedule or a general
     quantizer are built once and live as long as it does.
     """
     from .graphs import GraphSchedule
@@ -259,12 +290,14 @@ def _tables():
         """``(n, address of g's schedule of one segment, what keeps it
         alive)``; that schedule's graphs are g's struct qcl_graph."""
         _, cols, values, ends = g.csr
+        with np.errstate(over="ignore"):  # a total may overflow to inf
+            totals = g.weights.sum(axis=1)
         arrays = tuple((ctype * len(a)).from_buffer_copy(np.ascontiguousarray(a, dtype))
                        for ctype, dtype, a in (
                            (ctypes.c_int64, np.int64, ends),
                            (ctypes.c_int64, np.int64, cols),
                            (ctypes.c_double, np.float64, values),
-                           (ctypes.c_double, np.float64, g.weights.sum(axis=1))))
+                           (ctypes.c_double, np.float64, totals)))
         graph = _Graph(g.n, *map(ctypes.addressof, arrays))
         schedule = _Schedule(1, ctypes.addressof(_ZERO), ctypes.addressof(graph), 0, 0.0)
         return g.n, ctypes.addressof(schedule), (schedule, graph, arrays)
@@ -301,17 +334,51 @@ def _tables():
     return c_schedule, c_quantizer
 
 
+#: The reasons of a decline of ``qcl_resolve``, numbered from 1 as the
+#: ``QCL_*`` codes of ``_kernels.c`` number them.
+DECLINES = ("STATE", "PGS_STALLED", "PGS_SPLIT", "PIN_NAN", "DEPARTURE", "BOX")
+
+
+def _raise_decline(reason: int, i: int, quantizer, x: np.ndarray, z: np.ndarray):
+    """Raise the error, with the text of the reference resolver
+    (``tests/reference.py``), of a resolve that declined for ``reason`` (a
+    code of ``DECLINES``) at agent ``i`` of the state ``x`` and selection
+    ``z``.  A state that is not finite or lies off the lattice gets the
+    InputError of ``quantizer.krasovskii_set``, the scan that a resolve
+    starts with."""
+    from .dynamics import ContractViolation, NoSlidingSelection
+    from .quantizers import InputError
+
+    name = DECLINES[reason - 1] if 0 < reason <= len(DECLINES) else None
+    if name in ("STATE", "BOX"):
+        lo, hi = quantizer.krasovskii_set(float(x[i]))
+    errors = {
+        "BOX": lambda: ContractViolation(f"resolved z[{i}]={z[i]} left [{lo}, {hi}]"),
+        "PGS_STALLED": lambda: NoSlidingSelection("projected Gauss-Seidel did not converge"),
+        "PGS_SPLIT": lambda: NoSlidingSelection(f"inconsistent projected solution for agent {i}"),
+        "PIN_NAN": lambda: InputError(PIN_OVERFLOW.format(i)),
+        "DEPARTURE": lambda: NoSlidingSelection(f"departure of agent {i} is not sign-consistent"),
+    }
+    raise errors.get(name, lambda: RuntimeError(
+        f"the compiled resolve declined ({reason}) at agent {i}, where the reference does not"))()
+
+
+#: The message of a pinned agent whose velocity is NaN: its terms
+#: ``a_ij (z_j - z_i)`` overflowed to infinities of both signs.
+PIN_OVERFLOW = ("the velocity of pinned agent {} is not finite: "
+                "its weights times the level differences overflow")
+
+
 def _bind_advance(lib: ctypes.CDLL):
     """Wrap ``qcl_advance`` as ``resolve``, for ``dynamics.resolve_sliding``,
     and ``advance``, for ``dynamics.simulate``.
 
-    ``x`` must be a float64 array with one state per agent.  The policy's
-    pins on agents outside the graph are dropped, as its Python code ignores
-    them.  The resolution is None, so that the caller runs its Python code,
-    when the C code declines, a last-stopped agent is not an integer of the
-    graph or the cutoff is not a number.  A full chunk is copied out and the
-    loop goes on; the hold buffers grow when the C code asks for more, and
-    the loop then goes on in the larger workspace.
+    ``x`` must be a float64 array with one state per agent and ``cutoff`` a
+    float.  The policy's pins on agents outside the graph are dropped, as
+    the resolver ignores them; last-stopped agents outside the graph are a
+    ValueError.  A full chunk is copied out and the loop goes on; the hold
+    buffers grow when the C code asks for more, and the loop then goes on in
+    the larger workspace.  A decline raises its error (``_raise_decline``).
     """
     from .dynamics import FixedAlpha, SequentialSlow
 
@@ -332,7 +399,7 @@ def _bind_advance(lib: ctypes.CDLL):
     c_advance.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
                           ctypes.c_double, ctypes.c_double, ctypes.c_int64]
 
-    def advance(schedule, x: np.ndarray, quantizer, policy, last_stopped, cutoff,
+    def advance(schedule, x: np.ndarray, quantizer, policy, last_stopped, cutoff: float,
                 t: float = 0.0, kind: int = 0, horizon: float = math.inf,
                 budget: int = 0) -> tuple:
         n, table = c_schedule(schedule)
@@ -342,46 +409,41 @@ def _bind_advance(lib: ctypes.CDLL):
         rows: list[np.ndarray] = []
         kinds: list[np.ndarray] = []
         ints: list[np.ndarray] = []
-        stopped = ()
-        try:
-            if last_stopped:
-                stopped = tuple(sorted(last_stopped))
-                if not 0 <= stopped[0] <= stopped[-1] < n:
-                    return rows, kinds, ints, t, x, kind, stopped, None
-            q = c_quantizer(quantizer)
-            w = reserve(n)
-            w.x[:n] = x
-            w.buf["stopped"][:len(stopped)] = stopped
-            w.struct.t, w.struct.n_stopped, w.struct.kind = t, len(stopped), kind
-            budget = min(budget, 2 ** 62)  # C takes an int64
-            while True:
-                s = w.struct
-                s.n_pins = len(pins)
-                if pins:
-                    w.buf["pins"][:len(pins)], w.buf["pin_alpha"][:len(pins)] = zip(*pins)
-                status = c_advance(table, w.address, q, sequential, cutoff, horizon, budget)
-                if s.n_rows:
-                    rows.append(w.rows[:s.n_rows * (4 * n + 1)].reshape(s.n_rows, -1).copy())
-                    kinds.append(w.kinds[:s.n_rows].copy())
-                    ints.append(w.ints[:s.n_ints].copy())
-                    budget -= s.n_rows
-                if status == _FULL:
-                    continue
-                if status != _GROW:
-                    break
-                grown = reserve(n, s.count)
-                grown.x[:n] = w.x[:n]
-                grown.buf["stopped"][:s.n_stopped] = w.buf["stopped"][:s.n_stopped]
-                for field in ("t", "n_stopped", "kind"):
-                    setattr(grown.struct, field, getattr(s, field))
-                w = grown
-        except (TypeError, ctypes.ArgumentError):
-            return rows, kinds, ints, t, x, kind, stopped, None
+        stopped = tuple(sorted(last_stopped))
+        if stopped and not 0 <= stopped[0] <= stopped[-1] < n:
+            raise ValueError(f"last-stopped agents {stopped} lie outside the {n} agents")
+        q = c_quantizer(quantizer)
+        w = reserve(n)
+        w.x[:n] = x
+        w.buf["stopped"][:len(stopped)] = stopped
+        w.struct.t, w.struct.n_stopped, w.struct.kind = t, len(stopped), kind
+        budget = min(budget, 2 ** 62)  # C takes an int64
+        while True:
+            s = w.struct
+            s.n_pins = len(pins)
+            if pins:
+                w.buf["pins"][:len(pins)], w.buf["pin_alpha"][:len(pins)] = zip(*pins)
+            status = c_advance(table, w.address, q, sequential, cutoff, horizon, budget)
+            if s.n_rows:
+                rows.append(w.rows[:s.n_rows * (4 * n + 1)].reshape(s.n_rows, -1).copy())
+                kinds.append(w.kinds[:s.n_rows].copy())
+                ints.append(w.ints[:s.n_ints].copy())
+                budget -= s.n_rows
+            if status == _FULL:
+                continue
+            if status != _GROW:
+                break
+            grown = reserve(n, s.count)
+            grown.x[:n] = w.x[:n]
+            grown.buf["stopped"][:s.n_stopped] = w.buf["stopped"][:s.n_stopped]
+            for field in ("t", "n_stopped", "kind"):
+                setattr(grown.struct, field, getattr(s, field))
+            w = grown
+        if status:
+            _raise_decline(s.reason, s.agent, quantizer, w.x, w.z)
         if rows:
             t, x, kind = s.t, w.x[:n].copy(), s.kind
             stopped = tuple(w.buf["stopped"][:s.n_stopped])
-        if status:
-            return rows, kinds, ints, t, x, kind, stopped, None
         buf = w.buf
         k, count = s.n_surface, s.count
         surface, signs = buf["surface"][:k], buf["sign"][:k]
@@ -393,7 +455,7 @@ def _bind_advance(lib: ctypes.CDLL):
             tuple([(i, sign) for i, sign in zip(surface, signs) if sign]),
             (s.dt, list(zip(buf["hit"][:count], buf["threshold"][:count]))))
 
-    def resolve(g, x: np.ndarray, quantizer, policy, last_stopped, cutoff) -> tuple | None:
+    def resolve(g, x: np.ndarray, quantizer, policy, last_stopped, cutoff: float) -> tuple:
         return advance(g, x, quantizer, policy, last_stopped, cutoff)[-1]
 
     return resolve, advance

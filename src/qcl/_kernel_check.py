@@ -1,30 +1,41 @@
 """The self-check that a build of ``_kernels.c`` must pass before qcl uses it.
 
-Each compiled entry point must reproduce the bits of the Python code it
-ports on fixed inputs chosen so that a change in the rounding or order of
-any operation shows: ``qcl_rk4_chunk`` against the list kernel,
-``qcl_resolve`` and ``qcl_advance`` against ``_resolve_python`` and
-``simulate`` on the list code, and ``qcl_write`` against the Python writer,
-which formats with ``repr`` and ``format(v, ".17g")``.  The resolve states
-and runs also reach every static helper that they run: the hold solver, the
-row sums, the set and hit scans of both quantizers, the schedule lookup and
-projected Gauss-Seidel.  ``quantizers._load_kernel`` runs it only when a
-build is new.
+Each compiled entry point runs on fixed inputs chosen so that a change in
+the rounding or order of any operation shows: ``qcl_rk4_chunk`` on chunks
+that reach every knot segment and both clamps, ``qcl_resolve`` on states
+that reach every static helper it runs (the hold solver, the row sums, the
+set and hit scans of both quantizers, projected Gauss-Seidel, the pins) and
+on states that it must decline, and ``qcl_advance`` on whole runs of
+``simulate`` (the schedule lookup, the steps and the snaps).  ``digests``
+hashes their output bits, and the error of every decline, into one sha256
+per group of inputs, each of which must equal its entry in ``DIGESTS``; the
+test suite recomputes ``DIGESTS`` from the list code that the C code ports
+(``tests/reference.py``).  ``qcl_write`` must give the text of qcl's Python
+writer, which formats with ``repr`` and ``format(v, ".17g")``.
+``quantizers._load_kernel`` runs the check only when a build is new.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from typing import Iterator
 
 import numpy as np
 
 from . import _json, quantizers
+from ._ckernel import sha256
 from .dynamics import (FixedAlpha, SequentialSlow, SimulationLimitError, Sliding, Trajectory,
-                       TrajectoryEvent, _csv_line, _resolve_python, _rk4_chunk_lists,
-                       _row_dicts, simulate)
+                       TrajectoryEvent, _csv_line, _row_dicts, simulate)
 from .graphs import GraphSchedule, WeightedDigraph
-from .quantizers import GeneralQuantizer, UniformQuantizer, threshold_hits
+from .quantizers import GeneralQuantizer, UniformQuantizer
+
+#: ``digests`` of the reference kernels; ``python tests/reference.py``
+#: prints them.
+DIGESTS = ("08587d83186a53226c43f00982ae082d9ee3ed60461a641bd0535b81398a3247",
+           "b6c924a0d7fc9827497d3b8c7dd586db39fd0146efd8023cc50565f5b067a5f5",
+           "520ad177b841de718e8d9d3a5553d1ea9bee585ff729d414f5a28f92736273da",
+           "9cced9c1498d376d0e0ffcc60a718c97713ce846483206deaf5510e5e7ddf0a9")
 
 #: Uneven gaps, thresholds off the midpoints (-0.3 and 2.9 not binary
 #: fractions) and a threshold at 0.
@@ -32,13 +43,31 @@ _GENERAL = GeneralQuantizer((-1.5, -0.25, 0.5, 0.75, 2.0, 3.25), (-0.3, 0.0, 0.6
 
 
 def kernels_agree(kernels) -> bool:
-    """Whether every compiled entry point gives the bits of its Python code."""
-    return (_writer_agrees(kernels.write) and _rk4_agrees(kernels.rk4_chunk)
-            and _resolve_agrees(kernels.resolve) and _runs_agree(kernels))
+    """Whether every compiled entry point gives the reference bits; stops
+    at the first group of inputs that differs."""
+    return _writer_agrees(kernels.write) and all(
+        found == expected for found, expected in zip(digests(kernels), DIGESTS, strict=True))
 
 
-def _rk4_agrees(kernel) -> bool:
-    """Whether ``kernel`` gives the list kernel's bits on a fixed set of chunks.
+def digests(kernels) -> Iterator[str]:
+    """The sha256 of the outputs of ``kernels`` (a ``_ckernel.Kernels``) on
+    each group of fixed inputs in turn, one ``repr`` of a record of bits per
+    line: the RK4 chunks, the row sums of ``_row_states``, the other
+    resolves and the runs.  A build whose row sums read past an empty row
+    differs on the row sums before the later states' rows, which end the
+    arrays, let it read past them."""
+    for records in (lambda: _rk4_records(kernels.rk4_chunk),
+                    lambda: _resolve_records(kernels.resolve, _row_states()),
+                    lambda: _resolve_records(kernels.resolve, _resolve_states()),
+                    lambda: _run_records(kernels)):
+        h = sha256()
+        for record in records():
+            h.update(repr(record).encode() + b"\n")
+        yield h.hexdigest()
+
+
+def _rk4_records(kernel) -> list[list[str]]:
+    """The bits of ``kernel`` on a fixed set of chunks.
 
     Two large steps from each of 16 spread-out states reach every knot
     segment and both clamps, and keep each update comparable to the state,
@@ -50,11 +79,11 @@ def _rk4_agrees(kernel) -> bool:
     xp = [-1.9, -0.7, 0.4, 1.6, 2.2]
     fp = [-1.7, -0.2, 0.3, 1.1, 2.6]
 
-    def bits(chunk, k: int) -> list[str]:
+    def bits(k: int) -> list[str]:
         x = [((7 * k + 3 * i) % 13 - 6) / 2.7 for i in range(4)]
-        return [v.hex() for v in chunk(x, rows, xp, fp, 0.3, 2)]
+        return [v.hex() for v in kernel(x, rows, xp, fp, 0.3, 2)]
 
-    return all(bits(kernel, k) == bits(_rk4_chunk_lists, k) for k in range(16))
+    return [bits(k) for k in range(16)]
 
 
 def _ulps(x: float, count: int) -> float:
@@ -113,33 +142,29 @@ def _hold_states() -> list[tuple]:
                      _case(6, edge_cases, [0.0, -19.5, 0.5, -10.0, 0.5, 0.0])]
 
 
-def _scan_states(delta: float) -> tuple[list[tuple], list[tuple]]:
-    """``(accepted, declined)`` resolves that test the scans under a step
-    whose thresholds ``(k + 0.5) * delta`` round differently from ``k *
-    delta + 0.5 * delta``.
+def _scan_states(delta: float) -> list[tuple]:
+    """Resolves that test the scans under a step whose thresholds ``(k +
+    0.5) * delta`` round differently from ``k * delta + 0.5 * delta``.
 
     On directed paths, the states lie on thresholds of both signs, 1-3 ulps
     beside them, on levels, at -0.0 and just inside |x|/delta < 2^52, and
     the velocities mix signs.  Two states tie for the closest arrival: two
     pairs of agents with equal states and velocities, and agents at x = 0
-    moving either way.  States off the lattice must be declined.
+    moving either way.  Then states off the lattice, which must decline.
     """
     big = 2.0 ** 52
     xs = [-0.0, 0.0, (big - 2.5) * delta, -(big - 2.5) * delta, (big - 2.0) * delta]
     for k in (*range(-9, 10), 338, -4417):
         t = (k + 0.5) * delta
         xs += [t, k * delta] + [_ulps(t, u) for u in (-3, -2, -1, 1, 2, 3)]
-    accepted = [_case(len(x), [(i, i + 1, 1.3) for i in range(len(x) - 1)], x, delta=delta)
-                for start in range(0, len(xs), 9) for x in [xs[start:start + 13]]]
-    accepted += [
+    return [_case(len(x), [(i, i + 1, 1.3) for i in range(len(x) - 1)], x, delta=delta)
+            for start in range(0, len(xs), 9) for x in [xs[start:start + 13]]] + [
         _case(7, [(0, 5, 1.5), (2, 5, 1.5), (3, 6, 1.5), (4, 6, 1.5)],
               [0.2 * delta] * 3 + [0.7 * delta] * 2 + [delta, 0.0], delta=delta),
         _case(5, [(0, 1, 0.7), (2, 4, 0.7), (3, 1, 0.7)], [0.0, delta, 0.0, 0.0, -delta],
               delta=delta),
-    ]
-    declined = [_case(2, [(0, 1, 1.0)], [0.0, bad], delta=delta)
-                for bad in (2.0 ** 53 * delta, -2.0 ** 60 * delta, math.inf, math.nan)]
-    return accepted, declined
+    ] + [_case(2, [(0, 1, 1.0)], [0.0, bad], delta=delta)
+         for bad in (2.0 ** 53 * delta, -2.0 ** 60 * delta, math.inf, math.nan)]
 
 
 def _pin_states() -> list[tuple]:
@@ -158,35 +183,54 @@ def _pin_states() -> list[tuple]:
     ]
 
 
-def _general_states() -> tuple[list[tuple], list[tuple]]:
-    """``(accepted, declined)`` resolves under ``_GENERAL`` and under a
-    quantizer of one level and no threshold.
+def _general_states() -> list[tuple]:
+    """Resolves under ``_GENERAL`` and under a quantizer of one level and no
+    threshold.
 
     On directed cycles, the states lie on the thresholds, 1-2 ulps beside
     them, on the levels, at -0.0 and beyond the outermost thresholds on
     both sides; the set scan must find a threshold with bisect_left, and
     the hit scan look up with bisect_right and down with bisect_left.
-    States that are not finite must be declined."""
+    Then states that are not finite, which must decline."""
     xs = [-0.0, 0.0, -7.5, 9.0, -1.5, 3.25, 3.0, -1.0]
     for t in _GENERAL.thresholds:
         xs += [t] + [_ulps(t, u) for u in (-2, -1, 1, 2)]
     xs += list(_GENERAL.levels)
-    accepted = [_case(len(x), [(i, i + 1, 1.3) for i in range(len(x) - 1)]
-                      + [(len(x) - 1, 0, 0.7)], x, quantizer=_GENERAL)
-                for start in range(0, len(xs), 7) for x in [xs[start:start + 11]]]
-    accepted += [
+    return [_case(len(x), [(i, i + 1, 1.3) for i in range(len(x) - 1)]
+                  + [(len(x) - 1, 0, 0.7)], x, quantizer=_GENERAL)
+            for start in range(0, len(xs), 7) for x in [xs[start:start + 11]]] + [
         _case(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 2.0), (3, 2, 0.5)], [-7.5, 9.0, 2.9, 2.9],
               SequentialSlow(), [2], quantizer=_GENERAL),
         _case(3, [(0, 1, 1.0), (2, 0, 1.0)], [0.0, 4.0, -2.0], FixedAlpha({1: 0.5}),
               quantizer=GeneralQuantizer((0.7,), ())),
+    ] + [_case(2, [(0, 1, 1.0)], [0.0, bad], quantizer=_GENERAL)
+         for bad in (math.inf, -math.inf, math.nan)]
+
+
+def _decline_states() -> list[tuple]:
+    """A resolve for each reason of a decline but a bad state (see
+    ``_scan_states``): projected Gauss-Seidel (cutoff 0) that creeps too
+    slowly to converge; weights up to 1e308, whose overflowing velocities
+    leave it an agent that neither holds nor departs, give a pin a NaN
+    velocity and a hold a NaN coefficient (outside its box); and a departure
+    released before a singular hold system that moves back onto its surface."""
+    return [
+        _case(3, [(0, 1, 1.0), (1, 0, 1.0), (0, 2, 1e-9), (1, 2, 1e-9)], [0.5, 0.5, 1.0],
+              cutoff=0),
+        _case(4, [(0, 1, 1e300), (0, 2, 1.0), (0, 3, 1e308), (1, 2, 1e300), (1, 3, 2.0),
+                  (2, 1, 1e308), (2, 3, 1e308), (3, 0, 1e300), (3, 1, 2.0), (3, 2, 1e300)],
+              [-2.0, 0.0, -0.5, -2.5], SequentialSlow(), [2], cutoff=1),
+        _case(4, [(0, 2, 1.0), (1, 0, 0.5), (1, 2, 1e308), (1, 3, 2.0), (2, 0, 0.5),
+                  (2, 3, 5e307), (3, 0, 5e307), (3, 1, 1.0)], [3.0, 2.5, 3.0, 2.5],
+              FixedAlpha({0: 0.0, 3: 1.0}), [0, 3]),
+        _case(3, [(2, 0, 1e308), (2, 1, 5e307)], [-2.5, -2.5, -2.5], stopped=[2], cutoff=1),
+        _case(5, [(0, 4, 1e-6), (1, 0, 0.5), (1, 3, 3.0), (3, 2, 1.0), (4, 3, 1e6)],
+              [2.5, -1.5, 2.5, -2.5, -0.5], SequentialSlow(), [0, 3]),
     ]
-    declined = [_case(2, [(0, 1, 1.0)], [0.0, bad], quantizer=_GENERAL)
-                for bad in (math.inf, -math.inf, math.nan)]
-    return accepted, declined
 
 
 #: States of a unit step that run projected Gauss-Seidel: ``(n, edges, x,
-#: last stopped, cutoff)``.  See ``_resolve_agrees``.
+#: last stopped, cutoff)``.  See ``_resolve_states``.
 _PGS_STATES = (
     (2, [(0, 1, 1.0), (1, 0, 1.0)], [0.5, 0.5], (), 64),
     (5, [(1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0), (2, 0, 1.0), (3, 0, 1.0), (3, 4, 1.5),
@@ -200,28 +244,41 @@ _PGS_STATES = (
 )
 
 
-def _resolve_agrees(resolve) -> bool:
-    """Whether ``resolve`` gives the bits of ``dynamics._resolve_python`` and
-    the arrival of ``threshold_hits`` on its velocity, or declines where it
-    must.
+def _resolve_records(resolve, cases: list[tuple]) -> list[tuple]:
+    """The bits of ``resolve`` on each of ``cases``: the fields of its
+    resolution and its arrival, or the error of its decline."""
+    def bits(g, x, q, policy, stopped, cutoff):
+        try:
+            z, velocity, alpha, held, departing, (dt, hits) = resolve(g, x, q, policy, stopped,
+                                                                      cutoff)
+        except Exception as err:  # noqa: BLE001 - a decline, or a broken build
+            return type(err).__name__, str(err)
+        return (z.tobytes().hex(), velocity.tobytes().hex(),
+                [(int(i), float(a).hex()) for i, a in alpha], sorted(map(int, held)),
+                [(int(i), int(sign)) for i, sign in departing],
+                float(dt).hex(), [(int(i), float(th).hex()) for i, th in hits])
 
-    Resolves that it accepts must match on 60 random graphs with dyadic
-    weights, states on thresholds and levels, any policy, random pins and
-    random last-stopped agents.  It must accept ties for the largest excess
-    whose other tie-break changes the result, under Sliding and
-    SequentialSlow, coefficients 1.5e-12 from 0 and from 1, which are not
-    snapped, and a released agent that the re-check finds at rest, which
-    holds.  Under both policies it must accept the states that run projected
-    Gauss-Seidel: a singular pair; three candidates over a cutoff of 2, two
-    of which converge onto their upper box end from inside, and too many to
-    polish; a free translation pair beside agents that converge to interior
-    holds and onto box ends, which leaves the polish singular; and a
-    departure that the re-check finds pushed back onto its surface.  Where
-    the polish does not run, the sweep order and the end-snap show in the
-    bits.  It must also accept the states of ``_row_states``,
-    ``_hold_states``, ``_scan_states``, ``_general_states`` and
-    ``_pin_states``, match on 30 random graphs under ``_GENERAL``, and
-    decline states off the lattice or not finite.
+    return [bits(*c) for c in cases]
+
+
+def _resolve_states() -> list[tuple]:
+    """Resolves of the self-check but those of ``_row_states``.
+
+    The states: ties for the largest excess whose other tie-break changes
+    the result, under Sliding and SequentialSlow; coefficients 1.5e-12 from
+    0 and from 1, which are not snapped; a released agent that the re-check
+    finds at rest, which holds.  Under both policies, the states that run
+    projected Gauss-Seidel: a singular pair; three candidates over a cutoff
+    of 2, two of which converge onto their upper box end from inside, and
+    too many to polish; a free translation pair beside agents that converge
+    to interior holds and onto box ends, which leaves the polish singular;
+    and a departure that the re-check finds pushed back onto its surface.
+    Where the polish does not run, the sweep order and the end-snap show in
+    the bits.  Then the states of ``_hold_states``, ``_scan_states``,
+    ``_general_states``, ``_pin_states`` and
+    ``_decline_states``, 60 random graphs with dyadic weights, states on
+    thresholds and levels, any policy, random pins and random last-stopped
+    agents, and 30 random graphs under ``_GENERAL``.
     """
     rng = random.Random(1)
     drawn = []
@@ -243,7 +300,7 @@ def _resolve_agrees(resolve) -> bool:
         drawn.append(_case(n, edges, [rng.choice(points) for _ in range(n)],
                            rng.choice([Sliding(), SequentialSlow()]),
                            [i for i in range(n) if rng.random() < 0.3], quantizer=_GENERAL))
-    accepted = _row_states() + [
+    cases = [
         _case(6, [(0, 1, 1.0), (2, 1, 2.0), (3, 0, 2.0), (4, 0, 1.0), (4, 1, 1.0), (4, 3, 3.0),
                   (5, 2, 1.0)], [-1.5, -0.5, 3.5, -1.5, -0.5, -0.5]),
         _case(5, [(0, 3, 2.0), (0, 4, 2.0), (1, 0, 1.0), (1, 4, 3.0), (2, 1, 1.0), (3, 2, 1.0),
@@ -254,57 +311,15 @@ def _resolve_agrees(resolve) -> bool:
     ] + [
         _case(n, edges, x, policy, stopped, cutoff=cutoff)
         for n, edges, x, stopped, cutoff in _PGS_STATES for policy in (Sliding(), SequentialSlow())
-    ] + _hold_states() + _pin_states()
-    accepted_general, declined = _general_states()
-    accepted += accepted_general
+    ] + _hold_states() + _pin_states() + _decline_states() + _general_states()
     for delta in (1.0, 0.1, 0.01, 1 / 3, 0.7, 2.5e-3):
-        on_lattice, off_lattice = _scan_states(delta)
-        accepted += on_lattice
-        declined += off_lattice
-
-    def bits(result):
-        z, velocity, alpha, held, departing = result[:5]
-        return (z.tobytes(), velocity.tobytes(), [(i, a.hex()) for i, a in alpha], held,
-                departing)
-
-    def agrees(g, x, q, policy, stopped, cutoff, must) -> bool:
-        out = resolve(g, x, q, policy, stopped, cutoff)
-        if out is None:
-            return must != "accept"
-        if must == "decline":
-            return False
-        try:
-            ref = _resolve_python(x, g, q, policy, stopped, cutoff)
-        except (ArithmeticError, ValueError, RuntimeError):
-            return False
-        return (bits(out) == bits((ref.z, ref.velocity, ref.alpha, ref.held, ref.departing))
-                and repr(out[5]) == repr(threshold_hits(x, ref.velocity, q)))
-
-    # The states of _row_states come first: a build whose row sums read past
-    # an empty row fails on them before it can read past the last one.
-    return all(agrees(*c, must) for cases, must in (
-        (accepted, "accept"), (drawn, "match"), (declined, "decline")) for c in cases)
+        cases += _scan_states(delta)
+    return cases + drawn
 
 
-def _on_lists(check, kernels=None):
-    """``check()`` with ``quantizers._load_kernel`` returning ``kernels``.
-
-    The self-check runs inside the first ``_load_kernel`` call, which a
-    nested call would repeat, build and check included; so the reference
-    runs on the list code (no kernels), and a run of the build under check
-    gets it passed in.
-    """
-    loader = quantizers._load_kernel
-    quantizers._load_kernel = lambda: kernels
-    try:
-        return check()
-    finally:
-        quantizers._load_kernel = loader
-
-
-def _runs_agree(kernels) -> bool:
-    """Whether whole runs of ``simulate`` with ``kernels`` give the events,
-    status and errors of the same runs on the list code, in bits.
+def _run_records(kernels) -> list[tuple]:
+    """The events, status and errors of whole runs of ``simulate`` with
+    ``kernels``, in bits.
 
     The lines have steps, weights and spacings that are not binary
     fractions, so that a step x + v dt rounded once (as a fused multiply-add)
@@ -362,13 +377,21 @@ def _runs_agree(kernels) -> bool:
             traj, outcome = simulate(config), None
         except SimulationLimitError as err:
             traj, outcome = err.trajectory, str(err)
+        except Exception as err:  # noqa: BLE001 - a decline, or a broken build
+            return type(err).__name__, str(err)
         return outcome, traj.status, [
             (ev.t.hex(), ev.kind, [v.hex() for v in ev.x + ev.z + ev.velocity],
              [None if a is None else a.hex() for a in ev.alpha], ev.hits, ev.departing)
             for ev in traj.events]
 
-    return all(_on_lists(lambda: bits(config), kernels) == _on_lists(lambda: bits(config))
-               for config in configs)
+    # The self-check runs inside the first _load_kernel call, which a nested
+    # call would repeat, build and check included; so the runs get the build
+    # under check passed in.
+    loader, quantizers._load_kernel = quantizers._load_kernel, lambda: kernels
+    try:
+        return [bits(config) for config in configs]
+    finally:
+        quantizers._load_kernel = loader
 
 
 def _writer_states() -> list[Trajectory]:

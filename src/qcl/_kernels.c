@@ -1,40 +1,42 @@
-/* The compiled kernels of qcl, loaded through ctypes by qcl._ckernel.
+/* The compiled kernels of qcl, loaded through ctypes by qcl._ckernel; qcl
+ * has no other implementation of them.  tests/reference.py holds the list
+ * code that each one ports, as the differential oracle of the test suite,
+ * and the build self-check (qcl._kernel_check) pins their outputs on fixed
+ * inputs by a sha256 that the tests recompute from that reference.
  *
  * qcl_rk4_chunk: classical RK4 steps of x' = -L q(x) for the regularized
- * oracle, a port of qcl.dynamics._rk4_chunk_lists.  The knot search is
- * bisect_right, each Laplacian row is summed in increasing column order, and
- * the final update adds k1 + 2 k2 + 2 k3 + k4 from left to right.
+ * oracle.  The knot search is bisect_right, each Laplacian row is summed in
+ * increasing column order, and the final update adds k1 + 2 k2 + 2 k3 + k4
+ * from left to right.
  *
  * qcl_resolve: one whole resolve of qcl.dynamics.resolve_sliding under
  * either quantizer and any policy (Sliding, SequentialSlow or FixedAlpha),
  * and the closest threshold arrival of its velocity: the set scan, the
  * trivially held midpoints and the pins, the dense hold solves with their
- * releases, the departure re-check, projected Gauss-Seidel where the Python
- * code runs it (more surface agents that listen to someone than the dense
- * cutoff, a singular hold system, a departure that the re-check finds
- * sign-inconsistent), the release of stale pins, the velocities and the hit
- * scan, in one call.  A uniform quantizer's lattice is computed; a general
- * one comes as its table of thresholds and levels (struct qcl_quantizer),
- * which the binding copies from the GeneralQuantizer, sorted and finite as
- * that class makes them.  It declines, with no effect outside its buffers,
- * leaving the caller to run its Python code (which raises the InputError of
- * a bad state), for a state that is not finite or lies off the uniform
- * lattice, projected Gauss-Seidel that fails, a stale pin with a NaN
- * velocity, or a resolved selection outside its box or with a
- * sign-inconsistent departure.  The binding passes no last-stopped agent
- * and no pin outside the graph.
+ * releases, the departure re-check, projected Gauss-Seidel (for more
+ * surface agents that listen to someone than the dense cutoff, a singular
+ * hold system, a departure that the re-check finds sign-inconsistent), the
+ * release of stale pins, the velocities and the hit scan, in one call.  A
+ * uniform quantizer's lattice is computed; a general one comes as its table
+ * of thresholds and levels (struct qcl_quantizer).  Where no selection can
+ * be computed it declines with a reason code and the agent it concerns in
+ * struct qcl_work (see QCL_STATE below), from which the binding raises the
+ * error: a state that is not finite or lies off the uniform lattice,
+ * projected Gauss-Seidel that does not converge or ends on an agent that
+ * neither holds nor departs, a pinned agent whose velocity is NaN, a
+ * departure against its velocity, a selection outside its box.
  *
  * qcl_advance: the event loop of qcl.dynamics.simulate around qcl_resolve,
- * over the segments of a graph schedule (struct qcl_schedule, which the
- * binding builds from the GraphSchedule: its starts, one struct qcl_graph
- * per segment and its period), found at each event as GraphSchedule._lookup
- * finds them.  It records threshold hits and topology switches alike, each
- * row with its kind, and stops only where simulate has work of its own: at
- * rest (terminal certification, or a switch out of rest), at a step beyond
- * the horizon, at the event budget, when a resolve declines or needs larger
- * buffers, or when the chunk of recorded events is full, which the binding
- * empties before it calls again.  The state it stops at has its resolve in
- * the buffers; with a budget of 0 it is one qcl_resolve.
+ * over the segments of a graph schedule (struct qcl_schedule: its starts,
+ * one struct qcl_graph per segment and its period), found at each event as
+ * GraphSchedule._lookup finds them.  It records threshold hits and topology
+ * switches alike, each row with its kind, and stops only where simulate has
+ * work of its own: at rest (terminal certification, or a switch out of
+ * rest), at a step beyond the horizon, at the event budget, when a resolve
+ * declines or needs larger buffers, or when the chunk of recorded events is
+ * full, which the binding empties before it calls again.  The state it
+ * stops at has its resolve in the buffers; with a budget of 0 it is one
+ * qcl_resolve.
  *
  * qcl_write: the rows of a trajectory's CSV export, or the "events" list of
  * its JSON export, from its columns in one call, each number as CPython
@@ -49,18 +51,44 @@
  * number with the bits of the last one in its column copies that text
  * instead of formatting it again.
  *
- * The static helpers port the list code of qcl: hold_solve builds and
- * solves one dense hold system (_build_hold_system and _gaussian_solve),
- * velocity sums one row as numpy does (_velocities), krasovskii_sets and
- * threshold_hits scan the Krasovskii sets and the closest arrival
- * (krasovskii_scan and threshold_hits), lookup finds a schedule's segment
- * (GraphSchedule._lookup), and pgs runs projected Gauss-Seidel (_pgs).  All
- * keep the operation order of every element of the code they port, and none
- * calls BLAS, so the results do not depend on the BLAS build.
- * Built with -ffp-contract=off and without fast-math, so the results are
- * bit-identical to it; qcl checks that before it uses a build.  qcl_resolve
- * and qcl_advance work in one struct qcl_work of reused buffers, so neither
- * is reentrant.
+ * The static helpers: hold_solve builds and solves one dense hold system,
+ * velocity sums one row as numpy does, krasovskii_sets and threshold_hits
+ * scan the Krasovskii sets and the closest arrival, lookup finds a
+ * schedule's segment (GraphSchedule._lookup), and pgs runs projected
+ * Gauss-Seidel.  All keep the operation order of every element of the
+ * reference, and none calls BLAS, so the results do not depend on the BLAS
+ * build.  Built with -ffp-contract=off and without fast-math, so the
+ * results are bit-identical to the reference; qcl checks that before it
+ * uses a build.
+ *
+ * No entry point checks a bound or an index it is given; the bindings in
+ * qcl._ckernel establish every precondition:
+ * - qcl_rk4_chunk (_bind_rk4_chunk): n rows, every column in [0, n), at
+ *   least two knots and as many values as knots, and 6 n doubles of work.
+ * - qcl_resolve and qcl_advance (_bind_advance): the workspace (_Work) has
+ *   at least n agents, its hold buffers m unknowns (a call that needs more
+ *   returns 3 with the number in count, and the binding grows them) and its
+ *   chunk at least one event; the n_stopped last-stopped agents lie in
+ *   [0, n), in increasing order (resolve_sliding raises InputError for any
+ *   other, the binding ValueError); the pins lie in [0, n), in increasing
+ *   order (the binding drops the others, FixedAlpha sorts them); colmap
+ *   holds -1 for every agent (set when the workspace is made, restored by
+ *   hold_solve); the cutoff is a double (resolve_sliding raises InputError
+ *   for a value that is not a number); the schedule and quantizer tables
+ *   come from a validated GraphSchedule and GeneralQuantizer (every graph
+ *   of n agents, starts increasing from 0, thresholds sorted and finite).
+ * - qcl_write (_bind_write): the six columns have the dtypes, shapes and
+ *   C order that it reads, and the indent is not negative; the C code
+ *   checks the indices in kind and src itself.
+ * Besides its capacities (m, rows_cap, ints_cap) and the pins (pins,
+ * pin_alpha, n_pins), which the binding writes before each call, the
+ * workspace carries from one call to the next only x, stopped, t,
+ * n_stopped and kind (the state where qcl_advance stopped, which the
+ * binding writes before the first call and copies into a grown workspace)
+ * and colmap; every other buffer and field is written before it is read
+ * within a call (tests/test_kernels.py poisons them before each call).
+ * qcl_resolve and qcl_advance work in one struct qcl_work, so neither is
+ * reentrant.
  */
 #include <float.h>
 #include <math.h>
@@ -162,7 +190,11 @@ struct qcl_graph {
  * hold system or projected Gauss-Seidel reads its agents from active (n) and
  * their boxes from box (2 n); slot (n) maps them to surface agents.  A hold
  * system works in aug (m (m + 1)) and writes its solution to out (m), and
- * colmap (n) holds -1 for each agent on entry and on return.
+ * colmap (n) holds -1 for each agent on entry and on return.  While a
+ * resolve runs, before its hit scan, hit[0..count) lists the surface agents
+ * (as indices c) that the dense hold solves released, in the order of their
+ * release.  A resolve that declines writes its reason to reason and the
+ * agent it names to agent (-1 for none).
  *
  * qcl_advance starts at time t from the state x, an event of kind kind,
  * with the n_stopped last-stopped agents in stopped in increasing order,
@@ -206,6 +238,8 @@ struct qcl_work {
     int64_t n_rows;
     int64_t n_ints;
     int64_t kind;
+    int64_t reason;
+    int64_t agent;
 };
 
 /* The hold system of the m agents in s->active: unknown c is the convex
@@ -484,10 +518,35 @@ static int next_threshold(const struct qcl_quantizer *q, double x, double v, dou
     return 1;
 }
 
+/* Why a resolve declines, in w->reason; qcl._ckernel.DECLINES raises the
+ * error of each, naming w->agent:
+ * QCL_STATE: the state of agent is not finite or lies off the uniform
+ *   lattice (|x| / delta < 2^52 fails);
+ * QCL_PGS_STALLED: projected Gauss-Seidel did not converge (no agent);
+ * QCL_PGS_SPLIT: at its fixed point agent neither holds nor departs;
+ * QCL_PIN_NAN: the velocity of pinned agent is NaN;
+ * QCL_DEPARTURE: the departure of agent has zero velocity or moves back
+ *   onto its surface;
+ * QCL_BOX: the selection of agent left its box. */
+#define QCL_STATE 1
+#define QCL_PGS_STALLED 2
+#define QCL_PGS_SPLIT 3
+#define QCL_PIN_NAN 4
+#define QCL_DEPARTURE 5
+#define QCL_BOX 6
+
+/* Records a decline for reason and agent, and returns 1. */
+static int decline(struct qcl_work *w, int64_t reason, int64_t agent)
+{
+    w->reason = reason;
+    w->agent = agent;
+    return 1;
+}
+
 /* The Krasovskii set [lo, hi] of each of the n agents of s->x, in one pass:
  * z[i] = lo for an agent inside a cell (lo == hi); the agents on a threshold
  * in surface[0..n_surface), in increasing order, with (lo, hi) in bounds.
- * Returns 0, or 1 when cell refuses a state. */
+ * Returns 0, or declines (QCL_STATE) when cell refuses a state. */
 static int krasovskii_sets(struct qcl_work *s, int64_t n, const struct qcl_quantizer *q)
 {
     int64_t n_surface = 0;
@@ -496,7 +555,7 @@ static int krasovskii_sets(struct qcl_work *s, int64_t n, const struct qcl_quant
         double lo, hi;
 
         if (cell(q, s->x[i], &lo, &hi))
-            return 1;
+            return decline(s, QCL_STATE, i);
         if (lo == hi) {
             s->z[i] = lo;
         } else {
@@ -515,8 +574,8 @@ static int krasovskii_sets(struct qcl_work *s, int64_t n, const struct qcl_quant
  * nonzero velocity and a next threshold th in the direction of motion,
  * and every agent tied at it, in increasing order, in hit[0..count) with
  * its threshold; +inf and no agent when none arrives.  A NaN velocity looks
- * down and a NaN dt is never closest.  Returns 0, or 1 when next_threshold
- * refuses a moving agent's state. */
+ * down and a NaN dt is never closest.  Returns 0, or declines (QCL_STATE)
+ * when next_threshold refuses a moving agent's state. */
 static int threshold_hits(struct qcl_work *h, int64_t n, const struct qcl_quantizer *q)
 {
     double best = INFINITY;
@@ -530,7 +589,7 @@ static int threshold_hits(struct qcl_work *h, int64_t n, const struct qcl_quanti
             continue;
         found = next_threshold(q, x, v, &th);
         if (found < 0)
-            return 1;
+            return decline(h, QCL_STATE, i);
         if (!found)
             continue;
         dt = (th - x) / v;
@@ -549,11 +608,11 @@ static int threshold_hits(struct qcl_work *h, int64_t n, const struct qcl_quanti
     return 0;
 }
 
-/* qcl.dynamics._FEAS_SLACK: a hold coefficient within it of [0, 1] is
- * feasible, and one within it of 0 or 1 is snapped there. */
+/* A hold coefficient within FEAS_SLACK of [0, 1] is feasible, and one
+ * within it of 0 or 1 is snapped there. */
 #define FEAS_SLACK 1e-12
 
-/* qcl.dynamics._snap_alpha, min and max as Python's (NaN stays NaN). */
+/* The snapped coefficient, min and max as Python's (NaN stays NaN). */
 static double snap_alpha(double a)
 {
     if (fabs(a) <= FEAS_SLACK)
@@ -564,7 +623,7 @@ static double snap_alpha(double a)
     return 1.0 < a ? 1.0 : a;
 }
 
-/* qcl.dynamics._alpha_to_z */
+/* The selection of coefficient alpha in [lo, hi]. */
 static double alpha_to_z(double alpha, double lo, double hi)
 {
     if (alpha <= 0.0)
@@ -587,7 +646,9 @@ static int near(const struct qcl_graph *g, const int64_t *mark, int64_t i)
     return 0;
 }
 
-/* qcl.dynamics._PGS_TOL, _PGS_MAX_SWEEPS and _RESIDUAL_TOL. */
+/* The relative tolerance of a projected Gauss-Seidel sweep (on z updates),
+ * its most sweeps, and the (scaled) residual velocity that counts as a
+ * hold. */
 #define PGS_TOL 1e-12
 #define PGS_MAX_SWEEPS 100000
 #define RESIDUAL_TOL 1e-9
@@ -624,10 +685,10 @@ static void swap_unknowns(struct qcl_work *w, int64_t r, int64_t q)
  *
  * Returns 0 with z updated and, for agent r, sign[slot[r]] (0 for a hold)
  * and alpha[slot[r]] = 0.0 + (z - lo) / (hi - lo); active, slot and box are
- * reordered with the held agents first, in their order.  Returns 1 when the
- * sweeps do not converge, 2 when an agent, then in count, neither holds nor
- * departs, and 3 when the hold buffers are too small, with the number of
- * unknowns needed in count. */
+ * reordered with the held agents first, in their order.  Declines
+ * (QCL_PGS_STALLED) when the sweeps do not converge and (QCL_PGS_SPLIT)
+ * when an agent neither holds nor departs; returns 3 when the hold buffers
+ * are too small, with the number of unknowns needed in count. */
 static int pgs(const struct qcl_graph *g, struct qcl_work *w, int64_t m, int64_t k,
                double cutoff)
 {
@@ -665,7 +726,7 @@ static int pgs(const struct qcl_graph *g, struct qcl_work *w, int64_t m, int64_t
         converged = worst <= PGS_TOL * scale;
     }
     if (!converged)
-        return 1;
+        return decline(w, QCL_PGS_STALLED, -1);
 
     snap = 10.0 * PGS_TOL * scale;
     for (int64_t r = 0; r < m; r++) {
@@ -692,10 +753,8 @@ static int pgs(const struct qcl_graph *g, struct qcl_work *w, int64_t m, int64_t
             *sign = 1;
         else if (v < 0.0 && z[i] == box[2 * r])
             *sign = -1;
-        else {
-            w->count = i;
-            return 2;
-        }
+        else
+            return decline(w, QCL_PGS_SPLIT, i);
     }
 
     for (int64_t r = 0; r < m; r++)
@@ -723,11 +782,13 @@ static int pgs(const struct qcl_graph *g, struct qcl_work *w, int64_t m, int64_t
 /* The surface agents of a resolve that listen to someone and are not
  * pinned, in increasing order, in active, slot and box; a pinned agent sits
  * at its pin and one that listens to nobody holds at its box's midpoint.
- * Every sign is reset to 0.  Returns their number. */
+ * Every sign is reset to 0, and the list of releases emptied.  Returns
+ * their number. */
 static int64_t candidates(const struct qcl_graph *g, struct qcl_work *w)
 {
     int64_t m = 0;
 
+    w->count = 0;
     for (int64_t c = 0; c < w->n_surface; c++) {
         int64_t i = w->surface[c], p = w->pinned[c];
         double lo = w->bounds[2 * c], hi = w->bounds[2 * c + 1];
@@ -750,9 +811,10 @@ static int64_t candidates(const struct qcl_graph *g, struct qcl_work *w)
     return m;
 }
 
-/* The dense hold solves of a resolve's m candidates with their releases and
- * the departure re-check, or projected Gauss-Seidel where _solve_holds runs
- * it; returns 0, or what pgs returns. */
+/* The dense hold solves of a resolve's m candidates with their releases,
+ * listed in hit, and the departure re-check, or projected Gauss-Seidel for
+ * a singular system or a departure pushed back onto its surface; returns 0,
+ * or what pgs returns. */
 static int dense_holds(const struct qcl_graph *g, struct qcl_work *w, int64_t m,
                        int64_t sequential, double cutoff)
 {
@@ -792,6 +854,7 @@ static int dense_holds(const struct qcl_graph *g, struct qcl_work *w, int64_t m,
             z[w->active[drop]] = up ? w->box[2 * drop + 1] : w->box[2 * drop];
             w->alpha[c] = up ? 1.0 : 0.0;
             w->sign[c] = up ? 1 : -1;
+            w->hit[w->count++] = c;
             m--;
             for (int64_t r = drop; r < m; r++) {
                 w->active[r] = w->active[r + 1];
@@ -816,6 +879,33 @@ static int dense_holds(const struct qcl_graph *g, struct qcl_work *w, int64_t m,
     return 0;
 }
 
+/* The decline of a resolve whose selection fails its final checks, in the
+ * order in which the reference checks them: every departure, those that
+ * the dense hold solves released in the order of their release (hit), then
+ * the others in increasing order, for a velocity w->y of zero or of the
+ * other sign (QCL_DEPARTURE); then every surface agent, in increasing
+ * order, for a selection outside its box (QCL_BOX). */
+static int final_fault(struct qcl_work *w)
+{
+    int64_t k = w->n_surface;
+
+    for (int64_t r = 0; r < w->count + k; r++) {
+        int64_t c = r < w->count ? w->hit[r] : r - w->count, listed = 0, i = w->surface[c];
+        double v = w->y[i];
+
+        for (int64_t h = 0; h < w->count && r >= w->count; h++)
+            listed |= w->hit[h] == c;
+        if (!listed && w->sign[c] != 0 && (v == 0.0 || (v > 0.0) != (w->sign[c] > 0)))
+            return decline(w, QCL_DEPARTURE, i);
+    }
+    for (int64_t c = 0; c < k; c++) {
+        int64_t i = w->surface[c];
+        if (!(w->bounds[2 * c] <= w->z[i] && w->z[i] <= w->bounds[2 * c + 1]))
+            return decline(w, QCL_BOX, i);
+    }
+    return decline(w, 0, -1);  /* not reached: the caller found a fault */
+}
+
 /* One resolve of qcl.dynamics.resolve_sliding of the n = g->n states in w->x
  * under the quantizer q, with releases from the largest
  * excess, ties to the lowest agent, or, when sequential is nonzero, first
@@ -832,16 +922,16 @@ static int dense_holds(const struct qcl_graph *g, struct qcl_work *w, int64_t m,
  * Returns 0 with the selection in z, the velocity in y (+0.0 for a held or
  * pinned agent), the surface agents with their coefficients and signs (see
  * struct qcl_work) and the arrival as threshold_hits leaves it; 1 when it
- * declines (see the top of this file), its outputs then unspecified; or 3
- * when the hold buffers are too small, with the number of unknowns needed
- * in count. */
+ * declines, with the reason and agent in w (see QCL_STATE), its outputs
+ * then unspecified; or 3 when the hold buffers are too small, with the
+ * number of unknowns needed in count. */
 int qcl_resolve(const struct qcl_graph *g, struct qcl_work *w, const struct qcl_quantizer *q,
                 int64_t sequential, int64_t n_stopped, double cutoff)
 {
     const int64_t *surface = w->surface;
     const double *bounds = w->bounds;
     double *z = w->z;
-    int64_t n = g->n, k, m;
+    int64_t n = g->n, k, m, fault = 0;
 
     if (krasovskii_sets(w, n, q))
         return 1;
@@ -874,7 +964,7 @@ int qcl_resolve(const struct qcl_graph *g, struct qcl_work *w, const struct qcl_
         }
         status = m > cutoff ? pgs(g, w, m, k, cutoff) : dense_holds(g, w, m, sequential, cutoff);
         if (status)
-            return status == 3 ? 3 : 1;
+            return status;
         for (int64_t c = 0; c < k; c++) {
             double v;
 
@@ -882,7 +972,7 @@ int qcl_resolve(const struct qcl_graph *g, struct qcl_work *w, const struct qcl_
                 continue;
             v = fabs(velocity(g, z, surface[c]));
             if (isnan(v))
-                return 1;
+                return decline(w, QCL_PIN_NAN, surface[c]);
             if (v > worst) {
                 stale = c;
                 worst = v;
@@ -899,15 +989,13 @@ int qcl_resolve(const struct qcl_graph *g, struct qcl_work *w, const struct qcl_
         if (c < k && surface[c] == i) {
             sign = w->sign[c];
             held = sign == 0;
-            if (!(bounds[2 * c] <= z[i] && z[i] <= bounds[2 * c + 1]))
-                return 1;
+            fault |= !(bounds[2 * c] <= z[i] && z[i] <= bounds[2 * c + 1]);
             c++;
         }
         w->y[i] = held ? 0.0 : velocity(g, z, i);
-        if (sign != 0 && (w->y[i] == 0.0 || (w->y[i] > 0.0) != (sign > 0)))
-            return 1;
+        fault |= sign != 0 && (w->y[i] == 0.0 || (w->y[i] > 0.0) != (sign > 0));
     }
-    return threshold_hits(w, n, q);
+    return fault ? final_fault(w) : threshold_hits(w, n, q);
 }
 
 /* A qcl.graphs.GraphSchedule: segment k has the graph graphs[k] and starts

@@ -340,7 +340,7 @@ def audit_trajectory(traj: Trajectory, config) -> list[str]:
         _, low, high = audit.points[k]
         if low < m0 or high > big_m0:
             problems.append(f"state left the initial level range at event {k}")
-        for i in (krasovskii_scan(x[k], quantizer, selection=traj.z[k]).outside if scan[k]
+        for i in (krasovskii_scan(x[k], quantizer, traj.z[k]) if scan[k]
                   else np.flatnonzero(outside[k]).tolist()):
             problems.append(f"selection outside Kq for agent {i} at event {k}")
         if errors[k] > 1e-9:

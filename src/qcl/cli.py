@@ -46,7 +46,7 @@ from .dynamics import (
     simulate_regularized,
 )
 from .graphs import has_globally_reachable_node
-from .quantizers import InputError
+from .quantizers import InputError, KernelError
 from .scenarios import (
     ScenarioConfig,
     example1_line,
@@ -383,6 +383,15 @@ def cmd_check(args) -> int:
 
 # -- argument parsing ---------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are InputErrors, which ``main`` reports
+    as one ``error:`` line with exit 1 (exit 2 means the horizon came
+    first); its subcommand parsers are of this class too."""
+
+    def error(self, message: str):
+        raise InputError(message)
+
+
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", help="scenario JSON file")
     p.add_argument("--builder", choices=("example1", "example2", "random"))
@@ -400,7 +409,7 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcl",
         description="Exact quantized-consensus simulation and analysis",
     )
@@ -445,14 +454,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     # InputError and ContractViolation are ValueErrors; the rest are qcl's
     # RuntimeErrors.
     except (OSError, ValueError, SimulationLimitError, NoSlidingSelection,
-            RegularizationUnstable) as err:
+            RegularizationUnstable, KernelError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

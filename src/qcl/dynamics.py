@@ -25,24 +25,19 @@ regularisation of the quantizer serves as an independent oracle: as the
 regularisation width and step size shrink it converges to the sliding
 solution.
 
-A resolve runs as one compiled call, ``qcl_resolve`` of ``_kernels.c``,
-under either quantizer (a general one as its table of thresholds and
-levels) and every policy, FixedAlpha pins included; it also gives the next
-threshold arrival and has the bits of the Python code, ``_resolve_python``.
-That includes projected Gauss-Seidel, which runs for more surface agents
-that listen to someone than the dense cutoff, a singular hold system and a
-departure that the re-check finds sign-inconsistent.  The call declines,
-with no effect, and the Python code runs for projected Gauss-Seidel that
-fails (no convergence or an inconsistent fixed point), a selection that
-leaves its box or departs against its velocity, a stale pin whose velocity
-is NaN, a state that is not finite or lies off the uniform threshold
-lattice (the Python code raises its InputError), and whenever the compiled
-kernels do not load.  Projected Gauss-Seidel sums each row's terms in
-numpy's pairwise order, as the velocities do, on both paths; nothing calls
-BLAS, so the bits do not depend on the BLAS build.
+A resolve runs as one compiled call, ``qcl_resolve`` of ``_kernels.c``, the
+package's only resolver, under either quantizer and every policy, with
+projected Gauss-Seidel where the dense hold solves do not serve, and gives
+the next threshold arrival too.  Where no selection can be computed it
+declines with a reason code, and the binding raises the error
+(NoSlidingSelection, ContractViolation or InputError; see
+``_ckernel.DECLINES``).  Nothing calls BLAS, so the bits do not depend on
+the BLAS build.  The list code that the C code ports is the test suite's
+reference (``tests/reference.py``), and a build is used only after its
+outputs on fixed inputs match that reference's (``qcl._kernel_check``).
 
-``simulate`` calls the compiled event loop ``qcl_advance`` in place of each
-such resolve.  In one call it resolves, records the event with its kind
+``simulate`` calls the compiled event loop ``qcl_advance`` for each
+resolve.  In one call it resolves, records the event with its kind
 and steps (``x + v dt``, the hit agents snapped onto their thresholds, or
 on to the next topology switch, under the graph segment that the schedule
 gives at each time) for as long as the state moves, the step stays within
@@ -52,34 +47,27 @@ horizon, at the event limit or where a resolve declines, and returns that
 state's resolve, with which the Python loop goes on: it certifies a state
 at rest as terminal or moves it to the next switch, and takes the last
 step to the horizon or the event limit; so a run makes no more resolves
-than the Python loop alone would.  Under a stop callback it records no
-event.  The loop works in the kernels' one workspace and is not reentrant.
+than the Python loop alone would.  The loop works in the kernels' one
+workspace and is not reentrant.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Collection, Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from . import quantizers
 from .graphs import GraphSchedule, WeightedDigraph, laplacian
 from .quantizers import (InputError, Quantizer, UniformQuantizer, json_agent, json_field,
-                         json_float, json_keys, krasovskii_scan, threshold_hits)
+                         json_float, json_keys, krasovskii_scan)
 
-# Feasibility slack for hold coefficients: absorbs elimination round-off
-# without admitting genuinely infeasible holds.
-_FEAS_SLACK = 1e-12
-# Relative tolerance of the projected Gauss-Seidel sweep (on z updates).
-_PGS_TOL = 1e-12
-_PGS_MAX_SWEEPS = 100_000
-# Residual velocities below this (scaled) threshold count as a hold.
-_RESIDUAL_TOL = 1e-9
 #: Surface sets up to this size use dense elimination; larger ones use
 #: projected Gauss-Seidel.
 DEFAULT_DENSE_CUTOFF = 64
@@ -211,342 +199,35 @@ class Resolution:
 # Velocity from a selection
 # ---------------------------------------------------------------------------
 
-def _velocities(g: WeightedDigraph, z: np.ndarray, agents: Collection[int]) -> list[float]:
-    """``v_i = sum_j a_ij (z_j - z_i)`` over the nonzero weights, for each agent.
-
-    The terms of every row are formed in one array; each row's contiguous
-    slice is then summed on its own by numpy in increasing ``j``, which gives
-    the bits of summing that row alone (``np.add.reduceat`` would not).
-    """
-    if not agents:
-        return []
-    rows, cols, values, ends = g.csr
-    terms = values * (z[cols] - z[rows])
-    return [float(terms[ends[i]:ends[i + 1]].sum()) for i in agents]
-
-
 def selection_velocity(
     x: np.ndarray, z: np.ndarray, g: WeightedDigraph, quantizer: Quantizer
 ) -> np.ndarray:
-    """Velocity ``v_i = sum_j a_ij (z_j - z_i)`` for a validated selection."""
+    """Velocity ``v_i = sum_j a_ij (z_j - z_i)`` for a validated selection.
+
+    The terms of every row are formed in one array; each row's contiguous
+    slice is then summed on its own by numpy in increasing ``j``, which gives
+    the bits of summing that row alone (``np.add.reduceat`` would not), and
+    of the compiled resolve's velocities.
+    """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     if x.shape != (g.n,) or z.shape != (g.n,):
         raise InputError("state/selection length must match the agent count")
-    outside = krasovskii_scan(x, quantizer, selection=z).outside
+    outside = krasovskii_scan(x, quantizer, z)
     if outside:
         i = outside[0]
         lo, hi = quantizer.krasovskii_set(float(x[i]))
         raise ContractViolation(
             f"selection z[{i}]={z[i]} outside [{lo}, {hi}] at x[{i}]={x[i]}"
         )
-    return np.array(_velocities(g, z, range(g.n)))
-
-
-# ---------------------------------------------------------------------------
-# Hold system solvers
-# ---------------------------------------------------------------------------
-
-class _Singular(Exception):
-    pass
-
-
-def _eliminate_lists(aug: list[list[float]], tol: float) -> list[list[float]]:
-    """Forward elimination with partial pivoting (ties to the lowest row)."""
-    m = len(aug)
-    for col in range(m):
-        piv = col
-        best = abs(aug[col][col])
-        for r in range(col + 1, m):
-            mag = abs(aug[r][col])
-            if mag > best:
-                best, piv = mag, r
-        if best <= tol:
-            raise _Singular()
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        pivot_row = aug[col]
-        for r in range(col + 1, m):
-            row = aug[r]
-            factor = row[col] / pivot_row[col]
-            if factor != 0.0:
-                row[col:] = [a - factor * b for a, b in zip(row[col:], pivot_row[col:])]
-    return aug
-
-
-def _gaussian_solve(a_rows: list[list[float]], b: list[float]) -> list[float]:
-    """Dense elimination with partial pivoting, then back-substitution."""
-    m = len(b)
-    scale = max(1.0, max((max(map(abs, row)) for row in a_rows), default=1.0))
-    aug = _eliminate_lists([list(a_rows[r]) + [b[r]] for r in range(m)], 1e-12 * scale)
-    out = [0.0] * m
-    for r in range(m - 1, -1, -1):
-        acc = aug[r][m]
-        for c in range(r + 1, m):
-            acc -= aug[r][c] * out[c]
-        out[r] = acc / aug[r][r]
-    return out
-
-
-def _alpha_to_z(alpha: float, lo: float, hi: float) -> float:
-    if alpha <= 0.0:
-        return lo
-    if alpha >= 1.0:
-        return hi
-    return lo + alpha * (hi - lo)
-
-
-def _snap_alpha(alpha: float) -> float:
-    """Clean solver round-off at the interval ends.
-
-    Exact extreme coefficients are systemic (consensus states resolve to
-    them); dust there would leave phantom velocities of order 1e-16 that
-    stall the event loop, so values within the feasibility slack of a bound
-    are snapped to it.
-    """
-    if abs(alpha) <= _FEAS_SLACK:
-        return 0.0
-    if abs(alpha - 1.0) <= _FEAS_SLACK:
-        return 1.0
-    return min(max(alpha, 0.0), 1.0)
-
-
-def _pgs(
-    agents: list[int],
-    boxes: dict[int, tuple[float, float]],
-    z: np.ndarray,
-    g: WeightedDigraph,
-    cutoff: int,
-) -> tuple[set[int], dict[int, int], dict[int, float]]:
-    """Projected Gauss-Seidel on the box-constrained hold system of ``agents``.
-
-    Returns the held agents, the departing ones with their signs and every
-    agent's coefficient, and updates ``z`` in place for ``agents``; all other
-    entries are constants.  At the fixed point an interior value is a hold,
-    a value clamped at a box bound with outward residual velocity is a
-    departure; a dense re-solve then polishes the holds.
-
-    A sweep moves each agent in the order of ``agents`` to its target: the
-    sum of its row's terms ``a_ij * z_j``, formed in one array and summed by
-    numpy in increasing ``j`` as ``_velocities`` sums, over the row total,
-    clamped into its box.  No BLAS call is made, so the bits do not depend
-    on the BLAS build.
-    """
-    _, cols, values, ends = g.csr
-    w_out = {i: g.rows[i].total for i in agents}
-    for i in agents:
-        lo, hi = boxes[i]
-        z[i] = 0.5 * (lo + hi)
-    # Every entry of z is set only now: the caller may leave the agents'
-    # slots uninitialised.
-    bound_scale = max(
-        [1.0]
-        + [abs(b) for box in boxes.values() for b in box]
-        + [abs(float(v)) for v in z]
-    )
-    converged = False
-    for _ in range(_PGS_MAX_SWEEPS):
-        worst = 0.0
-        for i in agents:
-            if w_out[i] == 0.0:
-                continue
-            row = slice(ends[i], ends[i + 1])
-            target = float((values[row] * z[cols[row]]).sum()) / w_out[i]
-            lo, hi = boxes[i]
-            new = min(max(target, lo), hi)
-            worst = max(worst, abs(new - z[i]))
-            z[i] = new
-        if worst <= _PGS_TOL * bound_scale:
-            converged = True
-            break
-    if not converged:
-        raise NoSlidingSelection("projected Gauss-Seidel did not converge")
-
-    # Values that stalled within the sweep tolerance of a box bound are
-    # snapped onto it; exact bounds are systemic at consensus states.
-    snap = 10.0 * _PGS_TOL * bound_scale
-    for i in agents:
-        lo, hi = boxes[i]
-        if abs(z[i] - lo) <= snap:
-            z[i] = lo
-        elif abs(z[i] - hi) <= snap:
-            z[i] = hi
-
-    residual_tol = _RESIDUAL_TOL * max(
-        1.0, max((w_out[i] for i in agents), default=1.0) * bound_scale
-    )
-    held: set[int] = set()
-    departing: dict[int, int] = {}
-    for i, v in zip(agents, _velocities(g, z, agents)):
-        lo, hi = boxes[i]
-        if abs(v) <= residual_tol or w_out[i] == 0.0:
-            held.add(i)
-        elif v > 0.0 and z[i] == hi:
-            departing[i] = 1
-        elif v < 0.0 and z[i] == lo:
-            departing[i] = -1
-        else:  # pragma: no cover - contradicts the fixed-point property
-            raise NoSlidingSelection(
-                f"inconsistent projected solution for agent {i}"
-            )
-    _refine_held([i for i in agents if i in held], boxes, z, g, cutoff)
-    alphas = {}
-    for i in agents:
-        lo, hi = boxes[i]
-        alphas[i] = 0.0 + (float(z[i]) - lo) / (hi - lo)
-    return held, departing, alphas
-
-
-def _build_hold_system(
-    active: list[int],
-    boxes: dict[int, tuple[float, float]],
-    z: np.ndarray,
-    g: WeightedDigraph,
-) -> tuple[list[list[float]], list[float], dict[int, int]]:
-    col = {agent: c for c, agent in enumerate(active)}
-    z_values = z.tolist()
-    rows = []
-    rhs = []
-    for i in active:
-        sparse = g.rows[i]
-        w_i = sparse.total
-        lo_i, hi_i = boxes[i]
-        row = [0.0] * len(active)
-        row[col[i]] = -w_i * (hi_i - lo_i)
-        b = w_i * lo_i
-        # The diagonal is zero, so j != i throughout.
-        for j, a_ij in sparse.pairs:
-            c = col.get(j)
-            if c is None:
-                b -= a_ij * z_values[j]
-            else:
-                lo_j, hi_j = boxes[j]
-                row[c] += a_ij * (hi_j - lo_j)
-                b -= a_ij * lo_j
-        rows.append(row)
-        rhs.append(b)
-    return rows, rhs, col
-
-
-def _hold_solve(
-    active: list[int],
-    boxes: dict[int, tuple[float, float]],
-    z: np.ndarray,
-    g: WeightedDigraph,
-) -> list[float]:
-    """The coefficients that hold ``active``, in its order; raises ``_Singular``."""
-    rows, rhs, _ = _build_hold_system(active, boxes, z, g)
-    return _gaussian_solve(rows, rhs)
-
-
-def _refine_held(
-    held: list[int],
-    boxes: dict[int, tuple[float, float]],
-    z: np.ndarray,
-    g: WeightedDigraph,
-    cutoff: int,
-) -> None:
-    """Polish a projected-iteration hold to full float precision.
-
-    With the departing agents fixed at their bounds the held subsystem is
-    usually nonsingular; a dense re-solve removes the iteration tolerance
-    from the recorded selections.  Singular subsystems (free translation
-    families) keep the projected values.
-    """
-    if not held or len(held) > cutoff:
-        return
-    try:
-        solution = _hold_solve(held, boxes, z, g)
-    except _Singular:
-        return
-    if any(not (-_FEAS_SLACK <= a <= 1.0 + _FEAS_SLACK) for a in solution):
-        return
-    for i, a in zip(held, solution):
-        z[i] = _alpha_to_z(_snap_alpha(a), *boxes[i])
-
-
-def _solve_holds(
-    candidates: set[int],
-    boxes: dict[int, tuple[float, float]],
-    z: np.ndarray,
-    g: WeightedDigraph,
-    release_pick: Callable[[dict[int, float]], int],
-    cutoff: int,
-) -> tuple[set[int], dict[int, int], dict[int, float]]:
-    """Split surface candidates into held and departing agents.
-
-    Held agents receive the coefficient that balances their velocity to
-    zero; infeasible holds are released one at a time (``release_pick``
-    chooses among the violators) and the system is re-solved.  Singular
-    systems, large surface sets and a departure that the final holds push
-    back onto its surface fall back to projected Gauss-Seidel.
-    """
-    active = sorted(candidates)
-    departing: dict[int, int] = {}
-    alphas: dict[int, float] = {}
-    if len(active) > cutoff:
-        return _pgs(active, boxes, z, g, cutoff)
-
-    while active:
-        try:
-            solution = dict(zip(active, _hold_solve(active, boxes, z, g)))
-        except _Singular:
-            held_p, dep_p, alphas_p = _pgs(active, boxes, z, g, cutoff)
-            departing.update(dep_p)
-            alphas.update(alphas_p)
-            return held_p, departing, alphas
-
-        excess = {
-            i: e for i, a in solution.items() if (e := max(a - 1.0, -a)) > _FEAS_SLACK
-        }
-        if not excess:
-            for i, a in solution.items():
-                alpha = _snap_alpha(a)
-                alphas[i] = alpha
-                z[i] = _alpha_to_z(alpha, *boxes[i])
-            held = set(active)
-            break
-
-        drop = release_pick(excess)
-        alpha = solution[drop]
-        sign = 1 if alpha > 1.0 else -1
-        lo, hi = boxes[drop]
-        z[drop] = hi if sign > 0 else lo
-        alphas[drop] = 1.0 if sign > 0 else 0.0
-        departing[drop] = sign
-        active.remove(drop)
-    else:
-        held = set()
-
-    # Confirm each departure is pushed off-surface by the final holds; an
-    # extreme value with zero velocity is a feasible boundary hold instead.
-    for (i, sign), v in zip(list(departing.items()), _velocities(g, z, departing)):
-        if v == 0.0:
-            departing.pop(i)
-            held.add(i)
-        elif (v > 0.0) != (sign > 0):
-            return _pgs(sorted(candidates), boxes, z, g, cutoff)
-    return held, departing, alphas
+    rows, cols, values, ends = g.csr
+    terms = values * (z[cols] - z[rows])
+    return np.array([float(terms[a:b].sum()) for a, b in zip(ends, ends[1:])])
 
 
 # ---------------------------------------------------------------------------
 # Policy resolution
 # ---------------------------------------------------------------------------
-
-def _release_priority(
-    last_stopped: frozenset[int], g: WeightedDigraph, sequential: bool
-) -> Callable[[dict[int, float]], int]:
-    def pick(excess: dict[int, float]) -> int:
-        if not sequential:
-            return min(excess, key=lambda i: (-excess[i], i))
-        # The candidates that listen to a just-stopped agent or are listened
-        # to by one.
-        near = {j for s in last_stopped for j, _ in g.rows[s].pairs}
-        near.update(i for i in excess if any(j in last_stopped for j, _ in g.rows[i].pairs))
-        return min(excess, key=lambda i: (i not in near, -excess[i], i))
-
-    return pick
-
 
 def resolve_sliding(
     x: np.ndarray,
@@ -554,7 +235,7 @@ def resolve_sliding(
     quantizer: Quantizer,
     policy: SelectionPolicy = Sliding(),
     last_stopped: frozenset[int] = frozenset(),
-    cutoff: int = DEFAULT_DENSE_CUTOFF,
+    cutoff: float = DEFAULT_DENSE_CUTOFF,
 ) -> Resolution:
     """Compute one consistent selection at the current state.
 
@@ -565,9 +246,10 @@ def resolve_sliding(
     limit).  Held agents are reported with exactly zero velocity so that
     the integrator keeps them bit-exactly on their thresholds.
 
-    The compiled ``qcl_resolve`` gives the bits of ``_resolve_python``,
-    which runs where it declines (see the module docstring).  A last-stopped
-    agent that is not an agent of ``g`` is an ``InputError``.
+    Runs the compiled ``qcl_resolve`` (see the module docstring), which
+    raises where no selection can be computed.  A last-stopped agent that is
+    not an agent of ``g``, and a cutoff that is not a number, are an
+    ``InputError``.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):
@@ -576,73 +258,12 @@ def resolve_sliding(
         if not isinstance(s, (int, np.integer)) or not 0 <= s < g.n:
             raise InputError(f"last-stopped agent {s!r} is not an agent of the "
                              f"{g.n}-agent graph")
-    kernels = quantizers._load_kernel()
-    if kernels is not None:
-        out = kernels.resolve(g, x, quantizer, policy, last_stopped, cutoff)
-        if out is not None:
-            return Resolution(*out[:5])
-    return _resolve_python(x, g, quantizer, policy, last_stopped, cutoff)
-
-
-def _resolve_python(x: np.ndarray, g: WeightedDigraph, quantizer: Quantizer,
-                    policy: SelectionPolicy, last_stopped: frozenset[int],
-                    cutoff: int) -> Resolution:
-    """``resolve_sliding`` of a state of the right length, in Python."""
-    n = g.n
-    z = np.empty(n)
-    boxes = krasovskii_scan(x, quantizer, z=z).boxes
-
-    pins: dict[int, float] = {}
-    if isinstance(policy, FixedAlpha):
-        pins = {a: v for a, v in policy.overrides if a in boxes}
-    trivially_held = {i for i in boxes if i not in pins and g.rows[i].total == 0.0}
-    for i in trivially_held:
-        lo, hi = boxes[i]
-        z[i] = 0.5 * (lo + hi)
-
-    pick = _release_priority(last_stopped, g, isinstance(policy, SequentialSlow))
-    alphas: dict[int, float] = {}
-    while True:
-        for i, a in pins.items():
-            z[i] = _alpha_to_z(a, *boxes[i])
-        candidates = set(boxes) - set(pins) - trivially_held
-        held, departing, alphas = _solve_holds(candidates, boxes, z, g, pick, cutoff)
-        stale = sorted(
-            (-abs(v), i) for i, v in zip(pins, _velocities(g, z, pins)) if v != 0.0
-        )
-        if not stale:
-            break
-        # A pin that no longer sustains a hold is not a valid segment
-        # selection; release it and resolve the agent like any other.
-        pins.pop(stale[0][1])
-
-    for i in trivially_held:
-        alphas[i] = 0.5
-    for i, a in pins.items():
-        alphas[i] = a
-    zero_set = held | trivially_held | set(pins)
-
-    moving = [i for i in range(n) if i not in zero_set]
-    velocity = np.zeros(n)
-    velocity[moving] = _velocities(g, z, moving)
-    for i, sign in departing.items():
-        if velocity[i] == 0.0 or (velocity[i] > 0.0) != (sign > 0):
-            raise NoSlidingSelection(
-                f"departure of agent {i} is not sign-consistent"
-            )
-    for i, (lo, hi) in boxes.items():
-        if not (lo <= z[i] <= hi):  # pragma: no cover - internal guard
-            raise ContractViolation(f"resolved z[{i}]={z[i]} left [{lo}, {hi}]")
-
-    velocity.flags.writeable = False
-    z.flags.writeable = False
-    return Resolution(
-        z=z,
-        velocity=velocity,
-        alpha=tuple(sorted(alphas.items())),
-        held=frozenset(zero_set),
-        departing=tuple(sorted(departing.items())),
-    )
+    if isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Real):
+        raise InputError(f"cutoff must be a number, got {cutoff!r}")
+    # min compares exactly, so an int too large for a float counts as inf.
+    cutoff = float(min(cutoff, math.inf))
+    out = quantizers._load_kernel().resolve(g, x, quantizer, policy, last_stopped, cutoff)
+    return Resolution(*out[:5])
 
 
 # ---------------------------------------------------------------------------
@@ -850,8 +471,7 @@ class Trajectory:
         )
         rows = self._rows(stride)
         small = len(rows[0]) + 3 * rows[2].size < _SMALL_CSV  # numbers: t, x, z, alpha
-        kernels = None if small else quantizers._load_kernel()
-        body = None if kernels is None else kernels.write(False, 0, *rows)
+        body = None if small else quantizers._load_kernel().write(False, 0, *rows)
         if body is None:
             body = "".join(map(_csv_line, _row_dicts(*rows)))
         return ",".join(header) + "\n" + body
@@ -907,9 +527,8 @@ class _EventRows(_Lazy):
 
     def json_text(self, indent: int) -> str | None:
         """The rows as ``qcl._json.dumps`` writes a list at ``indent``, or
-        None without compiled kernels or for a number that is not finite."""
-        kernels = quantizers._load_kernel()
-        return None if kernels is None else kernels.write(True, indent, *self._rows)
+        None for a number that is not finite."""
+        return quantizers._load_kernel().write(True, indent, *self._rows)
 
 
 # ---------------------------------------------------------------------------
@@ -969,18 +588,13 @@ class _Recorder:
             np.concatenate([np.asarray(part, dtype=np.int64) for part in self.records]))
 
 
-def simulate(
-    config,
-    stop_condition: Callable[[float, np.ndarray], bool] | None = None,
-) -> Trajectory:
-    """Run the event loop until equilibrium, the horizon, or a stop callback.
+def simulate(config) -> Trajectory:
+    """Run the event loop until equilibrium or the horizon.
 
     Each recorded event carries the state at the event together with the
     selection and velocity of the segment that starts there; the final
-    event repeats the terminal selection.
-
-    The compiled event loop (see the module docstring) records no event
-    under a stop callback, which sees every event.
+    event repeats the terminal selection.  The compiled event loop records
+    the events on the way (see the module docstring).
     """
     schedule: GraphSchedule = config.schedule
     quantizer: Quantizer = config.quantizer
@@ -992,7 +606,6 @@ def simulate(
     hits_now: tuple[int, ...] = ()
     last_stopped: frozenset[int] = frozenset()
     kernels = quantizers._load_kernel()
-    record = stop_condition is None
 
     while True:
         if events.count >= config.max_events:
@@ -1003,27 +616,20 @@ def simulate(
                 f"{crossings:.3g} level crossings remain (agents x level span / delta)",
                 events.trajectory(quantizer, "limit"),
             )
-        out = None
-        if kernels is not None:
-            budget = config.max_events - events.count - 1 if record else 0
-            rows, kinds, ints, t, x, k, stopped, out = kernels.advance(
-                schedule, x, quantizer, policy, last_stopped, DEFAULT_DENSE_CUTOFF, t,
-                EVENT_KINDS.index(kind), config.horizon, budget)
-            if rows:
-                events.add_chunks(rows, kinds, ints)
-                kind, last_stopped = EVENT_KINDS[k], frozenset(stopped)
-                hits_now = stopped if kind == "threshold-hit" else ()
-        g = schedule.graph_at(t)
+        rows, kinds, ints, t, x, k, stopped, out = kernels.advance(
+            schedule, x, quantizer, policy, last_stopped, DEFAULT_DENSE_CUTOFF, t,
+            EVENT_KINDS.index(kind), config.horizon, config.max_events - events.count - 1)
+        if rows:
+            events.add_chunks(rows, kinds, ints)
+            kind, last_stopped = EVENT_KINDS[k], frozenset(stopped)
+            hits_now = stopped if kind == "threshold-hit" else ()
         ts = schedule.next_switch_after(t)
-        res = (_resolve_python(x, g, quantizer, policy, last_stopped, DEFAULT_DENSE_CUTOFF)
-               if out is None else Resolution(*out[:5]))
+        res = Resolution(*out[:5])
         at_rest = not res.velocity.any()
         terminal = at_rest and _certified_terminal(x, schedule, t, quantizer, policy)
         events.add(t, "equilibrium" if terminal else kind, x, res, hits_now)
         if terminal:
             return events.trajectory(quantizer, "equilibrium")
-        if stop_condition is not None and stop_condition(t, x):
-            return events.trajectory(quantizer, "stopped")
 
         if at_rest:
             # Not terminal with zero velocity means a future graph moves the
@@ -1038,7 +644,7 @@ def simulate(
             hits_now = ()
             continue
 
-        dt_th, th_hits = out[5] if out else threshold_hits(x, res.velocity, quantizer)
+        dt_th, th_hits = out[5]
         dt_sw = ts - t
         dt = min(dt_th, dt_sw)
         if t + dt > config.horizon:
@@ -1065,62 +671,6 @@ def simulate(
 # ---------------------------------------------------------------------------
 # Regularized oracle
 # ---------------------------------------------------------------------------
-
-def _rk4_chunk(x: list[float], rows: list[list[tuple[int, float]]], xp: list[float],
-               fp: list[float], h: float, steps: int) -> list[float]:
-    """``steps`` classical RK4 steps of ``x' = -L q(x)``.
-
-    Runs the compiled kernel of ``_kernels.c`` when it loads, else the list
-    kernel; both give the same bits.
-    """
-    kernels = quantizers._load_kernel()
-    if kernels is None:
-        return _rk4_chunk_lists(x, rows, xp, fp, h, steps)
-    return kernels.rk4_chunk(x, rows, xp, fp, h, steps)
-
-
-def _rk4_chunk_lists(x: list[float], rows: list[list[tuple[int, float]]], xp: list[float],
-                     fp: list[float], h: float, steps: int) -> list[float]:
-    """``steps`` classical RK4 steps of ``x' = -L q(x)`` on Python floats.
-
-    ``q`` interpolates the knots ``(xp, fp)`` linearly and clamps outside
-    them; ``rows[i]`` holds the nonzero ``(j, l_ij)`` of Laplacian row ``i``
-    in increasing ``j``.  The arithmetic of every element is spelled out in
-    a fixed order, so results do not depend on vector widths or alignment.
-    """
-    last = len(xp) - 1
-    x_first, x_last, f_first, f_last = xp[0], xp[last], fp[0], fp[last]
-
-    def deriv(s: list[float]) -> list[float]:
-        q = []
-        for v in s:
-            if v <= x_first:
-                q.append(f_first)
-            elif v >= x_last:
-                q.append(f_last)
-            else:
-                lo = bisect_right(xp, v, 1, last) - 1
-                x0 = xp[lo]
-                q.append(fp[lo] + (fp[lo + 1] - fp[lo]) * (v - x0) / (xp[lo + 1] - x0))
-        out = []
-        for row in rows:
-            acc = 0.0
-            for j, l in row:
-                acc -= l * q[j]
-            out.append(acc)
-        return out
-
-    half = 0.5 * h
-    sixth = h / 6.0
-    for _ in range(steps):
-        k1 = deriv(x)
-        k2 = deriv([a + half * b for a, b in zip(x, k1)])
-        k3 = deriv([a + half * b for a, b in zip(x, k2)])
-        k4 = deriv([a + h * b for a, b in zip(x, k3)])
-        x = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-    return x
-
 
 def _ramp_knots(quantizer: Quantizer, x0, eps: float) -> tuple[list[float], list[float]]:
     """Breakpoints of the continuous piecewise-linear quantizer surrogate."""
@@ -1221,7 +771,7 @@ def simulate_regularized(
                     for row in laplacian(schedule.graph_at(t)).tolist()]
             steps = max(1, math.ceil((seg_end - t) / h - 1e-9))
             hh = (seg_end - t) / steps
-            x = _rk4_chunk(x, rows, xp, fp, hh, steps)
+            x = quantizers._load_kernel().rk4_chunk(x, rows, xp, fp, hh, steps)
             t = seg_end
         if max(map(abs, x)) > blow_up:
             raise RegularizationUnstable(

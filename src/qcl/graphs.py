@@ -27,15 +27,6 @@ from .quantizers import InputError, json_field, json_float, json_int, json_keys
 BALANCE_TOL = 1e-12
 
 
-class SparseRow(NamedTuple):
-    """The nonzero weights of one row, in increasing column order."""
-
-    #: ``(j, a_ij)`` pairs on Python floats.
-    pairs: tuple[tuple[int, float], ...]
-    #: ``float(weights[i].sum())``, summed over the full row.
-    total: float
-
-
 @dataclass(frozen=True, eq=False)
 class WeightedDigraph:
     """Immutable nonnegative weight matrix with zero diagonal."""
@@ -100,20 +91,9 @@ class WeightedDigraph:
         r, c = np.nonzero(w)  # row-major, so j increases within each row
         return r, c, w[r, c], np.searchsorted(r, np.arange(self.n + 1)).tolist()
 
-    @cached_property
-    def rows(self) -> tuple[SparseRow, ...]:
-        """Per-row nonzero pairs and totals on Python floats."""
-        _, c, values, ends = self.csr
-        cols, vals = c.tolist(), values.tolist()
-        # numpy sums each contiguous row on its own: the bits of weights[i].sum().
-        totals = self.weights.sum(axis=1).tolist()
-        return tuple(
-            SparseRow(tuple(zip(cols[a:b], vals[a:b])), total)
-            for a, b, total in zip(ends, ends[1:], totals)
-        )
-
     def out_weight(self, i: int) -> float:
-        return self.rows[i].total
+        """Row i's total weight, with the bits of ``weights.sum(axis=1)[i]``."""
+        return float(self.weights[i].sum())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedDigraph):

@@ -21,13 +21,18 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple
 
 import numpy as np
 
 
 class InputError(ValueError):
     """Raised for non-finite or otherwise malformed numeric inputs."""
+
+
+class KernelError(RuntimeError):
+    """The compiled kernels, which every run needs, cannot be built: no C
+    compiler, a build that does not compile, or one that fails its
+    self-check."""
 
 
 def _require_finite(value: float, what: str) -> float:
@@ -333,53 +338,20 @@ def quantizer_from_json(obj: dict) -> Quantizer:
 
 @cache
 def _load_kernel():
-    """The compiled kernels (``_ckernel.Kernels``), or None; built or loaded
-    once per import.  Every compiled path goes through this one loader."""
+    """The compiled kernels (``_ckernel.Kernels``), built or loaded once per
+    import, or ``KernelError``; every compiled path goes through this one."""
     from . import _ckernel
 
-    return _ckernel.load(_kernel_agrees)
+    return _ckernel.load()
 
 
-def _kernel_agrees(kernels) -> bool:
-    """Whether every compiled entry point gives the bits of its Python code.
-
-    Runs only when a build is new, so its module is imported only then.
-    """
-    from ._kernel_check import kernels_agree
-
-    return kernels_agree(kernels)
-
-
-class SetScan(NamedTuple):
-    """The Krasovskii sets of all agents of a state, from one scan."""
-
-    #: ``(lo, hi)`` of each agent on a threshold, in increasing agent order.
-    boxes: dict[int, tuple[float, float]]
-    #: The agents whose selection lies outside their set, in increasing order.
-    outside: list[int]
-
-
-def krasovskii_scan(x, quantizer: Quantizer, selection=None, z=None) -> SetScan:
-    """The Krasovskii sets of all agents of ``x`` in one scan, with one
-    ``krasovskii_set`` call per agent.
-
-    Writes the level of each agent inside a cell into the array ``z`` when
-    one is given; its entries at surface agents are left unspecified.  With
-    ``selection``, lists the agents ``i`` where ``lo <= selection[i] <= hi``
-    fails.
-    """
-    boxes = {}
-    sets = []
-    for i, value in enumerate(x.tolist() if hasattr(x, "tolist") else x):
-        lo, hi = quantizer.krasovskii_set(float(value))
-        if lo != hi:
-            boxes[i] = (lo, hi)
-        elif z is not None:
-            z[i] = lo
-        sets.append((lo, hi))
-    outside = [] if selection is None else [
-        i for i, ((lo, hi), s) in enumerate(zip(sets, selection)) if not lo <= s <= hi]
-    return SetScan(boxes, outside)
+def krasovskii_scan(x, quantizer: Quantizer, selection) -> list[int]:
+    """The agents ``i`` of ``x``, in increasing order, whose ``selection[i]``
+    lies outside their Krasovskii set ``[lo, hi]``, with one
+    ``krasovskii_set`` call per agent (which raises for a bad state)."""
+    values = x.tolist() if hasattr(x, "tolist") else x
+    sets = [quantizer.krasovskii_set(float(v)) for v in values]
+    return [i for i, ((lo, hi), s) in enumerate(zip(sets, selection)) if not lo <= s <= hi]
 
 
 def extreme_sets(x, quantizer: Quantizer) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -409,23 +381,3 @@ def kq_envelope(x, quantizer: Quantizer) -> tuple[float, float]:
     low, high = extreme_sets(x, quantizer)
     return low[0], high[1]
 
-
-def threshold_hits(x, velocity, quantizer: Quantizer) -> tuple[float, list[tuple[int, float]]]:
-    """Closest threshold arrival: exact dt and all agents tied at it, with one
-    ``next_threshold`` call per moving agent."""
-    best = math.inf
-    hits: list[tuple[int, float]] = []
-    for i in range(len(x)):
-        v = float(velocity[i])
-        if v == 0.0:
-            continue
-        th = quantizer.next_threshold(float(x[i]), 1 if v > 0.0 else -1)
-        if th is None:
-            continue
-        dt = (th - float(x[i])) / v
-        if dt < best:
-            best = dt
-            hits = [(i, th)]
-        elif dt == best:
-            hits.append((i, th))
-    return best, hits

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import shutil
 from contextlib import contextmanager
 from functools import cache
 
@@ -15,7 +14,8 @@ from qcl import (
     simulate,
     simulate_regularized,
 )
-from qcl import _ckernel, quantizers
+import reference
+from qcl import KernelError, _ckernel, quantizers
 from qcl.cli import _bfs_reachability as bfs_reachability
 
 #: The four references that the exact run is checked against the
@@ -43,37 +43,56 @@ def reference_oracle_run(name: str):
 
 
 def force_list_path(mp) -> None:
-    """Make qcl run its list code, as without a C compiler: every compiled
-    path goes through the one loader ``quantizers._load_kernel``."""
-    mp.setattr(quantizers, "_load_kernel", lambda: None)
+    """Make qcl run the reference list code (``tests/reference.py``) in place
+    of its compiled kernels: every compiled path goes through the one loader
+    ``quantizers._load_kernel``."""
+    mp.setattr(quantizers, "_load_kernel", lambda: reference.KERNELS)
 
 
-#: The two paths of every compiled kernel.
+#: The compiled kernels, and the reference list code in their place.
 KERNEL_PATHS = ["compiled", "lists"]
 
 
 @contextmanager
 def kernel_path(path: str):
-    """Run the compiled kernels, where a C compiler is found, or the list
-    code (the kernel loader monkeypatched to None)."""
+    """Run the compiled kernels, or the reference list code in their place."""
     with pytest.MonkeyPatch.context() as mp:
         if path == "lists":
             force_list_path(mp)
-        else:
-            assert (quantizers._load_kernel() is None) == (shutil.which("cc") is None)
         yield
 
 
-def build_kernel_variant(mp, tmp_path, old: str, new: str) -> None:
+#: The flags of most self-check mutants: -O0 compiles ``_kernels.c`` in
+#: about a third of the time of the shipped -O2, and the unmutated source
+#: built with them passes the self-check
+#: (``test_kernels.test_mutant_flags_pass_the_self_check``).
+MUTANT_FLAGS = ("-O0", *_ckernel.FLAGS[1:])
+#: The shipped flags, which one mutant of each mutant test keeps.
+SHIPPED_FLAGS = _ckernel.FLAGS
+
+
+def build_kernel_variant(mp, tmp_path, old: str, new: str,
+                         flags: tuple[str, ...] = MUTANT_FLAGS) -> None:
     """Make the next kernel load build ``_kernels.c`` with its one occurrence
-    of ``old`` replaced by ``new``, into an empty cache under ``tmp_path``."""
+    of ``old`` replaced by ``new``, with ``flags``, into an empty cache under
+    ``tmp_path``."""
     source = _ckernel.SOURCE.read_text()
     assert source.count(old) == 1
     variant = tmp_path / "_kernels.c"
     variant.write_text(source.replace(old, new))
     mp.setattr(_ckernel, "SOURCE", variant)
     mp.setattr(_ckernel, "CACHE", tmp_path / "cache")
+    mp.setattr(_ckernel, "FLAGS", flags)
     mp.setattr(quantizers, "_load_kernel", cache(quantizers._load_kernel.__wrapped__))
+
+
+def assert_self_check_rejects(tmp_path, call=None) -> None:
+    """``call()`` (by default the kernel load) raises the self-check's
+    KernelError, and the build under ``tmp_path`` is not cached.  A
+    rejected build is not cached, so each load builds it again."""
+    with pytest.raises(KernelError, match="failed its self-check"):
+        (call or quantizers._load_kernel)()
+    assert list((tmp_path / "cache").iterdir()) == []
 
 
 def oracle_globally_reachable(g: WeightedDigraph) -> tuple[bool, set[int]]:

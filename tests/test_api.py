@@ -37,7 +37,7 @@ def test_public_surface():
     assert not hasattr(qcl.graphs, "unbounded_interactions_graph")
     assert not hasattr(qcl.TrajectoryEvent, "state")
     assert not hasattr(qcl.ScenarioConfig, "with_policy")
-    assert "cutoff" not in inspect.signature(qcl.simulate).parameters
+    assert list(inspect.signature(qcl.simulate).parameters) == ["config"]  # no stop callback
 
 
 def test_no_blas_in_the_package():

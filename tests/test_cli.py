@@ -267,6 +267,32 @@ class TestRun:
         assert run_cli("run", "--builder", "example1", "--out", str(tmp_path)) == 1
         assert capsys.readouterr().err == "error: no selection\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--n", "3.5"], "argument --n: invalid int value: '3.5'"),
+        (["stray.json"], "unrecognized arguments: stray.json"),
+    ], ids=["fractional-n", "stray-positional"])
+    def test_usage_error_is_one_error_line_with_exit_1(self, tmp_path, capsys, argv, message):
+        # Exit 2 means that the horizon came first.
+        out = tmp_path / "out"
+        assert run_cli("run", "--builder", "example1", *argv, "--out", str(out)) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_overflowing_velocities_are_one_error_line(self, tmp_path, capsys):
+        # Nothing but the one line: no numpy overflow warning, and no error
+        # that blames the state for the NaN that the overflow would make.
+        scenario = example1_line(3, 1.0).to_json()
+        for edge in scenario["schedule"]["segments"][0]["edges"]:
+            edge["w"] = 1e308
+        scenario["schedule"]["a_low"] = scenario["schedule"]["a_high"] = 1e308
+        path = tmp_path / "scenario.json"
+        path.write_text(dumps(scenario))
+        assert run_cli("run", "--scenario", str(path), "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr() == ("", (
+            "error: segment 0, agent 0: its weights sum to 1e+308, and twice that times the "
+            "largest level magnitude 2.0 of x0 overflows, so its velocity would not be finite\n"))
+        assert not (tmp_path / "out").exists()
+
     def test_scenario_file_round_trip(self, tmp_path):
         config = example1_line(3, 1.0)
         path = tmp_path / "scenario.json"

@@ -5,7 +5,6 @@ import importlib.util
 import json
 import math
 import re
-import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -35,8 +34,10 @@ from qcl import (
     selection_velocity,
     simulate,
 )
-from conftest import KERNEL_PATHS, build_kernel_variant, force_list_path, kernel_path
-from qcl import _ckernel, dynamics, quantizers
+import reference
+from conftest import (KERNEL_PATHS, MUTANT_FLAGS, SHIPPED_FLAGS, assert_self_check_rejects,
+                      build_kernel_variant, force_list_path, kernel_path)
+from qcl import _ckernel, dynamics, graphs, quantizers
 from qcl._json import dumps
 from qcl.dynamics import KIND_NAMES, policy_from_json
 from qcl.scenarios import SplitMix64
@@ -114,14 +115,15 @@ class TestResolveSliding:
         assert res.velocity[0] == 2.0
 
     def test_projected_solve_ignores_unset_agent_slots(self):
-        # resolve_sliding hands the projected solver a state whose agent
-        # slots are not set yet; its result must not depend on them.
+        # The reference resolver hands its projected solver a state whose
+        # agent slots are not set yet; its result must not depend on them
+        # (the compiled one's: test_kernels.test_poisoned_workspace_*).
         g = line_graph(5)
         boxes = {i: (0.0, 1.0) for i in (1, 2, 3)}
         results = []
         for fill in (0.0, 1e300):
             z = np.array([0.0, fill, fill, fill, 1.0])
-            held, departing, alphas = dynamics._pgs([1, 2, 3], boxes, z, g, 64)
+            held, departing, alphas = reference._pgs([1, 2, 3], boxes, z, g, 64)
             results.append((held, departing, alphas, z.tolist()))
         assert results[0] == results[1]
         assert results[0][0] == {1, 2, 3}
@@ -265,13 +267,13 @@ class TestSparseResolverMatchesLoopReference:
         for i in active:
             k = rng.randint(4) - 2
             boxes[i] = (float(k), float(k + 1))
-        system = dynamics._build_hold_system(active, boxes, z, g)
+        system = reference._build_hold_system(active, boxes, z, g)
         assert repr(system) == repr(_build_hold_system_loop(active, boxes, z, g))
         rows, rhs, _ = system
-        assert repr(dynamics._gaussian_solve(rows, rhs)) == repr(_gaussian_solve_loop(rows, rhs))
-        solution = dynamics._hold_solve(active, boxes, z, g)
+        assert repr(reference._gaussian_solve(rows, rhs)) == repr(_gaussian_solve_loop(rows, rhs))
+        solution = reference._hold_solve(active, boxes, z, g)
         assert repr(solution) == repr(_gaussian_solve_loop(rows, rhs))
-        velocities = dynamics._velocities(g, z, range(g.n))
+        velocities = reference._velocities(g, z, range(g.n))
         for i in range(g.n):
             assert repr(velocities[i]) == repr(_row_velocity_loop(g.weights[i], z, float(z[i])))
 
@@ -279,7 +281,7 @@ class TestSparseResolverMatchesLoopReference:
         rng = SplitMix64(9)
         rows = [[rng.uniform(-1.0, 1.0) for _ in range(10)] for _ in range(10)]
         rhs = [rng.uniform(-1.0, 1.0) for _ in range(10)]
-        assert repr(dynamics._gaussian_solve(rows, rhs)) == repr(_gaussian_solve_loop(rows, rhs))
+        assert repr(reference._gaussian_solve(rows, rhs)) == repr(_gaussian_solve_loop(rows, rhs))
 
 
 def _velocity_per_row(g, z, i):
@@ -303,7 +305,7 @@ def _gaussian_solve_lists(a_rows, b):
             if mag > best:
                 best, piv = mag, r
         if best <= 1e-12 * scale:
-            raise dynamics._Singular()
+            raise reference._Singular()
         if piv != col:
             aug[col], aug[piv] = aug[piv], aug[col]
         pivot_row = aug[col]
@@ -324,7 +326,7 @@ def _gaussian_solve_lists(a_rows, b):
 def _solve_or_singular(solve, *args):
     try:
         return repr(solve(*args))
-    except dynamics._Singular:
+    except reference._Singular:
         return "singular"
 
 
@@ -374,7 +376,7 @@ class TestBatchedKernelsMatchReferences:
         g = WeightedDigraph(w)
         z = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
         z[rng.random(n) < 0.3] = 1.0  # equal values give exact zero terms
-        assert repr(dynamics._velocities(g, z, range(n))) == repr(
+        assert repr(reference._velocities(g, z, range(n))) == repr(
             [_velocity_per_row(g, z, i) for i in range(n)])
 
     @settings(max_examples=80, deadline=None)
@@ -388,7 +390,7 @@ class TestBatchedKernelsMatchReferences:
         else:
             aug = rng.uniform(-1.0, 1.0, (m, m + 1)) * 10.0 ** rng.integers(-3, 4, (m, 1))
         rows, rhs = aug[:, :m].tolist(), aug[:, m].tolist()
-        assert _solve_or_singular(dynamics._gaussian_solve, rows, rhs) == \
+        assert _solve_or_singular(reference._gaussian_solve, rows, rhs) == \
             _solve_or_singular(_gaussian_solve_lists, rows, rhs)
 
     @pytest.mark.parametrize("path", KERNEL_PATHS)
@@ -398,13 +400,13 @@ class TestBatchedKernelsMatchReferences:
     @example(m=2, seed=161, palette=True).via("a -0.0 rhs in a row with a zero factor")
     @example(m=80, seed=3, palette=True).via("the largest palette system")
     def test_hold_solver_matches_list_reference(self, path, m, seed, palette):
-        # The list solver, with the kernels loaded or not; its compiled port
-        # runs inside the compiled resolve, which the self-check compares
-        # with it.
+        # The reference's list solver, with either kernels installed; its
+        # compiled port runs inside the compiled resolve, whose outputs the
+        # self-check's digest pins to it.
         g, active, boxes, z = _palette_hold_system(m, seed, palette)
         rows, rhs, _ = _build_hold_system_loop(active, boxes, z, g)
         with kernel_path(path):
-            assert _solve_or_singular(dynamics._hold_solve, active, boxes, z, g) == \
+            assert _solve_or_singular(reference._hold_solve, active, boxes, z, g) == \
                 _solve_or_singular(_gaussian_solve_lists, rows, rhs)
 
     @pytest.mark.parametrize("m", [3, 13, 40])
@@ -415,18 +417,19 @@ class TestBatchedKernelsMatchReferences:
         rows = [[1.0 if c <= r else -1.0 for c in range(m)] for r in range(m)]
         rows[1][:3] = [0.0, 4.0, -0.0]
         rhs = [float(r) for r in range(m)]
-        assert repr(dynamics._gaussian_solve(rows, rhs)) == repr(_gaussian_solve_lists(rows, rhs))
+        assert repr(reference._gaussian_solve(rows, rhs)) == repr(_gaussian_solve_lists(rows, rhs))
         rows[-1] = list(rows[-2])
-        with pytest.raises(dynamics._Singular):
-            dynamics._gaussian_solve(rows, rhs)
+        with pytest.raises(reference._Singular):
+            reference._gaussian_solve(rows, rhs)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_list_fallback_matches_golden_digest(monkeypatch, name):
     # Every case scans the quantizer at every event, and the random graphs
-    # solve hold systems of up to 64 unknowns under all three policies;
-    # without a compiler the list code and the Python writer must give the
-    # same CSV, trajectory JSON, report and stride exports.
+    # solve hold systems of up to 64 unknowns under all three policies; the
+    # reference list code in simulate's own event loop, with the Python
+    # writer, must give the same CSV, trajectory JSON, report and stride
+    # exports as the compiled kernels.
     force_list_path(monkeypatch)
     csv, trajectory, report, stride = digests(name)
     assert csv == GOLDEN_DIGESTS[name]
@@ -434,35 +437,25 @@ def test_list_fallback_matches_golden_digest(monkeypatch, name):
     assert stride == STRIDE_DIGESTS.get(name)
 
 
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-
-
-@needs_cc
 def test_reordered_hold_solver_fails_self_check(monkeypatch, tmp_path):
-    # Back-substitution summed right to left changes the last bits.
+    # Back-substitution summed right to left changes the last bits.  A run
+    # needs the kernels, so it fails with the self-check's one error.
     build_kernel_variant(
         monkeypatch, tmp_path,
         "for (int64_t c = r + 1; c < m; c++)\n            acc -= row[c] * out[c];",
-        "for (int64_t c = m - 1; c > r; c--)\n            acc -= row[c] * out[c];")
-    config = GOLDEN_CASES["random40-s2-sequential-slow"]()
-    csv = simulate(config).to_csv()
-    assert quantizers._load_kernel() is None
-    assert list((tmp_path / "cache").iterdir()) == []
-    # The run used the list code, which the compiled solver reproduces.
-    monkeypatch.undo()
-    assert quantizers._load_kernel() is not None
-    assert simulate(config).to_csv() == csv
+        "for (int64_t c = m - 1; c > r; c--)\n            acc -= row[c] * out[c];",
+        SHIPPED_FLAGS)
+    assert_self_check_rejects(tmp_path,
+                              lambda: simulate(GOLDEN_CASES["random40-s2-sequential-slow"]()))
 
 
-@needs_cc
-@pytest.mark.parametrize("old,new", [
-    ("if (n < 8) {", "if (n > 0) {"),
-    ("half -= half % 8;", ""),
+@pytest.mark.parametrize("old,new,flags", [
+    ("if (n < 8) {", "if (n > 0) {", SHIPPED_FLAGS),
+    ("half -= half % 8;", "", MUTANT_FLAGS),
 ], ids=["sequential-fold", "unrounded-split"])
-def test_velocities_in_another_order_fail_self_check(monkeypatch, tmp_path, old, new):
-    build_kernel_variant(monkeypatch, tmp_path, old, new)
-    assert quantizers._load_kernel() is None
-    assert list((tmp_path / "cache").iterdir()) == []
+def test_velocities_in_another_order_fail_self_check(monkeypatch, tmp_path, old, new, flags):
+    build_kernel_variant(monkeypatch, tmp_path, old, new, flags)
+    assert_self_check_rejects(tmp_path)
 
 
 #: Resolves that run projected Gauss-Seidel: a pair of surface agents that
@@ -536,7 +529,7 @@ def _resolve_outcome(g, x, quantizer, policy, last_stopped, cutoff):
     """The fields of a resolve, in bits, or the type and message of its error."""
     try:
         res = resolve_sliding(np.array(x), g, quantizer, policy, last_stopped, cutoff)
-    except (NoSlidingSelection, ContractViolation) as err:
+    except (NoSlidingSelection, ContractViolation, InputError) as err:
         return type(err), str(err)
     return (res.z.tobytes(), res.velocity.tobytes(), [(i, a.hex()) for i, a in res.alpha],
             res.held, res.departing)
@@ -544,11 +537,12 @@ def _resolve_outcome(g, x, quantizer, policy, last_stopped, cutoff):
 
 def _compiled_outcome(g, x, quantizer, policy, last_stopped, cutoff):
     """The fields of the compiled resolve, in the bits of ``_resolve_outcome``,
-    or None when it declines."""
-    out = quantizers._load_kernel().resolve(g, np.array(x), quantizer, policy, last_stopped,
-                                            cutoff)
-    if out is None:
-        return None
+    or the type and message of the error of its decline."""
+    try:
+        out = quantizers._load_kernel().resolve(g, np.array(x), quantizer, policy, last_stopped,
+                                                float(cutoff))
+    except (NoSlidingSelection, ContractViolation, InputError) as err:
+        return type(err), str(err)
     return out[0].tobytes(), out[1].tobytes(), [(i, a.hex()) for i, a in out[2]], out[3], out[4]
 
 
@@ -563,47 +557,43 @@ def test_compiled_resolve_matches_list_path(path, case):
         expected = _resolve_outcome(*case)
     with kernel_path(path):
         assert _resolve_outcome(*case) == expected
-        kernels = quantizers._load_kernel()
-        if not isinstance(expected[0], bytes) or kernels is None:
+        if not isinstance(expected[0], bytes):
             return
         g, x, quantizer, policy, last_stopped, cutoff = case
-        out = kernels.resolve(g, np.array(x), quantizer, policy, last_stopped, cutoff)
-    if out is not None:
-        assert repr(out[5]) == repr(quantizers.threshold_hits(np.array(x), out[1], quantizer))
+        out = quantizers._load_kernel().resolve(g, np.array(x), quantizer, policy, last_stopped,
+                                                cutoff)
+    assert repr(out[5]) == repr(reference.threshold_hits(np.array(x), out[1], quantizer))
 
 
-@needs_cc
 @pytest.mark.parametrize("name", sorted(PGS_RESOLVES))
 def test_compiled_resolve_runs_projected_gauss_seidel(monkeypatch, name):
-    # The compiled resolve takes these states, which its Python code sends
-    # to projected Gauss-Seidel, and gives the Python code's bits.
+    # The compiled resolve takes these states, which the reference sends to
+    # projected Gauss-Seidel, and gives the reference's bits.
     out = _compiled_outcome(*PGS_RESOLVES[name])
-    assert out is not None
-    projected, pgs = [], dynamics._pgs
+    assert isinstance(out[0], bytes)
+    projected, pgs = [], reference._pgs
 
     def counted_pgs(agents, *args):
         projected.append(agents)
         return pgs(agents, *args)
 
-    monkeypatch.setattr(dynamics, "_pgs", counted_pgs)
+    monkeypatch.setattr(reference, "_pgs", counted_pgs)
     with kernel_path("lists"):
         assert _resolve_outcome(*PGS_RESOLVES[name]) == out
     assert projected
 
 
-@needs_cc
 @settings(max_examples=150, deadline=None)
 @given(case=resolve_inputs(), cutoff=st.sampled_from([0, 1, 2, 64]))
 @example(case=PGS_RESOLVES["singular"], cutoff=64)
 def test_compiled_pgs_matches_list_code(case, cutoff):
     # Cutoffs 0 and 1 send nearly every resolve with surface agents to
     # projected Gauss-Seidel, and let it polish at most that many held
-    # agents.  The compiled resolve declines only where the list code fails.
+    # agents.  The compiled resolve raises exactly where the reference does.
     case = (*case[:5], cutoff)
     with kernel_path("lists"):
         expected = _resolve_outcome(*case)
-    out = _compiled_outcome(*case)
-    assert out == expected if out is not None else not isinstance(expected[0], bytes)
+    assert _compiled_outcome(*case) == expected
 
 
 def _csr_graph(n: int, seed: int) -> WeightedDigraph:
@@ -619,14 +609,13 @@ def _csr_graph(n: int, seed: int) -> WeightedDigraph:
     return WeightedDigraph(w)
 
 
-@needs_cc
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), tied=st.booleans())
 @example(n=300, seed=0, tied=False).via("the longest rows")
 @example(n=300, seed=1, tied=True).via("terms that are exactly zero")
 def test_compiled_velocities_match_numpy(n, seed, tied):
     # Every agent sits on a level, so the compiled resolve sums every row
-    # for its velocity; the list path sums them with numpy.
+    # for its velocity; the reference sums them with numpy.
     g = _csr_graph(n, seed)
     rng = np.random.default_rng(seed)
     x = rng.integers(-10**6, 10**6, size=n) * 0.1
@@ -638,35 +627,27 @@ def test_compiled_velocities_match_numpy(n, seed, tied):
     assert _compiled_outcome(*case) == expected
 
 
-@needs_cc
 def test_simulate_takes_the_arrival_from_the_compiled_resolve(monkeypatch):
+    # The closest arrival is scanned only in C, and simulate steps to the
+    # one that the resolve gives it: the reference's scan in simulate's own
+    # loop gives the same trajectory.
+    assert not hasattr(dynamics, "threshold_hits") and not hasattr(quantizers, "threshold_hits")
     config = example1_line(5, 0.1)
     csv = simulate(config).to_csv()
-
-    def scan_again(*args):
-        raise AssertionError("threshold_hits after a compiled resolve")
-
-    monkeypatch.setattr(dynamics, "threshold_hits", scan_again)
+    force_list_path(monkeypatch)
     assert simulate(config).to_csv() == csv
 
 
-@needs_cc
-@pytest.mark.parametrize("old,new", [
-    ("(r_near == drop_near && e > worst)", "(r_near == drop_near && e >= worst)"),
-    ("if (fabs(a) <= FEAS_SLACK)", "if (fabs(a) <= 2 * FEAS_SLACK)"),
-    ("if (v > worst) {", "if (v != 0.0 && v >= worst) {"),
-    ("if (p >= 0) {", "if (p >= 0 && g->totals[i] == 0.0) {"),
+@pytest.mark.parametrize("old,new,flags", [
+    ("(r_near == drop_near && e > worst)", "(r_near == drop_near && e >= worst)", SHIPPED_FLAGS),
+    ("if (fabs(a) <= FEAS_SLACK)", "if (fabs(a) <= 2 * FEAS_SLACK)", MUTANT_FLAGS),
+    ("if (v > worst) {", "if (v != 0.0 && v >= worst) {", MUTANT_FLAGS),
+    ("if (p >= 0) {", "if (p >= 0 && g->totals[i] == 0.0) {", MUTANT_FLAGS),
 ], ids=["release-ties-to-highest", "wider-snap-slack", "stale-pin-ties-to-highest",
         "pins-not-excluded-from-candidates"])
-def test_mutated_resolve_fails_self_check(monkeypatch, tmp_path, old, new):
-    build_kernel_variant(monkeypatch, tmp_path, old, new)
-    config = example1_line(5, 0.1)
-    csv = simulate(config).to_csv()
-    assert quantizers._load_kernel() is None
-    assert list((tmp_path / "cache").iterdir()) == []
-    # The run used the Python code, which the compiled resolve reproduces.
-    monkeypatch.undo()
-    assert simulate(config).to_csv() == csv
+def test_mutated_resolve_fails_self_check(monkeypatch, tmp_path, old, new, flags):
+    build_kernel_variant(monkeypatch, tmp_path, old, new, flags)
+    assert_self_check_rejects(tmp_path, lambda: simulate(example1_line(5, 0.1)))
 
 
 @pytest.mark.parametrize("path", KERNEL_PATHS)
@@ -725,23 +706,16 @@ def run_inputs(draw):
                           max_events=draw(st.sampled_from([400, 400, 1, 2, 5])))
 
 
-def _run_outcome(config, stop_at):
-    """A run's events in bits, its status or the message of its event limit,
-    and the calls of a stop condition that stops at call ``stop_at`` (0:
-    never; None: no stop condition); or the type and message of its error."""
-    calls = []
-
-    def stop(t, x) -> bool:
-        calls.append((t.hex(), x.tobytes()))
-        return len(calls) == stop_at
-
+def _run_outcome(config):
+    """A run's events in bits, its status or the message of its event limit;
+    or the type and message of its error."""
     try:
-        traj, limit = simulate(config, None if stop_at is None else stop), None
+        traj, limit = simulate(config), None
     except SimulationLimitError as err:
         traj, limit = err.trajectory, str(err)
-    except (NoSlidingSelection, ContractViolation) as err:
-        return type(err), str(err), calls
-    return limit, traj.status, calls, [
+    except (NoSlidingSelection, ContractViolation, InputError) as err:
+        return type(err), str(err)
+    return limit, traj.status, [
         (ev.t.hex(), ev.kind, [v.hex() for v in ev.x + ev.z + ev.velocity],
          [None if a is None else a.hex() for a in ev.alpha], ev.hits, ev.departing)
         for ev in traj.events]
@@ -749,16 +723,16 @@ def _run_outcome(config, stop_at):
 
 @pytest.mark.parametrize("path", KERNEL_PATHS)
 @settings(max_examples=100, deadline=None)
-@given(config=run_inputs(), stop_at=st.sampled_from([None, None, 0, 3]))
-@example(config=SWITCH_AT_ARRIVALS, stop_at=None)
-@example(config=replace(SWITCH_AT_ARRIVALS, max_events=4), stop_at=None)
-@example(config=example1_line(6, 0.1, x0_spacing=0.0937), stop_at=0)
-@example(config=ROUNDS_ONTO_SWITCH, stop_at=None)
-def test_runs_match_list_path(path, config, stop_at):
+@given(config=run_inputs())
+@example(config=SWITCH_AT_ARRIVALS)
+@example(config=replace(SWITCH_AT_ARRIVALS, max_events=4))
+@example(config=example1_line(6, 0.1, x0_spacing=0.0937))
+@example(config=ROUNDS_ONTO_SWITCH)
+def test_runs_match_list_path(path, config):
     with kernel_path("lists"):
-        expected = _run_outcome(config, stop_at)
+        expected = _run_outcome(config)
     with kernel_path(path):
-        assert _run_outcome(config, stop_at) == expected
+        assert _run_outcome(config) == expected
 
 
 def _counting_advance(monkeypatch, kernels) -> list[int]:
@@ -775,7 +749,6 @@ def _counting_advance(monkeypatch, kernels) -> list[int]:
     return recorded
 
 
-@needs_cc
 def test_staircase_runs_in_a_few_compiled_calls(monkeypatch):
     # A step that went back to Python would cost one call per event.  One
     # call records every event through its full chunks of 124 events of 8
@@ -806,7 +779,6 @@ def test_c_structs_match_their_ctypes_mirrors(struct, mirror):
     assert members == mirror._fields_
 
 
-@needs_cc
 def test_periodic_runs_use_the_compiled_event_loop(monkeypatch):
     # The compiled loop records the switches too, so Python records only the
     # equilibrium.  The switch times k * 0.7 + 0.35 round.
@@ -829,30 +801,28 @@ def _benchmark_workloads():
     return module
 
 
-@needs_cc
 @pytest.mark.parametrize("workload", ["staircase", "wide-surface"])
 def test_benchmark_resolves_never_leave_the_compiled_path(monkeypatch, workload):
-    # Under either quantizer, every policy and projected Gauss-Seidel run
-    # inside the compiled resolve, so no resolve of these workloads goes to
-    # the Python code (at seed 1, 106 and 13 did while the compiled resolve
-    # declined projected Gauss-Seidel, 9 and 9 under FixedAlpha, and 14 and
-    # 0 while a general quantizer ran in Python).
-    quantizers._load_kernel()  # the self-check of a new build runs both paths
-    in_python, resolve_python = [], dynamics._resolve_python
+    # The package has no Python resolver left, and every call of the
+    # compiled event loop on these workloads returns a resolution: none
+    # declines (at seed 1, 106 and 13 resolves once went to Python while the
+    # compiled resolve declined projected Gauss-Seidel, 9 and 9 under
+    # FixedAlpha, and 14 and 0 while a general quantizer ran in Python).
+    assert not hasattr(dynamics, "_resolve_python") and not hasattr(dynamics, "_pgs")
+    kernels, resolved = quantizers._load_kernel(), []
 
-    def counted(*args):
-        in_python.append(name)
-        return resolve_python(*args)
+    def advance(*args):
+        out = kernels.advance(*args)
+        resolved.append(out[-1] is not None)
+        return out
 
-    monkeypatch.setattr(dynamics, "_resolve_python", counted)
+    monkeypatch.setattr(quantizers, "_load_kernel", lambda: kernels._replace(advance=advance))
     root = Path(__file__).resolve().parents[1]
     for case in _benchmark_workloads().WORKLOADS[workload](1, root):
-        name = case.name
         simulate(scenario_from_json(json.loads(case.text())))
-    assert in_python == []
+    assert resolved and all(resolved)
 
 
-@needs_cc
 @pytest.mark.parametrize("workload", ["staircase", "wide-surface"])
 def test_benchmark_events_leave_the_compiled_loop_only_at_rest(monkeypatch, workload):
     # The compiled loop records threshold hits, topology switches and full
@@ -876,7 +846,6 @@ def test_benchmark_events_leave_the_compiled_loop_only_at_rest(monkeypatch, work
     assert elsewhere == []
 
 
-@needs_cc
 def test_event_loop_resumes_after_a_full_chunk_and_grown_buffers(monkeypatch):
     # A chunk of three 12-agent events, and a workspace that starts with one
     # unknown, so the hold buffers grow in the middle of a call.  The call
@@ -885,10 +854,10 @@ def test_event_loop_resumes_after_a_full_chunk_and_grown_buffers(monkeypatch):
     monkeypatch.setattr(_ckernel, "CHUNK", 3 * (4 * 12 + 1))
     recorded = _counting_advance(monkeypatch, quantizers._load_kernel.__wrapped__())
     config = example1_line(12, 1 / 16, x0_spacing=0.3)
-    compiled = _run_outcome(config, None)
-    assert recorded == [len(compiled[3]) - 1] and recorded[0] > 10 * 3
-    monkeypatch.setattr(quantizers, "_load_kernel", lambda: None)
-    assert compiled == _run_outcome(config, None)
+    compiled = _run_outcome(config)
+    assert recorded == [len(compiled[2]) - 1] and recorded[0] > 10 * 3
+    force_list_path(monkeypatch)
+    assert compiled == _run_outcome(config)
 
 
 @settings(max_examples=60, deadline=None)
@@ -897,8 +866,8 @@ def test_event_loop_resumes_after_a_full_chunk_and_grown_buffers(monkeypatch):
 @example(n=30, seed=1, density=0.5).via("weights of mixed magnitude")
 def test_graph_tables_hold_the_csr_and_row_totals_bit_for_bit(n, seed, density):
     # Weights from 1e-12 to 1e12, so row totals round, and rows with no
-    # neighbours.  The tables are built without SparseRow; the totals are
-    # compared with SparseRow's.
+    # neighbours.  The totals are compared with the reference's rows and
+    # with out_weight.
     rng = np.random.default_rng(seed)
     w = rng.choice([0.1, 1 / 3, 1.0, 1e-12, 7e11, 2.5e-7], size=(n, n))
     w *= rng.uniform(size=(n, n)) < density
@@ -906,28 +875,28 @@ def test_graph_tables_hold_the_csr_and_row_totals_bit_for_bit(n, seed, density):
     np.fill_diagonal(w, 0.0)
     g = WeightedDigraph(w)
     size, address = _ckernel._tables()[0](g)  # the graph as a schedule of one segment
-    assert "rows" not in g.__dict__
     schedule = _ckernel._Schedule.from_address(address)
     assert size == n and schedule.count == 1 and not schedule.periodic
     assert ctypes.c_double.from_address(schedule.starts).value == 0.0
     struct = _ckernel._Graph.from_address(schedule.graphs)
     assert struct.n == n
     _, cols, values, ends = g.csr
-    expected = (np.array(ends, dtype=np.int64), cols, values,
-                np.array([row.total for row in g.rows]))
+    totals = np.array([row.total for row in reference.sparse_rows(g)])
+    assert totals.tolist() == [g.out_weight(i) for i in range(n)]
+    expected = (np.array(ends, dtype=np.int64), cols, values, totals)
     for array, pointer in zip(expected, (struct.ends, struct.cols, struct.vals, struct.totals)):
         assert ctypes.string_at(pointer, array.nbytes) == array.tobytes()
 
 
-@needs_cc
 def test_compiled_simulate_builds_no_sparse_rows():
+    # Graphs reach the C code as numpy CSR arrays; the per-row Python tuples
+    # that the list resolver read are gone from the package.
     config = example1_line(12, 1 / 16, x0_spacing=0.3, policy=SequentialSlow())
     g = config.schedule.graph_at(0.0)
     assert len(simulate(config).events) > 10
-    assert "rows" not in g.__dict__
+    assert not hasattr(g, "rows") and not hasattr(graphs, "SparseRow")
 
 
-@needs_cc
 def test_workspace_grows_a_few_times_over_the_wide_surface_workload(monkeypatch):
     # Surface sets grow one agent at a time up to 64 unknowns on up to 160
     # agents; doubling the unknowns, up to the agents, replaces the
@@ -951,33 +920,30 @@ def test_workspace_grows_a_few_times_over_the_wide_surface_workload(monkeypatch)
     assert all(m <= n for n, m in built)
 
 
-@needs_cc
-@pytest.mark.parametrize("old,new", [
-    ("            w->x[w->hit[h]] = w->threshold[h];\n", ""),
-    ("w->x[i] = w->x[i] + w->y[i] * dt;", "w->x[i] = fma(w->y[i], dt, w->x[i]);"),
-    ("if (ts - t < w->dt) {", "if (ts - t < w->dt || t + dt >= ts) {"),
-    ("            w->kind = KIND_SWITCH;\n", ""),
-    ("k = floor(t / s->period);", "k = floor(t / s->period) + 1.0;"),
+@pytest.mark.parametrize("old,new,flags", [
+    ("            w->x[w->hit[h]] = w->threshold[h];\n", "", SHIPPED_FLAGS),
+    ("w->x[i] = w->x[i] + w->y[i] * dt;", "w->x[i] = fma(w->y[i], dt, w->x[i]);", MUTANT_FLAGS),
+    ("if (ts - t < w->dt) {", "if (ts - t < w->dt || t + dt >= ts) {", MUTANT_FLAGS),
+    ("            w->kind = KIND_SWITCH;\n", "", MUTANT_FLAGS),
+    ("k = floor(t / s->period);", "k = floor(t / s->period) + 1.0;", MUTANT_FLAGS),
 ], ids=["unsnapped-hit", "fused-step", "step-rounds-onto-switch", "switch-row-without-kind",
         "cycle-window-shifted"])
-def test_mutated_event_loop_fails_self_check(monkeypatch, tmp_path, old, new):
-    build_kernel_variant(monkeypatch, tmp_path, old, new)
-    assert quantizers._load_kernel() is None
-    assert list((tmp_path / "cache").iterdir()) == []
+def test_mutated_event_loop_fails_self_check(monkeypatch, tmp_path, old, new, flags):
+    build_kernel_variant(monkeypatch, tmp_path, old, new, flags)
+    assert_self_check_rejects(tmp_path)
 
 
-@needs_cc
-@pytest.mark.parametrize("old,new", [
+@pytest.mark.parametrize("old,new,flags", [
     ("            z[i] = target;\n        }\n",
      "            w->y[i] = target;\n        }\n        for (int64_t r = 0; r < m; r++)\n"
-     "            if (totals[active[r]] != 0.0)\n                z[active[r]] = w->y[active[r]];\n"),
-    ("    snap = 10.0 * PGS_TOL * scale;", "    snap = -1.0;"),
+     "            if (totals[active[r]] != 0.0)\n                z[active[r]] = w->y[active[r]];\n",
+     SHIPPED_FLAGS),
+    ("    snap = 10.0 * PGS_TOL * scale;", "    snap = -1.0;", MUTANT_FLAGS),
 ], ids=["jacobi-sweep", "unsnapped-ends"])
-def test_mutated_pgs_fails_self_check(monkeypatch, tmp_path, old, new):
+def test_mutated_pgs_fails_self_check(monkeypatch, tmp_path, old, new, flags):
     # A Jacobi sweep computes every target from the previous sweep's z.
-    build_kernel_variant(monkeypatch, tmp_path, old, new)
-    assert quantizers._load_kernel() is None
-    assert list((tmp_path / "cache").iterdir()) == []
+    build_kernel_variant(monkeypatch, tmp_path, old, new, flags)
+    assert_self_check_rejects(tmp_path)
 
 
 class TestSimulate:
@@ -1102,11 +1068,6 @@ class TestSimulate:
                 x0=(0.0, 1.0, 1e16),
                 horizon=10.0,
             ))
-
-    def test_stop_condition(self):
-        config = example1_line(6, 1.0, policy=Sliding())
-        traj = simulate(config, stop_condition=lambda t, x: t >= 1.0)
-        assert traj.status == "stopped"
 
     def test_event_times_strictly_increase(self):
         rng = SplitMix64(123)

@@ -14,14 +14,14 @@ from __future__ import annotations
 import json
 import math
 import re
-import shutil
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_kernel_variant
+from conftest import (MUTANT_FLAGS, SHIPPED_FLAGS, assert_self_check_rejects,
+                      build_kernel_variant)
 from qcl import (TrajectoryEvent, _json, _kernel_check, convergence_report, example1_line,
                  quantizers, simulate)
 from qcl._json import dumps
@@ -156,13 +156,12 @@ def test_a_staircase_round_builds_no_trajectory_events(monkeypatch):
     assert traj.events[-1].kind == "equilibrium" and len(built) == 1004
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_writer_reusing_text_on_equality_fails_self_check(monkeypatch, tmp_path):
     # 0.0 == -0.0, so a column that repeats a value by == rather than by its
     # bits writes -0.0 as "0.0".
-    build_kernel_variant(monkeypatch, tmp_path, "same_bits(v, c->value)", "v == c->value")
-    assert quantizers._load_kernel() is None
-    assert list((tmp_path / "cache").iterdir()) == []
+    build_kernel_variant(monkeypatch, tmp_path, "same_bits(v, c->value)", "v == c->value",
+                         SHIPPED_FLAGS)
+    assert_self_check_rejects(tmp_path)
 
 
 def _differential_floats() -> np.ndarray:
@@ -183,7 +182,6 @@ def _differential_floats() -> np.ndarray:
     return values[np.isfinite(values)]
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_compiled_numbers_match_repr_and_17g():
     # Each float is written twice per format, as the time and as the state
     # of a one-agent row, so about 200,000 numbers per format; every one
@@ -202,17 +200,15 @@ def test_compiled_numbers_match_repr_and_17g():
     assert re.findall(r'"x": \[\n +(.*)\n', text) == [format(x, ".17g") for x in states]
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-@pytest.mark.parametrize("old, new", [
-    ("int closed = !(m & 1);", "int closed = 0;"),
-    ("(r == half && (*n & 1))", "r == half"),
-    ("if (*n == P17) {", "if (0) {"),
-    ("json ? 17 : 16", "17"),
+@pytest.mark.parametrize("old, new, flags", [
+    ("int closed = !(m & 1);", "int closed = 0;", SHIPPED_FLAGS),
+    ("(r == half && (*n & 1))", "r == half", MUTANT_FLAGS),
+    ("if (*n == P17) {", "if (0) {", MUTANT_FLAGS),
+    ("json ? 17 : 16", "17", MUTANT_FLAGS),
 ], ids=["open-interval-ends", "round-half-up", "no-decade-carry", "repr-switch-at-17"])
-def test_mutated_exact_digits_fail_self_check(monkeypatch, tmp_path, old, new):
-    build_kernel_variant(monkeypatch, tmp_path, old, new)
-    assert quantizers._load_kernel() is None
-    assert list((tmp_path / "cache").iterdir()) == []
+def test_mutated_exact_digits_fail_self_check(monkeypatch, tmp_path, old, new, flags):
+    build_kernel_variant(monkeypatch, tmp_path, old, new, flags)
+    assert_self_check_rejects(tmp_path)
 
 
 def test_exact_states_reach_interval_ends_and_ties():

@@ -366,9 +366,8 @@ STRIDE_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_csv_matches_golden_digest(name):
-    # The compiled kernels wherever a C compiler is found.  The list code
-    # must give the same digests too:
-    # test_dynamics.test_list_fallback_matches_golden_digest.
+    # The compiled kernels.  The reference list code must give the same
+    # digests too: test_dynamics.test_list_fallback_matches_golden_digest.
     with kernel_path("compiled"):
         assert csv_digest(name) == DIGESTS[name]
 

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -27,8 +26,9 @@ from qcl import (
 )
 from qcl import dynamics, quantizers
 
-from conftest import (ORACLE_REFERENCES, build_kernel_variant, force_list_path,
-                      reference_oracle_run)
+import reference
+from conftest import (ORACLE_REFERENCES, SHIPPED_FLAGS, assert_self_check_rejects,
+                      build_kernel_variant, force_list_path, reference_oracle_run)
 
 
 def max_deviation(traj, run) -> float:
@@ -242,8 +242,9 @@ def _check_against_loop_reference(monkeypatch, config, eps, h, t_end):
     # Re-run with the reference kernel, fed the dense Laplacian of the segment.
     laps = []
     monkeypatch.setattr(dynamics, "laplacian", lambda g: laps.append(laplacian(g)) or laps[-1])
-    monkeypatch.setattr(dynamics, "_rk4_chunk", lambda x, rows, xp, fp, h, steps: list(
+    kernels = quantizers._load_kernel()._replace(rk4_chunk=lambda x, rows, xp, fp, h, steps: list(
         _rk4_chunk(np.array(x), laps[-1], np.array(xp), np.array(fp), h, steps)))
+    monkeypatch.setattr(quantizers, "_load_kernel", lambda: kernels)
     ref = simulate_regularized(config, eps=eps, h=h, stride=0.01, t_end=t_end)
     assert len(laps) > 1
     assert np.array_equal(run.times, ref.times)
@@ -252,8 +253,7 @@ def _check_against_loop_reference(monkeypatch, config, eps, h, t_end):
 
 @pytest.mark.parametrize("config,eps,h,t_end", KERNEL_CASES, ids=KERNEL_IDS)
 def test_kernel_bit_identical_to_loop_reference(monkeypatch, config, eps, h, t_end):
-    # Where a C compiler is found, this checks the compiled kernel.
-    assert (quantizers._load_kernel() is None) == (shutil.which("cc") is None)
+    assert quantizers._load_kernel() is not reference.KERNELS
     _check_against_loop_reference(monkeypatch, config, eps, h, t_end)
 
 
@@ -263,10 +263,6 @@ def test_list_kernel_bit_identical_to_loop_reference(monkeypatch, config, eps, h
     _check_against_loop_reference(monkeypatch, config, eps, h, t_end)
 
 
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-
-
-@needs_cc
 def test_cached_kernel_loads_without_compiler():
     assert quantizers._load_kernel() is not None
     # A fresh interpreter imports qcl without loading the kernel, then finds
@@ -286,22 +282,16 @@ def test_cached_kernel_loads_without_compiler():
     assert out.stdout == "True\n", out.stderr
 
 
-@needs_cc
 def test_reordered_kernel_fails_self_check(monkeypatch, tmp_path):
-    # Summing the final update right to left changes the last bits.
+    # Summing the final update right to left changes the last bits.  The
+    # oracle needs the kernels, so it fails with the self-check's one error.
     build_kernel_variant(monkeypatch, tmp_path, "k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]",
-                         "k4[i] + 2.0 * k3[i] + 2.0 * k2[i] + k1[i]")
+                         "k4[i] + 2.0 * k3[i] + 2.0 * k2[i] + k1[i]", SHIPPED_FLAGS)
     config, eps, h, t_end = KERNEL_CASES[0]
-    run = simulate_regularized(config, eps=eps, h=h, stride=0.01, t_end=t_end)
-    assert quantizers._load_kernel() is None
-    assert list((tmp_path / "cache").iterdir()) == []
-    # The run used the list kernel, which the compiled one reproduces.
-    monkeypatch.undo()
-    ref = simulate_regularized(config, eps=eps, h=h, stride=0.01, t_end=t_end)
-    assert np.array_equal(run.states, ref.states)
+    assert_self_check_rejects(tmp_path, lambda: simulate_regularized(
+        config, eps=eps, h=h, stride=0.01, t_end=t_end))
 
 
-@needs_cc
 @pytest.mark.parametrize("rows,xp", [
     ([[(0, 1.0), (2, -1.0)], [(1, 0.0)]], [0.0, 1.0]),
     ([[(0, 1.0)]], [0.0, 1.0]),

@@ -1,16 +1,17 @@
 from __future__ import annotations
 
 import math
-import shutil
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import KERNEL_PATHS, build_kernel_variant, kernel_path
+from conftest import (KERNEL_PATHS, MUTANT_FLAGS, SHIPPED_FLAGS, assert_self_check_rejects,
+                      build_kernel_variant, kernel_path)
 from qcl import (GeneralQuantizer, InputError, Sliding, UniformQuantizer, WeightedDigraph,
                  example1_line, quantizer_from_json, quantizers, resolve_sliding, simulate)
-from qcl.quantizers import extreme_sets, krasovskii_scan, threshold_hits
+from qcl.quantizers import extreme_sets, krasovskii_scan
+from reference import krasovskii_scan as reference_scan, threshold_hits
 
 DYADIC_DELTAS = (0.25, 0.5, 1.0, 2.0)
 
@@ -73,8 +74,8 @@ class TestUniformQuantize:
         assert q.krasovskii_set(x) == q.surface_bounds(x) == (2.0 ** 52 - 1, 2.0 ** 52)
         assert q.is_threshold(x) and q.quantize(x) == 2.0 ** 52
         assert q.next_threshold(x, -1) == x - 1.0
-        assert krasovskii_scan([x, -x], q).boxes == {0: (2.0 ** 52 - 1, 2.0 ** 52),
-                                                     1: (-2.0 ** 52, 1 - 2.0 ** 52)}
+        assert reference_scan([x, -x], q).boxes == {0: (2.0 ** 52 - 1, 2.0 ** 52),
+                                                    1: (-2.0 ** 52, 1 - 2.0 ** 52)}
 
     @pytest.mark.parametrize("delta", [0.01, 0.1])
     def test_one_sided_neighbours_of_thresholds(self, delta):
@@ -287,7 +288,8 @@ def _sets_reference(x, quantizer):
 
 
 def _hits_reference(x, velocity, quantizer):
-    """``dynamics._threshold_hits`` before the compiled scan."""
+    """The arrival scan of the reference, ``threshold_hits``, as it read
+    before it was one scan."""
     best = math.inf
     hits = []
     for i in range(len(x)):
@@ -307,10 +309,10 @@ def _hits_reference(x, velocity, quantizer):
 
 
 def _scan_summary(x, quantizer):
-    """``krasovskii_scan`` and ``extreme_sets`` of x in the form of
-    ``_sets_reference``."""
+    """The reference's ``krasovskii_scan`` and ``extreme_sets`` of x in the
+    form of ``_sets_reference``."""
     z = np.full(len(x), math.nan)
-    scan = krasovskii_scan(x, quantizer, z=z)
+    scan = reference_scan(x, quantizer, z=z)
     levels = {i: float(z[i]) for i in range(len(x)) if i not in scan.boxes}
     low, high = extreme_sets(x, quantizer)
     return scan.boxes, levels, (low[0], high[1]), (high[0], low[1])
@@ -318,7 +320,7 @@ def _scan_summary(x, quantizer):
 
 def _resolved_scans(x, quantizer):
     """The scans as ``resolve_sliding`` runs them on the kernel path in use
-    (the compiled resolve's own, where it loads): the surface agents and the
+    (the compiled resolve's own, or the reference's): the surface agents and the
     levels of the others, in the form of ``_sets_reference``, then the
     closest arrival and the states and velocity it comes from.  Even agents
     listen to an agent at the highest finite state and odd ones to one at
@@ -330,10 +332,8 @@ def _resolved_scans(x, quantizer):
     states = np.concatenate([x, [max(finite), min(finite)]])
     g = WeightedDigraph.from_edges(n + 2, [(i, n + i % 2, 1.0) for i in range(n)])
     res = resolve_sliding(states, g, quantizer)
-    kernels = quantizers._load_kernel()
-    out = None if kernels is None else kernels.resolve(g, states, quantizer, Sliding(),
-                                                       frozenset(), 64)
-    arrival = threshold_hits(states, res.velocity, quantizer) if out is None else out[5]
+    arrival = quantizers._load_kernel().resolve(g, states, quantizer, Sliding(), frozenset(),
+                                                64.0)[5]
     surface = {i for i, _ in res.alpha}
     return ([i for i in range(n) if i in surface],
             {i: z for i, z in enumerate(res.z[:n].tolist()) if i not in surface},
@@ -362,9 +362,10 @@ def _outcome(fn, *args):
 
 class TestScansMatchPerAgentMethods:
     """Both scans against the per-agent methods: the same arithmetic, so
-    ``repr``-equal, and the same errors.  The scans are list code; on each
-    kernel path the scans of ``resolve_sliding`` are compared too, on the
-    compiled path the compiled resolve's ports of them."""
+    ``repr``-equal, and the same errors.  The set scan is qcl's list code,
+    the hit scan the reference's; on each kernel path the scans of
+    ``resolve_sliding`` are compared too, on the compiled path the compiled
+    resolve's ports of them."""
 
     @pytest.mark.parametrize("path", KERNEL_PATHS)
     @settings(max_examples=80, deadline=None)
@@ -381,7 +382,8 @@ class TestScansMatchPerAgentMethods:
             assert repr(_scan_summary(states, q)) == repr(expected)
             assert repr(quantizers.kq_envelope(states, q)) == repr(expected[2])
             sets = [q.krasovskii_set(x_i) for x_i in x]
-            assert krasovskii_scan(states, q, selection).outside == [
+            assert krasovskii_scan(states, q, selection) == reference_scan(
+                states, q, selection).outside == [
                 i for i, ((lo, hi), s) in enumerate(zip(sets, selection)) if not lo <= s <= hi]
             lo, hi = q.krasovskii_sets(np.array(x, dtype=float))
             assert repr(list(zip(lo.tolist(), hi.tolist()))) == repr(sets)
@@ -425,14 +427,15 @@ class TestScansMatchPerAgentMethods:
                 velocity = [0.0, v, 1.0]
                 assert _outcome(threshold_hits, x, np.array(velocity), q) == \
                     _outcome(_hits_reference, x, velocity, q)
-            # The compiled resolve declines, and the Python code raises.
+            # The resolve raises the per-agent methods' error.
             assert _resolved_scans_agree(x.tolist(), q)
 
     @pytest.mark.parametrize("path", KERNEL_PATHS)
     def test_general_quantizer_scans_per_agent(self, path):
         with kernel_path(path):
             x = [-2.0, 0.0, 0.3, 1.0, 4.0, 9.0]
-            scan = krasovskii_scan(x, GENERAL, [0.0, 0.5, 0.5, 2.0, 8.0, 7.0])
+            scan = reference_scan(x, GENERAL, [0.0, 0.5, 0.5, 2.0, 8.0, 7.0])
+            assert krasovskii_scan(x, GENERAL, [0.0, 0.5, 0.5, 2.0, 8.0, 7.0]) == scan.outside
             assert scan.boxes == {1: (-1.0, 0.5), 3: (0.5, 2.0), 4: (2.0, 7.0)}
             assert extreme_sets(x, GENERAL) == ((-1.0, -1.0), (7.0, 7.0))
             assert scan.outside == [0, 4]
@@ -469,25 +472,16 @@ def test_extreme_sets_match_every_agents_set(data, delta, general):
     assert _outcome(extreme_sets, states, q) == _outcome(every_agent, x, q)
 
 
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-
-
-@needs_cc
-@pytest.mark.parametrize("old,new", [
-    ("return (k + 0.5) * delta;", "return k * delta + 0.5 * delta;"),
-    ("if (threshold(base + j, delta) <= x)", "if (threshold(base + j, delta) < x)"),
+@pytest.mark.parametrize("old,new,flags", [
+    ("return (k + 0.5) * delta;", "return k * delta + 0.5 * delta;", SHIPPED_FLAGS),
+    ("if (threshold(base + j, delta) <= x)", "if (threshold(base + j, delta) < x)",
+     MUTANT_FLAGS),
     ("for (int64_t i = 0; i < n; i++) {\n        double x = h->x[i]",
-     "for (int64_t i = n - 1; i >= 0; i--) {\n        double x = h->x[i]"),
-    ("i = bisect(q->thresholds, q->count, x, 0);", "i = bisect(q->thresholds, q->count, x, 1);"),
+     "for (int64_t i = n - 1; i >= 0; i--) {\n        double x = h->x[i]", MUTANT_FLAGS),
+    ("i = bisect(q->thresholds, q->count, x, 0);", "i = bisect(q->thresholds, q->count, x, 1);",
+     MUTANT_FLAGS),
 ], ids=["threshold-as-k-delta-plus-half-delta", "strict-cell-search", "ties-last-first",
         "general-set-scan-bisect-right"])
-def test_mutated_scan_fails_self_check(monkeypatch, tmp_path, old, new):
-    build_kernel_variant(monkeypatch, tmp_path, old, new)
-    config = example1_line(5, 0.1)
-    csv = simulate(config).to_csv()
-    assert quantizers._load_kernel() is None
-    assert list((tmp_path / "cache").iterdir()) == []
-    # The run used the list code, which the compiled scans reproduce.
-    monkeypatch.undo()
-    assert quantizers._load_kernel() is not None
-    assert simulate(config).to_csv() == csv
+def test_mutated_scan_fails_self_check(monkeypatch, tmp_path, old, new, flags):
+    build_kernel_variant(monkeypatch, tmp_path, old, new, flags)
+    assert_self_check_rejects(tmp_path, lambda: simulate(example1_line(5, 0.1)))

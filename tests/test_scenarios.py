@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,14 +10,18 @@ import pytest
 from qcl import (
     FixedAlpha,
     GeneralQuantizer,
+    GraphSchedule,
     InputError,
     ScenarioConfig,
     SequentialSlow,
+    UniformQuantizer,
+    WeightedDigraph,
     has_globally_reachable_node,
     is_weight_balanced,
     convergence_time,
     example1_line,
     example2_sliding,
+    line_graph,
     random_connected,
     scenario_from_json,
     simulate,
@@ -192,3 +197,24 @@ class TestScenarioJson:
                 policy=config.policy,
                 horizon=1.0,
             )
+
+    @pytest.mark.parametrize("weight,x0,bad", [
+        (1e308, (0.0, 0.0, 0.25), "segment 1, agent 1: its weights sum to inf"),
+        (6e307, (-1.0, 1.0, 2.0), "segment 1, agent 0: its weights sum to 6e+307"),
+        (1e300, (0.0, 1e10, -3e8), "segment 1, agent 0: its weights sum to 1e+300"),
+    ], ids=["row-total-overflows", "twice-the-level-times-the-total", "large-levels"])
+    def test_rejects_weights_whose_velocities_overflow(self, weight, x0, bad):
+        # The second segment's weights, times twice the largest level
+        # magnitude of x0, overflow; the first segment's do not.
+        ok = line_graph(3)
+        big = WeightedDigraph.from_edges(3, [(0, 1, weight), (1, 0, weight), (1, 2, weight)])
+        schedule = GraphSchedule(((0.0, ok), (1.0, big)), 1.0, weight)
+        with pytest.raises(InputError, match=f"^{re.escape(bad)}, and twice"):
+            ScenarioConfig(schedule=schedule, quantizer=UniformQuantizer(1.0), x0=x0)
+
+    def test_accepts_the_largest_weights_that_cannot_overflow(self):
+        # 2 W M = 2 * 4e307 * 2 is finite.
+        g = WeightedDigraph.from_edges(2, [(0, 1, 4e307), (1, 0, 4e307)])
+        config = ScenarioConfig(schedule=GraphSchedule.time_invariant(g, 4e307, 4e307),
+                                quantizer=UniformQuantizer(1.0), x0=(0.0, 2.0))
+        assert simulate(config).converged
