@@ -15,7 +15,6 @@ or its self-check, ``load`` raises ``KernelError`` and caches nothing.
 from __future__ import annotations
 
 import ctypes
-import math
 import os
 import shutil
 import subprocess
@@ -61,15 +60,13 @@ class Kernels(NamedTuple):
     #: state with no consistent selection raises the error of its decline
     #: (see ``DECLINES``).
     resolve: Callable[..., tuple]
-    #: ``advance(schedule, x, quantizer, policy, last_stopped, cutoff, t,
-    #: kind, horizon, budget)``: ``(rows, kinds, ints, t, x, kind, stopped,
-    #: resolution)``, the events that ``qcl_advance`` recorded from the event
-    #: of kind ``kind`` (an index in ``dynamics.EVENT_KINDS``) at time ``t``
-    #: (per chunk, a float array of one row ``t, x, z, velocity, alpha`` per
-    #: event, an int array of their kinds and one of their records, as
-    #: ``Trajectory`` stores them), the time, state, kind and last-stopped
-    #: agents (in increasing order) where it stopped, and ``resolve`` of that
-    #: state, whose errors it raises.
+    #: ``advance(schedule, x0, quantizer, policy, cutoff, horizon,
+    #: max_events)``: the whole run of ``dynamics.simulate`` from ``x0``,
+    #: ``(table, kinds, records, status, t, x)``: one row ``t, x, z, velocity,
+    #: alpha`` per event, their kinds and records as ``Trajectory`` stores
+    #: them, the status (``"equilibrium"``, ``"horizon"`` or ``"limit"``), and
+    #: the time and state where the run stopped; a resolve that declines
+    #: raises its error.
     advance: Callable[..., tuple]
     #: ``write(json, indent, t, kind, x, src, z, alpha)``: the text of the
     #: rows of a trajectory export (see ``qcl_write``), or None when they
@@ -182,10 +179,6 @@ class _Schedule(ctypes.Structure):
                 ("period", ctypes.c_double)]
 
 
-#: The start of every schedule of one segment.
-_ZERO = ctypes.c_double(0.0)
-
-
 class _Quantizer(ctypes.Structure):
     """``struct qcl_quantizer``: a uniform step, or a general quantizer's table."""
 
@@ -211,9 +204,9 @@ _BUFFERS = (("x", ctypes.c_double, "n"), ("y", ctypes.c_double, "n"),
 #: and in integers of its records (32 KiB each); ``advance`` empties a full
 #: chunk and calls it again.
 CHUNK = 2 ** 12
-#: What ``qcl_advance`` returns when the chunk is full, and when the hold
-#: buffers are too small.
-_FULL, _GROW = 2, 3
+#: What ``qcl_advance`` returns when the chunk is full, when the hold
+#: buffers are too small and at the event limit.
+_FULL, _GROW, _LIMIT = 2, 3, 4
 
 
 class _Struct(ctypes.Structure):
@@ -257,23 +250,21 @@ class _Work:
 
 
 def _tables():
-    """``(c_schedule, c_quantizer)``, the C tables of schedules and
-    quantizers.
+    """``(c_schedule, c_graph, c_quantizer)``, the C tables of schedules,
+    graphs and quantizers.
 
     ``c_schedule(s)`` gives ``(n, address of s's struct qcl_schedule)`` for
-    a ``GraphSchedule``, or a graph as a schedule of one segment.  Each
-    graph's CSR arrays are copied for C once from numpy: ``ends``, ``cols``
-    and ``vals`` from ``g.csr``, and the row totals from
-    ``g.weights.sum(axis=1)``, which has the bits of ``g.out_weight``; the
-    graph's own schedule of one segment is built with them and serves every
-    schedule of one segment without a period.  ``c_quantizer(q)`` gives the
-    address of q's struct qcl_quantizer: a ``GeneralQuantizer``'s thresholds
-    and levels, sorted as that class keeps them, or the step of a uniform
-    one, written into one struct that serves every uniform quantizer, which
-    the next call may overwrite.  The tables of a graph, a schedule or a general
-    quantizer are built once and live as long as it does.
+    a ``GraphSchedule``, and ``c_graph(g)`` ``(n, address of g's struct
+    qcl_graph)`` for a graph.  Each graph's CSR arrays are copied for C once
+    from numpy: ``ends``, ``cols`` and ``vals`` from ``g.csr``, and the row
+    totals from ``g.weights.sum(axis=1)``, which has the bits of
+    ``g.out_weight``.  ``c_quantizer(q)`` gives the address of q's struct
+    qcl_quantizer: a ``GeneralQuantizer``'s thresholds and levels, sorted as
+    that class keeps them, or the step of a uniform one, written into one
+    struct that serves every uniform quantizer, which the next call may
+    overwrite.  The tables of a graph, a schedule or a general quantizer are
+    built once and live as long as it does.
     """
-    from .graphs import GraphSchedule
     from .quantizers import GeneralQuantizer
 
     tables: dict[tuple[str, int], tuple] = {}
@@ -287,8 +278,6 @@ def _tables():
         return entry
 
     def graph_table(g) -> tuple:
-        """``(n, address of g's schedule of one segment, what keeps it
-        alive)``; that schedule's graphs are g's struct qcl_graph."""
         _, cols, values, ends = g.csr
         with np.errstate(over="ignore"):  # a total may overflow to inf
             totals = g.weights.sum(axis=1)
@@ -299,23 +288,21 @@ def _tables():
                            (ctypes.c_double, np.float64, values),
                            (ctypes.c_double, np.float64, totals)))
         graph = _Graph(g.n, *map(ctypes.addressof, arrays))
-        schedule = _Schedule(1, ctypes.addressof(_ZERO), ctypes.addressof(graph), 0, 0.0)
-        return g.n, ctypes.addressof(schedule), (schedule, graph, arrays)
+        return g.n, ctypes.addressof(graph), (graph, arrays)
 
     def schedule_table(s) -> tuple:
         graphs = [cached(g, "graph", graph_table) for _, g in s.segments]
         arrays = ((ctypes.c_double * len(graphs))(*s._starts),
-                  (_Graph * len(graphs))(*[graph for _, _, (_, graph, _) in graphs]))
+                  (_Graph * len(graphs))(*[graph for _, _, (graph, _) in graphs]))
         schedule = _Schedule(len(graphs), *map(ctypes.addressof, arrays), s.period is not None,
                              s.period or 0.0)
         return graphs[0][0], ctypes.addressof(schedule), (schedule, arrays, graphs)
 
     def c_schedule(s) -> tuple[int, int]:
-        if not isinstance(s, GraphSchedule):
-            return cached(s, "graph", graph_table)[:2]
-        if s.period is None and len(s.segments) == 1:
-            return cached(s.segments[0][1], "graph", graph_table)[:2]
         return cached(s, "schedule", schedule_table)[:2]
+
+    def c_graph(g) -> tuple[int, int]:
+        return cached(g, "graph", graph_table)[:2]
 
     def quantizer_table(q) -> tuple:
         arrays = ((ctypes.c_double * len(q.thresholds))(*q.thresholds),
@@ -331,7 +318,7 @@ def _tables():
         uniform.delta = q.delta
         return ctypes.addressof(uniform)
 
-    return c_schedule, c_quantizer
+    return c_schedule, c_graph, c_quantizer
 
 
 #: The reasons of a decline of ``qcl_resolve``, numbered from 1 as the
@@ -370,19 +357,20 @@ PIN_OVERFLOW = ("the velocity of pinned agent {} is not finite: "
 
 
 def _bind_advance(lib: ctypes.CDLL):
-    """Wrap ``qcl_advance`` as ``resolve``, for ``dynamics.resolve_sliding``,
-    and ``advance``, for ``dynamics.simulate``.
+    """Wrap ``qcl_resolve`` as ``resolve``, for ``dynamics.resolve_sliding``,
+    and ``qcl_advance`` as ``advance``, for ``dynamics.simulate``.
 
     ``x`` must be a float64 array with one state per agent and ``cutoff`` a
     float.  The policy's pins on agents outside the graph are dropped, as
     the resolver ignores them; last-stopped agents outside the graph are a
-    ValueError.  A full chunk is copied out and the loop goes on; the hold
-    buffers grow when the C code asks for more, and the loop then goes on in
-    the larger workspace.  A decline raises its error (``_raise_decline``).
+    ValueError.  A full chunk is copied out and the run goes on; the hold
+    buffers grow when the C code asks for more, and the call is then made
+    again in the larger workspace, from where the last one stopped.  A
+    decline raises its error (``_raise_decline``).
     """
-    from .dynamics import FixedAlpha, SequentialSlow
+    from .dynamics import EVENT_KINDS, FixedAlpha, SequentialSlow
 
-    c_schedule, c_quantizer = _tables()
+    c_schedule, c_graph, c_quantizer = _tables()
     work = _Work(1, 1)
 
     def reserve(n: int, m: int = 0) -> _Work:
@@ -394,41 +382,32 @@ def _bind_advance(lib: ctypes.CDLL):
             work = _Work(n, max(m, min(2 * work.m, n)) if m > work.m else work.m)
         return work
 
-    c_advance = lib.qcl_advance
-    c_advance.restype = ctypes.c_int
+    c_resolve, c_advance = lib.qcl_resolve, lib.qcl_advance
+    c_resolve.restype = c_advance.restype = ctypes.c_int
+    c_resolve.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                          ctypes.c_int64, ctypes.c_double]
     c_advance.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
                           ctypes.c_double, ctypes.c_double, ctypes.c_int64]
 
-    def advance(schedule, x: np.ndarray, quantizer, policy, last_stopped, cutoff: float,
-                t: float = 0.0, kind: int = 0, horizon: float = math.inf,
-                budget: int = 0) -> tuple:
-        n, table = c_schedule(schedule)
+    def run(n: int, x: np.ndarray, stopped: tuple, quantizer, policy, call) -> tuple:
+        """``call(w, q, sequential)`` in the workspace ``w`` that holds the
+        state ``x`` with the last-stopped agents ``stopped``, at t = 0 with
+        the kind of a start, made again (after 3, in a grown workspace)
+        until it returns neither 2 nor 3; returns its status and workspace."""
         sequential = isinstance(policy, SequentialSlow)
         pins = [pin for pin in policy.overrides if 0 <= pin[0] < n] \
             if isinstance(policy, FixedAlpha) else []
-        rows: list[np.ndarray] = []
-        kinds: list[np.ndarray] = []
-        ints: list[np.ndarray] = []
-        stopped = tuple(sorted(last_stopped))
-        if stopped and not 0 <= stopped[0] <= stopped[-1] < n:
-            raise ValueError(f"last-stopped agents {stopped} lie outside the {n} agents")
         q = c_quantizer(quantizer)
         w = reserve(n)
         w.x[:n] = x
         w.buf["stopped"][:len(stopped)] = stopped
-        w.struct.t, w.struct.n_stopped, w.struct.kind = t, len(stopped), kind
-        budget = min(budget, 2 ** 62)  # C takes an int64
+        w.struct.t, w.struct.n_stopped, w.struct.kind = 0.0, len(stopped), 0
         while True:
             s = w.struct
             s.n_pins = len(pins)
             if pins:
                 w.buf["pins"][:len(pins)], w.buf["pin_alpha"][:len(pins)] = zip(*pins)
-            status = c_advance(table, w.address, q, sequential, cutoff, horizon, budget)
-            if s.n_rows:
-                rows.append(w.rows[:s.n_rows * (4 * n + 1)].reshape(s.n_rows, -1).copy())
-                kinds.append(w.kinds[:s.n_rows].copy())
-                ints.append(w.ints[:s.n_ints].copy())
-                budget -= s.n_rows
+            status = call(w, q, sequential)
             if status == _FULL:
                 continue
             if status != _GROW:
@@ -439,24 +418,51 @@ def _bind_advance(lib: ctypes.CDLL):
             for field in ("t", "n_stopped", "kind"):
                 setattr(grown.struct, field, getattr(s, field))
             w = grown
-        if status:
+        if status not in (0, _LIMIT):
             _raise_decline(s.reason, s.agent, quantizer, w.x, w.z)
-        if rows:
-            t, x, kind = s.t, w.x[:n].copy(), s.kind
-            stopped = tuple(w.buf["stopped"][:s.n_stopped])
-        buf = w.buf
+        return status, w
+
+    def resolve(g, x: np.ndarray, quantizer, policy, last_stopped, cutoff: float) -> tuple:
+        n, graph = c_graph(g)
+        stopped = tuple(sorted(last_stopped))
+        if stopped and not 0 <= stopped[0] <= stopped[-1] < n:
+            raise ValueError(f"last-stopped agents {stopped} lie outside the {n} agents")
+        _, w = run(n, x, stopped, quantizer, policy, lambda w, q, sequential: c_resolve(
+            graph, w.address, q, sequential, w.struct.n_stopped, cutoff))
+        buf, s = w.buf, w.struct
         k, count = s.n_surface, s.count
         surface, signs = buf["surface"][:k], buf["sign"][:k]
         z, velocity = w.z[:n].copy(), w.y[:n].copy()
         z.flags.writeable = velocity.flags.writeable = False
-        return rows, kinds, ints, t, x, kind, stopped, (
-            z, velocity, tuple(zip(surface, buf["alpha"][:k])),
-            frozenset([i for i, sign in zip(surface, signs) if not sign]),
-            tuple([(i, sign) for i, sign in zip(surface, signs) if sign]),
-            (s.dt, list(zip(buf["hit"][:count], buf["threshold"][:count]))))
+        return (z, velocity, tuple(zip(surface, buf["alpha"][:k])),
+                frozenset([i for i, sign in zip(surface, signs) if not sign]),
+                tuple([(i, sign) for i, sign in zip(surface, signs) if sign]),
+                (s.dt, list(zip(buf["hit"][:count], buf["threshold"][:count]))))
 
-    def resolve(g, x: np.ndarray, quantizer, policy, last_stopped, cutoff: float) -> tuple:
-        return advance(g, x, quantizer, policy, last_stopped, cutoff)[-1]
+    def advance(schedule, x0: np.ndarray, quantizer, policy, cutoff: float, horizon: float,
+                max_events: int) -> tuple:
+        n, table = c_schedule(schedule)
+        rows: list[np.ndarray] = []
+        kinds: list[np.ndarray] = []
+        ints: list[np.ndarray] = []
+        budget = min(max_events, 2 ** 62)  # C takes an int64
+
+        def call(w: _Work, q: int, sequential: bool) -> int:
+            nonlocal budget
+            s = w.struct
+            status = c_advance(table, w.address, q, sequential, cutoff, horizon, budget)
+            if s.n_rows:
+                rows.append(w.rows[:s.n_rows * (4 * n + 1)].copy())
+                kinds.append(w.kinds[:s.n_rows].copy())
+                ints.append(w.ints[:s.n_ints].copy())
+                budget -= s.n_rows
+            return status
+
+        status, w = run(n, x0, (), quantizer, policy, call)
+        s = w.struct
+        return (np.concatenate(rows).reshape(-1, 4 * n + 1), np.concatenate(kinds),
+                np.concatenate(ints), "limit" if status else EVENT_KINDS[s.kind], s.t,
+                w.x[:n].copy())
 
     return resolve, advance
 

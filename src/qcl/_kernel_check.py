@@ -6,7 +6,8 @@ that reach every knot segment and both clamps, ``qcl_resolve`` on states
 that reach every static helper it runs (the hold solver, the row sums, the
 set and hit scans of both quantizers, projected Gauss-Seidel, the pins) and
 on states that it must decline, and ``qcl_advance`` on whole runs of
-``simulate`` (the schedule lookup, the steps and the snaps).  ``digests``
+``simulate`` (the schedule lookup, the steps and the snaps, the
+certification of states at rest and the horizon).  ``digests``
 hashes their output bits, and the error of every decline, into one sha256
 per group of inputs, each of which must equal its entry in ``DIGESTS``; the
 test suite recomputes ``DIGESTS`` from the list code that the C code ports
@@ -35,7 +36,8 @@ from .quantizers import GeneralQuantizer, UniformQuantizer
 DIGESTS = ("08587d83186a53226c43f00982ae082d9ee3ed60461a641bd0535b81398a3247",
            "b6c924a0d7fc9827497d3b8c7dd586db39fd0146efd8023cc50565f5b067a5f5",
            "520ad177b841de718e8d9d3a5553d1ea9bee585ff729d414f5a28f92736273da",
-           "9cced9c1498d376d0e0ffcc60a718c97713ce846483206deaf5510e5e7ddf0a9")
+           "9cced9c1498d376d0e0ffcc60a718c97713ce846483206deaf5510e5e7ddf0a9",
+           "a64e5369a86b7955a55e084593f5b588018b160eb97a008e5045a972c1da9d8e")
 
 #: Uneven gaps, thresholds off the midpoints (-0.3 and 2.9 not binary
 #: fractions) and a threshold at 0.
@@ -59,7 +61,8 @@ def digests(kernels) -> Iterator[str]:
     for records in (lambda: _rk4_records(kernels.rk4_chunk),
                     lambda: _resolve_records(kernels.resolve, _row_states()),
                     lambda: _resolve_records(kernels.resolve, _resolve_states()),
-                    lambda: _run_records(kernels)):
+                    lambda: _run_records(kernels, _runs()),
+                    lambda: _run_records(kernels, _rest_runs())):
         h = sha256()
         for record in records():
             h.update(repr(record).encode() + b"\n")
@@ -317,9 +320,8 @@ def _resolve_states() -> list[tuple]:
     return cases + drawn
 
 
-def _run_records(kernels) -> list[tuple]:
-    """The events, status and errors of whole runs of ``simulate`` with
-    ``kernels``, in bits.
+def _runs() -> list:
+    """Whole runs of ``simulate``.
 
     The lines have steps, weights and spacings that are not binary
     fractions, so that a step x + v dt rounded once (as a fused multiply-add)
@@ -369,9 +371,34 @@ def _run_records(kernels) -> list[tuple]:
                for schedule, q, x0, limits in runs
                for policy in (Sliding(), SequentialSlow())]
     chain = example2_sliding(5, 0.7, 1.3)
-    configs += [chain, ScenarioConfig(chain.schedule, chain.quantizer, chain.x0,
-                                      FixedAlpha({1: 0.9, 2: 0.1, 3: 0.5}))]
+    return configs + [chain, ScenarioConfig(chain.schedule, chain.quantizer, chain.x0,
+                                            FixedAlpha({1: 0.9, 2: 0.1, 3: 0.5}))]
 
+
+def _rest_runs() -> list:
+    """Runs whose states come to rest under a graph that a later one moves,
+    so that the certification of a state at rest must try every graph still
+    to come: six agents that listen to nobody until a line takes over at
+    0.5, to its equilibrium and, at rest, to a horizon before that switch;
+    and a line for 0.125 of every 0.625, nobody the rest of the time, on a
+    period that begins with the line and on one that ends with it."""
+    from .scenarios import ScenarioConfig, line_graph
+
+    line, idle = line_graph(6), WeightedDigraph.from_edges(6, [])
+    spread = [0.0937 * i + 0.013 for i in range(6)]
+    runs = [
+        (GraphSchedule(((0.0, idle), (0.5, line)), 1.0, 1.0), {}),
+        (GraphSchedule(((0.0, idle), (0.5, line)), 1.0, 1.0), {"horizon": 0.375}),
+        (GraphSchedule(((0.0, line), (0.125, idle)), 1.0, 1.0, 0.625), {}),
+        (GraphSchedule(((0.0, idle), (0.5, line)), 1.0, 1.0, 0.625), {}),
+    ]
+    return [ScenarioConfig(schedule, UniformQuantizer(0.1), spread, policy, **limits)
+            for schedule, limits in runs for policy in (Sliding(), SequentialSlow())]
+
+
+def _run_records(kernels, configs: list) -> list[tuple]:
+    """The events, status and errors of the runs of ``configs`` with
+    ``kernels``, in bits."""
     def bits(config):
         try:
             traj, outcome = simulate(config), None

@@ -29,14 +29,14 @@
  * qcl_advance: the event loop of qcl.dynamics.simulate around qcl_resolve,
  * over the segments of a graph schedule (struct qcl_schedule: its starts,
  * one struct qcl_graph per segment and its period), found at each event as
- * GraphSchedule._lookup finds them.  It records threshold hits and topology
- * switches alike, each row with its kind, and stops only where simulate has
- * work of its own: at rest (terminal certification, or a switch out of
- * rest), at a step beyond the horizon, at the event budget, when a resolve
- * declines or needs larger buffers, or when the chunk of recorded events is
- * full, which the binding empties before it calls again.  The state it
- * stops at has its resolve in the buffers; with a budget of 0 it is one
- * qcl_resolve.
+ * GraphSchedule._lookup finds them, from the start of a run to its end.  It
+ * records threshold hits and topology switches alike, each row with its
+ * kind; certifies a state at rest as terminal, with one qcl_resolve per
+ * graph still to come, or moves it to the next switch; and takes the last
+ * step to the horizon.  It returns only where the run ends (an equilibrium
+ * or the horizon), at the event limit, when a resolve declines or needs
+ * larger buffers, or when the chunk of recorded events is full, which the
+ * binding empties before it calls again.
  *
  * qcl_write: the rows of a trajectory's CSV export, or the "events" list of
  * its JSON export, from its columns in one call, each number as CPython
@@ -82,13 +82,14 @@
  *   checks the indices in kind and src itself.
  * Besides its capacities (m, rows_cap, ints_cap) and the pins (pins,
  * pin_alpha, n_pins), which the binding writes before each call, the
- * workspace carries from one call to the next only x, stopped, t,
- * n_stopped and kind (the state where qcl_advance stopped, which the
- * binding writes before the first call and copies into a grown workspace)
- * and colmap; every other buffer and field is written before it is read
- * within a call (tests/test_kernels.py poisons them before each call).
- * qcl_resolve and qcl_advance work in one struct qcl_work, so neither is
- * reentrant.
+ * workspace carries from one call to the next only colmap and, within one
+ * run, x, stopped, t, n_stopped and kind: the event where qcl_advance
+ * stopped, which the binding writes before the run's first call and copies
+ * into a grown workspace, and from which the next call goes on.  qcl_resolve
+ * reads x and stopped as the binding writes them.  Every other buffer and
+ * field is written before it is read within a call (tests/test_kernels.py
+ * poisons them before each call).  qcl_resolve and qcl_advance work in one
+ * struct qcl_work, so neither is reentrant.
  */
 #include <float.h>
 #include <math.h>
@@ -1048,26 +1049,35 @@ static int64_t lookup(const struct qcl_schedule *s, double t, double *after)
     return idx;
 }
 
-/* Indices in qcl.dynamics.EVENT_KINDS of the kinds of events that
- * qcl_advance steps to. */
+/* Indices in qcl.dynamics.EVENT_KINDS of the kinds of a run's events. */
 #define KIND_HIT 1
 #define KIND_SWITCH 3
+#define KIND_EQUILIBRIUM 4
+#define KIND_HORIZON 5
 
 /* What qcl_advance returns, besides what qcl_resolve returns, when the
- * chunk cannot take another event. */
+ * chunk cannot take another event, and at the event limit. */
 #define FULL 2
+#define LIMIT 4
 
 /* The event loop of qcl.dynamics.simulate, from the event of kind w->kind at
- * time w->t and state w->x, under the segment of the schedule at each time
- * and the quantizer q.  Each event is resolved; while the state moves, the
- * event budget is not used up, the chunk has room and the step stays within
- * the horizon, the event is recorded and the loop steps as simulate does:
- * dt is the smaller of the arrival w->dt and the time to the next switch ts,
- * x + v dt for every agent, and then, when the arrival comes first or at
- * the switch, the hit agents are snapped onto their thresholds, become the
- * last stopped and the next event is a threshold hit at t + dt (at ts when
- * they tie); else the next event is a topology switch at ts and the last
- * stopped agents stay.
+ * time w->t and state w->x to the end of the run, under the segment of the
+ * schedule at each time and the quantizer q.  Each event is resolved with
+ * the last stopped agents and recorded.  A state at rest is terminal when
+ * qcl_resolve with no last-stopped agents holds it at zero velocity under
+ * the graph of every segment from the current one on (of every segment when
+ * the schedule is periodic), tried in segment order: its event becomes the
+ * equilibrium that ends the run.  Else it waits for the next switch ts, or,
+ * with ts past the horizon, stays there until the horizon.  A moving state
+ * steps: dt is the smaller of the arrival w->dt and ts - t, and when t + dt
+ * passes the horizon every agent steps to x + v (horizon - t) instead.  The
+ * event at the horizon, resolved and recorded with no hits even past the
+ * event limit, ends the run; after a state at rest, no switch lies between,
+ * so it repeats that event.  Else x + v dt for every agent, and then, when
+ * the arrival comes first or at the switch, the hit agents are snapped onto
+ * their thresholds, become the last stopped and the next event is a
+ * threshold hit at t + dt (at ts when they tie); else the next event is a
+ * topology switch at ts and the last stopped agents stay.
  *
  * Row r of the chunk is the event's t, x, z, v and alpha (NaN for an agent
  * off the surface), kinds[r] its kind, and ints its record in the layout of
@@ -1075,13 +1085,14 @@ static int64_t lookup(const struct qcl_schedule *s, double t, double *after)
  * agents (the last stopped, for a threshold hit), then the number of
  * departing agents and each agent with its sign.
  *
- * Returns FULL, before the resolve, when the chunk has no room for another
- * event; else what qcl_resolve returns for the state it stops at, whose
- * resolve is then in the buffers: 0 at rest, at the budget or at a step
- * beyond the horizon (or to +inf).  w->t, w->x, w->kind and the last
- * stopped agents hold the state it stops at.  A chunk of rows_cap doubles
- * holds at most rows_cap / 5 events of at least one agent; with none,
- * nothing moves and nothing is recorded. */
+ * Returns 0 when the run ends, with w->kind KIND_EQUILIBRIUM or
+ * KIND_HORIZON; before the resolve, LIMIT when budget events are recorded
+ * and the next is not at the horizon, and FULL when the chunk has no room
+ * for another event; or what qcl_resolve returns when a resolve declines or
+ * needs larger buffers, with nothing of that event recorded.  w->t, w->x,
+ * w->kind and the last stopped agents hold the event where it stopped, from
+ * which the next call goes on.  A chunk of rows_cap doubles holds at most
+ * rows_cap / 5 events of at least one agent. */
 int qcl_advance(const struct qcl_schedule *sc, struct qcl_work *w, const struct qcl_quantizer *q,
                 int64_t sequential, double cutoff, double horizon, int64_t budget)
 {
@@ -1091,20 +1102,17 @@ int qcl_advance(const struct qcl_schedule *sc, struct qcl_work *w, const struct 
     w->n_ints = 0;
     for (;;) {
         double t = w->t, ts, dt, *row;
-        const struct qcl_graph *g = sc->graphs + lookup(sc, t, &ts);
-        int64_t *ints, moving = 0, k = 0, hits = w->kind == KIND_HIT ? w->n_stopped : 0;
+        int64_t idx = lookup(sc, t, &ts), *ints, moving = 0, terminal, k = 0;
+        int64_t hits = w->kind == KIND_HIT ? w->n_stopped : 0;
         int status;
 
+        if (w->kind != KIND_HORIZON && w->n_rows >= budget)
+            return LIMIT;
         if ((w->n_rows + 1) * width > w->rows_cap || w->n_ints + 3 * n + 2 > w->ints_cap)
             return FULL;
-        status = qcl_resolve(g, w, q, sequential, w->n_stopped, cutoff);
+        status = qcl_resolve(sc->graphs + idx, w, q, sequential, w->n_stopped, cutoff);
         if (status)
             return status;
-        for (int64_t i = 0; i < n && !moving; i++)
-            moving = w->y[i] != 0.0;
-        dt = ts - t < w->dt ? ts - t : w->dt;
-        if (!moving || w->n_rows == budget || !(t + dt <= horizon) || !(dt < INFINITY))
-            return 0;
 
         row = w->rows + w->n_rows * width;
         ints = w->ints + w->n_ints;
@@ -1114,6 +1122,7 @@ int qcl_advance(const struct qcl_schedule *sc, struct qcl_work *w, const struct 
             row[1 + n + i] = w->z[i];
             row[1 + 2 * n + i] = w->y[i];
             row[1 + 3 * n + i] = NAN;
+            moving |= w->y[i] != 0.0;
         }
         ints[0] = hits;
         for (int64_t h = 0; h < hits; h++)
@@ -1129,12 +1138,35 @@ int qcl_advance(const struct qcl_schedule *sc, struct qcl_work *w, const struct 
         }
         ints[0] = k;
         w->kinds[w->n_rows] = w->kind;
+
+        /* The certification overwrites the resolve, not the row. */
+        terminal = !moving && w->kind != KIND_HORIZON;
+        for (int64_t seg = sc->periodic ? 0 : idx; terminal && seg < sc->count; seg++) {
+            status = qcl_resolve(sc->graphs + seg, w, q, sequential, 0, cutoff);
+            if (status)
+                return status;
+            for (int64_t i = 0; i < n; i++)
+                terminal &= w->y[i] == 0.0;
+        }
+        if (terminal)
+            w->kind = w->kinds[w->n_rows] = KIND_EQUILIBRIUM;
         w->n_ints += 2 + hits + 2 * k;
         w->n_rows++;
+        if (w->kind >= KIND_EQUILIBRIUM)
+            return 0;
 
-        for (int64_t i = 0; i < n; i++)
+        /* At rest the arrival is the certification's, and unused. */
+        dt = ts - t < w->dt ? ts - t : w->dt;
+        if (moving ? !(t + dt <= horizon) : ts > horizon) {
+            for (int64_t i = 0; i < n && moving; i++)
+                w->x[i] = w->x[i] + w->y[i] * (horizon - t);
+            w->t = horizon;
+            w->kind = KIND_HORIZON;
+            continue;
+        }
+        for (int64_t i = 0; i < n && moving; i++)
             w->x[i] = w->x[i] + w->y[i] * dt;
-        if (ts - t < w->dt) {
+        if (!moving || ts - t < w->dt) {
             w->t = ts;
             w->kind = KIND_SWITCH;
             continue;

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -74,16 +75,12 @@ def _load_scenario(args) -> ScenarioConfig:
     if args.builder == "example2":
         return example2_sliding(args.n, args.a, args.b, horizon=args.horizon)
     if args.builder == "random":
-        switching = None
-        if args.switching:
-            count, dwell = args.switching.split(",")
-            switching = (int(count), float(dwell))
         return random_connected(
             args.n,
             seed=args.seed,
             edge_density=args.density,
             weight_range=(args.a, args.b),
-            switching=switching,
+            switching=_switching(args.switching) if args.switching else None,
             symmetric=args.symmetric,
             delta=args.delta,
             horizon=args.horizon if args.horizon else 1e9,
@@ -98,6 +95,20 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
     if limit:
         config = replace(config, max_events=limit)
     return config
+
+
+def _switching(text: str) -> tuple[int, float]:
+    """``--switching count,dwell``: an integer count of at least 1 and a
+    finite dwell above 0."""
+    parts = text.split(",")
+    try:
+        count, dwell = (int(parts[0]), float(parts[1])) if len(parts) == 2 else (0, 0.0)
+    except ValueError:
+        count, dwell = 0, 0.0
+    if not (count >= 1 and math.isfinite(dwell) and dwell > 0.0):
+        raise InputError(f"--switching must be 'count,dwell' with an integer count >= 1 and a "
+                         f"finite dwell > 0, got {text!r}")
+    return count, dwell
 
 
 def _max_events_override() -> int | None:

@@ -36,19 +36,18 @@ the BLAS build.  The list code that the C code ports is the test suite's
 reference (``tests/reference.py``), and a build is used only after its
 outputs on fixed inputs match that reference's (``qcl._kernel_check``).
 
-``simulate`` calls the compiled event loop ``qcl_advance`` for each
-resolve.  In one call it resolves, records the event with its kind
-and steps (``x + v dt``, the hit agents snapped onto their thresholds, or
-on to the next topology switch, under the graph segment that the schedule
-gives at each time) for as long as the state moves, the step stays within
-the horizon and the event limit leaves room; a full chunk of recorded
-events is copied out and the call goes on.  It stops at rest, at the
-horizon, at the event limit or where a resolve declines, and returns that
-state's resolve, with which the Python loop goes on: it certifies a state
-at rest as terminal or moves it to the next switch, and takes the last
-step to the horizon or the event limit; so a run makes no more resolves
-than the Python loop alone would.  The loop works in the kernels' one
-workspace and is not reentrant.
+``simulate`` is one call of the compiled event loop ``qcl_advance``, from
+the start of a run to its end.  Around each resolve it records the event
+with its kind and steps (``x + v dt``, the hit agents snapped onto their
+thresholds, or on to the next topology switch, under the graph segment that
+the schedule gives at each time).  A state at rest is terminal when every
+graph still to come holds it with zero velocity, with no last-stopped
+agents; the run then ends at an equilibrium, and else the state waits for
+the next switch.  A step past the horizon ends the run with the state at
+the horizon and its resolve, and the event limit ends it with
+``SimulationLimitError``.  A full chunk of recorded events is copied out
+and the call goes on.  The loop works in the kernels' one workspace and is
+not reentrant.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ import numpy as np
 from . import quantizers
 from .graphs import GraphSchedule, WeightedDigraph, laplacian
 from .quantizers import (InputError, Quantizer, UniformQuantizer, json_agent, json_field,
-                         json_float, json_keys, krasovskii_scan)
+                         json_float, json_keys, kq_envelope, krasovskii_scan)
 
 #: Surface sets up to this size use dense elimination; larger ones use
 #: projected Gauss-Seidel.
@@ -199,6 +198,25 @@ class Resolution:
 # Velocity from a selection
 # ---------------------------------------------------------------------------
 
+def _require_finite_velocities(g: WeightedDigraph, x, quantizer: Quantizer, where: str = "",
+                               state: str = "x") -> None:
+    """Raise InputError, naming the first such agent of ``g`` after
+    ``where``, where the weights let a sum that the resolver forms overflow:
+    each sum (velocity terms, projected Gauss-Seidel targets, hold rows) is
+    at most 2 W M, W the agent's row total and M the largest magnitude of
+    the levels that the states ``x`` (named ``state``) touch."""
+    lo, hi = kq_envelope(x, quantizer)
+    magnitude = max(abs(lo), abs(hi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = g.weights.sum(axis=1)
+        bad = np.flatnonzero(~np.isfinite(totals * (2.0 * magnitude)))
+    if bad.size:
+        i = int(bad[0])
+        raise InputError(f"{where}agent {i}: its weights sum to {float(totals[i])!r}, and twice "
+                         f"that times the largest level magnitude {magnitude!r} of {state} "
+                         "overflows, so its velocity would not be finite")
+
+
 def selection_velocity(
     x: np.ndarray, z: np.ndarray, g: WeightedDigraph, quantizer: Quantizer
 ) -> np.ndarray:
@@ -220,6 +238,7 @@ def selection_velocity(
         raise ContractViolation(
             f"selection z[{i}]={z[i]} outside [{lo}, {hi}] at x[{i}]={x[i]}"
         )
+    _require_finite_velocities(g, x, quantizer)
     rows, cols, values, ends = g.csr
     terms = values * (z[cols] - z[rows])
     return np.array([float(terms[a:b].sum()) for a, b in zip(ends, ends[1:])])
@@ -248,7 +267,8 @@ def resolve_sliding(
 
     Runs the compiled ``qcl_resolve`` (see the module docstring), which
     raises where no selection can be computed.  A last-stopped agent that is
-    not an agent of ``g``, and a cutoff that is not a number, are an
+    not an agent of ``g``, a cutoff that is not a number, and weights whose
+    velocity terms may overflow (see ``_require_finite_velocities``) are an
     ``InputError``.
     """
     x = np.asarray(x, dtype=float)
@@ -262,6 +282,7 @@ def resolve_sliding(
         raise InputError(f"cutoff must be a number, got {cutoff!r}")
     # min compares exactly, so an int too large for a float counts as inf.
     cutoff = float(min(cutoff, math.inf))
+    _require_finite_velocities(g, x, quantizer)
     out = quantizers._load_kernel().resolve(g, x, quantizer, policy, last_stopped, cutoff)
     return Resolution(*out[:5])
 
@@ -535,137 +556,28 @@ class _EventRows(_Lazy):
 # Event detection and the simulation loop
 # ---------------------------------------------------------------------------
 
-def _certified_terminal(
-    x: np.ndarray,
-    schedule: GraphSchedule,
-    t: float,
-    quantizer: Quantizer,
-    policy: SelectionPolicy,
-) -> bool:
-    """Full hold with zero velocity under every graph still to come."""
-    for g in schedule.graphs_active_from(t):
-        res = resolve_sliding(x, g, quantizer, policy)
-        if res.velocity.any():
-            return False
-    return True
-
-
-class _Recorder:
-    """The events of a run as it goes: blocks of rows ``t, x, z, velocity,
-    alpha`` (NaN off the surface), their kinds and their records (see
-    ``Trajectory``)."""
-
-    def __init__(self, n: int):
-        self.n, self.count = n, 0
-        self.blocks: list[np.ndarray] = []
-        self.kinds: list[int] = []
-        self.records: list = []
-
-    def add_chunks(self, rows: list[np.ndarray], kinds: list[np.ndarray],
-                   ints: list[np.ndarray]) -> None:
-        """The events of one ``advance``: their rows, kinds and records, per
-        chunk, in the layout of ``Trajectory``."""
-        self.blocks += rows
-        for chunk in kinds:
-            self.kinds += chunk.tolist()
-        self.records += ints
-        self.count += sum(map(len, rows))
-
-    def add(self, t: float, kind: str, x: np.ndarray, res: Resolution,
-            hits: tuple[int, ...]) -> None:
-        """The event of ``res`` at ``(t, x)``."""
-        alpha = np.full(self.n, math.nan)
-        for i, a in res.alpha:
-            alpha[i] = a
-        self.blocks.append(np.concatenate(([t], x, res.z, res.velocity, alpha))[None])
-        self.kinds.append(EVENT_KINDS.index(kind))
-        self.records.append(_record(hits, res.departing))
-        self.count += 1
-
-    def trajectory(self, quantizer: Quantizer, status: str) -> Trajectory:
-        return Trajectory._from_table(
-            quantizer, status, np.concatenate(self.blocks), np.array(self.kinds, dtype=np.int64),
-            np.concatenate([np.asarray(part, dtype=np.int64) for part in self.records]))
-
-
 def simulate(config) -> Trajectory:
     """Run the event loop until equilibrium or the horizon.
 
     Each recorded event carries the state at the event together with the
     selection and velocity of the segment that starts there; the final
-    event repeats the terminal selection.  The compiled event loop records
-    the events on the way (see the module docstring).
+    event repeats the terminal selection.  The whole run is one call of the
+    compiled event loop (see the module docstring).
     """
-    schedule: GraphSchedule = config.schedule
     quantizer: Quantizer = config.quantizer
-    policy: SelectionPolicy = config.policy
-    x = np.array(config.x0, dtype=float)
-    t = 0.0
-    events = _Recorder(len(x))
-    kind = "start"
-    hits_now: tuple[int, ...] = ()
-    last_stopped: frozenset[int] = frozenset()
-    kernels = quantizers._load_kernel()
-
-    while True:
-        if events.count >= config.max_events:
-            # Each agent crosses about one threshold per level it still spans.
-            crossings = len(x) * quantizer.level_span(x) / quantizer.delta_min
-            raise SimulationLimitError(
-                f"event limit {config.max_events} exceeded at t={t}; about "
-                f"{crossings:.3g} level crossings remain (agents x level span / delta)",
-                events.trajectory(quantizer, "limit"),
-            )
-        rows, kinds, ints, t, x, k, stopped, out = kernels.advance(
-            schedule, x, quantizer, policy, last_stopped, DEFAULT_DENSE_CUTOFF, t,
-            EVENT_KINDS.index(kind), config.horizon, config.max_events - events.count - 1)
-        if rows:
-            events.add_chunks(rows, kinds, ints)
-            kind, last_stopped = EVENT_KINDS[k], frozenset(stopped)
-            hits_now = stopped if kind == "threshold-hit" else ()
-        ts = schedule.next_switch_after(t)
-        res = Resolution(*out[:5])
-        at_rest = not res.velocity.any()
-        terminal = at_rest and _certified_terminal(x, schedule, t, quantizer, policy)
-        events.add(t, "equilibrium" if terminal else kind, x, res, hits_now)
-        if terminal:
-            return events.trajectory(quantizer, "equilibrium")
-
-        if at_rest:
-            # Not terminal with zero velocity means a future graph moves the
-            # state, so a switch must exist.
-            assert math.isfinite(ts)
-            if ts > config.horizon:
-                t = config.horizon
-                events.add(t, "horizon", x, res, ())
-                return events.trajectory(quantizer, "horizon")
-            t = ts
-            kind = "topology-switch"
-            hits_now = ()
-            continue
-
-        dt_th, th_hits = out[5]
-        dt_sw = ts - t
-        dt = min(dt_th, dt_sw)
-        if t + dt > config.horizon:
-            x = x + res.velocity * (config.horizon - t)
-            t = config.horizon
-            res_h = resolve_sliding(x, schedule.graph_at(t), quantizer, policy,
-                                    last_stopped)
-            events.add(t, "horizon", x, res_h, ())
-            return events.trajectory(quantizer, "horizon")
-        x = x + res.velocity * dt
-        if dt_th <= dt_sw:
-            for i, th in th_hits:
-                x[i] = th  # snap: "on a surface" stays a bit-exact predicate
-            t = ts if dt_th == dt_sw else t + dt
-            kind = "threshold-hit"
-            hits_now = tuple(i for i, _ in th_hits)
-            last_stopped = frozenset(hits_now)
-        else:
-            t = ts
-            kind = "topology-switch"
-            hits_now = ()
+    table, kinds, records, status, t, x = quantizers._load_kernel().advance(
+        config.schedule, np.array(config.x0, dtype=float), quantizer, config.policy,
+        DEFAULT_DENSE_CUTOFF, config.horizon, config.max_events)
+    trajectory = Trajectory._from_table(quantizer, status, table, kinds, records)
+    if status == "limit":
+        # Each agent crosses about one threshold per level it still spans.
+        crossings = len(x) * quantizer.level_span(x) / quantizer.delta_min
+        raise SimulationLimitError(
+            f"event limit {config.max_events} exceeded at t={t}; about "
+            f"{crossings:.3g} level crossings remain (agents x level span / delta)",
+            trajectory,
+        )
+    return trajectory
 
 
 # ---------------------------------------------------------------------------

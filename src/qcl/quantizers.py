@@ -20,7 +20,8 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cache
+from functools import wraps
+from typing import Callable
 
 import numpy as np
 
@@ -336,7 +337,27 @@ def quantizer_from_json(obj: dict) -> Quantizer:
 # Scans over all agents
 # ---------------------------------------------------------------------------
 
-@cache
+def _load_once(load: Callable):
+    """``load`` run on the first call only: later calls return its result,
+    or raise again the ``KernelError`` that it raised, so that a build that
+    fails is built once per process, not once per run."""
+    outcome: list = []
+
+    @wraps(load)
+    def once():
+        if not outcome:
+            try:
+                outcome.append(load())
+            except KernelError as err:
+                outcome.append(err)
+        if isinstance(outcome[0], KernelError):
+            raise outcome[0].with_traceback(None)
+        return outcome[0]
+
+    return once
+
+
+@_load_once
 def _load_kernel():
     """The compiled kernels (``_ckernel.Kernels``), built or loaded once per
     import, or ``KernelError``; every compiled path goes through this one."""

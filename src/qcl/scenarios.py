@@ -22,11 +22,12 @@ from .dynamics import (
     SelectionPolicy,
     SequentialSlow,
     Sliding,
+    _require_finite_velocities,
     policy_from_json,
 )
 from .graphs import GraphSchedule, WeightedDigraph, schedule_from_json
 from .quantizers import (InputError, Quantizer, UniformQuantizer, json_agent, json_bool,
-                         json_field, json_float, json_floats, json_int, json_keys, kq_envelope,
+                         json_field, json_float, json_floats, json_int, json_keys,
                          quantizer_from_json)
 
 _MASK64 = (1 << 64) - 1
@@ -83,26 +84,6 @@ class ExpectedOutcome:
         }
 
 
-def _require_finite_velocities(schedule: GraphSchedule, x0: tuple[float, ...],
-                               quantizer: Quantizer) -> None:
-    """Raise InputError naming the first segment and agent whose weights let
-    a sum that the resolver forms overflow: every such sum (velocity terms,
-    projected Gauss-Seidel targets, hold rows) is at most 2 W M in
-    magnitude, W the agent's row total and M the largest magnitude of the
-    levels that x0 touches, which a run's selections stay within."""
-    lo, hi = kq_envelope(x0, quantizer)
-    magnitude = max(abs(lo), abs(hi))
-    for k, (_, g) in enumerate(schedule.segments):
-        with np.errstate(over="ignore", invalid="ignore"):
-            totals = g.weights.sum(axis=1)
-            bad = np.flatnonzero(~np.isfinite(totals * (2.0 * magnitude)))
-        if bad.size:
-            i = int(bad[0])
-            raise InputError(f"segment {k}, agent {i}: its weights sum to {float(totals[i])!r}, "
-                             f"and twice that times the largest level magnitude {magnitude!r} "
-                             "of x0 overflows, so its velocity would not be finite")
-
-
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """Everything one run needs: schedule, quantizer, start, policy, limits."""
@@ -131,7 +112,8 @@ class ScenarioConfig:
                         f"agent {i}: x0={v!r} is beyond the threshold lattice of "
                         f"delta={delta!r} (need |x0|/delta < 2^52)"
                     )
-        _require_finite_velocities(self.schedule, x0, self.quantizer)
+        for k, (_, g) in enumerate(self.schedule.segments):
+            _require_finite_velocities(g, x0, self.quantizer, f"segment {k}, ", "x0")
         if isinstance(self.policy, FixedAlpha):
             for agent, _ in self.policy.overrides:
                 if not 0 <= agent < len(x0):

@@ -83,13 +83,13 @@ def build_kernel_variant(mp, tmp_path, old: str, new: str,
     mp.setattr(_ckernel, "SOURCE", variant)
     mp.setattr(_ckernel, "CACHE", tmp_path / "cache")
     mp.setattr(_ckernel, "FLAGS", flags)
-    mp.setattr(quantizers, "_load_kernel", cache(quantizers._load_kernel.__wrapped__))
+    mp.setattr(quantizers, "_load_kernel", quantizers._load_once(quantizers._load_kernel.__wrapped__))
 
 
 def assert_self_check_rejects(tmp_path, call=None) -> None:
     """``call()`` (by default the kernel load) raises the self-check's
-    KernelError, and the build under ``tmp_path`` is not cached.  A
-    rejected build is not cached, so each load builds it again."""
+    KernelError, and the build under ``tmp_path`` is not cached on disk;
+    the loader raises that error again without building again."""
     with pytest.raises(KernelError, match="failed its self-check"):
         (call or quantizers._load_kernel)()
     assert list((tmp_path / "cache").iterdir()) == []

@@ -1,17 +1,17 @@
 """The list code that qcl's compiled kernels port, kept as the test suite's
-differential oracle: the resolver, the closest-arrival scan and the RK4
-kernel.
+differential oracle: the resolver, the closest-arrival scan, the event loop
+of ``simulate`` and the RK4 kernel.
 
 ``KERNELS`` wraps it in the interface of ``qcl._ckernel.Kernels``:
-``resolve``, ``advance`` that records no event (like a budget of 0),
-``rk4_chunk``, and ``write``, which leaves every export to qcl's Python
-writer.  ``conftest.kernel_path("lists")`` installs it in place of the
-compiled kernels, so that ``simulate`` runs its own event loop on it, and
-``_kernel_check.digests(KERNELS)`` are the sha256s that every build must
-reproduce.  Each function keeps the order of every floating-point operation
-of the compiled code, so their outputs agree bit for bit, errors included:
-a pinned agent whose velocity is NaN (its terms overflowed to infinities of
-both signs) raises the InputError of the compiled resolve.
+``resolve``, ``advance`` (a whole run), ``rk4_chunk``, and ``write``, which
+leaves every export to qcl's Python writer.  ``conftest.kernel_path("lists")``
+installs it in place of the compiled kernels, so that ``simulate`` runs this
+event loop, and ``_kernel_check.digests(KERNELS)`` are the sha256s that
+every build must reproduce.  Each function keeps the order of every
+floating-point operation of the compiled code, so their outputs agree bit
+for bit, errors included: a pinned agent whose velocity is NaN (its terms
+overflowed to infinities of both signs) raises the InputError of the
+compiled resolve.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import Callable, Collection, NamedTuple
 import numpy as np
 
 from qcl._ckernel import PIN_OVERFLOW, Kernels
-from qcl.dynamics import (ContractViolation, FixedAlpha, NoSlidingSelection, Resolution,
-                          SelectionPolicy, SequentialSlow)
+from qcl.dynamics import (EVENT_KINDS, ContractViolation, FixedAlpha, NoSlidingSelection,
+                          Resolution, SelectionPolicy, SequentialSlow, _record)
 from qcl.graphs import GraphSchedule, WeightedDigraph
 from qcl.quantizers import InputError, Quantizer
 
@@ -556,15 +556,80 @@ def resolve(g: WeightedDigraph, x: np.ndarray, quantizer: Quantizer, policy: Sel
             threshold_hits(x, res.velocity, quantizer))
 
 
-def advance(schedule, x: np.ndarray, quantizer: Quantizer, policy: SelectionPolicy,
-            last_stopped, cutoff: float, t: float = 0.0, kind: int = 0,
-            horizon: float = math.inf, budget: int = 0) -> tuple:
-    """``Kernels.advance`` that records no event, as the compiled loop does
-    with a budget of 0: the resolve of ``x`` at ``t`` under the graph that
-    ``schedule`` (or a graph) gives there."""
-    g = schedule.graph_at(t) if isinstance(schedule, GraphSchedule) else schedule
-    return ([], [], [], t, x, kind, tuple(sorted(last_stopped)),
-            resolve(g, x, quantizer, policy, last_stopped, cutoff))
+def advance(schedule: GraphSchedule, x: np.ndarray, quantizer: Quantizer,
+            policy: SelectionPolicy, cutoff: float, horizon: float, max_events: int) -> tuple:
+    """``Kernels.advance``: the event loop of ``simulate`` on lists, with
+    ``resolve`` for every resolve.
+
+    Each event is resolved with the last stopped agents and recorded.  A
+    state at rest is terminal when every graph still to come holds it at
+    zero velocity with no last-stopped agents; else it waits for the next
+    switch, or, with that beyond the horizon, is recorded again at the
+    horizon.  A moving state steps to the closer of the next arrival and
+    the next switch, snapping the hit agents onto their thresholds, or, when
+    that passes the horizon, to the horizon, where it is resolved and
+    recorded once more.  The event limit is checked before each event but
+    that last one.
+    """
+    n = len(x)
+    rows: list[np.ndarray] = []
+    kinds: list[int] = []
+    records: list[int] = []
+    t, kind, hits_now, last_stopped = 0.0, "start", (), frozenset()
+
+    def add(kind: str, res: tuple, hits: tuple[int, ...]) -> None:
+        z, velocity, alphas, _, departing, _ = res
+        alpha = np.full(n, math.nan)
+        for i, a in alphas:
+            alpha[i] = a
+        rows.append(np.concatenate(([t], x, z, velocity, alpha)))
+        kinds.append(EVENT_KINDS.index(kind))
+        records.extend(_record(hits, departing))
+
+    def done(status: str) -> tuple:
+        return (np.array(rows).reshape(len(rows), 4 * n + 1), np.array(kinds, dtype=np.int64),
+                np.array(records, dtype=np.int64), status, t, x)
+
+    while True:
+        if len(rows) >= max_events:
+            return done("limit")
+        res = resolve(schedule.graph_at(t), x, quantizer, policy, last_stopped, cutoff)
+        ts = schedule.next_switch_after(t)
+        at_rest = not res[1].any()
+        terminal = at_rest and not any(
+            resolve(g, x, quantizer, policy, (), cutoff)[1].any()
+            for g in schedule.graphs_active_from(t))
+        add("equilibrium" if terminal else kind, res, hits_now)
+        if terminal:
+            return done("equilibrium")
+
+        if at_rest:
+            if ts > horizon:
+                t = horizon
+                add("horizon", res, ())
+                return done("horizon")
+            t, kind, hits_now = ts, "topology-switch", ()
+            continue
+
+        dt_th, th_hits = res[5]
+        dt_sw = ts - t
+        dt = min(dt_th, dt_sw)
+        if t + dt > horizon:
+            x = x + res[1] * (horizon - t)
+            t = horizon
+            add("horizon", resolve(schedule.graph_at(t), x, quantizer, policy, last_stopped,
+                                   cutoff), ())
+            return done("horizon")
+        x = x + res[1] * dt
+        if dt_th <= dt_sw:
+            for i, th in th_hits:
+                x[i] = th  # snap: "on a surface" stays a bit-exact predicate
+            t = ts if dt_th == dt_sw else t + dt
+            kind = "threshold-hit"
+            hits_now = tuple(i for i, _ in th_hits)
+            last_stopped = frozenset(hits_now)
+        else:
+            t, kind, hits_now = ts, "topology-switch", ()
 
 
 #: The reference in the interface of the compiled kernels.

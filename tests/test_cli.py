@@ -278,6 +278,30 @@ class TestRun:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("switching", ["3", "x,1", "3,y", "3,1,2", "0,1", "-2,1", "2.5,1",
+                                           "3,0", "3,-1", "3,inf", "3,nan", ","],
+                             ids=["no-dwell", "count-not-a-number", "dwell-not-a-number",
+                                  "three-values", "zero-count", "negative-count",
+                                  "fractional-count", "zero-dwell", "negative-dwell",
+                                  "infinite-dwell", "nan-dwell", "empty-values"])
+    def test_malformed_switching_is_one_error_line(self, tmp_path, capsys, switching):
+        # "3" once printed "not enough values to unpack (expected 2, got 1)",
+        # and "x,1" "invalid literal for int() with base 10: 'x'".
+        out = tmp_path / "out"
+        assert run_cli("run", "--builder", "random", "--n", "4", f"--switching={switching}",
+                       "--out", str(out)) == 1
+        assert capsys.readouterr() == ("", (
+            "error: --switching must be 'count,dwell' with an integer count >= 1 and a finite "
+            f"dwell > 0, got {switching!r}\n"))
+        assert not out.exists()
+
+    def test_switching_runs_a_periodic_schedule(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("run", "--builder", "random", "--n", "4", "--switching", "2,0.5",
+                       "--out", str(out)) in (0, 2)
+        report = json.loads((out / "report.json").read_text())
+        assert capsys.readouterr().err == "" and report
+
     def test_overflowing_velocities_are_one_error_line(self, tmp_path, capsys):
         # Nothing but the one line: no numpy overflow warning, and no error
         # that blames the state for the NaN that the overflow would make.

@@ -679,6 +679,15 @@ ROUNDS_ONTO_SWITCH = ScenarioConfig(
     quantizer=UniformQuantizer(1 / 3), x0=(1.5, 1 / 3, 0.0), policy=Sliding())
 
 
+#: Three agents between which nothing moves for the first second, then a
+#: line graph: the state waits at rest for the switch at 1.0, and with a
+#: horizon of 0.5 is recorded at rest at the horizon.
+REST_BEFORE_SWITCH = ScenarioConfig(
+    schedule=GraphSchedule(((0.0, WeightedDigraph(np.zeros((3, 3)))), (1.0, line_graph(3))),
+                           1.0, 1.0),
+    quantizer=UNIT, x0=(0.0, 1.0, 2.0), policy=SequentialSlow())
+
+
 @st.composite
 def run_inputs(draw):
     """A scenario: a line of up to 12 agents, a planted digraph, a schedule of
@@ -728,6 +737,8 @@ def _run_outcome(config):
 @example(config=replace(SWITCH_AT_ARRIVALS, max_events=4))
 @example(config=example1_line(6, 0.1, x0_spacing=0.0937))
 @example(config=ROUNDS_ONTO_SWITCH)
+@example(config=REST_BEFORE_SWITCH)
+@example(config=replace(REST_BEFORE_SWITCH, horizon=0.5))
 def test_runs_match_list_path(path, config):
     with kernel_path("lists"):
         expected = _run_outcome(config)
@@ -740,9 +751,9 @@ def _counting_advance(monkeypatch, kernels) -> list[int]:
     compiled event loop, the events that call recorded."""
     recorded = []
 
-    def advance(g, x, *args):
-        out = kernels.advance(g, x, *args)
-        recorded.append(sum(map(len, out[0])))  # one row per event
+    def advance(*args):
+        out = kernels.advance(*args)
+        recorded.append(len(out[0]))  # one row per event
         return out
 
     monkeypatch.setattr(quantizers, "_load_kernel", lambda: kernels._replace(advance=advance))
@@ -752,12 +763,12 @@ def _counting_advance(monkeypatch, kernels) -> list[int]:
 def test_staircase_runs_in_a_few_compiled_calls(monkeypatch):
     # A step that went back to Python would cost one call per event.  One
     # call records every event through its full chunks of 124 events of 8
-    # agents, and Python records the equilibrium where it stops.  The state
-    # that runs projected Gauss-Seidel no longer stops it.
+    # agents, the equilibrium included.  The state that runs projected
+    # Gauss-Seidel no longer stops it.
     recorded = _counting_advance(monkeypatch, quantizers._load_kernel())
     traj = simulate(example1_line(8, 1 / 64, x0_spacing=0.98))
     assert len(traj.events) == 1004
-    assert recorded == [1003]
+    assert recorded == [1004]
 
 
 @pytest.mark.parametrize("struct,mirror", [("qcl_work", _ckernel._Struct),
@@ -780,14 +791,14 @@ def test_c_structs_match_their_ctypes_mirrors(struct, mirror):
 
 
 def test_periodic_runs_use_the_compiled_event_loop(monkeypatch):
-    # The compiled loop records the switches too, so Python records only the
-    # equilibrium.  The switch times k * 0.7 + 0.35 round.
+    # The compiled loop records the switches and the equilibrium too.  The
+    # switch times k * 0.7 + 0.35 round.
     recorded = _counting_advance(monkeypatch, quantizers._load_kernel())
     config = replace(example1_line(8, 1 / 64, x0_spacing=0.98), schedule=GraphSchedule(
         ((0.0, line_graph(8)), (0.35, line_graph(8, 2.0))), 1.0, 2.0, 0.7))
     traj = simulate(config)
     assert len(traj.events) == 1097
-    assert recorded == [1096]
+    assert recorded == [1097]
     assert sum(ev.kind == "topology-switch" for ev in traj.events) > 50
 
 
@@ -803,59 +814,94 @@ def _benchmark_workloads():
 
 @pytest.mark.parametrize("workload", ["staircase", "wide-surface"])
 def test_benchmark_resolves_never_leave_the_compiled_path(monkeypatch, workload):
-    # The package has no Python resolver left, and every call of the
-    # compiled event loop on these workloads returns a resolution: none
-    # declines (at seed 1, 106 and 13 resolves once went to Python while the
-    # compiled resolve declined projected Gauss-Seidel, 9 and 9 under
-    # FixedAlpha, and 14 and 0 while a general quantizer ran in Python).
+    # The package has no Python resolver or event loop left, and the one
+    # call of the compiled event loop of every run on these workloads ends
+    # the run: none declines (at seed 1, 106 and 13 resolves once went to
+    # Python while the compiled resolve declined projected Gauss-Seidel, 9
+    # and 9 under FixedAlpha, and 14 and 0 while a general quantizer ran in
+    # Python).
     assert not hasattr(dynamics, "_resolve_python") and not hasattr(dynamics, "_pgs")
-    kernels, resolved = quantizers._load_kernel(), []
+    assert not hasattr(dynamics, "_certified_terminal") and not hasattr(dynamics, "_Recorder")
+    kernels, statuses = quantizers._load_kernel(), []
 
     def advance(*args):
         out = kernels.advance(*args)
-        resolved.append(out[-1] is not None)
+        statuses.append(out[3])
         return out
 
     monkeypatch.setattr(quantizers, "_load_kernel", lambda: kernels._replace(advance=advance))
     root = Path(__file__).resolve().parents[1]
     for case in _benchmark_workloads().WORKLOADS[workload](1, root):
         simulate(scenario_from_json(json.loads(case.text())))
-    assert resolved and all(resolved)
+    assert statuses and set(statuses) <= {"equilibrium", "horizon", "limit"}
+
+
+def _counting_kernels(monkeypatch) -> list[str]:
+    """Route ``simulate`` and ``resolve_sliding`` through the compiled
+    kernels and log each call of ``advance`` and ``resolve``."""
+    kernels, calls = quantizers._load_kernel(), []
+
+    def counted(name):
+        def call(*args):
+            calls.append(name)
+            return getattr(kernels, name)(*args)
+        return call
+
+    monkeypatch.setattr(quantizers, "_load_kernel", lambda: kernels._replace(
+        advance=counted("advance"), resolve=counted("resolve")))
+    return calls
 
 
 @pytest.mark.parametrize("workload", ["staircase", "wide-surface"])
 def test_benchmark_events_leave_the_compiled_loop_only_at_rest(monkeypatch, workload):
-    # The compiled loop records threshold hits, topology switches and full
-    # chunks; the Python loop records only a state at rest (an equilibrium,
-    # or one that waits for the next switch), the horizon or the event
-    # limit.  At seed 1 it recorded 113 and 72 events while switches, general
-    # quantizers and full chunks went back to it.
-    quantizers._load_kernel()
-    elsewhere, add = [], dynamics._Recorder.add
-
-    def checked(self, t, kind, x, res, hits):
-        if res.velocity.any() and kind != "horizon" and self.count + 1 < config.max_events:
-            elsewhere.append((name, kind, t))
-        add(self, t, kind, x, res, hits)
-
-    monkeypatch.setattr(dynamics._Recorder, "add", checked)
+    # The compiled loop records threshold hits, topology switches, full
+    # chunks, the state at rest, the horizon and the event limit: each run
+    # is one advance call, and no resolve is made outside it.  At seed 1 the
+    # Python loop once recorded 113 and 72 events while switches, general
+    # quantizers and full chunks went back to it, and later one state at
+    # rest per run.
+    calls = _counting_kernels(monkeypatch)
     root = Path(__file__).resolve().parents[1]
-    for case in _benchmark_workloads().WORKLOADS[workload](1, root):
-        name, config = case.name, scenario_from_json(json.loads(case.text()))
-        simulate(config)
-    assert elsewhere == []
+    cases = _benchmark_workloads().WORKLOADS[workload](1, root)
+    for case in cases:
+        simulate(scenario_from_json(json.loads(case.text())))
+    assert calls == ["advance"] * len(cases)
+
+
+def test_every_run_is_one_advance_call(monkeypatch):
+    # The golden corpus, the oracle workload's references, and runs that
+    # end at either form of the horizon, at the event limit and wait at rest
+    # for a switch: one advance call each, and no resolve outside it.
+    calls = _counting_kernels(monkeypatch)
+    root = Path(__file__).resolve().parents[1]
+    configs = [GOLDEN_CASES[name]() for name in sorted(GOLDEN_CASES)]
+    configs += [scenario_from_json(json.loads(case.text()))
+                for case in _benchmark_workloads().WORKLOADS["oracle"](1, root)]
+    line = example1_line(6, 0.1, x0_spacing=0.0937)
+    configs += [replace(line, horizon=0.3), replace(line, max_events=3), REST_BEFORE_SWITCH,
+                replace(REST_BEFORE_SWITCH, horizon=0.5)]
+    statuses = []
+    for config in configs:
+        try:
+            statuses.append(simulate(config).status)
+        except SimulationLimitError as err:
+            statuses.append(err.trajectory.status)
+    assert calls == ["advance"] * len(configs)
+    assert statuses[-4:] == ["horizon", "limit", "equilibrium", "horizon"]
+    assert [ev.kind for ev in simulate(REST_BEFORE_SWITCH).events][:2] == \
+        ["start", "topology-switch"]
 
 
 def test_event_loop_resumes_after_a_full_chunk_and_grown_buffers(monkeypatch):
     # A chunk of three 12-agent events, and a workspace that starts with one
-    # unknown, so the hold buffers grow in the middle of a call.  The call
-    # empties each full chunk and goes on: Python records only the
-    # equilibrium.
+    # unknown, so the hold buffers grow in the middle of a run.  The one
+    # advance call empties each full chunk and goes on, and records every
+    # event.
     monkeypatch.setattr(_ckernel, "CHUNK", 3 * (4 * 12 + 1))
     recorded = _counting_advance(monkeypatch, quantizers._load_kernel.__wrapped__())
     config = example1_line(12, 1 / 16, x0_spacing=0.3)
     compiled = _run_outcome(config)
-    assert recorded == [len(compiled[2]) - 1] and recorded[0] > 10 * 3
+    assert recorded == [len(compiled[2])] and recorded[0] > 10 * 3
     force_list_path(monkeypatch)
     assert compiled == _run_outcome(config)
 
@@ -874,12 +920,9 @@ def test_graph_tables_hold_the_csr_and_row_totals_bit_for_bit(n, seed, density):
     w[rng.uniform(size=n) < 0.3] = 0.0
     np.fill_diagonal(w, 0.0)
     g = WeightedDigraph(w)
-    size, address = _ckernel._tables()[0](g)  # the graph as a schedule of one segment
-    schedule = _ckernel._Schedule.from_address(address)
-    assert size == n and schedule.count == 1 and not schedule.periodic
-    assert ctypes.c_double.from_address(schedule.starts).value == 0.0
-    struct = _ckernel._Graph.from_address(schedule.graphs)
-    assert struct.n == n
+    size, address = _ckernel._tables()[1](g)
+    struct = _ckernel._Graph.from_address(address)
+    assert size == struct.n == n
     _, cols, values, ends = g.csr
     totals = np.array([row.total for row in reference.sparse_rows(g)])
     assert totals.tolist() == [g.out_weight(i) for i in range(n)]
@@ -923,11 +966,16 @@ def test_workspace_grows_a_few_times_over_the_wide_surface_workload(monkeypatch)
 @pytest.mark.parametrize("old,new,flags", [
     ("            w->x[w->hit[h]] = w->threshold[h];\n", "", SHIPPED_FLAGS),
     ("w->x[i] = w->x[i] + w->y[i] * dt;", "w->x[i] = fma(w->y[i], dt, w->x[i]);", MUTANT_FLAGS),
-    ("if (ts - t < w->dt) {", "if (ts - t < w->dt || t + dt >= ts) {", MUTANT_FLAGS),
+    ("ts - t < w->dt) {", "ts - t < w->dt || t + dt >= ts) {", MUTANT_FLAGS),
     ("            w->kind = KIND_SWITCH;\n", "", MUTANT_FLAGS),
     ("k = floor(t / s->period);", "k = floor(t / s->period) + 1.0;", MUTANT_FLAGS),
+    ("seg < sc->count; seg++) {", "seg < sc->count - 1; seg++) {", MUTANT_FLAGS),
+    ("seg = sc->periodic ? 0 : idx;", "seg = idx;", MUTANT_FLAGS),
+    (": ts > horizon) {", ": 0) {", MUTANT_FLAGS),
+    ("w->y[i] * (horizon - t);", "w->y[i] * dt;", MUTANT_FLAGS),
 ], ids=["unsnapped-hit", "fused-step", "step-rounds-onto-switch", "switch-row-without-kind",
-        "cycle-window-shifted"])
+        "cycle-window-shifted", "certify-skips-last-graph", "certify-skips-earlier-segments",
+        "rest-ignores-horizon", "horizon-step-by-dt"])
 def test_mutated_event_loop_fails_self_check(monkeypatch, tmp_path, old, new, flags):
     build_kernel_variant(monkeypatch, tmp_path, old, new, flags)
     assert_self_check_rejects(tmp_path)

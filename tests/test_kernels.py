@@ -1,22 +1,28 @@
 """The compiled kernels as qcl's only backend: the loader, the errors of a
-resolve that declines, the build self-check's digests, and the workspace
-buffers that carry nothing from one call to the next."""
+resolve that declines, the build self-check's digests, the workspace
+buffers that carry nothing from one call to the next, and a build under
+AddressSanitizer and UndefinedBehaviorSanitizer."""
 
 from __future__ import annotations
 
 import ctypes
+import os
 import re
+import shutil
+import subprocess
+import sys
 import warnings
-from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reference
 from conftest import MUTANT_FLAGS, build_kernel_variant
-from qcl import (ContractViolation, FixedAlpha, InputError, NoSlidingSelection,
-                 SequentialSlow, Sliding, UniformQuantizer, WeightedDigraph, _ckernel,
-                 _kernel_check, cli, quantizers, resolve_sliding)
+from qcl import (ContractViolation, FixedAlpha, GraphSchedule, InputError, KernelError,
+                 NoSlidingSelection, ScenarioConfig, SequentialSlow, Sliding, UniformQuantizer,
+                 WeightedDigraph, _ckernel, _kernel_check, cli, quantizers, resolve_sliding,
+                 selection_velocity)
 from test_golden import CASES, DIGESTS, JSON_DIGESTS, STRIDE_DIGESTS, digests
 
 
@@ -24,7 +30,7 @@ def _fresh_loader(monkeypatch, cache_dir) -> None:
     """The next kernel load builds or loads anew, with ``cache_dir`` as the
     cache."""
     monkeypatch.setattr(_ckernel, "CACHE", cache_dir)
-    monkeypatch.setattr(quantizers, "_load_kernel", cache(quantizers._load_kernel.__wrapped__))
+    monkeypatch.setattr(quantizers, "_load_kernel", quantizers._load_once(quantizers._load_kernel.__wrapped__))
 
 
 def _run(tmp_path, capsys) -> tuple[int, str, str]:
@@ -51,6 +57,20 @@ def test_build_that_does_not_compile_is_one_error_line(monkeypatch, tmp_path, ca
     assert (code, out) == (1, "")
     assert re.fullmatch(r"error: cc could not build _kernels\.c: .*error.*\n", err)
     assert list((tmp_path / "cache").iterdir()) == []
+
+
+def test_failed_build_is_built_once_per_process(monkeypatch, tmp_path):
+    # A KernelError is remembered: qcl sweep, which records each cell's
+    # error and goes on, once built and self-checked again for every cell.
+    build_kernel_variant(monkeypatch, tmp_path, "#define FULL 2", "#define FULL 2 +")
+    builds, build = [], _ckernel._build
+    monkeypatch.setattr(_ckernel, "_build", lambda *args: builds.append(args) or build(*args))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(KernelError, match="^cc could not build _kernels.c: ") as err:
+            quantizers._load_kernel()
+        errors.append(err.value)
+    assert len(builds) == 1 and errors[0] is errors[1]
 
 
 def test_unwritable_cache_builds_in_a_temporary_directory(monkeypatch, tmp_path, capsys):
@@ -128,13 +148,42 @@ DECLINES = {
 
 @pytest.mark.parametrize("reason", _ckernel.DECLINES)
 def test_declines_raise_the_reference_error(reason):
+    # The kernels' resolve, as resolve_sliding calls it: resolve_sliding
+    # itself rejects the weights of the overflowing cases first.
     case, error, message = DECLINES[reason]
-    g, x, *rest = case
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        resolve_sliding(x, g, *rest)
+        quantizers._load_kernel().resolve(*case[:5], float(case[5]))
     with warnings.catch_warnings(), pytest.raises(error, match=f"^{re.escape(message)}$"):
         warnings.simplefilter("ignore", RuntimeWarning)
         reference.resolve(*case)
+
+
+@pytest.mark.parametrize("reason", ["PGS_SPLIT", "PIN_NAN", "BOX"])
+def test_direct_calls_reject_weights_whose_velocities_overflow(reason):
+    # Weights up to 1e308 once reached the resolver through a direct call,
+    # which then reported the symptom (a decline) instead of the overflow;
+    # ScenarioConfig rejects them with the same message.
+    g, x, _, policy, stopped, cutoff = DECLINES[reason][0]
+    with pytest.raises(InputError, match=r"^agent \d: its weights sum to .*, and twice that "
+                       r"times the largest level magnitude .* of x overflows, so its velocity "
+                       r"would not be finite$"):
+        resolve_sliding(x, g, UNIT, policy, stopped, cutoff)
+    z = np.array([UNIT.krasovskii_set(v)[0] for v in x])
+    with pytest.raises(InputError, match=r"^agent \d: its weights sum to"):
+        selection_velocity(x, z, g, UNIT)
+
+
+def test_weights_of_1e308_are_rejected_by_every_public_entry():
+    g = WeightedDigraph.from_edges(2, [(0, 1, 1e308), (1, 0, 1.0)])
+    x = np.array([0.0, 2.0])
+    message = ("agent 0: its weights sum to 1e+308, and twice that times the largest level "
+               "magnitude 2.0 of {} overflows, so its velocity would not be finite")
+    with pytest.raises(InputError, match=f"^{re.escape(message.format('x'))}$"):
+        resolve_sliding(x, g, UNIT)
+    with pytest.raises(InputError, match=f"^{re.escape(message.format('x'))}$"):
+        selection_velocity(x, x, g, UNIT)
+    with pytest.raises(InputError, match=f"^segment 0, {re.escape(message.format('x0'))}$"):
+        ScenarioConfig(GraphSchedule.time_invariant(g, 1.0, 1e308), UNIT, tuple(x))
 
 
 def test_declines_are_the_self_checks():
@@ -164,8 +213,10 @@ def test_cutoffs_of_every_real_type_agree():
 
 # -- poisoned buffers ------------------------------------------------------------
 
-#: The buffers that the binding fills before each call (``colmap`` holds -1
-#: from the workspace's making on, restored by the C code).
+#: The buffers that the binding fills before a resolve or a run's first
+#: call, and that the C code carries from one call of a run to the next
+#: (``colmap`` holds -1 from the workspace's making on, restored by the C
+#: code).
 FILLED = ("x", "stopped", "pins", "pin_alpha", "colmap")
 #: Fields of ``struct qcl_work`` that each call writes before it reads them.
 WRITTEN = ("n_surface", "count", "dt", "n_rows", "n_ints", "reason", "agent")
@@ -188,7 +239,8 @@ class _Hooked:
 
 
 def _poisoned_kernels(monkeypatch, also=()):
-    """Fresh compiled kernels whose every ``qcl_advance`` call first fills
+    """Fresh compiled kernels whose every ``qcl_advance`` and ``qcl_resolve``
+    call first fills
     each workspace buffer but those of ``FILLED`` (and with those named in
     ``also``) with NaN or 1e300, in turn, or 0x5A5A5A5A, and whose export
     buffers start as 0x5A bytes.  Returns the kernels and the workspaces."""
@@ -214,6 +266,7 @@ def _poisoned_kernels(monkeypatch, also=()):
     class Lib:
         def __init__(self, lib):
             self.qcl_advance = _Hooked(lib.qcl_advance, poison)
+            self.qcl_resolve = _Hooked(lib.qcl_resolve, poison)
 
     class Numpy:
         def __getattr__(self, name):
@@ -259,3 +312,64 @@ def test_poisoned_state_changes_the_digests(monkeypatch):
     changed = [name for name in names if _outcome(name) != (
         DIGESTS[name], *JSON_DIGESTS[name], STRIDE_DIGESTS.get(name))]
     assert changed == names
+
+
+# -- sanitizers ------------------------------------------------------------------
+
+#: A build under AddressSanitizer and UndefinedBehaviorSanitizer: -O1 with
+#: frame pointers and debug lines for the reports, every check fatal, and
+#: the shipped float flags.
+SANITIZE_FLAGS = ("-O1", "-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined",
+                  "-fno-sanitize-recover=all", *_ckernel.FLAGS[1:])
+
+#: Run in a process with the sanitizer runtimes: the self-check of the
+#: library named by the first argument, then the golden cases with it;
+#: prints whether the self-check passed and how many cases differ.
+_SANITIZED_RUN = """
+import sys
+from qcl import _ckernel, _kernel_check, quantizers
+from test_golden import CASES, DIGESTS, JSON_DIGESTS, STRIDE_DIGESTS, digests
+
+kernels = _ckernel._bind(sys.argv[1])
+agree = _kernel_check.kernels_agree(kernels)
+quantizers._load_kernel = lambda: kernels
+print(agree, sum(digests(name) != (DIGESTS[name], *JSON_DIGESTS[name], STRIDE_DIGESTS.get(name))
+                 for name in CASES))
+"""
+
+
+def _sanitized_run(tmp_path, source: str, flags=SANITIZE_FLAGS) -> subprocess.CompletedProcess:
+    """``_SANITIZED_RUN`` on ``source`` built with ``flags`` under
+    ``tmp_path``.  The library needs the runtimes loaded first, and CPython's
+    own allocator hands out blocks without the redzones that catch a read
+    past a buffer, so the run uses malloc."""
+    cc, library = shutil.which("cc"), tmp_path / "_kernels-sanitized.so"
+    subprocess.run([cc, *flags, "-o", str(library), "-x", "c", "-"], input=source.encode(),
+                   capture_output=True, check=True)
+    runtimes = [subprocess.run([cc, f"-print-file-name={name}"], capture_output=True, text=True,
+                               check=True).stdout.strip() for name in ("libasan.so", "libubsan.so")]
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "LD_PRELOAD": " ".join(runtimes), "ASAN_OPTIONS": "detect_leaks=0",
+           "PYTHONMALLOC": "malloc",
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    return subprocess.run([sys.executable, "-c", _SANITIZED_RUN, str(library)], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_sanitized_build_passes_the_self_check_and_goldens_without_a_report(tmp_path):
+    run = _sanitized_run(tmp_path, _ckernel.SOURCE.read_text())
+    assert (run.returncode, run.stdout, run.stderr) == (0, "True 0\n", "")
+
+
+def test_sanitized_build_reports_a_read_past_a_row(tmp_path):
+    # The negative control: the row sum of fewer than 8 terms reads one term
+    # too many, past the CSR arrays at a graph's last row.  The self-check
+    # fails first without reading past them; a golden run then does.
+    old = "for (int64_t k = 0; k < n; k++)\n            res += vals[k]"
+    source = _ckernel.SOURCE.read_text()
+    assert source.count(old) == 1
+    run = _sanitized_run(tmp_path, source.replace(old, old.replace("k < n", "k <= n")),
+                         ("-O0", *SANITIZE_FLAGS[1:]))
+    assert run.returncode != 0 and run.stdout == ""
+    assert "ERROR: AddressSanitizer: heap-buffer-overflow" in run.stderr
+    assert "in pairwise_terms" in run.stderr
