@@ -1,5 +1,5 @@
 """Build, cache and load the compiled kernels ``_kernels.c``, qcl's only
-implementation of its resolver, event loop, RK4 oracle kernel and export
+implementation of its resolver, event loop, regularized oracle and export
 writer.
 
 The first ``load`` compiles the source with the system C compiler into the
@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.ctypeslib import ndpointer
 
 # The interpreter's own sha256: hashlib would load OpenSSL, which adds about
 # 3.5 MiB of resident memory to a process that never needed it.
@@ -48,11 +47,6 @@ class Kernels(NamedTuple):
     """The compiled entry points (``tests/reference.py`` implements the same
     interface in Python)."""
 
-    #: ``rk4_chunk(x, rows, xp, fp, h, steps)``: ``steps`` classical RK4
-    #: steps of ``x' = -L q(x)``, ``q`` the linear interpolation of the knots
-    #: ``(xp, fp)``, clamped outside them, and ``rows[i]`` the nonzero ``(j,
-    #: l_ij)`` of Laplacian row ``i`` in increasing ``j``.
-    rk4_chunk: Callable[[list, list, list, list, float, int], list]
     #: ``resolve(g, x, quantizer, policy, last_stopped, cutoff)``: the fields
     #: of ``dynamics.resolve_sliding``'s ``Resolution`` under any policy and
     #: either quantizer, then the closest threshold arrival of its velocity,
@@ -68,6 +62,12 @@ class Kernels(NamedTuple):
     #: the time and state where the run stopped; a resolve that declines
     #: raises its error.
     advance: Callable[..., tuple]
+    #: ``regularized(schedule, x0, xp, fp, h, stride, samples, blow_up)``:
+    #: the RK4 run of ``dynamics.simulate_regularized``, ``(states,
+    #: unstable)``: one row per sample ``k * stride``, ending before the first
+    #: sample whose largest ``|x_i|`` exceeds ``blow_up``, ``unstable`` (0 for
+    #: none).
+    regularized: Callable[..., tuple]
     #: ``write(json, indent, t, kind, x, src, z, alpha)``: the text of the
     #: rows of a trajectory export (see ``qcl_write``), or None when they
     #: need the Python writer: a JSON number that is not finite, or states,
@@ -127,41 +127,7 @@ def _build(cc: str, source: bytes, path: str) -> Kernels:
 
 
 def _bind(path: str) -> Kernels:
-    lib = ctypes.CDLL(path)
-    return Kernels(_bind_rk4_chunk(lib), *_bind_advance(lib), _bind_write(ctypes.PyDLL(path)))
-
-
-def _bind_rk4_chunk(lib: ctypes.CDLL):
-    """Wrap ``qcl_rk4_chunk`` in the list interface of ``Kernels.rk4_chunk``."""
-    floats = ndpointer(np.float64, flags="C_CONTIGUOUS")
-    ints = ndpointer(np.int64, flags="C_CONTIGUOUS")
-    c_chunk = lib.qcl_rk4_chunk
-    c_chunk.restype = None
-    c_chunk.argtypes = [floats, ctypes.c_int64, ints, ints, floats, floats, floats,
-                        ctypes.c_int64, ctypes.c_double, ctypes.c_int64, floats]
-
-    def chunk(x: list[float], rows: list[list[tuple[int, float]]], xp: list[float],
-              fp: list[float], h: float, steps: int) -> list[float]:
-        n = len(x)
-        start = [0]
-        col: list[int] = []
-        val: list[float] = []
-        for row in rows:
-            for j, l in row:
-                col.append(j)
-                val.append(l)
-            start.append(len(col))
-        # The C kernel indexes without bounds checks.
-        if (len(rows) != n or len(fp) != len(xp) or len(xp) < 2
-                or not all(0 <= j < n for j in col)):
-            raise ValueError("the rows, knots and states of an RK4 chunk do not fit together")
-        state = np.array(x, dtype=np.float64)
-        c_chunk(state, n, np.array(start, dtype=np.int64), np.array(col, dtype=np.int64),
-                np.array(val, dtype=np.float64), np.array(xp, dtype=np.float64),
-                np.array(fp, dtype=np.float64), len(xp), h, steps, np.empty(6 * n))
-        return state.tolist()
-
-    return chunk
+    return Kernels(*_bind_advance(ctypes.CDLL(path)), _bind_write(ctypes.PyDLL(path)))
 
 
 class _Graph(ctypes.Structure):
@@ -358,7 +324,9 @@ PIN_OVERFLOW = ("the velocity of pinned agent {} is not finite: "
 
 def _bind_advance(lib: ctypes.CDLL):
     """Wrap ``qcl_resolve`` as ``resolve``, for ``dynamics.resolve_sliding``,
-    and ``qcl_advance`` as ``advance``, for ``dynamics.simulate``.
+    ``qcl_advance`` as ``advance``, for ``dynamics.simulate``, and
+    ``qcl_regularized`` as ``regularized``, for
+    ``dynamics.simulate_regularized``, on one set of ``_tables``.
 
     ``x`` must be a float64 array with one state per agent and ``cutoff`` a
     float.  The policy's pins on agents outside the graph are dropped, as
@@ -366,7 +334,8 @@ def _bind_advance(lib: ctypes.CDLL):
     ValueError.  A full chunk is copied out and the run goes on; the hold
     buffers grow when the C code asks for more, and the call is then made
     again in the larger workspace, from where the last one stopped.  A
-    decline raises its error (``_raise_decline``).
+    decline raises its error (``_raise_decline``).  Oracle states and knots
+    that do not fit are a ValueError.
     """
     from .dynamics import EVENT_KINDS, FixedAlpha, SequentialSlow
 
@@ -382,12 +351,15 @@ def _bind_advance(lib: ctypes.CDLL):
             work = _Work(n, max(m, min(2 * work.m, n)) if m > work.m else work.m)
         return work
 
-    c_resolve, c_advance = lib.qcl_resolve, lib.qcl_advance
+    c_resolve, c_advance, c_regularized = lib.qcl_resolve, lib.qcl_advance, lib.qcl_regularized
     c_resolve.restype = c_advance.restype = ctypes.c_int
     c_resolve.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
                           ctypes.c_int64, ctypes.c_double]
     c_advance.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
                           ctypes.c_double, ctypes.c_double, ctypes.c_int64]
+    c_regularized.restype = ctypes.c_int64
+    c_regularized.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_int64] + [ctypes.c_double] * 2
+                              + [ctypes.c_int64, ctypes.c_double, ctypes.c_void_p])
 
     def run(n: int, x: np.ndarray, stopped: tuple, quantizer, policy, call) -> tuple:
         """``call(w, q, sequential)`` in the workspace ``w`` that holds the
@@ -464,7 +436,19 @@ def _bind_advance(lib: ctypes.CDLL):
                 np.concatenate(ints), "limit" if status else EVENT_KINDS[s.kind], s.t,
                 w.x[:n].copy())
 
-    return resolve, advance
+    def regularized(schedule, x0, xp: list[float], fp: list[float], h: float, stride: float,
+                    samples: int, blow_up: float) -> tuple[np.ndarray, int]:
+        n, table = c_schedule(schedule)
+        if len(x0) != n or len(fp) != len(xp) or len(xp) < 2 or samples < 0:  # C checks none
+            raise ValueError("the states, knots and samples of an oracle run do not fit together")
+        states, knots, work = np.empty((samples + 1, n)), np.array([xp, fp], float), np.empty(6 * n)
+        states[0] = x0
+        unstable = c_regularized(table, states.ctypes.data, knots.ctypes.data,
+                                 knots[1].ctypes.data, len(xp), h, stride, samples, blow_up,
+                                 work.ctypes.data)
+        return (states[:unstable] if unstable else states), unstable
+
+    return resolve, advance, regularized
 
 
 #: The dtypes of ``write``'s arrays ``t, kind, x, src, z, alpha``.

@@ -1,19 +1,20 @@
 """The self-check that a build of ``_kernels.c`` must pass before qcl uses it.
 
 Each compiled entry point runs on fixed inputs chosen so that a change in
-the rounding or order of any operation shows: ``qcl_rk4_chunk`` on chunks
-that reach every knot segment and both clamps, ``qcl_resolve`` on states
-that reach every static helper it runs (the hold solver, the row sums, the
-set and hit scans of both quantizers, projected Gauss-Seidel, the pins) and
-on states that it must decline, and ``qcl_advance`` on whole runs of
-``simulate`` (the schedule lookup, the steps and the snaps, the
-certification of states at rest and the horizon).  ``digests``
-hashes their output bits, and the error of every decline, into one sha256
-per group of inputs, each of which must equal its entry in ``DIGESTS``; the
-test suite recomputes ``DIGESTS`` from the list code that the C code ports
-(``tests/reference.py``).  ``qcl_write`` must give the text of qcl's Python
-writer, which formats with ``repr`` and ``format(v, ".17g")``.
-``quantizers._load_kernel`` runs the check only when a build is new.
+the rounding or order of any operation shows: ``qcl_regularized`` on runs
+that reach every knot segment, both clamps and a topology switch,
+``qcl_resolve`` on states that reach every static helper it runs (the hold
+solver, the row sums, the set and hit scans of both quantizers, projected
+Gauss-Seidel, the pins) and on states that it must decline, and
+``qcl_advance`` on whole runs of ``simulate`` (the schedule lookup, the
+steps and the snaps, the certification of states at rest and the
+horizon).  ``digests`` hashes their output bits, and the error of every
+decline, into one sha256 per group of inputs, each of which must equal its
+entry in ``DIGESTS``; the test suite recomputes ``DIGESTS`` from the list
+code that the C code ports (``tests/reference.py``).  ``qcl_write`` must
+give the text of qcl's Python writer, which formats with ``repr`` and
+``format(v, ".17g")``.  ``quantizers._load_kernel`` runs the check only
+when a build is new.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .quantizers import GeneralQuantizer, UniformQuantizer
 
 #: ``digests`` of the reference kernels; ``python tests/reference.py``
 #: prints them.
-DIGESTS = ("08587d83186a53226c43f00982ae082d9ee3ed60461a641bd0535b81398a3247",
+DIGESTS = ("30b73574e75ad76a1764d0f1ce05873b86640dcd68a1a8765faabb39cd31f48e",
            "b6c924a0d7fc9827497d3b8c7dd586db39fd0146efd8023cc50565f5b067a5f5",
            "520ad177b841de718e8d9d3a5553d1ea9bee585ff729d414f5a28f92736273da",
            "9cced9c1498d376d0e0ffcc60a718c97713ce846483206deaf5510e5e7ddf0a9",
@@ -54,11 +55,11 @@ def kernels_agree(kernels) -> bool:
 def digests(kernels) -> Iterator[str]:
     """The sha256 of the outputs of ``kernels`` (a ``_ckernel.Kernels``) on
     each group of fixed inputs in turn, one ``repr`` of a record of bits per
-    line: the RK4 chunks, the row sums of ``_row_states``, the other
+    line: the oracle runs, the row sums of ``_row_states``, the other
     resolves and the runs.  A build whose row sums read past an empty row
     differs on the row sums before the later states' rows, which end the
     arrays, let it read past them."""
-    for records in (lambda: _rk4_records(kernels.rk4_chunk),
+    for records in (lambda: _oracle_records(kernels.regularized),
                     lambda: _resolve_records(kernels.resolve, _row_states()),
                     lambda: _resolve_records(kernels.resolve, _resolve_states()),
                     lambda: _run_records(kernels, _runs()),
@@ -69,24 +70,32 @@ def digests(kernels) -> Iterator[str]:
         yield h.hexdigest()
 
 
-def _rk4_records(kernel) -> list[list[str]]:
-    """The bits of ``kernel`` on a fixed set of chunks.
+def _oracle_records(regularized) -> list[tuple]:
+    """The bits of ``regularized`` on a fixed set of oracle runs.
 
-    Two large steps from each of 16 spread-out states reach every knot
-    segment and both clamps, and keep each update comparable to the state,
-    so a change in the rounding of any operation shows in the result.  The
-    rows need not form a Laplacian.
+    Steps of 0.05 to 0.13 from 16 spread-out states reach every knot segment
+    and both clamps, and keep each update comparable to the state, so a
+    change in the rounding of any operation shows in the result.  The
+    switches at 0.35 and 0.5 fall inside the second sample; agent 3 listens
+    to nobody under the second graph.  With h = 0.05 the stretch from 0.35
+    to 0.5 is 3.0000000000000004 steps, which makes 3.  Bounds of 1.0 to 2.5
+    end five runs at the first sample; a NaN in agent 0 or 1 ends none.
     """
-    rows = [[(0, 1.3), (1, -0.7), (3, 0.2)], [(0, -1.1), (1, 2.3), (2, -0.9)],
-            [(1, -0.6), (2, 1.7), (3, -1.3)], [(0, 0.4), (2, -1.2), (3, 0.9)]]
+    first = WeightedDigraph.from_edges(4, [(0, 1, 1.3), (0, 3, 0.2), (1, 0, 1.1), (1, 2, 0.9),
+                                           (2, 1, 0.6), (2, 3, 1.3), (3, 0, 0.4), (3, 2, 1.2)])
+    second = WeightedDigraph.from_edges(4, [(0, 2, 0.7), (1, 3, 1.7), (2, 0, 0.3), (2, 1, 0.5)])
+    schedule = GraphSchedule(((0.0, first), (0.35, second)), 0.2, 1.7, 0.5)
     xp = [-1.9, -0.7, 0.4, 1.6, 2.2]
     fp = [-1.7, -0.2, 0.3, 1.1, 2.6]
+    starts = [[((7 * k + 3 * i) % 13 - 6) / 2.7 for i in range(4)] for k in range(16)]
+    starts += [[math.nan, 0.5, -0.5, 1.0], [0.5, math.nan, -0.5, 1.0]]
 
-    def bits(k: int) -> list[str]:
-        x = [((7 * k + 3 * i) % 13 - 6) / 2.7 for i in range(4)]
-        return [v.hex() for v in kernel(x, rows, xp, fp, 0.3, 2)]
+    def bits(k: int, x: list[float]) -> tuple:
+        states, unstable = regularized(schedule, x, xp, fp, (0.13, 0.05)[k % 2], 0.3, 3,
+                                       1.0 + (k % 4) / 2)
+        return [v.hex() for v in states.ravel().tolist()], unstable
 
-    return [bits(k) for k in range(16)]
+    return [bits(k, x) for k, x in enumerate(starts)]
 
 
 def _ulps(x: float, count: int) -> float:

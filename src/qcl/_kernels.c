@@ -4,11 +4,6 @@
  * and the build self-check (qcl._kernel_check) pins their outputs on fixed
  * inputs by a sha256 that the tests recompute from that reference.
  *
- * qcl_rk4_chunk: classical RK4 steps of x' = -L q(x) for the regularized
- * oracle.  The knot search is bisect_right, each Laplacian row is summed in
- * increasing column order, and the final update adds k1 + 2 k2 + 2 k3 + k4
- * from left to right.
- *
  * qcl_resolve: one whole resolve of qcl.dynamics.resolve_sliding under
  * either quantizer and any policy (Sliding, SequentialSlow or FixedAlpha),
  * and the closest threshold arrival of its velocity: the set scan, the
@@ -38,6 +33,11 @@
  * larger buffers, or when the chunk of recorded events is full, which the
  * binding empties before it calls again.
  *
+ * qcl_regularized: a whole run of the regularized oracle of
+ * qcl.dynamics.simulate_regularized, classical RK4 on x' = -L(t) q(x) with
+ * q the ramp through the knots, on the schedule tables of qcl_advance and
+ * its lookup, from the initial state to every sample, in one call.
+ *
  * qcl_write: the rows of a trajectory's CSV export, or the "events" list of
  * its JSON export, from its columns in one call, each number as CPython
  * writes it: repr for CSV, format(v, ".17g") for JSON.  Zeros and finite
@@ -54,17 +54,19 @@
  * The static helpers: hold_solve builds and solves one dense hold system,
  * velocity sums one row as numpy does, krasovskii_sets and threshold_hits
  * scan the Krasovskii sets and the closest arrival, lookup finds a
- * schedule's segment (GraphSchedule._lookup), and pgs runs projected
- * Gauss-Seidel.  All keep the operation order of every element of the
- * reference, and none calls BLAS, so the results do not depend on the BLAS
- * build.  Built with -ffp-contract=off and without fast-math, so the
- * results are bit-identical to the reference; qcl checks that before it
- * uses a build.
+ * schedule's segment (GraphSchedule._lookup), pgs runs projected
+ * Gauss-Seidel, and deriv and ramp give the oracle's derivatives.  All
+ * keep the operation order of every element of the reference, and none
+ * calls BLAS, so the results do not depend on the BLAS build.  Built with
+ * -ffp-contract=off and without fast-math, so the results are
+ * bit-identical to the reference; qcl checks that before it uses a build.
  *
  * No entry point checks a bound or an index it is given; the bindings in
  * qcl._ckernel establish every precondition:
- * - qcl_rk4_chunk (_bind_rk4_chunk): n rows, every column in [0, n), at
- *   least two knots and as many values as knots, and 6 n doubles of work.
+ * - qcl_regularized (_bind_advance, which wraps it as regularized): the
+ *   schedule's tables as for qcl_advance; samples + 1 rows of states and 6
+ *   doubles of work per agent, allocated there, with the initial state, of
+ *   the schedule's width, in row 0; at least two knots and as many values.
  * - qcl_resolve and qcl_advance (_bind_advance): the workspace (_Work) has
  *   at least n agents, its hold buffers m unknowns (a call that needs more
  *   returns 3 with the number in count, and the binding grows them) and its
@@ -89,7 +91,8 @@
  * reads x and stopped as the binding writes them.  Every other buffer and
  * field is written before it is read within a call (tests/test_kernels.py
  * poisons them before each call).  qcl_resolve and qcl_advance work in one
- * struct qcl_work, so neither is reentrant.
+ * struct qcl_work, so neither is reentrant; qcl_regularized reads nothing
+ * of its states and work but row 0 before it writes it.
  */
 #include <float.h>
 #include <math.h>
@@ -101,68 +104,6 @@
 #if FLT_EVAL_METHOD == 2 || FLT_EVAL_METHOD < 0
 #error "doubles must be evaluated in double precision"
 #endif
-
-/* The piecewise-linear ramp through the knots (xp, fp), clamped outside. */
-static double ramp(double v, const double *xp, const double *fp, int64_t m)
-{
-    int64_t lo = 1, hi = m - 1;
-    double x0;
-
-    if (v <= xp[0])
-        return fp[0];
-    if (v >= xp[m - 1])
-        return fp[m - 1];
-    while (lo < hi) {
-        int64_t mid = (lo + hi) / 2;
-        if (v < xp[mid])
-            hi = mid;
-        else
-            lo = mid + 1;
-    }
-    lo -= 1;
-    x0 = xp[lo];
-    return fp[lo] + (fp[lo + 1] - fp[lo]) * (v - x0) / (xp[lo + 1] - x0);
-}
-
-/* out = -L q(s), with the nonzeros of row i at [start[i], start[i + 1]). */
-static void deriv(const double *s, double *q, double *out, int64_t n,
-                  const int64_t *start, const int64_t *col, const double *val,
-                  const double *xp, const double *fp, int64_t m)
-{
-    for (int64_t i = 0; i < n; i++)
-        q[i] = ramp(s[i], xp, fp, m);
-    for (int64_t i = 0; i < n; i++) {
-        double acc = 0.0;
-        for (int64_t k = start[i]; k < start[i + 1]; k++)
-            acc -= val[k] * q[col[k]];
-        out[i] = acc;
-    }
-}
-
-/* Advances x (n states) by `steps` steps of size h; work holds 6 n doubles. */
-void qcl_rk4_chunk(double *x, int64_t n, const int64_t *start, const int64_t *col,
-                   const double *val, const double *xp, const double *fp, int64_t m,
-                   double h, int64_t steps, double *work)
-{
-    double *q = work, *tmp = work + n;
-    double *k1 = work + 2 * n, *k2 = work + 3 * n, *k3 = work + 4 * n, *k4 = work + 5 * n;
-    double half = 0.5 * h, sixth = h / 6.0;
-
-    for (int64_t step = 0; step < steps; step++) {
-        deriv(x, q, k1, n, start, col, val, xp, fp, m);
-        for (int64_t i = 0; i < n; i++)
-            tmp[i] = x[i] + half * k1[i];
-        deriv(tmp, q, k2, n, start, col, val, xp, fp, m);
-        for (int64_t i = 0; i < n; i++)
-            tmp[i] = x[i] + half * k2[i];
-        deriv(tmp, q, k3, n, start, col, val, xp, fp, m);
-        for (int64_t i = 0; i < n; i++)
-            tmp[i] = x[i] + h * k3[i];
-        deriv(tmp, q, k4, n, start, col, val, xp, fp, m);
-        for (int64_t i = 0; i < n; i++)
-            x[i] = x[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-    }
-}
 
 /* A graph in CSR form: row i's nonzero weights vals[k] at columns cols[k]
  * for k in [ends[i], ends[i + 1]), in increasing column order, with no
@@ -1179,6 +1120,98 @@ int qcl_advance(const struct qcl_schedule *sc, struct qcl_work *w, const struct 
         w->t = w->dt == ts - t ? ts : t + dt;
         w->kind = KIND_HIT;
     }
+}
+
+/* The piecewise-linear ramp through the m knots (xp, fp), clamped outside,
+ * on segment bisect_right(xp, v, 1, m - 1) - 1, searched here: calling
+ * bisect made the oracle 60 % slower (x86-64, gcc 12 -O2). */
+static double ramp(double v, const double *xp, const double *fp, int64_t m)
+{
+    int64_t lo = 1, hi = m - 1;
+
+    if (v <= xp[0])
+        return fp[0];
+    if (v >= xp[m - 1])
+        return fp[m - 1];
+    while (lo < hi) {
+        int64_t mid = (lo + hi) / 2;
+        if (v < xp[mid])
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    lo -= 1;
+    return fp[lo] + (fp[lo + 1] - fp[lo]) * (v - xp[lo]) / (xp[lo + 1] - xp[lo]);
+}
+
+/* out = -L q(s) under g, each row in increasing column order: the row total
+ * at column i, and acc - (-w_ij) q_j, which is acc + w_ij q_j, elsewhere. */
+static void deriv(const struct qcl_graph *g, const double *s, double *q, double *out,
+                  const double *xp, const double *fp, int64_t m)
+{
+    for (int64_t i = 0; i < g->n; i++)
+        q[i] = ramp(s[i], xp, fp, m);
+    for (int64_t i = 0; i < g->n; i++) {
+        double acc = 0.0;
+        int64_t k = g->ends[i];
+        for (; k < g->ends[i + 1] && g->cols[k] < i; k++)
+            acc += g->vals[k] * q[g->cols[k]];
+        acc -= g->totals[i] * q[i];
+        for (; k < g->ends[i + 1]; k++)
+            acc += g->vals[k] * q[g->cols[k]];
+        out[i] = acc;
+    }
+}
+
+/* The samples k * stride, k = 1 .. samples, of the run from row 0 of states
+ * to row k: from time t, a stretch ends at the next switch or sample and is
+ * crossed in max(1, ceil((end - t) / h - 1e-9)) RK4 steps under its graph.
+ * Returns the first sample whose largest |x_i| exceeds blow_up (a NaN
+ * counts only in x_0, as in Python's max), or 0 for none. */
+int64_t qcl_regularized(const struct qcl_schedule *sc, double *states, const double *xp,
+                        const double *fp, int64_t m, double h, double stride, int64_t samples,
+                        double blow_up, double *work)
+{
+    int64_t n = sc->graphs[0].n;
+    double t = 0.0, after, *q = work, *tmp = work + n;
+    double *k1 = work + 2 * n, *k2 = work + 3 * n, *k3 = work + 4 * n, *k4 = work + 5 * n;
+
+    for (int64_t k = 1; k <= samples; k++) {
+        double target = (double)k * stride, *x = states + k * n, top;
+
+        memcpy(x, x - n, n * sizeof *x);
+        while (t < target) {
+            const struct qcl_graph *g = sc->graphs + lookup(sc, t, &after);
+            double end = target < after ? target : after;
+            double count = ceil((end - t) / h - 1e-9);
+            /* 2^62 steps would not end either. */
+            int64_t steps = count > 1.0 ? (count < 0x1p62 ? (int64_t)count : INT64_MAX) : 1;
+            double dt = (end - t) / (double)steps, half = 0.5 * dt, sixth = dt / 6.0;
+
+            for (int64_t step = 0; step < steps; step++) {
+                deriv(g, x, q, k1, xp, fp, m);
+                for (int64_t i = 0; i < n; i++)
+                    tmp[i] = x[i] + half * k1[i];
+                deriv(g, tmp, q, k2, xp, fp, m);
+                for (int64_t i = 0; i < n; i++)
+                    tmp[i] = x[i] + half * k2[i];
+                deriv(g, tmp, q, k3, xp, fp, m);
+                for (int64_t i = 0; i < n; i++)
+                    tmp[i] = x[i] + dt * k3[i];
+                deriv(g, tmp, q, k4, xp, fp, m);
+                for (int64_t i = 0; i < n; i++)
+                    x[i] = x[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+            }
+            t = end;
+        }
+        top = fabs(x[0]);
+        for (int64_t i = 1; i < n; i++)
+            if (fabs(x[i]) > top)
+                top = fabs(x[i]);
+        if (top > blow_up)
+            return k;
+    }
+    return 0;
 }
 
 /* CPython's PyOS_double_to_string and PyMem_Free, which frees its result;

@@ -57,7 +57,23 @@ from .scenarios import (
 )
 
 
+#: The builder flags with their defaults, and those that each builder reads.
+_BUILDER_FLAGS = {"n": 3, "delta": 1.0, "a": 1.0, "b": 1.0, "seed": 0, "density": 0.3,
+                  "symmetric": False, "switching": None, "x0_spacing": None, "horizon": None}
+_BUILDER_READS = {"example1": "n delta x0_spacing horizon", "example2": "n a b horizon",
+                  "random": "n seed density a b switching symmetric delta horizon"}
+
+
 def _load_scenario(args) -> ScenarioConfig:
+    if not (args.scenario or args.builder):
+        raise InputError("exactly one of --scenario or --builder is required")
+    reads = [] if args.scenario else _BUILDER_READS[args.builder].split()
+    unread = ["--builder"] * bool(args.scenario and args.builder) + [
+        "--" + name.replace("_", "-") for name in _BUILDER_FLAGS
+        if hasattr(args, name) and name not in reads]  # only given flags are in args
+    if unread:
+        source = "--scenario" if args.scenario else f"--builder {args.builder}"
+        raise InputError(f"{source} does not read {', '.join(unread)}")
     if args.scenario:
         text = Path(args.scenario).read_text()
         try:
@@ -68,24 +84,15 @@ def _load_scenario(args) -> ScenarioConfig:
                 f"{err.msg}"
             ) from err
         return scenario_from_json(obj)
+    args = argparse.Namespace(**{**_BUILDER_FLAGS, **vars(args)})
     if args.builder == "example1":
-        return example1_line(
-            args.n, args.delta, x0_spacing=args.x0_spacing, horizon=args.horizon
-        )
+        return example1_line(args.n, args.delta, x0_spacing=args.x0_spacing, horizon=args.horizon)
     if args.builder == "example2":
         return example2_sliding(args.n, args.a, args.b, horizon=args.horizon)
-    if args.builder == "random":
-        return random_connected(
-            args.n,
-            seed=args.seed,
-            edge_density=args.density,
-            weight_range=(args.a, args.b),
-            switching=_switching(args.switching) if args.switching else None,
-            symmetric=args.symmetric,
-            delta=args.delta,
-            horizon=args.horizon if args.horizon else 1e9,
-        )
-    raise InputError("exactly one of --scenario or --builder is required")
+    return random_connected(args.n, seed=args.seed, edge_density=args.density,
+                            weight_range=(args.a, args.b), symmetric=args.symmetric,
+                            switching=_switching(args.switching) if args.switching else None,
+                            delta=args.delta, horizon=1e9 if args.horizon is None else args.horizon)
 
 
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
@@ -147,15 +154,8 @@ def cmd_run(args) -> int:
         _write(out / "trajectory.json", _json.dumps(traj.to_json_obj(stride=stride)) + "\n")
     report_obj = report.to_json_obj()
     if args.oracle:
-        eps, h = 1e-3, 1e-5
-        run = simulate_regularized(
-            config, eps=eps, h=h, stride=0.01, t_end=max(traj.final_t * 1.1, 0.1)
-        )
-        deviation = max(
-            float(np.max(np.abs(traj.state_at(float(t)) - s)))
-            for t, s in zip(run.times, run.states)
-        )
-        report_obj["oracle_max_deviation"] = deviation
+        report_obj["oracle_max_deviation"] = _oracle_deviation(
+            traj, config, max(traj.final_t * 1.1, 0.1))
     _write(out / "report.json", _json.dumps(report_obj) + "\n")
     if report.converged:
         print(
@@ -165,6 +165,13 @@ def cmd_run(args) -> int:
         return 0
     print(f"horizon {config.horizon} reached without certified convergence")
     return 2
+
+
+def _oracle_deviation(traj: Trajectory, config: ScenarioConfig, t_end: float) -> float:
+    """The largest deviation of ``traj`` from the oracle's samples up to ``t_end``."""
+    run = simulate_regularized(config, eps=1e-3, h=1e-5, stride=0.01, t_end=t_end)
+    return max(float(np.max(np.abs(traj.state_at(float(t)) - state)))
+               for t, state in zip(run.times, run.states))
 
 
 def cmd_bound(args) -> int:
@@ -320,11 +327,7 @@ def _suite_oracle() -> tuple[bool, str]:
         example2_sliding(3, 1.0, 1.0, policy=Sliding()),
     ):
         traj = simulate(config)
-        run = simulate_regularized(
-            config, eps=1e-3, h=1e-5, stride=0.01, t_end=traj.final_t * 1.2 + 0.2
-        )
-        for t, state in zip(run.times, run.states):
-            worst = max(worst, float(np.max(np.abs(traj.state_at(float(t)) - state))))
+        worst = max(worst, _oracle_deviation(traj, config, traj.final_t * 1.2 + 0.2))
     return worst <= 5e-3, f"max exact-vs-regularized deviation {worst:.2e}"
 
 
@@ -405,18 +408,20 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", help="scenario JSON file")
-    p.add_argument("--builder", choices=("example1", "example2", "random"))
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--density", type=float, default=0.3)
-    p.add_argument("--symmetric", action="store_true")
-    p.add_argument("--switching", help="periodic schedule as 'count,dwell'")
-    p.add_argument("--x0-spacing", type=float, default=None,
+    p.add_argument("--builder", choices=tuple(_BUILDER_READS))
+    # Left out of the namespace unless given; _BUILDER_FLAGS has the defaults.
+    g = p.add_argument_group("builder flags", argument_default=argparse.SUPPRESS)
+    g.add_argument("--n", type=int)
+    g.add_argument("--delta", type=float)
+    g.add_argument("--a", type=float)
+    g.add_argument("--b", type=float)
+    g.add_argument("--seed", type=int)
+    g.add_argument("--density", type=float)
+    g.add_argument("--symmetric", action="store_true")
+    g.add_argument("--switching", help="periodic schedule as 'count,dwell'")
+    g.add_argument("--x0-spacing", type=float,
                    help="initial state spacing in state units (default: delta)")
-    p.add_argument("--horizon", type=float, default=None)
+    g.add_argument("--horizon", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:

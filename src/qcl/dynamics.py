@@ -23,7 +23,8 @@ Selection policies choose one solution among the generally non-unique set:
 A classical fixed-step RK4 integrator on a continuous piecewise-linear
 regularisation of the quantizer serves as an independent oracle: as the
 regularisation width and step size shrink it converges to the sliding
-solution.
+solution.  Its whole run is one call of the compiled ``qcl_regularized``,
+on the schedule tables and segment lookup of ``simulate``.
 
 A resolve runs as one compiled call, ``qcl_resolve`` of ``_kernels.c``, the
 package's only resolver, under either quantizer and every policy, with
@@ -63,7 +64,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from . import quantizers
-from .graphs import GraphSchedule, WeightedDigraph, laplacian
+from .graphs import WeightedDigraph
 from .quantizers import (InputError, Quantizer, UniformQuantizer, json_agent, json_field,
                          json_float, json_keys, kq_envelope, krasovskii_scan)
 
@@ -306,10 +307,6 @@ class TrajectoryEvent:
 #: The kinds of exported rows, indexed by ``Trajectory.kind``: the event
 #: kinds, then the samples of a stride export.
 KIND_NAMES = EVENT_KINDS + ("sample",)
-#: A CSV export of fewer numbers is written by ``repr`` in Python, which
-#: beats the fixed cost of the compiled call there (on a 2-core Xeon, 52
-#: numbers took 38 us in Python and 45 us compiled, 133 numbers 92 and 67).
-_SMALL_CSV = 100
 #: A stride export scans at most this many sample times (about the span of
 #: the events over the stride, plus two per event), and the regularized
 #: oracle keeps fewer samples, so that a tiny stride is refused instead of
@@ -483,17 +480,11 @@ class Trajectory:
         return rows
 
     def to_csv(self, stride: float | None = None) -> str:
-        n = self.n
-        header = (
-            ["t", "event"]
-            + [f"x_{i + 1}" for i in range(n)]
-            + [f"z_{i + 1}" for i in range(n)]
-            + [f"alpha_{i + 1}" for i in range(n)]
-        )
+        header = ["t", "event"] + [f"{name}_{i + 1}" for name in ("x", "z", "alpha")
+                                   for i in range(self.n)]
         rows = self._rows(stride)
-        small = len(rows[0]) + 3 * rows[2].size < _SMALL_CSV  # numbers: t, x, z, alpha
-        body = None if small else quantizers._load_kernel().write(False, 0, *rows)
-        if body is None:
+        body = quantizers._load_kernel().write(False, 0, *rows)
+        if body is None:  # rows of unequal widths
             body = "".join(map(_csv_line, _row_dicts(*rows)))
         return ",".join(header) + "\n" + body
 
@@ -585,33 +576,24 @@ def simulate(config) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 def _ramp_knots(quantizer: Quantizer, x0, eps: float) -> tuple[list[float], list[float]]:
-    """Breakpoints of the continuous piecewise-linear quantizer surrogate."""
-    from .quantizers import GeneralQuantizer
-
+    """Breakpoints of the continuous piecewise-linear quantizer surrogate:
+    ``th - eps`` and ``th + eps`` at the levels below and above each
+    threshold ``th``."""
     if isinstance(quantizer, UniformQuantizer):
         d = quantizer.delta
-        lo = min(x0) - 2.0 * d
-        hi = max(x0) + 2.0 * d
-        k_lo = math.floor(lo / d - 0.5) - 1
-        k_hi = math.ceil(hi / d - 0.5) + 1
+        k_lo = math.floor((min(x0) - 2.0 * d) / d - 0.5) - 1
+        k_hi = math.ceil((max(x0) + 2.0 * d) / d - 0.5) + 1
         if k_hi - k_lo >= _MAX_RAMP_THRESHOLDS:
             raise InputError(
                 f"the states span {k_hi - k_lo + 1} thresholds; the regularized "
                 f"oracle builds at most {_MAX_RAMP_THRESHOLDS}"
             )
         thresholds = [quantizer._threshold(k) for k in range(k_lo, k_hi + 1)]
-        below = [k * d for k in range(k_lo, k_hi + 1)]
-        above = [(k + 1) * d for k in range(k_lo, k_hi + 1)]
+        levels = [k * d for k in range(k_lo, k_hi + 2)]
     else:
-        assert isinstance(quantizer, GeneralQuantizer)
-        thresholds = list(quantizer.thresholds)
-        below = list(quantizer.levels[:-1])
-        above = list(quantizer.levels[1:])
-    xp: list[float] = []
-    fp: list[float] = []
-    for th, s_lo, s_hi in zip(thresholds, below, above):
-        xp.extend((th - eps, th + eps))
-        fp.extend((s_lo, s_hi))
+        thresholds, levels = quantizer.thresholds, quantizer.levels
+    xp = [v for th in thresholds for v in (th - eps, th + eps)]
+    fp = [v for pair in zip(levels, levels[1:]) for v in pair]
     return xp, fp
 
 
@@ -636,10 +618,9 @@ def simulate_regularized(
     The surrogate equals the quantizer outside ``eps``-neighbourhoods of its
     thresholds and interpolates linearly across them.  Serves as the
     independent oracle for exact sliding trajectories: samples converge to
-    them as ``eps`` and ``h`` shrink.
+    them as ``eps`` and ``h`` shrink.  The run is one compiled call.
     """
     quantizer: Quantizer = config.quantizer
-    schedule: GraphSchedule = config.schedule
     x0 = list(config.x0)
     if not (eps > 0.0) or not (h > 0.0):
         raise InputError("eps and h must be positive")
@@ -652,11 +633,13 @@ def simulate_regularized(
     if math.isfinite(dmin) and not (eps < dmin / 4.0):
         raise InputError(f"eps must be below delta_min/4 = {dmin / 4.0}")
     span = quantizer.level_span(x0)
-    guard = 4.0 * len(x0) * schedule.a_high * span
+    # With every state on one level, a state within eps of a threshold still
+    # moves along its ramp: then the largest jump across one bounds h.
+    knots = _ramp_knots(quantizer, x0, eps) if span == 0.0 else None
+    span = span or max([hi - lo for lo, hi in zip(knots[1][::2], knots[1][1::2])], default=0.0)
+    guard = 4.0 * len(x0) * config.schedule.a_high * span
     if guard > 0.0 and not (h < eps / guard):
-        raise InputError(
-            f"step h={h} too large for eps={eps}: need h < {eps / guard:.3g}"
-        )
+        raise InputError(f"step h={h} too large for eps={eps}: need h < {eps / guard:.3g}")
 
     # Counted in float first: a tiny stride overflows to inf, or asks for
     # more samples than memory holds; a negative t_end keeps the sample at 0.
@@ -664,31 +647,16 @@ def simulate_regularized(
     if not samples < _MAX_SAMPLE_ROWS:
         raise InputError(f"stride {stride!r} needs more than {_MAX_SAMPLE_ROWS:,} sample rows "
                          f"up to t_end={t_end!r}")
-    n_samples = int(math.floor(max(samples, -1.0)))
-    xp, fp = _ramp_knots(quantizer, x0, eps)
-    x = [float(v) for v in x0]
+    n_samples = int(math.floor(max(samples, 0.0)))
+    times = np.arange(n_samples + 1) * stride
+    xp, fp = knots or _ramp_knots(quantizer, x0, eps)
     if not xp:
         # A single level and no threshold: q is constant and nothing moves.
-        times = [k * stride for k in range(n_samples + 1)]
-        return RegularizedRun(times=np.array(times), states=np.array([x] * len(times)))
+        return RegularizedRun(times=times, states=np.array([x0] * len(times), dtype=float))
     blow_up = 10.0 * (max(map(abs, fp)) + 1.0)
-    times = [0.0]
-    states = [x]
-    t = 0.0
-    for k in range(1, n_samples + 1):
-        target = k * stride
-        while t < target:
-            seg_end = min(schedule.next_switch_after(t), target)
-            rows = [[(j, l) for j, l in enumerate(row) if l != 0.0]
-                    for row in laplacian(schedule.graph_at(t)).tolist()]
-            steps = max(1, math.ceil((seg_end - t) / h - 1e-9))
-            hh = (seg_end - t) / steps
-            x = quantizers._load_kernel().rk4_chunk(x, rows, xp, fp, hh, steps)
-            t = seg_end
-        if max(map(abs, x)) > blow_up:
-            raise RegularizationUnstable(
-                f"state norm exploded at t={t}; reduce the step size h"
-            )
-        times.append(t)
-        states.append(x)
-    return RegularizedRun(times=np.array(times), states=np.array(states))
+    states, unstable = quantizers._load_kernel().regularized(
+        config.schedule, x0, xp, fp, h, stride, n_samples, blow_up)
+    if unstable:
+        raise RegularizationUnstable(f"state norm exploded at t={unstable * stride}; "
+                                     "reduce the step size h")
+    return RegularizedRun(times=times, states=states)

@@ -1,15 +1,17 @@
 """The list code that qcl's compiled kernels port, kept as the test suite's
 differential oracle: the resolver, the closest-arrival scan, the event loop
-of ``simulate`` and the RK4 kernel.
+of ``simulate``, the RK4 kernel and the sample loop of the regularized
+oracle.
 
 ``KERNELS`` wraps it in the interface of ``qcl._ckernel.Kernels``:
-``resolve``, ``advance`` (a whole run), ``rk4_chunk``, and ``write``, which
-leaves every export to qcl's Python writer.  ``conftest.kernel_path("lists")``
-installs it in place of the compiled kernels, so that ``simulate`` runs this
-event loop, and ``_kernel_check.digests(KERNELS)`` are the sha256s that
-every build must reproduce.  Each function keeps the order of every
-floating-point operation of the compiled code, so their outputs agree bit
-for bit, errors included: a pinned agent whose velocity is NaN (its terms
+``resolve``, ``advance`` (a whole run), ``regularized`` (a whole oracle
+run) and ``write``, which leaves every export to qcl's Python writer.
+``conftest.kernel_path("lists")`` installs it in place of the compiled
+kernels, so that ``simulate`` runs this event loop, and
+``_kernel_check.digests(KERNELS)`` are the sha256s that every build must
+reproduce.  Each function keeps the order of every floating-point
+operation of the compiled code, so their outputs agree bit for bit,
+errors included: a pinned agent whose velocity is NaN (its terms
 overflowed to infinities of both signs) raises the InputError of the
 compiled resolve.
 """
@@ -26,7 +28,7 @@ import numpy as np
 from qcl._ckernel import PIN_OVERFLOW, Kernels
 from qcl.dynamics import (EVENT_KINDS, ContractViolation, FixedAlpha, NoSlidingSelection,
                           Resolution, SelectionPolicy, SequentialSlow, _record)
-from qcl.graphs import GraphSchedule, WeightedDigraph
+from qcl.graphs import GraphSchedule, WeightedDigraph, laplacian
 from qcl.quantizers import InputError, Quantizer
 
 # Feasibility slack for hold coefficients: absorbs elimination round-off
@@ -547,6 +549,34 @@ def rk4_chunk(x: list[float], rows: list[list[tuple[int, float]]], xp: list[floa
     return x
 
 
+def regularized(schedule: GraphSchedule, x0, xp: list[float], fp: list[float], h: float,
+                stride: float, samples: int, blow_up: float) -> tuple[np.ndarray, int]:
+    """``Kernels.regularized`` on lists, with ``rk4_chunk`` for every
+    segment.
+
+    For each sample at ``k * stride`` the state steps from segment to
+    segment, each ending at the next switch or the sample, with the nonzero
+    terms of the dense Laplacian of the segment's graph; a state whose
+    largest ``|x_i|`` exceeds ``blow_up`` ends the run there.
+    """
+    x = [float(v) for v in x0]
+    states = [x]
+    t = 0.0
+    for k in range(1, samples + 1):
+        target = k * stride
+        while t < target:
+            seg_end = min(schedule.next_switch_after(t), target)
+            rows = [[(j, l) for j, l in enumerate(row) if l != 0.0]
+                    for row in laplacian(schedule.graph_at(t)).tolist()]
+            steps = max(1, math.ceil((seg_end - t) / h - 1e-9))
+            x = rk4_chunk(x, rows, xp, fp, (seg_end - t) / steps, steps)
+            t = seg_end
+        if max(map(abs, x)) > blow_up:
+            return np.array(states), k
+        states.append(x)
+    return np.array(states), 0
+
+
 def resolve(g: WeightedDigraph, x: np.ndarray, quantizer: Quantizer, policy: SelectionPolicy,
             last_stopped, cutoff: float) -> tuple:
     """``Kernels.resolve``: the fields of ``resolve_python``'s resolution,
@@ -633,7 +663,7 @@ def advance(schedule: GraphSchedule, x: np.ndarray, quantizer: Quantizer,
 
 
 #: The reference in the interface of the compiled kernels.
-KERNELS = Kernels(rk4_chunk=rk4_chunk, resolve=resolve, advance=advance,
+KERNELS = Kernels(resolve=resolve, advance=advance, regularized=regularized,
                   write=lambda *columns: None)
 
 

@@ -57,9 +57,9 @@ def test_one_compiled_resolve_and_no_per_primitive_kernels():
     # Every compiled entry point is a second implementation that the
     # self-check must cover.  The resolve and the event loop run the hold
     # solver, row sums, scans and projected Gauss-Seidel as static helpers;
-    # exporting them again would fork the resolve.  The export writer is the
-    # one entry point outside the resolve.
-    assert _ckernel.Kernels._fields == ("rk4_chunk", "resolve", "advance", "write")
+    # exporting them again would fork the resolve.  The oracle's whole run
+    # and the export writer are the entry points outside the resolve.
+    assert _ckernel.Kernels._fields == ("resolve", "advance", "regularized", "write")
     exported = re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\s*\([^;{]*\)\s*\{",
                           _ckernel.SOURCE.read_text(), re.M)
-    assert exported == ["qcl_rk4_chunk", "qcl_resolve", "qcl_advance", "qcl_write"]
+    assert exported == ["qcl_resolve", "qcl_advance", "qcl_regularized", "qcl_write"]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -276,6 +277,36 @@ class TestRun:
         out = tmp_path / "out"
         assert run_cli("run", "--builder", "example1", *argv, "--out", str(out)) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "bound"])
+    @pytest.mark.parametrize("argv,message", [
+        (["--scenario", "scenarios/line_n6.json", "--builder", "example2", "--n", "9"],
+         "--scenario does not read --builder, --n"),
+        (["--scenario", "scenarios/line_n6.json", "--horizon", "0.5"],
+         "--scenario does not read --horizon"),
+        (["--builder", "example2", "--delta", "0.3"], "--builder example2 does not read --delta"),
+        (["--builder", "example1", "--seed", "5", "--symmetric"],
+         "--builder example1 does not read --seed, --symmetric"),
+    ], ids=["scenario-with-builder-and-n", "scenario-with-horizon", "example2-with-delta",
+            "example1-with-seed-and-symmetric"])
+    def test_flag_that_the_source_does_not_read_is_one_error_line(self, tmp_path, capsys,
+                                                                   monkeypatch, command, argv,
+                                                                   message):
+        # Each once ran with the flag ignored and exited 0; the horizon of
+        # 0.5 still ran to t = 10.83.
+        monkeypatch.chdir(Path(__file__).resolve().parents[1])
+        out = tmp_path / "out"
+        assert run_cli(command, *argv, "--out", str(out)) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("builder", ["example1", "example2", "random"])
+    def test_zero_horizon_is_one_error_line(self, tmp_path, capsys, builder):
+        # --builder random once read --horizon 0 as no horizon (1e9).
+        out = tmp_path / "out"
+        assert run_cli("run", "--builder", builder, "--horizon", "0", "--out", str(out)) == 1
+        assert capsys.readouterr() == ("", "error: horizon must be positive\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("switching", ["3", "x,1", "3,y", "3,1,2", "0,1", "-2,1", "2.5,1",

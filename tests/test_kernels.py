@@ -22,7 +22,7 @@ from conftest import MUTANT_FLAGS, build_kernel_variant
 from qcl import (ContractViolation, FixedAlpha, GraphSchedule, InputError, KernelError,
                  NoSlidingSelection, ScenarioConfig, SequentialSlow, Sliding, UniformQuantizer,
                  WeightedDigraph, _ckernel, _kernel_check, cli, quantizers, resolve_sliding,
-                 selection_velocity)
+                 selection_velocity, simulate_regularized)
 from test_golden import CASES, DIGESTS, JSON_DIGESTS, STRIDE_DIGESTS, digests
 
 
@@ -240,10 +240,10 @@ class _Hooked:
 
 def _poisoned_kernels(monkeypatch, also=()):
     """Fresh compiled kernels whose every ``qcl_advance`` and ``qcl_resolve``
-    call first fills
-    each workspace buffer but those of ``FILLED`` (and with those named in
-    ``also``) with NaN or 1e300, in turn, or 0x5A5A5A5A, and whose export
-    buffers start as 0x5A bytes.  Returns the kernels and the workspaces."""
+    call first fills each workspace buffer but those of ``FILLED`` (and with
+    those named in ``also``) with NaN or 1e300, in turn, or 0x5A5A5A5A, and
+    whose export buffers, and the states and work of the oracle, start as
+    0x5A bytes.  Returns the kernels and the workspaces."""
     works, calls = [], [0]
 
     class Recorded(_ckernel._Work):
@@ -267,6 +267,7 @@ def _poisoned_kernels(monkeypatch, also=()):
         def __init__(self, lib):
             self.qcl_advance = _Hooked(lib.qcl_advance, poison)
             self.qcl_resolve = _Hooked(lib.qcl_resolve, poison)
+            self.qcl_regularized = lib.qcl_regularized
 
     class Numpy:
         def __getattr__(self, name):
@@ -296,6 +297,7 @@ def test_poisoned_workspace_gives_the_golden_digests_in_either_order(monkeypatch
     # Every buffer that a call reads it has written first, and so has the
     # binding: one workspace serves every run of a process, so a stale byte
     # would make a run depend on the runs before it.
+    oracle = oracle_outcomes()
     _, works, calls = _poisoned_kernels(monkeypatch)
     names = sorted(CASES)
     forward = {name: _outcome(name) for name in names}
@@ -303,6 +305,7 @@ def test_poisoned_workspace_gives_the_golden_digests_in_either_order(monkeypatch
     assert forward == backward == {
         name: (DIGESTS[name], *JSON_DIGESTS[name], STRIDE_DIGESTS.get(name)) for name in names}
     assert len(works) > 3 and calls[0] > 2 * len(names)
+    assert oracle_outcomes() == oracle
 
 
 def test_poisoned_state_changes_the_digests(monkeypatch):
@@ -314,6 +317,57 @@ def test_poisoned_state_changes_the_digests(monkeypatch):
     assert changed == names
 
 
+def test_poison_shows_a_buffer_that_the_c_code_does_not_initialise(monkeypatch, tmp_path):
+    # The negative control of the C code: a build whose hold systems keep
+    # the old bytes of their matrix, loaded past the self-check, changes
+    # golden digests under the same poison.
+    build_kernel_variant(monkeypatch, tmp_path, "        for (int64_t c = 0; c < m; c++)\n"
+                         "            row[c] = 0.0;\n", "")
+    monkeypatch.setattr(_kernel_check, "kernels_agree", lambda kernels: True)
+    _poisoned_kernels(monkeypatch)
+    assert any(_outcome(name) != (DIGESTS[name], *JSON_DIGESTS[name], STRIDE_DIGESTS.get(name))
+               for name in sorted(CASES))
+
+
+def oracle_cases() -> list[tuple]:
+    """``(config, eps, h, t_end)`` of oracle runs at a stride of 0.01: the
+    five ``test_oracle.KERNEL_CASES``, then one agent, a graph with an empty
+    row, a period whose switches fall inside samples, and no sample but the
+    one at 0."""
+    from test_oracle import KERNEL_CASES
+
+    pair = WeightedDigraph.from_edges(3, [(0, 1, 1.0), (1, 0, 1.0)])  # agent 2 listens to nobody
+    line = WeightedDigraph.from_edges(3, [(0, 1, 0.7), (1, 0, 0.7), (1, 2, 0.7), (2, 1, 0.7)])
+    return KERNEL_CASES + [
+        (ScenarioConfig(GraphSchedule.time_invariant(WeightedDigraph.empty(1), 1.0, 1.0), UNIT,
+                        (0.45,)), 0.2, 1e-2, 0.3),
+        (ScenarioConfig(GraphSchedule.time_invariant(pair, 1.0, 1.0), UNIT, (0.35, 0.6, 0.55)),
+         0.2, 1e-3, 0.3),
+        (ScenarioConfig(GraphSchedule(((0.0, line), (0.013, pair)), 0.7, 1.0, 0.03), UNIT,
+                        (0.2, 0.45, 0.9)), 0.2, 1e-3, 0.1),
+        (ScenarioConfig(GraphSchedule.time_invariant(line, 0.7, 0.7), UNIT, (0.2, 0.45, 0.9)),
+         0.2, 1e-3, 0.005),
+    ]
+
+
+def oracle_outcomes() -> list[tuple]:
+    """The times and states of each of ``oracle_cases``, in bytes."""
+    runs = [simulate_regularized(config, eps=eps, h=h, stride=0.01, t_end=t_end)
+            for config, eps, h, t_end in oracle_cases()]
+    return [(run.times.tobytes(), run.states.shape, run.states.tobytes()) for run in runs]
+
+
+def test_oracle_cases_reach_their_edge_shapes():
+    runs = [simulate_regularized(config, eps=eps, h=h, stride=0.01, t_end=t_end)
+            for config, eps, h, t_end in oracle_cases()[5:]]
+    assert [run.states.shape for run in runs] == [(31, 1), (31, 3), (11, 3), (1, 3)]
+    # Only the agents that listen to someone move.
+    one, empty_row, periodic, _ = runs
+    assert np.all(one.states == 0.45)
+    assert (empty_row.states[-1] != empty_row.states[0]).tolist() == [True, True, False]
+    assert np.all(periodic.states[-1] != periodic.states[0])
+
+
 # -- sanitizers ------------------------------------------------------------------
 
 #: A build under AddressSanitizer and UndefinedBehaviorSanitizer: -O1 with
@@ -323,18 +377,21 @@ SANITIZE_FLAGS = ("-O1", "-g", "-fno-omit-frame-pointer", "-fsanitize=address,un
                   "-fno-sanitize-recover=all", *_ckernel.FLAGS[1:])
 
 #: Run in a process with the sanitizer runtimes: the self-check of the
-#: library named by the first argument, then the golden cases with it;
-#: prints whether the self-check passed and how many cases differ.
+#: library named by the first argument, then the golden cases and the
+#: oracle cases with it; prints whether the self-check passed, how many
+#: golden cases differ, and the oracle's outcomes as ``repr`` prints them.
 _SANITIZED_RUN = """
 import sys
 from qcl import _ckernel, _kernel_check, quantizers
 from test_golden import CASES, DIGESTS, JSON_DIGESTS, STRIDE_DIGESTS, digests
+from test_kernels import oracle_outcomes
 
 kernels = _ckernel._bind(sys.argv[1])
 agree = _kernel_check.kernels_agree(kernels)
 quantizers._load_kernel = lambda: kernels
 print(agree, sum(digests(name) != (DIGESTS[name], *JSON_DIGESTS[name], STRIDE_DIGESTS.get(name))
                  for name in CASES))
+print(oracle_outcomes())
 """
 
 
@@ -357,8 +414,10 @@ def _sanitized_run(tmp_path, source: str, flags=SANITIZE_FLAGS) -> subprocess.Co
 
 
 def test_sanitized_build_passes_the_self_check_and_goldens_without_a_report(tmp_path):
+    # The oracle's runs give the bits of the shipped build too.
     run = _sanitized_run(tmp_path, _ckernel.SOURCE.read_text())
-    assert (run.returncode, run.stdout, run.stderr) == (0, "True 0\n", "")
+    assert (run.returncode, run.stdout, run.stderr) == (
+        0, f"True 0\n{oracle_outcomes()!r}\n", "")
 
 
 def test_sanitized_build_reports_a_read_past_a_row(tmp_path):

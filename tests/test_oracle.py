@@ -12,6 +12,7 @@ from qcl import (
     GeneralQuantizer,
     GraphSchedule,
     InputError,
+    RegularizationUnstable,
     ScenarioConfig,
     Sliding,
     UniformQuantizer,
@@ -24,11 +25,12 @@ from qcl import (
     simulate,
     simulate_regularized,
 )
-from qcl import dynamics, quantizers
+from qcl import dynamics, graphs, quantizers
 
 import reference
-from conftest import (ORACLE_REFERENCES, SHIPPED_FLAGS, assert_self_check_rejects,
-                      build_kernel_variant, force_list_path, reference_oracle_run)
+from conftest import (KERNEL_PATHS, ORACLE_REFERENCES, SHIPPED_FLAGS,
+                      assert_self_check_rejects, build_kernel_variant, force_list_path,
+                      kernel_path, reference_oracle_run)
 
 
 def max_deviation(traj, run) -> float:
@@ -239,12 +241,13 @@ KERNEL_IDS = ["line3", "chain4", "random6-periodic", "random20", "general4"]
 
 def _check_against_loop_reference(monkeypatch, config, eps, h, t_end):
     run = simulate_regularized(config, eps=eps, h=h, stride=0.01, t_end=t_end)
-    # Re-run with the reference kernel, fed the dense Laplacian of the segment.
+    # Re-run with the reference sample loop and the element-wise kernel,
+    # fed the dense Laplacian of the segment.
     laps = []
-    monkeypatch.setattr(dynamics, "laplacian", lambda g: laps.append(laplacian(g)) or laps[-1])
-    kernels = quantizers._load_kernel()._replace(rk4_chunk=lambda x, rows, xp, fp, h, steps: list(
+    monkeypatch.setattr(reference, "laplacian", lambda g: laps.append(laplacian(g)) or laps[-1])
+    monkeypatch.setattr(reference, "rk4_chunk", lambda x, rows, xp, fp, h, steps: list(
         _rk4_chunk(np.array(x), laps[-1], np.array(xp), np.array(fp), h, steps)))
-    monkeypatch.setattr(quantizers, "_load_kernel", lambda: kernels)
+    force_list_path(monkeypatch)
     ref = simulate_regularized(config, eps=eps, h=h, stride=0.01, t_end=t_end)
     assert len(laps) > 1
     assert np.array_equal(run.times, ref.times)
@@ -292,11 +295,74 @@ def test_reordered_kernel_fails_self_check(monkeypatch, tmp_path):
         config, eps=eps, h=h, stride=0.01, t_end=t_end))
 
 
-@pytest.mark.parametrize("rows,xp", [
-    ([[(0, 1.0), (2, -1.0)], [(1, 0.0)]], [0.0, 1.0]),
-    ([[(0, 1.0)]], [0.0, 1.0]),
-    ([[(0, 1.0)], [(1, 1.0)]], [0.0]),
-], ids=["column-outside", "row-missing", "one-knot"])
-def test_compiled_kernel_rejects_chunks_that_do_not_fit(rows, xp):
-    with pytest.raises(ValueError):
-        quantizers._load_kernel().rk4_chunk([0.0, 1.0], rows, xp, [0.0] * len(xp), 0.1, 1)
+@pytest.mark.parametrize("x0,xp,fp,samples", [
+    ([0.0, 1.0], [0.0], [0.0], 1),
+    ([0.0, 1.0], [0.0, 1.0], [0.0], 1),
+    ([0.0, 1.0, 2.0], [0.0, 1.0], [0.0, 1.0], 1),
+    ([0.0, 1.0], [0.0, 1.0], [0.0, 1.0], -1),
+], ids=["one-knot", "unequal-knots", "state-too-wide", "negative-samples"])
+def test_compiled_kernel_rejects_chunks_that_do_not_fit(x0, xp, fp, samples):
+    # The C code reads the knots, the state and the sample rows without
+    # bounds checks; its graphs come from the schedule's own tables.
+    schedule = GraphSchedule.time_invariant(line_graph(2), 1.0, 1.0)
+    with pytest.raises(ValueError, match="do not fit together"):
+        quantizers._load_kernel().regularized(schedule, x0, xp, fp, 0.1, 0.1, samples, 10.0)
+
+
+def test_one_level_guard_bounds_the_step():
+    # Both states lie on level 0, inside the ramp of the threshold 0.5:
+    # with no level span the guard once vanished, and h = 1.0 returned
+    # (6.08, -5.08), h = 1e-4 (0.488, 0.511) for a consensus at 0.49955.
+    config = ScenarioConfig(
+        schedule=GraphSchedule.time_invariant(line_graph(2, 1000.0), 1000.0, 1000.0),
+        quantizer=UniformQuantizer(1.0),
+        x0=(0.4992, 0.4999),
+        horizon=10.0,
+    )
+    for h in (1.0, 1e-4):
+        with pytest.raises(InputError, match=r"^step h=.* too large for eps=0\.001: need "
+                           r"h < 1\.25e-07$"):
+            simulate_regularized(config, eps=1e-3, h=h, t_end=0.05)
+    run = simulate_regularized(config, eps=1e-3, h=1e-7, t_end=0.05)
+    assert run.states[-1] == pytest.approx([0.49955, 0.49955], abs=1e-6)
+
+
+@pytest.mark.parametrize("quantizer", [GeneralQuantizer(levels=(0.0,), thresholds=()),
+                                       UniformQuantizer(1.0)], ids=["one-level", "uniform"])
+def test_negative_t_end_keeps_the_sample_at_zero(quantizer):
+    config = ScenarioConfig(
+        schedule=GraphSchedule.time_invariant(line_graph(3), 1.0, 1.0),
+        quantizer=quantizer,
+        x0=(0.3, 1.7, -2.4),
+        horizon=10.0,
+    )
+    run = simulate_regularized(config, eps=1e-3, h=1e-5, stride=0.1, t_end=-1.0)
+    assert run.times.tolist() == [0.0]
+    assert run.states.tolist() == [[0.3, 1.7, -2.4]]
+
+
+@pytest.mark.parametrize("path", KERNEL_PATHS)
+def test_unstable_run_raises_at_its_first_sample_past_the_bound(monkeypatch, path):
+    # The guard keeps valid runs far below the bound, so the run gets a
+    # lower one: the states (0, 1, 2) pass 1.5 at the first sample.
+    with kernel_path(path):
+        kernels = quantizers._load_kernel()
+    monkeypatch.setattr(quantizers, "_load_kernel", lambda: kernels._replace(
+        regularized=lambda *args: kernels.regularized(*args[:-1], 1.5)))
+    with pytest.raises(RegularizationUnstable,
+                       match=r"^state norm exploded at t=0\.01; reduce the step size h$"):
+        simulate_regularized(example1_line(3, 1.0), eps=1e-3, h=1e-5, t_end=1.0)
+
+
+def test_one_compiled_call_per_run_and_no_graph_lookup_in_python(monkeypatch):
+    # The run reads the schedule's C tables and finds its segments in C.
+    kernels = quantizers._load_kernel()
+    calls = []
+    monkeypatch.setattr(quantizers, "_load_kernel", lambda: kernels._replace(
+        regularized=lambda *args: calls.append(args) or kernels.regularized(*args)))
+    for owner, name in ((GraphSchedule, "graph_at"), (GraphSchedule, "next_switch_after"),
+                        (graphs, "laplacian")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    config, eps, h, t_end = KERNEL_CASES[2]  # three topology switches
+    simulate_regularized(config, eps=eps, h=h, stride=0.01, t_end=t_end)
+    assert len(calls) == 1
