@@ -69,9 +69,8 @@ class Kernels(NamedTuple):
     #: none).
     regularized: Callable[..., tuple]
     #: ``write(json, indent, t, kind, x, src, z, alpha)``: the text of the
-    #: rows of a trajectory export (see ``qcl_write``), or None when they
-    #: need the Python writer: a JSON number that is not finite, or states,
-    #: selections and coefficients of unequal widths.
+    #: rows of a trajectory export (see ``qcl_write``), or None for a JSON
+    #: number that is not finite, which ``qcl._json`` refuses with its error.
     write: Callable[..., str | None]
 
 
@@ -153,7 +152,7 @@ class _Quantizer(ctypes.Structure):
 
 
 #: The buffers of ``struct qcl_work``: name, C type and length in agents n,
-#: unknowns m or the chunk of ``qcl_advance``.
+#: hold-system unknowns m or the chunk of ``qcl_advance``.
 _BUFFERS = (("x", ctypes.c_double, "n"), ("y", ctypes.c_double, "n"),
             ("z", ctypes.c_double, "n"), ("stopped", ctypes.c_int64, "n"),
             ("pins", ctypes.c_int64, "n"), ("pin_alpha", ctypes.c_double, "n"),
@@ -170,9 +169,8 @@ _BUFFERS = (("x", ctypes.c_double, "n"), ("y", ctypes.c_double, "n"),
 #: and in integers of its records (32 KiB each); ``advance`` empties a full
 #: chunk and calls it again.
 CHUNK = 2 ** 12
-#: What ``qcl_advance`` returns when the chunk is full, when the hold
-#: buffers are too small and at the event limit.
-_FULL, _GROW, _LIMIT = 2, 3, 4
+#: What ``qcl_advance`` returns when the chunk is full and at the event limit.
+_FULL, _LIMIT = 2, 4
 
 
 class _Struct(ctypes.Structure):
@@ -180,7 +178,7 @@ class _Struct(ctypes.Structure):
 
     _fields_ = ([(name, ctypes.c_void_p) for name, _, _ in _BUFFERS]
                 + [(name, ctypes.c_int64)
-                   for name in ("m", "rows_cap", "ints_cap", "n_pins", "n_surface", "count")]
+                   for name in ("rows_cap", "ints_cap", "n_pins", "n_surface", "count")]
                 + [(name, ctypes.c_double) for name in ("dt", "t")]
                 + [(name, ctypes.c_int64)
                    for name in ("n_stopped", "n_rows", "n_ints", "kind", "reason", "agent")])
@@ -189,9 +187,7 @@ class _Struct(ctypes.Structure):
 class _Work:
     """The buffers of ``resolve`` and ``advance``, for up to ``n`` agents
     and hold systems of up to ``m`` unknowns, reused from call to call and
-    replaced by a larger one only when a call needs more: then ``m`` at
-    least doubles, up to ``n``, so that surface sets that grow one agent at
-    a time replace it a few times, not once per size.
+    replaced by a larger one before a resolve or run that needs more.
 
     ``buf`` maps each buffer of ``_BUFFERS`` to its ctypes array, ``x``,
     ``y``, ``z``, ``rows``, ``ints`` and ``kinds`` are numpy views of the
@@ -210,8 +206,8 @@ class _Work:
                                              for name in ("x", "y", "z", "rows"))
         self.ints, self.kinds = (np.frombuffer(self.buf[name], dtype=np.int64)
                                  for name in ("ints", "kinds"))
-        self.struct = _Struct(*map(ctypes.addressof, self.buf.values()), m,
-                              sizes["rows"], sizes["ints"])
+        self.struct = _Struct(*map(ctypes.addressof, self.buf.values()), sizes["rows"],
+                              sizes["ints"])
         self.address = ctypes.addressof(self.struct)
 
 
@@ -329,26 +325,27 @@ def _bind_advance(lib: ctypes.CDLL):
     ``dynamics.simulate_regularized``, on one set of ``_tables``.
 
     ``x`` must be a float64 array with one state per agent and ``cutoff`` a
-    float.  The policy's pins on agents outside the graph are dropped, as
-    the resolver ignores them; last-stopped agents outside the graph are a
-    ValueError.  A full chunk is copied out and the run goes on; the hold
-    buffers grow when the C code asks for more, and the call is then made
-    again in the larger workspace, from where the last one stopped.  A
-    decline raises its error (``_raise_decline``).  Oracle states and knots
-    that do not fit are a ValueError.
+    float, not NaN.  ``reserve`` sizes the workspace before the first call
+    of a resolve or a run.  The policy's pins on agents outside the graph
+    are dropped, as the resolver ignores them; last-stopped agents outside
+    the graph are a ValueError.  A full chunk is copied out and the run goes
+    on in the same workspace.  A decline raises its error
+    (``_raise_decline``).  Oracle states and knots that do not fit are a
+    ValueError.
     """
     from .dynamics import EVENT_KINDS, FixedAlpha, SequentialSlow
 
     c_schedule, c_graph, c_quantizer = _tables()
-    work = _Work(1, 1)
+    work = _Work(0, 0)
 
-    def reserve(n: int, m: int = 0) -> _Work:
-        """The workspace, grown to at least n agents and m unknowns; more
-        unknowns are at least twice as many, up to the agents."""
+    def reserve(n: int, cutoff: float) -> _Work:
+        """The workspace, grown to at least n agents and min(n,
+        floor(cutoff)) unknowns (0 for a negative cutoff), the most that the
+        C code's guards m <= cutoff let a dense hold system have."""
         nonlocal work
+        m = int(min(max(cutoff, 0.0), n))
         if n > work.n or m > work.m:
-            n = max(n, work.n)
-            work = _Work(n, max(m, min(2 * work.m, n)) if m > work.m else work.m)
+            work = _Work(max(n, work.n), max(m, work.m))
         return work
 
     c_resolve, c_advance, c_regularized = lib.qcl_resolve, lib.qcl_advance, lib.qcl_regularized
@@ -361,35 +358,26 @@ def _bind_advance(lib: ctypes.CDLL):
     c_regularized.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_int64] + [ctypes.c_double] * 2
                               + [ctypes.c_int64, ctypes.c_double, ctypes.c_void_p])
 
-    def run(n: int, x: np.ndarray, stopped: tuple, quantizer, policy, call) -> tuple:
+    def run(n: int, x: np.ndarray, stopped: tuple, quantizer, policy, cutoff: float,
+            call) -> tuple:
         """``call(w, q, sequential)`` in the workspace ``w`` that holds the
         state ``x`` with the last-stopped agents ``stopped``, at t = 0 with
-        the kind of a start, made again (after 3, in a grown workspace)
-        until it returns neither 2 nor 3; returns its status and workspace."""
+        the kind of a start, made again until it returns anything but 2;
+        returns its status and workspace."""
         sequential = isinstance(policy, SequentialSlow)
         pins = [pin for pin in policy.overrides if 0 <= pin[0] < n] \
             if isinstance(policy, FixedAlpha) else []
         q = c_quantizer(quantizer)
-        w = reserve(n)
+        w = reserve(n, cutoff)
+        s = w.struct
         w.x[:n] = x
         w.buf["stopped"][:len(stopped)] = stopped
-        w.struct.t, w.struct.n_stopped, w.struct.kind = 0.0, len(stopped), 0
-        while True:
-            s = w.struct
-            s.n_pins = len(pins)
-            if pins:
-                w.buf["pins"][:len(pins)], w.buf["pin_alpha"][:len(pins)] = zip(*pins)
+        s.t, s.n_stopped, s.kind, s.n_pins = 0.0, len(stopped), 0, len(pins)
+        if pins:
+            w.buf["pins"][:len(pins)], w.buf["pin_alpha"][:len(pins)] = zip(*pins)
+        status = _FULL
+        while status == _FULL:
             status = call(w, q, sequential)
-            if status == _FULL:
-                continue
-            if status != _GROW:
-                break
-            grown = reserve(n, s.count)
-            grown.x[:n] = w.x[:n]
-            grown.buf["stopped"][:s.n_stopped] = w.buf["stopped"][:s.n_stopped]
-            for field in ("t", "n_stopped", "kind"):
-                setattr(grown.struct, field, getattr(s, field))
-            w = grown
         if status not in (0, _LIMIT):
             _raise_decline(s.reason, s.agent, quantizer, w.x, w.z)
         return status, w
@@ -399,8 +387,8 @@ def _bind_advance(lib: ctypes.CDLL):
         stopped = tuple(sorted(last_stopped))
         if stopped and not 0 <= stopped[0] <= stopped[-1] < n:
             raise ValueError(f"last-stopped agents {stopped} lie outside the {n} agents")
-        _, w = run(n, x, stopped, quantizer, policy, lambda w, q, sequential: c_resolve(
-            graph, w.address, q, sequential, w.struct.n_stopped, cutoff))
+        _, w = run(n, x, stopped, quantizer, policy, cutoff, lambda w, q, sequential:
+                   c_resolve(graph, w.address, q, sequential, w.struct.n_stopped, cutoff))
         buf, s = w.buf, w.struct
         k, count = s.n_surface, s.count
         surface, signs = buf["surface"][:k], buf["sign"][:k]
@@ -430,7 +418,7 @@ def _bind_advance(lib: ctypes.CDLL):
                 budget -= s.n_rows
             return status
 
-        status, w = run(n, x0, (), quantizer, policy, call)
+        status, w = run(n, x0, (), quantizer, policy, cutoff, call)
         s = w.struct
         return (np.concatenate(rows).reshape(-1, 4 * n + 1), np.concatenate(kinds),
                 np.concatenate(ints), "limit" if status else EVENT_KINDS[s.kind], s.t,
@@ -483,10 +471,9 @@ def _bind_write(lib: ctypes.PyDLL):
     def write(json: bool, indent: int, t: np.ndarray, kind: np.ndarray, x: np.ndarray,
               src: np.ndarray, z: np.ndarray, alpha: np.ndarray) -> str | None:
         rows, n = len(t), z.shape[1]
-        if x.shape != (rows, n) or alpha.shape != z.shape:
-            return None  # events of unequal widths, given to Trajectory
         arrays = (t, kind, x, src, z, alpha)
-        if (kind.shape != (rows,) or src.shape != (rows,) or indent < 0
+        if (x.shape != (rows, n) or alpha.shape != z.shape or kind.shape != (rows,)
+                or src.shape != (rows,) or indent < 0
                 or not all(a.flags.c_contiguous and a.dtype == dtype
                            for a, dtype in zip(arrays, _WRITE_DTYPES))):
             raise ValueError("the columns of a trajectory export do not fit together")

@@ -28,7 +28,7 @@ import numpy as np
 from . import _json, quantizers
 from ._ckernel import sha256
 from .dynamics import (FixedAlpha, SequentialSlow, SimulationLimitError, Sliding, Trajectory,
-                       TrajectoryEvent, _csv_line, _row_dicts, simulate)
+                       TrajectoryEvent, _row_dicts, simulate)
 from .graphs import GraphSchedule, WeightedDigraph
 from .quantizers import GeneralQuantizer, UniformQuantizer
 
@@ -485,6 +485,12 @@ def _exact_states() -> list[float]:
     ties = [(2 ** 52 + 1) / 4, (2 ** 52 + 3) / 4, 131073 / 2 ** 17, 1049 / 2 ** 20]
     ends = [20000000000000008.0, 36028797018964304.0, 72057594037931008.0]
     return [_ulps(v, u) for v in centres for u in (-2, -1, 0, 1, 2)] + ties + ends
+
+
+def _csv_line(row: dict) -> str:
+    """One CSV line: ``repr`` of each number, an empty cell off the surface."""
+    return ",".join([repr(row["t"]), row["event"], *map(repr, row["x"]), *map(repr, row["z"]),
+                     *["" if a is None else repr(a) for a in row["alpha"]]]) + "\n"
 
 
 def _writer_agrees(write) -> bool:

@@ -29,9 +29,9 @@
  * kind; certifies a state at rest as terminal, with one qcl_resolve per
  * graph still to come, or moves it to the next switch; and takes the last
  * step to the horizon.  It returns only where the run ends (an equilibrium
- * or the horizon), at the event limit, when a resolve declines or needs
- * larger buffers, or when the chunk of recorded events is full, which the
- * binding empties before it calls again.
+ * or the horizon), at the event limit, when a resolve declines, or when the
+ * chunk of recorded events is full, which the binding empties before it
+ * calls again in the same workspace.
  *
  * qcl_regularized: a whole run of the regularized oracle of
  * qcl.dynamics.simulate_regularized, classical RK4 on x' = -L(t) q(x) with
@@ -66,33 +66,37 @@
  * - qcl_regularized (_bind_advance, which wraps it as regularized): the
  *   schedule's tables as for qcl_advance; samples + 1 rows of states and 6
  *   doubles of work per agent, allocated there, with the initial state, of
- *   the schedule's width, in row 0; at least two knots and as many values.
+ *   the schedule's width, in row 0; at least two knots, strictly increasing
+ *   (simulate_regularized keeps 2 eps below every gap between thresholds),
+ *   and as many values.
  * - qcl_resolve and qcl_advance (_bind_advance): the workspace (_Work) has
- *   at least n agents, its hold buffers m unknowns (a call that needs more
- *   returns 3 with the number in count, and the binding grows them) and its
- *   chunk at least one event; the n_stopped last-stopped agents lie in
- *   [0, n), in increasing order (resolve_sliding raises InputError for any
- *   other, the binding ValueError); the pins lie in [0, n), in increasing
- *   order (the binding drops the others, FixedAlpha sorts them); colmap
- *   holds -1 for every agent (set when the workspace is made, restored by
- *   hold_solve); the cutoff is a double (resolve_sliding raises InputError
- *   for a value that is not a number); the schedule and quantizer tables
- *   come from a validated GraphSchedule and GeneralQuantizer (every graph
- *   of n agents, starts increasing from 0, thresholds sorted and finite).
+ *   at least n agents, hold buffers of at least min(n, floor(cutoff))
+ *   unknowns (0 for a negative cutoff), sized by reserve before a resolve
+ *   or a run (the guards m <= cutoff of qcl_resolve and pgs keep every dense
+ *   hold system within them), and a chunk of at least one event; the
+ *   n_stopped last-stopped agents lie in [0, n), in increasing order
+ *   (resolve_sliding raises InputError for any other, the binding
+ *   ValueError); the pins lie in [0, n), in increasing order (the binding
+ *   drops the others, FixedAlpha sorts them); colmap holds -1 for every
+ *   agent (set when the workspace is made, restored by hold_solve); the
+ *   cutoff is a double, not NaN (resolve_sliding raises InputError for a
+ *   value that is not a number); the schedule and quantizer tables come
+ *   from a validated GraphSchedule and GeneralQuantizer (every graph of n
+ *   agents, starts increasing from 0, thresholds sorted and finite).
  * - qcl_write (_bind_write): the six columns have the dtypes, shapes and
  *   C order that it reads, and the indent is not negative; the C code
  *   checks the indices in kind and src itself.
- * Besides its capacities (m, rows_cap, ints_cap) and the pins (pins,
- * pin_alpha, n_pins), which the binding writes before each call, the
- * workspace carries from one call to the next only colmap and, within one
- * run, x, stopped, t, n_stopped and kind: the event where qcl_advance
- * stopped, which the binding writes before the run's first call and copies
- * into a grown workspace, and from which the next call goes on.  qcl_resolve
- * reads x and stopped as the binding writes them.  Every other buffer and
- * field is written before it is read within a call (tests/test_kernels.py
- * poisons them before each call).  qcl_resolve and qcl_advance work in one
- * struct qcl_work, so neither is reentrant; qcl_regularized reads nothing
- * of its states and work but row 0 before it writes it.
+ * Besides its capacities (rows_cap, ints_cap) and, within a run, the pins
+ * (pins, pin_alpha, n_pins), which the binding writes before the run's
+ * first call with its start (x, stopped, t, n_stopped and kind), the
+ * workspace carries from one call to the next only colmap and the stopped
+ * event of a full chunk, from which the next call of the run goes on.
+ * qcl_resolve reads x and stopped as the binding writes them.  Every other
+ * buffer and field is written before it is read within a call
+ * (tests/test_kernels.py poisons them before each call).  qcl_resolve and
+ * qcl_advance work in one struct qcl_work, so neither is reentrant;
+ * qcl_regularized reads nothing of its states and work but row 0 before it
+ * writes it.
  */
 #include <float.h>
 #include <math.h>
@@ -117,7 +121,7 @@ struct qcl_graph {
 };
 
 /* The buffers of qcl_resolve and qcl_advance, for up to n agents and hold
- * systems of up to m unknowns.
+ * systems of min(n, floor(cutoff)) unknowns (see the preconditions above).
  *
  * x, y and z hold n doubles each: the states, the velocity of a resolve
  * (which its hit scan reads) and its selection.  stopped (n) lists the
@@ -141,9 +145,10 @@ struct qcl_graph {
  * qcl_advance starts at time t from the state x, an event of kind kind,
  * with the n_stopped last-stopped agents in stopped in increasing order,
  * and leaves there the time, state, kind and last-stopped agents where it
- * stopped.  It writes n_rows rows of 4 n + 1 doubles to rows (capacity
- * rows_cap doubles), their kinds to kinds (capacity rows_cap / 5) and n_ints
- * integers to ints (capacity ints_cap); see qcl_advance. */
+ * stopped: at a full chunk, all that a call carries to the next.  It writes
+ * n_rows rows of 4 n + 1 doubles to rows (capacity rows_cap doubles), their
+ * kinds to kinds (capacity rows_cap / 5) and n_ints integers to ints
+ * (capacity ints_cap); see qcl_advance. */
 struct qcl_work {
     double *x;
     double *y;
@@ -168,7 +173,6 @@ struct qcl_work {
     double *rows;
     int64_t *ints;
     int64_t *kinds;
-    int64_t m;
     int64_t rows_cap;
     int64_t ints_cap;
     int64_t n_pins;
@@ -629,8 +633,7 @@ static void swap_unknowns(struct qcl_work *w, int64_t r, int64_t q)
  * and alpha[slot[r]] = 0.0 + (z - lo) / (hi - lo); active, slot and box are
  * reordered with the held agents first, in their order.  Declines
  * (QCL_PGS_STALLED) when the sweeps do not converge and (QCL_PGS_SPLIT)
- * when an agent neither holds nor departs; returns 3 when the hold buffers
- * are too small, with the number of unknowns needed in count. */
+ * when an agent neither holds nor departs. */
 static int pgs(const struct qcl_graph *g, struct qcl_work *w, int64_t m, int64_t k,
                double cutoff)
 {
@@ -705,10 +708,6 @@ static int pgs(const struct qcl_graph *g, struct qcl_work *w, int64_t m, int64_t
     if (held > 0 && !(held > cutoff)) {
         int feasible = 1;
 
-        if (held > w->m) {
-            w->count = held;
-            return 3;
-        }
         if (hold_solve(g, held, z, w) == 0) {
             for (int64_t r = 0; r < held; r++)
                 feasible &= -FEAS_SLACK <= w->out[r] && w->out[r] <= 1.0 + FEAS_SLACK;
@@ -865,8 +864,7 @@ static int final_fault(struct qcl_work *w)
  * pinned agent), the surface agents with their coefficients and signs (see
  * struct qcl_work) and the arrival as threshold_hits leaves it; 1 when it
  * declines, with the reason and agent in w (see QCL_STATE), its outputs
- * then unspecified; or 3 when the hold buffers are too small, with the
- * number of unknowns needed in count. */
+ * then unspecified. */
 int qcl_resolve(const struct qcl_graph *g, struct qcl_work *w, const struct qcl_quantizer *q,
                 int64_t sequential, int64_t n_stopped, double cutoff)
 {
@@ -900,10 +898,6 @@ int qcl_resolve(const struct qcl_graph *g, struct qcl_work *w, const struct qcl_
         int status;
 
         m = candidates(g, w);
-        if (!(m > cutoff) && m > w->m) {
-            w->count = m;
-            return 3;
-        }
         status = m > cutoff ? pgs(g, w, m, k, cutoff) : dense_holds(g, w, m, sequential, cutoff);
         if (status)
             return status;
@@ -1029,11 +1023,10 @@ static int64_t lookup(const struct qcl_schedule *s, double t, double *after)
  * Returns 0 when the run ends, with w->kind KIND_EQUILIBRIUM or
  * KIND_HORIZON; before the resolve, LIMIT when budget events are recorded
  * and the next is not at the horizon, and FULL when the chunk has no room
- * for another event; or what qcl_resolve returns when a resolve declines or
- * needs larger buffers, with nothing of that event recorded.  w->t, w->x,
- * w->kind and the last stopped agents hold the event where it stopped, from
- * which the next call goes on.  A chunk of rows_cap doubles holds at most
- * rows_cap / 5 events of at least one agent. */
+ * for another event; or 1 when a resolve declines, with nothing of that
+ * event recorded.  w->t, w->x, w->kind and the last stopped agents hold the
+ * event where it stopped, from which the next call goes on.  A chunk of
+ * rows_cap doubles holds at most rows_cap / 5 events of at least one agent. */
 int qcl_advance(const struct qcl_schedule *sc, struct qcl_work *w, const struct qcl_quantizer *q,
                 int64_t sequential, double cutoff, double horizon, int64_t budget)
 {

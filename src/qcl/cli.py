@@ -47,7 +47,7 @@ from .dynamics import (
     simulate_regularized,
 )
 from .graphs import has_globally_reachable_node
-from .quantizers import InputError, KernelError
+from .quantizers import InputError, KernelError, json_agent
 from .scenarios import (
     ScenarioConfig,
     example1_line,
@@ -227,15 +227,23 @@ def _sweep_cell(builder: str, n: int, delta: float, a: float, b: float,
     return row
 
 
-def cmd_sweep(args) -> int:
-    def parse_list(text: str, cast):
-        return [cast(v) for v in text.split(",") if v != ""]
+def _parse_list(flag: str, text: str, integers: bool) -> list:
+    """The values of a sweep's comma-separated list flag, integers by the
+    rule of ``json_agent``; any other text is an InputError naming it."""
+    try:
+        return [json_agent(v) if integers else float(v) for v in text.split(",")]
+    except ValueError:
+        kind = "integers" if integers else "numbers"
+        raise InputError(f"{flag} must be a comma-separated list of {kind}, "
+                         f"got {text!r}") from None
 
-    ns = parse_list(args.n_list, int)
-    deltas = parse_list(args.delta_list, float)
-    a_vals = parse_list(args.a_list, float)
-    b_vals = parse_list(args.b_list, float)
-    seeds = parse_list(args.seed_list, int)
+
+def cmd_sweep(args) -> int:
+    ns = _parse_list("--n-list", args.n_list, True)
+    deltas = _parse_list("--delta-list", args.delta_list, False)
+    a_vals = _parse_list("--a-list", args.a_list, False)
+    b_vals = _parse_list("--b-list", args.b_list, False)
+    seeds = _parse_list("--seed-list", args.seed_list, True)
     max_events = _max_events_override()
     grid = [
         (n, delta, a, b, seed)

@@ -279,7 +279,7 @@ def resolve_sliding(
         if not isinstance(s, (int, np.integer)) or not 0 <= s < g.n:
             raise InputError(f"last-stopped agent {s!r} is not an agent of the "
                              f"{g.n}-agent graph")
-    if isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Real):
+    if isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Real) or cutoff != cutoff:
         raise InputError(f"cutoff must be a number, got {cutoff!r}")
     # min compares exactly, so an int too large for a float counts as inf.
     cutoff = float(min(cutoff, math.inf))
@@ -339,6 +339,13 @@ class Trajectory:
 
     def __init__(self, quantizer: Quantizer, events: Iterable[TrajectoryEvent], status: str):
         events = list(events)
+        n = len(events[0].x) if events else 0
+        for k, ev in enumerate(events):
+            widths = (len(ev.x), len(ev.z), len(ev.velocity), len(ev.alpha))
+            if widths != (n,) * 4:
+                raise InputError(f"event {k} has {widths[0]} states, {widths[1]} selections, "
+                                 f"{widths[2]} velocities and {widths[3]} coefficients, "
+                                 f"where event 0 has {n} states")
         records = [v for ev in events for v in _record(ev.hits, ev.departing)]
         self._store(quantizer, status, np.array([ev.t for ev in events], dtype=float),
                     *[_matrix([getattr(ev, name) for ev in events]) for name in ("x", "z",
@@ -482,10 +489,7 @@ class Trajectory:
     def to_csv(self, stride: float | None = None) -> str:
         header = ["t", "event"] + [f"{name}_{i + 1}" for name in ("x", "z", "alpha")
                                    for i in range(self.n)]
-        rows = self._rows(stride)
-        body = quantizers._load_kernel().write(False, 0, *rows)
-        if body is None:  # rows of unequal widths
-            body = "".join(map(_csv_line, _row_dicts(*rows)))
+        body = quantizers._load_kernel().write(False, 0, *self._rows(stride))
         return ",".join(header) + "\n" + body
 
     def to_json_obj(self, stride: float | None = None) -> dict:
@@ -501,12 +505,6 @@ def _row_dicts(t, kind, x, src, z, alpha) -> list[dict]:
     alpha = [[None if a != a else a for a in row] for row in alpha.tolist()]
     return [{"t": tr, "event": KIND_NAMES[k], "x": xr, "z": list(z[e]), "alpha": list(alpha[e])}
             for tr, k, xr, e in zip(t.tolist(), kind.tolist(), x.tolist(), src.tolist())]
-
-
-def _csv_line(row: dict) -> str:
-    """One CSV line: ``repr`` of each number, an empty cell off the surface."""
-    return ",".join([repr(row["t"]), row["event"], *map(repr, row["x"]), *map(repr, row["z"]),
-                     *["" if a is None else repr(a) for a in row["alpha"]]]) + "\n"
 
 
 class _Lazy(Sequence):
@@ -632,6 +630,12 @@ def simulate_regularized(
     dmin = quantizer.delta_min
     if math.isfinite(dmin) and not (eps < dmin / 4.0):
         raise InputError(f"eps must be below delta_min/4 = {dmin / 4.0}")
+    # The knots must increase; for a uniform quantizer delta/4 is the tighter bound.
+    if not isinstance(quantizer, UniformQuantizer):
+        th = quantizer.thresholds
+        gap = min([b - a for a, b in zip(th, th[1:])], default=math.inf)
+        if not (2.0 * eps < gap):
+            raise InputError(f"eps must be below half the smallest threshold gap = {gap / 2.0}")
     span = quantizer.level_span(x0)
     # With every state on one level, a state within eps of a threshold still
     # moves along its ramp: then the largest jump across one bounds h.

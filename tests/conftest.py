@@ -42,6 +42,23 @@ def reference_oracle_run(name: str):
     return traj, run
 
 
+def counted_workspaces(mp) -> list[tuple[int, int]]:
+    """Make ``_ckernel._Work`` record the agents and the unknowns that the
+    hold buffers hold of each workspace that it builds, in a list that it
+    returns."""
+    built = []
+
+    class Counted(_ckernel._Work):
+        def __init__(self, n, m):
+            super().__init__(n, m)
+            unknowns = len(self.buf["out"])
+            assert len(self.buf["aug"]) == unknowns * (unknowns + 1)
+            built.append((n, unknowns))
+
+    mp.setattr(_ckernel, "_Work", Counted)
+    return built
+
+
 def force_list_path(mp) -> None:
     """Make qcl run the reference list code (``tests/reference.py``) in place
     of its compiled kernels: every compiled path goes through the one loader

@@ -5,7 +5,7 @@ oracle.
 
 ``KERNELS`` wraps it in the interface of ``qcl._ckernel.Kernels``:
 ``resolve``, ``advance`` (a whole run), ``regularized`` (a whole oracle
-run) and ``write``, which leaves every export to qcl's Python writer.
+run) and ``write``, the Python writer of every export.
 ``conftest.kernel_path("lists")`` installs it in place of the compiled
 kernels, so that ``simulate`` runs this event loop, and
 ``_kernel_check.digests(KERNELS)`` are the sha256s that every build must
@@ -26,8 +26,9 @@ from typing import Callable, Collection, NamedTuple
 import numpy as np
 
 from qcl._ckernel import PIN_OVERFLOW, Kernels
+from qcl._kernel_check import _csv_line
 from qcl.dynamics import (EVENT_KINDS, ContractViolation, FixedAlpha, NoSlidingSelection,
-                          Resolution, SelectionPolicy, SequentialSlow, _record)
+                          Resolution, SelectionPolicy, SequentialSlow, _record, _row_dicts)
 from qcl.graphs import GraphSchedule, WeightedDigraph, laplacian
 from qcl.quantizers import InputError, Quantizer
 
@@ -662,9 +663,15 @@ def advance(schedule: GraphSchedule, x: np.ndarray, quantizer: Quantizer,
             t, kind, hits_now = ts, "topology-switch", ()
 
 
+def write(json: bool, indent: int, *columns: np.ndarray) -> str | None:
+    """The rows of a trajectory export as ``qcl_write`` gives them: the CSV
+    lines of ``_kernel_check._csv_line``, or None for JSON, which
+    ``qcl._json`` then writes as a list."""
+    return None if json else "".join(map(_csv_line, _row_dicts(*columns)))
+
+
 #: The reference in the interface of the compiled kernels.
-KERNELS = Kernels(resolve=resolve, advance=advance, regularized=regularized,
-                  write=lambda *columns: None)
+KERNELS = Kernels(resolve=resolve, advance=advance, regularized=regularized, write=write)
 
 
 if __name__ == "__main__":

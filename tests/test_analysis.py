@@ -207,7 +207,8 @@ class TestAverageConservation:
         rng = np.random.default_rng(seed)
         x = rng.choice([-1.0, 1.0], (rows, n)) * 10.0 ** rng.uniform(-8, 8, (rows, n))
         x[rng.random((rows, n)) < 0.1] = -0.0
-        events = [replace(_constant_trajectory().events[0], x=tuple(r)) for r in x.tolist()]
+        events = [replace(_constant_trajectory().events[0], x=tuple(r), z=(0.0,) * n,
+                          velocity=(0.0,) * n, alpha=(None,) * n) for r in x.tolist()]
         # The per-event form it replaced: one np.mean per event.
         mean0 = float(np.mean(events[0].x))
         expected = max(abs(float(np.mean(ev.x)) - mean0) for ev in events)

@@ -442,14 +442,24 @@ class TestSweep:
         for a, b in zip(t, t[1:]):
             assert abs(b / a - 2.0) <= 0.02
 
-    def test_empty_grid(self, tmp_path, capsys):
-        code = run_cli(
-            "sweep", "--builder", "example1", "--n-list", "", "--out", str(tmp_path)
-        )
-        assert code == 0
-        assert (tmp_path / "sweep.csv").read_text().strip().split("\n") == [
-            "n,delta,a,b,seed,policy,t_con,bound,bound_ok,avg_drift,status"
-        ]
+    @pytest.mark.parametrize("flag,value", [
+        ("--n-list", "3.5"),  # once Python's "invalid literal for int()"
+        ("--n-list", ","),  # once an empty grid with exit 0
+        ("--n-list", ""),
+        ("--n-list", "\u0663"),  # ARABIC-INDIC DIGIT THREE, once run as n = 3
+        ("--n-list", "3,,4"),
+        ("--seed-list", "+1"),
+        ("--delta-list", "0.5,x"),
+        ("--a-list", ""),
+        ("--b-list", "1,"),
+    ], ids=["fraction", "comma", "empty", "arabic-indic-digit", "empty-item", "plus-sign",
+            "not-a-number", "empty-float-list", "trailing-comma"])
+    def test_bad_list_is_one_error_line(self, tmp_path, capsys, flag, value):
+        code = run_cli("sweep", "--builder", "example1", flag, value, "--out", str(tmp_path))
+        kind = "integers" if flag in ("--n-list", "--seed-list") else "numbers"
+        assert (code, capsys.readouterr()) == (1, (
+            "", f"error: {flag} must be a comma-separated list of {kind}, got {value!r}\n"))
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_cell_error_recorded_and_exit_2(self, tmp_path):
         code = run_cli(

@@ -36,7 +36,7 @@ from qcl import (
 )
 import reference
 from conftest import (KERNEL_PATHS, MUTANT_FLAGS, SHIPPED_FLAGS, assert_self_check_rejects,
-                      build_kernel_variant, force_list_path, kernel_path)
+                      build_kernel_variant, counted_workspaces, force_list_path, kernel_path)
 from qcl import _ckernel, dynamics, graphs, quantizers
 from qcl._json import dumps
 from qcl.dynamics import KIND_NAMES, policy_from_json
@@ -893,15 +893,18 @@ def test_every_run_is_one_advance_call(monkeypatch):
 
 
 def test_event_loop_resumes_after_a_full_chunk_and_grown_buffers(monkeypatch):
-    # A chunk of three 12-agent events, and a workspace that starts with one
-    # unknown, so the hold buffers grow in the middle of a run.  The one
-    # advance call empties each full chunk and goes on, and records every
-    # event.
+    # A chunk of three 12-agent events in fresh kernels.  The workspace
+    # grows once, before the run's first call, to the 12 agents and their
+    # 12 unknowns; the one advance call empties each full chunk and resumes
+    # in that workspace from the event where the chunk filled, and records
+    # every event.
     monkeypatch.setattr(_ckernel, "CHUNK", 3 * (4 * 12 + 1))
+    built = counted_workspaces(monkeypatch)
     recorded = _counting_advance(monkeypatch, quantizers._load_kernel.__wrapped__())
     config = example1_line(12, 1 / 16, x0_spacing=0.3)
     compiled = _run_outcome(config)
     assert recorded == [len(compiled[2])] and recorded[0] > 10 * 3
+    assert built == [(0, 0), (12, 12)]
     force_list_path(monkeypatch)
     assert compiled == _run_outcome(config)
 
@@ -941,26 +944,22 @@ def test_compiled_simulate_builds_no_sparse_rows():
 
 
 def test_workspace_grows_a_few_times_over_the_wide_surface_workload(monkeypatch):
-    # Surface sets grow one agent at a time up to 64 unknowns on up to 160
-    # agents; doubling the unknowns, up to the agents, replaces the
-    # workspace 10 times after the first, where growing to the size asked
-    # for replaced it 67 times.
-    built = []
-
-    class Counted(_ckernel._Work):
-        def __init__(self, n, m):
-            built.append((n, m))
-            super().__init__(n, m)
-
-    monkeypatch.setattr(_ckernel, "_Work", Counted)
+    # Surface sets of up to 64 unknowns on 40 to 160 agents.  A run's
+    # workspace is sized before its first call for its agents and the
+    # min(n, 64) unknowns that the default dense cutoff allows, so one is
+    # built per increase in the agent count, 5 in all with the empty first
+    # one.
+    built = counted_workspaces(monkeypatch)
     kernels = quantizers._load_kernel.__wrapped__()  # a fresh workspace
     monkeypatch.setattr(quantizers, "_load_kernel", lambda: kernels)
     root = Path(__file__).resolve().parents[1]
+    expected = [(0, 0)]
     for case in _benchmark_workloads().WORKLOADS["wide-surface"](1, root):
-        simulate(scenario_from_json(json.loads(case.text())))
-    assert built[0] == (1, 1) and len(built) <= 12
-    assert max(m for _, m in built) == 64
-    assert all(m <= n for n, m in built)
+        config = scenario_from_json(json.loads(case.text()))
+        if len(config.x0) > expected[-1][0]:
+            expected.append((len(config.x0), min(len(config.x0), 64)))
+        simulate(config)
+    assert built == expected and len(built) <= 5
 
 
 @pytest.mark.parametrize("old,new,flags", [
@@ -1205,6 +1204,21 @@ class TestTrajectory:
         probes = times + [(a + b) / 2 for a, b in zip(times, times[1:])] + [-1.0, times[-1] + 1.0]
         for t in probes:
             assert repr(traj.state_at(t).tolist()) == repr(_state_at_scan(traj, t).tolist())
+
+    @pytest.mark.parametrize("widths,message", [
+        # Once a CSV whose header had 11 columns and whose row had 9 cells.
+        ([(3, 2, 3, 2)], "event 0 has 3 states, 2 selections, 3 velocities and 2 "
+                         "coefficients, where event 0 has 3 states"),
+        # Once numpy's "inhomogeneous shape" ValueError.
+        ([(3, 3, 3, 3), (2, 2, 2, 2)], "event 1 has 2 states, 2 selections, 2 velocities "
+                                       "and 2 coefficients, where event 0 has 3 states"),
+    ], ids=["one-event", "two-events"])
+    def test_events_of_unequal_widths_are_an_input_error(self, widths, message):
+        events = [dynamics.TrajectoryEvent(float(k), "start", (0.0,) * nx, (0.0,) * nz,
+                                           (0.0,) * nv, (None,) * na, (), ())
+                  for k, (nx, nz, nv, na) in enumerate(widths)]
+        with pytest.raises(InputError, match=f"^{message}$"):
+            dynamics.Trajectory(UNIT, events, "equilibrium")
 
     def test_csv_layout(self):
         traj = simulate(example1_line(3, 1.0, policy=Sliding()))

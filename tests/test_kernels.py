@@ -6,6 +6,8 @@ AddressSanitizer and UndefinedBehaviorSanitizer."""
 from __future__ import annotations
 
 import ctypes
+import hashlib
+import math
 import os
 import re
 import shutil
@@ -18,11 +20,12 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import MUTANT_FLAGS, build_kernel_variant
+from conftest import MUTANT_FLAGS, build_kernel_variant, counted_workspaces
 from qcl import (ContractViolation, FixedAlpha, GraphSchedule, InputError, KernelError,
                  NoSlidingSelection, ScenarioConfig, SequentialSlow, Sliding, UniformQuantizer,
-                 WeightedDigraph, _ckernel, _kernel_check, cli, quantizers, resolve_sliding,
-                 selection_velocity, simulate_regularized)
+                 WeightedDigraph, _ckernel, _kernel_check, cli, example1_line, line_graph,
+                 quantizers, random_connected, resolve_sliding, selection_velocity, simulate,
+                 simulate_regularized)
 from test_golden import CASES, DIGESTS, JSON_DIGESTS, STRIDE_DIGESTS, digests
 
 
@@ -196,7 +199,7 @@ def test_declines_are_the_self_checks():
                                      cutoff) in checked
 
 
-@pytest.mark.parametrize("cutoff", ["64", None, [64], True, 1j])
+@pytest.mark.parametrize("cutoff", ["64", None, [64], True, 1j, float("nan")])
 def test_cutoff_that_is_not_a_number_is_an_input_error(cutoff):
     case = DECLINES["PGS_SPLIT"][0]
     with pytest.raises(InputError, match="^cutoff must be a number"):
@@ -368,6 +371,72 @@ def test_oracle_cases_reach_their_edge_shapes():
     assert np.all(periodic.states[-1] != periodic.states[0])
 
 
+def _resolver_edge_shapes() -> dict[str, tuple]:
+    """The resolver's edge shapes at the sizing of its hold buffers, by
+    name: ``(n, unknowns, thunk)``, where ``thunk()`` gives the bits of one
+    resolve or run on ``n`` agents, whose workspace holds ``unknowns``
+    unknowns."""
+    def resolve(x, g, cutoff=64.0):
+        def thunk():
+            r = resolve_sliding(np.array(x, float), g, UNIT, cutoff=cutoff)
+            return repr((r.z.tobytes(), r.velocity.tobytes(), r.alpha, sorted(r.held),
+                         r.departing))
+        return thunk
+
+    # Agent 0 listens to the 139 others, which listen to it and to their
+    # neighbours on a line: 140 agents on thresholds, 112 of which depart.
+    star = WeightedDigraph.from_edges(140, [(0, j, 1.0 + j / 7) for j in range(1, 140)]
+                                      + [(j, 0, 0.5) for j in range(1, 140)]
+                                      + [(j, j + d, 1.0) for j in range(1, 140)
+                                         for d in (-1, 1) if 0 < j + d < 140])
+    on_thresholds = [0.5 + (i * 7 % 5) - 2 for i in range(140)]
+    return {
+        "one-agent": (1, 1, resolve([0.5], WeightedDigraph.empty(1))),
+        "empty-graph": (5, 5, resolve([0.5, 1.0, -1.5, 2.5, 0.2], WeightedDigraph.empty(5))),
+        # Projected Gauss-Seidel polishes 28 held agents.
+        "row-past-128": (140, 64, resolve(on_thresholds, star)),
+        "row-past-128-dense": (140, 140, resolve(on_thresholds, star, math.inf)),
+        "cutoff-0": (6, 0, resolve([0.5, 1.5, 0.5, 2.5, 1.5, 0.5], line_graph(6, 1.0), 0.0)),
+        "negative-cutoff": (6, 0, resolve([0.5, 1.5, 0.5, 2.5, 1.5, 0.5], line_graph(6, 1.0),
+                                          -1.5)),
+        # Two candidates, solved densely in the two unknowns.
+        "cutoff-2.5": (6, 2, resolve([0.5, 1.5, 1.0, 1.0, 2.0, 2.0], line_graph(6, 1.0), 2.5)),
+        "one-threshold": (12, 12, resolve([0.5] * 12,
+                                          random_connected(12, seed=3).schedule.graph_at(0.0),
+                                          math.inf)),
+        "64-candidates": (80, 64, resolve([0.5 + i % 3 if i < 64 else 0.25 + i % 2
+                                           for i in range(80)], line_graph(80, 1.0))),
+        # 1,004 events of 8 agents, in chunks of 124.
+        "full-chunk": (8, 8, lambda: simulate(example1_line(8, 1 / 64, x0_spacing=0.98))
+                       .to_csv()),
+    }
+
+
+def resolver_edge_outcomes(fresh) -> dict[str, str]:
+    """The sha256 of the bits of each of ``_resolver_edge_shapes``, each in
+    the new workspace of the kernels ``fresh()``."""
+    load, outcomes = quantizers._load_kernel, {}
+    try:
+        for name, (_, _, thunk) in _resolver_edge_shapes().items():
+            kernels = fresh()
+            quantizers._load_kernel = lambda: kernels
+            outcomes[name] = hashlib.sha256(thunk().encode()).hexdigest()
+    finally:
+        quantizers._load_kernel = load
+    return outcomes
+
+
+def test_each_edge_shape_builds_one_workspace_of_the_least_size(monkeypatch):
+    # A resolve or a run on n agents at the cutoff c builds, in fresh
+    # kernels, one workspace whose hold buffers hold min(n, floor(c))
+    # unknowns (0 for c < 0), and the run's calls after a full chunk build
+    # no other.
+    built = counted_workspaces(monkeypatch)
+    resolver_edge_outcomes(quantizers._load_kernel.__wrapped__)
+    assert built == [size for n, m, _ in _resolver_edge_shapes().values()
+                     for size in ((0, 0), (n, m))]
+
+
 # -- sanitizers ------------------------------------------------------------------
 
 #: A build under AddressSanitizer and UndefinedBehaviorSanitizer: -O1 with
@@ -377,14 +446,15 @@ SANITIZE_FLAGS = ("-O1", "-g", "-fno-omit-frame-pointer", "-fsanitize=address,un
                   "-fno-sanitize-recover=all", *_ckernel.FLAGS[1:])
 
 #: Run in a process with the sanitizer runtimes: the self-check of the
-#: library named by the first argument, then the golden cases and the
-#: oracle cases with it; prints whether the self-check passed, how many
-#: golden cases differ, and the oracle's outcomes as ``repr`` prints them.
+#: library named by the first argument, then the golden cases, the oracle
+#: cases and the resolver's edge shapes with it; prints whether the
+#: self-check passed, how many golden cases differ, and the outcomes of the
+#: oracle and the edge shapes as ``repr`` prints them.
 _SANITIZED_RUN = """
 import sys
 from qcl import _ckernel, _kernel_check, quantizers
 from test_golden import CASES, DIGESTS, JSON_DIGESTS, STRIDE_DIGESTS, digests
-from test_kernels import oracle_outcomes
+from test_kernels import oracle_outcomes, resolver_edge_outcomes
 
 kernels = _ckernel._bind(sys.argv[1])
 agree = _kernel_check.kernels_agree(kernels)
@@ -392,6 +462,7 @@ quantizers._load_kernel = lambda: kernels
 print(agree, sum(digests(name) != (DIGESTS[name], *JSON_DIGESTS[name], STRIDE_DIGESTS.get(name))
                  for name in CASES))
 print(oracle_outcomes())
+print(resolver_edge_outcomes(lambda: _ckernel._bind(sys.argv[1])))
 """
 
 
@@ -414,10 +485,12 @@ def _sanitized_run(tmp_path, source: str, flags=SANITIZE_FLAGS) -> subprocess.Co
 
 
 def test_sanitized_build_passes_the_self_check_and_goldens_without_a_report(tmp_path):
-    # The oracle's runs give the bits of the shipped build too.
+    # The oracle's runs and the resolver's edge shapes, each in a workspace
+    # of the least size, give the bits of the shipped build too.
     run = _sanitized_run(tmp_path, _ckernel.SOURCE.read_text())
+    edges = resolver_edge_outcomes(quantizers._load_kernel.__wrapped__)
     assert (run.returncode, run.stdout, run.stderr) == (
-        0, f"True 0\n{oracle_outcomes()!r}\n", "")
+        0, f"True 0\n{oracle_outcomes()!r}\n{edges!r}\n", "")
 
 
 def test_sanitized_build_reports_a_read_past_a_row(tmp_path):

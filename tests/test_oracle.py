@@ -132,6 +132,24 @@ def test_precondition_eps_below_quarter_cell():
         simulate_regularized(config, eps=0.3, h=1e-6)
 
 
+def test_precondition_eps_below_half_the_smallest_threshold_gap():
+    # Thresholds 0.02 apart between levels 1 apart: eps = 0.2 passes the
+    # delta_min/4 bound, but the ramps overlap (knots 0.79, 1.19, 0.81,
+    # 1.21): the oracle (h = 1e-3) stood at (0.966, 1.034) at t = 0.5 and at
+    # (1, 1) from t = 5, where simulate rests at (0.99, 1.01).
+    config = ScenarioConfig(
+        schedule=GraphSchedule.time_invariant(line_graph(2, 1.0), 1.0, 1.0),
+        quantizer=GeneralQuantizer(levels=(0.0, 1.0, 2.0), thresholds=(0.99, 1.01)),
+        x0=(0.5, 1.5),
+        horizon=10.0,
+    )
+    assert simulate(config).final_x.tolist() == [0.99, 1.01]
+    with pytest.raises(InputError, match=r"^eps must be below half the smallest threshold "
+                       r"gap = 0\.01"):
+        simulate_regularized(config, eps=0.2, h=1e-3, t_end=1.0)
+    assert simulate_regularized(config, eps=0.009, h=5e-4, t_end=0.01).states.shape == (2, 2)
+
+
 def test_precondition_step_size_guard():
     config = example1_line(3, 1.0, policy=Sliding())
     # guard: h < eps / (4 * n * a_high * level_span) = 1e-3 / 24
