@@ -5,19 +5,15 @@ exact reproducibility of event times requires round-trippable output, so
 this tiny serializer handles the flat structures this package emits.
 
 The writer makes one pass: it appends string parts to one list, joined once
-at the end, and formats a list or tuple of floats and ``None`` in one batch,
-so the cost of a trajectory is one call per container, not one per value.
-An object with a ``json_text(indent)`` method, the event rows of a
-trajectory, writes itself, or returns None to be written as a list.
+at the end.  An object with a ``json_text(indent)`` method, the event rows
+of a trajectory, writes itself (the compiled ``qcl_write``), or returns None
+to be written as a list, one value at a time.
 """
 
 from __future__ import annotations
 
 import math
 from json.encoder import encode_basestring_ascii as _quote
-
-#: Unlike ``format``, it refuses anything but a float, with ``TypeError``.
-_float_format = float.__format__
 
 
 def _format_float(v: float) -> str:
@@ -50,19 +46,10 @@ def _write(obj, indent: int, parts: list[str]) -> None:
         child = indent + 2
         sep = ",\n" + " " * child
         parts.append("[\n" + " " * child)
-        try:
-            text = sep.join(["null" if v is None else _float_format(v, ".17g") for v in obj])
-        except TypeError:  # an element is neither None nor a float
-            text = None
-        if text is None or "inf" in text or "nan" in text:
-            # The general rules give each element its own text or error, in
-            # order, so the first refused value raises.
-            for k, v in enumerate(obj):
-                if k:
-                    parts.append(sep)
-                _write(v, child, parts)
-        else:
-            parts.append(text)
+        for k, v in enumerate(obj):
+            if k:
+                parts.append(sep)
+            _write(v, child, parts)
         parts.append("\n" + " " * indent + "]")
     elif isinstance(obj, dict):
         if not obj:

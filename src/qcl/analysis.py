@@ -11,21 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .dynamics import Trajectory
 from .graphs import GraphSchedule, is_weight_balanced
-from .quantizers import InputError, Quantizer, UniformQuantizer, extreme_sets, krasovskii_scan
+from .quantizers import InputError, Quantizer, UniformQuantizer, extreme_sets
 
 #: Absolute drift allowed for the preserved state average: event-driven
 #: arithmetic only incurs rounding in affine updates.
 AVERAGE_DRIFT_TOL = 1e-9
-#: Below this many events the extreme sets of each event are found one event
-#: at a time: the array pass costs about 30 us whatever its size (2-core
-#: Xeon), two ``krasovskii_set`` calls about 2 us per event.
-_ARRAY_ROWS = 16
 
 
 class UnsupportedQuantizerError(InputError):
@@ -51,48 +46,38 @@ def consensus_level(x, quantizer: Quantizer) -> float | None:
     return levels[0] if levels else None
 
 
-def _row_extreme_sets(traj: Trajectory, rows: Iterable[int]):
-    """``extreme_sets`` of the states of each event in ``rows``, in order.
-
-    Under a uniform quantizer and from ``_ARRAY_ROWS`` events, the sets of
-    each event's lowest and highest state (exact as ``min`` and ``max``)
-    come from one array pass; other quantizers, fewer events, and rows that
-    are not finite or leave the representable lattice go through
-    ``extreme_sets``, which gives every agent's set or error.
-    """
-    quantizer, x = traj.quantizer, traj.x
-    if not isinstance(quantizer, UniformQuantizer) or len(x) < _ARRAY_ROWS:
-        yield from (extreme_sets(x[k], quantizer) for k in rows)
-        return
+def _extreme_sets(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """``extreme_sets`` of every event's states, as the arrays ``(lo, hi)``
+    with a row for the lowest agents and one for the highest: the sets of
+    each event's ``min`` and ``max``.  An event whose set is NaN (a bad state
+    or no agents) goes through ``extreme_sets``, which raises the error of
+    its first bad agent."""
+    x, quantizer = traj.x, traj.quantizer
     lo, hi = quantizer.krasovskii_sets(np.stack([x.min(axis=1, initial=math.inf),
                                                  x.max(axis=1, initial=-math.inf)]))
-    (low_lo, high_lo), (low_hi, high_hi) = lo.tolist(), hi.tolist()
-    for k in rows:
-        if math.isfinite(low_lo[k] + high_lo[k]):
-            yield (low_lo[k], low_hi[k]), (high_lo[k], high_hi[k])
-        else:
-            yield extreme_sets(x[k], quantizer)
+    for k in np.flatnonzero(np.isnan(lo).any(axis=0)).tolist():
+        (lo[0, k], hi[0, k]), (lo[1, k], hi[1, k]) = extreme_sets(x[k], quantizer)
+    return lo, hi
 
 
 def convergence_time(traj: Trajectory) -> tuple[float, float] | None:
     """Earliest event time from which one level is shared at every event.
 
     Requires the trajectory to end in a certified equilibrium; returns
-    ``(t_con, s_star)`` with the lower level on two-level ties.
+    ``(t_con, s_star)`` with the lower level on two-level ties.  An event
+    with a state that has no Krasovskii set raises that state's error.
     """
     if traj.status != "equilibrium":
         return None
-    best: tuple[float, float] | None = None
-    lo = -math.inf
-    hi = math.inf
-    rows = range(len(traj.t) - 1, -1, -1)
-    for k, (low, high) in zip(rows, _row_extreme_sets(traj, rows)):
-        lo = max(lo, high[0])
-        hi = min(hi, low[1])
-        if lo > hi:
-            break
-        best = (float(traj.t[k]), lo)
-    return best
+    return _convergence_time(traj, *_extreme_sets(traj))
+
+
+def _convergence_time(traj: Trajectory, lo: np.ndarray, hi: np.ndarray):
+    # From the last event back, the levels that every later event shares.
+    shared_lo = np.maximum.accumulate(lo[1, ::-1])
+    apart = np.flatnonzero(shared_lo > np.minimum.accumulate(hi[0, ::-1]))
+    kept = int(apart[0]) if len(apart) else len(shared_lo)
+    return (float(traj.t[-kept]), float(shared_lo[kept - 1])) if kept else None
 
 
 def _bound_terms(x0, quantizer: Quantizer, a_low: float, a_high: float):
@@ -164,20 +149,19 @@ def envelopes(traj: Trajectory) -> EnvelopeAudit:
     The lower envelope must never decrease and the upper must never
     increase along a valid trajectory.
     """
-    points = [(t, low[0], high[1]) for t, (low, high) in
-              zip(traj.t.tolist(), _row_extreme_sets(traj, range(len(traj.t))))]
-    lower_ok = all(b >= a for (_, a, _), (_, b, _) in zip(points, points[1:]))
-    upper_ok = all(b <= a for (_, _, a), (_, _, b) in zip(points, points[1:]))
-    first = None
-    for k in range(1, len(points)):
-        if points[k][1] < points[k - 1][1] or points[k][2] > points[k - 1][2]:
-            first = k
-            break
+    return _envelopes(traj, *_extreme_sets(traj))
+
+
+def _envelopes(traj: Trajectory, lo: np.ndarray, hi: np.ndarray) -> EnvelopeAudit:
+    low, high = lo[0], hi[1]
+    # Neighbours compared, not differenced: inf - inf would warn.
+    down, up = low[1:] < low[:-1], high[1:] > high[:-1]
+    first = np.flatnonzero(down | up)
     return EnvelopeAudit(
-        points=tuple(points),
-        lower_ok=lower_ok,
-        upper_ok=upper_ok,
-        first_violation=first,
+        points=tuple(zip(traj.t.tolist(), low.tolist(), high.tolist())),
+        lower_ok=not down.any(),
+        upper_ok=not up.any(),
+        first_violation=int(first[0]) + 1 if len(first) else None,
     )
 
 
@@ -267,7 +251,8 @@ def convergence_report(traj: Trajectory, config) -> ConvergenceReport:
     """Assemble the full per-run report."""
     schedule: GraphSchedule = config.schedule
     quantizer = traj.quantizer
-    result = convergence_time(traj)
+    lo, hi = _extreme_sets(traj)
+    result = _convergence_time(traj, lo, hi) if traj.status == "equilibrium" else None
     t_con = s_star = q_infinity = None
     if result is not None:
         t_con, s_star = result
@@ -285,7 +270,7 @@ def convergence_report(traj: Trajectory, config) -> ConvergenceReport:
         q_infinity=q_infinity,
         bound=bound,
         average_drift=average_conservation(traj),
-        envelope_violations=envelopes(traj).violations,
+        envelope_violations=_envelopes(traj, lo, hi).violations,
         log_bound=log_bound,
     )
 
@@ -320,11 +305,10 @@ def audit_trajectory(traj: Trajectory, config) -> list[str]:
     schedule: GraphSchedule = config.schedule
     times = traj.t.tolist()
     x, velocity = traj.x.tolist(), traj.velocity.tolist()
-    # Each selection against its state's set in one array pass, where the
-    # sets are known (NaN elsewhere: other quantizers, rows off the lattice).
-    lo, hi = (quantizer.krasovskii_sets(traj.x) if isinstance(quantizer, UniformQuantizer)
-              else np.full((2, *traj.x.shape), math.nan))
-    outside, scan = ~((lo <= traj.z) & (traj.z <= hi)), np.isnan(lo).any(axis=1).tolist()
+    # Each selection against its state's set in one array pass; a state
+    # without a set (NaN) makes envelopes raise below.
+    lo, hi = quantizer.krasovskii_sets(traj.x)
+    outside = ~((lo <= traj.z) & (traj.z <= hi))
     hits, departing = traj._hits_and_departures()
 
     for k in np.flatnonzero(~(traj.t[1:] > traj.t[:-1])).tolist():
@@ -340,8 +324,7 @@ def audit_trajectory(traj: Trajectory, config) -> list[str]:
         _, low, high = audit.points[k]
         if low < m0 or high > big_m0:
             problems.append(f"state left the initial level range at event {k}")
-        for i in (krasovskii_scan(x[k], quantizer, traj.z[k]) if scan[k]
-                  else np.flatnonzero(outside[k]).tolist()):
+        for i in np.flatnonzero(outside[k]).tolist():
             problems.append(f"selection outside Kq for agent {i} at event {k}")
         if errors[k] > 1e-9:
             problems.append(f"recorded velocity does not match -L z at event {k}")

@@ -591,6 +591,10 @@ def _ramp_knots(quantizer: Quantizer, x0, eps: float) -> tuple[list[float], list
     else:
         thresholds, levels = quantizer.thresholds, quantizer.levels
     xp = [v for th in thresholds for v in (th - eps, th + eps)]
+    for th, below, above in zip(thresholds, xp[::2], xp[1::2]):
+        if not below < above:
+            raise InputError(f"eps={eps!r} is too small for the threshold {th!r}: "
+                             "th - eps and th + eps round to the same number")
     fp = [v for pair in zip(levels, levels[1:]) for v in pair]
     return xp, fp
 
@@ -636,11 +640,11 @@ def simulate_regularized(
         gap = min([b - a for a, b in zip(th, th[1:])], default=math.inf)
         if not (2.0 * eps < gap):
             raise InputError(f"eps must be below half the smallest threshold gap = {gap / 2.0}")
-    span = quantizer.level_span(x0)
+    xp, fp = _ramp_knots(quantizer, x0, eps)
     # With every state on one level, a state within eps of a threshold still
     # moves along its ramp: then the largest jump across one bounds h.
-    knots = _ramp_knots(quantizer, x0, eps) if span == 0.0 else None
-    span = span or max([hi - lo for lo, hi in zip(knots[1][::2], knots[1][1::2])], default=0.0)
+    span = quantizer.level_span(x0) or max([hi - lo for lo, hi in zip(fp[::2], fp[1::2])],
+                                           default=0.0)
     guard = 4.0 * len(x0) * config.schedule.a_high * span
     if guard > 0.0 and not (h < eps / guard):
         raise InputError(f"step h={h} too large for eps={eps}: need h < {eps / guard:.3g}")
@@ -653,7 +657,6 @@ def simulate_regularized(
                          f"up to t_end={t_end!r}")
     n_samples = int(math.floor(max(samples, 0.0)))
     times = np.arange(n_samples + 1) * stride
-    xp, fp = knots or _ramp_knots(quantizer, x0, eps)
     if not xp:
         # A single level and no threshold: q is constant and nothing moves.
         return RegularizedRun(times=times, states=np.array([x0] * len(times), dtype=float))

@@ -296,6 +296,16 @@ class GeneralQuantizer:
         q = self.quantize(z)
         return (q, q)
 
+    def krasovskii_sets(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``krasovskii_set`` of each element of ``x`` by the same lookup, as
+        the arrays ``(lo, hi)``; NaN for an element that is not finite."""
+        thresholds, levels = np.array(self.thresholds, dtype=float), np.array(self.levels)
+        i = np.searchsorted(thresholds, x)  # bisect_left
+        # The padding NaN equals nothing: beyond the last threshold no state is on one.
+        on = np.append(thresholds, math.nan)[i] == x
+        finite = np.isfinite(x)
+        return np.where(finite, levels[i], math.nan), np.where(finite, levels[i + on], math.nan)
+
     def next_threshold(self, x: float, direction: int) -> float | None:
         x = _require_finite(x, "x")
         if direction not in (1, -1):

@@ -13,6 +13,7 @@ rounded to 12 decimal digits.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,12 +120,18 @@ class ScenarioConfig:
                 if not 0 <= agent < len(x0):
                     raise InputError(f"the fixed-alpha policy pins agent {agent}, "
                                      f"outside the agents [0, {len(x0)}) of the scenario")
+        # bool is an int, and numpy's scalars register with numbers.
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, numbers.Real):
+            raise InputError(f"horizon must be a real number, got {self.horizon!r}")
         if not (self.horizon > 0.0):
             raise InputError("horizon must be positive")
+        if isinstance(self.max_events, bool) or not isinstance(self.max_events, numbers.Integral):
+            raise InputError(f"max_events must be an integer, got {self.max_events!r}")
         if self.max_events < 1:
             raise InputError("max_events must be positive")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "max_events", int(self.max_events))
 
     @property
     def n(self) -> int:

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from qcl import (
     GeneralQuantizer,
     GraphSchedule,
+    InputError,
     ScenarioConfig,
     Sliding,
     Trajectory,
@@ -35,6 +36,8 @@ from qcl import (
     tcon_bound,
 )
 from qcl import _json
+from qcl.analysis import EnvelopeAudit
+from qcl.quantizers import extreme_sets
 from qcl.scenarios import SplitMix64
 
 UNIT = UniformQuantizer(1.0)
@@ -318,3 +321,160 @@ class TestReportsAndAudit:
         problems = audit_trajectory(Trajectory(traj.quantizer, events, traj.status), config)
         expected = f"recorded velocity does not match -L z at event {k}"
         assert (expected in problems) == flagged
+
+
+# The per-event envelope code that the array pass replaced, kept as the
+# differential reference: one ``extreme_sets`` call per event.
+
+def reference_convergence_time(traj: Trajectory) -> tuple[float, float] | None:
+    if traj.status != "equilibrium":
+        return None
+    best: tuple[float, float] | None = None
+    lo = -math.inf
+    hi = math.inf
+    for k in range(len(traj.t) - 1, -1, -1):
+        low, high = extreme_sets(traj.x[k], traj.quantizer)
+        lo = max(lo, high[0])
+        hi = min(hi, low[1])
+        if lo > hi:
+            break
+        best = (float(traj.t[k]), lo)
+    return best
+
+
+def reference_envelopes(traj: Trajectory) -> EnvelopeAudit:
+    points = [(t, low[0], high[1]) for t, (low, high) in
+              zip(traj.t.tolist(), (extreme_sets(x, traj.quantizer) for x in traj.x))]
+    lower_ok = all(b >= a for (_, a, _), (_, b, _) in zip(points, points[1:]))
+    upper_ok = all(b <= a for (_, _, a), (_, _, b) in zip(points, points[1:]))
+    first = None
+    for k in range(1, len(points)):
+        if points[k][1] < points[k - 1][1] or points[k][2] > points[k - 1][2]:
+            first = k
+            break
+    return EnvelopeAudit(points=tuple(points), lower_ok=lower_ok, upper_ok=upper_ok,
+                         first_violation=first)
+
+
+def _outcome(fn, *args):
+    """``repr`` of the result, or the type and message of the error."""
+    try:
+        return repr(fn(*args))
+    except InputError as err:
+        return type(err), str(err)
+
+
+def _rows_trajectory(quantizer, rows: list[list[float]], status: str) -> Trajectory:
+    """A trajectory with the given states, one event per unit of time."""
+    n = len(rows[0])
+    events = [TrajectoryEvent(t=float(k), kind="threshold-hit", x=tuple(x), z=tuple(x),
+                              velocity=(0.0,) * n, alpha=(None,) * n, hits=(), departing=())
+              for k, x in enumerate(rows)]
+    return Trajectory(quantizer, events, status)
+
+
+ENVELOPE_QUANTIZERS = [
+    UNIT,
+    UniformQuantizer(0.1),
+    GeneralQuantizer(levels=(-1.0, -0.0, 2.0, 7.0), thresholds=(-0.5, 1.0, 4.0)),
+    GeneralQuantizer(levels=(-1.0, 1.0), thresholds=(0.0,)),
+    GeneralQuantizer(levels=(3.0,), thresholds=()),
+]
+
+
+def _points(q) -> list[float]:
+    """States where the sets change: thresholds and levels around zero, and
+    beyond the outermost thresholds."""
+    if isinstance(q, UniformQuantizer):
+        return [k * 0.5 * q.delta for k in range(-7, 8)] + [-0.0]
+    return [*q.levels, *q.thresholds, -100.0, 100.0, -0.0]
+
+
+@st.composite
+def envelope_runs(draw):
+    """Runs of 1 to 40 events: a random prefix, then one row repeated (a
+    constant run, all agents on one threshold for a two-level tie, or
+    random), with optional states that are not finite or leave the lattice."""
+    q = draw(st.sampled_from(ENVELOPE_QUANTIZERS))
+    points = _points(q)
+    n = draw(st.integers(0, 5))
+    state = st.sampled_from(points) | st.builds(math.nextafter, st.sampled_from(points),
+                                                st.sampled_from([-math.inf, math.inf]))
+    row = st.lists(state, min_size=n, max_size=n)
+    prefix = draw(st.lists(row, max_size=20))
+    thresholds = q.thresholds if isinstance(q, GeneralQuantizer) else (0.5 * q.delta,)
+    tail = draw(row | st.sampled_from(thresholds or (q.levels[0],)).map(lambda v: [v] * n))
+    rows = prefix + [list(tail)] * draw(st.integers(1, 40 - len(prefix)))
+    bad = [math.inf, -math.inf, math.nan]
+    if isinstance(q, UniformQuantizer):
+        bad += [2.0 ** 53 * q.delta, -1e17 * q.delta]
+    for value in draw(st.lists(st.sampled_from(bad), max_size=2 if n else 0)):
+        k, i = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, n - 1))
+        rows[k] = [value if j == i else v for j, v in enumerate(rows[k])]
+    return _rows_trajectory(q, rows, draw(st.sampled_from(["equilibrium", "horizon"])))
+
+
+class TestEnvelopeArrays:
+    """``convergence_time`` and ``envelopes`` read every event's extreme sets
+    from one array pass; the per-event code they replaced must agree."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(traj=envelope_runs())
+    def test_match_per_event_code(self, traj):
+        expected = _outcome(reference_envelopes, traj)
+        assert _outcome(envelopes, traj) == expected
+        if isinstance(expected, str):
+            assert envelopes(traj).violations == reference_envelopes(traj).violations
+        if isinstance(expected, str) or traj.status != "equilibrium":
+            assert _outcome(convergence_time, traj) == _outcome(reference_convergence_time, traj)
+        else:
+            # A bad event raises its error wherever the backward scan stops.
+            assert _outcome(convergence_time, traj) == expected
+
+    def test_bad_event_raises_where_the_backward_scan_stops_first(self):
+        # Event 1 shares no level with event 2, so the per-event scan stopped
+        # there and never read the NaN of event 0.
+        traj = _rows_trajectory(UNIT, [[math.nan, 0.0], [0.0, 3.0], [1.0, 1.0]], "equilibrium")
+        assert reference_convergence_time(traj) == (2.0, 1.0)
+        with pytest.raises(InputError, match="^z must be finite, got nan$"):
+            convergence_time(traj)
+
+    @pytest.mark.parametrize("general,bad", [
+        *[(False, v) for v in (math.inf, -math.inf, math.nan, 2.0 ** 53, -1e17)],
+        *[(True, v) for v in (math.inf, -math.inf, math.nan)]])
+    def test_errors_on_bad_events(self, general, bad):
+        # The texts the envelopes, the report and the audit gave before.
+        config = example1_line(4, 1.0, policy=Sliding())
+        if general:
+            config = replace(config, quantizer=GeneralQuantizer((-1.0, 0.5, 2.0, 7.0),
+                                                                (0.0, 1.0, 4.0)))
+        traj = simulate(config)
+        events = list(traj.events)
+        k = len(events) // 2
+        events[k] = replace(events[k], x=tuple(bad if i == 1 else v
+                                               for i, v in enumerate(events[k].x)))
+        traj = Trajectory(traj.quantizer, events, traj.status)
+        if math.isfinite(bad):
+            message = (f"x={bad!r} lies beyond the representable threshold lattice of "
+                       "delta=1.0 (need |x|/delta < 2^52)")
+        else:
+            message = f"{'x' if general else 'z'} must be finite, got {bad!r}"
+        for fn, args in ((envelopes, ()), (convergence_report, (config,)),
+                         (audit_trajectory, (config,))):
+            with pytest.raises(InputError) as err:
+                fn(traj, *args)
+            assert str(err.value) == message
+
+    def test_audit_finds_general_selections_outside_their_sets(self):
+        q = GeneralQuantizer(levels=(0.0, 1.0, 5.0), thresholds=(0.5, 3.0))
+        config = replace(example1_line(3, 1.0, policy=Sliding()), quantizer=q)
+        traj = simulate(config)
+        assert audit_trajectory(traj, config) == []
+        events = list(traj.events)
+        z = list(events[-1].z)
+        z[0], z[2] = math.nan, z[2] + 5.0
+        events[-1] = replace(events[-1], z=tuple(z))
+        problems = audit_trajectory(Trajectory(q, events, traj.status), config)
+        k = len(events) - 1
+        assert [p for p in problems if "Kq" in p] == [
+            f"selection outside Kq for agent {i} at event {k}" for i in (0, 2)]

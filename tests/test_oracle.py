@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -148,6 +149,23 @@ def test_precondition_eps_below_half_the_smallest_threshold_gap():
                        r"gap = 0\.01"):
         simulate_regularized(config, eps=0.2, h=1e-3, t_end=1.0)
     assert simulate_regularized(config, eps=0.009, h=5e-4, t_end=0.01).states.shape == (2, 2)
+
+
+@pytest.mark.parametrize("quantizer,x0,threshold", [
+    (GeneralQuantizer(levels=(0.0, 2e10, 4e10), thresholds=(1e10, 3e10)),
+     (0.9e10, 1e10, 1.1e10), "10000000000.0"),
+    (UniformQuantizer(1.0), (1e10, 1e10 + 1.0, 1e10 + 2.0), "9999999996.5"),
+], ids=["general", "uniform"])
+def test_precondition_eps_above_the_spacing_of_the_doubles_at_each_threshold(
+        quantizer, x0, threshold):
+    # At 1e10 the doubles lie about 2e-6 apart, so th - 1e-7 and th + 1e-7
+    # round to th and the knots would not increase: the ramp would be a step.
+    config = ScenarioConfig(
+        schedule=GraphSchedule.time_invariant(line_graph(3), 1.0, 1.0),
+        quantizer=quantizer, x0=x0, horizon=1.0)
+    with pytest.raises(InputError, match=rf"^eps=1e-07 is too small for the threshold "
+                       rf"{re.escape(threshold)}: th - eps and th \+ eps round to the same"):
+        simulate_regularized(config, eps=1e-7, h=1e-30, t_end=1e-3)
 
 
 def test_precondition_step_size_guard():

@@ -246,6 +246,19 @@ def _ulps(x: float, count: int) -> float:
     return x
 
 
+#: General quantizers for the array rule: a threshold at 0.0 (where -0.0
+#: lies), a level -0.0, and a single level with no threshold.
+SET_QUANTIZERS = [GENERAL, GeneralQuantizer((-1.0, -0.0, 2.0), (-0.5, 1.0)),
+                  GeneralQuantizer((3.0,), ())]
+
+
+def _set_or_nan(quantizer, x: float) -> tuple[float, float]:
+    try:
+        return quantizer.krasovskii_set(x)
+    except InputError:
+        return (math.nan, math.nan)
+
+
 @st.composite
 def lattice_states(draw, delta: float, max_agents: int = 24) -> list[float]:
     """States on thresholds, 1-3 ulps beside them, on levels, at signed
@@ -388,6 +401,17 @@ class TestScansMatchPerAgentMethods:
             lo, hi = q.krasovskii_sets(np.array(x, dtype=float))
             assert repr(list(zip(lo.tolist(), hi.tolist()))) == repr(sets)
             assert _resolved_scans_agree(x, q)
+            # The general quantizers' array rule, NaN where the method raises.
+            general = data.draw(st.sampled_from(SET_QUANTIZERS))
+            points = [*general.levels, *general.thresholds, -100.0, 100.0, -0.0]
+            y = data.draw(st.lists(st.builds(_ulps, st.sampled_from(points), st.integers(-2, 2))
+                                   | st.sampled_from([math.inf, -math.inf, math.nan]),
+                                   max_size=12))
+            expected = [_set_or_nan(general, v) for v in y]
+            # One row or one column: the audit passes a whole trajectory.
+            lo, hi = general.krasovskii_sets(np.array(y, dtype=float).reshape(
+                data.draw(st.sampled_from([(1, -1), (-1, 1)]))))
+            assert repr(list(zip(lo.ravel().tolist(), hi.ravel().tolist()))) == repr(expected)
 
     @pytest.mark.parametrize("path", KERNEL_PATHS)
     @settings(max_examples=80, deadline=None)

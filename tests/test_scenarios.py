@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,28 @@ class TestScenarioJson:
         cases = [case for make in workloads.WORKLOADS.values() for case in make(1, root)]
         for case in cases + [workloads.PROBE]:
             scenario_from_json(json.loads(case.text()))
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("max_events", 2.5, "max_events must be an integer, got 2.5"),
+        ("max_events", 3.0, "max_events must be an integer, got 3.0"),
+        ("max_events", True, "max_events must be an integer, got True"),
+        ("max_events", "7", "max_events must be an integer, got '7'"),
+        ("max_events", None, "max_events must be an integer, got None"),
+        ("horizon", "1", "horizon must be a real number, got '1'"),
+        ("horizon", None, "horizon must be a real number, got None"),
+    ])
+    def test_rejects_limits_of_the_wrong_type(self, field, value, message):
+        # 2.5 and 3.0 passed and then failed in ctypes; True ran as a limit of 1.
+        config = example1_line(3, 1.0)
+        with pytest.raises(InputError) as err:
+            replace(config, **{field: value})
+        assert str(err.value) == message
+
+    def test_accepts_numpy_limits(self):
+        config = replace(example1_line(3, 1.0), max_events=np.int64(7), horizon=np.float32(2.0))
+        assert (type(config.max_events), config.max_events) == (int, 7)
+        assert (type(config.horizon), config.horizon) == (float, 2.0)
+        assert simulate(config).status == "equilibrium"
 
     def test_rejects_mismatched_x0(self):
         config = example1_line(3, 1.0)
