@@ -24,29 +24,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import _json
-from .analysis import (
-    _bound_terms,
-    convergence_report,
-    envelopes,
-    limit_value_check,
-    log_tcon_bound,
-    tcon_bound,
-)
+from . import _json, suites
+from .analysis import _bound_terms, convergence_report, log_tcon_bound, tcon_bound
 from .dynamics import (
     NoSlidingSelection,
     RegularizationUnstable,
     SimulationLimitError,
-    Sliding,
-    Trajectory,
-    TrajectoryEvent,
     policy_from_json,
     simulate,
-    simulate_regularized,
 )
-from .graphs import has_globally_reachable_node
 from .quantizers import InputError, KernelError, json_agent
 from .scenarios import (
     ScenarioConfig,
@@ -154,7 +140,7 @@ def cmd_run(args) -> int:
         _write(out / "trajectory.json", _json.dumps(traj.to_json_obj(stride=stride)) + "\n")
     report_obj = report.to_json_obj()
     if args.oracle:
-        report_obj["oracle_max_deviation"] = _oracle_deviation(
+        report_obj["oracle_max_deviation"] = suites.oracle_deviation(
             traj, config, max(traj.final_t * 1.1, 0.1))
     _write(out / "report.json", _json.dumps(report_obj) + "\n")
     if report.converged:
@@ -165,13 +151,6 @@ def cmd_run(args) -> int:
         return 0
     print(f"horizon {config.horizon} reached without certified convergence")
     return 2
-
-
-def _oracle_deviation(traj: Trajectory, config: ScenarioConfig, t_end: float) -> float:
-    """The largest deviation of ``traj`` from the oracle's samples up to ``t_end``."""
-    run = simulate_regularized(config, eps=1e-3, h=1e-5, stride=0.01, t_end=t_end)
-    return max(float(np.max(np.abs(traj.state_at(float(t)) - state)))
-               for t, state in zip(run.times, run.states))
 
 
 def cmd_bound(args) -> int:
@@ -273,116 +252,14 @@ def cmd_sweep(args) -> int:
 
 # -- invariant suites ---------------------------------------------------------
 
-def _corrupt(traj: Trajectory) -> Trajectory:
-    """Negative control: push one state below the initial level range."""
-    ev = traj.events[-1]
-    x = list(ev.x)
-    x[0] = x[0] - 1000.0
-    bad = TrajectoryEvent(
-        t=ev.t + 1.0, kind="threshold-hit", x=tuple(x), z=ev.z,
-        velocity=ev.velocity, alpha=ev.alpha, hits=(), departing=(),
-    )
-    return Trajectory(traj.quantizer, traj.events + [bad], traj.status)
-
-
-def _suite_envelope(inject: bool = False) -> tuple[bool, str]:
-    bad = 0
-    runs = 0
-    for seed in range(25):
-        config = random_connected(3 + seed % 4, seed=seed, delta=1.0, horizon=1e9)
-        traj = simulate(config)
-        if inject and seed == 7:
-            traj = _corrupt(traj)
-        runs += 1
-        if not envelopes(traj).ok:
-            bad += 1
-    return bad == 0, f"{runs} trajectories, {bad} envelope violations"
-
-
-def _suite_bounds() -> tuple[bool, str]:
-    bad = 0
-    for seed in range(50):
-        n = 2 + seed % 5
-        config = random_connected(n, seed=seed, delta=1.0 if seed % 2 else 0.25)
-        bound = tcon_bound(config.x0, config.quantizer, config.a_low, config.a_high)
-        config = replace(config, horizon=max(10.0 * bound, 1.0))
-        traj = simulate(config)
-        report = convergence_report(traj, config)
-        if not report.converged or report.t_con > report.bound:
-            bad += 1
-    return bad == 0, f"50 scenarios, {bad} bound violations"
-
-
-def _suite_conservation() -> tuple[bool, str]:
-    worst = 0.0
-    bad = 0
-    for seed in range(25):
-        config = random_connected(2 + seed % 5, seed=3000 + seed, symmetric=True)
-        traj = simulate(config)
-        from .analysis import average_conservation
-
-        worst = max(worst, average_conservation(traj))
-        if limit_value_check(traj, config.schedule).status != "pass":
-            bad += 1
-    ok = worst <= 1e-9 and bad == 0
-    return ok, f"max drift {worst:.2e}, {bad} limit-check failures"
-
-
-def _suite_oracle() -> tuple[bool, str]:
-    worst = 0.0
-    for config in (
-        example1_line(3, 1.0, policy=Sliding()),
-        example2_sliding(3, 1.0, 1.0, policy=Sliding()),
-    ):
-        traj = simulate(config)
-        worst = max(worst, _oracle_deviation(traj, config, traj.final_t * 1.2 + 0.2))
-    return worst <= 5e-3, f"max exact-vs-regularized deviation {worst:.2e}"
-
-
-def _suite_connectivity() -> tuple[bool, str]:
-    from itertools import product
-
-    from .graphs import WeightedDigraph
-
-    mismatches = 0
-    checked = 0
-    for n in (1, 2, 3):
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        for bits in product((0.0, 1.0), repeat=len(pairs)):
-            w = np.zeros((n, n))
-            for (i, j), b in zip(pairs, bits):
-                w[i, j] = b
-            g = WeightedDigraph(w)
-            reach = _bfs_reachability(g)
-            oracle = any(all(reach[u][v] for u in range(n)) for v in range(n))
-            checked += 1
-            if has_globally_reachable_node(g).found != oracle:
-                mismatches += 1
-    return mismatches == 0, f"{checked} digraphs, {mismatches} mismatches"
-
-
-def _bfs_reachability(g) -> list[list[bool]]:
-    """Transitive reachability by BFS; reach[u][v] means v reachable from u."""
-    n = g.n
-    reach = [[False] * n for _ in range(n)]
-    for start in range(n):
-        reach[start][start] = True
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in g.successors(u):
-                if not reach[start][v]:
-                    reach[start][v] = True
-                    stack.append(v)
-    return reach
-
-
+#: Each suite, its corpus and the corpus size that ``check`` runs: a prefix
+#: of the corpus that the suite's acceptance criterion runs.
 SUITES = {
-    "envelope": _suite_envelope,
-    "bounds": _suite_bounds,
-    "conservation": _suite_conservation,
-    "oracle": _suite_oracle,
-    "connectivity": _suite_connectivity,
+    "envelope": (suites.envelope, suites.envelope_corpus, 25),
+    "bounds": (suites.bounds, suites.bounds_corpus, 50),
+    "conservation": (suites.conservation, suites.conservation_corpus, 25),
+    "oracle": (suites.oracle, suites.oracle_corpus, 2),
+    "connectivity": (suites.connectivity, suites.connectivity_corpus, 69),
 }
 
 
@@ -391,13 +268,10 @@ def cmd_check(args) -> int:
     for name in names:
         if name not in SUITES:
             raise InputError(f"unknown suite {name!r}; the suites are {', '.join(SUITES)}")
-    plain = [name for name in names if name != "envelope"]
-    if args.inject_corruption and plain:
-        raise InputError("--inject-corruption corrupts only the envelope suite, "
-                         f"not {', '.join(plain)}")
     all_ok = True
     for name in names:
-        ok, detail = SUITES[name](inject=True) if args.inject_corruption else SUITES[name]()
+        suite, corpus, size = SUITES[name]
+        ok, detail = suite(corpus(size), corrupt=args.inject_corruption)
         all_ok &= ok
         print(f"suite {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     return 0 if all_ok else 1

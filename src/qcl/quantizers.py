@@ -206,14 +206,18 @@ class UniformQuantizer:
     def krasovskii_sets(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``krasovskii_set`` of each element of ``x`` by the same operations,
         as the arrays ``(lo, hi)``; NaN for an element that is not finite or
-        leaves the representable lattice, where the method raises."""
-        with np.errstate(over="ignore"):
-            x = np.where(np.abs(x) / self.delta < 2.0 ** 52, x, math.nan)
-        base = np.floor(x / self.delta - 0.5)
-        k = base + 2.0
-        for j in (base + 1.0, base, base - 1.0):
-            k = np.where(self._threshold(j) > x, j, k)
-        return np.where(self._threshold(k - 1.0) == x, k - 1.0, k) * self.delta, k * self.delta
+        leaves the representable lattice, where the method raises.  On the
+        lattice the scan's first candidate, base - 1, is always at or below
+        x and base + 2 above it, so k is base plus the count of base and
+        base + 1 whose threshold is at or below x."""
+        delta = self.delta
+        # Clipped to 2^53 cells, which leaves the lattice too, so that the
+        # division cannot overflow.
+        limit = 2.0 ** 53 * delta
+        cells = np.minimum(np.maximum(x, -limit), limit) / delta
+        base = np.floor(np.where(np.abs(cells) < 2.0 ** 52, cells, math.nan) - 0.5)
+        k = base + ((base + 0.5) * delta <= x) + ((base + 1.5) * delta <= x)
+        return (k - ((k - 0.5) * delta == x)) * delta, k * delta
 
     def next_threshold(self, x: float, direction: int) -> float | None:
         """Closest threshold strictly beyond ``x`` in the given direction."""

@@ -1,45 +1,15 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
-from functools import cache
 
-import numpy as np
 import pytest
 
-from qcl import (
-    Sliding,
-    WeightedDigraph,
-    example1_line,
-    example2_sliding,
-    simulate,
-    simulate_regularized,
-)
 import reference
-from qcl import KernelError, _ckernel, quantizers
-from qcl.cli import _bfs_reachability as bfs_reachability
+from qcl import KernelError, _ckernel, quantizers, suites
 
 #: The four references that the exact run is checked against the
 #: regularized oracle on.
-ORACLE_REFERENCES = {
-    "line3": example1_line(3, 1.0, policy=Sliding()),
-    "line4": example1_line(4, 1.0, policy=Sliding()),
-    "chain3": example2_sliding(3, 1.0, 1.0, policy=Sliding()),
-    "chain4": example2_sliding(4, 1.0, 1.0, policy=Sliding()),
-}
-
-
-@cache
-def reference_oracle_run(name: str):
-    """``(trajectory, regularized run)`` of a reference at eps = 1e-3, h = 1e-5.
-
-    The run samples every 0.01 up to 1.2 times the final event time plus
-    0.2.  Computed once per test session; callers must not modify it.
-    """
-    config = ORACLE_REFERENCES[name]
-    traj = simulate(config)
-    run = simulate_regularized(config, eps=1e-3, h=1e-5, stride=0.01,
-                               t_end=traj.final_t * 1.2 + 0.2)
-    return traj, run
+ORACLE_REFERENCES = suites.oracle_references()
 
 
 def counted_workspaces(mp) -> list[tuple[int, int]]:
@@ -110,21 +80,3 @@ def assert_self_check_rejects(tmp_path, call=None) -> None:
     with pytest.raises(KernelError, match="failed its self-check"):
         (call or quantizers._load_kernel)()
     assert list((tmp_path / "cache").iterdir()) == []
-
-
-def oracle_globally_reachable(g: WeightedDigraph) -> tuple[bool, set[int]]:
-    """Direct-definition check: some node reachable from every other node."""
-    reach = bfs_reachability(g)
-    witnesses = {
-        v for v in range(g.n) if all(reach[u][v] for u in range(g.n))
-    }
-    return bool(witnesses), witnesses
-
-
-def random_digraph(rng, n: int, density: float = 0.35) -> WeightedDigraph:
-    w = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j and rng.uniform() < density:
-                w[i, j] = 1.0
-    return WeightedDigraph(w)

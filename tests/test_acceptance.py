@@ -11,37 +11,28 @@ brute-force oracle, and agreement with the regularized integrator.
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import product
 
-import numpy as np
 import pytest
 
 from qcl import (
-    ScenarioConfig,
     SequentialSlow,
     Sliding,
-    UniformQuantizer,
-    WeightedDigraph,
-    average_conservation,
-    consensus_level,
     convergence_report,
     convergence_time,
-    envelopes,
     example1_line,
     example2_sliding,
-    has_globally_reachable_node,
-    limit_value_check,
-    random_connected,
     simulate,
-    simulate_regularized,
-    tcon_bound,
+    suites,
 )
-from qcl.scenarios import SplitMix64
 
-from conftest import ORACLE_REFERENCES, oracle_globally_reachable, reference_oracle_run
 
-# Trajectories produced by criteria 1-4 feed the envelope criterion.
-_CORPUS: list = []
+@pytest.fixture(scope="module")
+def corpora():
+    """The corpora of criteria 3, 4 and 5, each run simulated once: the
+    bounds corpus, the conservation corpus, and the envelope corpus, which
+    is the reference runs followed by both."""
+    bounds, balanced = suites.bounds_corpus(), suites.conservation_corpus()
+    return bounds, balanced, suites.simulated(suites.references()) + bounds + balanced
 
 
 def _verdict(number: int, passed: bool, detail: str) -> None:
@@ -52,7 +43,6 @@ def _verdict(number: int, passed: bool, detail: str) -> None:
 def test_criterion_1_reference_trace_exact():
     config = example1_line(3, 1.0, policy=Sliding())
     traj = simulate(config)
-    _CORPUS.append((traj, config))
 
     events = traj.events
     ok = (
@@ -68,11 +58,7 @@ def test_criterion_1_reference_trace_exact():
     ok = ok and result == (0.5, 1.0)
     ok = ok and report.q_infinity == 1.0 == config.quantizer.quantize(mean0)
 
-    run = simulate_regularized(config, eps=1e-3, h=1e-5, stride=0.01, t_end=0.8)
-    deviation = max(
-        float(np.max(np.abs(traj.state_at(float(t)) - s)))
-        for t, s in zip(run.times, run.states)
-    )
+    deviation = suites.oracle_deviation(traj, config, 0.8)
     ok = ok and deviation <= 5e-3
     _verdict(
         1,
@@ -90,7 +76,6 @@ def test_criterion_2_chain_doubling_and_coefficients():
         sliding = replace(pinned, policy=Sliding())
         traj_p = simulate(pinned)
         traj_s = simulate(sliding)
-        _CORPUS.append((traj_p, pinned))
 
         # The two policies must produce identical trajectories.
         ok = ok and [ev.t for ev in traj_p.events] == [ev.t for ev in traj_s.events]
@@ -128,94 +113,25 @@ def test_criterion_2_chain_doubling_and_coefficients():
     )
 
 
-def test_criterion_3_bound_on_seeded_corpus():
-    violations = 0
-    unconverged = 0
-    for seed in range(200):
-        n = 2 + seed % 5
-        delta = 0.25 if seed % 2 else 1.0
-        base = random_connected(
-            n, seed=seed, weight_range=(0.5, 2.0), delta=delta, x0_cells=4.0
-        )
-        bound = tcon_bound(base.x0, base.quantizer, 0.5, 2.0)
-        config = ScenarioConfig(
-            schedule=base.schedule, quantizer=base.quantizer, x0=base.x0,
-            policy=Sliding(), horizon=max(10.0 * bound, 1.0),
-        )
-        traj = simulate(config)
-        _CORPUS.append((traj, config))
-        result = convergence_time(traj)
-        if result is None:
-            unconverged += 1
-        elif bound > 0.0 and result[0] > bound:
-            violations += 1
-
-    # Switching extension: periodic schedules must certify equilibrium
-    # before ten times the analogous static bound.
-    periodic_unconverged = 0
-    for seed in range(50):
-        n = 3 + seed % 4
-        base = random_connected(
-            n, seed=10_000 + seed, weight_range=(0.5, 2.0), delta=1.0,
-            switching=(2 + seed % 2, 0.5 + 0.25 * (seed % 3)),
-        )
-        bound = tcon_bound(base.x0, base.quantizer, 0.5, 2.0)
-        config = ScenarioConfig(
-            schedule=base.schedule, quantizer=base.quantizer, x0=base.x0,
-            policy=Sliding(), horizon=max(10.0 * bound, 1.0),
-        )
-        traj = simulate(config)
-        _CORPUS.append((traj, config))
-        if traj.status != "equilibrium":
-            periodic_unconverged += 1
-
-    ok = violations == 0 and unconverged == 0 and periodic_unconverged == 0
-    _verdict(
-        3,
-        ok,
-        f"200 static runs: {unconverged} unconverged, {violations} bound "
-        f"violations; 50 periodic runs: {periodic_unconverged} uncertified",
-    )
+def test_criterion_3_bound_on_seeded_corpus(corpora):
+    # Periodic schedules must certify equilibrium before ten times the
+    # analogous static bound.
+    bounds, _, _ = corpora
+    ok, detail = suites.bounds(bounds)
+    _verdict(3, ok and len(bounds) == 250, f"200 static plus 50 periodic runs: {detail}")
 
 
-def test_criterion_4_average_conservation():
-    worst = 0.0
-    unconverged = 0
-    limit_failures = 0
-    for seed in range(100):
-        n = 2 + seed % 5
-        config = random_connected(
-            n, seed=20_000 + seed, symmetric=True, delta=1.0, x0_cells=4.0
-        )
-        traj = simulate(config)
-        _CORPUS.append((traj, config))
-        worst = max(worst, average_conservation(traj))
-        if traj.status != "equilibrium":
-            unconverged += 1
-            continue
-        if limit_value_check(traj, config.schedule).status != "pass":
-            limit_failures += 1
-    ok = worst <= 1e-9 and unconverged == 0 and limit_failures == 0
-    _verdict(
-        4,
-        ok,
-        f"100 balanced runs: max drift {worst:.2e} <= 1e-9, "
-        f"{limit_failures} limit-value failures, {unconverged} unconverged",
-    )
+def test_criterion_4_average_conservation(corpora):
+    _, balanced, _ = corpora
+    ok, detail = suites.conservation(balanced)
+    _verdict(4, ok and len(balanced) == 100, f"100 balanced runs: {detail}")
 
 
-def test_criterion_5_envelope_monotonicity():
-    assert _CORPUS, "criteria 1-4 must run first"
-    bad = 0
-    for traj, _ in _CORPUS:
-        if not envelopes(traj).ok:
-            bad += 1
-    _verdict(
-        5,
-        bad == 0,
-        f"{len(_CORPUS)} trajectories from criteria 1-4: {bad} envelope "
-        f"monotonicity violations",
-    )
+def test_criterion_5_envelope_monotonicity(corpora):
+    _, _, runs = corpora
+    ok, detail = suites.envelope(runs)
+    _verdict(5, ok and len(runs) >= 359,
+             f"{detail}, from the reference, bounds and conservation corpora")
 
 
 def test_criterion_6_precision_scaling():
@@ -251,69 +167,14 @@ def test_criterion_6_precision_scaling():
 
 
 def test_criterion_7_connectivity_predicate_vs_bfs():
-    mismatches = 0
-    checked = 0
-    for n in (1, 2, 3, 4):
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        for bits in product((0.0, 1.0), repeat=len(pairs)):
-            w = np.zeros((n, n))
-            for (i, j), bit in zip(pairs, bits):
-                w[i, j] = bit
-            g = WeightedDigraph(w)
-            found, witnesses = oracle_globally_reachable(g)
-            result = has_globally_reachable_node(g)
-            checked += 1
-            if result.found != found or (found and result.witness not in witnesses):
-                mismatches += 1
-
-    rng = SplitMix64(777)
-    for _ in range(10_000):
-        n = 2 + rng.randint(5)
-        w = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                if i != j and rng.uniform() < 0.3:
-                    w[i, j] = 1.0
-        g = WeightedDigraph(w)
-        found, witnesses = oracle_globally_reachable(g)
-        result = has_globally_reachable_node(g)
-        checked += 1
-        if result.found != found or (found and result.witness not in witnesses):
-            mismatches += 1
-    _verdict(
-        7,
-        mismatches == 0,
-        f"{checked} digraphs (exhaustive n<=4 plus 10^4 random n<=6): "
-        f"{mismatches} disagreements with the BFS oracle",
-    )
+    graphs = suites.connectivity_corpus()
+    ok, detail = suites.connectivity(graphs)
+    _verdict(7, ok and len(graphs) == 4165 + 10_000,
+             f"{detail} (exhaustive n<=4 plus 10^4 random n<=6) with the BFS oracle")
 
 
 def test_criterion_8_oracle_agreement_and_refinement():
-    ok = True
-    details = []
-    for name, config in ORACLE_REFERENCES.items():
-        # The run at (eps, h) = (1e-3, 1e-5) is shared with test_oracle.py.
-        traj, run = reference_oracle_run(name)
-        t_end = traj.final_t * 1.2 + 0.2
-        runs = [run] + [
-            simulate_regularized(config, eps=eps, h=h, stride=0.01, t_end=t_end)
-            for eps, h in ((5e-4, 5e-6), (2.5e-4, 2.5e-6))
-        ]
-
-        deviations = []
-        for run in runs:
-            deviations.append(
-                max(
-                    float(np.max(np.abs(traj.state_at(float(t)) - s)))
-                    for t, s in zip(run.times, run.states)
-                )
-            )
-        ok = ok and deviations[0] <= 5e-3
-        ok = ok and deviations[0] > deviations[1] > deviations[2]
-        details.append(f"{name}: {deviations[0]:.1e}>{deviations[1]:.1e}>{deviations[2]:.1e}")
-    _verdict(
-        8,
-        ok,
-        "sup-norm deviation <= 5e-3 at eps=1e-3, h=1e-5 and monotone under "
-        "two eps halvings (" + "; ".join(details) + ")",
-    )
+    runs = suites.oracle_corpus()
+    ok, detail = suites.oracle(runs, refinements=((1e-3, 1e-5), (5e-4, 5e-6), (2.5e-4, 2.5e-6)))
+    _verdict(8, ok and len(runs) == 4,
+             f"4 references at eps=1e-3, h=1e-5 and under two eps halvings: {detail}")

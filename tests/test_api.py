@@ -5,7 +5,10 @@ from __future__ import annotations
 import ast
 import importlib.util
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import qcl
@@ -38,6 +41,16 @@ def test_public_surface():
     assert not hasattr(qcl.TrajectoryEvent, "state")
     assert not hasattr(qcl.ScenarioConfig, "with_policy")
     assert list(inspect.signature(qcl.simulate).parameters) == ["config"]  # no stop callback
+
+
+def test_import_leaves_out_the_cli_and_the_suites():
+    # A fresh import compiles each module it loads when no bytecode is
+    # cached, so check-only code would slow every process that simulates.
+    src = str(Path(qcl.__file__).resolve().parents[1])
+    code = "import qcl, sys; print(sorted({'qcl.cli', 'qcl.suites'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "[]\n"
 
 
 def test_no_blas_in_the_package():

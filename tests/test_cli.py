@@ -509,15 +509,17 @@ class TestCheck:
         assert run_cli("check", "--suite", "envelope", "--inject-corruption") == 1
         assert "FAIL" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("suites", [["bounds"], ["envelope", "oracle"], []])
-    def test_injected_corruption_rejected_for_other_suites(self, capsys, suites):
-        # Only the envelope suite has a corruption to inject; all five run
+    @pytest.mark.parametrize("suites", [[name] for name in cli.SUITES] + [[]],
+                             ids=[*cli.SUITES, "all"])
+    def test_injected_corruption_fails_each_suite(self, capsys, suites):
+        # Each suite corrupts its own corpus and catches it; all five run
         # when no suite is named.
         args = [arg for suite in suites for arg in ("--suite", suite)]
         assert run_cli("check", *args, "--inject-corruption") == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"suite {name}"
+                                                          for name in suites or cli.SUITES]
+        assert all(": FAIL (" in line for line in lines)
 
     def test_suite_filter(self, capsys):
         assert run_cli("check", "--suite", "bounds") == 0

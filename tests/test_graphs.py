@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-from itertools import product
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from qcl import (
 from qcl.scenarios import SplitMix64
 
 import reference
-from conftest import oracle_globally_reachable, random_digraph
+from qcl.suites import bfs_reachability, connectivity, connectivity_corpus, random_digraph
 
 
 def example2_topology(n: int, a: float = 1.0, b: float = 1.0) -> WeightedDigraph:
@@ -86,8 +85,6 @@ class TestStronglyConnectedComponents:
 
     def test_leader_chain_topology_vs_reachability_oracle(self):
         # Components must match mutual reachability computed independently.
-        from conftest import bfs_reachability
-
         g = example2_topology(4)
         cond = strongly_connected_components(g)
         reach = bfs_reachability(g)
@@ -102,7 +99,7 @@ class TestStronglyConnectedComponents:
     def test_condensation_partition_covers_agents(self):
         rng = SplitMix64(5)
         for _ in range(200):
-            g = random_digraph(rng, 1 + rng.randint(6))
+            g = random_digraph(rng, 1 + rng.randint(6), 0.35)
             cond = strongly_connected_components(g)
             seen = sorted(v for comp in cond.components for v in comp)
             assert seen == list(range(g.n))
@@ -123,18 +120,9 @@ class TestGloballyReachableNode:
         assert result.found and result.witness == n - 1
 
     def test_exhaustive_small_graphs_match_oracle(self):
-        for n in (1, 2, 3):
-            pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-            for bits in product((0.0, 1.0), repeat=len(pairs)):
-                w = np.zeros((n, n))
-                for (i, j), bit in zip(pairs, bits):
-                    w[i, j] = bit
-                g = WeightedDigraph(w)
-                found, witnesses = oracle_globally_reachable(g)
-                result = has_globally_reachable_node(g)
-                assert result.found == found
-                if found:
-                    assert result.witness in witnesses
+        # Every digraph on 1 to 3 nodes.
+        ok, detail = connectivity(connectivity_corpus(69))
+        assert ok, detail
 
     def test_two_sources_one_sink_is_weak_but_not_pairwise(self):
         # A -> K <- B: a globally reachable node exists, yet the two sources
@@ -145,7 +133,7 @@ class TestGloballyReachableNode:
     def test_one_sink_implies_reachable(self):
         rng = SplitMix64(17)
         for _ in range(500):
-            g = random_digraph(rng, 1 + rng.randint(5))
+            g = random_digraph(rng, 1 + rng.randint(5), 0.35)
             if len(strongly_connected_components(g).sinks()) == 1:
                 assert has_globally_reachable_node(g).found
 
@@ -401,8 +389,8 @@ class TestUnboundedInteractionsGraph:
         rng = SplitMix64(11)
         for _ in range(100):
             n = 2 + rng.randint(4)
-            g1 = random_digraph(rng, n)
-            g2 = random_digraph(rng, n)
+            g1 = random_digraph(rng, n, 0.35)
+            g2 = random_digraph(rng, n, 0.35)
             base = GraphSchedule(
                 segments=((0.0, g1),), a_low=1.0, a_high=1.0, period=1.0
             )

@@ -26,26 +26,19 @@ from qcl import (
     simulate,
     simulate_regularized,
 )
-from qcl import dynamics, graphs, quantizers
+from qcl import dynamics, graphs, quantizers, suites
 
 import reference
 from conftest import (KERNEL_PATHS, ORACLE_REFERENCES, SHIPPED_FLAGS,
                       assert_self_check_rejects, build_kernel_variant, force_list_path,
-                      kernel_path, reference_oracle_run)
-
-
-def max_deviation(traj, run) -> float:
-    return max(
-        float(np.max(np.abs(traj.state_at(float(t)) - state)))
-        for t, state in zip(run.times, run.states)
-    )
+                      kernel_path)
 
 
 @pytest.mark.parametrize("name", list(ORACLE_REFERENCES))
 def test_exact_trajectory_matches_regularized_run(name):
     # eps = 1e-3, h = 1e-5, up to 1.2 times the final event time plus 0.2.
-    traj, run = reference_oracle_run(name)
-    assert max_deviation(traj, run) <= 5e-3
+    ok, detail = suites.oracle(suites.simulated([ORACLE_REFERENCES[name]]))
+    assert ok, detail
 
 
 def test_zero_edge_graph_state_is_constant():
@@ -176,15 +169,10 @@ def test_precondition_step_size_guard():
 
 
 def test_refinement_decreases_deviation_monotonically():
-    config = example2_sliding(3, 1.0, 1.0, policy=Sliding())
-    traj = simulate(config)
-    deviations = []
-    for eps in (1e-3, 5e-4, 2.5e-4):
-        run = simulate_regularized(
-            config, eps=eps, h=eps / 100.0, stride=0.01, t_end=traj.final_t * 1.2
-        )
-        deviations.append(max_deviation(traj, run))
-    assert deviations[0] > deviations[1] > deviations[2]
+    runs = suites.simulated([example2_sliding(3, 1.0, 1.0, policy=Sliding())])
+    ok, detail = suites.oracle(runs, refinements=[(eps, eps / 100.0)
+                                                  for eps in (1e-3, 5e-4, 2.5e-4)])
+    assert ok, detail
 
 
 # Element-wise loop kernel the oracle used before its list kernel; kept as
