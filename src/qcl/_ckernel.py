@@ -5,7 +5,7 @@ writer.
 The first ``load`` compiles the source with the system C compiler into the
 package's ``__pycache__``, under a name keyed by the source, the flags and the
 compiler, and installs the build only after its self-check
-(``_kernel_check.kernels_agree``) accepts it.  Later loads reuse the cached
+(``_kernel_check.first_difference``) accepts it.  Later loads reuse the cached
 library and start no compiler.  Where the cache cannot be written (an
 installed package), each process builds and checks its own copy in a
 temporary directory.  With no compiler, or a build that fails to compile
@@ -109,7 +109,7 @@ def load() -> Kernels:
 def _build(cc: str, source: bytes, path: str) -> Kernels:
     """The kernels compiled from ``source`` into ``path``, which must pass
     the self-check; its module is imported only for a new build."""
-    from ._kernel_check import kernels_agree
+    from ._kernel_check import first_difference
     from .quantizers import KernelError
 
     built = subprocess.run([cc, *FLAGS, "-o", path, "-x", "c", "-"], input=source,
@@ -119,9 +119,10 @@ def _build(cc: str, source: bytes, path: str) -> Kernels:
         errors = [line for line in lines if "error" in line] or lines or ["no output"]
         raise KernelError(f"cc could not build {SOURCE.name}: {errors[0].strip()}")
     kernels = _bind(path)
-    if not kernels_agree(kernels):
+    group = first_difference(kernels)
+    if group is not None:
         raise KernelError(f"the build of {SOURCE.name} failed its self-check: its outputs "
-                          "differ from the reference bits")
+                          f"differ from the reference bits in group {group!r}")
     return kernels
 
 

@@ -1,20 +1,20 @@
 """The self-check that a build of ``_kernels.c`` must pass before qcl uses it.
 
-Each compiled entry point runs on fixed inputs chosen so that a change in
-the rounding or order of any operation shows: ``qcl_regularized`` on runs
-that reach every knot segment, both clamps and a topology switch,
-``qcl_resolve`` on states that reach every static helper it runs (the hold
-solver, the row sums, the set and hit scans of both quantizers, projected
-Gauss-Seidel, the pins) and on states that it must decline, and
-``qcl_advance`` on whole runs of ``simulate`` (the schedule lookup, the
-steps and the snaps, the certification of states at rest and the
-horizon).  ``digests`` hashes their output bits, and the error of every
-decline, into one sha256 per group of inputs, each of which must equal its
-entry in ``DIGESTS``; the test suite recomputes ``DIGESTS`` from the list
-code that the C code ports (``tests/reference.py``).  ``qcl_write`` must
-give the text of qcl's Python writer, which formats with ``repr`` and
-``format(v, ".17g")``.  ``quantizers._load_kernel`` runs the check only
-when a build is new.
+``digests`` runs each entry point of the ``Kernels`` it is given on fixed
+inputs, chosen so that a change in the rounding or order of any operation
+shows, and hashes the bits of their outputs, and the error of every
+decline, into one sha256 per group: ``writer``, the text of ``write`` (the
+CSV, and the JSON at indents 0 and 3) of trajectories that reach every
+formatting rule; ``oracle``, ``regularized`` on runs that reach every knot
+segment, both clamps and a topology switch; ``row sums`` and ``resolves``,
+``resolve`` on states that reach every static helper (the hold solver, the
+row sums, the set and hit scans of both quantizers, projected Gauss-Seidel,
+the pins) and on states that it must decline; ``runs`` and ``rest runs``,
+the event table, kinds, records, status and stop time and state that
+``advance`` returns for whole runs.  Each must equal its entry in
+``DIGESTS``, which the test suite recomputes from the list code that the C
+code ports (``tests/reference.py``).  ``quantizers._load_kernel`` runs the
+check only when a build is new.
 """
 
 from __future__ import annotations
@@ -25,49 +25,51 @@ from typing import Iterator
 
 import numpy as np
 
-from . import _json, quantizers
 from ._ckernel import sha256
-from .dynamics import (FixedAlpha, SequentialSlow, SimulationLimitError, Sliding, Trajectory,
-                       TrajectoryEvent, _row_dicts, simulate)
+from .dynamics import (DEFAULT_DENSE_CUTOFF, FixedAlpha, SequentialSlow, Sliding, Trajectory,
+                       TrajectoryEvent)
 from .graphs import GraphSchedule, WeightedDigraph
 from .quantizers import GeneralQuantizer, UniformQuantizer
 
-#: ``digests`` of the reference kernels; ``python tests/reference.py``
-#: prints them.
-DIGESTS = ("30b73574e75ad76a1764d0f1ce05873b86640dcd68a1a8765faabb39cd31f48e",
-           "b6c924a0d7fc9827497d3b8c7dd586db39fd0146efd8023cc50565f5b067a5f5",
-           "520ad177b841de718e8d9d3a5553d1ea9bee585ff729d414f5a28f92736273da",
-           "9cced9c1498d376d0e0ffcc60a718c97713ce846483206deaf5510e5e7ddf0a9",
-           "a64e5369a86b7955a55e084593f5b588018b160eb97a008e5045a972c1da9d8e")
+#: ``digests`` of the reference kernels, by group in the order of the
+#: check; ``python tests/reference.py`` prints them.
+DIGESTS = {
+    "writer": "374c27217954dee9c482e39d60b0976231ee19204fdfccdde06a0ca13589a21a",
+    "oracle": "30b73574e75ad76a1764d0f1ce05873b86640dcd68a1a8765faabb39cd31f48e",
+    "row sums": "b6c924a0d7fc9827497d3b8c7dd586db39fd0146efd8023cc50565f5b067a5f5",
+    "resolves": "520ad177b841de718e8d9d3a5553d1ea9bee585ff729d414f5a28f92736273da",
+    "runs": "67dc5bd1832dfc11709745cf2e78cc5e9b888afae596ba6e089a35521ee58430",
+    "rest runs": "af6682133e4b47e9d550e5f581d78126e9a59177cf150514efa48224bfc35f3e",
+}
 
 #: Uneven gaps, thresholds off the midpoints (-0.3 and 2.9 not binary
 #: fractions) and a threshold at 0.
 _GENERAL = GeneralQuantizer((-1.5, -0.25, 0.5, 0.75, 2.0, 3.25), (-0.3, 0.0, 0.625, 1.0, 2.9))
 
 
-def kernels_agree(kernels) -> bool:
-    """Whether every compiled entry point gives the reference bits; stops
-    at the first group of inputs that differs."""
-    return _writer_agrees(kernels.write) and all(
-        found == expected for found, expected in zip(digests(kernels), DIGESTS, strict=True))
+def first_difference(kernels) -> str | None:
+    """The first group whose outputs of ``kernels`` differ from the
+    reference bits, or None; the check stops at that group."""
+    return next((group for group, digest in digests(kernels) if digest != DIGESTS[group]), None)
 
 
-def digests(kernels) -> Iterator[str]:
-    """The sha256 of the outputs of ``kernels`` (a ``_ckernel.Kernels``) on
-    each group of fixed inputs in turn, one ``repr`` of a record of bits per
-    line: the oracle runs, the row sums of ``_row_states``, the other
-    resolves and the runs.  A build whose row sums read past an empty row
-    differs on the row sums before the later states' rows, which end the
-    arrays, let it read past them."""
-    for records in (lambda: _oracle_records(kernels.regularized),
-                    lambda: _resolve_records(kernels.resolve, _row_states()),
-                    lambda: _resolve_records(kernels.resolve, _resolve_states()),
-                    lambda: _run_records(kernels, _runs()),
-                    lambda: _run_records(kernels, _rest_runs())):
+def digests(kernels) -> Iterator[tuple[str, str]]:
+    """``(group, sha256)`` of the outputs of ``kernels`` (a
+    ``_ckernel.Kernels``) on each group of fixed inputs in turn, one
+    ``repr`` of a record of bits per line.  A build whose row sums read past
+    an empty row differs on the row sums before the later states' rows,
+    which end the arrays, let it read past them."""
+    groups = {"writer": lambda: _writer_records(kernels.write),
+              "oracle": lambda: _oracle_records(kernels.regularized),
+              "row sums": lambda: _resolve_records(kernels.resolve, _row_states()),
+              "resolves": lambda: _resolve_records(kernels.resolve, _resolve_states()),
+              "runs": lambda: _run_records(kernels.advance, _runs()),
+              "rest runs": lambda: _run_records(kernels.advance, _rest_runs())}
+    for group, records in groups.items():
         h = sha256()
         for record in records():
             h.update(repr(record).encode() + b"\n")
-        yield h.hexdigest()
+        yield group, h.hexdigest()
 
 
 def _oracle_records(regularized) -> list[tuple]:
@@ -330,7 +332,7 @@ def _resolve_states() -> list[tuple]:
 
 
 def _runs() -> list:
-    """Whole runs of ``simulate``.
+    """Whole runs of the event loop.
 
     The lines have steps, weights and spacings that are not binary
     fractions, so that a step x + v dt rounded once (as a fused multiply-add)
@@ -405,29 +407,21 @@ def _rest_runs() -> list:
             for schedule, limits in runs for policy in (Sliding(), SequentialSlow())]
 
 
-def _run_records(kernels, configs: list) -> list[tuple]:
-    """The events, status and errors of the runs of ``configs`` with
-    ``kernels``, in bits."""
-    def bits(config):
+def _run_records(advance, configs: list) -> list[tuple]:
+    """The bits of ``advance`` on the run of each of ``configs``: its event
+    table, kinds, records, status, stop time and stop state, or the error of
+    its decline."""
+    def bits(c):
         try:
-            traj, outcome = simulate(config), None
-        except SimulationLimitError as err:
-            traj, outcome = err.trajectory, str(err)
+            table, kinds, records, status, t, x = advance(
+                c.schedule, np.array(c.x0, dtype=float), c.quantizer, c.policy,
+                DEFAULT_DENSE_CUTOFF, c.horizon, c.max_events)
         except Exception as err:  # noqa: BLE001 - a decline, or a broken build
             return type(err).__name__, str(err)
-        return outcome, traj.status, [
-            (ev.t.hex(), ev.kind, [v.hex() for v in ev.x + ev.z + ev.velocity],
-             [None if a is None else a.hex() for a in ev.alpha], ev.hits, ev.departing)
-            for ev in traj.events]
+        return ([v.hex() for v in table.ravel().tolist()], kinds.tolist(), records.tolist(),
+                status, float(t).hex(), [v.hex() for v in x.tolist()])
 
-    # The self-check runs inside the first _load_kernel call, which a nested
-    # call would repeat, build and check included; so the runs get the build
-    # under check passed in.
-    loader, quantizers._load_kernel = quantizers._load_kernel, lambda: kernels
-    try:
-        return [bits(config) for config in configs]
-    finally:
-        quantizers._load_kernel = loader
+    return [bits(config) for config in configs]
 
 
 def _writer_states() -> list[Trajectory]:
@@ -487,26 +481,9 @@ def _exact_states() -> list[float]:
     return [_ulps(v, u) for v in centres for u in (-2, -1, 0, 1, 2)] + ties + ends
 
 
-def _csv_line(row: dict) -> str:
-    """One CSV line: ``repr`` of each number, an empty cell off the surface."""
-    return ",".join([repr(row["t"]), row["event"], *map(repr, row["x"]), *map(repr, row["z"]),
-                     *["" if a is None else repr(a) for a in row["alpha"]]]) + "\n"
-
-
-def _writer_agrees(write) -> bool:
-    """Whether ``write`` gives the text of the Python writer on the CSV and
-    the JSON at two indents of each ``_writer_states`` trajectory, with and
-    without samples, and refuses the same JSON."""
-    for traj in _writer_states():
-        for stride in (None, 0.375):
-            rows = traj._rows(stride)
-            if write(False, 0, *rows) != "".join(map(_csv_line, _row_dicts(*rows))):
-                return False
-            for indent in (0, 3):
-                try:
-                    expected = _json.dumps(_row_dicts(*rows), indent)
-                except ValueError:
-                    expected = None
-                if write(True, indent, *rows) != expected:
-                    return False
-    return True
+def _writer_records(write) -> list:
+    """The text of ``write`` on the CSV and the JSON at indents 0 and 3 of
+    each ``_writer_states`` trajectory, with and without a stride; None for
+    a JSON that it refuses."""
+    return [write(json, indent, *traj._rows(stride)) for traj in _writer_states()
+            for stride in (None, 0.375) for json, indent in ((False, 0), (True, 0), (True, 3))]

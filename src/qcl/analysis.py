@@ -195,7 +195,8 @@ def limit_value_check(traj: Trajectory, schedule: GraphSchedule) -> LimitCheck:
     if traj.status != "equilibrium":
         return LimitCheck("not-applicable", "run did not converge")
     result = convergence_time(traj)
-    assert result is not None
+    if result is None:
+        return LimitCheck("fail", "the events end without a shared level")
     t_con, s_star = result
     xbar0 = float(np.mean(traj.x[0]))
     if quantizer.is_threshold(xbar0):

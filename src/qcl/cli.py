@@ -70,10 +70,16 @@ def _load_scenario(args) -> ScenarioConfig:
                 f"{err.msg}"
             ) from err
         return scenario_from_json(obj)
-    args = argparse.Namespace(**{**_BUILDER_FLAGS, **vars(args)})
-    if args.builder == "example1":
+    return _built_scenario(args.builder, vars(args))
+
+
+def _built_scenario(builder: str, flags: dict) -> ScenarioConfig:
+    """The scenario of ``builder`` with the builder flags in ``flags``, each
+    one that is missing at its default in ``_BUILDER_FLAGS``."""
+    args = argparse.Namespace(**{**_BUILDER_FLAGS, **flags})
+    if builder == "example1":
         return example1_line(args.n, args.delta, x0_spacing=args.x0_spacing, horizon=args.horizon)
-    if args.builder == "example2":
+    if builder == "example2":
         return example2_sliding(args.n, args.a, args.b, horizon=args.horizon)
     return random_connected(args.n, seed=args.seed, edge_density=args.density,
                             weight_range=(args.a, args.b), symmetric=args.symmetric,
@@ -179,12 +185,8 @@ def _sweep_cell(builder: str, n: int, delta: float, a: float, b: float,
         "avg_drift": "", "status": "",
     }
     try:
-        if builder == "example1":
-            config = example1_line(n, delta, x0_spacing=x0_spacing)
-        elif builder == "example2":
-            config = example2_sliding(n, a, b)
-        else:
-            config = random_connected(n, seed=seed, weight_range=(a, b), delta=delta)
+        config = _built_scenario(builder, {"n": n, "delta": delta, "a": a, "b": b, "seed": seed,
+                                           "x0_spacing": x0_spacing})
         if max_events:
             config = replace(config, max_events=max_events)
         row["policy"] = config.policy.to_json()["type"]

@@ -216,8 +216,11 @@ class UniformQuantizer:
         limit = 2.0 ** 53 * delta
         cells = np.minimum(np.maximum(x, -limit), limit) / delta
         base = np.floor(np.where(np.abs(cells) < 2.0 ** 52, cells, math.nan) - 0.5)
-        k = base + ((base + 0.5) * delta <= x) + ((base + 1.5) * delta <= x)
-        return (k - ((k - 0.5) * delta == x)) * delta, k * delta
+        # Near the largest float a threshold or a level overflows to +-inf,
+        # as it does in the method.
+        with np.errstate(over="ignore"):
+            k = base + ((base + 0.5) * delta <= x) + ((base + 1.5) * delta <= x)
+            return (k - ((k - 0.5) * delta == x)) * delta, k * delta
 
     def next_threshold(self, x: float, direction: int) -> float | None:
         """Closest threshold strictly beyond ``x`` in the given direction."""

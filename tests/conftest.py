@@ -73,10 +73,11 @@ def build_kernel_variant(mp, tmp_path, old: str, new: str,
     mp.setattr(quantizers, "_load_kernel", quantizers._load_once(quantizers._load_kernel.__wrapped__))
 
 
-def assert_self_check_rejects(tmp_path, call=None) -> None:
+def assert_self_check_rejects(tmp_path, group: str, call=None) -> None:
     """``call()`` (by default the kernel load) raises the self-check's
-    KernelError, and the build under ``tmp_path`` is not cached on disk;
-    the loader raises that error again without building again."""
-    with pytest.raises(KernelError, match="failed its self-check"):
+    KernelError, which names ``group`` as the first group that differs, and
+    the build under ``tmp_path`` is not cached on disk; the loader raises
+    that error again without building again."""
+    with pytest.raises(KernelError, match=f"failed its self-check: .* in group '{group}'$"):
         (call or quantizers._load_kernel)()
     assert list((tmp_path / "cache").iterdir()) == []

@@ -25,8 +25,8 @@ from typing import Callable, Collection, NamedTuple
 
 import numpy as np
 
+from qcl import _json
 from qcl._ckernel import PIN_OVERFLOW, Kernels
-from qcl._kernel_check import _csv_line
 from qcl.dynamics import (EVENT_KINDS, ContractViolation, FixedAlpha, NoSlidingSelection,
                           Resolution, SelectionPolicy, SequentialSlow, _record, _row_dicts)
 from qcl.graphs import GraphSchedule, WeightedDigraph, laplacian
@@ -663,11 +663,24 @@ def advance(schedule: GraphSchedule, x: np.ndarray, quantizer: Quantizer,
             t, kind, hits_now = ts, "topology-switch", ()
 
 
+def _csv_line(row: dict) -> str:
+    """One CSV line: ``repr`` of each number, an empty cell off the surface."""
+    return ",".join([repr(row["t"]), row["event"], *map(repr, row["x"]), *map(repr, row["z"]),
+                     *["" if a is None else repr(a) for a in row["alpha"]]]) + "\n"
+
+
 def write(json: bool, indent: int, *columns: np.ndarray) -> str | None:
-    """The rows of a trajectory export as ``qcl_write`` gives them: the CSV
-    lines of ``_kernel_check._csv_line``, or None for JSON, which
-    ``qcl._json`` then writes as a list."""
-    return None if json else "".join(map(_csv_line, _row_dicts(*columns)))
+    """``Kernels.write``: the rows of a trajectory export as ``qcl_write``
+    gives them, the CSV lines of ``_csv_line`` or the list that
+    ``qcl._json.dumps`` writes at ``indent``, None where it refuses a
+    number that is not finite."""
+    rows = _row_dicts(*columns)
+    if not json:
+        return "".join(map(_csv_line, rows))
+    try:
+        return _json.dumps(rows, indent)
+    except ValueError:
+        return None
 
 
 #: The reference in the interface of the compiled kernels.
@@ -676,6 +689,7 @@ KERNELS = Kernels(resolve=resolve, advance=advance, regularized=regularized, wri
 
 if __name__ == "__main__":
     # The sha256s that every build must reproduce: qcl._kernel_check.DIGESTS.
-    from qcl._kernel_check import digests
+    from qcl._kernel_check import DIGESTS, digests
 
-    print(tuple(digests(KERNELS)))
+    for group, digest in digests(KERNELS):
+        print(f"{group:<10} {digest}" + ("" if digest == DIGESTS[group] else "  differs"))

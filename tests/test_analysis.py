@@ -244,6 +244,18 @@ class TestLimitValueCheck:
         result = limit_value_check(traj, config.schedule)
         assert result.status == "not-applicable"
 
+    def test_equilibrium_whose_events_share_no_level_fails(self):
+        # A trajectory built by hand, not by simulate: one more event after
+        # the equilibrium, with agent 0 moved five lower, ends with the
+        # status of an equilibrium but no level that its last events share.
+        config = example1_line(3, 1.0, policy=Sliding())
+        events = list(simulate(config).events)
+        last = events[-1]
+        events.append(replace(last, t=last.t + 1.0, x=(last.x[0] - 5.0, *last.x[1:])))
+        traj = Trajectory(config.quantizer, events, "equilibrium")
+        assert convergence_time(traj) is None
+        assert limit_value_check(traj, config.schedule).status == "fail"
+
 
 class TestReportsAndAudit:
     def test_report_fields_and_json_keys(self):

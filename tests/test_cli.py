@@ -488,6 +488,25 @@ class TestSweep:
         assert code == 2
         assert "event limit 1 exceeded" in (tmp_path / "sweep.csv").read_text()
 
+    @pytest.mark.parametrize("builder,flags", [
+        ("example1", {"n": "4", "delta": "0.5", "x0-spacing": "0.7"}),
+        ("example2", {"n": "4", "a": "0.5", "b": "1.5"}),
+        ("random", {"n": "5", "seed": "3", "delta": "0.5", "a": "0.5", "b": "2.0"}),
+    ])
+    def test_cell_runs_the_scenario_of_run(self, tmp_path, builder, flags):
+        # A cell builds its scenario as `qcl run --builder` does, with the
+        # same defaults for the flags that a sweep does not take.
+        run_cli("run", "--builder", builder, "--out", str(tmp_path / "run"),
+                *[arg for name, value in flags.items() for arg in (f"--{name}", value)])
+        run_cli("sweep", "--builder", builder, "--out", str(tmp_path / "sweep"),
+                *[arg for name, value in flags.items()
+                  for arg in (f"--{name}" if name == "x0-spacing" else f"--{name}-list", value)])
+        t_con = json.loads((tmp_path / "run" / "report.json").read_text())["t_con"]
+        status = json.loads((tmp_path / "run" / "trajectory.json").read_text())["status"]
+        header, row = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+        cell = dict(zip(header.split(","), row.split(",")))
+        assert t_con is not None and (float(cell["t_con"]), cell["status"]) == (t_con, status)
+
     def test_deterministic_output(self, tmp_path):
         for sub in ("a", "b"):
             run_cli(

@@ -445,7 +445,7 @@ def test_reordered_hold_solver_fails_self_check(monkeypatch, tmp_path):
         "for (int64_t c = r + 1; c < m; c++)\n            acc -= row[c] * out[c];",
         "for (int64_t c = m - 1; c > r; c--)\n            acc -= row[c] * out[c];",
         SHIPPED_FLAGS)
-    assert_self_check_rejects(tmp_path,
+    assert_self_check_rejects(tmp_path, "resolves",
                               lambda: simulate(GOLDEN_CASES["random40-s2-sequential-slow"]()))
 
 
@@ -455,7 +455,7 @@ def test_reordered_hold_solver_fails_self_check(monkeypatch, tmp_path):
 ], ids=["sequential-fold", "unrounded-split"])
 def test_velocities_in_another_order_fail_self_check(monkeypatch, tmp_path, old, new, flags):
     build_kernel_variant(monkeypatch, tmp_path, old, new, flags)
-    assert_self_check_rejects(tmp_path)
+    assert_self_check_rejects(tmp_path, "row sums")
 
 
 #: Resolves that run projected Gauss-Seidel: a pair of surface agents that
@@ -647,7 +647,7 @@ def test_simulate_takes_the_arrival_from_the_compiled_resolve(monkeypatch):
         "pins-not-excluded-from-candidates"])
 def test_mutated_resolve_fails_self_check(monkeypatch, tmp_path, old, new, flags):
     build_kernel_variant(monkeypatch, tmp_path, old, new, flags)
-    assert_self_check_rejects(tmp_path, lambda: simulate(example1_line(5, 0.1)))
+    assert_self_check_rejects(tmp_path, "resolves", lambda: simulate(example1_line(5, 0.1)))
 
 
 @pytest.mark.parametrize("path", KERNEL_PATHS)
@@ -962,22 +962,23 @@ def test_workspace_grows_a_few_times_over_the_wide_surface_workload(monkeypatch)
     assert built == expected and len(built) <= 5
 
 
-@pytest.mark.parametrize("old,new,flags", [
-    ("            w->x[w->hit[h]] = w->threshold[h];\n", "", SHIPPED_FLAGS),
-    ("w->x[i] = w->x[i] + w->y[i] * dt;", "w->x[i] = fma(w->y[i], dt, w->x[i]);", MUTANT_FLAGS),
-    ("ts - t < w->dt) {", "ts - t < w->dt || t + dt >= ts) {", MUTANT_FLAGS),
-    ("            w->kind = KIND_SWITCH;\n", "", MUTANT_FLAGS),
-    ("k = floor(t / s->period);", "k = floor(t / s->period) + 1.0;", MUTANT_FLAGS),
-    ("seg < sc->count; seg++) {", "seg < sc->count - 1; seg++) {", MUTANT_FLAGS),
-    ("seg = sc->periodic ? 0 : idx;", "seg = idx;", MUTANT_FLAGS),
-    (": ts > horizon) {", ": 0) {", MUTANT_FLAGS),
-    ("w->y[i] * (horizon - t);", "w->y[i] * dt;", MUTANT_FLAGS),
+@pytest.mark.parametrize("old,new,flags,group", [
+    ("            w->x[w->hit[h]] = w->threshold[h];\n", "", SHIPPED_FLAGS, "runs"),
+    ("w->x[i] = w->x[i] + w->y[i] * dt;", "w->x[i] = fma(w->y[i], dt, w->x[i]);", MUTANT_FLAGS,
+     "runs"),
+    ("ts - t < w->dt) {", "ts - t < w->dt || t + dt >= ts) {", MUTANT_FLAGS, "runs"),
+    ("            w->kind = KIND_SWITCH;\n", "", MUTANT_FLAGS, "runs"),
+    ("k = floor(t / s->period);", "k = floor(t / s->period) + 1.0;", MUTANT_FLAGS, "runs"),
+    ("seg < sc->count; seg++) {", "seg < sc->count - 1; seg++) {", MUTANT_FLAGS, "rest runs"),
+    ("seg = sc->periodic ? 0 : idx;", "seg = idx;", MUTANT_FLAGS, "rest runs"),
+    (": ts > horizon) {", ": 0) {", MUTANT_FLAGS, "rest runs"),
+    ("w->y[i] * (horizon - t);", "w->y[i] * dt;", MUTANT_FLAGS, "runs"),
 ], ids=["unsnapped-hit", "fused-step", "step-rounds-onto-switch", "switch-row-without-kind",
         "cycle-window-shifted", "certify-skips-last-graph", "certify-skips-earlier-segments",
         "rest-ignores-horizon", "horizon-step-by-dt"])
-def test_mutated_event_loop_fails_self_check(monkeypatch, tmp_path, old, new, flags):
+def test_mutated_event_loop_fails_self_check(monkeypatch, tmp_path, old, new, flags, group):
     build_kernel_variant(monkeypatch, tmp_path, old, new, flags)
-    assert_self_check_rejects(tmp_path)
+    assert_self_check_rejects(tmp_path, group)
 
 
 @pytest.mark.parametrize("old,new,flags", [
@@ -990,7 +991,7 @@ def test_mutated_event_loop_fails_self_check(monkeypatch, tmp_path, old, new, fl
 def test_mutated_pgs_fails_self_check(monkeypatch, tmp_path, old, new, flags):
     # A Jacobi sweep computes every target from the previous sweep's z.
     build_kernel_variant(monkeypatch, tmp_path, old, new, flags)
-    assert_self_check_rejects(tmp_path)
+    assert_self_check_rejects(tmp_path, "resolves")
 
 
 class TestSimulate:

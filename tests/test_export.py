@@ -5,8 +5,10 @@ and the compiled trajectory writer.
 per value, a string built and copied at every level.  The writer must give
 the same bytes for every document, and the same exception type and message
 for every document it refuses.  The compiled writer's own self-check
-compares it with the Python writer (``_kernel_check._writer_agrees``), and
-a differential test compares its numbers with ``repr`` and ``.17g``.
+hashes its text on fixed trajectories (the ``writer`` group of
+``_kernel_check.digests``), which the reference writer of
+``tests/reference.py`` reproduces, and a differential test compares its
+numbers with ``repr`` and ``.17g``.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ def test_writer_reusing_text_on_equality_fails_self_check(monkeypatch, tmp_path)
     # bits writes -0.0 as "0.0".
     build_kernel_variant(monkeypatch, tmp_path, "same_bits(v, c->value)", "v == c->value",
                          SHIPPED_FLAGS)
-    assert_self_check_rejects(tmp_path)
+    assert_self_check_rejects(tmp_path, "writer")
 
 
 def _differential_floats() -> np.ndarray:
@@ -207,7 +209,7 @@ def test_compiled_numbers_match_repr_and_17g():
 ], ids=["open-interval-ends", "round-half-up", "no-decade-carry", "repr-switch-at-17"])
 def test_mutated_exact_digits_fail_self_check(monkeypatch, tmp_path, old, new, flags):
     build_kernel_variant(monkeypatch, tmp_path, old, new, flags)
-    assert_self_check_rejects(tmp_path)
+    assert_self_check_rejects(tmp_path, "writer")
 
 
 def test_exact_states_reach_interval_ends_and_ties():

@@ -22,10 +22,10 @@ import pytest
 import reference
 from conftest import MUTANT_FLAGS, build_kernel_variant, counted_workspaces
 from qcl import (ContractViolation, FixedAlpha, GraphSchedule, InputError, KernelError,
-                 NoSlidingSelection, ScenarioConfig, SequentialSlow, Sliding, UniformQuantizer,
-                 WeightedDigraph, _ckernel, _kernel_check, cli, example1_line, line_graph,
-                 quantizers, random_connected, resolve_sliding, selection_velocity, simulate,
-                 simulate_regularized)
+                 NoSlidingSelection, ScenarioConfig, SequentialSlow, SimulationLimitError, Sliding,
+                 UniformQuantizer, WeightedDigraph, _ckernel, _kernel_check, cli, example1_line,
+                 line_graph, quantizers, random_connected, resolve_sliding, selection_velocity,
+                 simulate, simulate_regularized)
 from test_golden import CASES, DIGESTS, JSON_DIGESTS, STRIDE_DIGESTS, digests
 
 
@@ -102,12 +102,25 @@ def test_mutant_flags_pass_the_self_check(monkeypatch, tmp_path):
     assert _ckernel.FLAGS == MUTANT_FLAGS
 
 
+def _reference_digests() -> dict[str, str]:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the weights of 1e308
+        return dict(_kernel_check.digests(reference.KERNELS))
+
+
 def test_reference_gives_the_checked_in_digests():
     # A build is accepted when it reproduces these sha256s; they are the
     # reference list code's, so the C code ports it bit for bit.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the weights of 1e308
-        assert tuple(_kernel_check.digests(reference.KERNELS)) == _kernel_check.DIGESTS
+    found = _reference_digests()
+    assert found == _kernel_check.DIGESTS, "the reference differs in groups " + ", ".join(
+        group for group, digest in _kernel_check.DIGESTS.items() if found.get(group) != digest)
+
+
+def test_self_check_hashes_only_the_outputs_of_the_kernels(monkeypatch):
+    # The runs of the check go through Kernels.advance alone: the text that
+    # simulate gives an event limit is no part of a build's bits.
+    monkeypatch.setattr(SimulationLimitError, "__str__", lambda self: "reworded")
+    assert _reference_digests() == _kernel_check.DIGESTS
 
 
 def test_decline_reasons_match_the_c_codes():
@@ -326,7 +339,7 @@ def test_poison_shows_a_buffer_that_the_c_code_does_not_initialise(monkeypatch, 
     # golden digests under the same poison.
     build_kernel_variant(monkeypatch, tmp_path, "        for (int64_t c = 0; c < m; c++)\n"
                          "            row[c] = 0.0;\n", "")
-    monkeypatch.setattr(_kernel_check, "kernels_agree", lambda kernels: True)
+    monkeypatch.setattr(_kernel_check, "first_difference", lambda kernels: None)
     _poisoned_kernels(monkeypatch)
     assert any(_outcome(name) != (DIGESTS[name], *JSON_DIGESTS[name], STRIDE_DIGESTS.get(name))
                for name in sorted(CASES))
@@ -447,9 +460,10 @@ SANITIZE_FLAGS = ("-O1", "-g", "-fno-omit-frame-pointer", "-fsanitize=address,un
 
 #: Run in a process with the sanitizer runtimes: the self-check of the
 #: library named by the first argument, then the golden cases, the oracle
-#: cases and the resolver's edge shapes with it; prints whether the
-#: self-check passed, how many golden cases differ, and the outcomes of the
-#: oracle and the edge shapes as ``repr`` prints them.
+#: cases and the resolver's edge shapes with it; prints the first group in
+#: which the self-check finds a difference (None for none), how many golden
+#: cases differ, and the outcomes of the oracle and the edge shapes as
+#: ``repr`` prints them.
 _SANITIZED_RUN = """
 import sys
 from qcl import _ckernel, _kernel_check, quantizers
@@ -457,10 +471,10 @@ from test_golden import CASES, DIGESTS, JSON_DIGESTS, STRIDE_DIGESTS, digests
 from test_kernels import oracle_outcomes, resolver_edge_outcomes
 
 kernels = _ckernel._bind(sys.argv[1])
-agree = _kernel_check.kernels_agree(kernels)
+differs = _kernel_check.first_difference(kernels)
 quantizers._load_kernel = lambda: kernels
-print(agree, sum(digests(name) != (DIGESTS[name], *JSON_DIGESTS[name], STRIDE_DIGESTS.get(name))
-                 for name in CASES))
+print(differs, sum(digests(name) != (DIGESTS[name], *JSON_DIGESTS[name],
+                                     STRIDE_DIGESTS.get(name)) for name in CASES))
 print(oracle_outcomes())
 print(resolver_edge_outcomes(lambda: _ckernel._bind(sys.argv[1])))
 """
@@ -490,7 +504,7 @@ def test_sanitized_build_passes_the_self_check_and_goldens_without_a_report(tmp_
     run = _sanitized_run(tmp_path, _ckernel.SOURCE.read_text())
     edges = resolver_edge_outcomes(quantizers._load_kernel.__wrapped__)
     assert (run.returncode, run.stdout, run.stderr) == (
-        0, f"True 0\n{oracle_outcomes()!r}\n{edges!r}\n", "")
+        0, f"None 0\n{oracle_outcomes()!r}\n{edges!r}\n", "")
 
 
 def test_sanitized_build_reports_a_read_past_a_row(tmp_path):

@@ -315,7 +315,7 @@ def test_reordered_kernel_fails_self_check(monkeypatch, tmp_path):
     build_kernel_variant(monkeypatch, tmp_path, "k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]",
                          "k4[i] + 2.0 * k3[i] + 2.0 * k2[i] + k1[i]", SHIPPED_FLAGS)
     config, eps, h, t_end = KERNEL_CASES[0]
-    assert_self_check_rejects(tmp_path, lambda: simulate_regularized(
+    assert_self_check_rejects(tmp_path, "oracle", lambda: simulate_regularized(
         config, eps=eps, h=h, stride=0.01, t_end=t_end))
 
 

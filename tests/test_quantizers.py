@@ -413,6 +413,17 @@ class TestScansMatchPerAgentMethods:
                 data.draw(st.sampled_from([(1, -1), (-1, 1)]))))
             assert repr(list(zip(lo.ravel().tolist(), hi.ravel().tolist()))) == repr(expected)
 
+    @pytest.mark.parametrize("delta", [1.7976931348623157e308, 1e308, 1e300])
+    def test_sets_at_a_step_near_the_largest_float(self, delta):
+        # A threshold (k + 0.5) * delta or a level k * delta beyond the float
+        # range is inf, in the array rule as in the method, with no warning.
+        q = UniformQuantizer(delta)
+        x = [0.7 * delta, -0.2 * delta, 0.5 * delta, -0.5 * delta, -0.7 * delta, delta,
+             1.7e308, -1.7976931348623157e308, 0.0, -0.0]
+        lo, hi = q.krasovskii_sets(np.array(x))
+        assert repr(list(zip(lo.tolist(), hi.tolist()))) == repr(
+            [q.krasovskii_set(v) for v in x])
+
     @pytest.mark.parametrize("path", KERNEL_PATHS)
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), delta=st.sampled_from(SCAN_DELTAS))
@@ -508,4 +519,4 @@ def test_extreme_sets_match_every_agents_set(data, delta, general):
         "general-set-scan-bisect-right"])
 def test_mutated_scan_fails_self_check(monkeypatch, tmp_path, old, new, flags):
     build_kernel_variant(monkeypatch, tmp_path, old, new, flags)
-    assert_self_check_rejects(tmp_path, lambda: simulate(example1_line(5, 0.1)))
+    assert_self_check_rejects(tmp_path, "resolves", lambda: simulate(example1_line(5, 0.1)))
