@@ -44,14 +44,12 @@ from .dynamics import (
     simulate_regularized,
 )
 from .graphs import (
-    Condensation,
     GraphSchedule,
     WeightedDigraph,
     has_globally_reachable_node,
     is_weight_balanced,
     laplacian,
     schedule_from_json,
-    strongly_connected_components,
 )
 from .quantizers import (
     GeneralQuantizer,
@@ -76,7 +74,6 @@ from .scenarios import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Condensation",
     "ContractViolation",
     "ConvergenceReport",
     "EnvelopeAudit",
@@ -127,6 +124,5 @@ __all__ = [
     "selection_velocity",
     "simulate",
     "simulate_regularized",
-    "strongly_connected_components",
     "tcon_bound",
 ]

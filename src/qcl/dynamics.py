@@ -426,6 +426,8 @@ class Trajectory:
 
     def state_at(self, t: float) -> np.ndarray:
         """Piecewise-affine interpolation; constant beyond the final event."""
+        if t != t:
+            raise InputError("time must be a number, got nan")
         if t <= self.t[0]:
             return self.x[0].copy()
         # The last event at or before t starts the segment that holds t.

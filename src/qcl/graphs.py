@@ -1,8 +1,8 @@
-"""Directed weighted graphs, their connectivity structure, and schedules.
+"""Directed weighted graphs, the connectivity hypothesis, and schedules.
 
 Edge orientation convention: edge ``(i, j)`` exists iff ``weights[i][j] > 0``
 and means that agent ``i`` listens to agent ``j``.  Reachability follows
-directed edges, so the sink component of the condensation is the "stubborn"
+directed edges, so the nodes that every node reaches form the "stubborn"
 set everyone else ultimately listens to.
 
 Time-varying interaction is modelled as a piecewise-constant schedule with
@@ -22,7 +22,7 @@ import numpy as np
 
 from .quantizers import InputError, json_field, json_float, json_int, json_keys
 
-#: Default tolerance for weight-balance checks: weights are exact inputs,
+#: Tolerance of the weight-balance check: weights are exact inputs,
 #: this only guards float entry.
 BALANCE_TOL = 1e-12
 
@@ -102,151 +102,60 @@ class WeightedDigraph:
 
 
 # ---------------------------------------------------------------------------
-# Strongly connected components and the condensation
+# The connectivity hypothesis
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Condensation:
-    """Partition into strongly connected components plus the acyclic dag."""
-
-    components: tuple[tuple[int, ...], ...]
-    dag_edges: frozenset[tuple[int, int]]
-    component_of: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for comp in self.components:
-            if seen & set(comp):
-                raise AssertionError("components must be disjoint")
-            seen |= set(comp)
-        if seen != set(range(len(self.component_of))):
-            raise AssertionError("components must cover the agent set")
-        if self._has_cycle():
-            raise AssertionError("condensation dag must be acyclic")
-
-    def _has_cycle(self) -> bool:
-        order = {c: 0 for c in range(len(self.components))}  # 0 new, 1 open, 2 done
-        adj: dict[int, list[int]] = {c: [] for c in order}
-        for h, k in self.dag_edges:
-            adj[h].append(k)
-        for start in order:
-            if order[start]:
-                continue
-            stack = [(start, iter(adj[start]))]
-            order[start] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if order[nxt] == 1:
-                        return True
-                    if order[nxt] == 0:
-                        order[nxt] = 1
-                        stack.append((nxt, iter(adj[nxt])))
-                        advanced = True
-                        break
-                if not advanced:
-                    order[node] = 2
-                    stack.pop()
-        return False
-
-    @property
-    def size(self) -> int:
-        return len(self.components)
-
-    def sinks(self) -> tuple[int, ...]:
-        has_out = {h for h, _ in self.dag_edges}
-        return tuple(c for c in range(self.size) if c not in has_out)
-
-
-def strongly_connected_components(g: WeightedDigraph) -> Condensation:
-    """Tarjan's algorithm (iterative) plus the component dag."""
-    n = g.n
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
-    raw_components: list[list[int]] = []
-    succ = [g.successors(i) for i in range(n)]
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for next_pi in range(pi, len(succ[v])):
-                w = succ[v][next_pi]
-                if index[w] == -1:
-                    work[-1] = (v, next_pi + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                raw_components.append(sorted(comp))
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-
-    raw_components.sort(key=min)
-    component_of = [0] * n
-    for c, comp in enumerate(raw_components):
-        for v in comp:
-            component_of[v] = c
-    dag_edges = set()
-    for i, j, _ in g.edges():
-        if component_of[i] != component_of[j]:
-            dag_edges.add((component_of[i], component_of[j]))
-    return Condensation(
-        components=tuple(tuple(c) for c in raw_components),
-        dag_edges=frozenset(dag_edges),
-        component_of=tuple(component_of),
-    )
-
 
 class ReachabilityResult(NamedTuple):
     found: bool
     witness: int | None
 
 
+def _mark(targets: list[int], ends: list[int], start: int, seen: list[bool]) -> list[bool]:
+    """Mark in ``seen`` every unmarked node that ``start`` reaches through
+    unmarked nodes, where node ``u``'s edges go to
+    ``targets[ends[u]:ends[u + 1]]``; return ``seen``."""
+    seen[start] = True
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for v in targets[ends[u]:ends[u + 1]]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+    return seen
+
+
 def has_globally_reachable_node(g: WeightedDigraph) -> ReachabilityResult:
     """Decide whether some node is reachable from every other node.
 
-    Equivalent to: the condensation has exactly one sink, which every
-    component then reaches; the witness is the smallest node of the sink
-    component.
+    One sweep over the reversed edges, in node order, starts a search only
+    at a node that no earlier search marked; each search marks the unmarked
+    nodes that reach its start.  Every node then reaches some start, and no
+    start reaches an earlier one.  A node that every node reaches reaches
+    some start, which the last start then reaches through it, so that start
+    is the last.  Hence the hypothesis holds iff every node reaches the last
+    start; that start then lies in the one sink component, and the witness
+    is the smallest node it reaches, the smallest node of that component.
     """
-    cond = strongly_connected_components(g)
-    sinks = cond.sinks()
-    if len(sinks) == 1:
-        return ReachabilityResult(True, min(cond.components[sinks[0]]))
-    return ReachabilityResult(False, None)
+    n = g.n
+    rows, cols, _, ends = g.csr
+    order = np.argsort(cols, kind="stable")
+    sources, starts = rows[order].tolist(), np.searchsorted(cols[order], np.arange(n + 1)).tolist()
+    seen = [False] * n
+    for v in range(n):
+        if not seen[v]:
+            last = v
+            _mark(sources, starts, v, seen)
+    if not all(_mark(sources, starts, last, [False] * n)):
+        return ReachabilityResult(False, None)
+    return ReachabilityResult(True, _mark(cols.tolist(), ends, last, [False] * n).index(True))
 
 
-def is_weight_balanced(g: WeightedDigraph, tol: float = BALANCE_TOL) -> bool:
-    """True iff in-weight equals out-weight at every node (within ``tol``)."""
+def is_weight_balanced(g: WeightedDigraph) -> bool:
+    """True iff in-weight equals out-weight at every node (within ``BALANCE_TOL``)."""
     row = g.weights.sum(axis=1)
     col = g.weights.sum(axis=0)
-    return bool(np.all(np.abs(row - col) <= tol))
+    return bool(np.all(np.abs(row - col) <= BALANCE_TOL))
 
 
 def laplacian(g: WeightedDigraph) -> np.ndarray:
@@ -326,12 +235,14 @@ class GraphSchedule:
         ``kk * period + start`` of every cycle ``kk >= 0``; of switches
         that round to one float the later one starts its segment.
         """
-        if t < 0.0:
-            raise InputError(f"time must be nonnegative, got {t}")
+        if not t >= 0.0:
+            raise InputError(f"time must be a nonnegative number, got {t}")
         starts = self._starts
-        if self.period is None:
+        if self.period is None:  # +inf lies in the last segment, which holds forever
             idx = bisect_right(starts, t) - 1
             return idx, starts[idx + 1] if idx + 1 < len(starts) else math.inf
+        if t == math.inf:
+            raise InputError("time must be finite on a periodic schedule, got inf")
         # The cycles around floor(t / period) absorb its rounding.
         k = math.floor(t / self.period)
         idx, latest, after = 0, -math.inf, math.inf
@@ -355,7 +266,8 @@ class GraphSchedule:
 
     def graphs_active_from(self, t: float) -> tuple[WeightedDigraph, ...]:
         """Deduplicated graphs that can still become active at or after ``t``."""
-        pool = self.segments if self.period is not None else self.segments[self._lookup(t)[0]:]
+        idx = self._lookup(t)[0]
+        pool = self.segments if self.period is not None else self.segments[idx:]
         unique: list[WeightedDigraph] = []
         for _, g in pool:
             if not any(g == u for u in unique):

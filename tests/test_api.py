@@ -33,11 +33,14 @@ def test_public_surface():
         assert getattr(qcl, name) is not None, name
 
     for name in ("NetworkState", "SurfaceMode", "next_event",
-                 "unbounded_interactions_graph"):
+                 "unbounded_interactions_graph", "strongly_connected_components",
+                 "Condensation"):
         assert name not in qcl.__all__
         assert not hasattr(qcl, name)
     assert not hasattr(qcl.dynamics, "next_event")
-    assert not hasattr(qcl.graphs, "unbounded_interactions_graph")
+    for name in ("unbounded_interactions_graph", "strongly_connected_components",
+                 "Condensation"):
+        assert not hasattr(qcl.graphs, name)
     assert not hasattr(qcl.TrajectoryEvent, "state")
     assert not hasattr(qcl.ScenarioConfig, "with_policy")
     assert list(inspect.signature(qcl.simulate).parameters) == ["config"]  # no stop callback

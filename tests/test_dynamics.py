@@ -1194,6 +1194,11 @@ class TestTrajectory:
         assert np.array_equal(traj.state_at(100.0), [0.5, 1.0, 1.5])
         assert np.array_equal(traj.state_at(0.0), [0.0, 1.0, 2.0])
 
+    def test_state_at_rejects_nan(self):
+        traj = simulate(example1_line(3, 1.0, policy=Sliding()))
+        with pytest.raises(InputError, match="time must be a number"):
+            traj.state_at(math.nan)
+
     @pytest.mark.parametrize("status", ["equilibrium", "horizon"])
     def test_state_at_matches_linear_scan(self, status):
         traj = simulate(example1_line(6, 0.25, policy=SequentialSlow()))

@@ -15,7 +15,6 @@ from qcl import (
     laplacian,
     line_graph,
     schedule_from_json,
-    strongly_connected_components,
 )
 from qcl.scenarios import SplitMix64
 
@@ -70,41 +69,6 @@ class TestWeightedDigraph:
             WeightedDigraph.from_edges(3, [edge])
 
 
-class TestStronglyConnectedComponents:
-    def test_three_cycle_single_component(self):
-        g = WeightedDigraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
-        cond = strongly_connected_components(g)
-        assert cond.components == ((0, 1, 2),)
-        assert cond.dag_edges == frozenset()
-
-    def test_directed_chain_three_singletons(self):
-        g = WeightedDigraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        cond = strongly_connected_components(g)
-        assert cond.components == ((0,), (1,), (2,))
-        assert cond.dag_edges == frozenset({(0, 1), (1, 2)})
-
-    def test_leader_chain_topology_vs_reachability_oracle(self):
-        # Components must match mutual reachability computed independently.
-        g = example2_topology(4)
-        cond = strongly_connected_components(g)
-        reach = bfs_reachability(g)
-        for u in range(4):
-            for v in range(4):
-                same = cond.component_of[u] == cond.component_of[v]
-                mutual = reach[u][v] and reach[v][u]
-                assert same == mutual
-        assert cond.components == ((0, 1, 2), (3,))
-        assert cond.dag_edges == frozenset({(0, 1)})
-
-    def test_condensation_partition_covers_agents(self):
-        rng = SplitMix64(5)
-        for _ in range(200):
-            g = random_digraph(rng, 1 + rng.randint(6), 0.35)
-            cond = strongly_connected_components(g)
-            seen = sorted(v for comp in cond.components for v in comp)
-            assert seen == list(range(g.n))
-
-
 class TestGloballyReachableNode:
     def test_single_node(self):
         g = WeightedDigraph.empty(1)
@@ -130,12 +94,20 @@ class TestGloballyReachableNode:
         g = WeightedDigraph.from_edges(3, [(0, 2, 1.0), (1, 2, 1.0)])
         assert has_globally_reachable_node(g).found
 
-    def test_one_sink_implies_reachable(self):
+    def test_sparse_graphs_match_bfs_exactly(self):
+        # Seeded sparse digraphs, larger than the exhaustive corpus's and
+        # often with several sink components: found exactly when BFS finds a
+        # node that every node reaches, and the witness is the smallest one.
         rng = SplitMix64(17)
-        for _ in range(500):
-            g = random_digraph(rng, 1 + rng.randint(5), 0.35)
-            if len(strongly_connected_components(g).sinks()) == 1:
-                assert has_globally_reachable_node(g).found
+        outcomes = set()
+        for _ in range(200):
+            g = random_digraph(rng, 7 + rng.randint(34), 0.02 + 0.28 * rng.uniform())
+            reach = bfs_reachability(g)
+            witnesses = [v for v in range(g.n) if all(reach[u][v] for u in range(g.n))]
+            result = has_globally_reachable_node(g)
+            assert result == (bool(witnesses), witnesses[0] if witnesses else None)
+            outcomes.add(result.found)
+        assert outcomes == {False, True}
 
 
 class TestWeightBalance:
@@ -233,6 +205,24 @@ class TestGraphSchedule:
         assert s.graph_at(100.0) == g2
         assert s.next_switch_after(2.0) == math.inf
         assert s.graphs_active_from(2.5) == (g2,)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    @pytest.mark.parametrize("period", [None, 4.0])
+    @pytest.mark.parametrize("lookup", ["graph_at", "next_switch_after", "graphs_active_from"])
+    def test_lookups_reject_nan_and_periodic_inf(self, lookup, period, t):
+        # NaN once passed the sign check: a finite schedule gave its last
+        # segment, a periodic one a bare ValueError, and inf an OverflowError.
+        g1 = line_graph(2)
+        g2 = WeightedDigraph.from_edges(2, [(0, 1, 1.0)])
+        s = GraphSchedule(segments=((0.0, g1), (2.0, g2)), a_low=1.0, a_high=1.0,
+                          period=period)
+        if period is None and t == math.inf:  # the last segment holds forever
+            expected = {"graph_at": g2, "next_switch_after": math.inf,
+                        "graphs_active_from": (g2,)}
+            assert getattr(s, lookup)(t) == expected[lookup]
+        else:
+            with pytest.raises(InputError, match="time must be"):
+                getattr(s, lookup)(t)
 
 
 def _offsets(s: GraphSchedule) -> list[float]:
