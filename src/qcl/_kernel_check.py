@@ -203,8 +203,9 @@ def _general_states() -> list[tuple]:
 
     On directed cycles, the states lie on the thresholds, 1-2 ulps beside
     them, on the levels, at -0.0 and beyond the outermost thresholds on
-    both sides; the set scan must find a threshold with bisect_left, and
-    the hit scan look up with bisect_right and down with bisect_left.
+    both sides; the lookup must count the thresholds at or below a state
+    with bisect_right, and the set scan and the downward hit scan must see
+    when the state lies on the last of them.
     Then states that are not finite, which must decline."""
     xs = [-0.0, 0.0, -7.5, 9.0, -1.5, 3.25, 3.0, -1.0]
     for t in _GENERAL.thresholds:

@@ -52,14 +52,16 @@
  * instead of formatting it again.
  *
  * The static helpers: hold_solve builds and solves one dense hold system,
- * velocity sums one row as numpy does, krasovskii_sets and threshold_hits
- * scan the Krasovskii sets and the closest arrival, lookup finds a
- * schedule's segment (GraphSchedule._lookup), pgs runs projected
- * Gauss-Seidel, and deriv and ramp give the oracle's derivatives.  All
- * keep the operation order of every element of the reference, and none
- * calls BLAS, so the results do not depend on the BLAS build.  Built with
- * -ffp-contract=off and without fast-math, so the results are
- * bit-identical to the reference; qcl checks that before it uses a build.
+ * velocity sums one row as numpy does, count_at_or_below is a quantizer's
+ * one lookup (its _cell), which cell (a Krasovskii set) and next_threshold
+ * read, krasovskii_sets and threshold_hits scan the Krasovskii sets and the
+ * closest arrival, lookup finds a schedule's segment (GraphSchedule._lookup)
+ * with the same bisect_right, pgs runs projected Gauss-Seidel, and deriv
+ * and ramp give the oracle's derivatives.  All keep the operation order of
+ * every element of the reference, and none calls BLAS, so the results do
+ * not depend on the BLAS build.  Built with -ffp-contract=off and without
+ * fast-math, so the results are bit-identical to the reference; qcl checks
+ * that before it uses a build.
  *
  * No entry point checks a bound or an index it is given; the bindings in
  * qcl._ckernel establish every precondition:
@@ -357,111 +359,103 @@ static int on_lattice(double x, double delta)
     return fabs(x) / delta < 0x1p52;
 }
 
-static double threshold(double k, double delta)
+static double lattice_threshold(double k, double delta)
 {
     return (k + 0.5) * delta;
 }
 
-/* UniformQuantizer._index_above: the first k from floor(x / delta - 0.5) - 1
- * whose threshold lies above x, or 0 when none of the four candidates does. */
-static int index_above(double x, double delta, double *k)
-{
-    double base = floor(x / delta - 0.5);
-
-    for (int j = -1; j <= 2; j++) {
-        if (threshold(base + j, delta) <= x)
-            continue;
-        *k = base + j;
-        return 1;
-    }
-    return 0;
-}
-
-/* UniformQuantizer.next_threshold(x, -1): the first threshold below x from
- * floor(x / delta - 0.5) + 1 down, or 0 when none of the four candidates is. */
-static int threshold_below(double x, double delta, double *t)
-{
-    double base = floor(x / delta - 0.5);
-
-    for (int j = 1; j >= -2; j--) {
-        *t = threshold(base + j, delta);
-        if (*t < x)
-            return 1;
-    }
-    return 0;
-}
-
-/* bisect.bisect_left (right 0) or bisect_right (right 1) of x, not NaN, in
- * the n increasing values of a. */
-static int64_t bisect(const double *a, int64_t n, double x, int right)
+/* bisect.bisect_right of x, not NaN, in the n increasing values of a. */
+static int64_t bisect_right(const double *a, int64_t n, double x)
 {
     int64_t lo = 0, hi = n;
 
     while (lo < hi) {
         int64_t mid = (lo + hi) / 2;
-        if (right ? !(x < a[mid]) : a[mid] < x)
-            lo = mid + 1;
-        else
+        if (x < a[mid])
             hi = mid;
+        else
+            lo = mid + 1;
     }
     return lo;
 }
 
-/* The Krasovskii set [lo, hi] of x, as krasovskii_set gives it: for a
- * GeneralQuantizer, x lies on threshold k = bisect_left(thresholds, x) when
- * that threshold equals it, else inside the cell of level k.  Returns 0, or
- * 1 for a state that is not finite or off the uniform lattice. */
-static int cell(const struct qcl_quantizer *q, double x, double *lo, double *hi)
+/* The lookup of each quantizer, as its _cell: the count k of the
+ * thresholds at or below x, an integer held in a double, so that x lies in
+ * the cell of level k, and in *on whether x lies on threshold k - 1.  On
+ * the uniform lattice threshold base - 1, with base = floor(x / delta -
+ * 0.5), always lies below x and threshold base + 2 above it, so k is base
+ * plus the count of thresholds base and base + 1 at or below x, and x lies
+ * on a threshold when it equals one of those two; for a GeneralQuantizer k
+ * is bisect_right.  Returns 0, or 1 for a state that is not finite or off
+ * the uniform lattice.  Declared inline: gcc 12 -O2 (x86-64) otherwise
+ * calls it out of line, which made a Krasovskii set take twice as long. */
+static inline int count_at_or_below(const struct qcl_quantizer *q, double x, double *k,
+                                    int *on)
 {
-    double k;
     int64_t i;
 
     if (q->levels == NULL) {
-        if (!on_lattice(x, q->delta) || !index_above(x, q->delta, &k))
+        double base, lower, upper;
+
+        if (!on_lattice(x, q->delta))
             return 1;
-        *hi = k * q->delta;
-        *lo = threshold(k - 1.0, q->delta) == x ? (k - 1.0) * q->delta : *hi;
+        base = floor(x / q->delta - 0.5);
+        lower = lattice_threshold(base, q->delta);
+        upper = lattice_threshold(base + 1.0, q->delta);
+        *k = base + (lower <= x) + (upper <= x);
+        *on = lower == x || upper == x;
         return 0;
     }
     if (!isfinite(x))
         return 1;
-    i = bisect(q->thresholds, q->count, x, 0);
-    *lo = q->levels[i];
-    *hi = i < q->count && q->thresholds[i] == x ? q->levels[i + 1] : *lo;
+    i = bisect_right(q->thresholds, q->count, x);
+    *k = (double)i;
+    *on = i > 0 && q->thresholds[i - 1] == x;
+    return 0;
+}
+
+/* Threshold k of q, or NaN, which equals no state, for a GeneralQuantizer's
+ * k outside [0, count). */
+static double threshold(const struct qcl_quantizer *q, double k)
+{
+    if (q->levels == NULL)
+        return lattice_threshold(k, q->delta);
+    return k >= 0.0 && k < q->count ? q->thresholds[(int64_t)k] : NAN;
+}
+
+static double level(const struct qcl_quantizer *q, double k)
+{
+    return q->levels == NULL ? k * q->delta : q->levels[(int64_t)k];
+}
+
+/* The Krasovskii set [lo, hi] of x, as krasovskii_set gives it: [level
+ * k - 1, level k] on threshold k - 1, else level k alone.  Returns 0, or 1
+ * for a state that count_at_or_below refuses. */
+static int cell(const struct qcl_quantizer *q, double x, double *lo, double *hi)
+{
+    double k;
+    int on;
+
+    if (count_at_or_below(q, x, &k, &on))
+        return 1;
+    *hi = level(q, k);
+    *lo = on ? level(q, k - 1.0) : *hi;
     return 0;
 }
 
 /* The next threshold beyond x in the direction of v (down for a NaN v), as
- * next_threshold gives it: for a GeneralQuantizer, bisect_right up and
- * bisect_left down.  Returns 1 with it in *th, 0 beyond the outermost
- * threshold of a GeneralQuantizer, or -1 for a state that is not finite or
- * off the uniform lattice. */
+ * next_threshold gives it, in *th: threshold k up, and threshold k - 1 - on
+ * down; NaN beyond the outermost threshold of a GeneralQuantizer.  Returns
+ * 0, or 1 for a state that count_at_or_below refuses. */
 static int next_threshold(const struct qcl_quantizer *q, double x, double v, double *th)
 {
     double k;
-    int64_t i;
+    int on;
 
-    if (q->levels == NULL) {
-        if (!on_lattice(x, q->delta))
-            return -1;
-        if (v > 0.0) {
-            if (!index_above(x, q->delta, &k))
-                return -1;
-            *th = threshold(k, q->delta);
-            return 1;
-        }
-        return threshold_below(x, q->delta, th) ? 1 : -1;
-    }
-    if (!isfinite(x))
-        return -1;
-    if (v > 0.0)
-        i = bisect(q->thresholds, q->count, x, 1);
-    else
-        i = bisect(q->thresholds, q->count, x, 0) - 1;
-    if (i < 0 || i >= q->count)
-        return 0;
-    *th = q->thresholds[i];
-    return 1;
+    if (count_at_or_below(q, x, &k, &on))
+        return 1;
+    *th = threshold(q, v > 0.0 ? k : k - 1.0 - on);
+    return 0;
 }
 
 /* Why a resolve declines, in w->reason; qcl._ckernel.DECLINES raises the
@@ -520,8 +514,9 @@ static int krasovskii_sets(struct qcl_work *s, int64_t n, const struct qcl_quant
  * nonzero velocity and a next threshold th in the direction of motion,
  * and every agent tied at it, in increasing order, in hit[0..count) with
  * its threshold; +inf and no agent when none arrives.  A NaN velocity looks
- * down and a NaN dt is never closest.  Returns 0, or declines (QCL_STATE)
- * when next_threshold refuses a moving agent's state. */
+ * down, and a NaN dt, which a NaN threshold beyond the outermost one gives,
+ * is never closest.  Returns 0, or declines (QCL_STATE) when next_threshold
+ * refuses a moving agent's state. */
 static int threshold_hits(struct qcl_work *h, int64_t n, const struct qcl_quantizer *q)
 {
     double best = INFINITY;
@@ -529,15 +524,11 @@ static int threshold_hits(struct qcl_work *h, int64_t n, const struct qcl_quanti
 
     for (int64_t i = 0; i < n; i++) {
         double x = h->x[i], v = h->y[i], th, dt;
-        int found;
 
         if (v == 0.0)
             continue;
-        found = next_threshold(q, x, v, &th);
-        if (found < 0)
+        if (next_threshold(q, x, v, &th))
             return decline(h, QCL_STATE, i);
-        if (!found)
-            continue;
         dt = (th - x) / v;
         if (dt < best) {
             best = dt;
@@ -960,7 +951,7 @@ static int64_t lookup(const struct qcl_schedule *s, double t, double *after)
 
     *after = INFINITY;
     if (!s->periodic) {
-        idx = bisect(s->starts, s->count, t, 1) - 1;
+        idx = bisect_right(s->starts, s->count, t) - 1;
         if (idx + 1 < s->count)
             *after = s->starts[idx + 1];
         return idx;
@@ -1117,7 +1108,7 @@ int qcl_advance(const struct qcl_schedule *sc, struct qcl_work *w, const struct 
 
 /* The piecewise-linear ramp through the m knots (xp, fp), clamped outside,
  * on segment bisect_right(xp, v, 1, m - 1) - 1, searched here: calling
- * bisect made the oracle 60 % slower (x86-64, gcc 12 -O2). */
+ * bisect_right made the oracle 60 % slower (x86-64, gcc 12 -O2). */
 static double ramp(double v, const double *xp, const double *fp, int64_t m)
 {
     int64_t lo = 1, hi = m - 1;

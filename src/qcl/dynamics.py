@@ -66,7 +66,7 @@ import numpy as np
 from . import quantizers
 from .graphs import WeightedDigraph
 from .quantizers import (InputError, Quantizer, UniformQuantizer, json_agent, json_field,
-                         json_float, json_keys, kq_envelope, krasovskii_scan)
+                         json_float, json_keys, kq_envelope)
 
 #: Surface sets up to this size use dense elimination; larger ones use
 #: projected Gauss-Seidel.
@@ -232,9 +232,13 @@ def selection_velocity(
     z = np.asarray(z, dtype=float)
     if x.shape != (g.n,) or z.shape != (g.n,):
         raise InputError("state/selection length must match the agent count")
-    outside = krasovskii_scan(x, quantizer, z)
-    if outside:
-        i = outside[0]
+    lo, hi = quantizer.krasovskii_sets(x)
+    bad = np.flatnonzero(np.isnan(lo))
+    if bad.size:  # the first agent whose state the method refuses
+        quantizer.krasovskii_set(float(x[bad[0]]))
+    outside = np.flatnonzero(~((lo <= z) & (z <= hi)))
+    if outside.size:
+        i = int(outside[0])
         lo, hi = quantizer.krasovskii_set(float(x[i]))
         raise ContractViolation(
             f"selection z[{i}]={z[i]} outside [{lo}, {hi}] at x[{i}]={x[i]}"
@@ -425,15 +429,22 @@ class Trajectory:
         return self.t.tolist()
 
     def state_at(self, t: float) -> np.ndarray:
-        """Piecewise-affine interpolation; constant beyond the final event."""
+        """Piecewise-affine interpolation between the events.  Past the final
+        event the state stays put when the run ended at an equilibrium, and
+        otherwise moves on with the final event's velocity, so that there
+        ``t`` must be finite (InputError for +inf)."""
         if t != t:
             raise InputError("time must be a number, got nan")
         if t <= self.t[0]:
             return self.x[0].copy()
         # The last event at or before t starts the segment that holds t.
         idx = bisect_right(self._times, t) - 1
-        if idx == len(self._times) - 1 and self.status == "equilibrium":
-            return self.x[idx].copy()
+        if idx == len(self._times) - 1:
+            if self.status == "equilibrium":
+                return self.x[idx].copy()
+            if t == math.inf:
+                raise InputError("time must be finite past the final event of a run with "
+                                 f"status {self.status!r}, got inf")
         dt = t - self._times[idx]
         return self.x[idx] + dt * self.velocity[idx]
 
@@ -602,6 +613,9 @@ def _ramp_knots(quantizer: Quantizer, x0, eps: float) -> tuple[list[float], list
 
 
 def _require_stride(stride: float) -> None:
+    # bool is an int, and numpy's scalars register with numbers.
+    if isinstance(stride, bool) or not isinstance(stride, numbers.Real):
+        raise InputError(f"stride must be a real number, got {stride!r}")
     if not (math.isfinite(stride) and stride > 0.0):
         raise InputError(f"stride must be finite and positive, got {stride!r}")
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import wraps
 from typing import Callable
@@ -119,12 +119,43 @@ def json_agent(key: str) -> int:
     return int(key)
 
 
-# Methods both quantizers share.  Each class binds them in its own body
-# rather than inheriting them, so every method stays in its class's
-# ``vars()``, where the benchmark's tracer looks methods up.
+# The methods both quantizers share, written once over each class's lookup
+# ``_cell(x) -> (k, on)``: ``k`` counts the thresholds at or below the finite
+# state ``x``, so that ``x`` lies in the cell of level ``k``, and ``on`` says
+# whether threshold ``k - 1`` equals ``x``.  ``_level(k)`` and
+# ``_threshold(k)`` (None beyond the outermost one) read the rest.  Each
+# class binds them in its own body rather than inheriting them, so every
+# method stays in its class's ``vars()``, where the benchmark's tracer looks
+# methods up.
 
 def _is_threshold(self, x: float) -> bool:
-    return self._threshold_index(_require_finite(x, "x")) is not None
+    return self._cell(_require_finite(x, "x"))[1]
+
+
+def _surface_bounds(self, x: float) -> tuple[float, float] | None:
+    """Adjacent (lower, upper) levels when ``x`` is exactly a threshold."""
+    k, on = self._cell(_require_finite(x, "x"))
+    return (self._level(k - 1), self._level(k)) if on else None
+
+
+def _quantize(self, z: float) -> float:
+    # On a threshold the cell is the upper one (floor convention).
+    return self._level(self._cell(_require_finite(z, "z"))[0])
+
+
+def _krasovskii_set(self, z: float) -> tuple[float, float]:
+    k, on = self._cell(_require_finite(z, self._set_argument))
+    return (self._level(k - on), self._level(k))
+
+
+def _next_threshold(self, x: float, direction: int) -> float | None:
+    """Closest threshold strictly beyond ``x`` in the given direction, or
+    None beyond the outermost one."""
+    x = _require_finite(x, "x")
+    if direction not in (1, -1):
+        raise InputError(f"direction must be +1 or -1, got {direction!r}")
+    k, on = self._cell(x)
+    return self._threshold(k if direction > 0 else k - 1 - on)
 
 
 def _level_span(self, x_values) -> float:
@@ -139,10 +170,20 @@ class UniformQuantizer:
 
     delta: float
 
+    # The name that krasovskii_set's error gives a state that is not finite.
+    # The two classes have always named it differently, and the build
+    # self-check hashes the texts of the resolves that decline on a state.
+    _set_argument = "z"
+
     def __post_init__(self) -> None:
         d = _require_finite(self.delta, "delta")
         if d <= 0.0:
             raise InputError(f"delta must be positive, got {d}")
+        # At the smallest subnormal step (k + 0.5) * delta rounds onto the
+        # levels, and the lookup needs thresholds strictly between them.
+        if not 0.5 * d > 0.0:
+            raise InputError(f"delta must be at least 1e-323, so that each threshold lies "
+                             f"strictly between two levels, got {d!r}")
         object.__setattr__(self, "delta", d)
 
     # All threshold values must come from this one expression so that
@@ -150,66 +191,41 @@ class UniformQuantizer:
     def _threshold(self, k: int) -> float:
         return (k + 0.5) * self.delta
 
-    def _on_lattice(self, x: float) -> float:
-        """``x``, which must lie on the representable threshold lattice,
-        ``|x|/delta < 2^52``, as the compiled resolve and the scenario parser
-        require: beyond it ``(k + 0.5) * delta`` rounds onto the levels."""
+    def _level(self, k: int) -> float:
+        return k * self.delta
+
+    def _cell(self, x: float) -> tuple[int, bool]:
+        """The lookup of ``x``, which must lie on the representable threshold
+        lattice, ``|x|/delta < 2^52``, as the compiled resolve and the
+        scenario parser require: beyond it ``(k + 0.5) * delta`` rounds onto
+        the levels.  On it threshold ``base - 1``, with ``base =
+        floor(x/delta - 0.5)``, always lies below ``x`` and threshold
+        ``base + 2`` above it, so ``k`` is ``base`` plus the count of
+        thresholds ``base`` and ``base + 1`` at or below ``x``, and ``x``
+        lies on a threshold when it equals one of those two."""
         if not abs(x) / self.delta < 2.0 ** 52:
             raise InputError(
                 f"x={x!r} lies beyond the representable threshold lattice of "
                 f"delta={self.delta!r} (need |x|/delta < 2^52)"
             )
-        return x
-
-    def _threshold_index(self, x: float) -> int | None:
-        """Integer k with ``(k+0.5)*delta == x`` bit-exactly, else None."""
-        base = math.floor(self._on_lattice(x) / self.delta - 0.5)
-        for k in (base - 1, base, base + 1):
-            if self._threshold(k) == x:
-                return k
-        return None
+        base = math.floor(x / self.delta - 0.5)
+        lower, upper = self._threshold(base), self._threshold(base + 1)
+        return base + (lower <= x) + (upper <= x), lower == x or upper == x
 
     @property
     def delta_min(self) -> float:
         return self.delta
 
     is_threshold = _is_threshold
-
-    def surface_bounds(self, x: float) -> tuple[float, float] | None:
-        """Adjacent (lower, upper) levels when ``x`` is exactly a threshold."""
-        k = self._threshold_index(_require_finite(x, "x"))
-        if k is None:
-            return None
-        return (k * self.delta, (k + 1) * self.delta)
-
-    def _index_above(self, x: float) -> int:
-        """Smallest integer k with ``(k+0.5)*delta > x``."""
-        base = math.floor(self._on_lattice(x) / self.delta - 0.5)
-        for k in (base - 1, base, base + 1, base + 2):
-            if self._threshold(k) > x:
-                return k
-        raise AssertionError("threshold scan exhausted")  # pragma: no cover
-
-    def quantize(self, z: float) -> float:
-        # The level of the cell below the next threshold up; on a threshold
-        # that is the upper level (floor convention).
-        return self._index_above(_require_finite(z, "z")) * self.delta
-
-    def krasovskii_set(self, z: float) -> tuple[float, float]:
-        # One scan finds the first threshold above z; z lies on the one
-        # below it or inside the cell below it.
-        k = self._index_above(_require_finite(z, "z"))
-        if self._threshold(k - 1) == z:
-            return ((k - 1) * self.delta, k * self.delta)
-        return (k * self.delta, k * self.delta)
+    surface_bounds = _surface_bounds
+    quantize = _quantize
+    krasovskii_set = _krasovskii_set
 
     def krasovskii_sets(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``krasovskii_set`` of each element of ``x`` by the same operations,
-        as the arrays ``(lo, hi)``; NaN for an element that is not finite or
-        leaves the representable lattice, where the method raises.  On the
-        lattice the scan's first candidate, base - 1, is always at or below
-        x and base + 2 above it, so k is base plus the count of base and
-        base + 1 whose threshold is at or below x."""
+        """``krasovskii_set`` of each element of ``x`` by the same operations
+        (``_cell``'s), as the arrays ``(lo, hi)``; NaN for an element that is
+        not finite or leaves the representable lattice, where the method
+        raises."""
         delta = self.delta
         # Clipped to 2^53 cells, which leaves the lattice too, so that the
         # division cannot overflow.
@@ -219,23 +235,11 @@ class UniformQuantizer:
         # Near the largest float a threshold or a level overflows to +-inf,
         # as it does in the method.
         with np.errstate(over="ignore"):
-            k = base + ((base + 0.5) * delta <= x) + ((base + 1.5) * delta <= x)
-            return (k - ((k - 0.5) * delta == x)) * delta, k * delta
+            lower, upper = (base + 0.5) * delta, (base + 1.5) * delta
+            k = base + (lower <= x) + (upper <= x)
+            return (k - ((lower == x) | (upper == x))) * delta, k * delta
 
-    def next_threshold(self, x: float, direction: int) -> float | None:
-        """Closest threshold strictly beyond ``x`` in the given direction."""
-        x = _require_finite(x, "x")
-        if direction not in (1, -1):
-            raise InputError(f"direction must be +1 or -1, got {direction!r}")
-        if direction > 0:
-            return self._threshold(self._index_above(x))
-        base = math.floor(self._on_lattice(x) / self.delta - 0.5)
-        for k in (base + 1, base, base - 1, base - 2):
-            t = self._threshold(k)
-            if t < x:
-                return t
-        raise AssertionError("threshold scan exhausted")  # pragma: no cover
-
+    next_threshold = _next_threshold
     level_span = _level_span
 
     def to_json(self) -> dict:
@@ -251,6 +255,9 @@ class GeneralQuantizer:
 
     levels: tuple[float, ...]
     thresholds: tuple[float, ...]
+
+    # The name that krasovskii_set's error gives a state that is not finite.
+    _set_argument = "x"
 
     def __post_init__(self) -> None:
         levels = tuple(_require_finite(v, "level") for v in self.levels)
@@ -276,53 +283,32 @@ class GeneralQuantizer:
             return math.inf
         return min(b - a for a, b in zip(self.levels, self.levels[1:]))
 
-    def _threshold_index(self, x: float) -> int | None:
-        i = bisect_left(self.thresholds, x)
-        if i < len(self.thresholds) and self.thresholds[i] == x:
-            return i
-        return None
+    def _threshold(self, k: int) -> float | None:
+        return self.thresholds[k] if 0 <= k < len(self.thresholds) else None
+
+    def _level(self, k: int) -> float:
+        return self.levels[k]
+
+    def _cell(self, x: float) -> tuple[int, bool]:
+        k = bisect_right(self.thresholds, x)
+        return k, k > 0 and self.thresholds[k - 1] == x
 
     is_threshold = _is_threshold
-
-    def surface_bounds(self, x: float) -> tuple[float, float] | None:
-        k = self._threshold_index(_require_finite(x, "x"))
-        if k is None:
-            return None
-        return (self.levels[k], self.levels[k + 1])
-
-    def quantize(self, z: float) -> float:
-        z = _require_finite(z, "z")
-        # bisect_right puts an exact threshold into the upper cell,
-        # matching the floor convention of the uniform map.
-        return self.levels[bisect_right(self.thresholds, z)]
-
-    def krasovskii_set(self, z: float) -> tuple[float, float]:
-        bounds = self.surface_bounds(z)
-        if bounds is not None:
-            return bounds
-        q = self.quantize(z)
-        return (q, q)
+    surface_bounds = _surface_bounds
+    quantize = _quantize
+    krasovskii_set = _krasovskii_set
 
     def krasovskii_sets(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``krasovskii_set`` of each element of ``x`` by the same lookup, as
         the arrays ``(lo, hi)``; NaN for an element that is not finite."""
         thresholds, levels = np.array(self.thresholds, dtype=float), np.array(self.levels)
-        i = np.searchsorted(thresholds, x)  # bisect_left
-        # The padding NaN equals nothing: beyond the last threshold no state is on one.
-        on = np.append(thresholds, math.nan)[i] == x
+        k = np.searchsorted(thresholds, x, side="right")  # bisect_right
+        # The padding NaN equals nothing: below the first threshold no state is on one.
+        on = np.insert(thresholds, 0, math.nan)[k] == x
         finite = np.isfinite(x)
-        return np.where(finite, levels[i], math.nan), np.where(finite, levels[i + on], math.nan)
+        return np.where(finite, levels[k - on], math.nan), np.where(finite, levels[k], math.nan)
 
-    def next_threshold(self, x: float, direction: int) -> float | None:
-        x = _require_finite(x, "x")
-        if direction not in (1, -1):
-            raise InputError(f"direction must be +1 or -1, got {direction!r}")
-        if direction > 0:
-            i = bisect_right(self.thresholds, x)
-            return self.thresholds[i] if i < len(self.thresholds) else None
-        i = bisect_left(self.thresholds, x) - 1
-        return self.thresholds[i] if i >= 0 else None
-
+    next_threshold = _next_threshold
     level_span = _level_span
 
     def to_json(self) -> dict:
@@ -381,15 +367,6 @@ def _load_kernel():
     from . import _ckernel
 
     return _ckernel.load()
-
-
-def krasovskii_scan(x, quantizer: Quantizer, selection) -> list[int]:
-    """The agents ``i`` of ``x``, in increasing order, whose ``selection[i]``
-    lies outside their Krasovskii set ``[lo, hi]``, with one
-    ``krasovskii_set`` call per agent (which raises for a bad state)."""
-    values = x.tolist() if hasattr(x, "tolist") else x
-    sets = [quantizer.krasovskii_set(float(v)) for v in values]
-    return [i for i, ((lo, hi), s) in enumerate(zip(sets, selection)) if not lo <= s <= hi]
 
 
 def extreme_sets(x, quantizer: Quantizer) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -19,6 +19,8 @@ compiled resolve.
 from __future__ import annotations
 
 import math
+import sys
+import warnings
 import weakref
 from bisect import bisect_right
 from typing import Callable, Collection, NamedTuple
@@ -81,8 +83,7 @@ class SetScan(NamedTuple):
 
 def krasovskii_scan(x, quantizer: Quantizer, selection=None, z=None) -> SetScan:
     """The Krasovskii sets of all agents of ``x`` in one scan, with one
-    ``krasovskii_set`` call per agent (``qcl.quantizers.krasovskii_scan``
-    keeps only ``outside``).
+    ``krasovskii_set`` call per agent.
 
     Writes the level of each agent inside a cell into the array ``z`` when
     one is given; its entries at surface agents are left unspecified.  With
@@ -687,9 +688,25 @@ def write(json: bool, indent: int, *columns: np.ndarray) -> str | None:
 KERNELS = Kernels(resolve=resolve, advance=advance, regularized=regularized, write=write)
 
 
-if __name__ == "__main__":
-    # The sha256s that every build must reproduce: qcl._kernel_check.DIGESTS.
-    from qcl._kernel_check import DIGESTS, digests
+def main() -> int:
+    """Print the sha256 of each group that the reference gives, the ones
+    every build must reproduce (``qcl._kernel_check.DIGESTS``), and return
+    1, naming the groups that differ from the checked-in ones, or 0."""
+    from qcl import _kernel_check
 
-    for group, digest in digests(KERNELS):
-        print(f"{group:<10} {digest}" + ("" if digest == DIGESTS[group] else "  differs"))
+    differ = []
+    with warnings.catch_warnings():
+        # The decline states' weights of 1e308 overflow on purpose.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for group, digest in _kernel_check.digests(KERNELS):
+            print(f"{group:<10} {digest}")
+            if digest != _kernel_check.DIGESTS.get(group):
+                differ.append(group)
+    if differ:
+        print("the reference differs in groups " + ", ".join(differ), file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

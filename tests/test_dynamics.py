@@ -33,6 +33,7 @@ from qcl import (
     scenario_from_json,
     selection_velocity,
     simulate,
+    simulate_regularized,
 )
 import reference
 from conftest import (KERNEL_PATHS, MUTANT_FLAGS, SHIPPED_FLAGS, assert_self_check_rejects,
@@ -1199,6 +1200,19 @@ class TestTrajectory:
         with pytest.raises(InputError, match="time must be a number"):
             traj.state_at(math.nan)
 
+    @pytest.mark.parametrize("status", ["equilibrium", "horizon", "limit"])
+    def test_state_at_inf(self, status):
+        # Past the final event a run that did not settle moves on with its
+        # last velocity, where inf * 0.0 would give a resting agent NaN.
+        traj = simulate(example1_line(6, 0.25, policy=SequentialSlow()))
+        traj = dynamics.Trajectory(traj.quantizer, list(traj.events), status)
+        if status == "equilibrium":
+            assert np.array_equal(traj.state_at(math.inf), traj.x[-1])
+            return
+        with pytest.raises(InputError, match=f"^time must be finite past the final event of a "
+                                             f"run with status '{status}', got inf$"):
+            traj.state_at(math.inf)
+
     @pytest.mark.parametrize("status", ["equilibrium", "horizon"])
     def test_state_at_matches_linear_scan(self, status):
         traj = simulate(example1_line(6, 0.25, policy=SequentialSlow()))
@@ -1267,6 +1281,17 @@ class TestTrajectory:
             traj.to_csv(stride=stride)
         with pytest.raises(InputError, match="stride"):
             traj.to_json_obj(stride=stride)
+
+    @pytest.mark.parametrize("stride", [True, "0.5", 0.5j], ids=["bool", "str", "complex"])
+    @pytest.mark.parametrize("export", ["to_csv", "to_json_obj", "oracle"])
+    def test_stride_that_is_not_a_real_number_rejected(self, export, stride):
+        # True once meant a stride of 1.0, and "0.5" raised a bare TypeError.
+        config = example1_line(3, 1.0, policy=Sliding())
+        with pytest.raises(InputError, match=f"^stride must be a real number, got {stride!r}$"):
+            if export == "oracle":
+                simulate_regularized(config, eps=1e-3, h=1e-5, stride=stride, t_end=0.1)
+            else:
+                getattr(simulate(config), export)(stride=stride)
 
     def test_json_mirror_has_same_fields(self):
         traj = simulate(example1_line(3, 1.0, policy=Sliding()))

@@ -116,6 +116,26 @@ def test_reference_gives_the_checked_in_digests():
         group for group, digest in _kernel_check.DIGESTS.items() if found.get(group) != digest)
 
 
+def test_reference_digests_command_names_the_groups_that_differ(monkeypatch, capsys):
+    # `python tests/reference.py` prints each group's sha256 and exits 1
+    # when one differs; the RuntimeWarnings of the check's states are silenced.
+    def digests(kernels, changed=("oracle", "runs")):
+        warnings.warn("overflow encountered", RuntimeWarning)
+        for group, digest in _kernel_check.DIGESTS.items():
+            yield group, "0" * 64 if group in changed else digest
+
+    monkeypatch.setattr(_kernel_check, "digests", digests)
+    assert reference.main() == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [f"{group:<10} {'0' * 64 if group in ('oracle', 'runs') else d}"
+                                for group, d in _kernel_check.DIGESTS.items()]
+    assert err == "the reference differs in groups oracle, runs\n"
+    monkeypatch.setattr(_kernel_check, "digests",
+                        lambda kernels: digests(kernels, changed=()))
+    assert reference.main() == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_self_check_hashes_only_the_outputs_of_the_kernels(monkeypatch):
     # The runs of the check go through Kernels.advance alone: the text that
     # simulate gives an event limit is no part of a build's bits.

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (KERNEL_PATHS, MUTANT_FLAGS, SHIPPED_FLAGS, assert_self_check_rejects,
                       build_kernel_variant, kernel_path)
-from qcl import (GeneralQuantizer, InputError, Sliding, UniformQuantizer, WeightedDigraph,
-                 example1_line, quantizer_from_json, quantizers, resolve_sliding, simulate)
-from qcl.quantizers import extreme_sets, krasovskii_scan
+from qcl import (ContractViolation, GeneralQuantizer, InputError, Sliding, UniformQuantizer,
+                 WeightedDigraph, example1_line, quantizer_from_json, quantizers, resolve_sliding,
+                 selection_velocity, simulate)
+from qcl.quantizers import extreme_sets
 from reference import krasovskii_scan as reference_scan, threshold_hits
 
 DYADIC_DELTAS = (0.25, 0.5, 1.0, 2.0)
@@ -228,6 +230,11 @@ class TestJson:
             UniformQuantizer(0.0)
         with pytest.raises(InputError):
             UniformQuantizer(math.inf)
+        # Its thresholds round onto its levels: 0.5 * 5e-324 is 0.0.
+        with pytest.raises(InputError, match="^delta must be at least 1e-323"):
+            UniformQuantizer(5e-324)
+        q = UniformQuantizer(1e-323)
+        assert q.next_threshold(0.0, -1) == -5e-324 and q.next_threshold(0.0, 1) == 5e-324
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +372,19 @@ def _resolved_scans_agree(x, quantizer) -> bool:
             and repr(arrival) == repr(_hits_reference(states, velocity, quantizer)))
 
 
+def _outside(x, selection, quantizer):
+    """The agents whose selection lies outside their set by the array rule
+    ``krasovskii_sets``, and the one agent that ``selection_velocity`` names
+    (none where it accepts the selection)."""
+    lo, hi = quantizer.krasovskii_sets(np.array(x, dtype=float))
+    outside = np.flatnonzero(~((lo <= selection) & (selection <= hi))).tolist()
+    try:
+        selection_velocity(x, selection, WeightedDigraph.from_edges(len(x), []), quantizer)
+    except ContractViolation as err:
+        return outside, [int(re.match(r"selection z\[(\d+)\]", str(err))[1])]
+    return outside, []
+
+
 def _outcome(fn, *args):
     """``repr`` of the result, or the type and message of the error."""
     try:
@@ -395,9 +415,11 @@ class TestScansMatchPerAgentMethods:
             assert repr(_scan_summary(states, q)) == repr(expected)
             assert repr(quantizers.kq_envelope(states, q)) == repr(expected[2])
             sets = [q.krasovskii_set(x_i) for x_i in x]
-            assert krasovskii_scan(states, q, selection) == reference_scan(
-                states, q, selection).outside == [
+            outside = reference_scan(states, q, selection).outside
+            assert outside == [
                 i for i, ((lo, hi), s) in enumerate(zip(sets, selection)) if not lo <= s <= hi]
+            if x:
+                assert _outside(x, selection, q) == (outside, outside[:1])
             lo, hi = q.krasovskii_sets(np.array(x, dtype=float))
             assert repr(list(zip(lo.tolist(), hi.tolist()))) == repr(sets)
             assert _resolved_scans_agree(x, q)
@@ -470,7 +492,7 @@ class TestScansMatchPerAgentMethods:
         with kernel_path(path):
             x = [-2.0, 0.0, 0.3, 1.0, 4.0, 9.0]
             scan = reference_scan(x, GENERAL, [0.0, 0.5, 0.5, 2.0, 8.0, 7.0])
-            assert krasovskii_scan(x, GENERAL, [0.0, 0.5, 0.5, 2.0, 8.0, 7.0]) == scan.outside
+            assert _outside(x, [0.0, 0.5, 0.5, 2.0, 8.0, 7.0], GENERAL) == (scan.outside, [0])
             assert scan.boxes == {1: (-1.0, 0.5), 3: (0.5, 2.0), 4: (2.0, 7.0)}
             assert extreme_sets(x, GENERAL) == ((-1.0, -1.0), (7.0, 7.0))
             assert scan.outside == [0, 4]
@@ -509,14 +531,17 @@ def test_extreme_sets_match_every_agents_set(data, delta, general):
 
 @pytest.mark.parametrize("old,new,flags", [
     ("return (k + 0.5) * delta;", "return k * delta + 0.5 * delta;", SHIPPED_FLAGS),
-    ("if (threshold(base + j, delta) <= x)", "if (threshold(base + j, delta) < x)",
-     MUTANT_FLAGS),
+    ("*k = base + (lower <= x)", "*k = base + (lower < x)", MUTANT_FLAGS),
     ("for (int64_t i = 0; i < n; i++) {\n        double x = h->x[i]",
      "for (int64_t i = n - 1; i >= 0; i--) {\n        double x = h->x[i]", MUTANT_FLAGS),
-    ("i = bisect(q->thresholds, q->count, x, 0);", "i = bisect(q->thresholds, q->count, x, 1);",
-     MUTANT_FLAGS),
+    # bisect_left, which counts the thresholds below x: on a threshold the
+    # count of a general quantizer's lookup is one short.
+    ("bisect_right(q->thresholds, q->count, x)",
+     "bisect_right(q->thresholds, q->count, nextafter(x, -INFINITY))", MUTANT_FLAGS),
+    # Down from a state on threshold k - 1, threshold k - 1 itself.
+    ("k - 1.0 - on", "k - 1.0", MUTANT_FLAGS),
 ], ids=["threshold-as-k-delta-plus-half-delta", "strict-cell-search", "ties-last-first",
-        "general-set-scan-bisect-right"])
+        "general-count-bisect-left", "downward-scan-ignores-on"])
 def test_mutated_scan_fails_self_check(monkeypatch, tmp_path, old, new, flags):
     build_kernel_variant(monkeypatch, tmp_path, old, new, flags)
     assert_self_check_rejects(tmp_path, "resolves", lambda: simulate(example1_line(5, 0.1)))
